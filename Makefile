@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test tier2-bench-smoke bench profile flight report watch explain
+.PHONY: test tier2-bench-smoke bench ledger ledger-smoke profile flight report watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -19,6 +19,19 @@ tier2-bench-smoke:
 # benchmarks/results/BENCH_core.json.
 bench:
 	$(PYTHON) benchmarks/runner.py
+
+# The performance ledger: five paper-scenario workloads, end-to-end
+# turnaround plus a per-layer traced run (~75 s). Results land in
+# benchmarks/ledger/out/ledger.json; compare two with
+# `python benchmarks/ledger/compare.py BASE.json NEW.json`.
+ledger:
+	$(PYTHON) benchmarks/ledger/run.py
+
+# The ledger at smoke scale plus its self-tests: proves every workload
+# still runs and checks out, says nothing about speed.
+ledger-smoke:
+	$(PYTHON) benchmarks/ledger/run.py --scale 0.05 --repeats 1
+	$(PYTHON) -m pytest -q benchmarks/ledger/tests
 
 # Sim-time profile: a short Abilene scenario under repro.obs.Profiler,
 # printing the per-component event-loop breakdown.

@@ -11,7 +11,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py
     PYTHONPATH=src python benchmarks/check_regression.py --threshold 0.10 \
-        --metric events_per_sec.wheel --metric far_events_per_sec.wheel
+        --metric events_per_sec.heap --metric far_events_per_sec.heap
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_TRAJECTORY = os.path.join(
     _ROOT, "benchmarks", "results", "TRAJECTORY_core.jsonl"
 )
-# Dotted paths into a trajectory row. The wheel engine is the config
-# every figure regeneration runs, so its rates are the guarded ones;
-# the internet zoo's incremental-SPF rate guards the multi-AS lane.
+# Dotted paths into a trajectory row: the engine's two rates, and the
+# internet zoo's incremental-SPF rate for the multi-AS lane.
 DEFAULT_METRICS = (
-    "events_per_sec.wheel",
-    "far_events_per_sec.wheel",
+    "events_per_sec.heap",
+    "far_events_per_sec.heap",
     "internet_spf_events_per_sec.incr",
     "traffic_bg_flow_secs_per_sec.hybrid",
 )
@@ -70,8 +69,8 @@ STAMP_KEYS = frozenset({"archives", "commit", "timestamp", "python", "scale",
 #: explains it. Rows written by ``runner.py --archive-dir`` carry an
 #: ``archives`` map of ``<bench>_<config>_<seed> -> manifest path``.
 METRIC_CELL = {
-    "events_per_sec.wheel": ("engine", "wheel"),
-    "far_events_per_sec.wheel": ("engine_far", "wheel"),
+    "events_per_sec.heap": ("engine", "heap"),
+    "far_events_per_sec.heap": ("engine_far", "heap"),
     "internet_spf_events_per_sec.incr": ("internet_zoo", "incr"),
     "traffic_bg_flow_secs_per_sec.hybrid": ("traffic_plane", "hybrid"),
 }
@@ -298,8 +297,8 @@ def main(argv=None) -> int:
                         help="maximum tolerated fractional drop (0.15 = 15%%)")
     parser.add_argument("--metric", action="append", dest="metrics",
                         help="dotted path into a trajectory row "
-                             "(repeatable; default: events_per_sec.wheel, "
-                             "far_events_per_sec.wheel)")
+                             "(repeatable; default: events_per_sec.heap, "
+                             "far_events_per_sec.heap)")
     args = parser.parse_args(argv)
     if not 0 < args.threshold < 1:
         parser.error(f"--threshold must be in (0, 1), got {args.threshold}")

@@ -68,18 +68,6 @@ def main(argv=None) -> int:
           f"ping: {stats}")
     print(f"iperf: {server.bytes_received / 1e6:.2f} MB delivered\n")
     print(profiler.format_report())
-
-    # Per-batch dispatch stats: how much of the event volume the
-    # batched same-slot drain and the cascading upper wheel levels
-    # absorbed alongside the per-component breakdown above.
-    d = vini.sim.dispatch_stats
-    print("\nengine dispatch (whole run):")
-    print(f"  slot batches      {d['batches']:>10,}  "
-          f"(mean {d['batch_mean']:.1f} events/batch, max {d['batch_max']})")
-    print(f"  batched events    {d['batch_events']:>10,}")
-    print(f"  cascades          {d['cascades']:>10,}  "
-          f"({d['cascaded_events']:,} events promoted)")
-    print(f"  call_soon fast    {d['call_soon_fast']:>10,}")
     return 0
 
 

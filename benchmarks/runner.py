@@ -47,9 +47,9 @@ DEFAULT_ARTIFACT = os.path.join(RESULTS_DIR, "BENCH_core.json")
 
 # bench name -> (cell function, configs)
 BENCHES = {
-    "engine": (core.run_engine_cell, ("wheel", "heap", "legacy")),
-    "engine_far": (core.run_engine_far_cell, ("wheel", "flat", "heap")),
-    "packet": (core.run_packet_cell, ("cow", "deep")),
+    "engine": (core.run_engine_cell, ("heap",)),
+    "engine_far": (core.run_engine_far_cell, ("heap",)),
+    "packet": (core.run_packet_cell, ("cow",)),
     "lookup": (core.run_lookup_cell, ("radix",)),
     "internet_zoo": (zoo.run_internet_zoo_cell, ("incr", "full")),
     "traffic_plane": (traffic.run_traffic_plane_cell, ("hybrid", "packet")),
@@ -267,16 +267,9 @@ def aggregate(results: List[dict]) -> dict:
     }
     summary = {
         "events_per_sec": events,
-        "engine_speedup": events["wheel"] / events["legacy"]
-        if events.get("legacy")
-        else 0.0,
         "far_events_per_sec": far,
-        # Hierarchical wheel vs the single-level wheel on the
-        # far-future workload: the headline for the upper levels.
-        "far_speedup": far["wheel"] / far["flat"] if far.get("flat") else 0.0,
         "fanout_packets_per_sec": fanout,
         "forward_packets_per_sec": forward,
-        "packet_speedup": fanout["cow"] / fanout["deep"] if fanout.get("deep") else 0.0,
         "lookups_per_sec": _rate(results, "lookup", "radix", "lookups_per_sec"),
         "internet_spf_events_per_sec": zoo_spf,
         # Incremental vs full-Dijkstra SPF on the converging internet:
@@ -366,18 +359,12 @@ def main(argv=None) -> int:
     print(f"done in {wall:.2f}s")
     for config, rate in summary["events_per_sec"].items():
         print(f"  engine [{config:<6}] {rate:>12,.0f} events/sec")
-    print(f"  engine speedup (wheel vs legacy seed): "
-          f"{summary['engine_speedup']:.2f}x")
     for config, rate in summary["far_events_per_sec"].items():
         print(f"  engine_far [{config:<6}] {rate:>12,.0f} events/sec")
-    print(f"  far-timer speedup (hierarchical vs single-level wheel): "
-          f"{summary['far_speedup']:.2f}x")
     for config in BENCHES["packet"][1]:
         print(f"  packet [{config:<6}] fan-out "
               f"{summary['fanout_packets_per_sec'][config]:>12,.0f} pkts/sec, "
               f"forward {summary['forward_packets_per_sec'][config]:>12,.0f} pkts/sec")
-    print(f"  packet speedup (cow vs deep fan-out): "
-          f"{summary['packet_speedup']:.2f}x")
     print(f"  lookup [radix ] {summary['lookups_per_sec']:>12,.0f} lookups/sec")
     for config, rate in summary["internet_spf_events_per_sec"].items():
         converged = summary["internet_routers_converged_per_sec"][config]

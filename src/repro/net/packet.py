@@ -445,29 +445,20 @@ class Packet:
             self._wire_len = length
         return length
 
-    def copy(self, deep: bool = False) -> "Packet":
+    def copy(self) -> "Packet":
         """Clone the packet.
 
-        The default is copy-on-write, mirroring Click's packet sharing:
-        the clone shares the header objects (and the payload) with the
+        The clone is copy-on-write, mirroring Click's packet sharing:
+        it shares the header objects (and the payload) with the
         original, and whichever side first *mutates* a header
         materializes private copies via :meth:`writable` /
         :meth:`uniqueify`. Per-hop fan-out (Tee, tcpdump taps) therefore
-        never deep-copies headers it only reads. ``deep=True`` forces an
-        eager full copy.
+        never deep-copies headers it only reads;
+        ``copy().uniqueify()`` forces private headers at once.
 
         The header *stacks* are independent either way: ``encap`` /
         ``decap`` on one side never affect the other.
         """
-        if deep:
-            clone = Packet(
-                headers=[h.copy() for h in self.headers],
-                payload=self.payload.copy(),
-                meta=dict(self.meta),
-                created_at=self.created_at,
-            )
-            clone.span = self.span
-            return clone
         clone = Packet.__new__(Packet)
         clone.headers = list(self.headers)
         clone.payload = self.payload

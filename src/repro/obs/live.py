@@ -31,7 +31,7 @@ is the window into a run *while it executes*:
   ``abort`` — stop the simulator and write a diagnostic snapshot.
 
 The wall-clock side hooks the engine through ``Simulator._live_hook``,
-polled once per outer dispatch pass: a single ``is not None`` test when
+polled between events: a single ``is not None`` test when
 nothing is installed, and a counter-strided ``perf_counter`` check when
 a monitor is. Sim-time stalls (a livelocked same-timestamp storm) are
 exactly the case a periodic sim event can never observe — the hook can.
@@ -425,13 +425,13 @@ class LiveMonitor:
         return self.watch(key, lambda: metrics.sum_values(name, **labels))
 
     def watch_engine(self) -> "LiveMonitor":
-        """Probe the engine's batched-dispatch counters
-        (:attr:`Simulator.dispatch_stats`): batches, cascades, and the
-        call_soon fast lane — all deterministic for a given seed."""
+        """Probe the engine's heap: entries held and how many of them
+        are cancelled corpses awaiting compaction — deterministic for a
+        given seed. (Live events pending and events scheduled are in
+        every snapshot already.)"""
         sim = self.sim
-        self.watch("engine.batches", lambda: sim._batches)
-        self.watch("engine.cascades", lambda: sim._cascades)
-        self.watch("engine.call_soon_fast", lambda: sim._soon_count)
+        self.watch("sim.heap_entries", lambda: len(sim._heap))
+        self.watch("sim.heap_cancelled", lambda: sim._heap_cancelled)
         return self
 
     def watch_queues(self) -> "LiveMonitor":

@@ -335,8 +335,8 @@ class MetricsRegistry:
     run bit-identical to one without instrumentation at all.
     """
 
-    #: Class-wide default, mirroring ``Simulator.default_wheel``: tests
-    #: flip this to build whole worlds with metrics off.
+    #: Class-wide default: tests flip this to build whole worlds with
+    #: metrics off.
     default_enabled = True
 
     def __init__(self, sim=None, enabled: Optional[bool] = None):

@@ -6,50 +6,23 @@ randomness draws it from named, seeded streams
 (:class:`repro.sim.rand.RandomStreams`) so that two runs with the same
 seed produce byte-identical traces.
 
-Three queue structures back the engine:
+The pending set is one binary heap of ``(time, seq, event)`` tuples.
+``seq`` is a per-simulator counter bumped on every insertion, so events
+fire in strict ``(time, seq)`` order: by time, and among equal times in
+the order they were scheduled. Every insertion goes through
+:meth:`Simulator._push`, and ``run``, ``step`` and ``peek`` all find the
+next event through :meth:`Simulator._next`, so that order is decided in
+exactly two places.
 
-* a **hierarchical timer wheel** (calendar queue). Level 0 holds
-  events within a short horizon of the clock — the dominant
-  population: OSPF hellos, CPU-scheduler quanta, per-hop packet
-  callbacks. Coarser upper levels park multi-minute timers (OSPF dead
-  intervals, BGP MRAI/hold, fault schedules); when the clock
-  approaches an upper slot's window it is **cascaded** — its events
-  promoted one level down — so every event reaches level 0 before it
-  can fire. Insertion is an O(1) list append at every level; ordering
-  inside a level-0 slot is recovered with one C-level sort when the
-  cursor reaches the slot, and that sorted batch is dispatched with
-  the heap/bound/profiler guards hoisted out of the per-event loop.
-* an **overflow heap**, now only a far-future backstop for events past
-  the top wheel horizon (days). Cancelled entries are compacted away
-  once they exceed a threshold fraction of the heap, so
-  cancellation-churn (restartable dead timers, TCP RTO) cannot bloat
-  it.
-* a **call_soon lane**: a FIFO for events scheduled at the current
-  time from inside a drain. It is sorted by construction, so these
-  events bypass wheel insertion and the same-slot re-sort entirely.
-
-All structures drain through one strict ``(time, seq)`` merge, so the
-event order — and therefore every trace — is byte-identical to a
-heap-only run (``Simulator(wheel=False)``); the golden-trace and
-property tests enforce this.
-
-Cascade safety rests on two invariants. First, integer binning: an
-event's level-k slot is ``int(time / width) >> shift_k``, so the
-levels always agree on window membership (no float re-rounding between
-levels). Second, ordering: an upper slot is cascaded only after every
-event before its window start has fired — the level-0 scan is bounded
-by the window start and heap events binned before it are drained
-first. Together with "a level-k window spans exactly the full ring of
-level k-1", no insert performed by a callback can ever target a slot
-that was already cascaded, and live content at each level always fits
-one ring (no mask collisions).
+Cancellation is lazy: a cancelled event stays in the heap as a corpse
+until it reaches the head, or until corpses exceed
+:data:`MAX_CORPSE_SHARE` of the heap and it is rebuilt without them, so
+cancellation churn (restartable dead timers, TCP RTO) cannot bloat it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -57,69 +30,38 @@ from repro.obs.spans import NULL_RECORDER
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceCollector
 
-_event_key = attrgetter("time", "seq")
+_INF = float("inf")
 
-# Event.where codes: where the event currently lives. _FREE also covers
-# "already fired" and "cancelled and accounted for". _IN_WHEEL covers
-# every wheel level; _IN_SOON is the call_soon fast lane; _IN_BUCKET is
-# a drain batch in flight.
-_FREE, _IN_HEAP, _IN_WHEEL, _IN_BUCKET, _IN_SOON = 0, 1, 2, 3, 4
-
-
-class _WheelLevel:
-    """One coarse level of the hierarchical wheel.
-
-    ``shift`` converts a level-0 slot index to this level's slot index
-    (slot counts are powers of two, so binning is a plain right shift
-    and the levels can never disagree about window membership).
-    ``hint`` is a lower bound on the first occupied absolute slot:
-    inserts lower it, cascades advance it, so boundary scans are
-    amortized O(1). ``count`` includes cancelled corpses (they are
-    purged when their bucket is cascaded or scanned). ``checked``
-    memoizes the absolute slot most recently verified to hold a live
-    event binned there, so the boundary scan's aliasing filter runs
-    once per slot instead of once per drain-loop pass; it never needs
-    invalidation because inserts only add live events and absolute
-    slot indices are monotone (a cascaded slot index never recurs).
-    """
-
-    __slots__ = ("buckets", "n_slots", "mask", "shift", "hint", "count",
-                 "checked")
-
-    def __init__(self, n_slots: int, shift: int):
-        self.buckets: List[List[Event]] = [[] for _ in range(n_slots)]
-        self.n_slots = n_slots
-        self.mask = n_slots - 1
-        self.shift = shift
-        self.hint = 0
-        self.count = 0
-        self.checked = -1
+#: Rebuild the heap once cancelled entries exceed this fraction of it
+#: (and :data:`MIN_CORPSES` in number, so small heaps are left alone).
+MAX_CORPSE_SHARE = 0.25
+MIN_CORPSES = 64
 
 
 class Event:
     """A handle to a scheduled callback.
 
     Cancellation is O(1): the event is marked dead, the live-event
-    counter drops immediately, and the queue entry is discarded lazily
-    (heap head / slot drain), with bulk compaction if corpses pile up.
+    counter drops immediately, and the heap entry is discarded lazily
+    (at the heap head, or in bulk when corpses pile up).
 
     ``interval`` > 0 makes the event periodic: the engine re-arms it in
     place after each firing, with a fresh sequence number, so periodic
     timers allocate nothing per tick.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "interval", "sim", "where")
+    __slots__ = ("time", "fn", "args", "cancelled", "interval", "sim", "queued")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
-                 sim: Optional["Simulator"] = None, interval: float = 0.0):
-        self.time = time
-        self.seq = seq
+    def __init__(self, fn: Callable, args: tuple, sim: "Simulator",
+                 interval: float = 0.0):
+        self.time = 0.0
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.interval = interval
         self.sim = sim
-        self.where = _FREE
+        # True while a live heap entry refers to this event.
+        self.queued = False
 
     def cancel(self) -> None:
         """Prevent the callback from running. Safe to call twice."""
@@ -127,39 +69,28 @@ class Event:
             return
         self.cancelled = True
         self.interval = 0.0
-        # Drop references so cancelled events pinned in a queue do not
-        # keep packets / closures alive.
+        # Drop references so a corpse waiting in the heap does not keep
+        # packets / closures alive.
         self.fn = _noop
         self.args = ()
-        where = self.where
-        if where:
-            self.where = _FREE
+        if self.queued:
+            self.queued = False
             sim = self.sim
             sim._live -= 1
-            if where == _IN_HEAP:
-                sim._heap_cancelled += 1
-                threshold = sim._compact_threshold
-                if (
-                    threshold is not None
-                    and sim._heap_cancelled > 64
-                    and sim._heap_cancelled > threshold * len(sim._heap)
-                ):
-                    sim._compact_heap()
-            elif where == _IN_WHEEL:
-                sim._wheel_cancelled += 1
+            sim._heap_cancelled += 1
+            if (
+                sim._heap_cancelled > MIN_CORPSES
+                and sim._heap_cancelled > MAX_CORPSE_SHARE * len(sim._heap)
+            ):
+                sim._compact_heap()
 
     @property
     def active(self) -> bool:
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "active"
-        return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
+        return f"<Event t={self.time:.6f} {state}>"
 
 
 def _noop(*_args: Any) -> None:
@@ -173,25 +104,6 @@ class Simulator:
     ----------
     seed:
         Master seed for all named random streams.
-    wheel:
-        Use the timer-wheel fast path (default). ``False`` falls back to
-        the heap-only engine; event order is identical either way.
-    wheel_width, wheel_slots:
-        Level-0 slot width in simulated seconds and slot count (rounded
-        up to a power of two). The product is the level-0 horizon. The
-        default 2048 x 10 ms covers ~20 s — comfortably past hello
-        intervals and scheduler quanta.
-    wheel_levels, wheel_upper_slots:
-        Total wheel levels and the slot count of each coarse level
-        (rounded up to a power of two). Each upper level's slot spans
-        the full ring below it, so the defaults (3 levels, 256 slots)
-        give horizons of ~20 s / ~87 min / ~15.5 days; only events past
-        the top horizon overflow to the heap. ``wheel_levels=1``
-        reproduces the single-level wheel exactly.
-    compact_threshold:
-        Compact the overflow heap when cancelled entries exceed this
-        fraction of it. ``None`` disables compaction (the seed engine's
-        behavior, kept for benchmarking).
 
     Attributes
     ----------
@@ -207,20 +119,7 @@ class Simulator:
         loop pays nothing for them.
     """
 
-    #: Class-wide default for the ``wheel`` argument; the golden-trace
-    #: test flips this to run a whole scenario on either engine.
-    default_wheel = True
-
-    def __init__(
-        self,
-        seed: int = 0,
-        wheel: Optional[bool] = None,
-        wheel_width: float = 0.01,
-        wheel_slots: int = 2048,
-        wheel_levels: int = 3,
-        wheel_upper_slots: int = 256,
-        compact_threshold: Optional[float] = 0.25,
-    ):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.seed = seed
         self.random = RandomStreams(seed)
@@ -230,178 +129,60 @@ class Simulator:
         # shared null object; FlightRecorder(sim).install() swaps in a
         # live one. Instrumented sites guard on ``sim.flight.enabled``.
         self.flight = NULL_RECORDER
-        # Installed Profiler, or None. Hot loops hoist this into a
-        # local, so (un)installing takes effect at the next run()/step().
+        # Installed Profiler, or None. run() hoists this into a local,
+        # so (un)installing takes effect at the next run()/step().
         self._profiler = None
-        # Wall-clock hook for repro.obs.live: polled between dispatch
-        # passes; returns how many passes to skip before the next poll.
-        # Uninstalled cost is one attribute load + None test per pass.
+        # Wall-clock hook for repro.obs.live: polled between events;
+        # returns how many events to skip before the next poll.
+        # Uninstalled cost is one attribute load + None test per event.
         self._live_hook = None
         self._heap: List[tuple] = []
         self._seq = 0
         self._running = False
         self._stopped = False
-        # Set whenever a drain-in-progress may need to re-examine its
-        # slot: stop() was called, or an insert lowered the cursor.
-        # Lets the hot loop poll one flag instead of two conditions.
-        self._disturbed = False
         self._live = 0
         self._heap_cancelled = 0
         # call_unique coalescing: callable -> its one pending event.
         self._unique: Dict[Callable, Event] = {}
-        self._compact_threshold = compact_threshold
-        if wheel is None:
-            wheel = type(self).default_wheel
-        if wheel:
-            n_slots = 1
-            while n_slots < wheel_slots:
-                n_slots <<= 1
-            self._wheel: Optional[List[List[Event]]] = [[] for _ in range(n_slots)]
-            self._n_slots = n_slots
-            self._mask = n_slots - 1
-            self._width = float(wheel_width)
-            self._inv_width = 1.0 / self._width
-            self._cursor = 0  # absolute slot index lower bound of wheel content
-            self._wheel_count = 0  # entries in level-0 lists, incl. cancelled
-            self._wheel_cancelled = 0
-            upper_n = 1
-            while upper_n < wheel_upper_slots:
-                upper_n <<= 1
-            shift = n_slots.bit_length() - 1
-            self._upper: List[_WheelLevel] = []
-            for _ in range(1, max(1, int(wheel_levels))):
-                self._upper.append(_WheelLevel(upper_n, shift))
-                shift += upper_n.bit_length() - 1
-            self._upper_count = 0  # entries across upper levels, incl. cancelled
-            self._soon: Optional[deque] = deque()
-        else:
-            self._wheel = None
-            self._upper = []
-            self._upper_count = 0
-            self._soon = None
-        # Batch-dispatch and cascade introspection (plain int bumps per
-        # *batch*, not per event).
-        self._batches = 0
-        self._batch_events = 0
-        self._batch_max = 0
-        self._cascades = 0
-        self._cascaded_events = 0
-        self._soon_count = 0
         # Engine introspection series: pull-only, read at collection
-        # time — no per-event cost in the dispatch loops.
+        # time — no per-event cost in the dispatch loop.
         self.metrics.gauge("sim.pending", fn=lambda: self._live)
         self.metrics.gauge("sim.now", fn=lambda: self.now)
         self.metrics.counter("sim.events_scheduled", fn=lambda: self._seq)
-        self.metrics.counter("engine.batches", fn=lambda: self._batches)
-        self.metrics.counter("engine.batch_events", fn=lambda: self._batch_events)
-        self.metrics.gauge("engine.batch_max", fn=lambda: self._batch_max)
-        self.metrics.counter("engine.cascades", fn=lambda: self._cascades)
-        self.metrics.counter(
-            "engine.cascaded_events", fn=lambda: self._cascaded_events
-        )
-        self.metrics.counter("engine.call_soon_fast", fn=lambda: self._soon_count)
-
-    @property
-    def dispatch_stats(self) -> dict:
-        """Batch-dispatch and cascade counters as a plain dict.
-
-        The same numbers the ``engine.*`` metrics expose, for callers
-        (``make profile``, benchmarks) that want them without a
-        registry collection pass.
-        """
-        batches = self._batches
-        return {
-            "batches": batches,
-            "batch_events": self._batch_events,
-            "batch_max": self._batch_max,
-            "batch_mean": self._batch_events / batches if batches else 0.0,
-            "cascades": self._cascades,
-            "cascaded_events": self._cascaded_events,
-            "call_soon_fast": self._soon_count,
-        }
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, time: float, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated ``time``.
-
-        Scheduling in the past raises ``ValueError`` — a past event would
-        silently reorder history and mask bugs.
-        """
+    def _push(self, event: Event, time: float) -> Event:
+        """Queue ``event`` at ``time`` under a fresh sequence number."""
         if time < self.now:
+            # A past event would silently reorder history and mask bugs.
             raise ValueError(
                 f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
             )
         self._seq = seq = self._seq + 1
-        event = Event(time, seq, fn, args, self)
+        event.time = time
+        event.queued = True
         self._live += 1
-        # _insert inlined: schedule() is the hottest allocation site and
-        # a call frame per event is measurable at bench scale.
-        wheel = self._wheel
-        if wheel is not None:
-            inv = self._inv_width
-            slot = int(time * inv)
-            base = int(self.now * inv)
-            if slot - base < self._n_slots:
-                if slot < self._cursor:
-                    self._cursor = slot
-                    self._disturbed = True
-                wheel[slot & self._mask].append(event)
-                event.where = _IN_WHEEL
-                self._wheel_count += 1
-                return event
-            self._insert_far(event, slot, base)
-            return event
         heapq.heappush(self._heap, (time, seq, event))
-        event.where = _IN_HEAP
         return event
+
+    def schedule(self, time: float, fn: Callable, *args: Any) -> Event:
+        """Run ``fn(*args)`` at absolute simulated ``time``.
+
+        Scheduling in the past raises ``ValueError``.
+        """
+        return self._push(Event(fn, args, self), time)
 
     def at(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        now = self.now
-        time = now + delay
-        self._seq = seq = self._seq + 1
-        event = Event(time, seq, fn, args, self)
-        self._live += 1
-        wheel = self._wheel
-        if wheel is not None:
-            inv = self._inv_width
-            slot = int(time * inv)
-            base = int(now * inv)
-            if slot - base < self._n_slots:
-                if slot < self._cursor:
-                    self._cursor = slot
-                    self._disturbed = True
-                wheel[slot & self._mask].append(event)
-                event.where = _IN_WHEEL
-                self._wheel_count += 1
-                return event
-            self._insert_far(event, slot, base)
-            return event
-        heapq.heappush(self._heap, (time, seq, event))
-        event.where = _IN_HEAP
-        return event
+        return self._push(Event(fn, args, self), self.now + delay)
 
     def call_soon(self, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` at the current time, after pending events.
-
-        Inside a run this takes a fast lane: appends to a FIFO that is
-        sorted by construction (time never decreases, seq always
-        grows), skipping wheel insertion and the same-slot re-sort.
-        """
-        soon = self._soon
-        if soon is None or not self._running:
-            return self.schedule(self.now, fn, *args)
-        self._seq = seq = self._seq + 1
-        event = Event(self.now, seq, fn, args, self)
-        event.where = _IN_SOON
-        self._live += 1
-        self._soon_count += 1
-        soon.append(event)
-        return event
+        """Run ``fn(*args)`` at the current time, after pending events."""
+        return self._push(Event(fn, args, self), self.now)
 
     def call_unique(self, fn: Callable) -> Event:
         """Run ``fn()`` at the current time, coalescing duplicates.
@@ -434,11 +215,7 @@ class Simulator:
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
-        self._seq = seq = self._seq + 1
-        event = Event(self.now + interval, seq, fn, args, self, interval)
-        self._live += 1
-        self._insert(event)
-        return event
+        return self._push(Event(fn, args, self, interval), self.now + interval)
 
     def reschedule(self, event: Event, time: float) -> Event:
         """Re-arm a fired event at ``time`` without allocating a new one.
@@ -447,161 +224,51 @@ class Simulator:
         and was not cancelled; :class:`repro.sim.timer.PeriodicTimer`
         uses this to avoid a per-tick Event allocation.
         """
-        if event.where:
+        if event.queued:
             raise RuntimeError("cannot reschedule an event that is still queued")
         if event.cancelled:
             raise RuntimeError("cannot reschedule a cancelled event")
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
-            )
-        self._seq = seq = self._seq + 1
-        event.time = time
-        event.seq = seq
-        self._live += 1
-        wheel = self._wheel
-        if wheel is not None:
-            inv = self._inv_width
-            slot = int(time * inv)
-            base = int(self.now * inv)
-            if slot - base < self._n_slots:
-                if slot < self._cursor:
-                    self._cursor = slot
-                    self._disturbed = True
-                wheel[slot & self._mask].append(event)
-                event.where = _IN_WHEEL
-                self._wheel_count += 1
-                return event
-            self._insert_far(event, slot, base)
-            return event
-        heapq.heappush(self._heap, (time, seq, event))
-        event.where = _IN_HEAP
-        return event
-
-    def _insert(self, event: Event) -> None:
-        wheel = self._wheel
-        if wheel is not None:
-            inv = self._inv_width
-            slot = int(event.time * inv)
-            base = int(self.now * inv)
-            if slot - base < self._n_slots:
-                if slot < self._cursor:
-                    self._cursor = slot
-                    self._disturbed = True
-                wheel[slot & self._mask].append(event)
-                event.where = _IN_WHEEL
-                self._wheel_count += 1
-                return
-            upper = self._upper
-            if upper:
-                # Level 1 inlined: minutes-scale timers (dead
-                # intervals, MRAI, refresh churn) are the dominant
-                # far-insert population and skip a call frame.
-                lv = upper[0]
-                shift = lv.shift
-                s = slot >> shift
-                if s - (base >> shift) < lv.n_slots:
-                    if lv.count:
-                        if s < lv.hint:
-                            lv.hint = s
-                    else:
-                        lv.hint = s
-                    lv.buckets[s & lv.mask].append(event)
-                    lv.count += 1
-                    self._upper_count += 1
-                    event.where = _IN_WHEEL
-                    return
-            self._insert_far(event, slot, base)
-            return
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        event.where = _IN_HEAP
-
-    def _insert_far(self, event: Event, slot: int, base: int) -> None:
-        """Park an event past the level-0 horizon: first upper level
-        whose window reaches it, else the overflow heap. ``slot`` and
-        ``base`` are the event's and the clock's level-0 slots."""
-        for lv in self._upper:
-            shift = lv.shift
-            s = slot >> shift
-            if s - (base >> shift) < lv.n_slots:
-                if lv.count:
-                    if s < lv.hint:
-                        lv.hint = s
-                else:
-                    lv.hint = s
-                lv.buckets[s & lv.mask].append(event)
-                lv.count += 1
-                self._upper_count += 1
-                event.where = _IN_WHEEL
-                return
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        event.where = _IN_HEAP
+        return self._push(event, time)
 
     def _compact_heap(self) -> None:
-        # In place: run() holds a local alias to the heap list.
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        heapq.heapify(self._heap)
         self._heap_cancelled = 0
-
-    def _cascade(self, level_idx: int, lslot: int) -> None:
-        """Promote upper level ``level_idx``'s absolute slot ``lslot``
-        one level down (level 0 when ``level_idx`` is 0).
-
-        Only called when everything before the slot's window start has
-        fired, so the promoted events are re-binned directly — not via
-        ``_insert``, whose now-relative horizon test could bounce them
-        back up. Corpses are purged; a live event whose bin is not
-        ``lslot`` (it shares the bucket through the ring mask because a
-        corpse held the hint back) is left for a later scan.
-        """
-        lv = self._upper[level_idx]
-        bucket = lv.buckets[lslot & lv.mask]
-        if not bucket:
-            lv.hint = lslot + 1
-            return
-        shift = lv.shift
-        inv = self._inv_width
-        keep: List[Event] = []
-        promoted = 0
-        dead = 0
-        lower = self._upper[level_idx - 1] if level_idx else None
-        for event in bucket:
-            if event.cancelled:
-                dead += 1
-                continue
-            s0 = int(event.time * inv)
-            if s0 >> shift != lslot:
-                keep.append(event)
-                continue
-            promoted += 1
-            if lower is None:
-                if s0 < self._cursor:
-                    self._cursor = s0
-                self._wheel[s0 & self._mask].append(event)
-                self._wheel_count += 1
-            else:
-                s = s0 >> lower.shift
-                if lower.count:
-                    if s < lower.hint:
-                        lower.hint = s
-                else:
-                    lower.hint = s
-                lower.buckets[s & lower.mask].append(event)
-                lower.count += 1
-                self._upper_count += 1
-        bucket[:] = keep
-        removed = dead + promoted
-        lv.count -= removed
-        self._upper_count -= removed
-        self._wheel_cancelled -= dead
-        lv.hint = lslot + 1
-        self._cascades += 1
-        self._cascaded_events += promoted
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _next(self, bound: float = _INF) -> Optional[Event]:
+        """The next live event due at or before ``bound``, left at the
+        heap head, or None. Corpses met on the way are discarded."""
+        heap = self._heap
+        while heap:
+            time, _seq, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._heap_cancelled -= 1
+            elif time > bound:
+                return None
+            else:
+                return event
+        return None
+
+    def _fire(self, event: Event, prof) -> None:
+        """Pop ``event`` (the heap head), advance the clock to it, re-arm
+        it if periodic, and run its callback."""
+        heapq.heappop(self._heap)
+        self.now = time = event.time
+        event.queued = False
+        self._live -= 1
+        if event.interval:
+            # Re-armed before the callback runs, so the callback can
+            # cancel its own series.
+            self._push(event, time + event.interval)
+        if prof is None:
+            event.fn(*event.args)
+        else:
+            prof.dispatch(event)
+
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue.
 
@@ -613,639 +280,53 @@ class Simulator:
             raise RuntimeError("simulator is re-entrant: run() called from event")
         self._running = True
         self._stopped = False
-        self._disturbed = False
+        bound = _INF if until is None else until
+        next_event = self._next
+        fire = self._fire
         prof = self._profiler
         if prof is not None:
             loop_start = prof._clock()
+        hook_wait = 0
         try:
-            if self._wheel is None:
-                self._run_heap_only(until)
-            else:
-                self._run_hybrid(until)
+            while not self._stopped:
+                hook = self._live_hook
+                if hook is not None:
+                    hook_wait -= 1
+                    if hook_wait <= 0:
+                        hook_wait = hook()
+                        if self._stopped:
+                            break
+                event = next_event(bound)
+                if event is None:
+                    break
+                fire(event, prof)
         finally:
             self._running = False
             if prof is not None:
                 prof.loop_seconds += prof._clock() - loop_start
         # Only fast-forward when the queue genuinely drained up to
-        # ``until``. After stop() events may remain before ``until``;
-        # advancing past them would strand live level-0 bins below
-        # int(now/width), which the scan-start clamps in _run_hybrid
-        # and _wheel_min assume can never hold live events.
+        # ``until``. After stop() events may remain before ``until``; a
+        # later run() would fire them and send the clock backwards.
         if until is not None and not self._stopped and self.now < until:
             self.now = until
         return self.now
 
-    def _run_heap_only(self, until: Optional[float]) -> None:
-        heap = self._heap
-        pop = heapq.heappop
-        prof = self._profiler
-        hook_wait = 0
-        while heap and not self._stopped:
-            hook = self._live_hook
-            if hook is not None:
-                hook_wait -= 1
-                if hook_wait <= 0:
-                    hook_wait = hook()
-                    if self._stopped:
-                        return
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                pop(heap)
-                self._heap_cancelled -= 1
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            pop(heap)
-            self.now = time
-            event.where = _FREE
-            self._live -= 1
-            interval = event.interval
-            if interval:
-                self._seq = seq = self._seq + 1
-                event.seq = seq
-                event.time = time + interval
-                self._live += 1
-                self._insert(event)
-            if prof is None:
-                event.fn(*event.args)
-            else:
-                prof.dispatch(event)
-
-    def _run_hybrid(self, until: Optional[float]) -> None:
-        heap = self._heap
-        wheel = self._wheel
-        mask = self._mask
-        n_slots = self._n_slots
-        inv = self._inv_width
-        width = self._width
-        upper = self._upper
-        soon = self._soon
-        pop = heapq.heappop
-        key = _event_key
-        bound = float("inf") if until is None else until
-        bound_slot = None if until is None else int(until * inv)
-        prof = self._profiler
-        hook_wait = 0
-        while not self._stopped:
-            hook = self._live_hook
-            if hook is not None:
-                hook_wait -= 1
-                if hook_wait <= 0:
-                    hook_wait = hook()
-                    if self._stopped:
-                        return
-            # Drop dead heap / soon heads so each head is a live lower
-            # bound.
-            while heap and heap[0][2].cancelled:
-                pop(heap)
-                self._heap_cancelled -= 1
-            while soon and soon[0].cancelled:
-                soon.popleft()
-            if not self._wheel_count and not self._upper_count:
-                # Wheel empty at every level: merge the call_soon lane
-                # with plain heap steps.
-                if soon:
-                    s = soon[0]
-                    if not heap or s.time < heap[0][0] or (
-                        s.time == heap[0][0] and s.seq < heap[0][1]
-                    ):
-                        if s.time > bound:
-                            return
-                        soon.popleft()
-                        self.now = s.time
-                        s.where = _FREE
-                        self._live -= 1
-                        if prof is None:
-                            s.fn(*s.args)
-                        else:
-                            prof.dispatch(s)
-                        continue
-                if not heap:
-                    return
-                entry = heap[0]
-                time = entry[0]
-                if time > bound:
-                    return
-                pop(heap)
-                event = entry[2]
-                self.now = time
-                interval = event.interval
-                if interval:
-                    # Re-arm in place: the event stays live, so the
-                    # _live counter and where code need no round-trip.
-                    self._seq = seq = self._seq + 1
-                    event.seq = seq
-                    event.time = time + interval
-                    self._insert(event)
-                else:
-                    event.where = _FREE
-                    self._live -= 1
-                if prof is None:
-                    event.fn(*event.args)
-                else:
-                    prof.dispatch(event)
-                continue
-            # Cascade boundary: the earliest occupied upper-level
-            # window, as a level-0 slot. Nothing at or past that slot
-            # may fire before the window is cascaded. On tied starts
-            # the higher level must cascade first (its events land in
-            # the lower ring at that same start), hence the
-            # highest-to-lowest scan with a strict ``<``.
-            boundary_start = -1
-            boundary_idx = -1
-            boundary_slot = 0
-            if self._upper_count:
-                for idx in range(len(upper) - 1, -1, -1):
-                    lv = upper[idx]
-                    if not lv.count:
-                        continue
-                    h = lv.hint
-                    buckets = lv.buckets
-                    lmask = lv.mask
-                    lshift = lv.shift
-                    while lv.count:
-                        lbucket = buckets[h & lmask]
-                        if not lbucket:
-                            h += 1
-                            continue
-                        if h == lv.checked:
-                            break
-                        # A nonempty bucket may hold only corpses or
-                        # events ring-aliased to a slot a full ring
-                        # later; cascading it would promote nothing.
-                        # Purge corpses and skip ahead so each such
-                        # bucket costs one inspection rather than a
-                        # no-op _cascade; ``checked`` keeps the
-                        # common case at one list-truth test per pass.
-                        live = [e for e in lbucket if not e.cancelled]
-                        if len(live) != len(lbucket):
-                            removed = len(lbucket) - len(live)
-                            self._wheel_cancelled -= removed
-                            lv.count -= removed
-                            self._upper_count -= removed
-                            lbucket[:] = live
-                        if any(
-                            int(e.time * inv) >> lshift == h for e in live
-                        ):
-                            lv.checked = h
-                            break
-                        h += 1
-                    lv.hint = h
-                    if not lv.count:
-                        continue
-                    start = h << lshift
-                    if boundary_start < 0 or start < boundary_start:
-                        boundary_start = start
-                        boundary_idx = idx
-                        boundary_slot = h
-                # Corpse purging can empty every upper level mid-scan;
-                # with level 0 also empty, loop back so the heap/soon
-                # merge path at the top takes over (the cascade branch
-                # below assumes a real boundary).
-                if boundary_start < 0 and not self._wheel_count:
-                    continue
-            # Find the next occupied level-0 slot, scanning from the
-            # cursor but never past the cascade boundary.
-            if self._wheel_count:
-                cur = self._cursor
-                # The cursor can lag int(now/width) after heap- or
-                # soon-only stretches (the clock advances, level 0
-                # stays untouched). Live level-0 bins always lie in
-                # [int(now/width), int(now/width) + n_slots) — events
-                # are live only at times >= now and inserts are
-                # horizon-checked against int(now/width) — so clamping
-                # the scan start keeps ring-mask aliasing impossible:
-                # the first occupied ring slot found IS the true bin
-                # of its live events, which the batch hoists below
-                # (slot_end, merge_heap, check_bound) rely on.
-                base = int(self.now * inv)
-                if cur < base:
-                    cur = base
-                if boundary_start < 0:
-                    while not wheel[cur & mask]:
-                        cur += 1
-                    found = True
-                else:
-                    while cur < boundary_start and not wheel[cur & mask]:
-                        cur += 1
-                    found = cur < boundary_start
-                self._cursor = cur
-            else:
-                found = False
-                cur = boundary_start
-            if not found:
-                # No level-0 work before the boundary. Fire heap/soon
-                # events binned before the window start (a heap
-                # callback may insert into the window — legal only
-                # while it is still parked), then cascade it.
-                cand = None
-                from_heap = False
-                if soon:
-                    cand = soon[0]
-                if heap:
-                    entry = heap[0]
-                    if int(entry[0] * inv) < boundary_start and (
-                        cand is None
-                        or entry[0] < cand.time
-                        or (entry[0] == cand.time and entry[1] < cand.seq)
-                    ):
-                        cand = entry[2]
-                        from_heap = True
-                if cand is not None:
-                    time = cand.time
-                    if time > bound:
-                        return
-                    self.now = time
-                    if from_heap:
-                        pop(heap)
-                        interval = cand.interval
-                        if interval:
-                            self._seq = seq = self._seq + 1
-                            cand.seq = seq
-                            cand.time = time + interval
-                            self._insert(cand)
-                        else:
-                            cand.where = _FREE
-                            self._live -= 1
-                    else:
-                        soon.popleft()
-                        cand.where = _FREE
-                        self._live -= 1
-                    if prof is None:
-                        cand.fn(*cand.args)
-                    else:
-                        prof.dispatch(cand)
-                    self._disturbed = False
-                    continue
-                # Respect run(until=...): once the window is cascaded,
-                # outside inserts must bin at or past its start, so
-                # only cascade when the clock will reach it.
-                if bound_slot is not None and boundary_start > bound_slot:
-                    return
-                if not self._wheel_count:
-                    self._cursor = boundary_start
-                self._cascade(boundary_idx, boundary_slot)
-                continue
-            ring_slot = cur & mask
-            bucket = wheel[ring_slot]
-            wheel[ring_slot] = []
-            self._wheel_count -= len(bucket)
-            live: List[Event] = []
-            append = live.append
-            dead = 0
-            for event in bucket:
-                if event.cancelled:
-                    dead += 1
-                else:
-                    event.where = _IN_BUCKET
-                    append(event)
-            self._wheel_cancelled -= dead
-            self._cursor = cur + 1
-            if not live:
-                continue
-            live.sort(key=key)
-            i = 0
-            n = len(live)
-            self._batches += 1
-            self._batch_events += n
-            if n > self._batch_max:
-                self._batch_max = n
-            # Per-batch hoisting: with the heap head past this slot and
-            # no bound inside it, the per-event merge and bound checks
-            # vanish from the inner loop. New heap pushes from
-            # callbacks land past the wheel horizon, so they cannot
-            # invalidate ``merge_heap`` mid-batch. ``(cur + 2) * width``
-            # over-covers the slot end by a full slot to absorb float
-            # rounding; the call_soon lane is re-checked per event
-            # because callbacks feed it.
-            slot_end = (cur + 2) * width
-            merge_heap = bool(heap) and heap[0][0] <= slot_end
-            check_bound = bound <= slot_end
-            while i < n:
-                event = live[i]
-                if event.cancelled:
-                    i += 1
-                    continue
-                time = event.time
-                seq = event.seq
-                # dirty: a callback touched the slot being drained.
-                # 1 = inserts landed in this slot (merge and continue),
-                # 2 = inserts landed in an earlier slot, or stop() was
-                #     called (push the remainder back and rescan).
-                dirty = 0
-                if merge_heap or soon:
-                    # Run heap / call_soon events that precede this
-                    # wheel event, interleaved by (time, seq).
-                    while True:
-                        cand = None
-                        if soon:
-                            s = soon[0]
-                            if s.cancelled:
-                                soon.popleft()
-                                continue
-                            cand = s
-                        if merge_heap and heap:
-                            entry = heap[0]
-                            head = entry[2]
-                            if head.cancelled:
-                                pop(heap)
-                                self._heap_cancelled -= 1
-                                continue
-                            if cand is None or entry[0] < cand.time or (
-                                entry[0] == cand.time and entry[1] < cand.seq
-                            ):
-                                cand = head
-                        if cand is None:
-                            break
-                        ctime = cand.time
-                        if ctime > time or (ctime == time and cand.seq > seq):
-                            break
-                        if ctime > bound:
-                            break
-                        self.now = ctime
-                        if cand.where == _IN_SOON:
-                            soon.popleft()
-                            cand.where = _FREE
-                            self._live -= 1
-                        else:
-                            pop(heap)
-                            hinterval = cand.interval
-                            if hinterval:
-                                self._seq = hseq = self._seq + 1
-                                cand.seq = hseq
-                                cand.time = ctime + hinterval
-                                self._insert(cand)
-                            else:
-                                cand.where = _FREE
-                                self._live -= 1
-                        if prof is None:
-                            cand.fn(*cand.args)
-                        else:
-                            prof.dispatch(cand)
-                        # A self-feeding call_soon storm never leaves
-                        # this merge loop, so the live hook must also
-                        # poll here (stop() from an abort sets
-                        # _disturbed, caught just below).
-                        if hook is not None:
-                            hook_wait -= 1
-                            if hook_wait <= 0:
-                                hook_wait = hook()
-                        if self._disturbed:
-                            self._disturbed = False
-                            if self._stopped:
-                                dirty = 2
-                                break
-                            cursor = self._cursor
-                            if cursor <= cur:
-                                dirty = 1 if cursor == cur else 2
-                                break
-                if not dirty:
-                    if event.cancelled:
-                        # A merged heap/soon callback cancelled this
-                        # event mid-batch. cancel() already freed it
-                        # and dropped the live counter; dispatching
-                        # now would advance the clock to a corpse's
-                        # time and double-decrement _live.
-                        i += 1
-                        continue
-                    if check_bound and time > bound:
-                        self._pushback(live, i, ring_slot, cur)
-                        return
-                    self.now = time
-                    i += 1
-                    interval = event.interval
-                    if interval:
-                        self._seq = seq = self._seq + 1
-                        event.seq = seq
-                        next_time = time + interval
-                        event.time = next_time
-                        slot = int(next_time * inv)
-                        # ``time`` is in slot ``cur`` by construction (it
-                        # was binned into this bucket by the same int()
-                        # of the same float), so the horizon test can
-                        # use ``cur`` directly.
-                        if slot - cur < n_slots:
-                            if slot < self._cursor:
-                                self._cursor = slot
-                                self._disturbed = True
-                            wheel[slot & mask].append(event)
-                            event.where = _IN_WHEEL
-                            self._wheel_count += 1
-                        else:
-                            self._insert_far(event, slot, cur)
-                    else:
-                        event.where = _FREE
-                        self._live -= 1
-                    if prof is None:
-                        event.fn(*event.args)
-                    else:
-                        prof.dispatch(event)
-                    if self._disturbed:
-                        self._disturbed = False
-                        if self._stopped:
-                            dirty = 2
-                        else:
-                            cursor = self._cursor
-                            if cursor <= cur:
-                                dirty = 1 if cursor == cur else 2
-                if dirty == 1:
-                    # New arrivals in the slot being drained (sub-width
-                    # periodic timers): fold them into the remaining
-                    # work and keep going.
-                    arrivals = wheel[ring_slot]
-                    wheel[ring_slot] = []
-                    self._wheel_count -= len(arrivals)
-                    dead = 0
-                    fresh = live[i:]
-                    for event in arrivals:
-                        if event.cancelled:
-                            dead += 1
-                        else:
-                            event.where = _IN_BUCKET
-                            fresh.append(event)
-                    self._wheel_cancelled -= dead
-                    self._batch_events += len(arrivals) - dead
-                    fresh.sort(key=key)
-                    live = fresh
-                    i = 0
-                    n = len(live)
-                    self._cursor = cur + 1
-                elif dirty == 2:
-                    self._pushback(live, i, ring_slot, cur)
-                    break
-
-    def _pushback(self, live: List[Event], i: int, ring_slot: int, cur: int) -> None:
-        """Return the undrained tail of a bucket to its wheel slot."""
-        rest = [event for event in live[i:] if not event.cancelled]
-        for event in rest:
-            event.where = _IN_WHEEL
-        self._wheel[ring_slot].extend(rest)
-        self._wheel_count += len(rest)
-        if self._cursor > cur:
-            self._cursor = cur
-
     def step(self) -> bool:
         """Execute the single next event. Returns False if queue empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._heap_cancelled -= 1
-        soon = self._soon
-        while soon and soon[0].cancelled:
-            soon.popleft()
-        event, bucket, level = self._wheel_min()
-        source = "wheel" if event is not None else None
-        if soon:
-            s = soon[0]
-            if event is None or s.time < event.time or (
-                s.time == event.time and s.seq < event.seq
-            ):
-                event = s
-                source = "soon"
-        if heap:
-            entry = heap[0]
-            if event is None or entry[0] < event.time or (
-                entry[0] == event.time and entry[1] < event.seq
-            ):
-                event = entry[2]
-                source = "heap"
+        event = self._next()
         if event is None:
             return False
-        if source == "heap":
-            heapq.heappop(heap)
-        elif source == "soon":
-            soon.popleft()
-        else:
-            bucket.remove(event)
-            if level is None:
-                self._wheel_count -= 1
-            else:
-                level.count -= 1
-                self._upper_count -= 1
-        time = event.time
-        self.now = time
-        event.where = _FREE
-        self._live -= 1
-        interval = event.interval
-        if interval:
-            self._seq = seq = self._seq + 1
-            event.seq = seq
-            event.time = time + interval
-            self._live += 1
-            self._insert(event)
-        prof = self._profiler
-        if prof is None:
-            event.fn(*event.args)
-        else:
-            prof.dispatch(event)
+        self._fire(event, self._profiler)
         return True
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
-        self._disturbed = True
-
-    def _wheel_min(self):
-        """Earliest live event across all wheel levels, left in place.
-
-        Returns ``(event, bucket, level)`` — ``level`` is None for
-        level 0 — or ``(None, None, None)``. Advances the level-0
-        cursor and the level hints past empty / fully-dead slots,
-        purging corpses as it goes.
-        """
-        best = None
-        best_bucket = None
-        best_level = None
-        if self._wheel is not None and self._wheel_count:
-            wheel = self._wheel
-            mask = self._mask
-            cur = self._cursor
-            # Same clamp as the run loop: live level-0 bins are never
-            # below int(now/width), so starting there keeps the first
-            # occupied ring slot unambiguous under the ring mask.
-            base = int(self.now * self._inv_width)
-            if cur < base:
-                cur = base
-            while self._wheel_count:
-                bucket = wheel[cur & mask]
-                if bucket:
-                    live = [event for event in bucket if not event.cancelled]
-                    if len(live) != len(bucket):
-                        removed = len(bucket) - len(live)
-                        self._wheel_cancelled -= removed
-                        self._wheel_count -= removed
-                        bucket[:] = live
-                    if live:
-                        self._cursor = cur
-                        best = min(live, key=_event_key)
-                        best_bucket = bucket
-                        break
-                cur += 1
-            else:
-                self._cursor = cur
-        if self._upper_count:
-            inv = self._inv_width
-            for lv in self._upper:
-                if not lv.count:
-                    continue
-                h = lv.hint
-                buckets = lv.buckets
-                lmask = lv.mask
-                shift = lv.shift
-                while lv.count:
-                    bucket = buckets[h & lmask]
-                    if bucket:
-                        live = [e for e in bucket if not e.cancelled]
-                        if len(live) != len(bucket):
-                            removed = len(bucket) - len(live)
-                            self._wheel_cancelled -= removed
-                            lv.count -= removed
-                            self._upper_count -= removed
-                            bucket[:] = live
-                        # An event can share the bucket through the
-                        # ring mask while binned to a later slot; only
-                        # events binned here bound the level minimum.
-                        binned = [
-                            e for e in live
-                            if int(e.time * inv) >> shift == h
-                        ]
-                        if binned:
-                            lv.hint = h
-                            cand = min(binned, key=_event_key)
-                            if best is None or cand.time < best.time or (
-                                cand.time == best.time and cand.seq < best.seq
-                            ):
-                                best = cand
-                                best_bucket = bucket
-                                best_level = lv
-                            break
-                    lv.hint = h + 1
-                    h += 1
-        return best, best_bucket, best_level
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._heap_cancelled -= 1
-        soon = self._soon
-        while soon and soon[0].cancelled:
-            soon.popleft()
-        best, _, _ = self._wheel_min()
-        best_time = best.time if best is not None else None
-        best_seq = best.seq if best is not None else 0
-        if soon:
-            s = soon[0]
-            if best_time is None or (s.time, s.seq) < (best_time, best_seq):
-                best_time, best_seq = s.time, s.seq
-        if heap:
-            entry = heap[0]
-            if best_time is None or (entry[0], entry[1]) < (best_time, best_seq):
-                best_time = entry[0]
-        return best_time
+        event = self._next()
+        return None if event is None else event.time
 
     @property
     def pending(self) -> int:

@@ -617,13 +617,24 @@ class FluidTrafficPlane:
         cls.completion_ev = None
         now = self.sim.now
         self._advance_class(cls, now)
-        threshold = cls.served + 1e-9
+        served = cls.served
         finished = []
-        while cls.pending and (
-            cls.pending[0][2].end is not None
-            or cls.pending[0][0] <= threshold
-        ):
-            _target, _fid, flow = heapq.heappop(cls.pending)
+        while cls.pending:
+            target, _fid, flow = cls.pending[0]
+            # Time rounding can leave ``served`` short of the target by
+            # more than the byte tolerance while the remaining wait is
+            # below the clock's resolution at ``now``. Re-arming would
+            # fire at this same instant forever, so a wait that cannot
+            # advance the clock counts as done. (The rate is positive:
+            # _rearm_completion arms this event only then, and every
+            # rate change re-arms.)
+            if (
+                flow.end is None
+                and target > served + 1e-9
+                and now + (target - served) * 8.0 / cls.rate_bps > now
+            ):
+                break
+            heapq.heappop(cls.pending)
             if flow.end is None:
                 finished.append(flow)
         if finished:

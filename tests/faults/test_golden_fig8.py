@@ -1,13 +1,18 @@
 """Golden traces for the Fig-8 failover scenario under a FaultPlan.
 
-Two guarantees, both byte-level:
+Three guarantees, all byte-level:
 
 * same seed, same plan => the full measurement trace replays
   identically (controlled experiments are *repeatable*, Section 6.2);
+* that trace is the one recorded at an earlier commit (a sha256
+  constant), so a change that reorders events the same way on every
+  run cannot pass;
 * a plan-driven run is event-for-event identical to the same scenario
   scheduled inline with ``fail_link_at``/``recover_link_at`` — the DSL
   adds a ``fault`` record per firing and changes nothing else.
 """
+
+import hashlib
 
 from repro.faults import FaultPlan
 from repro.tools import Ping
@@ -18,6 +23,11 @@ FAIL_AT = 10.0
 RECOVER_AT = 34.0
 END_AT = 45.0
 SEED = 8
+
+# sha256 of the serialized plan-driven trace, recorded at commit 57df67b
+# (the last one with the timer wheel). Re-record only for a deliberate,
+# documented change of simulated behaviour.
+GOLDEN_SHA256 = "ebd195fe8934807f21f3aa5449cbcc1a0eb245ea84b5c6e95743421228f5e130"
 
 
 def _serialize(sim, exclude=()):
@@ -60,6 +70,7 @@ def test_fig8_fault_plan_replays_byte_identically():
     second = _serialize(_run(_with_plan))
     assert first == second
     assert "fault" in first  # the plan actually drove the failure
+    assert hashlib.sha256(first.encode()).hexdigest() == GOLDEN_SHA256
 
 
 def test_fig8_unchanged_with_policy_layer_loaded():

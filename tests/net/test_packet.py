@@ -106,9 +106,9 @@ class TestHeaderStack:
 
     def test_deep_copy_still_available(self):
         pkt = make_udp_packet()
-        clone = pkt.copy(deep=True)
+        clone = pkt.copy().uniqueify()
         assert clone.ip is not pkt.ip
-        clone.ip.ttl = 1  # direct mutation is fine on a deep copy
+        clone.ip.ttl = 1  # direct mutation is fine on private headers
         assert pkt.ip.ttl == 64
 
     def test_pack_does_not_mutate_shared_headers(self):

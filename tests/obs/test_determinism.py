@@ -163,7 +163,7 @@ def test_traffic_plane_registers_nothing_when_registry_disabled():
 def _best_events_per_sec(runs: int = 3, scale: float = 0.1) -> float:
     best = 0.0
     for _ in range(runs):
-        result = run_engine_cell("wheel", seed=0, scale=scale)
+        result = run_engine_cell("heap", seed=0, scale=scale)
         best = max(best, result["perf"]["events_per_sec"])
     return best
 

@@ -29,7 +29,7 @@ def test_span_shared_across_cow_copy_and_uniqueify():
     packet = _packet()
     ctx = recorder.flight_begin(packet, "probe", node="a")
     shallow = packet.copy()
-    deep = packet.copy(deep=True)
+    deep = packet.copy().uniqueify()
     assert shallow.span is ctx and deep.span is ctx
     # uniqueify() replaces the header list in place; identity survives.
     shallow.uniqueify()

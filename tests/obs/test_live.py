@@ -222,9 +222,9 @@ def test_mark_alarm_is_recorded_without_stopping_the_sim(capsys):
 
 def test_abort_watchdog_stops_a_livelocked_run(tmp_path, capsys):
     """The end-to-end pathology: a self-feeding call_soon storm never
-    advances sim-time and never leaves the engine's merge loop, so only
-    the dispatch-loop hook can see it. The stall watchdog must abort
-    the run (instead of hanging forever) and leave a diagnostic."""
+    advances sim-time, so only the dispatch-loop hook can see it. The
+    stall watchdog must abort the run (instead of hanging forever) and
+    leave a diagnostic."""
     sim = Simulator(seed=1)
     wall = {"t": 0.0}
 
@@ -332,7 +332,7 @@ def test_same_seed_live_feed_is_byte_identical():
     assert len(rows) > 4  # header + anchor + periodic + final
     assert rows[-1]["t"] == 1.0
     # Engine probes made it into every snapshot.
-    assert "engine.batches" in rows[1]["probes"]
+    assert "sim.heap_entries" in rows[1]["probes"]
 
 
 def test_different_seed_changes_feed_content():

@@ -106,10 +106,9 @@ def test_stop_halts_run():
 
 def test_stop_during_run_until_preserves_order():
     # Regression: run(until) used to fast-forward now to `until` even
-    # after stop(), stranding live level-0 events behind the wheel
-    # scan-start clamp — a later run() then fired t=12 before t=5 and
-    # sent the clock backwards.
-    sim = Simulator(wheel_slots=8, wheel_width=1.0)
+    # after stop(); a later run() then fired the events still pending
+    # before `until` and sent the clock backwards.
+    sim = Simulator()
     fired = []
     sim.at(2.0, sim.stop)
     sim.at(5.0, lambda: fired.append((5.0, sim.now)))
@@ -123,37 +122,9 @@ def test_stop_during_run_until_preserves_order():
     sim.run()
     assert fired == [(5.0, 5.0), (12.0, 12.0)]
     # Fast-forward still applies when the queue genuinely drains.
-    sim2 = Simulator(wheel_slots=8, wheel_width=1.0)
+    sim2 = Simulator()
     sim2.at(1.0, lambda: None)
     assert sim2.run(until=30.0) == 30.0
-
-
-def test_corpse_only_upper_level_falls_back_to_heap():
-    # The boundary scan purges cancelled events from upper-level
-    # buckets; if that empties every level while level 0 is empty too,
-    # the drain loop must fall back to the heap path cleanly.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16,
-                    wheel_levels=3, wheel_upper_slots=8)
-    fired = []
-    parked = sim.at(5.0, fired.append, "upper")  # parks in an upper level
-    sim.at(10_000.0, fired.append, "heap")  # overflow heap
-    parked.cancel()
-    sim.run()
-    assert fired == ["heap"]
-
-
-def test_ring_aliased_upper_bucket_does_not_gate_later_events():
-    # Two upper-level events a full ring apart share a masked bucket;
-    # the earlier one must not drag the later one's window forward,
-    # and events between them must fire in between.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16,
-                    wheel_levels=2, wheel_upper_slots=8)
-    log = []
-    sim.at(0.2, log.append, 0.2)
-    sim.at(0.2 + 0.01 * 16 * 8, log.append, "aliased")
-    sim.at(0.5, log.append, 0.5)
-    sim.run()
-    assert log == [0.2, 0.5, "aliased"]
 
 
 def test_step_executes_single_event():
@@ -217,8 +188,8 @@ def test_different_seeds_differ():
 
 
 # ----------------------------------------------------------------------
-# Hot-path machinery: O(1) pending, heap compaction, timer wheel,
-# in-place rescheduling, native periodic events.
+# Hot-path machinery: O(1) pending, heap compaction, in-place
+# rescheduling, native periodic events.
 # ----------------------------------------------------------------------
 def test_pending_counter_is_live():
     sim = Simulator()
@@ -235,15 +206,15 @@ def test_pending_counter_is_live():
 
 def test_pending_counts_wheel_and_heap_events():
     sim = Simulator()
-    sim.at(0.001, lambda: None)  # wheel
-    sim.at(500.0, lambda: None)  # far past the horizon: overflow heap
+    sim.at(0.001, lambda: None)
+    sim.at(500.0, lambda: None)
     assert sim.pending == 2
     sim.run(until=1.0)
     assert sim.pending == 1
 
 
 def test_cancelled_heap_entries_are_compacted():
-    sim = Simulator(wheel=False)
+    sim = Simulator()
     events = [sim.at(10.0 + i * 0.01, lambda: None) for i in range(1000)]
     assert len(sim._heap) == 1000
     for event in events[:900]:
@@ -253,17 +224,8 @@ def test_cancelled_heap_entries_are_compacted():
     assert sim.pending == 100
 
 
-def test_compaction_disabled_keeps_corpses():
-    sim = Simulator(wheel=False, compact_threshold=None)
-    events = [sim.at(10.0 + i * 0.01, lambda: None) for i in range(1000)]
-    for event in events[:900]:
-        event.cancel()
-    assert len(sim._heap) == 1000
-    assert sim.pending == 100
-
-
 def test_events_beyond_wheel_horizon_fire_in_order():
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)  # horizon: 0.16s
+    sim = Simulator()
     order = []
     sim.at(5.0, order.append, "far")
     sim.at(0.05, order.append, "near")
@@ -274,9 +236,9 @@ def test_events_beyond_wheel_horizon_fire_in_order():
 
 
 def test_schedule_from_callback_into_current_drain():
-    # An event scheduled *behind the cursor's slot* mid-drain still
-    # fires in correct order.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
+    # An event scheduled from a callback to land before an already
+    # queued one still fires in correct order.
+    sim = Simulator()
     order = []
 
     def first():
@@ -327,7 +289,7 @@ def test_schedule_periodic_fires_and_cancels():
 def test_stop_mid_slot_preserves_remaining_events():
     sim = Simulator()
     fired = []
-    # Two events in the same wheel slot; the first stops the run.
+    # Two events 0.1 ms apart; the first stops the run.
     sim.at(0.0041, lambda: (fired.append("a"), sim.stop()))
     sim.at(0.0042, fired.append, "b")
     sim.run()
@@ -335,76 +297,6 @@ def test_stop_mid_slot_preserves_remaining_events():
     assert sim.pending == 1
     sim.run()
     assert fired == ["a", "b"]
-
-
-def test_cancel_event_parked_in_upper_wheel_level():
-    # Level-0 horizon is 0.16s; 5.0s parks in an upper level.
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
-    fired = []
-    far = sim.at(5.0, fired.append, "far")
-    sim.at(6.0, fired.append, "after")
-    assert sim._upper_count >= 1
-    far.cancel()
-    assert sim.pending == 1
-    sim.run()
-    assert fired == ["after"]
-    assert not far.active
-
-
-def test_reschedule_rejects_event_parked_in_upper_level():
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
-    parked = sim.at(5.0, lambda: None)
-    assert sim._upper_count >= 1
-    with pytest.raises(RuntimeError):
-        sim.reschedule(parked, 10.0)
-    parked.cancel()
-    sim.run()
-
-
-def test_cancel_event_staged_in_drain_batch():
-    # Both events land in the same level-0 slot; the first cancels the
-    # second after the batch has already been pre-sorted and staged.
-    sim = Simulator()
-    fired = []
-    hit = []
-
-    def first():
-        hit.append(sim.now)
-        victim.cancel()
-
-    sim.at(0.0041, first)
-    victim = sim.at(0.0042, fired.append, "victim")
-    sim.at(0.0043, fired.append, "survivor")
-    sim.run()
-    assert hit == [0.0041]
-    assert fired == ["survivor"]
-    assert sim.pending == 0
-
-
-def test_merged_heap_event_cancels_staged_wheel_event():
-    # A heap event merged into a wheel batch cancels the very wheel
-    # event the merge loop was interleaving against. The drain must
-    # not advance the clock to the corpse's time (the heap reference
-    # ends at the cancel time) nor double-drop the live counter.
-    for levels in (0, 1, 2, 3):
-        sim = Simulator(wheel_levels=levels)
-        fired = []
-        timer = sim.schedule_periodic(1.0, lambda: fired.append(sim.now))
-        # 20.5 bins past the 2048 x 10 ms level-0 horizon, so with no
-        # upper levels it lands in the overflow heap and fires via the
-        # batch merge path while the 21.0 occurrence is staged.
-        sim.at(20.5, timer.cancel)
-        sim.run()
-        assert fired[-1] == 20.0, levels
-        assert sim.now == 20.5, levels
-        assert sim.pending == 0, levels
-
-    ref = Simulator(wheel=False)
-    fired = []
-    timer = ref.schedule_periodic(1.0, lambda: fired.append(ref.now))
-    ref.at(20.5, timer.cancel)
-    ref.run()
-    assert ref.now == 20.5 and ref.pending == 0
 
 
 def test_cancel_call_soon_event_before_it_fires():
@@ -422,51 +314,15 @@ def test_cancel_call_soon_event_before_it_fires():
     assert sim.pending == 0
 
 
-def test_upper_level_events_cascade_and_fire_in_order():
-    # Tiny geometry: 16 level-0 slots, 8-slot upper levels, so these
-    # deadlines span level 1, level 2, and the overflow heap, with
-    # ring-mask collisions in every level.
-    sim = Simulator(
-        wheel_width=0.01, wheel_slots=16,
-        wheel_levels=3, wheel_upper_slots=8,
-    )
-    times = [4.17, 0.05, 1.03, 26.0, 0.9, 11.5, 1.02, 260.0, 0.05]
-    order = []
-    for t in times:
-        sim.at(t, order.append, t)
-    sim.run()
-    assert order == sorted(times)
-    assert sim._cascades > 0
-
-
-def test_dispatch_stats_count_batches_and_cascades():
-    sim = Simulator()
-    for i in range(10):
-        sim.at(0.0041 + i * 1e-5, lambda: None)  # one level-0 slot
-    sim.at(500.0, lambda: None)  # parks in an upper level
-    sim.run()
-    stats = sim.dispatch_stats
-    assert stats["batches"] >= 1
-    assert stats["batch_events"] >= 10
-    assert stats["batch_max"] >= 10
-    assert stats["cascades"] >= 1
-    assert stats["batch_mean"] > 0.0
-    # Heap-only engines have no batch machinery: stats stay zero.
-    plain = Simulator(wheel=False)
-    plain.at(1.0, lambda: None)
-    plain.run()
-    assert plain.dispatch_stats["batches"] == 0
-
-
 def test_step_and_peek_merge_wheel_and_heap():
-    sim = Simulator(wheel_width=0.01, wheel_slots=16)
+    sim = Simulator()
     order = []
-    sim.at(500.0, order.append, "heap")
-    sim.at(0.01, order.append, "wheel")
+    sim.at(500.0, order.append, "far")
+    sim.at(0.01, order.append, "near")
     assert sim.peek() == 0.01
     assert sim.step()
-    assert order == ["wheel"]
+    assert order == ["near"]
     assert sim.peek() == 500.0
     assert sim.step()
     assert not sim.step()
-    assert order == ["wheel", "heap"]
+    assert order == ["near", "far"]

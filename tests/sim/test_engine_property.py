@@ -1,32 +1,133 @@
-"""Property test: timer-structure equivalence.
+"""Property test: the engine against a reference scheduler.
 
-The engine promises a strict (time, seq) total order regardless of
-which structure holds a timer — overflow heap, single-level wheel, or
-a hierarchical wheel with cascading upper levels. This generates
-random workloads (mixed near/far deadlines, chained scheduling,
-cancels, reschedules, periodics, chunked runs) and asserts the fire
-log is *exactly* identical — same tags, same float times — across all
-configurations, including a deliberately tiny geometry that forces
-heavy cascading and slot-mask collisions.
+The engine promises a strict (time, seq) total order. The oracle is
+:class:`ReferenceScheduler` below: an unordered list and a ``min()``
+per event, written to be obviously right rather than fast. Hypothesis
+generates random programs (mixed near/far deadlines, absolute and
+relative scheduling, call_soon / call_unique from inside callbacks,
+chained scheduling, cancels, reschedules, periodics, chunked runs,
+stop / step / peek interleavings) and the fire log must be *exactly*
+identical — same tags, same float times — on both.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
 
+
+class _Handle:
+    def __init__(self, fn, args, interval=0.0):
+        self.fn, self.args, self.interval = fn, args, interval
+        self.time = self.seq = None
+        self.cancelled = self.queued = False
+        self.sched = None
+
+    def cancel(self):
+        self.cancelled = True
+        self.interval = 0.0
+        if self.queued:
+            self.queued = False
+            self.sched.queue.remove(self)
+
+
+class ReferenceScheduler:
+    """The engine's scheduling contract in its most naive form."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self.seq = 0
+        self.stopped = False
+        self.unique = {}
+
+    def _add(self, handle, time):
+        assert time >= self.now
+        self.seq += 1
+        handle.time, handle.seq = time, self.seq
+        handle.queued, handle.sched = True, self
+        self.queue.append(handle)
+        return handle
+
+    def schedule(self, time, fn, *args):
+        return self._add(_Handle(fn, args), time)
+
+    def at(self, delay, fn, *args):
+        return self._add(_Handle(fn, args), self.now + delay)
+
+    def call_soon(self, fn, *args):
+        return self._add(_Handle(fn, args), self.now)
+
+    def call_unique(self, fn):
+        if fn not in self.unique:
+            def fire():
+                del self.unique[fn]
+                fn()
+            self.unique[fn] = self.call_soon(fire)
+        return self.unique[fn]
+
+    def schedule_periodic(self, interval, fn, *args):
+        return self._add(_Handle(fn, args, interval), self.now + interval)
+
+    def reschedule(self, handle, time):
+        assert not handle.queued and not handle.cancelled
+        return self._add(handle, time)
+
+    def peek(self):
+        return min((h.time for h in self.queue), default=None)
+
+    def step(self, bound=float("inf")):
+        if not self.queue:
+            return False
+        handle = min(self.queue, key=lambda h: (h.time, h.seq))
+        if handle.time > bound:
+            return False
+        self.queue.remove(handle)
+        handle.queued = False
+        self.now = handle.time
+        if handle.interval:
+            self._add(handle, self.now + handle.interval)
+        handle.fn(*handle.args)
+        return True
+
+    def stop(self):
+        self.stopped = True
+
+    def run(self, until=None):
+        self.stopped = False
+        bound = float("inf") if until is None else until
+        while not self.stopped and self.step(bound):
+            pass
+        if until is not None and not self.stopped and self.now < until:
+            self.now = until
+        return self.now
+
+
 # (delay, action, aux, period) per timer:
 #   action 0: plain one-shot
 #   action 1: one-shot that schedules a follow-up +aux from its fire
 #   action 2: one-shot cancelled at absolute time aux (maybe too late)
-#   action 3: periodic(period), cancelled at absolute time aux
+#   action 3: periodic(period) echoing one-shots onto its own next
+#             tick, cancelled at absolute time aux
 #   action 4: one-shot that reschedules itself once to now+aux
-_delays = st.floats(min_value=0.0, max_value=50_000.0,
-                    allow_nan=False, allow_infinity=False)
-_aux = st.floats(min_value=0.0, max_value=600.0,
-                 allow_nan=False, allow_infinity=False)
-_periods = st.floats(min_value=1.0, max_value=300.0,
-                     allow_nan=False, allow_infinity=False)
-_timer = st.tuples(_delays, st.integers(min_value=0, max_value=4),
+#   action 5: one-shot at *absolute* time delay whose fire call_soons a
+#             follow-up and call_uniques the shared sweep twice
+#   action 6: one-shot that call_soons a follow-up and cancels it
+#
+# Half the draws come from a coarse grid, so same-time ties — where
+# only the sequence number decides — are common rather than freak.
+def _grid_or_float(lo, hi, step):
+    return st.one_of(
+        st.integers(min_value=int(lo / step), max_value=40).map(
+            lambda k: k * step),
+        st.floats(min_value=lo, max_value=hi,
+                  allow_nan=False, allow_infinity=False),
+    )
+
+
+_delays = _grid_or_float(0.0, 50_000.0, 0.5)
+_aux = _grid_or_float(0.0, 600.0, 0.5)
+_periods = _grid_or_float(1.0, 300.0, 1.0)
+_timer = st.tuples(_delays, st.integers(min_value=0, max_value=6),
                    _aux, _periods)
 _workload = st.lists(_timer, min_size=1, max_size=25)
 _chunks = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
@@ -36,6 +137,10 @@ _chunks = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
 
 def _schedule_workload(sim, spec, log):
     events = {}
+
+    def sweep():
+        log.append(("sweep", sim.now))
+
     for i, (delay, action, aux, period) in enumerate(spec):
         if action == 0:
             events[i] = sim.at(delay, lambda i=i: log.append((i, sim.now)))
@@ -49,9 +154,11 @@ def _schedule_workload(sim, spec, log):
             events[i] = event
             sim.at(aux, event.cancel)
         elif action == 3:
-            event = sim.schedule_periodic(
-                period, lambda i=i: log.append((i, sim.now))
-            )
+            def tick(i=i, period=period):
+                log.append((i, sim.now))
+                # Lands on the next tick's instant, after it.
+                sim.at(period, lambda i=i: log.append((i, sim.now, "echo")))
+            event = sim.schedule_periodic(period, tick)
             sim.at(aux, event.cancel)
         elif action == 4:
             once = []
@@ -61,10 +168,21 @@ def _schedule_workload(sim, spec, log):
                     once.append(1)
                     sim.reschedule(events[i], sim.now + aux)
             events[i] = sim.at(delay, rearming)
+        elif action == 5:
+            def soonish(i=i):
+                log.append((i, sim.now))
+                sim.call_unique(sweep)
+                sim.call_soon(lambda i=i: log.append((i, sim.now, "soon")))
+                sim.call_unique(sweep)
+            events[i] = sim.schedule(delay, soonish)
+        elif action == 6:
+            def fickle(i=i):
+                log.append((i, sim.now))
+                sim.call_soon(lambda i=i: log.append((i, "never"))).cancel()
+            events[i] = sim.at(delay, fickle)
 
 
-def _run_workload(spec, chunks, **sim_kwargs):
-    sim = Simulator(seed=7, **sim_kwargs)
+def _run_workload(sim, spec, chunks):
     log = []
     _schedule_workload(sim, spec, log)
     for until in chunks:
@@ -73,13 +191,13 @@ def _run_workload(spec, chunks, **sim_kwargs):
     return log
 
 
-def _run_workload_stop_step(spec, chunks, stops, steps, **sim_kwargs):
-    """Drain the workload while interleaving stop(), run(until), step().
+def _run_workload_stop_step(sim, spec, chunks, stops, steps):
+    """Drain the workload while interleaving stop(), run(until), step()
+    and peek().
 
     Each stop() may end a run(until) chunk early; the final drain loops
     run() once per possible stop so the queue always empties.
     """
-    sim = Simulator(seed=7, **sim_kwargs)
     log = []
     _schedule_workload(sim, spec, log)
     for t in stops:
@@ -87,31 +205,22 @@ def _run_workload_stop_step(spec, chunks, stops, steps, **sim_kwargs):
     for until in chunks:
         sim.run(until=until)
         for _ in range(steps):
+            log.append(("peek", sim.peek()))
             if not sim.step():
                 break
         log.append(("clock", sim.now))
     for _ in range(len(stops) + 1):
         sim.run()
         log.append(("clock", sim.now))
+    log.append(("peek", sim.peek()))
     return log
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(spec=_workload, chunks=_chunks)
 def test_fire_order_identical_across_timer_structures(spec, chunks):
-    reference = _run_workload(spec, chunks, wheel=False)
-    # Single-level wheel (everything far goes through the heap).
-    assert _run_workload(spec, chunks, wheel_levels=1) == reference
-    # Hierarchical wheel, default geometry.
-    assert _run_workload(spec, chunks) == reference
-    # Tiny geometry: level-0 horizon 0.16s, upper levels 8 slots each,
-    # so nearly every timer parks in an upper level or the heap and
-    # most slots share a mask — maximal cascade pressure.
-    assert _run_workload(
-        spec, chunks,
-        wheel_width=0.01, wheel_slots=16,
-        wheel_levels=3, wheel_upper_slots=8,
-    ) == reference
+    assert (_run_workload(Simulator(seed=7), spec, chunks)
+            == _run_workload(ReferenceScheduler(), spec, chunks))
 
 
 _stops = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
@@ -119,24 +228,17 @@ _stops = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
                   max_size=3)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(spec=_workload, chunks=_chunks, stops=_stops,
        steps=st.integers(min_value=0, max_value=4))
 def test_stop_step_interleaving_identical_across_structures(spec, chunks,
                                                             stops, steps):
-    # Regression guard: run(until) ended by stop() must not advance the
-    # clock past still-pending events — the wheel scan-start clamp
-    # assumes live level-0 bins never sit below int(now/width), so a
-    # stale fast-forward reordered fires and sent the clock backwards.
-    reference = _run_workload_stop_step(spec, chunks, stops, steps,
-                                        wheel=False)
-    times = [entry[1] for entry in reference]
+    # Includes the regression guard for run(until) ended by stop(): it
+    # must not advance the clock past still-pending events, or a later
+    # run() fires them and sends the clock backwards.
+    reference = _run_workload_stop_step(ReferenceScheduler(), spec, chunks,
+                                        stops, steps)
+    times = [entry[1] for entry in reference if entry[0] != "peek"]
     assert times == sorted(times)  # clock never goes backwards
-    assert _run_workload_stop_step(spec, chunks, stops, steps,
-                                   wheel_levels=1) == reference
-    assert _run_workload_stop_step(spec, chunks, stops, steps) == reference
-    assert _run_workload_stop_step(
-        spec, chunks, stops, steps,
-        wheel_width=0.01, wheel_slots=16,
-        wheel_levels=3, wheel_upper_slots=8,
-    ) == reference
+    assert _run_workload_stop_step(Simulator(seed=7), spec, chunks,
+                                   stops, steps) == reference

@@ -91,6 +91,27 @@ class TestCompletions:
         expected = t_half + (125_000 / 2) * 8 / (USABLE / 2)
         assert flow.end == pytest.approx(expected, rel=1e-3)
 
+    def test_completion_below_clock_resolution_does_not_livelock(self):
+        # At t ~ 29 s the clock's ulp (3.6e-15 s) is coarser than the
+        # wait for the last 1e-8 bytes of this flow, so the completion
+        # event used to re-arm at the same instant forever.
+        vini, plane = make_dumbbell()
+        sim = vini.sim
+        flows = []
+        sim.schedule(27.39, lambda: flows.append(
+            plane.add_flow("s0", "r0", size_bytes=2_050_724)))
+        for _ in range(1000):  # event budget: the run needs a few dozen
+            if sim.peek() is None or sim.peek() > 60.0:
+                break
+            sim.step()
+        else:
+            pytest.fail(f"event budget exhausted at t={sim.now!r}")
+        (flow,) = flows
+        assert not flow.active
+        assert flow.end == pytest.approx(
+            27.39 + 2_050_724 * 8 / USABLE, rel=1e-9)
+        assert plane.stats["flows_completed"] == 1
+
     def test_stopped_flow_frees_its_share(self):
         vini, plane = make_dumbbell()
         doomed = plane.add_flow("s0", "r0")
