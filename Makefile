@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test tier2-bench-smoke bench ledger ledger-smoke profile flight report watch explain
+.PHONY: test tier2-bench-smoke bench ledger ledger-smoke ledger-ab profile flight report watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -32,6 +32,14 @@ ledger:
 ledger-smoke:
 	$(PYTHON) benchmarks/ledger/run.py --scale 0.05 --repeats 1
 	$(PYTHON) -m pytest -q benchmarks/ledger/tests
+
+# A/B two checkouts on the ledger: N alternating pairs of full sets
+# (BASE = a clone of the parent commit, NEW = the change), each set kept
+# under benchmarks/results/ledger_ab/, then every workload x metric with
+# its ratio set by set. ~4 min a pair; nothing else should be running.
+#   make ledger-ab BASE=/tmp/parent NEW=. [N=4]
+ledger-ab:
+	$(PYTHON) benchmarks/ledger_ab.py $(BASE) $(NEW) --sets $(or $(N),4)
 
 # Sim-time profile: a short Abilene scenario under repro.obs.Profiler,
 # printing the per-component event-loop breakdown.

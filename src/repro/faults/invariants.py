@@ -13,7 +13,8 @@ for the ways a fault schedule can silently corrupt a run:
   offered to a link channel must be delivered, dropped (and counted),
   still queued, or still in flight; Click queues and shapers must
   likewise account for every push. Link drop counters are cross-checked
-  against the ``link_drop`` trace records.
+  against the ``link_drop`` trace records, and each CPU scheduler's
+  ready set against its processes' queues.
 * **No forwarding loops** (structural, after convergence): following
   RIB next hops from every source toward every destination must never
   revisit a node. The same walk over kernel routing tables covers
@@ -297,18 +298,27 @@ class InvariantChecker:
     # Packet conservation
     # ------------------------------------------------------------------
     def check_conservation(self) -> None:
-        """Every packet offered to a link or queue is accounted for."""
+        """Every packet offered to a link or queue is accounted for, and
+        each CPU's ready set is exactly its processes with queued work."""
         links = []
         if self.vini is not None:
             links.extend(self.vini.links.values())
-        elif self.network is not None:
+            nodes = list(self.vini.nodes.values())
+        else:
             seen = set()
-            for vnode in self.network.nodes.values():
-                for iface in vnode.phys_node.interfaces.values():
+            nodes = list(dict.fromkeys(
+                v.phys_node for v in self.network.nodes.values()))
+            for node in nodes:
+                for iface in node.interfaces.values():
                     link = iface.link
                     if link is not None and id(link) not in seen:
                         seen.add(id(link))
                         links.append(link)
+        for node in nodes:
+            queued = {p for p in node.cpu.processes if p.queue}
+            if node.cpu._ready != queued:
+                self._report("cpu_ready_set", node=node.name, differ=sorted(
+                    p.name for p in node.cpu._ready ^ queued))
         trace = self.sim.trace
         for link in links:
             offered = delivered = drops = backlog = flight = 0

@@ -23,35 +23,24 @@ chunk is on the CPU. That scheduling latency — the time between a
 packet waking Click and Click actually running — is exactly what
 produces the jitter, loss, and throughput collapse of Tables 4–6 and
 Figure 6, and real-time priority is exactly what removes it.
+
+Elections read ``_ready``, which at every instant holds exactly the
+registered processes whose queue is non-empty (cancelled items count).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from repro.phys.process import Process, WorkItem
 from repro.sim.engine import Event, Simulator
 
 
-class _Running:
-    """Bookkeeping for the item currently on the CPU."""
-
-    __slots__ = ("process", "item", "started_at", "cost", "event")
-
-    def __init__(
-        self,
-        process: Process,
-        item: WorkItem,
-        started_at: float,
-        cost: float,
-        event: Event,
-    ):
-        self.process = process
-        self.item = item
-        self.started_at = started_at
-        self.cost = cost  # wall seconds this dispatch will take
-        self.event = event
+def _order(process: Process):
+    """Election order: least virtual runtime, ties to the process
+    registered first."""
+    return process.vruntime, process.index
 
 
 class CPUScheduler:
@@ -101,11 +90,20 @@ class CPUScheduler:
         # desktop-style interactive scheduler instead.
         self.interactive_threshold = 0.0
         self.processes: List[Process] = []
+        self._ready: Set[Process] = set()
         self.busy_time = 0.0  # cumulative seconds the CPU was executing
-        self._running: Optional[_Running] = None
+        # The chunk on the CPU: its owner (None when idle), the item,
+        # when it started, the wall seconds it takes, its completion.
+        self._running: Optional[Process] = None
+        self._item: Optional[WorkItem] = None
+        self._started_at = self._cost = 0.0
+        self._event: Optional[Event] = None
         # A non-RT process whose chunk was preempted by real-time work:
         # it owns the rest of its timeslice and resumes first.
         self._resume: Optional[Process] = None
+        # Bound once: a stream is seeded from sha256(seed:name), so when
+        # it is created cannot change what it draws.
+        self._nonpreempt_rng = sim.rng(f"nonpreempt.{name}")
         metrics = sim.metrics
         # Per-slice scheduling latency (time from work arriving to it
         # getting the CPU): the one push instrument on this path — a
@@ -119,7 +117,7 @@ class CPUScheduler:
         metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
         metrics.gauge(
             "cpu.runq_depth",
-            fn=lambda: sum(len(p.queue) for p in self.processes),
+            fn=lambda: sum(len(p.queue) for p in self._ready),
             cpu=self.name,
         )
 
@@ -127,6 +125,7 @@ class CPUScheduler:
     # Registration and wakeups
     # ------------------------------------------------------------------
     def register(self, process: Process) -> None:
+        process.index = len(self.processes)
         self.processes.append(process)
         metrics = self.sim.metrics
         if metrics.enabled:
@@ -145,21 +144,20 @@ class CPUScheduler:
 
     def wake(self, process: Process) -> None:
         """A process gained work; dispatch or preempt as policy allows."""
-        if len(process.queue) == 1 and not process.realtime:
-            # Transition idle -> runnable: bound the sleeper's credit.
-            self._clamp_wakeup(process)
+        if len(process.queue) == 1:
+            # Idle -> ready; a fair-share sleeper's credit is bounded.
+            self._ready.add(process)
+            if not process.realtime:
+                self._clamp_wakeup(process)
         running = self._running
         if running is None:
             self._dispatch()
             return
         preempts = process.realtime or self._interactive(process)
-        if preempts and not running.process.realtime:
+        if preempts and not running.realtime:
             if self.max_nonpreempt > 0.0:
-                delay = (
-                    self.sim.rng(f"nonpreempt.{self.name}").random()
-                    * self.max_nonpreempt
-                )
-                self.sim.at(delay, self._deferred_preempt, running)
+                delay = self._nonpreempt_rng.random() * self.max_nonpreempt
+                self.sim.at(delay, self._deferred_preempt, self._event)
             else:
                 self._preempt()
                 self._dispatch()
@@ -174,28 +172,25 @@ class CPUScheduler:
             return False
         return self.usage_fraction(process) < self.interactive_threshold
 
-    def _deferred_preempt(self, target: "_Running") -> None:
-        """Preempt ``target`` if it is still on the CPU.
+    def _deferred_preempt(self, target: Event) -> None:
+        """Preempt the chunk that completes at ``target`` if it is still
+        on the CPU.
 
         If the chunk already finished, the normal completion dispatch
         has run (and will have picked the real-time work).
         """
-        if self._running is target:
+        if self._running is not None and self._event is target:
             self._preempt()
             self._dispatch()
 
     def _clamp_wakeup(self, process: Process) -> None:
-        reference = [
-            p.vruntime
-            for p in self.processes
-            if p is not process and not p.realtime and (p.queue or (
-                self._running is not None and self._running.process is p))
-        ]
-        if not reference:
-            return
-        floor = min(reference) - self.wake_bonus
-        if process.vruntime < floor:
-            process.vruntime = floor
+        floor = None
+        for p in (*self._ready, self._running):
+            if p is not None and p is not process and not p.realtime and (
+                    floor is None or p.vruntime < floor):
+                floor = p.vruntime
+        if floor is not None:
+            process.vruntime = max(process.vruntime, floor - self.wake_bonus)
 
     # ------------------------------------------------------------------
     # Usage accounting
@@ -224,71 +219,78 @@ class CPUScheduler:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _runnable(self) -> List[Process]:
-        result = []
-        for process in self.processes:
+    def _dispatch(self) -> None:
+        """Elect from the ready set in one pass — RT band, interactive
+        band if on, preempted-slice resume, under-reservation band, then
+        fair share — and put the winner's head item on the CPU.
+
+        ``usage_fraction`` decays the average it reads, and stepwise
+        decay is not associative in floats, so *which* processes are
+        asked at an election is part of the result: every ready process
+        with a cap, always; the interactive and reservation bands only
+        once no real-time process is eligible.
+        """
+        ready = self._ready
+        if self._running is not None or not ready:
+            return
+        usage, owner = self.usage_fraction, self._resume
+        rt = fair = None
+        drained = capped = ()
+        resume = reserved = False
+        least = 0.0  # fair's vruntime
+        for process in ready:
             queue = process.queue
             while queue and queue[0].cancelled:
                 queue.popleft()
-            if queue:
-                result.append(process)
-        return result
-
-    def _pick(self, runnable: List[Process]) -> Process:
-        """Scheduling policy: RT band, preempted-slice resume,
-        under-reservation band, then fair share."""
-        realtime = [p for p in runnable if p.realtime]
-        if realtime:
-            return min(realtime, key=lambda p: p.vruntime)
-        interactive = [p for p in runnable if self._interactive(p)]
-        if interactive:
-            self._resume = None if self._resume in interactive else self._resume
-            return min(interactive, key=lambda p: p.vruntime)
-        if self._resume is not None and self._resume in runnable:
-            owner = self._resume
+            if not queue:
+                drained += (process,)
+            elif process.cpu_cap is not None and usage(process) >= process.cpu_cap:
+                capped += (process,)
+            elif process.realtime:
+                if rt is None or _order(process) < _order(rt):
+                    rt = process
+            else:
+                # _order(process) < _order(fair), spelt out: the one
+                # comparison every workload makes per ready process.
+                vruntime = process.vruntime
+                if fair is None or vruntime < least or (
+                        vruntime == least and process.index < fair.index):
+                    fair, least = process, vruntime
+                resume = resume or process is owner
+                reserved = reserved or process.reservation > 0.0
+        ready.difference_update(drained)
+        if rt is None and fair is None:
+            if capped:
+                # Non-work-conserving: everyone ready is at their cap.
+                # Idle until the first EWMA decays below its ceiling.
+                delay = min(
+                    self.ewma_tau
+                    * math.log(max(usage(p) / p.cpu_cap, 1.0 + 1e-9))
+                    for p in capped
+                )
+                self.sim.at(max(delay, 1e-6), self._dispatch)
+            return
+        process = rt
+        if process is None and self.interactive_threshold > 0.0:
+            band = [p for p in ready if p not in capped and self._interactive(p)]
+            if band:
+                process = min(band, key=_order)
+                if owner in band:
+                    self._resume = None
+        if process is None:
             self._resume = None
-            return owner
-        self._resume = None
-        reserved = [
-            p
-            for p in runnable
-            if p.reservation > 0.0 and self.usage_fraction(p) < p.reservation
-        ]
-        if reserved:
-            return min(reserved, key=lambda p: p.vruntime)
-        return min(runnable, key=lambda p: p.vruntime)
-
-    def _under_cap(self, process: Process) -> bool:
-        return (
-            process.cpu_cap is None
-            or self.usage_fraction(process) < process.cpu_cap
-        )
-
-    def _dispatch(self) -> None:
-        if self._running is not None:
-            return
-        runnable = self._runnable()
-        if not runnable:
-            return
-        eligible = [p for p in runnable if self._under_cap(p)]
-        if not eligible:
-            # Non-work-conserving: everyone runnable is at their cap.
-            # Idle until the first EWMA decays below its ceiling.
-            delay = min(
-                self.ewma_tau
-                * math.log(max(self.usage_fraction(p) / p.cpu_cap, 1.0 + 1e-9))
-                for p in runnable
-            )
-            self.sim.at(max(delay, 1e-6), self._dispatch)
-            return
-        runnable = eligible
-        # Clamp a freshly woken process's vruntime so long sleepers do
-        # not monopolize the CPU paying back their debt (CFS-style).
-        floor = min(p.vruntime for p in runnable)
-        process = self._pick(runnable)
-        if process.vruntime < floor:
-            process.vruntime = floor
+            if resume:
+                process = owner
+            elif reserved:
+                process = min(
+                    (p for p in ready if p not in capped
+                     and p.reservation > 0.0 and usage(p) < p.reservation),
+                    key=_order, default=fair)
+            else:
+                process = fair
         item = process.queue.popleft()
+        if not process.queue:
+            ready.remove(process)
         if self._latency_hist is not None:
             self._latency_hist.observe(self.sim.now - item.enqueued_at)
         if item.span_packet is not None:
@@ -296,38 +298,39 @@ class CPUScheduler:
             # now on the CPU. The stage stays open across preemption, so
             # it covers execution plus any time spent preempted.
             self.sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
-        cost = item.cost / self.speed
-        event = self.sim.at(cost, self._complete)
-        self._running = _Running(process, item, self.sim.now, cost, event)
+        self._running, self._item = process, item
+        self._started_at = self.sim.now
+        self._cost = item.cost / self.speed
+        self._event = self.sim.at(self._cost, self._complete)
 
     def _complete(self) -> None:
-        running = self._running
-        assert running is not None
+        process, item = self._running, self._item
+        assert process is not None
         self._running = None
-        self._charge(running.process, running.cost)
-        item = running.item
+        self._charge(process, self._cost)
         if not item.cancelled:
             item.fn(*item.args)
         self._dispatch()
 
     def _preempt(self) -> None:
         """Stop the current (non-RT) item; requeue its remainder."""
-        running = self._running
-        assert running is not None
+        process, item = self._running, self._item
+        assert process is not None
         self._running = None
-        running.event.cancel()
-        executed = self.sim.now - running.started_at
-        self._charge(running.process, executed)
-        remaining = running.cost - executed
-        if remaining > 0 or not running.item.cancelled:
+        self._event.cancel()
+        executed = self.sim.now - self._started_at
+        self._charge(process, executed)
+        remaining = self._cost - executed
+        if remaining > 0 or not item.cancelled:
             leftover = WorkItem(
-                max(0.0, remaining) * self.speed, running.item.fn, running.item.args,
-                running.item.enqueued_at, running.item.span_packet,
+                max(0.0, remaining) * self.speed, item.fn, item.args,
+                item.enqueued_at, item.span_packet,
             )
-            leftover.cancelled = running.item.cancelled
-            running.process.queue.appendleft(leftover)
-            if not running.process.realtime:
-                self._resume = running.process
+            leftover.cancelled = item.cancelled
+            process.queue.appendleft(leftover)
+            self._ready.add(process)
+            if not process.realtime:
+                self._resume = process
 
     # ------------------------------------------------------------------
     # Crash handling
@@ -341,24 +344,14 @@ class CPUScheduler:
         and any preemption-resume claim is forgotten.
         """
         if self._running is not None:
-            self._running.item.cancelled = True
+            self._item.cancelled = True
         for process in self.processes:
             for item in process.queue:
                 item.cancelled = True
             process.queue.clear()
+        self._ready.clear()
         self._resume = None
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self._running is not None
-
-    @property
-    def current(self) -> Optional[Process]:
-        return self._running.process if self._running else None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = f"running {self._running.process.name}" if self._running else "idle"
+        state = f"running {self._running.name}" if self._running else "idle"
         return f"<CPUScheduler {self.name} {state} procs={len(self.processes)}>"

@@ -98,6 +98,7 @@ class Process:
         # Label of this process's cpu.process_seconds series (the CPU
         # scheduler may disambiguate duplicate names at registration).
         self.metric_label = name
+        self.index = 0  # registration order on the CPU: its tie-break
         node.cpu.register(self)
 
     # ------------------------------------------------------------------
@@ -121,10 +122,6 @@ class Process:
         self.queue.append(item)
         self.node.cpu.wake(self)
         return item
-
-    @property
-    def runnable(self) -> bool:
-        return any(not item.cancelled for item in self.queue)
 
     @property
     def backlog(self) -> float:

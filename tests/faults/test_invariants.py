@@ -223,6 +223,22 @@ def test_detects_drop_counter_trace_disagreement():
     assert bad and bad[0].detail["counter"] == 1
 
 
+def test_detects_a_stale_cpu_ready_set():
+    vini = _triangle()
+    checker = InvariantChecker(vini).install()
+    ping = Ping(vini.nodes["a"], vini.nodes["b"].address, count=5, interval=0.05)
+    ping.start()
+    vini.run(until=1.0)
+    checker.check_conservation()
+    assert checker.violations == []
+    cpu = vini.nodes["a"].cpu
+    cpu._ready.add(cpu.processes[0])  # in the ready set with nothing queued
+    checker.check_conservation()
+    bad = [v for v in checker.violations if v.invariant == "cpu_ready_set"]
+    assert bad and bad[0].detail == {
+        "node": "a", "differ": [cpu.processes[0].name]}
+
+
 def test_detects_a_cooked_shaper_counter():
     vini = VINI(seed=4)
     vini.add_node("a")

@@ -244,3 +244,66 @@ def test_interactive_band_when_enabled():
     sim.run(until=0.05)
     # Preempts the hog immediately rather than waiting for the chunk end.
     assert done[0] == pytest.approx(0.0026, abs=2e-4)
+
+
+# ----------------------------------------------------------------------
+# The ready set: exactly the processes with queued work, at every instant
+# ----------------------------------------------------------------------
+def queued(node):
+    return {p for p in node.cpu.processes if p.queue}
+
+
+def test_preempted_leftover_reenters_a_drained_process():
+    """Dispatching slow's only item empties its queue, so it leaves the
+    ready set; the preempted remainder must put it back."""
+    sim, node = make_node()
+    node.cpu.max_nonpreempt = 0.0
+    slow = Process(node, "slow")
+    rt = Process(node, "rt", realtime=True)
+    done = []
+    slow.exec_after(0.100, lambda: done.append(("slow", sim.now)))
+    assert node.cpu._ready == set()  # on the CPU, nothing queued
+    sim.at(0.010, lambda: rt.exec_after(0.001, done.append, "rt"))
+    sim.run(until=0.0105)
+    assert node.cpu._ready == queued(node) == {slow}
+    sim.run()
+    assert done == ["rt", ("slow", pytest.approx(0.101))]
+    assert node.cpu._ready == set()
+
+
+def test_crash_with_an_item_on_the_cpu_strips_its_leftover():
+    """crash_flush cancels the running item; when a real-time wakeup
+    then preempts it, the leftover carries the cancellation and is
+    stripped at the next election, not run."""
+    sim, node = make_node()
+    node.cpu.max_nonpreempt = 0.0
+    slow = Process(node, "slow")
+    rt = Process(node, "rt", realtime=True)
+    done = []
+    slow.exec_after(0.100, done.append, "slow")
+    slow.exec_after(0.100, done.append, "queued behind")
+    sim.at(0.010, node.cpu.crash_flush)
+    sim.at(0.020, lambda: rt.exec_after(0.001, done.append, "rt"))
+    sim.run(until=0.015)
+    assert node.cpu._ready == queued(node) == set()
+    sim.run(until=0.0205)  # rt is on the CPU, slow's leftover is stripped
+    assert node.cpu._ready == queued(node) == set()
+    sim.run()
+    assert done == ["rt"]
+    assert node.cpu.busy_time == pytest.approx(0.021)
+
+
+def test_capped_only_ready_set_arms_the_idle_timer():
+    """With every ready process at its cap the CPU idles, but not for
+    ever: a timer fires when the first average has decayed enough."""
+    sim, node = make_node()
+    capped = Process(node, "capped", cpu_cap=0.25)
+    done = []
+    capped.exec_after(0.050, lambda: None)  # usage 0.05 / tau 0.1 = 0.5
+    capped.exec_after(0.010, lambda: done.append(sim.now))
+    sim.run(until=0.060)
+    assert node.cpu._running is None and node.cpu._ready == {capped}
+    assert sim.pending == 1
+    sim.run()
+    # Idle for tau * ln(0.5 / 0.25) from t = 0.05, then 10 ms of work.
+    assert done == [pytest.approx(0.050 + 0.1 * 0.6931 + 0.010, abs=1e-4)]
