@@ -37,9 +37,10 @@ ledger-smoke:
 # (BASE = a clone of the parent commit, NEW = the change), each set kept
 # under benchmarks/results/ledger_ab/, then every workload x metric with
 # its ratio set by set. ~4 min a pair; nothing else should be running.
-#   make ledger-ab BASE=/tmp/parent NEW=. [N=4]
+# ARGS goes through to each checkout's benchmarks/ledger/run.py.
+#   make ledger-ab BASE=/tmp/parent NEW=. [N=4] [ARGS="--only fluid-churn --repeats 5"]
 ledger-ab:
-	$(PYTHON) benchmarks/ledger_ab.py $(BASE) $(NEW) --sets $(or $(N),4)
+	$(PYTHON) benchmarks/ledger_ab.py $(BASE) $(NEW) --sets $(or $(N),4) $(ARGS)
 
 # Sim-time profile: a short Abilene scenario under repro.obs.Profiler,
 # printing the per-component event-loop breakdown.

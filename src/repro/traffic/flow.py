@@ -34,6 +34,7 @@ class FluidFlow:
         "end",
         "_cls",
         "_served0",
+        "_served1",
         "_plane",
     )
 
@@ -58,6 +59,7 @@ class FluidFlow:
         self.end: Optional[float] = None  # set at completion / stop
         self._cls = None  # the _FlowClass carrying this flow
         self._served0 = 0.0  # class cumulative service at entry
+        self._served1 = 0.0  # ... and at exit (the class serves on)
         self._plane = None
 
     @property
@@ -80,7 +82,8 @@ class FluidFlow:
             # The service integral advances lazily (on solve/completion
             # events); bring it up to the current instant for the read.
             self._plane._advance_class(self._cls, self._plane.sim.now)
-        served = self._cls.served - self._served0
+        last = self._cls.served if self.end is None else self._served1
+        served = last - self._served0
         if self.size_bytes is not None:
             served = min(served, float(self.size_bytes))
         return max(served, 0.0)

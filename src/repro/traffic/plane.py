@@ -23,7 +23,14 @@ Rates are re-solved *incrementally*: demand changes (flow arrival,
 completion, stop), route changes, and link fail/recover mark the plane
 dirty and coalesce into one deferred solver pass via the engine's
 ``call_unique`` lane — never per-packet, and at most once per
-``min_interval`` of simulated time when one is set.
+``min_interval`` of simulated time when one is set. A pass works on
+state the plane keeps, not state it rebuilds: the classes stand in a
+key-ordered list (inserted at creation, filtered when one empties),
+every directed channel has a dense ``index`` for life, and a class's
+``hops`` are its channels' indices, rebuilt only when it is re-pathed.
+The solver fills over those indices and one walk over the ordered
+classes adds each class's load onto its hops, so every channel's float
+sum runs in class-key order — a function of the keys alone.
 
 Everything is deterministic: same seed, same schedule => the same
 solves at the same times with the same rates, byte-identical reports.
@@ -35,12 +42,13 @@ golden-trace suite holds this).
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.traffic.flow import FluidFlow, TrafficMatrix
-from repro.traffic.solver import INF, max_min_rates, tcp_steady_state_cap
+from repro.traffic.solver import INF, progressive_fill, tcp_steady_state_cap
 
 #: Fluid may claim at most this share of a channel; the remainder keeps
 #: foreground packets serializable even under full background overload.
@@ -58,18 +66,18 @@ class _ChannelState:
         "link",
         "channel",
         "sender",
-        "classes",
+        "index",
         "fluid_bps",
         "packet_bps",
         "_last_tx_bytes",
         "_last_time",
     )
 
-    def __init__(self, link, channel, sender: str):
+    def __init__(self, link, channel, sender: str, index: int):
         self.link = link
         self.channel = channel
         self.sender = sender
-        self.classes: set = set()
+        self.index = index  # position in the plane's dense per-solve lists
         self.fluid_bps = 0.0
         self.packet_bps = 0.0  # EWMA of measured packet throughput
         self._last_tx_bytes = channel.tx_bytes
@@ -108,6 +116,7 @@ class _FlowClass:
         "pending",
         "completion_ev",
         "channels",
+        "hops",
         "rtt",
         "blocked",
         "vlink",
@@ -129,10 +138,14 @@ class _FlowClass:
         self.pending: List[Tuple[float, int, FluidFlow]] = []
         self.completion_ev = None
         self.channels: List[_ChannelState] = []
+        self.hops: Tuple[int, ...] = ()  # their indices; see _assign_path
         self.rtt = 0.0
         self.blocked = False
         self.vlink = None  # direct virtual link (Experiment targets)
         self.shaper = None  # its sending-side Shaper, if shaped
+
+    def __lt__(self, other: "_FlowClass") -> bool:
+        return self.key < other.key
 
 
 class FluidTrafficPlane:
@@ -178,7 +191,9 @@ class FluidTrafficPlane:
         self.ewma_alpha = ewma_alpha
 
         self.flows: Dict[int, FluidFlow] = {}
-        self.classes: Dict[tuple, _FlowClass] = {}
+        self.classes: Dict[tuple, _FlowClass] = {}  # creation order
+        self._ordered: List[_FlowClass] = []  # the same classes, key order
+        self._graph = None  # up-links graph of this topology epoch
         self._channel_states: Dict[Tuple[str, str], _ChannelState] = {}
         self._route_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
         self._next_fid = 0
@@ -292,6 +307,7 @@ class FluidTrafficPlane:
         cls = flow._cls
         self._advance_class(cls, self.sim.now)
         flow.end = self.sim.now
+        flow._served1 = cls.served
         cls.count -= flow.count
         self._flows_active -= flow.count
         trace = self.sim.trace
@@ -353,6 +369,7 @@ class FluidTrafficPlane:
             )
             cls.last_advance = self.sim.now
             self.classes[key] = cls
+            insort(self._ordered, cls)
             self._assign_path(cls)
         return cls
 
@@ -361,7 +378,8 @@ class FluidTrafficPlane:
         state_key = (link.name, sender)
         state = self._channel_states.get(state_key)
         if state is None:
-            state = _ChannelState(link, link._channels[sender_iface], sender)
+            channel = link._channels[sender_iface]
+            state = _ChannelState(link, channel, sender, len(self._channel_states))
             state._last_time = self.sim.now
             self._channel_states[state_key] = state
             metrics = self.sim.metrics
@@ -386,10 +404,10 @@ class FluidTrafficPlane:
         key = (src, dst)
         if key in self._route_cache:
             return self._route_cache[key]
+        if self._graph is None:
+            self._graph = self.vini._graph()
         try:
-            path = nx.shortest_path(
-                self.vini._graph(), src, dst, weight="weight"
-            )
+            path = nx.shortest_path(self._graph, src, dst, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             path = None
         self._route_cache[key] = path
@@ -397,9 +415,8 @@ class FluidTrafficPlane:
 
     def _assign_path(self, cls: _FlowClass) -> None:
         """(Re)compute a class's physical channels, RTT, and rate cap."""
-        for state in cls.channels:
-            state.classes.discard(cls)
         cls.channels = []
+        cls.hops = ()
         src_phys, src_vnode = self._resolve_endpoint(cls.src)
         dst_phys, dst_vnode = self._resolve_endpoint(cls.dst)
         cls.vlink = None
@@ -431,10 +448,9 @@ class FluidTrafficPlane:
             sender_iface = next(
                 iface for iface in link.endpoints if iface.node.name == a
             )
-            state = self._channel_state(link, sender_iface)
-            state.classes.add(cls)
-            cls.channels.append(state)
+            cls.channels.append(self._channel_state(link, sender_iface))
             rtt += link.delay
+        cls.hops = tuple(state.index for state in cls.channels)
         cls.rtt = 2.0 * rtt
         cap = INF if cls.demand_bps is None else float(cls.demand_bps)
         if cls.window_bytes is not None:
@@ -446,7 +462,10 @@ class FluidTrafficPlane:
     # ------------------------------------------------------------------
     def _on_link_state(self, link, up: bool) -> None:
         self._route_cache.clear()
+        self._graph = None
         for cls in self.classes.values():
+            # Service up to now was earned on the old path.
+            self._advance_class(cls, self.sim.now)
             self._assign_path(cls)
         self._mark_dirty()
 
@@ -491,21 +510,19 @@ class FluidTrafficPlane:
 
         # 1. Bring every class's service integral up to now, and drop
         #    classes that emptied out.
-        empty = []
-        for key, cls in self.classes.items():
+        emptied = False
+        for cls in self._ordered:
             self._advance_class(cls, now)
             if cls.count <= 0 and not cls.pending:
-                empty.append(key)
-        for key in empty:
-            cls = self.classes.pop(key)
-            for state in cls.channels:
-                state.classes.discard(cls)
-            if cls.completion_ev is not None:
-                cls.completion_ev.cancel()
-                cls.completion_ev = None
+                emptied = True
+                del self.classes[cls.key]
+        if emptied:
+            self._ordered = [
+                cls for cls in self._ordered if cls.count > 0 or cls.pending
+            ]
 
         # 2. Measured packet throughput -> per-channel fluid capacity.
-        capacities = {}
+        capacities = []
         for state in self._channel_states.values():
             state.measure_packets(now, self.ewma_alpha)
             bandwidth = state.link.bandwidth
@@ -515,39 +532,37 @@ class FluidTrafficPlane:
                 cap = 0.0
             elif cap < floor:
                 cap = floor
-            capacities[state] = cap
+            capacities.append(cap)
 
         # 3. One progressive-filling pass over the active classes.
-        ordered = [
-            cls for _key, cls in sorted(self.classes.items())
-            if cls.count > 0 and not cls.blocked
-        ]
-        result = max_min_rates(
-            [cls.channels for cls in ordered],
+        active = []
+        for cls in self._ordered:
+            if cls.count > 0 and not cls.blocked:
+                active.append(cls)
+            else:
+                cls.rate_bps = 0.0
+        rates, iterations = progressive_fill(
+            [cls.hops for cls in active],
             capacities,
-            demands=[cls.cap for cls in ordered],
-            counts=[cls.count for cls in ordered],
+            [cls.cap for cls in active],
+            [cls.count for cls in active],
         )
         self._solves += 1
-        self._solver_iterations += result.iterations
-        for cls, rate in zip(ordered, result.rates):
-            cls.rate_bps = rate if rate < INF else 0.0
-        for cls in self.classes.values():
-            if cls.blocked or cls.count <= 0:
-                cls.rate_bps = 0.0
+        self._solver_iterations += iterations
 
         # 4. Couple: per-channel fluid occupancy -> packet path; shaped
-        #    virtual links -> their token buckets.
+        #    virtual links -> their token buckets. One walk in class-key
+        #    order gives every channel's float sum an order that depends
+        #    on nothing but the keys, so same-seed runs agree to the bit.
+        loads = [0.0] * len(capacities)
+        for cls, rate in zip(active, rates):
+            cls.rate_bps = rate if rate < INF else 0.0
+            load = cls.rate_bps * cls.count
+            for index in cls.hops:
+                loads[index] += load
+        for state, load in zip(self._channel_states.values(), loads):
+            self._apply_channel(state, load)
         shaper_loads: Dict[int, list] = {}
-        for state in self._channel_states.values():
-            total = 0.0
-            # Sorted on the class key: float summation order must not
-            # depend on set-of-objects iteration (id-hash) order, or
-            # same-seed runs drift in the last bit.
-            for cls in sorted(state.classes, key=lambda c: c.key):
-                if cls.count > 0 and not cls.blocked:
-                    total += cls.rate_bps * cls.count
-            self._apply_channel(state, total)
         for cls in self.classes.values():
             if cls.shaper is not None:
                 entry = shaper_loads.setdefault(id(cls.shaper), [cls.shaper, 0.0])
@@ -558,7 +573,8 @@ class FluidTrafficPlane:
 
         # 5. Re-arm one completion event per class with finite flows.
         for cls in self.classes.values():
-            self._rearm_completion(cls)
+            if cls.pending:
+                self._rearm_completion(cls)
         self._last_solve = now
 
     def _apply_channel(self, state: _ChannelState, total_bps: float) -> None:
@@ -642,6 +658,7 @@ class FluidTrafficPlane:
             wants = trace.wants("fluid_flow")
             for flow in finished:
                 flow.end = now
+                flow._served1 = served
                 cls.count -= flow.count
                 self._flows_completed += flow.count
                 self._flows_active -= flow.count
@@ -691,7 +708,7 @@ class FluidTrafficPlane:
                 }
             )
         classes = []
-        for _key, cls in sorted(self.classes.items()):
+        for cls in self._ordered:
             classes.append(
                 {
                     "src": cls.src,

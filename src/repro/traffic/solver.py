@@ -16,13 +16,16 @@ how many users ride each class.
 
 The module is engine-free: it operates on plain sequences and mappings
 so property tests (capacity conservation, insertion-order invariance)
-can drive it directly, without a simulator.
+can drive it directly, without a simulator. There is one filling loop,
+:func:`progressive_fill`, over dense link indices; the plane calls it
+on the indices it keeps, and :func:`max_min_rates` is the public
+hashable-link API that translates once and calls it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 INF = float("inf")
 
@@ -67,6 +70,75 @@ def tcp_steady_state_cap(
     return cap
 
 
+def progressive_fill(
+    hops: Sequence[Sequence[int]],
+    residual: List[float],
+    caps: Sequence[float],
+    counts: Sequence[int],
+) -> Tuple[List[float], int]:
+    """The filling loop, on dense state: ``(rates, iterations)``.
+
+    ``hops[i]`` indexes ``residual``, the per-link capacity list, which
+    is consumed in place. The plane calls this on the indices it keeps;
+    :func:`max_min_rates` is the hashable-link front end.
+    """
+    rates = [0.0] * len(hops)
+    nflows = [0] * len(residual)
+    dead = {link for link, room in enumerate(residual) if room <= 0.0}
+    active: List[int] = []
+    for i, path in enumerate(hops):
+        count = counts[i]
+        if count <= 0:
+            continue
+        if not path:
+            # Unconstrained class: it gets its demand (an elastic class
+            # with no constraining link has no finite fair share; pin 0).
+            rates[i] = caps[i] if caps[i] < INF else 0.0
+            continue
+        if not dead.isdisjoint(path):
+            continue  # a dead hop: the class is stuck at zero
+        active.append(i)
+        for link in path:
+            nflows[link] += count
+
+    iterations = 0
+    while active:
+        iterations += 1
+        # The water level: the smallest equal-share any constraining
+        # link could still grant its remaining flows.
+        shares = [
+            room / flows if flows > 0 else INF
+            for room, flows in zip(residual, nflows)
+        ]
+        level = min(shares)
+        fixed = [i for i in active if caps[i] <= level]
+        if fixed:
+            # Demand-limited classes can never use the full level; fix
+            # them at their caps and refill the slack next round.
+            for i in fixed:
+                rates[i] = caps[i]
+        elif level < INF:
+            slack = level + level * 1e-12
+            tight = {link for link, share in enumerate(shares) if share <= slack}
+            fixed = [i for i in active if not tight.isdisjoint(hops[i])]
+            for i in fixed:
+                rates[i] = level
+        else:  # pragma: no cover - defensive: no constraining link left
+            break
+        # Subtract in active-class order: each link's residual is a
+        # float sum and must not depend on how classes were frozen.
+        for i in fixed:
+            count = counts[i]
+            claim = rates[i] * count
+            for link in hops[i]:
+                remaining = residual[link] - claim
+                residual[link] = remaining if remaining > 0.0 else 0.0
+                nflows[link] -= count
+        frozen = set(fixed)
+        active = [i for i in active if i not in frozen]
+    return rates, iterations
+
+
 def max_min_rates(
     paths: Sequence[Sequence[Hashable]],
     capacities: Dict[Hashable, float],
@@ -92,73 +164,15 @@ def max_min_rates(
     """
     n = len(paths)
     if demands is None:
-        demand_caps = [INF] * n
+        caps = [INF] * n
     else:
-        demand_caps = [INF if d is None else float(d) for d in demands]
-    if counts is None:
-        counts = [1] * n
-    rates = [0.0] * n
-    residual = {link: float(cap) for link, cap in capacities.items()}
+        caps = [INF if d is None else float(d) for d in demands]
+    index = {link: i for i, link in enumerate(capacities)}
+    residual = [float(cap) for cap in capacities.values()]
     # Constrained hops only: a link without a declared capacity cannot
     # bottleneck anything.
-    hops: List[List[Hashable]] = [
-        [link for link in path if link in residual] for path in paths
-    ]
-    nflows: Dict[Hashable, int] = {}
-    active: List[int] = []
-    for i in range(n):
-        if counts[i] <= 0:
-            continue
-        if not hops[i]:
-            # Unconstrained class: it gets its demand (an elastic class
-            # with no constraining link has no finite fair share; pin 0).
-            rates[i] = demand_caps[i] if demand_caps[i] < INF else 0.0
-            continue
-        if any(residual[link] <= 0.0 for link in hops[i]):
-            continue  # a dead hop: the class is stuck at zero
-        active.append(i)
-        for link in hops[i]:
-            nflows[link] = nflows.get(link, 0) + counts[i]
-
-    iterations = 0
-    while active:
-        iterations += 1
-        # The water level: the smallest equal-share any constraining
-        # link could still grant its remaining flows.
-        level = INF
-        for link, flows in nflows.items():
-            if flows > 0:
-                share = residual[link] / flows
-                if share < level:
-                    level = share
-        capped = [i for i in active if demand_caps[i] <= level]
-        if capped:
-            # Demand-limited classes can never use the full level; fix
-            # them at their caps and refill the slack next round.
-            fixed = capped
-            for i in fixed:
-                rates[i] = demand_caps[i]
-        elif level < INF:
-            eps = level * 1e-12
-            bottlenecked = {
-                link
-                for link, flows in nflows.items()
-                if flows > 0 and residual[link] / flows <= level + eps
-            }
-            fixed = [
-                i for i in active
-                if any(link in bottlenecked for link in hops[i])
-            ]
-            for i in fixed:
-                rates[i] = level
-        else:  # pragma: no cover - defensive: no constraining link left
-            break
-        for i in fixed:
-            claim = rates[i] * counts[i]
-            for link in hops[i]:
-                remaining = residual[link] - claim
-                residual[link] = remaining if remaining > 0.0 else 0.0
-                nflows[link] -= counts[i]
-        frozen = set(fixed)
-        active = [i for i in active if i not in frozen]
-    return SolveResult(rates, iterations, residual)
+    hops = [[index[link] for link in path if link in index] for path in paths]
+    rates, iterations = progressive_fill(
+        hops, residual, caps, [1] * n if counts is None else counts
+    )
+    return SolveResult(rates, iterations, dict(zip(capacities, residual)))

@@ -305,3 +305,62 @@ class TestReplay:
             ReplayRecord(-1.0, "a", "b")
         with pytest.raises(ValueError):
             ReplayRecord(0.0, "a", "b", count=0)
+
+
+class TestServiceAccounting:
+    """``served_bytes`` is an integral: it must neither lose an interval
+    nor keep growing after the flow has left."""
+
+    def test_partitioning_link_failure_keeps_service_earned_before_it(self):
+        # The re-path on failure marks the class blocked; the second it
+        # ran at the full usable bottleneck must be integrated first.
+        vini, plane = make_dumbbell()
+        flow = plane.add_flow("s0", "r0")
+        vini.sim.schedule(1.0, vini.link_between("rl", "rr").fail)
+        vini.run(until=1.5)
+        assert flow.rate_bps == 0.0
+        assert flow.served_bytes == pytest.approx(USABLE / 8 * 1.0)
+
+    @pytest.mark.parametrize("stopped_first", [True, False])
+    def test_stopped_flow_stops_receiving(self, stopped_first):
+        # Two flows of one class at 1 Mb/s each; one leaves at t=1. Its
+        # figure must not move when the class (a mate's read, a solve)
+        # advances afterwards, whichever of the two is read first.
+        vini, plane = make_dumbbell()
+        doomed = plane.add_flow("s0", "r0", demand_bps=1e6)
+        mate = plane.add_flow("s0", "r0", demand_bps=1e6)
+        assert doomed._cls is mate._cls
+        vini.sim.schedule(1.0, doomed.stop)
+        vini.run(until=1.0)
+        assert doomed.served_bytes == pytest.approx(125_000)
+        vini.run(until=3.0)
+        reads = {}
+        for flow in ((doomed, mate) if stopped_first else (mate, doomed)):
+            reads[flow.fid] = flow.served_bytes
+        assert reads[doomed.fid] == pytest.approx(125_000)
+        assert reads[mate.fid] == pytest.approx(375_000)
+
+    def test_completed_flow_reports_its_size(self):
+        vini, plane = make_dumbbell()
+        done = plane.add_flow("s0", "r0", demand_bps=1e6, size_bytes=125_000)
+        mate = plane.add_flow("s0", "r0", demand_bps=1e6)
+        vini.run(until=3.0)
+        assert not done.active
+        assert mate.served_bytes == pytest.approx(375_000)
+        assert done.served_bytes == pytest.approx(125_000)
+
+
+def test_route_graph_is_built_once_per_topology_epoch(monkeypatch):
+    vini, plane = make_dumbbell()
+    builds = []
+    graph = vini._graph
+    monkeypatch.setattr(vini, "_graph", lambda: builds.append(1) or graph())
+    for src, dst in (("s0", "r0"), ("s1", "r1"), ("s0", "r1"), ("r0", "s1")):
+        plane.add_flow(src, dst)
+    assert len(builds) == 1
+    link = vini.link_between("s0", "rl")
+    vini.sim.schedule(1.0, link.fail)  # every class re-paths
+    vini.sim.schedule(2.0, link.recover)
+    vini.run(until=3.0)
+    assert len(builds) == 3
+    assert all(flow.rate_bps > 0.0 for flow in plane.flows.values())
