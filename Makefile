@@ -1,11 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test tier2-bench-smoke bench ledger ledger-smoke ledger-ab profile flight report watch explain
+.PHONY: test props tier2-bench-smoke bench ledger ledger-smoke ledger-ab profile flight report watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Tier-2: the five differential batteries (new code against the old
+# code kept verbatim in the test file) at 1000 examples each instead of
+# tier-1's 150-300.
+props:
+	HYPOTHESIS_PROFILE=thorough $(PYTHON) -m pytest -q \
+		tests/net/test_trie_property.py tests/click/test_classifier_property.py \
+		tests/click/test_elements.py::test_dispatch_equals_the_port_it_replaced \
+		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py
 
 # Tier-2: every benchmark cell at tiny scale (seconds, not minutes),
 # plus the env-gated scale tests (the 200-AS internet build). Catches

@@ -215,7 +215,11 @@ def parse_click_config(
             factory = REGISTRY.get(class_name)
             if factory is None:
                 raise ClickConfigError(f"unknown element class {class_name!r}")
-            router.add(name, factory(config.strip(), context))
+            try:
+                element = factory(config.strip(), context)
+            except ValueError as exc:
+                raise ClickConfigError(f"{statement!r}: {exc}") from exc
+            router.add(name, element)
             continue
         if "->" in statement:
             hops = [h.strip() for h in statement.split("->")]

@@ -7,41 +7,48 @@ is charged once, when the packet enters the Click process (socket read
 or tap read) — matching the paper's observation that the per-packet
 cost is dominated by the syscalls at the edges of the graph, not the
 element code in the middle.
+
+The push chain is resolved at wiring time, as Click does: connecting a
+port binds ``Port.push`` to the target's ``push`` for that input port,
+so an element hands a packet on with ``self.outputs[i].push(packet)``
+and the next frame is the downstream element's own.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from repro.net.packet import Packet
 
 
 class Port:
-    """An output port: pushes packets to a connected input port."""
+    """An output port: ``push(packet)`` hands a packet to the connected
+    input port. :meth:`connect` is the only way to point (or re-point)
+    a port; it rebinds ``push``."""
 
-    __slots__ = ("element", "index", "target", "target_port")
+    __slots__ = ("element", "index", "target", "target_port", "push")
 
     def __init__(self, element: "Element", index: int):
         self.element = element
         self.index = index
         self.target: Optional["Element"] = None
         self.target_port = 0
+        self.push: Callable[[Packet], None] = self._unconnected
 
-    def connect(self, target: "Element", target_port: int = 0) -> None:
-        if self.target is not None:
+    def connect(self, target: "Element", target_port: int = 0, replace: bool = False) -> None:
+        if self.target is not None and not replace:
             raise ValueError(
                 f"{self.element.name}[{self.index}] is already connected"
             )
         self.target = target
         self.target_port = target_port
+        self.push = partial(target.push, target_port)
 
-    def push(self, packet: Packet) -> None:
-        if self.target is None:
-            # Unconnected port: Click would fail at config time; we drop
-            # and trace so misconfigurations are visible in tests.
-            self.element.router.trace_drop(packet, f"{self.element.name}[{self.index}] unconnected")
-            return
-        self.target.push(self.target_port, packet)
+    def _unconnected(self, packet: Packet) -> None:
+        # Click would fail at config time; we drop and trace so
+        # misconfigurations are visible in tests.
+        self.element.router.trace_drop(packet, f"{self.element.name}[{self.index}] unconnected")
 
 
 class Element:
@@ -49,7 +56,9 @@ class Element:
 
     Subclasses declare ``n_outputs`` (or pass it to ``__init__``) and
     override :meth:`push`. The router assigns ``name`` and ``router``
-    at add time.
+    at add time. Upstream ports bind ``push`` when they are connected,
+    so replacing ``push`` on an instance that is already wired is not
+    supported: subclass instead.
     """
 
     n_outputs = 1

@@ -17,7 +17,7 @@ class Counter(Element):
     def push(self, port: int, packet: Packet) -> None:
         self.packets += 1
         self.bytes += packet.wire_len
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)
 
     def reset(self) -> None:
         self.packets = 0
@@ -53,7 +53,7 @@ class Paint(Element):
 
     def push(self, port: int, packet: Packet) -> None:
         packet.meta["paint"] = self.color
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)
 
 
 class Tee(Element):
@@ -70,5 +70,5 @@ class Tee(Element):
 
     def push(self, port: int, packet: Packet) -> None:
         for index in range(1, len(self.outputs)):
-            self.output(index).push(packet.copy())
-        self.output(0).push(packet)
+            self.outputs[index].push(packet.copy())
+        self.outputs[0].push(packet)

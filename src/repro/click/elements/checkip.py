@@ -19,7 +19,7 @@ class CheckIPHeader(Element):
             self.drops += 1
             self.router.trace_drop(packet, "bad_ip_header")
             return
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)
 
 
 class DecIPTTL(Element):
@@ -37,8 +37,8 @@ class DecIPTTL(Element):
         header = packet.ip
         if header.ttl <= 1:
             self.expired += 1
-            if self.output(1).target is not None:
-                self.output(1).push(packet)
+            if self.outputs[1].target is not None:
+                self.outputs[1].push(packet)
             else:
                 self.router.trace_drop(packet, "ttl_expired")
             return
@@ -48,4 +48,4 @@ class DecIPTTL(Element):
                 "fwd", node=self.router.name, uid=packet.uid, ttl=header.ttl
             )
         packet.writable(IPv4Header).ttl -= 1
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)

@@ -16,64 +16,78 @@ Multiple clauses in one pattern are ANDed: ``"proto udp dst 10.0.0.0/8"``.
 The packet leaves on the output port of the first matching pattern;
 non-matching packets are dropped (like Click, where an unmatched packet
 is discarded unless a ``-`` catch-all is given).
+
+Patterns are checked when the element is built (a missing or
+out-of-range operand is a ``ValueError`` naming the pattern) and
+compiled to ``matcher(packet, header)``: ``push`` reads the packet's
+outermost IPv4 header once and every clause of every pattern tests
+that one object.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from collections import deque
+from typing import Callable, List, Optional
 
 from repro.click.element import Element
 from repro.net.addr import prefix
-from repro.net.packet import Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.net.packet import IPv4Header, Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 _PROTO_NAMES = {"udp": PROTO_UDP, "tcp": PROTO_TCP, "icmp": PROTO_ICMP, "ospf": 89}
 
+Matcher = Callable[[Packet, Optional[IPv4Header]], bool]
 
-def _compile(pattern: str) -> Callable[[Packet], bool]:
+
+def _compile(pattern: str) -> Matcher:
     pattern = pattern.strip()
     if pattern == "-":
-        return lambda packet: True
-    tokens = pattern.split()
-    checks: List[Callable[[Packet], bool]] = []
-    index = 0
-    while index < len(tokens):
-        word = tokens[index]
-        if word == "proto":
-            proto = _PROTO_NAMES.get(tokens[index + 1])
-            if proto is None:
-                proto = int(tokens[index + 1])
-            checks.append(lambda p, proto=proto: p.ip is not None and p.ip.proto == proto)
-            index += 2
-        elif word in _PROTO_NAMES and index + 2 <= len(tokens) - 1 and tokens[index + 1] in ("dport", "sport"):
-            proto = _PROTO_NAMES[word]
-            field = tokens[index + 1]
-            port = int(tokens[index + 2])
-            def check(p, proto=proto, field=field, port=port):
-                if p.ip is None or p.ip.proto != proto:
+        return lambda packet, header: True
+    tokens = deque(pattern.split())
+
+    def operand(of: str, limit: Optional[int] = None):
+        """The next token, as an int in 0..``limit`` when one is given."""
+        if not tokens:
+            raise ValueError(f"classifier pattern {pattern!r}: {of!r} needs an operand")
+        text = tokens.popleft()
+        if limit is None:
+            return text
+        if not text.isdigit() or int(text) > limit:
+            raise ValueError(f"classifier pattern {pattern!r}: {of} {text!r} is not in 0..{limit}")
+        return int(text)
+
+    checks: List[Matcher] = []
+    while tokens:
+        word = tokens.popleft()
+        if word in _PROTO_NAMES and tokens and tokens[0] in ("dport", "sport"):
+            field = tokens.popleft()
+            if word not in ("tcp", "udp"):
+                raise ValueError(f"classifier pattern {pattern!r}: {word} has no {field}")
+            port = operand(f"{word} {field}", 65535)
+
+            def check(p, h, proto=_PROTO_NAMES[word], field=field, port=port):
+                if h is None or h.proto != proto:
                     return False
                 transport = p.tcp if proto == PROTO_TCP else p.udp
-                if transport is None:
-                    return False
-                return getattr(transport, field) == port
+                return transport is not None and getattr(transport, field) == port
+
             checks.append(check)
-            index += 3
-        elif word in _PROTO_NAMES:
-            proto = _PROTO_NAMES[word]
-            checks.append(lambda p, proto=proto: p.ip is not None and p.ip.proto == proto)
-            index += 1
+        elif word == "proto" or word in _PROTO_NAMES:
+            if word == "proto" and tokens and tokens[0] in _PROTO_NAMES:
+                word = tokens.popleft()
+            proto = _PROTO_NAMES[word] if word in _PROTO_NAMES else operand(word, 255)
+            checks.append(lambda p, h, proto=proto: h is not None and h.proto == proto)
         elif word in ("dst", "src"):
-            pfx = prefix(tokens[index + 1])
-            attr = word
+            pfx = prefix(operand(word))
             checks.append(
-                lambda p, pfx=pfx, attr=attr: p.ip is not None
-                and getattr(p.ip, attr) in pfx
+                lambda p, h, pfx=pfx, attr=word: h is not None and getattr(h, attr) in pfx
             )
-            index += 2
         else:
             raise ValueError(f"unrecognized classifier token {word!r} in {pattern!r}")
     if not checks:
         raise ValueError(f"empty classifier pattern {pattern!r}")
-    return lambda packet: all(check(packet) for check in checks)
+    if len(checks) == 1:
+        return checks[0]
+    return lambda packet, header: all(check(packet, header) for check in checks)
 
 
 class IPClassifier(Element):
@@ -88,9 +102,10 @@ class IPClassifier(Element):
         self.unmatched = 0
 
     def push(self, port: int, packet: Packet) -> None:
+        header = packet.ip
         for index, matcher in enumerate(self._matchers):
-            if matcher(packet):
-                self.output(index).push(packet)
+            if matcher(packet, header):
+                self.outputs[index].push(packet)
                 return
         self.unmatched += 1
         self.router.trace_drop(packet, "classifier_unmatched")

@@ -49,4 +49,4 @@ class ICMPErrorElement(Element):
             created_at=self.router.sim.now,
         )
         self.generated += 1
-        self.output(0).push(error)
+        self.outputs[0].push(error)

@@ -62,13 +62,13 @@ class _LookupBase(Element):
         if found is None:
             self.misses += 1
             if self.no_route_port is not None:
-                self.output(self.no_route_port).push(packet)
+                self.outputs[self.no_route_port].push(packet)
             else:
                 self.router.trace_drop(packet, "no_route")
             return
         gw, out_port = found
         packet.meta["gw"] = gw if gw is not None else dst
-        self.output(out_port).push(packet)
+        self.outputs[out_port].push(packet)
 
 
 class RadixIPLookup(_LookupBase):

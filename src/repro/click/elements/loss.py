@@ -77,4 +77,4 @@ class LossElement(Element):
         fr = self.router.sim.flight
         if fr.enabled and packet.span is not None:
             fr.stage(packet, "click.loss", node=self.router.node.name)
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)

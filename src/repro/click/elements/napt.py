@@ -133,7 +133,7 @@ class NAPT(Element):
         if fr.enabled and packet.span is not None:
             self._spans[(proto, public_port)] = packet.span
             fr.stage(packet, "click.napt", node=self.router.node.name)
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)
 
     def _return_traffic(self, packet: Packet) -> None:
         """VNET intercept handler: raw return packets from the Internet."""
@@ -168,7 +168,7 @@ class NAPT(Element):
                 packet.span = self._spans.get((proto, public_port))
             if packet.span is not None:
                 fr.stage(packet, "click.napt", node=self.router.node.name)
-        self.output(1).push(packet)
+        self.outputs[1].push(packet)
 
     # ------------------------------------------------------------------
     def mappings(self) -> int:

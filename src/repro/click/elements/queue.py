@@ -206,7 +206,7 @@ class Shaper(Element):
         if not self._queue and self.tokens >= self._need(packet):
             self.tokens -= size
             self.sent += 1
-            self.output(0).push(packet)
+            self.outputs[0].push(packet)
             return
         if self._queued_bytes + size > self.queue_bytes:
             self.drops += 1
@@ -235,7 +235,7 @@ class Shaper(Element):
         queue = self._queue
         if queue:
             need = self._need
-            out = self.output(0)
+            out = self.outputs[0]
             while queue and self.tokens >= need(queue[0]):
                 packet = queue.popleft()
                 wire_len = packet.wire_len

@@ -30,7 +30,7 @@ class FromTap(Element):
 
     def _read(self, packet: Packet) -> None:
         self.rx_packets += 1
-        self.output(0).push(packet)
+        self.outputs[0].push(packet)
 
 
 class ToTap(Element):

@@ -39,11 +39,7 @@ class UDPTunnel(Element):
         self.sock = None
         self.tx_packets = 0
         self.rx_packets = 0
-        # Hot-path bindings: sendto is bound once at initialize; the
-        # decap output port is cached on first receive (wiring is done
-        # by then either way).
-        self._sendto = None
-        self._out0 = None
+        self._sendto = None  # hot-path binding, made at initialize
 
     def initialize(self) -> None:
         self.sock = self.router.udp_socket(port=self.local_port, rcvbuf=self.rcvbuf)
@@ -77,10 +73,7 @@ class UDPTunnel(Element):
             # The inner packet traveled by reference inside the outer
             # datagram, so its span context survived encapsulation.
             fr.stage(inner, "tunnel.decap", node=self.router.node.name)
-        out = self._out0
-        if out is None:
-            out = self._out0 = self.output(0)
-        out.push(inner)
+        self.outputs[0].push(inner)
 
     def close(self) -> None:
         if self.sock is not None:
@@ -119,4 +112,4 @@ class EncapTable(Element):
         if out is None:
             self.router.trace_drop(packet, "no_encap_entry")
             return
-        self.output(out).push(packet)
+        self.outputs[out].push(packet)

@@ -62,5 +62,9 @@ class UMLSwitch(Element):
         """
         self.down_packets += 1
         self.router.process.exec_after(
-            self.router.per_packet_cost(packet), self.output(0).push, packet
+            self.router.per_packet_cost(packet), self._emit, packet
         )
+
+    def _emit(self, packet: Packet) -> None:
+        # The port is read when the CPU work completes: it may be re-pointed by then.
+        self.outputs[0].push(packet)

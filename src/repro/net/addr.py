@@ -96,22 +96,25 @@ ALL_OSPF_ROUTERS = IPv4Address("224.0.0.5")
 ALL_RIP_ROUTERS = IPv4Address("224.0.0.9")
 
 
+# One int object per prefix length, shared by every Prefix and trie node.
+MASKS = tuple((_MAX << (32 - plen)) & _MAX for plen in range(33))
+
+
 def mask_of(plen: int) -> int:
     """Network mask for a prefix length, as an int."""
     if not 0 <= plen <= 32:
         raise ValueError(f"prefix length out of range: {plen}")
-    return (_MAX << (32 - plen)) & _MAX if plen else 0
+    return MASKS[plen]
 
 
 class Prefix:
     """An IPv4 prefix (CIDR block)."""
 
-    __slots__ = ("network", "plen")
+    __slots__ = ("network", "plen", "mask")
 
     def __init__(self, network: Union[int, str, IPv4Address], plen: int):
-        addr = ip(network)
-        mask = mask_of(plen)
-        self.network = IPv4Address(int(addr) & mask)
+        self.mask = mask_of(plen)
+        self.network = IPv4Address(ip(network) & self.mask)
         self.plen = plen
 
     @classmethod
@@ -125,10 +128,6 @@ class Prefix:
         return cls(text, 32)
 
     @property
-    def mask(self) -> int:
-        return mask_of(self.plen)
-
-    @property
     def netmask(self) -> IPv4Address:
         return IPv4Address(self.mask)
 
@@ -138,10 +137,8 @@ class Prefix:
 
     def __contains__(self, item: Union[int, str, IPv4Address, "Prefix"]) -> bool:
         if isinstance(item, Prefix):
-            return item.plen >= self.plen and (int(item.network) & self.mask) == int(
-                self.network
-            )
-        return (int(ip(item)) & self.mask) == int(self.network)
+            return item.plen >= self.plen and (item.network & self.mask) == self.network
+        return (ip(item) & self.mask) == self.network
 
     def overlaps(self, other: "Prefix") -> bool:
         return other in self or self in other

@@ -342,6 +342,18 @@ class OpaquePayload:
         return f"Payload({self.size}B{suffix})"
 
 
+def _outermost(header_type: Type[H]) -> property:
+    """A read-only property: the first ``header_type`` in the stack, or None."""
+
+    def get(self: "Packet") -> Optional[H]:
+        for header in self.headers:
+            if isinstance(header, header_type):
+                return header
+        return None
+
+    return property(get, doc=f"The outermost {header_type.__name__}, or None.")
+
+
 class Packet:
     """A packet: header stack (outermost first) + payload + annotations.
 
@@ -403,26 +415,13 @@ class Packet:
 
     # Convenience accessors for the common case (innermost wins is NOT
     # what forwarding wants — the outermost header of a type is the one
-    # currently being routed on).
-    @property
-    def eth(self) -> Optional[EthernetHeader]:
-        return self.find(EthernetHeader)
-
-    @property
-    def ip(self) -> Optional[IPv4Header]:
-        return self.find(IPv4Header)
-
-    @property
-    def udp(self) -> Optional[UDPHeader]:
-        return self.find(UDPHeader)
-
-    @property
-    def tcp(self) -> Optional[TCPHeader]:
-        return self.find(TCPHeader)
-
-    @property
-    def icmp(self) -> Optional[ICMPHeader]:
-        return self.find(ICMPHeader)
+    # currently being routed on). Each is one frame: the per-packet path
+    # reads them at every element.
+    eth = _outermost(EthernetHeader)
+    ip = _outermost(IPv4Header)
+    udp = _outermost(UDPHeader)
+    tcp = _outermost(TCPHeader)
+    icmp = _outermost(ICMPHeader)
 
     @property
     def inner_ip(self) -> Optional[IPv4Header]:

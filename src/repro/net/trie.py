@@ -4,25 +4,32 @@ This is the data structure behind the Click ``RadixIPLookup`` element
 and the RIB. A path-compressed binary trie keyed on IPv4 prefixes:
 O(32) lookups independent of table size, which the FIB-lookup ablation
 bench contrasts with Click's ``LinearIPLookup``.
+
+Lookups are the per-packet path, so they build nothing: a node that
+holds a route keeps its ``(Prefix, value)`` entry, made at ``insert``
+and dropped at ``remove``, and ``lookup_entry`` returns that tuple.
+Callers must treat the shared ``Prefix`` in it as read-only.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple, Union
 
-from repro.net.addr import IPv4Address, Prefix, ip, prefix
+from repro.net.addr import MASKS, IPv4Address, Prefix, ip, prefix
 
 
 class _Node:
-    __slots__ = ("bits", "plen", "value", "has_value", "children")
+    __slots__ = ("bits", "plen", "mask", "entry", "children")
 
     def __init__(self, bits: int, plen: int):
         # ``bits`` are the top ``plen`` bits of the covered prefix,
         # stored left-aligned in a 32-bit word.
         self.bits = bits
         self.plen = plen
-        self.value: Any = None
-        self.has_value = False
+        self.mask = MASKS[plen]
+        # (Prefix, value) while a route sits here; None on a node that
+        # only branches (made by an edge split, or left by ``remove``).
+        self.entry: Optional[Tuple[Prefix, Any]] = None
         self.children: List[Optional[_Node]] = [None, None]
 
 
@@ -59,44 +66,29 @@ class RadixTrie:
     def insert(self, pfx: Union[str, Prefix], value: Any) -> None:
         """Insert or replace the entry for ``pfx``."""
         pfx = prefix(pfx)
-        target_bits = int(pfx.network)
-        target_plen = pfx.plen
+        node = self._node_at(pfx.network, pfx.plen)
+        if node.entry is None:
+            self._count += 1
+        node.entry = (pfx, value)
+
+    def _node_at(self, bits: int, plen: int) -> _Node:
+        """The node for exactly ``bits/plen``, created when absent."""
         node = self._root
-        while True:
-            if node.plen == target_plen and node.bits == target_bits:
-                if not node.has_value:
-                    self._count += 1
-                node.value = value
-                node.has_value = True
-                return
-            branch = _bit(target_bits, node.plen)
+        while node.plen != plen or node.bits != bits:
+            branch = _bit(bits, node.plen)
             child = node.children[branch]
             if child is None:
-                leaf = _Node(target_bits, target_plen)
-                leaf.value = value
-                leaf.has_value = True
-                node.children[branch] = leaf
-                self._count += 1
-                return
-            shared = _common_plen(target_bits, child.bits, min(target_plen, child.plen))
-            if shared < child.plen:
-                # Split the edge at ``shared`` bits.
-                mask = (0xFFFFFFFF << (32 - shared)) & 0xFFFFFFFF if shared else 0
-                mid = _Node(child.bits & mask, shared)
-                node.children[branch] = mid
-                mid.children[_bit(child.bits, shared)] = child
-                if shared == target_plen:
-                    mid.value = value
-                    mid.has_value = True
-                    self._count += 1
-                    return
-                leaf = _Node(target_bits, target_plen)
-                leaf.value = value
-                leaf.has_value = True
-                mid.children[_bit(target_bits, shared)] = leaf
-                self._count += 1
-                return
+                child = node.children[branch] = _Node(bits, plen)
+            else:
+                shared = _common_plen(bits, child.bits, min(plen, child.plen))
+                if shared < child.plen:
+                    # Split the edge at ``shared`` bits.
+                    mid = _Node(child.bits & MASKS[shared], shared)
+                    node.children[branch] = mid
+                    mid.children[_bit(child.bits, shared)] = child
+                    child = mid
             node = child
+        return node
 
     def remove(self, pfx: Union[str, Prefix]) -> Any:
         """Remove and return the value for ``pfx``; KeyError if absent.
@@ -106,11 +98,10 @@ class RadixTrie:
         """
         pfx = prefix(pfx)
         node = self._find_exact(pfx)
-        if node is None or not node.has_value:
+        if node is None:
             raise KeyError(str(pfx))
-        value = node.value
-        node.value = None
-        node.has_value = False
+        value = node.entry[1]
+        node.entry = None
         self._count -= 1
         return value
 
@@ -122,25 +113,21 @@ class RadixTrie:
     # Queries
     # ------------------------------------------------------------------
     def _find_exact(self, pfx: Prefix) -> Optional[_Node]:
-        target_bits = int(pfx.network)
+        """The node holding a route for exactly ``pfx``, or None."""
+        bits, plen = pfx.network, pfx.plen
         node = self._root
-        while node is not None:
-            if node.plen > pfx.plen:
-                return None
-            if node.plen == pfx.plen:
-                return node if node.bits == target_bits else None
-            shared = _common_plen(target_bits, node.bits, node.plen)
-            if shared < node.plen:
-                return None
-            node = node.children[_bit(target_bits, node.plen)]
-        return None
+        while node is not None and node.plen < plen and (bits & node.mask) == node.bits:
+            node = node.children[_bit(bits, node.plen)]
+        if node is None or node.plen != plen or node.bits != bits or node.entry is None:
+            return None
+        return node
 
     def exact(self, pfx: Union[str, Prefix]) -> Any:
         """Value stored at exactly ``pfx``; KeyError if absent."""
         node = self._find_exact(prefix(pfx))
-        if node is None or not node.has_value:
+        if node is None:
             raise KeyError(str(prefix(pfx)))
-        return node.value
+        return node.entry[1]
 
     def get(self, pfx: Union[str, Prefix], default: Any = None) -> Any:
         try:
@@ -149,8 +136,7 @@ class RadixTrie:
             return default
 
     def __contains__(self, pfx: Union[str, Prefix]) -> bool:
-        node = self._find_exact(prefix(pfx))
-        return node is not None and node.has_value
+        return self._find_exact(prefix(pfx)) is not None
 
     def lookup(self, addr: Union[int, str, IPv4Address]) -> Any:
         """Longest-prefix-match for ``addr``; KeyError when no route."""
@@ -163,30 +149,25 @@ class RadixTrie:
         self, addr: Union[int, str, IPv4Address]
     ) -> Optional[Tuple[Prefix, Any]]:
         """(prefix, value) of the longest match, or None."""
-        value = int(ip(addr))
+        # ip(addr), inlined: this runs per packet per hop.
+        value = addr if type(addr) is IPv4Address else IPv4Address(addr)
         node = self._root
-        best: Optional[_Node] = None
-        while node is not None:
-            if node.plen:
-                mask = (0xFFFFFFFF << (32 - node.plen)) & 0xFFFFFFFF
-                if (value & mask) != node.bits:
-                    break
-            if node.has_value:
-                best = node
-            if node.plen == 32:
-                break
-            node = node.children[_bit(value, node.plen)]
-        if best is None:
-            return None
-        return Prefix(best.bits, best.plen), best.value
+        best = None
+        while node is not None and (value & node.mask) == node.bits:
+            if node.entry is not None:
+                best = node.entry
+            # Bit ``plen`` from the top picks the child; the extra
+            # shift makes a /32 read bit 32 = 0, and it has no children.
+            node = node.children[(value << 1 >> (32 - node.plen)) & 1]
+        return best
 
     def items(self) -> Iterator[Tuple[Prefix, Any]]:
         """All (prefix, value) pairs in DFS order."""
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.has_value:
-                yield Prefix(node.bits, node.plen), node.value
+            if node.entry is not None:
+                yield node.entry
             for child in node.children:
                 if child is not None:
                     stack.append(child)

@@ -38,9 +38,7 @@ def configure_egress(
     )
     to_kernel = click.add("to_kernel", ToIPOutput())
     # Rewire the FIB's egress port from the placeholder discard.
-    egress_port = vnode.lookup.outputs[2]
-    egress_port.target = napt
-    egress_port.target_port = 0
+    vnode.lookup.outputs[2].connect(napt, replace=True)
     napt.connect(to_kernel, 0, 0)
     # Return traffic re-enters the overlay through the FIB.
     napt.connect(vnode.lookup, 1, 0)

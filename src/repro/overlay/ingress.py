@@ -97,9 +97,7 @@ class OpenVPNServer:
             self.clients[key] = leased
             # Return path: client/32 -> out through this VPN endpoint.
             encap_port = self.vnode.encap.add_output()
-            encap_element = _VPNEncap(self, real_src, sport)
-            self.vnode.encap.outputs[encap_port].target = encap_element
-            self.vnode.encap.outputs[encap_port].target_port = 0
+            self.vnode.encap.connect(_VPNEncap(self, real_src, sport), encap_port)
             self.vnode.encap.add_mapping(leased, encap_port)
             self.vnode.lookup.add_route(Prefix(leased, 32), leased, FIB_FORWARD)
             self.sim.trace.log(

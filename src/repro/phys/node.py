@@ -665,7 +665,8 @@ class PhysicalNode:
             return False
         if self._captures:
             self._capture(packet, "out")
-        dst = packet.ip.dst
+        header = packet.ip
+        dst = header.dst
         dst_int = int(dst)
         if dst_int in self._local_addrs:
             self._local_deliver(packet, sliver=None)
@@ -689,7 +690,7 @@ class PhysicalNode:
                 fr.flight_drop(packet, "no_route", node=self.name)
             return False
         route: Route = found[1]
-        if packet.ip.src == 0 and route.interface.address is not None:
+        if header.src == 0 and route.interface.address is not None:
             packet.writable(IPv4Header).src = route.interface.address
         return route.interface.transmit(packet)
 

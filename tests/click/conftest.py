@@ -19,6 +19,17 @@ class Sink(Element):
         self.packets.append(packet)
 
 
+class StubRouter:
+    """What an element needs of its router to drop a packet: for
+    property tests that build hundreds of graphs without a simulator."""
+
+    def __init__(self):
+        self.dropped = []  # (packet, reason)
+
+    def trace_drop(self, packet, reason):
+        self.dropped.append((packet, reason))
+
+
 @pytest.fixture
 def world():
     """One node with a Click router in a slice; returns helpers."""

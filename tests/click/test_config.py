@@ -149,6 +149,7 @@ def test_roundtrip_generated_config():
     for name, element in vnode.click.elements.items():
         assert type(router2[name]).__name__ == type(element).__name__
     # Same wiring.
+    mirrored_ports = 0
     for name, element in vnode.click.elements.items():
         for index, port in enumerate(element.outputs):
             if port.target is None or not hasattr(port.target, "name"):
@@ -158,5 +159,30 @@ def test_roundtrip_generated_config():
             mirrored = router2[name].outputs[index]
             assert mirrored.target is router2[port.target.name]
             assert mirrored.target_port == port.target_port
+            mirrored_ports += 1
+    wired = sum(
+        port.target is not None
+        for element in vnode.click.elements.values() for port in element.outputs
+    )
+    assert mirrored_ports == wired == 19  # no port was skipped
     # FIB contents carried over.
     assert len(router2["lookup"]) == len(vnode.lookup)
+
+
+@pytest.mark.parametrize("declaration, complaint", [
+    ("c :: IPClassifier(proto);", "'proto' needs an operand"),
+    ("c :: IPClassifier(proto udp, dst);", "'dst' needs an operand"),
+    ("c :: IPClassifier(udp dport, -);", "'udp dport' needs an operand"),
+    ("c :: IPClassifier(proto 300);", "not in 0..255"),
+    ("c :: IPClassifier(tcp dport 70000);", "not in 0..65535"),
+    ("q :: Queue(many);", "invalid literal"),
+    ("rt :: RadixIPLookup(10.0.0.0/40 - 0);", "prefix length out of range"),
+])
+def test_factory_value_errors_name_the_statement(router, declaration, complaint):
+    # A bad operand used to escape as IndexError / ValueError, or (for
+    # out-of-range numbers) not at all.
+    with pytest.raises(ClickConfigError) as caught:
+        parse_click_config("src :: Counter();\n" + declaration, router)
+    message = str(caught.value)
+    assert declaration.rstrip(";") in message
+    assert complaint in message

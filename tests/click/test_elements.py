@@ -1,16 +1,19 @@
 """Unit tests for the Click element library."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.click import (
     CheckIPHeader,
     Counter,
     DecIPTTL,
     Discard,
+    Element,
     EncapTable,
     IPClassifier,
     LinearIPLookup,
     LossElement,
+    Paint,
     Queue,
     RadixIPLookup,
     Shaper,
@@ -26,7 +29,8 @@ from repro.net.packet import (
     TCPHeader,
     UDPHeader,
 )
-from tests.click.conftest import Sink
+from tests.click.conftest import Sink, StubRouter
+from tests.conftest import battery
 
 
 def make_packet(dst="10.1.2.3", proto=PROTO_UDP, ttl=64, sport=5000, dport=6000, size=100):
@@ -248,6 +252,29 @@ class TestClassifier:
         with pytest.raises(ValueError):
             IPClassifier()
 
+    @pytest.mark.parametrize("pattern, complaint", [
+        ("proto", "'proto' needs an operand"),
+        ("dst", "'dst' needs an operand"),
+        ("proto udp src", "'src' needs an operand"),
+        ("udp dport", "'udp dport' needs an operand"),
+        ("tcp sport", "'tcp sport' needs an operand"),
+        ("proto 300", "proto '300' is not in 0..255"),
+        ("proto x", "proto 'x' is not in 0..255"),
+        ("tcp dport 70000", "tcp dport '70000' is not in 0..65535"),
+        ("udp sport -1", "udp sport '-1' is not in 0..65535"),
+        ("icmp dport 7", "icmp has no dport"),
+    ])
+    def test_malformed_operand_rejected_at_construction(self, pattern, complaint):
+        # Each of these used to raise a bare IndexError, blame the wrong
+        # token, or build a classifier whose pattern could never match.
+        with pytest.raises(ValueError) as caught:
+            IPClassifier("-", pattern)
+        assert repr(pattern) in str(caught.value)
+        assert complaint in str(caught.value)
+
+    def test_operand_limits_are_inclusive(self):
+        IPClassifier("proto 0", "proto 255", "tcp dport 0", "udp sport 65535")
+
 
 class TestLoss:
     def test_fail_blackholes(self, world):
@@ -294,13 +321,18 @@ class TestQueueShaper:
     def test_shaper_paces_to_rate(self, world):
         sim, node, sliver, router = world
         shaper = router.add("sh", Shaper(rate=800_000, burst_bytes=128))
-        sink = router.add("s", Sink())
-        router.connect("sh", "s")
         arrival_times = []
-        sink.push = lambda port, pkt: arrival_times.append(sim.now)
+
+        class TimedSink(Sink):
+            def push(self, port, packet):
+                arrival_times.append(sim.now)
+
+        router.add("s", TimedSink())
+        router.connect("sh", "s")
         for _ in range(5):
             shaper.push(0, make_packet(size=72))  # 100B wire
         sim.run()
+        assert len(arrival_times) == 5
         # 100 bytes at 800 kb/s = 1 ms spacing after the burst.
         gaps = [b - a for a, b in zip(arrival_times, arrival_times[1:])]
         assert all(gap == pytest.approx(0.001, rel=0.1) for gap in gaps[1:])
@@ -388,3 +420,147 @@ class TestEncapTable:
         encap = router.add("enc", EncapTable(n_outputs=1))
         with pytest.raises(ValueError):
             encap.add_mapping("10.9.9.1", 5)
+
+
+class TestCopyOnWrite:
+    def test_decttl_on_shared_copies_writes_private_headers(self, world):
+        # Tee hands port 1 a copy-on-write clone; each DecIPTTL must
+        # fault its own headers apart before the write, so both branches
+        # see 64 -> 63 once and the clone's TTL is not decremented twice.
+        sim, node, sliver, router = world
+        tee = router.add("tee", Tee(2))
+        sinks = []
+        for index in range(2):
+            router.add(f"dec{index}", DecIPTTL())
+            sinks.append(router.add(f"s{index}", Sink()))
+            router.connect("tee", f"dec{index}", out_port=index)
+            router.connect(f"dec{index}", f"s{index}")
+        untouched = make_packet(ttl=64)
+        tee.push(0, untouched.copy())
+        assert [s.packets[0].ip.ttl for s in sinks] == [63, 63]
+        assert sinks[0].packets[0].ip is not sinks[1].packets[0].ip
+        assert untouched.ip.ttl == 64
+
+
+# ---------------------------------------------------------------------
+# Dispatch: ports bound at wiring time against the Port they replaced
+# ---------------------------------------------------------------------
+class ReferencePort:
+    """``repro.click.element.Port`` at 8715f4b, verbatim (renamed): the
+    target is looked up on every push, and a rewire is two assignments."""
+
+    __slots__ = ("element", "index", "target", "target_port")
+
+    def __init__(self, element: "Element", index: int):
+        self.element = element
+        self.index = index
+        self.target = None
+        self.target_port = 0
+
+    def connect(self, target: "Element", target_port: int = 0) -> None:
+        if self.target is not None:
+            raise ValueError(
+                f"{self.element.name}[{self.index}] is already connected"
+            )
+        self.target = target
+        self.target_port = target_port
+
+    def push(self, packet: Packet) -> None:
+        if self.target is None:
+            # Unconnected port: Click would fail at config time; we drop
+            # and trace so misconfigurations are visible in tests.
+            self.element.router.trace_drop(packet, f"{self.element.name}[{self.index}] unconnected")
+            return
+        self.target.push(self.target_port, packet)
+
+
+class PortSink(Sink):
+    """Records which packet arrived on which input port."""
+
+    def push(self, port, packet):
+        self.packets.append((port, packet.meta["id"]))
+
+
+MAKERS = {"tee2": lambda: Tee(2), "tee3": lambda: Tee(3), "counter": Counter,
+          "paint": lambda: Paint("x"), "sink": PortSink}
+
+
+@st.composite
+def graphs(draw):
+    """A random DAG of pass-through elements and sinks: ``kinds`` per
+    node; ``wires[node][port]`` is ``(later node, input port)`` or
+    None (left unconnected); then the edits made between two bursts."""
+    count = draw(st.integers(min_value=2, max_value=7))
+    kinds = [draw(st.sampled_from(["tee2", "tee3", "counter", "paint"]))] + [
+        draw(st.sampled_from(["tee2", "tee3", "counter", "paint", "sink"]))
+        for _ in range(count - 2)] + ["sink"]
+    arity = {"tee2": 2, "tee3": 3, "counter": 1, "paint": 1, "sink": 0}
+
+    def later(node):
+        return st.none() | st.tuples(st.integers(node + 1, count - 1), st.integers(0, 2))
+
+    wires = [[draw(later(node)) for _ in range(arity[kind])]
+             for node, kind in enumerate(kinds)]
+    tees = [node for node, kind in enumerate(kinds) if kind.startswith("tee")]
+    grown = [(node, draw(later(node))) for node in draw(st.lists(
+        st.sampled_from(tees), max_size=2))] if tees else []
+    movers = [node for node, kind in enumerate(kinds[:-1]) if arity[kind]]
+    rewired = draw(st.lists(st.sampled_from(movers).flatmap(
+        lambda node: st.tuples(st.just(node), st.integers(0, arity[kinds[node]] - 1),
+                               st.tuples(st.integers(node + 1, count - 1), st.integers(0, 2)))),
+        max_size=3))
+    bursts = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    return kinds, wires, grown, rewired, bursts
+
+
+def run_graph(scenario, port_cls):
+    kinds, wires, grown, rewired, bursts = scenario
+    log = StubRouter()
+    elements = []
+    for node, kind in enumerate(kinds):
+        element = MAKERS[kind]()
+        element.name, element.router = f"e{node}", log
+        if port_cls is not None:
+            element.outputs = [port_cls(element, i) for i in range(len(element.outputs))]
+        elements.append(element)
+    for node, ports in enumerate(wires):
+        for index, wire in enumerate(ports):
+            if wire is not None:
+                elements[node].connect(elements[wire[0]], index, wire[1])
+    ids = iter(range(100))
+
+    def burst(size):
+        for _ in range(size):
+            packet = make_packet()
+            packet.meta["id"] = next(ids)
+            elements[0].push(0, packet)
+
+    burst(bursts[0])
+    for node, wire in grown:  # add_output after wiring, as _attach_end does
+        if port_cls is None:
+            index = elements[node].add_output()
+        else:
+            index = len(elements[node].outputs)
+            elements[node].outputs.append(port_cls(elements[node], index))
+        if wire is not None:
+            elements[node].connect(elements[wire[0]], index, wire[1])
+    for node, index, (target, in_port) in rewired:  # a mid-run rewire
+        port = elements[node].outputs[index]
+        if port_cls is None:
+            port.connect(elements[target], in_port, replace=True)
+        else:  # what overlay.egress / overlay.ingress did at 8715f4b
+            port.target = elements[target]
+            port.target_port = in_port
+    burst(bursts[1])
+    arrivals = [element.packets for element in elements if isinstance(element, PortSink)]
+    return arrivals, [(packet.meta["id"], reason) for packet, reason in log.dropped]
+
+
+@given(graphs())
+@battery(300)
+def test_dispatch_equals_the_port_it_replaced(scenario):
+    want_arrivals, want_drops = run_graph(scenario, ReferencePort)
+    got_arrivals, got_drops = run_graph(scenario, None)
+    assert got_arrivals == want_arrivals
+    assert got_drops == want_drops
+    assert sum(map(len, got_arrivals)) + len(got_drops) >= sum(scenario[4])

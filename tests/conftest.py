@@ -1,4 +1,4 @@
-"""Suite-wide per-test wall-clock budget.
+"""Suite-wide per-test wall-clock budget, and the Hypothesis profiles.
 
 Every layer runs inside one event loop, so a livelock (an event that
 re-arms itself at the same sim instant) does not fail a test: it hangs
@@ -16,6 +16,25 @@ import pytest
 TEST_WALL_BUDGET_S = 300
 
 _stderr_fd = None
+
+# ``HYPOTHESIS_PROFILE=thorough`` (``make props``, CI tier-2) runs the
+# differential batteries ten times deeper; tier-1 keeps the default
+# profile and each battery's own example count.
+try:
+    from hypothesis import settings
+except ImportError:  # the batteries importorskip hypothesis themselves
+    settings = None
+else:
+    settings.register_profile("thorough", max_examples=1000, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def battery(max_examples):
+    """``@settings`` for a differential battery: ``max_examples`` in
+    tier-1, the selected profile's when ``HYPOTHESIS_PROFILE`` is set."""
+    if os.environ.get("HYPOTHESIS_PROFILE"):
+        return settings(settings.default)
+    return settings(max_examples=max_examples, deadline=None)
 
 
 def pytest_configure(config):

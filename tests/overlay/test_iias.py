@@ -107,6 +107,32 @@ class TestLifeOfAPacket:
         assert size == 1000
         assert napt.translated_in == 1
 
+    def test_rewired_ports_carry_the_traffic(self, world):
+        """configure_egress re-points the FIB's egress port from the
+        placeholder discard to the NAPT, and every lease adds an encap
+        port to its client's VPN endpoint: both must be live ports, not
+        just ``target`` fields."""
+        vini, exp, iias, server, napt = world
+        run_echo_server(vini)
+        v0, v2 = exp.network.nodes["v0"], exp.network.nodes["v2"]
+        egress_port = v2.lookup.outputs[2]
+        assert egress_port.target is napt and egress_port.target_port == 0
+        client = iias.opt_in(vini.nodes["client"], "v0")
+        vini.run(until=21.0)
+        leased = server.address_of(client)
+        vpn_port = v0.encap.outputs[v0.encap.mapping()[int(leased)]]
+        assert vpn_port.target.client_real == vini.nodes["client"].address
+        sent_to_clients = server.sock.tx_packets
+        got = []
+        client.on_receive = got.append
+        client.send(make_web_request(leased, vini.nodes["cnn"].address))
+        vini.run(until=25.0)
+        assert napt.translated_out == 1 and napt.translated_in == 1
+        assert v2.click["noegress"].packets == 0
+        assert server.sock.tx_packets == sent_to_clients + 1
+        assert len(got) == 1
+        assert v0.click.drops == 0 and v2.click.drops == 0
+
     def test_source_spoofing_rewritten_at_ingress(self, world):
         vini, exp, iias, server, napt = world
         web_log = run_echo_server(vini)

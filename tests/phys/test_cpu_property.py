@@ -17,11 +17,12 @@ of processes drifts in the last digits.
 import math
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.phys.cpu import CPUScheduler
 from repro.phys.process import Process, WorkItem
 from repro.sim import Simulator
+from tests.conftest import battery
 from tests.phys.test_cpu_golden import _on_cpu
 
 
@@ -307,7 +308,7 @@ def _play(make_cpu, on_cpu, kinds, script, threshold, nonpreempt):
     return log, state, cpu.busy_time, sim.now
 
 
-@settings(max_examples=150, deadline=None)
+@battery(150)
 @given(**STRATEGIES)
 def test_dispatch_sequence_and_accounting_match_reference(
         kinds, script, threshold, nonpreempt):

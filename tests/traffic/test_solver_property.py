@@ -23,9 +23,10 @@ import pytest
 
 from repro.traffic import max_min_rates
 from repro.traffic.solver import SolveResult
+from tests.conftest import battery
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 INF = float("inf")
 
@@ -151,7 +152,7 @@ def scenarios(draw):
 
 
 @given(scenarios())
-@settings(max_examples=300, deadline=None)
+@battery(300)
 def test_solver_equals_the_body_it_replaced(scenario):
     paths, capacities, demands, counts = scenario
     want = reference_max_min_rates(paths, capacities, demands, counts)
@@ -163,7 +164,7 @@ def test_solver_equals_the_body_it_replaced(scenario):
 
 
 @given(scenarios())
-@settings(max_examples=50, deadline=None)
+@battery(50)
 def test_defaults_match_too(scenario):
     paths, capacities, _demands, _counts = scenario
     want = reference_max_min_rates(paths, capacities)
