@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test props tier2-bench-smoke bench ledger ledger-smoke ledger-ab profile flight report watch explain
+.PHONY: test props tier2-bench-smoke bench ledger ledger-smoke ledger-ab flight watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -51,35 +51,25 @@ ledger-smoke:
 ledger-ab:
 	$(PYTHON) benchmarks/ledger_ab.py $(BASE) $(NEW) --sets $(or $(N),4) $(ARGS)
 
-# Sim-time profile: a short Abilene scenario under repro.obs.Profiler,
-# printing the per-component event-loop breakdown.
-profile:
-	$(PYTHON) benchmarks/profile_scenario.py
-
 # Flight recorder: slowest-flight latency decomposition of a Table-5
 # ping run, plus a Perfetto trace under benchmarks/results/.
 flight:
-	$(PYTHON) -m repro.obs.flight --config plvini --slowest 10 \
+	$(PYTHON) -m repro.obs flight --config plvini --slowest 10 \
 		--export benchmarks/results/flight_table5.json
 
-# Experiment report: the Fig-8 Abilene failover with every collector
-# installed, compiled to deterministic Markdown + JSON.
-report:
-	$(PYTHON) -m repro.obs.report --out benchmarks/results/fig8_report
-
-# Cross-run analysis: build a fully-instrumented Fig-8 RunArchive
-# (trace spill + live feed + flights + sampler series + report, all
-# manifest-hashed) under benchmarks/results/archives/fig8, then walk
-# the causal chain: fault -> convergence episode -> blackhole windows
-# -> affected flights. `python -m repro.obs.query diff A B` compares
-# two such archives record by record.
-explain:
-	$(PYTHON) -m repro.obs.query fig8 benchmarks/results/archives/fig8
-	$(PYTHON) -m repro.obs.query explain benchmarks/results/archives/fig8
-
-# Live observatory: the Fig-8 failover under repro.obs.live — TTY
-# status line + deterministic JSONL feed + watchdogs + streaming
-# Perfetto flight export, all under benchmarks/results/live/.
-# WATCH_FLAGS=--headless for CI (automatic when stderr is not a TTY).
+# The Fig-8 observatory: the Abilene failover with every collector
+# installed, landed as one manifest-hashed RunArchive under
+# benchmarks/results/archives/fig8 (trace spill + live feed + flight
+# records + sampler series + report.md/report.json). `watch` runs it
+# with the TTY status line (headless automatically when stdout or
+# stderr is not a terminal); `explain` runs it and walks the causal
+# chain: fault -> convergence episode -> blackhole windows -> affected
+# flights. `python -m repro.obs diff A B` compares two such archives
+# record by record; `python -m repro.obs perfetto A OUT.json` renders
+# one's flights for https://ui.perfetto.dev.
 watch:
-	$(PYTHON) -m repro.obs.live --out benchmarks/results/live $(WATCH_FLAGS)
+	$(PYTHON) -m repro.obs fig8 benchmarks/results/archives/fig8 --watch
+
+explain:
+	$(PYTHON) -m repro.obs fig8 benchmarks/results/archives/fig8
+	$(PYTHON) -m repro.obs explain benchmarks/results/archives/fig8

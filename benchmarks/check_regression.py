@@ -179,7 +179,7 @@ def attribute(baseline: dict, current: dict, dotted: str,
         doc_a, doc_b = _cell_doc(man_a), _cell_doc(man_b)
         if doc_a is None or doc_b is None:
             print("      (no comparable cell.json on both sides; use "
-                  f"repro.obs.query diff {base_map[cell_id]} "
+                  f"python -m repro.obs diff {base_map[cell_id]} "
                   f"{cur_map[cell_id]} for record-level localization)")
             continue
         leaves_a, leaves_b = _doc_leaves(doc_a), _doc_leaves(doc_b)
@@ -193,7 +193,7 @@ def attribute(baseline: dict, current: dict, dotted: str,
                 shifts.append((rel, key, va, vb))
         if not shifts:
             print("      cell.json metrics agree; the shift is inside "
-                  "other artifacts (repro.obs.query diff localizes the "
+                  "other artifacts (python -m repro.obs diff localizes the "
                   "first divergent record)")
             continue
         shifts.sort(key=lambda item: (-item[0], item[1]))

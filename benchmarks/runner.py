@@ -104,7 +104,7 @@ def run_cell(spec: dict) -> dict:
     and every cell — microbenches included — lands its deterministic
     result as a ``cell.json`` artifact. The manifest path and content
     hashes ride back in the cell dict, so ``BENCH_core.json`` rows are
-    tied to concrete, diffable artifacts (``repro.obs.query diff``).
+    tied to concrete, diffable artifacts (``python -m repro.obs diff``).
     """
     fn = BENCHES[spec["bench"]][0]
     live_dir = spec.get("live_dir")

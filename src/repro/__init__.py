@@ -15,7 +15,6 @@ from repro.obs import (
     ExperimentReport,
     MetricsRegistry,
     PeriodicSampler,
-    Profiler,
     RoutingObserver,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "InvariantChecker",
     "MetricsRegistry",
     "PeriodicSampler",
-    "Profiler",
     "RoutingObserver",
     "VirtualNetwork",
     "__version__",

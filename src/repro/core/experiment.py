@@ -14,12 +14,12 @@ object drives the paper's Section 5.2 experiment and every bench.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.infrastructure import VINI
 from repro.core.upcalls import UpcallDispatcher
 from repro.core.virtual_network import VirtualLink, VirtualNetwork, VirtualNode
+from repro.obs.archive import attach_from_env
 
 
 class ExperimentEvent:
@@ -161,13 +161,7 @@ class Experiment:
 
     def run(self, until: Optional[float] = None) -> float:
         self.start()
-        archive = None
-        if os.environ.get("REPRO_RUN_ARCHIVE"):
-            from repro.obs.archive import maybe_attach_env_archive
-            archive = maybe_attach_env_archive(self.sim, experiment=self)
-        if os.environ.get("REPRO_LIVE_FEED"):
-            from repro.obs.live import maybe_attach_env_monitor
-            maybe_attach_env_monitor(self.sim, until=until)
+        archive = attach_from_env(self.sim, until=until, experiment=self)
         result = self.sim.run(until=until)
         if archive is not None:
             archive.write()

@@ -9,12 +9,12 @@ directly — they get slices and virtual topologies embedded on top.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
 from repro.net.addr import Prefix, prefix
+from repro.obs.archive import attach_from_env
 from repro.phys.link import Link
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.vserver import Slice
@@ -154,13 +154,7 @@ class VINI:
         return list(self._slices.values())
 
     def run(self, until: Optional[float] = None) -> float:
-        archive = None
-        if os.environ.get("REPRO_RUN_ARCHIVE"):
-            from repro.obs.archive import maybe_attach_env_archive
-            archive = maybe_attach_env_archive(self.sim)
-        if os.environ.get("REPRO_LIVE_FEED"):
-            from repro.obs.live import maybe_attach_env_monitor
-            maybe_attach_env_monitor(self.sim, until=until)
+        archive = attach_from_env(self.sim, until=until)
         result = self.sim.run(until=until)
         if archive is not None:
             archive.write()

@@ -13,50 +13,54 @@ first-class layer instead of ad-hoc trace scans:
   stage, plus the OSPF convergence span tree.
 * :mod:`repro.obs.sampler` — :class:`PeriodicSampler`, sim-clock
   snapshots of metrics into time series without perturbing event order.
-* :mod:`repro.obs.profiler` — :class:`Profiler`, per-component
-  wall-time (or sim-time) attribution of the event loop, zero-cost
-  when not installed.
-* :mod:`repro.obs.export` — deterministic JSONL/CSV exporters, the
-  Perfetto/Chrome-trace flight exporter, and the per-commit
-  :class:`BenchTrajectory` artifact writer.
-* :mod:`repro.obs.flight` — the ``python -m repro.obs.flight`` CLI:
-  slowest-N latency decomposition of a Table-4/5 ping run, plus
-  ``--diff`` comparing two runs' stage decompositions.
+* :mod:`repro.obs.export` — deterministic JSONL/series-CSV exporters,
+  the flight record stream (:class:`FlightStream`, JSONL) with its
+  Perfetto/Chrome-trace view (:func:`perfetto_events`), and the
+  per-commit :class:`BenchTrajectory` artifact writer.
+* :mod:`repro.obs.flight` — slowest-N latency decomposition of a
+  Table-4/5 ping run, and the comparison of two runs' stage
+  decompositions (the ``flight`` verb).
 * :mod:`repro.obs.routing` — :class:`RoutingObserver` control-plane
   timelines and the :class:`ConvergenceTracker` stitching fault
   injection -> first reroute -> route-stable with blackhole/micro-loop
   windows.
 * :mod:`repro.obs.report` — :class:`ExperimentReport`, the
   deterministic Markdown + JSON compiler over one run's metrics,
-  samplers, spans, and routing timelines (``python -m
-  repro.obs.report`` for the Fig-8 artifact).
+  samplers, spans, and routing timelines.
 * :mod:`repro.obs.live` — :class:`LiveMonitor`, the streaming
   telemetry bus for runs *while they execute*: a deterministic JSONL
   feed, a wall-clock TTY status line, and the :class:`Watchdog` layer
-  (stall / livelock / rate alarms). ``python -m repro.obs.live`` (or
-  ``make watch``) is the Fig-8 live observatory.
+  (stall / livelock / rate alarms).
 * :mod:`repro.obs.archive` — :class:`RunArchive`, the per-run manifest
   (seed, config signature, commit, content hash per artifact) every
-  artifact writer registers into; ``REPRO_RUN_ARCHIVE`` attaches one
-  through ``Experiment.run``/``VINI.run`` with zero wiring.
+  artifact writer registers into; :func:`attach_from_env` attaches one
+  (``REPRO_RUN_ARCHIVE``) and a live feed (``REPRO_LIVE_FEED``) through
+  ``Experiment.run``/``VINI.run`` with zero wiring.
 * :mod:`repro.obs.query` — the cross-run analysis engine: lazy
   :class:`Table` streams over every artifact kind, archive-vs-archive
   first-divergence diffing, and the fault -> episode -> flights causal
-  "explain" chain. ``python -m repro.obs.query`` (or ``make explain``)
-  is the CLI.
+  "explain" chain.
+* :mod:`repro.obs.fig8` — the one Fig-8 observatory: the Section 5.2
+  failover with every collector above installed, landed as one archive.
 
-Nothing in this package imports :mod:`repro.sim` at module level: the
+``python -m repro.obs <verb>`` (``fig8``, ``ls``, ``q``, ``diff``,
+``explain``, ``perfetto``, ``flight``) is the one CLI over all of it.
+*Where did the wall-clock go* is not answered here: that is the
+performance ledger's traced round (``make ledger``).
+
+Nothing imported here imports :mod:`repro.sim` at module level: the
 engine imports the registry and the null flight recorder, so the
-dependency must stay one-way (the profiler's timer-unwrapping does a
-lazy import inside the call).
+dependency must stay one-way. :mod:`repro.obs.query`,
+:mod:`repro.obs.fig8` and the CLI sit above the engine and are
+therefore not imported from this file.
 """
 
 from repro.obs.archive import (
     RunArchive,
+    attach_from_env,
     config_signature,
     experiment_signature,
     load_manifest,
-    maybe_attach_env_archive,
     note_artifact,
     resolve_artifact,
     sha256_file,
@@ -65,13 +69,11 @@ from repro.obs.export import (
     BenchTrajectory,
     FlightStream,
     detect_commit,
-    export_csv,
     export_jsonl,
     export_perfetto,
     export_series_csv,
+    flight_rows,
     perfetto_events,
-    perfetto_json,
-    registry_csv,
     registry_jsonl,
 )
 from repro.obs.live import (
@@ -82,7 +84,6 @@ from repro.obs.live import (
     RateWatchdog,
     StallWatchdog,
     Watchdog,
-    maybe_attach_env_monitor,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -93,7 +94,6 @@ from repro.obs.metrics import (
     NULL_METRIC,
     log_buckets,
 )
-from repro.obs.profiler import Profiler
 from repro.obs.report import ExperimentReport, build_report
 from repro.obs.routing import (
     ConvergenceEpisode,
@@ -132,7 +132,6 @@ __all__ = [
     "NULL_RECORDER",
     "NullFlightRecorder",
     "PeriodicSampler",
-    "Profiler",
     "RateWatchdog",
     "RoutingObserver",
     "RunArchive",
@@ -140,23 +139,20 @@ __all__ = [
     "SpanContext",
     "StallWatchdog",
     "Watchdog",
+    "attach_from_env",
     "build_report",
     "config_signature",
     "detect_commit",
     "episodes_from_trace",
     "experiment_signature",
-    "export_csv",
     "export_jsonl",
     "export_perfetto",
     "export_series_csv",
+    "flight_rows",
     "load_manifest",
     "log_buckets",
-    "maybe_attach_env_archive",
-    "maybe_attach_env_monitor",
     "note_artifact",
     "perfetto_events",
-    "perfetto_json",
-    "registry_csv",
     "registry_jsonl",
     "resolve_artifact",
     "sha256_file",

@@ -1,7 +1,7 @@
 """Run archives: a manifest indexing every artifact one run emits.
 
 PRs 3-9 made runs emit deterministic artifacts — struct-packed trace
-spills, flight Perfetto/JSONL, sampler CSV, live feeds, experiment
+spills, flight JSONL, sampler CSV, live feeds, experiment
 reports — but each lived wherever its writer put it, unindexed. A
 :class:`RunArchive` ties them together: one ``manifest.json`` per run
 recording the run's identity (seed, config signature, commit) and a
@@ -20,9 +20,8 @@ Manifest schema (``repro.archive/1``)::
         "<artifact name>": {
           "path":   "<relative to the manifest's directory>",
           "kind":   "trace_spill" | "live_feed" | "sampler_csv" |
-                    "flight_jsonl" | "flight_perfetto" | "report_json" |
-                    "report_md" | "metrics_jsonl" | "metrics_csv" |
-                    "bench_cell" | "json" | "text",
+                    "flight_jsonl" | "report_json" | "report_md" |
+                    "metrics_jsonl" | "bench_cell" | "json" | "text",
           "bytes":  <file size>,
           "sha256": "<content hash>"
         }, ...
@@ -36,10 +35,10 @@ simulator reference calls ``archive.note(path, kind)`` on
 ``sim._run_archive`` when present — ``TraceCollector.spill_to``,
 ``PeriodicSampler.finish``, ``FlightRecorder.close_stream``,
 ``LiveMonitor.install``, ``ExperimentReport.write`` and the exporters
-all do. ``Experiment.run``/``VINI.run`` attach an archive automatically
-when ``REPRO_RUN_ARCHIVE`` names a directory, mirroring the
-``REPRO_LIVE_FEED`` wiring, and (re)write the manifest every time a
-``run()`` call returns.
+all do. ``Experiment.run``/``VINI.run`` call :func:`attach_from_env`,
+which attaches an archive when ``REPRO_RUN_ARCHIVE`` names a directory
+and a feed-only live monitor when ``REPRO_LIVE_FEED`` names a path, and
+(re)write the manifest every time a ``run()`` call returns.
 """
 
 from __future__ import annotations
@@ -52,12 +51,13 @@ from typing import Any, Dict, Optional
 __all__ = [
     "ARCHIVE_SCHEMA",
     "ENV_ARCHIVE",
+    "ENV_FEED",
     "MANIFEST_NAME",
     "RunArchive",
+    "attach_from_env",
     "config_signature",
     "experiment_signature",
     "load_manifest",
-    "maybe_attach_env_archive",
     "note_artifact",
     "sha256_file",
 ]
@@ -68,8 +68,9 @@ ARCHIVE_SCHEMA = "repro.archive/1"
 #: Manifest file name inside an archive directory.
 MANIFEST_NAME = "manifest.json"
 
-#: Environment variable read by :func:`maybe_attach_env_archive`.
+#: Environment variables read by :func:`attach_from_env`.
 ENV_ARCHIVE = "REPRO_RUN_ARCHIVE"
+ENV_FEED = "REPRO_LIVE_FEED"
 
 
 def sha256_file(path: str, chunk: int = 1 << 20) -> str:
@@ -273,8 +274,12 @@ def load_manifest(path: str) -> Dict[str, Any]:
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path) as handle:
-        manifest = json.load(handle)
-    schema = manifest.get("schema")
+        try:
+            manifest = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path!r}: manifest does not parse ({exc})") from exc
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema != ARCHIVE_SCHEMA:
         raise ValueError(
             f"{path!r}: unsupported archive schema {schema!r} "
@@ -286,32 +291,57 @@ def load_manifest(path: str) -> Dict[str, Any]:
 
 def resolve_artifact(manifest: Dict[str, Any], name: str) -> str:
     """Absolute path of artifact ``name`` in a loaded manifest."""
-    entry = manifest["artifacts"][name]
+    artifacts = manifest["artifacts"]
+    if name not in artifacts:
+        raise KeyError(
+            f"{manifest['_path']!r} has no artifact {name!r} "
+            f"(it has: {', '.join(sorted(artifacts)) or 'none'})"
+        )
     base = os.path.dirname(manifest["_path"])
-    return os.path.normpath(os.path.join(base, entry["path"]))
+    return os.path.normpath(os.path.join(base, artifacts[name]["path"]))
 
 
-def maybe_attach_env_archive(sim, experiment=None,
-                             name: Optional[str] = None):
-    """Attach a :class:`RunArchive` when ``REPRO_RUN_ARCHIVE`` names a
-    directory. Called by ``Experiment.run``/``VINI.run`` — the same
-    zero-wiring contract as ``REPRO_LIVE_FEED``. Idempotent per
-    simulator; the caller is responsible for :meth:`RunArchive.write`
-    after the run returns."""
+def attach_from_env(sim, until: Optional[float] = None, experiment=None):
+    """The zero-wiring hook ``Experiment.run``/``VINI.run`` call before
+    every ``sim.run``: any scenario — every benchmark cell included —
+    grows an archive and a live feed from two environment variables.
+
+    ``REPRO_RUN_ARCHIVE`` names a directory: a :class:`RunArchive` is
+    attached there and returned (the caller writes it once the run
+    returns). ``REPRO_LIVE_FEED`` names a path: a feed-only
+    :class:`~repro.obs.live.LiveMonitor` is installed, its ETA target
+    refreshed to ``until`` on every call. Both are idempotent per
+    simulator, and the feed lands in the archive whichever came first
+    (:meth:`RunArchive.attach` sweeps a monitor installed before it).
+    """
+    archive = None
     root = os.environ.get(ENV_ARCHIVE)
-    if not root:
-        return None
-    archive = getattr(sim, "_run_archive", None)
-    if archive is not None:
-        return archive
-    from repro.obs.export import detect_commit
+    if root:
+        archive = getattr(sim, "_run_archive", None)
+        if archive is None:
+            from repro.obs.export import detect_commit
 
-    meta: Dict[str, Any] = {"commit": detect_commit()}
-    if experiment is not None:
-        meta["config_signature"] = experiment_signature(experiment)
-    archive = RunArchive(
-        root,
-        name=name or (experiment.name if experiment is not None else "run"),
-        meta=meta,
-    )
-    return archive.attach(sim)
+            meta: Dict[str, Any] = {"commit": detect_commit()}
+            if experiment is not None:
+                meta["config_signature"] = experiment_signature(experiment)
+            archive = RunArchive(
+                root,
+                name=experiment.name if experiment is not None else "run",
+                meta=meta,
+            ).attach(sim)
+    feed = os.environ.get(ENV_FEED)
+    if feed:
+        monitor = getattr(sim, "_env_live_monitor", None)
+        if monitor is None:
+            from repro.obs.live import (
+                LiveMonitor,
+                LivelockWatchdog,
+                StallWatchdog,
+            )
+
+            monitor = LiveMonitor(sim, feed=feed).watch_engine()
+            monitor.add_watchdog(StallWatchdog(budget_s=120.0, action="mark"))
+            monitor.add_watchdog(LivelockWatchdog(action="mark"))
+            sim._env_live_monitor = monitor.install()
+        monitor.until = until
+    return archive

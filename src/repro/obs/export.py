@@ -1,11 +1,19 @@
-"""Exporters: registry snapshots to JSONL/CSV, sampler series to CSV,
-and the per-commit :class:`BenchTrajectory` artifact.
+"""Exporters: registry snapshots to JSONL, sampler series to CSV, the
+flight record stream and its Perfetto view, and the per-commit
+:class:`BenchTrajectory` artifact.
 
 All exports are deterministic for a given run: registry rows come out
 of :meth:`MetricsRegistry.collect` pre-sorted by ``(name, labels)``,
 JSON objects are serialized with sorted keys, and floats go through
 ``repr`` (shortest round-trip) — so the same seed produces a
 byte-identical file, which the determinism tests assert.
+
+Flights have one on-disk shape — the JSONL records of
+:func:`flight_row` / :func:`control_row`, streamed by
+:class:`FlightStream` — and Perfetto is a view of it:
+:func:`perfetto_events` maps records to Chrome trace events one row at
+a time, whether the rows come from a live recorder
+(:func:`flight_rows`) or from a ``flights.jsonl`` read back.
 
 :class:`BenchTrajectory` is the cross-commit artifact: each
 :meth:`~BenchTrajectory.append` call writes one JSON line stamped with
@@ -18,47 +26,14 @@ previous run without parsing it first.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-#: Column order for registry CSV exports: identity, scalar readout,
-#: the distribution summary, then the raw buckets (blank for
-#: counters/gauges).
-CSV_FIELDS = (
-    "name",
-    "labels",
-    "type",
-    "value",
-    "count",
-    "sum",
-    "mean",
-    "min",
-    "max",
-    "p50",
-    "p95",
-    "p99",
-    "buckets",
-)
-
-
-def _format_labels(labels: Dict[str, Any]) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-
-
-def _format_buckets(buckets: List[List[Any]]) -> str:
-    """Compact ``le:cumulative`` pairs for the CSV ``buckets`` column.
-
-    Leading all-zero buckets are elided (a zero cumulative count says
-    nothing a dashboard cannot infer); the ``+Inf`` bound is always
-    kept so the total is recoverable from the column alone.
-    """
-    return ";".join(
-        f"{bound}:{count}" for bound, count in buckets
-        if count or bound == "+Inf"
-    )
+#: Header of the long-form series CSV (:func:`export_series_csv`, the
+#: sampler's spill file).
+SERIES_HEADER = ["key", "time", "value", "count", "sum"]
 
 
 def registry_jsonl(registry, extra: Optional[Dict[str, Any]] = None) -> str:
@@ -89,28 +64,14 @@ def export_jsonl(registry, path: str, extra: Optional[Dict[str, Any]] = None) ->
     return path
 
 
-def registry_csv(registry) -> str:
-    """Render a registry snapshot as CSV text with the fixed
-    :data:`CSV_FIELDS` column set."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_FIELDS, extrasaction="ignore",
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in registry.collect():
-        row = dict(row, labels=_format_labels(row["labels"]))
-        if "buckets" in row:
-            row["buckets"] = _format_buckets(row["buckets"])
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def export_csv(registry, path: str) -> str:
-    text = registry_csv(registry)
-    _ensure_parent(path)
-    with open(path, "w") as handle:
-        handle.write(text)
-    _note(registry.sim, path, "metrics_csv")
-    return path
+def series_rows(key: str, points: Iterable[Tuple[float, Any]]) -> Iterator[List[Any]]:
+    """Series-CSV rows for one probe's ``(t, value)`` points (histogram
+    probes fill ``count``/``sum`` instead of ``value``)."""
+    for t, value in points:
+        if isinstance(value, tuple) and len(value) == 2:
+            yield [key, repr(t), "", value[0], repr(value[1])]
+        else:
+            yield [key, repr(t), repr(value), "", ""]
 
 
 def export_series_csv(sampler, path: str, keys: Optional[Iterable[str]] = None) -> str:
@@ -120,154 +81,139 @@ def export_series_csv(sampler, path: str, keys: Optional[Iterable[str]] = None) 
     _ensure_parent(path)
     with open(path, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["key", "time", "value", "count", "sum"])
+        writer.writerow(SERIES_HEADER)
         for key in keys if keys is not None else sampler.keys():
-            for t, value in sampler.series(key):
-                if isinstance(value, tuple) and len(value) == 2:
-                    writer.writerow([key, repr(t), "", value[0], repr(value[1])])
-                else:
-                    writer.writerow([key, repr(t), repr(value), "", ""])
+            writer.writerows(series_rows(key, sampler.series(key)))
     _note(sampler.sim, path, "sampler_csv")
     return path
 
 
 # ----------------------------------------------------------------------
-# Flight recorder -> Chrome trace events (Perfetto / chrome://tracing)
+# Flight records, and their Perfetto / chrome://tracing view
 # ----------------------------------------------------------------------
+def flight_row(flight) -> Dict[str, Any]:
+    """One completed flight as its record (stages inline)."""
+    return {
+        "kind": "flight", "trace": flight.trace_id,
+        "name": flight.name, "node": flight.node,
+        "start": flight.start, "end": flight.end,
+        "status": flight.status,
+        "stages": [[s.name, s.node, s.start, s.end] for s in flight.spans],
+    }
+
+
+def control_row(span) -> Dict[str, Any]:
+    """One completed control-plane span as its record."""
+    return {
+        "kind": "control", "name": span.name, "node": span.node,
+        "trace": span.trace_id, "span": span.span_id,
+        "parent": span.parent_id, "start": span.start, "end": span.end,
+    }
+
+
+def flight_rows(recorder) -> Iterator[Dict[str, Any]]:
+    """A recorder's retained flights, then its control-plane spans, as
+    records: what a :class:`FlightStream` would have written for them."""
+    for flight in recorder.flights():
+        yield flight_row(flight)
+    for span in recorder.control_spans():
+        yield control_row(span)
+
+
 def _us(t: float) -> float:
     """Sim seconds -> trace microseconds (ns precision, stable repr)."""
     return round(t * 1e6, 3)
 
 
-def perfetto_events(recorder) -> List[Dict[str, Any]]:
-    """A flight recorder's retained data as Chrome trace events.
+def perfetto_events(rows: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    """Flight records as Chrome trace events, one row at a time.
 
-    Layout: one trace "process" per location (node or link name, sorted
-    for stable pids), one track (tid) per trace id, complete ("X")
-    events for spans and stages, zero-duration events for instants.
-    Construction order — metadata, flights by trace id, control-plane
-    spans in completion order — is deterministic, so same-seed runs
-    serialize byte-identically.
+    Layout: one trace "process" per location (node or link name; pids
+    numbered by first appearance, each declared by an ``M`` event before
+    its first use), one track (tid) per trace id, complete (``X``)
+    events for flights, stages and control spans. A pure function of
+    the row stream, so same-seed records render byte-identically.
     """
-    flights = recorder.flights()
-    control = recorder.control_spans()
-    nodes = set()
-    for flight in flights:
-        nodes.add(flight.node)
-        for span in flight.spans:
-            nodes.add(span.node)
-    for span in control:
-        nodes.add(span.node)
     pids: Dict[str, int] = {}
-    for index, name in enumerate(sorted(n for n in nodes if n), start=1):
-        pids[name] = index
-    pids[""] = 0
-    events: List[Dict[str, Any]] = []
-    for name, pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        events.append({
-            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "args": {"name": name or "(global)"},
-        })
-    for flight in flights:
-        args: Dict[str, Any] = {
-            "trace": flight.trace_id, "span": flight.root_id,
-            "status": flight.status,
+
+    def complete(cat, name, node, trace, start, end, **args):
+        if node not in pids:
+            pids[node] = len(pids)
+            yield {
+                "ph": "M", "name": "process_name", "pid": pids[node],
+                "tid": 0, "args": {"name": node or "(global)"},
+            }
+        yield {
+            "ph": "X", "cat": cat, "name": name, "pid": pids[node],
+            "tid": trace, "ts": _us(start), "dur": _us(end - start),
+            "args": dict(args, trace=trace),
         }
-        if flight.meta:
-            args.update(flight.meta)
-        events.append({
-            "ph": "X", "cat": "flight", "name": flight.name,
-            "pid": pids[flight.node], "tid": flight.trace_id,
-            "ts": _us(flight.start), "dur": _us(flight.duration),
-            "args": args,
-        })
-        for span in flight.spans:
-            events.append({
-                "ph": "X", "cat": "stage", "name": span.name,
-                "pid": pids[span.node], "tid": flight.trace_id,
-                "ts": _us(span.start), "dur": _us(span.duration),
-                "args": {"trace": span.trace_id, "span": span.span_id,
-                         "parent": span.parent_id},
-            })
-    for span in control:
-        args = {"trace": span.trace_id, "span": span.span_id,
-                "parent": span.parent_id}
-        if span.meta:
-            args.update(span.meta)
-        events.append({
-            "ph": "X", "cat": "control", "name": span.name,
-            "pid": pids[span.node], "tid": span.trace_id,
-            "ts": _us(span.start), "dur": _us(span.duration),
-            "args": args,
-        })
-    return events
+
+    for row in rows:
+        trace = row["trace"]
+        if row["kind"] == "flight":
+            yield from complete("flight", row["name"], row["node"], trace,
+                                row["start"], row["end"],
+                                status=row["status"])
+            for name, node, start, end in row["stages"]:
+                yield from complete("stage", name, node, trace, start, end)
+        else:
+            yield from complete("control", row["name"], row["node"], trace,
+                                row["start"], row["end"],
+                                span=row["span"], parent=row["parent"])
 
 
-def perfetto_json(recorder) -> str:
-    """Deterministic Chrome-trace-event JSON for ``recorder``."""
-    payload = {
-        "displayTimeUnit": "ms",
-        "traceEvents": perfetto_events(recorder),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def export_perfetto(recorder, path: str) -> str:
-    """Write the recorder's Perfetto/Chrome trace JSON to ``path``."""
-    text = perfetto_json(recorder)
+def export_perfetto(rows: Iterable[Dict[str, Any]], path: str) -> str:
+    """Write flight records as a Perfetto / Chrome-trace JSON document
+    (load it at https://ui.perfetto.dev), one event per line; memory
+    stays at one row however long the stream is."""
     _ensure_parent(path)
     with open(path, "w") as handle:
-        handle.write(text)
-    _note(recorder.sim, path, "flight_perfetto")
+        handle.write('{"displayTimeUnit":"ms","traceEvents":[\n')
+        separator = ""
+        for event in perfetto_events(rows):
+            handle.write(separator + json.dumps(
+                event, sort_keys=True, separators=(",", ":")))
+            separator = ",\n"
+        handle.write("\n]}\n")
     return path
 
 
-#: Streaming formats accepted by :class:`FlightStream`.
-STREAM_FORMATS = ("perfetto", "jsonl")
-
-
 class FlightStream:
-    """Streaming flight exporter with a hard memory ceiling.
+    """Streaming flight writer with a hard memory ceiling.
 
-    :func:`perfetto_json` renders whatever a recorder *retained* — for a
-    million-flow run that is either a fraction of the trace (bounded
-    retention) or all of it (unbounded memory). A ``FlightStream``
-    instead receives every completed flight the moment
+    A recorder *retains* a bounded number of flights; a ``FlightStream``
+    receives every completed flight the moment
     ``FlightRecorder._finish`` lets go of it, buffers at most
     ``chunk_flights`` of them, and appends each full chunk to ``path``
-    — so the exported trace is *complete* while in-memory state never
-    exceeds one chunk, regardless of how few flights the recorder
-    keeps. Attach via ``FlightRecorder(sim, stream=...)`` and finalize
-    with ``recorder.close_stream()``.
+    — so the file is *complete* while in-memory state never exceeds one
+    chunk, regardless of how few flights the recorder keeps. Attach via
+    ``FlightRecorder(sim, stream=...)`` and finalize with
+    ``recorder.close_stream()``.
 
-    Formats: ``"perfetto"`` emits the same Chrome-trace-event shapes as
-    :func:`perfetto_events` inside an incrementally written
-    ``traceEvents`` array (process pids assigned at first appearance —
-    completion order is deterministic, so same-seed files are
-    byte-identical); ``"jsonl"`` emits one sorted-keys JSON object per
-    flight (stages inline) and per control span.
+    The file is JSONL: one sorted-keys :func:`flight_row` per flight in
+    completion order, then one :func:`control_row` per control span.
     """
 
-    def __init__(self, path: str, fmt: str = "perfetto",
+    # ``fmt`` is vestigial: benchmarks/ledger/scenarios.py passes
+    # fmt="jsonl" and may not be edited outside a benchmark PR. When
+    # that call site drops the argument, drop the parameter.
+    def __init__(self, path: str, fmt: str = "jsonl",
                  chunk_flights: int = 256):
-        if fmt not in STREAM_FORMATS:
+        if fmt != "jsonl":
             raise ValueError(
-                f"unknown stream format {fmt!r}; expected one of "
-                f"{STREAM_FORMATS}"
+                f"FlightStream writes JSONL only, got fmt={fmt!r}; render "
+                "the file with `python -m repro.obs perfetto`"
             )
         if chunk_flights <= 0:
             raise ValueError(
                 f"chunk_flights must be positive, got {chunk_flights!r}"
             )
         self.path = path
-        self.fmt = fmt
         self.chunk_flights = chunk_flights
         self._buffer: List[Any] = []
-        self._pids: Dict[str, int] = {}
         self._handle = None
-        self._first_event = True
         self.flights_written = 0
-        self.events_written = 0
         self.closed = False
 
     @property
@@ -286,35 +232,15 @@ class FlightStream:
             self._flush()
 
     def close(self, control_spans: Iterable[Any] = ()) -> str:
-        """Flush the tail chunk, append control-plane spans, and seal
-        the file (for perfetto: close the ``traceEvents`` array).
-        Idempotent; returns the path."""
+        """Flush the tail chunk, append control-plane spans, and close
+        the file. Idempotent; returns the path."""
         if self.closed:
             return self.path
         self._flush()
         if self._handle is None:
-            self._open()  # no flights at all: still produce a valid file
+            self._open()  # no flights at all: still produce the file
         for span in control_spans:
-            if self.fmt == "perfetto":
-                args = {"trace": span.trace_id, "span": span.span_id,
-                        "parent": span.parent_id}
-                if span.meta:
-                    args.update(span.meta)
-                self._event({
-                    "ph": "X", "cat": "control", "name": span.name,
-                    "pid": self._pid(span.node), "tid": span.trace_id,
-                    "ts": _us(span.start), "dur": _us(span.duration),
-                    "args": args,
-                })
-            else:
-                self._line({
-                    "kind": "control", "name": span.name,
-                    "node": span.node, "trace": span.trace_id,
-                    "span": span.span_id, "parent": span.parent_id,
-                    "start": span.start, "end": span.end,
-                })
-        if self.fmt == "perfetto":
-            self._handle.write("\n]}\n")
+            self._line(control_row(span))
         self._handle.close()
         self._handle = None
         self.closed = True
@@ -324,29 +250,9 @@ class FlightStream:
     def _open(self) -> None:
         _ensure_parent(self.path)
         self._handle = open(self.path, "w")
-        if self.fmt == "perfetto":
-            self._handle.write('{"displayTimeUnit":"ms","traceEvents":[\n')
-
-    def _pid(self, node: str) -> int:
-        pid = self._pids.get(node)
-        if pid is None:
-            pid = len(self._pids)
-            self._pids[node] = pid
-            self._event({
-                "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": node or "(global)"},
-            })
-        return pid
-
-    def _event(self, obj: Dict[str, Any]) -> None:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        self._handle.write(text if self._first_event else ",\n" + text)
-        self._first_event = False
-        self.events_written += 1
 
     def _line(self, obj: Dict[str, Any]) -> None:
         self._handle.write(json.dumps(obj, sort_keys=True) + "\n")
-        self.events_written += 1
 
     def _flush(self) -> None:
         if not self._buffer:
@@ -354,42 +260,12 @@ class FlightStream:
         if self._handle is None:
             self._open()
         for flight in self._buffer:
-            if self.fmt == "perfetto":
-                args: Dict[str, Any] = {
-                    "trace": flight.trace_id, "span": flight.root_id,
-                    "status": flight.status,
-                }
-                if flight.meta:
-                    args.update(flight.meta)
-                self._event({
-                    "ph": "X", "cat": "flight", "name": flight.name,
-                    "pid": self._pid(flight.node), "tid": flight.trace_id,
-                    "ts": _us(flight.start), "dur": _us(flight.duration),
-                    "args": args,
-                })
-                for span in flight.spans:
-                    self._event({
-                        "ph": "X", "cat": "stage", "name": span.name,
-                        "pid": self._pid(span.node), "tid": flight.trace_id,
-                        "ts": _us(span.start), "dur": _us(span.duration),
-                        "args": {"trace": span.trace_id,
-                                 "span": span.span_id,
-                                 "parent": span.parent_id},
-                    })
-            else:
-                self._line({
-                    "kind": "flight", "trace": flight.trace_id,
-                    "name": flight.name, "node": flight.node,
-                    "start": flight.start, "end": flight.end,
-                    "status": flight.status,
-                    "stages": [[s.name, s.node, s.start, s.end]
-                               for s in flight.spans],
-                })
-            self.flights_written += 1
+            self._line(flight_row(flight))
+        self.flights_written += len(self._buffer)
         self._buffer.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<FlightStream {self.path!r} fmt={self.fmt} "
+        return (f"<FlightStream {self.path!r} "
                 f"written={self.flights_written} buffered={self.buffered}>")
 
 

@@ -1,4 +1,4 @@
-"""``python -m repro.obs.flight`` — per-flight latency decomposition.
+"""``python -m repro.obs flight`` — per-flight latency decomposition.
 
 Rebuilds the paper's Table 4/5 PlanetLab setting (Chicago -- New York
 -- Washington over Abilene, with contending-slice background load),
@@ -9,8 +9,10 @@ flights and break each one down per stage*.
 For every retained flight the stage spans tile the whole journey, so
 the printed per-stage microseconds sum to the flight's end-to-end RTT
 exactly (the CLI asserts this, within float round-off). ``--export``
-additionally writes the deterministic Perfetto / Chrome-trace JSON for
-the run (load it at https://ui.perfetto.dev or ``chrome://tracing``).
+additionally renders the retained flights as deterministic Perfetto /
+Chrome-trace JSON (load it at https://ui.perfetto.dev or
+``chrome://tracing``); ``--diff A B`` re-runs two ``config:seed`` specs
+and compares their mean stage decompositions.
 
 This module duplicates the small world-builder from
 ``benchmarks/common.py`` on purpose: the ``benchmarks`` package lives
@@ -19,10 +21,9 @@ outside ``src/`` and is not importable from an installed ``repro``.
 
 from __future__ import annotations
 
-import argparse
-from typing import List, Optional, Tuple
+from typing import Tuple
 
-from repro.obs.export import export_perfetto
+from repro.obs.export import export_perfetto, flight_rows
 from repro.obs.spans import FlightRecorder, Flight
 
 #: Fig. 5 slice of Abilene used by Section 5.1.2 (propagation delays
@@ -93,15 +94,12 @@ def run_flights(
     seed: int = 17,
     warmup: float = 30.0,
     loaded: bool = True,
-    capacity: int = 1024,
-    policy: str = "slowest",
 ) -> Tuple[FlightRecorder, "object"]:
     """Build the world, run the traced ping, return (recorder, ping)."""
     from repro.tools.ping import Ping
 
     vini, exp = build_world(config, seed=seed, loaded=loaded, warmup=warmup)
-    recorder = FlightRecorder(vini.sim, capacity=capacity,
-                              policy=policy).install()
+    recorder = FlightRecorder(vini.sim, policy="slowest").install()
     src, sliver, dst = endpoints(vini, exp)
     ping = Ping(src, dst, sliver=sliver, interval=interval,
                 count=count).start()
@@ -200,39 +198,9 @@ def run_diff(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.flight",
-        description="Slowest-flight latency decomposition of a Table-5 "
-                    "PlanetLab ping run.",
-    )
-    parser.add_argument("--config", default="plvini",
-                        choices=("network", "planetlab", "plvini"),
-                        help="paper configuration to run (default: plvini)")
-    parser.add_argument("--count", type=int, default=100,
-                        help="ping packets to send (default: 100)")
-    parser.add_argument("--interval", type=float, default=0.1,
-                        help="seconds between pings (default: 0.1)")
-    parser.add_argument("--seed", type=int, default=17,
-                        help="world RNG seed (default: 17)")
-    parser.add_argument("--warmup", type=float, default=30.0,
-                        help="sim-seconds of warmup before measuring")
-    parser.add_argument("--slowest", type=int, default=10,
-                        help="how many flights to break down (default: 10)")
-    parser.add_argument("--unloaded", action="store_true",
-                        help="skip the contending-slice background load")
-    parser.add_argument("--export", metavar="PATH", default=None,
-                        help="write Perfetto/Chrome-trace JSON to PATH")
-    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
-                        help="compare mean slowest-flight stage "
-                             "decompositions of two runs; each spec is "
-                             "'config:seed', a bare config, or a bare "
-                             "seed (defaults fill the rest)")
-    args = parser.parse_args(argv)
-
-    if args.diff:
-        return run_diff(args)
-
+def run_slowest(args) -> int:
+    """Run one config and print its slowest flights stage by stage;
+    ``--export`` also writes them as a Perfetto trace."""
     recorder, ping = run_flights(
         config=args.config, count=args.count, interval=args.interval,
         seed=args.seed, warmup=args.warmup, loaded=not args.unloaded,
@@ -258,10 +226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               % (worst_error * 1e6))
         return 1
     if args.export:
-        path = export_perfetto(recorder, args.export)
+        path = export_perfetto(flight_rows(recorder), args.export)
         print("wrote Perfetto trace: %s" % path)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,8 +8,9 @@ is the window into a run *while it executes*:
 
 * :class:`LiveMonitor` — the telemetry bus. Installed on a
   :class:`~repro.sim.engine.Simulator` (directly, or implicitly through
-  ``Experiment.run`` when ``REPRO_LIVE_FEED`` is set), it emits two
-  kinds of output:
+  ``Experiment.run`` when ``REPRO_LIVE_FEED`` is set — see
+  :func:`repro.obs.archive.attach_from_env`), it emits two kinds of
+  output:
 
   - a **deterministic JSONL feed**: one snapshot per ``interval``
     sim-seconds, keyed by sim-time + event-count and containing only
@@ -42,10 +43,10 @@ the feed for a same-seed run is byte-identical across invocations and
 across machines of any speed, because snapshot *selection* (sim-time
 cadence) and snapshot *content* (sim state only) are both wall-free.
 
-``python -m repro.obs.live`` runs the Fig-8 Abilene failover under a
-full observatory — live feed, status line, watchdogs, streaming
-Perfetto flight export, spilling sampler — and is what ``make watch``
-invokes (headless automatically when stderr is not a TTY).
+``python -m repro.obs fig8 OUT --watch`` (``make watch``) runs the Fig-8
+Abilene failover under the full observatory of :mod:`repro.obs.fig8`
+with the status line on (headless automatically when either stream is
+not a TTY).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.obs.archive import note_artifact
+
 __all__ = [
     "Alarm",
     "JsonlFeed",
@@ -64,7 +67,6 @@ __all__ = [
     "RateWatchdog",
     "StallWatchdog",
     "Watchdog",
-    "maybe_attach_env_monitor",
 ]
 
 #: Feed schema identifier written as the first line of every feed.
@@ -72,9 +74,6 @@ FEED_SCHEMA = "repro.live/1"
 
 #: Watchdog actions, in escalation order.
 ACTIONS = ("log", "mark", "abort")
-
-#: Environment variable read by :func:`maybe_attach_env_monitor`.
-ENV_FEED = "REPRO_LIVE_FEED"
 
 
 class JsonlFeed:
@@ -293,20 +292,6 @@ class RateWatchdog(Watchdog):
                 f"({self._hot} consecutive polls)")
 
 
-def solver_watchdog(plane, max_resolves_per_sim_s: float = 1000.0,
-                    sustain: int = 3, action: str = "mark") -> RateWatchdog:
-    """Non-convergence alarm for a :class:`FluidTrafficPlane`: the
-    solver re-solving at a sustained rate means the coupled
-    fluid/packet feedback is oscillating rather than settling."""
-    return RateWatchdog(
-        "traffic.solver_runs",
-        lambda: plane.stats()["solver_runs"],
-        max_resolves_per_sim_s,
-        sustain=sustain,
-        action=action,
-    )
-
-
 def bgp_oscillation_watchdog(registry, max_changes_per_sim_s: float = 500.0,
                              sustain: int = 3,
                              action: str = "mark") -> RateWatchdog:
@@ -340,7 +325,8 @@ class LiveMonitor:
         ``None`` for headless.
     until:
         The run's target sim-time, for the ETA estimate. Updated by
-        :func:`maybe_attach_env_monitor` on every ``run(until=...)``.
+        :func:`repro.obs.archive.attach_from_env` on every
+        ``run(until=...)``.
     clock:
         Wall-clock source (tests inject a synthetic one).
     poll_stride:
@@ -442,17 +428,6 @@ class LiveMonitor:
         """Probe total CPU-scheduler run-queue backlog."""
         return self.watch_metric("cpu_backlog", "cpu.runq_depth")
 
-    def watch_traffic(self, plane) -> "LiveMonitor":
-        """Probe a :class:`FluidTrafficPlane`: active flows, completed
-        flows, and solver re-solves."""
-        self.watch("traffic.flows_active",
-                   lambda: plane.stats()["flows_active"])
-        self.watch("traffic.flows_completed",
-                   lambda: plane.stats()["flows_completed"])
-        self.watch("traffic.solver_runs",
-                   lambda: plane.stats()["solver_runs"])
-        return self
-
     def watch_convergence(self, tracker) -> "LiveMonitor":
         """Probe a :class:`ConvergenceTracker`: episode count and the
         fraction of episodes that have reached route-stable."""
@@ -489,7 +464,6 @@ class LiveMonitor:
                 "seed": self.sim.seed,
             })
             if self.feed.path:
-                from repro.obs.archive import note_artifact
                 note_artifact(self.sim, self.feed.path, "live_feed")
         metrics = self.sim.metrics
         if metrics.enabled:
@@ -643,6 +617,7 @@ class LiveMonitor:
                     json.dump(self.diagnostic, handle, sort_keys=True,
                               indent=2)
                     handle.write("\n")
+                note_artifact(self.sim, diag_path, "json")
             self.sim.stop()
 
     # ------------------------------------------------------------------
@@ -661,171 +636,3 @@ class LiveMonitor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<LiveMonitor {self.name} snapshots={self.snapshots} "
                 f"alarms={len(self.alarms)}>")
-
-
-def maybe_attach_env_monitor(sim, until: Optional[float] = None):
-    """Install a feed-only :class:`LiveMonitor` when ``REPRO_LIVE_FEED``
-    names a path. Called by ``Experiment.run`` / ``VINI.run`` so any
-    scenario — including every benchmark cell — grows a live feed with
-    zero per-scenario wiring. Idempotent per simulator; successive
-    ``run(until=...)`` calls refresh the ETA target."""
-    path = os.environ.get(ENV_FEED)
-    if not path:
-        return None
-    monitor = getattr(sim, "_env_live_monitor", None)
-    if monitor is not None:
-        monitor.until = until
-        return monitor
-    monitor = LiveMonitor(sim, feed=path, until=until)
-    monitor.watch_engine()
-    monitor.add_watchdog(StallWatchdog(budget_s=120.0, action="mark"))
-    monitor.add_watchdog(LivelockWatchdog(action="mark"))
-    monitor.install()
-    sim._env_live_monitor = monitor
-    return monitor
-
-
-# ----------------------------------------------------------------------
-# ``python -m repro.obs.live`` / ``make watch`` — the Fig-8 observatory
-# ----------------------------------------------------------------------
-def run_fig8_watch(
-    out_dir: str,
-    seed: int = 8,
-    warmup: float = 40.0,
-    fail_at: float = 10.0,
-    fail_duration: float = 24.0,
-    end_at: float = 55.0,
-    ping_interval: float = 0.25,
-    feed_interval: float = 1.0,
-    headless: bool = False,
-    flight_capacity: int = 64,
-    sampler_points: int = 32,
-) -> Dict[str, Any]:
-    """The Fig-8 Abilene failover under the full live observatory.
-
-    Streams while running: the deterministic live feed
-    (``fig8_live.jsonl``), a chunked Perfetto flight trace
-    (``fig8_flights.perfetto.json``, bounded retention), and a spilling
-    1 Hz RTT sampler (``fig8_series.csv``). Returns a summary dict.
-    """
-    from repro.faults import FaultPlan
-    from repro.obs.export import FlightStream
-    from repro.obs.routing import ConvergenceTracker
-    from repro.obs.sampler import PeriodicSampler
-    from repro.obs.spans import FlightRecorder
-    from repro.tools.ping import Ping
-    from repro.topologies import build_abilene_iias
-
-    os.makedirs(out_dir, exist_ok=True)
-    feed_path = os.path.join(out_dir, "fig8_live.jsonl")
-    perfetto_path = os.path.join(out_dir, "fig8_flights.perfetto.json")
-    series_path = os.path.join(out_dir, "fig8_series.csv")
-    run_until = warmup + end_at + 2.0
-
-    vini, exp = build_abilene_iias(seed=seed)
-    stream = FlightStream(perfetto_path, fmt="perfetto", chunk_flights=32)
-    recorder = FlightRecorder(
-        vini.sim, capacity=flight_capacity, stream=stream
-    ).install()
-    tracker = ConvergenceTracker(exp).install()
-    tracker.watch_path("washington", "seattle")
-
-    status = None if headless else sys.stderr
-    monitor = LiveMonitor(
-        vini.sim, interval=feed_interval, feed=feed_path, status=status,
-        name="fig8", until=run_until,
-    )
-    monitor.watch_engine().watch_queues().watch_cpu()
-    monitor.watch_convergence(tracker)
-    monitor.watch("flights_completed", lambda: recorder.flights_completed)
-    monitor.add_watchdog(StallWatchdog(budget_s=60.0, action="abort"))
-    monitor.add_watchdog(LivelockWatchdog(action="abort"))
-    monitor.add_watchdog(
-        bgp_oscillation_watchdog(vini.sim.metrics, action="mark")
-    )
-    monitor.install()
-
-    exp.run(until=warmup)
-    plan = FaultPlan("fig8").fail_link(
-        fail_at, "denver", "kansascity", duration=fail_duration
-    )
-    exp.apply_faults(plan, offset=warmup)
-    washington = exp.network.nodes["washington"]
-    seattle = exp.network.nodes["seattle"]
-    ping = Ping(
-        washington.phys_node, seattle.tap_addr, sliver=washington.sliver,
-        interval=ping_interval, count=int(end_at / ping_interval),
-    ).start()
-    sampler = PeriodicSampler(
-        vini.sim, 1.0, name="fig8", max_points=sampler_points,
-        retention="spill", spill_path=series_path,
-    )
-    sampler.watch("rtt", metric=ping.rtt_hist)
-    sampler.watch("pending", fn=lambda: vini.sim.pending)
-    sampler.start()
-    vini.run(until=run_until)
-    sampler.stop(final=True)
-    monitor.stop()
-    recorder.close_stream()
-    sampler.finish()
-
-    return {
-        "feed": feed_path,
-        "feed_lines": monitor.feed.lines if monitor.feed else 0,
-        "snapshots": monitor.snapshots,
-        "alarms": [a.as_dict() for a in monitor.alarms],
-        "perfetto": perfetto_path,
-        "flights_streamed": stream.flights_written,
-        "flights_retained": len(recorder.flights()),
-        "series": series_path,
-        "series_spilled_rows": sampler.spilled_rows,
-        "episodes": len(tracker.episodes),
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.live",
-        description="Watch the Fig-8 Abilene failover live: deterministic "
-                    "JSONL feed, TTY status line, watchdogs, streaming "
-                    "Perfetto flight export, spilling sampler.",
-    )
-    parser.add_argument("--out", default="benchmarks/results/live",
-                        metavar="DIR", help="output directory "
-                        "(default: benchmarks/results/live)")
-    parser.add_argument("--seed", type=int, default=8,
-                        help="world RNG seed (default: 8)")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        help="sim-seconds between feed snapshots")
-    parser.add_argument("--headless", action="store_true",
-                        help="no TTY status line (automatic when stderr "
-                             "is not a terminal)")
-    args = parser.parse_args(argv)
-
-    # Headless whenever either stream is piped: a non-TTY stdout means
-    # the run's output is being captured, and interleaving a status
-    # line (even on stderr) with captured logs helps nobody.
-    headless = (args.headless or not sys.stderr.isatty()
-                or not sys.stdout.isatty())
-    summary = run_fig8_watch(
-        args.out, seed=args.seed, feed_interval=args.interval,
-        headless=headless,
-    )
-    print(f"live feed: {summary['feed']} ({summary['feed_lines']} lines, "
-          f"{summary['snapshots']} snapshots)")
-    print(f"streamed perfetto: {summary['perfetto']} "
-          f"({summary['flights_streamed']} flights streamed, "
-          f"{summary['flights_retained']} retained in memory)")
-    print(f"spilled series: {summary['series']} "
-          f"({summary['series_spilled_rows']} rows spilled while running)")
-    print(f"episodes: {summary['episodes']}, alarms: {len(summary['alarms'])}")
-    for alarm in summary["alarms"]:
-        print(f"  alarm {alarm['watchdog']} ({alarm['action']}) "
-              f"at t={alarm['sim_t']:.3f}: {alarm['detail']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,7 +2,7 @@
 diffing, and a causal "explain" chain.
 
 The repo's runs emit deterministic artifacts (struct-packed trace
-spills, flight Perfetto/JSONL, sampler CSV, live feeds, experiment
+spills, flight JSONL, sampler CSV, live feeds, experiment
 reports) indexed by :mod:`repro.obs.archive` manifests. This module is
 the read side:
 
@@ -23,12 +23,14 @@ the read side:
   plain run) lives in: fault records -> the convergence episodes they
   trigger -> the blackhole windows and affected flights inside each
   episode.
-* a CLI — ``python -m repro.obs.query {ls,q,diff,explain,fig8}`` —
-  whose output is JSONL with sorted keys, so same-seed invocations are
-  byte-identical (test-enforced).
+
+``python -m repro.obs {ls,q,diff,explain,perfetto}`` is the CLI over
+these; its output is JSON with sorted keys, so same-seed invocations
+are byte-identical (test-enforced).
 
 All of it is read-only over artifacts on disk; nothing here touches a
-live simulator.
+live simulator. A file that does not decode raises ``ValueError``
+naming the file and the line, never a bare ``json`` traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import csv
 import json
 import os
 import struct
-import sys
 from itertools import zip_longest
 from typing import (
     Any,
@@ -52,12 +53,8 @@ from typing import (
     Union,
 )
 
-from repro.obs.archive import (
-    MANIFEST_NAME,
-    load_manifest,
-    resolve_artifact,
-    sha256_file,
-)
+from repro.obs.archive import load_manifest, resolve_artifact, sha256_file
+from repro.obs.export import SERIES_HEADER
 from repro.sim.trace import _SPILL_MAGIC, _read_exact, _skip_value, iter_spill
 
 __all__ = [
@@ -70,7 +67,6 @@ __all__ = [
     "flatten",
     "nudge_spill",
     "open_artifact",
-    "run_fig8_archive",
 ]
 
 Row = Dict[str, Any]
@@ -180,6 +176,9 @@ class Table:
         group columns plus ``op(column)`` keys. Only the group table
         is held in memory, never the rows.
         """
+        for op, _col in spec:
+            if op not in _ACCS:
+                raise ValueError(f"unknown aggregate {op!r}")
         groups: Dict[tuple, Dict[str, Any]] = {}
         for row in self._source():
             key = tuple(repr(row.get(col)) for col in by)
@@ -252,25 +251,36 @@ def read_trace_spill(path: str, kinds=None, fields=None,
         yield row
 
 
+def _jsonl(path: str) -> Iterator[Dict[str, Any]]:
+    """The JSON object on each non-blank line of ``path``."""
+    with open(path) as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{number}: not a JSON line ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            yield obj
+
+
 def read_live_feed(path: str) -> Iterator[Row]:
     """Live feed rows: the header line, then one row per snapshot with
     probes flattened to ``probes.<key>`` columns."""
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "schema" in obj:
-                yield dict(flatten(obj), kind="header", t=None)
-            else:
-                row = {"t": obj.get("t"), "kind": "snapshot"}
-                for key, value in obj.items():
-                    if key == "probes":
-                        row.update(flatten(value, "probes."))
-                    elif key != "t":
-                        row[key] = value
-                yield row
+    for obj in _jsonl(path):
+        if "schema" in obj:
+            yield dict(flatten(obj), kind="header", t=None)
+        else:
+            row = {"t": obj.get("t"), "kind": "snapshot"}
+            for key, value in obj.items():
+                if key == "probes":
+                    row.update(flatten(value, "probes."))
+                elif key != "t":
+                    row[key] = value
+            yield row
 
 
 def _maybe_num(text: str) -> Any:
@@ -290,7 +300,7 @@ def read_sampler_csv(path: str) -> Iterator[Row]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != ["key", "time", "value", "count", "sum"]:
+        if header != SERIES_HEADER:
             raise ValueError(f"{path!r} is not a sampler series CSV "
                              f"(header {header!r})")
         for key, t, value, count, total in reader:
@@ -301,54 +311,10 @@ def read_sampler_csv(path: str) -> Iterator[Row]:
 
 def read_flight_jsonl(path: str) -> Iterator[Row]:
     """FlightStream JSONL rows (flight/control), timed by ``start``."""
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            row = {"t": obj.get("start")}
-            row.update(obj)
-            yield row
-
-
-def read_flight_perfetto(path: str) -> Iterator[Row]:
-    """Chrome-trace-event rows from a Perfetto export.
-
-    Handles both layouts the repo writes: the streaming
-    :class:`~repro.obs.export.FlightStream` file (header line, one
-    event per line, ``]}`` tail — parsed line by line, never loading
-    the document) and the one-shot ``export_perfetto`` single-line
-    document (loaded whole; those files are bounded by construction).
-    """
-    with open(path) as handle:
-        first = handle.readline()
-        stripped = first.strip()
-        if stripped.endswith("]}"):  # whole document on one line
-            for event in json.loads(stripped).get("traceEvents", []):
-                yield _perfetto_row(event)
-            return
-        for line in handle:
-            line = line.strip()
-            if not line or line in ("]}", "]"):
-                continue
-            if line.endswith(","):
-                line = line[:-1]
-            yield _perfetto_row(json.loads(line))
-
-
-def _perfetto_row(event: Dict[str, Any]) -> Row:
-    ts = event.get("ts")
-    row: Row = {
-        "t": None if ts is None else ts / 1e6,
-        "kind": event.get("cat", "meta"),
-    }
-    for key, value in event.items():
-        if key == "args":
-            row.update(flatten(value, "args."))
-        elif key != "cat":
-            row[key] = value
-    return row
+    for obj in _jsonl(path):
+        row = {"t": obj.get("start")}
+        row.update(obj)
+        yield row
 
 
 def _json_leaves(obj: Any, prefix: str = "") -> Iterator[Tuple[str, Any]]:
@@ -362,31 +328,26 @@ def _json_leaves(obj: Any, prefix: str = "") -> Iterator[Tuple[str, Any]]:
         yield prefix[:-1], obj
 
 
+def _json_doc(path: str) -> Any:
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: not a JSON document ({exc})") from exc
+
+
 def read_json_leaves(path: str) -> Iterator[Row]:
     """One row per leaf of a JSON document, keyed by dotted path (list
     indices included), in sorted order — so a generic row diff
     localizes the first differing leaf."""
-    with open(path) as handle:
-        doc = json.load(handle)
-    for key, value in _json_leaves(doc):
+    for key, value in _json_leaves(_json_doc(path)):
         yield {"t": None, "kind": "leaf", "key": key, "value": value}
 
 
 def read_metrics_jsonl(path: str) -> Iterator[Row]:
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield dict(flatten(json.loads(line)), t=None, kind="metric")
-
-
-def read_metrics_csv(path: str) -> Iterator[Row]:
-    with open(path, newline="") as handle:
-        for obj in csv.DictReader(handle):
-            yield dict(
-                {k: _maybe_num(v) for k, v in obj.items()},
-                t=None, kind="metric",
-            )
+    for obj in _jsonl(path):
+        yield dict(flatten(obj), t=None, kind="metric")
 
 
 def read_text_lines(path: str) -> Iterator[Row]:
@@ -402,11 +363,9 @@ KIND_READERS: Dict[str, Callable[[str], Iterator[Row]]] = {
     "live_feed": read_live_feed,
     "sampler_csv": read_sampler_csv,
     "flight_jsonl": read_flight_jsonl,
-    "flight_perfetto": read_flight_perfetto,
     "report_json": read_json_leaves,
     "report_md": read_text_lines,
     "metrics_jsonl": read_metrics_jsonl,
-    "metrics_csv": read_metrics_csv,
     "bench_cell": read_json_leaves,
     "json": read_json_leaves,
     "text": read_text_lines,
@@ -422,15 +381,12 @@ def sniff_kind(path: str) -> str:
     if path.endswith(".csv"):
         with open(path) as handle:
             first = handle.readline().strip()
-        return "sampler_csv" if first == "key,time,value,count,sum" \
-            else "metrics_csv"
+        return "sampler_csv" if first == ",".join(SERIES_HEADER) else "text"
     if path.endswith((".json", ".jsonl")):
         with open(path) as handle:
             first = handle.readline().strip()
-        if '"displayTimeUnit"' in first:
-            return "flight_perfetto"
         try:
-            obj = json.loads(first.rstrip(","))
+            obj = json.loads(first)
         except ValueError:
             # Multi-line (indented) documents only part-parse on the
             # first line; .json files starting like one are documents.
@@ -489,9 +445,8 @@ class ArchiveReader:
         """A :class:`Table` over artifact ``name``. For trace spills
         the filters push down into the decoder; for every other kind
         they are applied as stream combinators."""
-        entry = self.artifacts[name]
         path = self.path(name)
-        kind = entry["kind"]
+        kind = self.artifacts[name]["kind"]
         if kind == "trace_spill":
             table = Table(
                 lambda: read_trace_spill(path, kinds=kinds, fields=fields,
@@ -731,8 +686,7 @@ def explain_archive(path: str, at: Optional[float] = None) -> Dict[str, Any]:
 
     blackholes: List[Dict[str, Any]] = []
     for name in reader.names("report_json"):
-        with open(reader.path(name)) as handle:
-            doc = json.load(handle)
+        doc = _json_doc(reader.path(name))
         for pair, windows in sorted(
                 doc.get("convergence", {}).get("paths", {}).items()):
             for window in windows:
@@ -844,283 +798,3 @@ def nudge_spill(path: str, index: int, dt: float) -> float:
                 raise ValueError(f"unknown spill frame tag 0x{tag:02x}")
     raise IndexError(
         f"spill {path!r} has only {record_i} records, no index {index}")
-
-
-# ----------------------------------------------------------------------
-# Fig-8 archive builder (make explain, CI, tests)
-# ----------------------------------------------------------------------
-def run_fig8_archive(
-    out_dir: str,
-    seed: int = 8,
-    warmup: float = 40.0,
-    fail_at: float = 10.0,
-    fail_duration: float = 24.0,
-    end_at: float = 45.0,
-    interval: float = 0.5,
-    name: str = "fig8",
-    nudge_index: Optional[int] = None,
-    nudge_dt: float = 0.0,
-) -> str:
-    """Run the Fig-8 failover with every collector installed and an
-    attached :class:`~repro.obs.archive.RunArchive`; returns the
-    manifest path.
-
-    The one-stop archive producer: trace spill, flight JSONL stream,
-    sampler CSV, live feed, experiment report and manifest land in
-    ``out_dir``. A same-seed pair of calls produces byte-identical
-    archives — unless ``nudge_index`` injects the single-event
-    timestamp perturbation (by ``nudge_dt`` sim-seconds) used to
-    exercise the diff engine.
-    """
-    from repro.faults import FaultPlan
-    from repro.obs.archive import RunArchive, experiment_signature
-    from repro.obs.export import FlightStream, detect_commit, export_series_csv
-    from repro.obs.live import LiveMonitor
-    from repro.obs.report import build_report
-    from repro.obs.routing import ConvergenceTracker
-    from repro.obs.sampler import PeriodicSampler
-    from repro.obs.spans import FlightRecorder
-    from repro.tools.ping import Ping
-    from repro.topologies import build_abilene_iias
-
-    os.makedirs(out_dir, exist_ok=True)
-    vini, exp = build_abilene_iias(seed=seed)
-    archive = RunArchive(out_dir, name=name,
-                         meta={"commit": detect_commit()})
-    archive.attach(vini.sim)
-
-    stream = FlightStream(os.path.join(out_dir, "flights.jsonl"),
-                          fmt="jsonl", chunk_flights=64)
-    recorder = FlightRecorder(vini.sim, capacity=128,
-                              stream=stream).install()
-    tracker = ConvergenceTracker(exp).install()
-    tracker.watch_path("washington", "seattle")
-    monitor = LiveMonitor(vini.sim, interval=1.0,
-                          feed=os.path.join(out_dir, "live.jsonl"),
-                          name=name)
-    monitor.watch_engine()
-    monitor.install()
-
-    exp.run(until=warmup)
-    plan = FaultPlan("fig8").fail_link(
-        fail_at, "denver", "kansascity", duration=fail_duration)
-    exp.apply_faults(plan, offset=warmup)
-    washington = exp.network.nodes["washington"]
-    seattle = exp.network.nodes["seattle"]
-    ping = Ping(
-        washington.phys_node, seattle.tap_addr, sliver=washington.sliver,
-        interval=interval, count=int(end_at / interval),
-    ).start()
-    sampler = PeriodicSampler(vini.sim, 1.0, name=name)
-    sampler.watch("rtt", metric=ping.rtt_hist).start()
-    vini.run(until=warmup + end_at + 2.0)
-
-    sampler.stop(final=True)
-    monitor.stop()
-    recorder.close_stream()
-    export_series_csv(sampler, os.path.join(out_dir, "series.csv"))
-    report = build_report(
-        vini.sim, name=name,
-        meta={"config": "abilene-iias", "seed": seed, "warmup_s": warmup,
-              "fail_at_s": fail_at, "fail_duration_s": fail_duration},
-        samplers=(sampler,), recorder=recorder, tracker=tracker,
-    )
-    report.write(os.path.join(out_dir, "report"))
-    spill_path = os.path.join(out_dir, "trace.spill")
-    vini.sim.trace.spill_to(spill_path)
-    if nudge_index is not None:
-        nudge_spill(spill_path, nudge_index, nudge_dt)
-    archive.set_meta(config_signature=experiment_signature(exp))
-    manifest_path = archive.write()
-    archive.detach()
-    return manifest_path
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def _parse_value(text: str) -> Any:
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    if lowered in ("none", "null"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
-def _cmd_ls(args) -> int:
-    reader = ArchiveReader(args.archive)
-    if args.json:
-        manifest = dict(reader.manifest)
-        manifest.pop("_path", None)
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0
-    meta = reader.meta
-    print(f"archive {reader.name}  "
-          + "  ".join(f"{k}={meta[k]}" for k in sorted(meta)))
-    for name in reader.names():
-        entry = reader.artifacts[name]
-        print(f"  {name:24s} {entry['kind']:16s} "
-              f"{entry['bytes']:>10d}B  {entry['sha256'][:12]}")
-    return 0
-
-
-def _cmd_q(args) -> int:
-    reader = ArchiveReader(args.archive)
-    kinds = args.kind.split(",") if args.kind else None
-    fields = args.cols.split(",") if args.cols else None
-    table = reader.table(args.artifact, kinds=kinds, fields=fields,
-                         t0=args.t0, t1=args.t1)
-    for clause in args.where or ():
-        if "=" not in clause:
-            raise SystemExit(f"--where expects col=value, got {clause!r}")
-        col, _, value = clause.partition("=")
-        table = table.where(**{col: _parse_value(value)})
-    if args.window:
-        table = table.window(args.window)
-    if args.agg:
-        spec = []
-        for part in args.agg.split(","):
-            op, _, col = part.partition(":")
-            if op not in _ACCS:
-                raise SystemExit(f"unknown aggregate {op!r}")
-            spec.append((op, col or None))
-        by = args.by.split(",") if args.by else ()
-        for row in table.agg(spec, by=by):
-            print(_dump(row))
-        return 0
-    if args.limit is not None:
-        table = table.head(args.limit)
-    for row in table:
-        print(_dump(row))
-    return 0
-
-
-def _cmd_diff(args) -> int:
-    report = diff_archives(args.a, args.b, hash_only=args.hash_only,
-                           max_per_artifact=args.max)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    divergences = report["divergences"]
-    missing = report["only_a"] or report["only_b"]
-    if args.explain and divergences:
-        first = divergences[0]
-        at = first["time"]
-        if isinstance(at, (list, tuple)):
-            at = at[0]
-        explanation = explain_archive(args.a, at=at)
-        print(json.dumps(explanation, indent=2, sort_keys=True))
-    if getattr(args, "assert_zero", False) and (divergences or missing):
-        return 1
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    print(json.dumps(explain_archive(args.archive, at=args.at),
-                     indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_fig8(args) -> int:
-    manifest = run_fig8_archive(
-        args.out, seed=args.seed, end_at=args.end,
-        nudge_index=args.nudge_index, nudge_dt=args.nudge_dt,
-    )
-    print(f"wrote {manifest}")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.query",
-        description="Query run archives, diff two runs down to the "
-                    "first divergent record, and explain the causal "
-                    "chain around it.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ls = sub.add_parser("ls", help="list an archive's artifacts")
-    p_ls.add_argument("archive", help="archive dir or manifest.json")
-    p_ls.add_argument("--json", action="store_true",
-                      help="print the raw manifest")
-    p_ls.set_defaults(fn=_cmd_ls)
-
-    p_q = sub.add_parser("q", help="query one artifact as JSONL rows")
-    p_q.add_argument("archive")
-    p_q.add_argument("artifact", help="artifact name (see ls)")
-    p_q.add_argument("--kind", help="comma-separated record kinds")
-    p_q.add_argument("--where", action="append", metavar="COL=VALUE",
-                     help="equality filter (repeatable)")
-    p_q.add_argument("--t0", type=float, help="window start (sim s)")
-    p_q.add_argument("--t1", type=float, help="window end (sim s)")
-    p_q.add_argument("--cols", help="comma-separated projection")
-    p_q.add_argument("--window", type=float, metavar="W",
-                     help="add a W-wide time bucket column")
-    p_q.add_argument("--agg", metavar="OP[:COL],...",
-                     help="aggregate: count, sum:col, mean:col, "
-                          "min:col, max:col")
-    p_q.add_argument("--by", help="comma-separated group-by columns")
-    p_q.add_argument("--limit", type=int, help="emit at most N rows")
-    p_q.set_defaults(fn=_cmd_q)
-
-    p_diff = sub.add_parser(
-        "diff", help="first-divergence diff of two archives")
-    p_diff.add_argument("a")
-    p_diff.add_argument("b")
-    p_diff.add_argument("--hash-only", action="store_true",
-                        help="trust manifest hashes; no row localization")
-    p_diff.add_argument("--max", type=int, default=1,
-                        help="divergences reported per artifact")
-    p_diff.add_argument("--assert", dest="assert_zero",
-                        action="store_true",
-                        help="exit 1 on any divergence (CI gating)")
-    p_diff.add_argument("--explain", action="store_true",
-                        help="append the causal chain at the first "
-                             "divergence")
-    p_diff.set_defaults(fn=_cmd_diff)
-
-    p_explain = sub.add_parser(
-        "explain", help="fault -> episode -> flights/blackholes chain")
-    p_explain.add_argument("archive")
-    p_explain.add_argument("--at", type=float,
-                           help="anchor the chain at a sim-time")
-    p_explain.set_defaults(fn=_cmd_explain)
-
-    p_fig8 = sub.add_parser(
-        "fig8", help="run the Fig-8 scenario into a fresh archive")
-    p_fig8.add_argument("out", help="archive output directory")
-    p_fig8.add_argument("--seed", type=int, default=8)
-    p_fig8.add_argument("--end", type=float, default=45.0,
-                        help="experiment length after warmup")
-    p_fig8.add_argument("--nudge-index", type=int, default=None,
-                        help="perturb this trace record's timestamp "
-                             "after the run (diff-engine validation)")
-    p_fig8.add_argument("--nudge-dt", type=float, default=1e-3,
-                        help="timestamp nudge in sim-seconds")
-    p_fig8.set_defaults(fn=_cmd_fig8)
-
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; exit quietly like
-        # any well-behaved unix filter.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(1)

@@ -1,4 +1,4 @@
-"""``python -m repro.obs.report`` — unified experiment reports.
+"""Unified experiment reports.
 
 One run produces many observation streams: the metrics registry, any
 periodic samplers, the flight recorder's spans, the routing timelines,
@@ -13,17 +13,13 @@ emitted in sorted order, and floats are printed with fixed formatting,
 so a fixed-seed run yields byte-identical Markdown and JSON on every
 invocation.
 
-The CLI rebuilds the Fig-8 setting (the Abilene mirror, the
-Denver--Kansas City failure, D.C. -> Seattle pings) with every
-collector installed and writes ``<out>.md`` + ``<out>.json``. Like
-``repro.obs.flight``, it duplicates the small scenario builder from
-``benchmarks/`` on purpose: that package is not importable from an
-installed ``repro``.
+``python -m repro.obs fig8 OUT`` (:mod:`repro.obs.fig8`) runs the Fig-8
+setting with every collector installed and lands ``report.md`` +
+``report.json`` in the archive it writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -384,94 +380,3 @@ class ExperimentReport:
             note_artifact(self.sim, md_path, "report_md")
             note_artifact(self.sim, json_path, "report_json")
         return md_path, json_path
-
-
-# ----------------------------------------------------------------------
-# CLI: the Fig-8 report
-# ----------------------------------------------------------------------
-def run_fig8_report(
-    seed: int = 8,
-    warmup: float = 40.0,
-    fail_at: float = 10.0,
-    fail_duration: float = 24.0,
-    end_at: float = 55.0,
-    interval: float = 0.25,
-) -> ExperimentReport:
-    """Run the Fig-8 scenario with every collector installed and
-    compile the report (mirrors ``benchmarks/bench_fig8_ospf_convergence``)."""
-    from repro.faults import FaultPlan
-    from repro.obs.routing import ConvergenceTracker, RoutingObserver
-    from repro.obs.sampler import PeriodicSampler
-    from repro.obs.spans import FlightRecorder
-    from repro.tools.ping import Ping
-    from repro.topologies import build_abilene_iias
-
-    vini, exp = build_abilene_iias(seed=seed)
-    observer = RoutingObserver(vini.sim).install()
-    tracker = ConvergenceTracker(exp).install()
-    tracker.watch_path("washington", "seattle")
-    recorder = FlightRecorder(vini.sim, capacity=256).install()
-    exp.run(until=warmup)
-    washington = exp.network.nodes["washington"]
-    seattle = exp.network.nodes["seattle"]
-    plan = FaultPlan("fig8").fail_link(
-        fail_at, "denver", "kansascity", duration=fail_duration
-    )
-    exp.apply_faults(plan, offset=warmup)
-    ping = Ping(
-        washington.phys_node, seattle.tap_addr, sliver=washington.sliver,
-        interval=interval, count=int(end_at / interval),
-    ).start()
-    sampler = PeriodicSampler(vini.sim, 1.0, name="fig8")
-    sampler.watch("rtt", metric=ping.rtt_hist).start()
-    vini.run(until=warmup + end_at + 2.0)
-    sampler.stop(final=True)
-    meta = {
-        "config": "abilene-iias",
-        "seed": seed,
-        "warmup_s": warmup,
-        "fail_at_s": fail_at,
-        "fail_duration_s": fail_duration,
-        "ping": "washington->seattle @ %gs" % interval,
-    }
-    return build_report(
-        vini.sim, name="fig8", meta=meta, samplers=(sampler,),
-        recorder=recorder, observer=observer, tracker=tracker,
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Compile the Fig-8 Abilene run into a deterministic "
-                    "Markdown + JSON experiment report.",
-    )
-    parser.add_argument("--seed", type=int, default=8,
-                        help="world RNG seed (default: 8)")
-    parser.add_argument("--warmup", type=float, default=40.0,
-                        help="sim-seconds of warmup before the schedule")
-    parser.add_argument("--end", type=float, default=55.0,
-                        help="experiment length after warmup (default: 55)")
-    parser.add_argument("--interval", type=float, default=0.25,
-                        help="ping interval in seconds (default: 0.25)")
-    parser.add_argument("--out", default="fig8_report", metavar="BASE",
-                        help="output base path; writes BASE.md and "
-                             "BASE.json (default: fig8_report)")
-    args = parser.parse_args(argv)
-
-    report = run_fig8_report(
-        seed=args.seed, warmup=args.warmup, end_at=args.end,
-        interval=args.interval,
-    )
-    md_path, json_path = report.write(args.out)
-    episodes = report.data.get("convergence", {}).get("episodes", [])
-    for episode in episodes:
-        print("episode %s: detection %s s, convergence %s s, %d changes"
-              % (episode["trigger"], _num(episode["detection_s"]),
-                 _num(episode["convergence_s"]), episode["changes"]))
-    print("wrote %s and %s" % (md_path, json_path))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,8 +20,11 @@ points for plotting or export via
 
 from __future__ import annotations
 
+import csv
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs.export import SERIES_HEADER, _ensure_parent, series_rows
 
 #: Tolerance when locating a snapshot at a window boundary: boundaries
 #: land exactly on tick times, but callers pass times computed
@@ -47,13 +50,8 @@ def _reader_for(metric) -> Callable[[], Any]:
 class PeriodicSampler:
     """Snapshot watched metrics every ``interval`` sim-seconds.
 
-    Retention (for multi-hour runs): with ``max_points`` set, each
-    probe's series is capped. ``retention="tail"`` keeps the newest
-    ``max_points`` snapshots (a sliding window); ``retention="decimate"``
-    thins the *older* points ``decimate``:1 whenever the cap is reached,
-    keeping every ``decimate``-th old point at coarse resolution while
-    recent history stays dense; ``retention="spill"`` keeps in-memory
-    cost bounded *without losing anything* — whenever a probe's series
+    For multi-hour runs, ``max_points`` with ``spill_path`` bounds the
+    in-memory cost *without losing anything*: whenever a probe's series
     exceeds the cap, the older half is appended to ``spill_path`` (the
     same long-form ``key,time,value,count,sum`` CSV as
     :func:`repro.obs.export.export_series_csv`) and dropped from
@@ -68,37 +66,21 @@ class PeriodicSampler:
         interval: float,
         name: str = "sampler",
         max_points: Optional[int] = None,
-        retention: str = "tail",
-        decimate: int = 10,
         spill_path: Optional[str] = None,
     ):
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
-        if retention not in ("tail", "decimate", "spill"):
-            raise ValueError(
-                "retention must be 'tail', 'decimate' or 'spill', "
-                f"got {retention!r}"
-            )
         if max_points is not None and max_points <= 0:
             raise ValueError(f"max_points must be positive, got {max_points!r}")
-        if decimate < 2:
-            raise ValueError(f"decimate must be >= 2, got {decimate!r}")
-        if retention == "spill":
-            if spill_path is None:
-                raise ValueError("retention='spill' requires spill_path=")
-            if max_points is None:
-                raise ValueError("retention='spill' requires max_points=")
-        elif spill_path is not None:
+        if (max_points is None) != (spill_path is None):
             raise ValueError(
-                f"spill_path= only applies to retention='spill', "
-                f"got retention={retention!r}"
+                "max_points= and spill_path= go together: a capped series "
+                "spills its older half to the file"
             )
         self.sim = sim
         self.interval = interval
         self.name = name
         self.max_points = max_points
-        self.retention = retention
-        self.decimate = decimate
         self.spill_path = spill_path
         self.spilled_rows = 0
         self._spill_handle = None
@@ -146,62 +128,37 @@ class PeriodicSampler:
         now = self.sim.now
         cap = self.max_points
         for probe in self._probes.values():
-            probe.points.append((now, probe.read()))
-            if cap is not None and len(probe.points) > cap:
-                self._trim(probe)
+            points = probe.points
+            points.append((now, probe.read()))
+            if cap is not None and len(points) > cap:
+                # Flush the older half to disk in one chunk; memory keeps
+                # only the recent window, the file keeps everything.
+                half = len(points) // 2
+                self._spill(probe.key, points[:half])
+                del points[:half]
 
-    def _trim(self, probe: _Probe) -> None:
-        points = probe.points
-        if self.retention == "tail":
-            del points[: len(points) - self.max_points]
-        elif self.retention == "spill":
-            # Flush the older half to disk in one chunk; memory keeps
-            # only the recent window, the file keeps everything.
-            half = len(points) // 2
-            self._spill(probe.key, points[:half])
-            del points[:half]
-        else:
-            # Thin the older half decimate:1 in place; the recent half
-            # keeps full resolution. Repeated trims re-thin the (ever
-            # coarser) prefix, so total retention stays bounded while
-            # old history remains visible at low resolution.
-            half = len(points) // 2
-            points[:half] = points[0:half:self.decimate]
-
-    # ------------------------------------------------------------------
-    # Incremental spill (retention="spill")
-    # ------------------------------------------------------------------
     def _spill(self, key: str, rows: List[Tuple[float, Any]]) -> None:
         if self._finished:
             raise RuntimeError(
                 f"sampler {self.name!r} already finished; cannot spill"
             )
         if self._spill_writer is None:
-            import csv
-            from repro.obs.export import _ensure_parent
             _ensure_parent(self.spill_path)
             self._spill_handle = open(self.spill_path, "w")
             self._spill_writer = csv.writer(
                 self._spill_handle, lineterminator="\n"
             )
-            self._spill_writer.writerow(
-                ["key", "time", "value", "count", "sum"]
-            )
-        writerow = self._spill_writer.writerow
-        for t, value in rows:
-            if isinstance(value, tuple) and len(value) == 2:
-                writerow([key, repr(t), "", value[0], repr(value[1])])
-            else:
-                writerow([key, repr(t), repr(value), "", ""])
+            self._spill_writer.writerow(SERIES_HEADER)
+        self._spill_writer.writerows(series_rows(key, rows))
         self.spilled_rows += len(rows)
 
     def finish(self) -> Optional[str]:
         """Append the retained in-memory tail of every probe to the
         spill file and close it, completing the on-disk series.
-        Idempotent; returns the spill path (``None`` for non-spill
-        retention, where there is nothing to finalize)."""
-        if self.retention != "spill" or self._finished:
-            return self.spill_path if self.retention == "spill" else None
+        Idempotent; returns the spill path (``None`` for a sampler that
+        does not spill, where there is nothing to finalize)."""
+        if self.spill_path is None or self._finished:
+            return self.spill_path
         for probe in self._probes.values():
             self._spill(probe.key, probe.points)
         self._finished = True

@@ -28,9 +28,10 @@ pattern as ``NULL_METRIC``, and instrumented call sites guard on
 so even when enabled the simulation event stream is byte-identical
 (golden-trace tests assert both).
 
-Export: :func:`repro.obs.export.perfetto_json` renders a recorder as a
-deterministic Chrome-trace-event JSON blob loadable in Perfetto / in
-``chrome://tracing``; ``python -m repro.obs.flight`` is the CLI.
+Export: :class:`repro.obs.export.FlightStream` writes every completed
+flight as one JSONL record, and :func:`repro.obs.export.perfetto_events`
+renders such records as Chrome trace events loadable in Perfetto / in
+``chrome://tracing``; ``python -m repro.obs flight`` is the CLI.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
     "NULL_RECORDER",
 ]
 
-RETENTION_POLICIES = ("all", "head", "tail", "slowest")
+RETENTION_POLICIES = ("tail", "slowest")
 
 
 class SpanContext:
@@ -171,9 +172,8 @@ class FlightRecorder:
         Bound on *retained* completed flights (the ring buffer).
     policy:
         What to keep once ``capacity`` completed flights have been seen:
-        ``"all"`` (unbounded — capacity ignored), ``"head"`` (first N),
-        ``"tail"`` (last N, true ring buffer), or ``"slowest"``
-        (N largest end-to-end durations).
+        ``"tail"`` (last N, a ring buffer) or ``"slowest"`` (N largest
+        end-to-end durations).
     stream:
         Optional :class:`repro.obs.export.FlightStream`. Every completed
         flight is handed to it *before* retention applies, so the
@@ -234,9 +234,7 @@ class FlightRecorder:
             return None
         path = self.stream.close(self.control_spans())
         from repro.obs.archive import note_artifact
-        note_artifact(self.sim, path,
-                      "flight_perfetto" if self.stream.fmt == "perfetto"
-                      else "flight_jsonl")
+        note_artifact(self.sim, path, "flight_jsonl")
         return path
 
     # ------------------------------------------------------------------
@@ -344,15 +342,7 @@ class FlightRecorder:
         self._retain(flight)
 
     def _retain(self, flight: Flight) -> None:
-        policy = self.policy
-        if policy == "all":
-            self._done.append(flight)
-        elif policy == "head":
-            if len(self._done) < self.capacity:
-                self._done.append(flight)
-            else:
-                self.flights_evicted += 1
-        elif policy == "tail":
+        if self.policy == "tail":
             if len(self._done) == self.capacity:
                 self.flights_evicted += 1
             self._done.append(flight)

@@ -129,9 +129,6 @@ class Simulator:
         # shared null object; FlightRecorder(sim).install() swaps in a
         # live one. Instrumented sites guard on ``sim.flight.enabled``.
         self.flight = NULL_RECORDER
-        # Installed Profiler, or None. run() hoists this into a local,
-        # so (un)installing takes effect at the next run()/step().
-        self._profiler = None
         # Wall-clock hook for repro.obs.live: polled between events;
         # returns how many events to skip before the next poll.
         # Uninstalled cost is one attribute load + None test per event.
@@ -253,7 +250,7 @@ class Simulator:
                 return event
         return None
 
-    def _fire(self, event: Event, prof) -> None:
+    def _fire(self, event: Event) -> None:
         """Pop ``event`` (the heap head), advance the clock to it, re-arm
         it if periodic, and run its callback."""
         heapq.heappop(self._heap)
@@ -264,10 +261,7 @@ class Simulator:
             # Re-armed before the callback runs, so the callback can
             # cancel its own series.
             self._push(event, time + event.interval)
-        if prof is None:
-            event.fn(*event.args)
-        else:
-            prof.dispatch(event)
+        event.fn(*event.args)
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue.
@@ -283,9 +277,6 @@ class Simulator:
         bound = _INF if until is None else until
         next_event = self._next
         fire = self._fire
-        prof = self._profiler
-        if prof is not None:
-            loop_start = prof._clock()
         hook_wait = 0
         try:
             while not self._stopped:
@@ -299,11 +290,9 @@ class Simulator:
                 event = next_event(bound)
                 if event is None:
                     break
-                fire(event, prof)
+                fire(event)
         finally:
             self._running = False
-            if prof is not None:
-                prof.loop_seconds += prof._clock() - loop_start
         # Only fast-forward when the queue genuinely drained up to
         # ``until``. After stop() events may remain before ``until``; a
         # later run() would fire them and send the clock backwards.
@@ -316,7 +305,7 @@ class Simulator:
         event = self._next()
         if event is None:
             return False
-        self._fire(event, self._profiler)
+        self._fire(event)
         return True
 
     def stop(self) -> None:

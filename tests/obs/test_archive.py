@@ -10,10 +10,10 @@ from repro.obs.archive import (
     ARCHIVE_SCHEMA,
     MANIFEST_NAME,
     RunArchive,
+    attach_from_env,
     config_signature,
     experiment_signature,
     load_manifest,
-    maybe_attach_env_archive,
     note_artifact,
     resolve_artifact,
     sha256_file,
@@ -132,12 +132,33 @@ def test_from_manifest_round_trips_and_extends(tmp_path):
 def test_env_attach_is_gated_and_idempotent(tmp_path, monkeypatch):
     sim = Simulator(seed=2)
     monkeypatch.delenv("REPRO_RUN_ARCHIVE", raising=False)
-    assert maybe_attach_env_archive(sim) is None
+    monkeypatch.delenv("REPRO_LIVE_FEED", raising=False)
+    assert attach_from_env(sim) is None
 
     monkeypatch.setenv("REPRO_RUN_ARCHIVE", str(tmp_path / "arch"))
-    archive = maybe_attach_env_archive(sim)
+    archive = attach_from_env(sim)
     assert archive is not None and sim._run_archive is archive
-    assert maybe_attach_env_archive(sim) is archive  # second run(): reused
+    assert attach_from_env(sim) is archive  # second run(): reused
+
+
+@pytest.mark.parametrize("first, second", [
+    ("REPRO_LIVE_FEED", "REPRO_RUN_ARCHIVE"),
+    ("REPRO_RUN_ARCHIVE", "REPRO_LIVE_FEED"),
+])
+def test_env_feed_lands_in_env_archive_whichever_comes_first(
+        first, second, tmp_path, monkeypatch):
+    values = {"REPRO_LIVE_FEED": str(tmp_path / "arch" / "feed.jsonl"),
+              "REPRO_RUN_ARCHIVE": str(tmp_path / "arch")}
+    monkeypatch.delenv(second, raising=False)
+    monkeypatch.setenv(first, values[first])
+    sim = Simulator(seed=2)
+    attach_from_env(sim, until=1.0)
+    monkeypatch.setenv(second, values[second])
+    archive = attach_from_env(sim, until=2.0)
+    sim._env_live_monitor.stop()
+    assert sim._env_live_monitor.until == 2.0
+    artifacts = load_manifest(archive.write())["artifacts"]
+    assert artifacts["feed.jsonl"]["kind"] == "live_feed"
 
 
 def test_experiment_run_writes_env_archive(tmp_path, monkeypatch):

@@ -37,18 +37,25 @@ def _deter_jsonl(seed: int) -> str:
     return registry_jsonl(vini.sim.metrics, extra={"seed": seed})
 
 
-def test_same_seed_exports_byte_identical_jsonl():
-    first = _deter_jsonl(seed=11)
+@pytest.fixture(scope="module")
+def seed11_jsonl():
+    """One seed-11 export shared by the two tests below: each compares
+    it with a run of its own."""
+    return _deter_jsonl(seed=11)
+
+
+def test_same_seed_exports_byte_identical_jsonl(seed11_jsonl):
+    first = seed11_jsonl
     second = _deter_jsonl(seed=11)
     assert first == second
     assert "iperf.tcp.bytes_received" in first
     assert "cpu.busy_seconds" in first
 
 
-def test_different_seed_changes_the_numbers_not_the_schema():
+def test_different_seed_changes_the_numbers_not_the_schema(seed11_jsonl):
     import json
 
-    a = [json.loads(line) for line in _deter_jsonl(11).strip().split("\n")]
+    a = [json.loads(line) for line in seed11_jsonl.strip().split("\n")]
     b = [json.loads(line) for line in _deter_jsonl(12).strip().split("\n")]
     assert [(r["name"], r["labels"]) for r in a] == [
         (r["name"], r["labels"]) for r in b

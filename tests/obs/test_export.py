@@ -1,5 +1,5 @@
-"""Unit tests for repro.obs.export: JSONL/CSV exporters, series CSV,
-commit detection, and the BenchTrajectory artifact."""
+"""Unit tests for repro.obs.export: the registry JSONL exporter, series
+CSV, commit detection, and the BenchTrajectory artifact."""
 
 import json
 import os
@@ -9,10 +9,8 @@ from repro.obs import (
     MetricsRegistry,
     PeriodicSampler,
     detect_commit,
-    export_csv,
     export_jsonl,
     export_series_csv,
-    registry_csv,
     registry_jsonl,
 )
 from repro.sim import Simulator
@@ -53,17 +51,6 @@ def test_jsonl_export_is_byte_deterministic(tmp_path):
     path = export_jsonl(_populated_registry(), str(tmp_path / "m.jsonl"))
     with open(path) as handle:
         assert handle.read() == a
-
-
-def test_registry_csv_shape(tmp_path):
-    text = registry_csv(_populated_registry())
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("name,labels,type,value,count,sum")
-    assert len(lines) == 1 + 4  # header + 4 metrics
-    assert "node=a" in text
-    path = export_csv(_populated_registry(), str(tmp_path / "m.csv"))
-    with open(path) as handle:
-        assert handle.read() == text
 
 
 def test_export_series_csv(tmp_path):
@@ -144,21 +131,3 @@ def test_histogram_buckets_in_jsonl_and_csv():
     (row,) = [json.loads(line) for line in
               registry_jsonl(reg).strip().split("\n")]
     assert row["buckets"] == [[0.01, 1], [0.05, 3], [0.1, 3], ["+Inf", 4]]
-    text = registry_csv(reg)
-    header, data = text.strip().split("\n")
-    assert header.endswith(",buckets")
-    assert data.endswith(",0.01:1;0.05:3;0.1:3;+Inf:4")
-
-
-def test_bucket_csv_elides_leading_zero_buckets():
-    reg = MetricsRegistry(enabled=True)
-    reg.histogram("empty", bounds=(0.01, 0.1))
-    text = registry_csv(reg)
-    data = text.strip().split("\n")[1]
-    # All-zero buckets collapse to just the +Inf total...
-    assert data.endswith(",+Inf:0")
-    # ...while counters/gauges leave the column blank entirely.
-    reg.counter("c").inc()
-    counter_row = [line for line in registry_csv(reg).strip().split("\n")
-                   if line.startswith("c,")][0]
-    assert counter_row.endswith(",")

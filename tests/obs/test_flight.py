@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro.net.packet import OpaquePayload, Packet, UDPHeader
-from repro.obs import FlightRecorder, NULL_RECORDER, perfetto_json
+from repro.obs import (
+    FlightRecorder,
+    NULL_RECORDER,
+    export_perfetto,
+    flight_rows,
+)
 from repro.obs.flight import run_flights
 from repro.sim import Simulator
 
@@ -118,10 +123,6 @@ def _run_flights_with_durations(policy, capacity, durations):
 def test_retention_head_tail_slowest_all():
     durations = [5.0, 1.0, 9.0, 3.0, 7.0]
 
-    head = _run_flights_with_durations("head", 2, durations)
-    assert [f.duration for f in head.flights()] == [5.0, 1.0]
-    assert head.flights_evicted == 3
-
     tail = _run_flights_with_durations("tail", 2, durations)
     assert [f.duration for f in tail.flights()] == [3.0, 7.0]
     assert tail.flights_evicted == 3
@@ -131,7 +132,12 @@ def test_retention_head_tail_slowest_all():
     assert slowest.flights_evicted == 3
     assert [f.duration for f in slowest.slowest(2)] == [9.0, 7.0]
 
-    everything = _run_flights_with_durations("all", 2, durations)
+    # "head" and "all" had no caller and are gone: keeping everything
+    # is a capacity that holds the run.
+    for gone in ("head", "all"):
+        with pytest.raises(ValueError):
+            FlightRecorder(Simulator(), policy=gone)
+    everything = _run_flights_with_durations("tail", 5, durations)
     assert len(everything.flights()) == 5
     assert everything.flights_evicted == 0
     assert everything.flights_completed == 5
@@ -220,7 +226,7 @@ def test_ospf_failure_emits_convergence_span_tree():
 @pytest.fixture(scope="module")
 def plvini_run():
     return run_flights(config="plvini", count=8, interval=0.1, seed=3,
-                       warmup=12.0, loaded=False, policy="all")
+                       warmup=12.0, loaded=False)
 
 
 def test_overlay_flight_crosses_tunnel_encap_decap(plvini_run):
@@ -259,7 +265,7 @@ def test_recorder_is_passive_golden_trace(plvini_run):
 
         vini, exp = build_world("plvini", seed=3, loaded=False, warmup=12.0)
         if install:
-            FlightRecorder(vini.sim, policy="all").install()
+            FlightRecorder(vini.sim).install()
         src, sliver, dst = endpoints(vini, exp)
         ping = Ping(src, dst, sliver=sliver, interval=0.1, count=8).start()
         vini.run(until=vini.sim.now + 8 * 0.1 + 5.0)
@@ -274,17 +280,18 @@ def test_recorder_is_passive_golden_trace(plvini_run):
         rtt for _t, _s, rtt in ping.samples)
 
 
-def test_perfetto_json_same_seed_byte_identical():
-    def run():
+def test_perfetto_json_same_seed_byte_identical(tmp_path):
+    def run(name):
         # The ICMP ident counter is per-simulator, so an in-process
         # rerun matches what two fresh same-seed processes produce.
         recorder, _ = run_flights(config="plvini", count=8, interval=0.1,
-                                  seed=3, warmup=12.0, loaded=False,
-                                  policy="all")
-        return perfetto_json(recorder)
+                                  seed=3, warmup=12.0, loaded=False)
+        path = export_perfetto(flight_rows(recorder), str(tmp_path / name))
+        with open(path) as handle:
+            return handle.read()
 
-    text = run()
-    assert run() == text
+    text = run("a.json")
+    assert run("b.json") == text
     payload = json.loads(text)
     events = payload["traceEvents"]
     cats = {e.get("cat") for e in events}
@@ -297,12 +304,12 @@ def test_perfetto_json_same_seed_byte_identical():
 
 
 def test_flight_cli_main(tmp_path, capsys):
-    from repro.obs.flight import main
+    from repro.obs.__main__ import main
 
     out = str(tmp_path / "trace.json")
-    code = main(["--config", "plvini", "--count", "6", "--seed", "3",
-                 "--warmup", "12", "--unloaded", "--slowest", "2",
-                 "--export", out])
+    code = main(["flight", "--config", "plvini", "--count", "6",
+                 "--seed", "3", "--warmup", "12", "--unloaded",
+                 "--slowest", "2", "--export", out])
     assert code == 0
     text = capsys.readouterr().out
     assert "6 transmitted, 6 received" in text

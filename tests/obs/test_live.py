@@ -29,11 +29,14 @@ from repro.obs import (
     LivelockWatchdog,
     PeriodicSampler,
     RateWatchdog,
+    RunArchive,
     StallWatchdog,
     Watchdog,
-    maybe_attach_env_monitor,
+    attach_from_env,
+    load_manifest,
 )
-from repro.obs.live import ENV_FEED, FEED_SCHEMA
+from repro.obs.archive import ENV_FEED
+from repro.obs.live import FEED_SCHEMA
 from repro.sim import Simulator
 from repro.tools import IperfTCPClient, IperfTCPServer
 from repro.topologies import build_deter
@@ -224,8 +227,10 @@ def test_abort_watchdog_stops_a_livelocked_run(tmp_path, capsys):
     """The end-to-end pathology: a self-feeding call_soon storm never
     advances sim-time, so only the dispatch-loop hook can see it. The
     stall watchdog must abort the run (instead of hanging forever) and
-    leave a diagnostic."""
+    leave a diagnostic — indexed by the run's archive, since an aborted
+    run is exactly the one somebody will open."""
     sim = Simulator(seed=1)
+    archive = RunArchive(str(tmp_path / "arch")).attach(sim)
     wall = {"t": 0.0}
 
     def clock():
@@ -251,6 +256,9 @@ def test_abort_watchdog_stops_a_livelocked_run(tmp_path, capsys):
     diag = json.loads(open(feed_path + ".diag.json").read())
     assert diag["alarm"]["watchdog"] == "stall"
     assert diag["snapshot"]["t"] == 0.0
+    artifacts = load_manifest(archive.write())["artifacts"]
+    assert artifacts["storm.jsonl.diag.json"]["kind"] == "json"
+    assert artifacts["storm.jsonl"]["kind"] == "live_feed"
     capsys.readouterr()  # swallow the alarm line
 
 
@@ -309,22 +317,30 @@ def _deter_feed(seed: int, clock) -> str:
     return buf.getvalue()
 
 
-def test_same_seed_live_feed_is_byte_identical():
-    """Two runs under *different* synthetic wall clocks (one 1000x
-    faster than the other) must still produce byte-identical feeds:
-    snapshot selection and content are both purely sim-keyed."""
+@pytest.fixture(scope="module")
+def seed11_feed():
+    """One seed-11 run under a slow synthetic clock, shared by the two
+    tests below: each compares it with a run of its own."""
     slow = {"t": 0.0}
-    fast = {"t": 0.0}
 
     def slow_clock():
         slow["t"] += 0.001
         return slow["t"]
 
+    return _deter_feed(11, slow_clock)
+
+
+def test_same_seed_live_feed_is_byte_identical(seed11_feed):
+    """Two runs under *different* synthetic wall clocks (one 1000x
+    faster than the other) must still produce byte-identical feeds:
+    snapshot selection and content are both purely sim-keyed."""
+    fast = {"t": 0.0}
+
     def fast_clock():
         fast["t"] += 1.0
         return fast["t"]
 
-    first = _deter_feed(11, slow_clock)
+    first = seed11_feed
     second = _deter_feed(11, fast_clock)
     assert first == second
     rows = [json.loads(line) for line in first.splitlines()]
@@ -335,11 +351,10 @@ def test_same_seed_live_feed_is_byte_identical():
     assert "sim.heap_entries" in rows[1]["probes"]
 
 
-def test_different_seed_changes_feed_content():
+def test_different_seed_changes_feed_content(seed11_feed):
     clock = iter(range(1, 10 ** 6))
-    a = _deter_feed(11, lambda: float(next(clock)))
     b = _deter_feed(12, lambda: float(next(clock)))
-    assert a != b  # seed lands in the header and events differ
+    assert seed11_feed != b  # seed lands in the header and events differ
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +362,9 @@ def test_different_seed_changes_feed_content():
 # ----------------------------------------------------------------------
 def test_maybe_attach_env_monitor_absent_env_is_a_no_op(monkeypatch):
     monkeypatch.delenv(ENV_FEED, raising=False)
+    monkeypatch.delenv("REPRO_RUN_ARCHIVE", raising=False)
     sim = Simulator()
-    assert maybe_attach_env_monitor(sim) is None
+    assert attach_from_env(sim) is None
     assert sim._live_hook is None
 
 
@@ -356,10 +372,12 @@ def test_maybe_attach_env_monitor_installs_once(tmp_path, monkeypatch):
     path = str(tmp_path / "env_feed.jsonl")
     monkeypatch.setenv(ENV_FEED, path)
     sim = Simulator(seed=3)
-    monitor = maybe_attach_env_monitor(sim, until=5.0)
+    attach_from_env(sim, until=5.0)
+    monitor = sim._env_live_monitor
     assert monitor is not None and monitor.until == 5.0
-    again = maybe_attach_env_monitor(sim, until=9.0)
-    assert again is monitor and monitor.until == 9.0  # idempotent
+    attach_from_env(sim, until=9.0)
+    assert sim._env_live_monitor is monitor  # idempotent
+    assert monitor.until == 9.0
     monitor.stop()
     rows = [json.loads(line) for line in open(path)]
     assert rows[0]["schema"] == FEED_SCHEMA and rows[0]["seed"] == 3
@@ -382,9 +400,9 @@ def test_env_monitor_attaches_through_vini_run(tmp_path, monkeypatch):
 # Streaming flight export: complete trace, bounded memory
 # ----------------------------------------------------------------------
 def test_flight_stream_writes_complete_trace_under_memory_ceiling(tmp_path):
-    path = str(tmp_path / "flights.perfetto.json")
+    path = str(tmp_path / "flights.jsonl")
     sim = Simulator()
-    stream = FlightStream(path, fmt="perfetto", chunk_flights=8)
+    stream = FlightStream(path, chunk_flights=8)
     recorder = FlightRecorder(sim, capacity=4, stream=stream).install()
     max_buffered = 0
     for i in range(100):
@@ -399,10 +417,10 @@ def test_flight_stream_writes_complete_trace_under_memory_ceiling(tmp_path):
     assert max_buffered <= 8
     # ... yet the on-disk trace is complete and valid.
     assert stream.flights_written == recorder.flights_completed == 100
-    doc = json.loads(open(path).read())
-    flights = [e for e in doc["traceEvents"] if e.get("cat") == "flight"]
+    flights = [json.loads(line) for line in open(path)]
     assert len(flights) == 100
-    stages = [e for e in doc["traceEvents"] if e.get("cat") == "stage"]
+    assert all(row["kind"] == "flight" for row in flights)
+    stages = [stage for row in flights for stage in row["stages"]]
     assert len(stages) == 200  # "origin" + "hop" per flight
     # Further adds after close are an error, close is idempotent.
     with pytest.raises(RuntimeError):
@@ -428,16 +446,15 @@ def test_flight_stream_jsonl_format(tmp_path):
 
 
 def test_flight_stream_validation_and_empty_close(tmp_path):
-    with pytest.raises(ValueError):
-        FlightStream("x", fmt="csv")
+    # JSONL is the one on-disk format; Perfetto is a view of it.
+    with pytest.raises(ValueError, match="repro.obs perfetto"):
+        FlightStream("x", fmt="perfetto")
     with pytest.raises(ValueError):
         FlightStream("x", chunk_flights=0)
-    path = str(tmp_path / "empty.perfetto.json")
+    path = str(tmp_path / "empty.jsonl")
     stream = FlightStream(path)
     stream.close()
-    assert json.loads(open(path).read()) == {
-        "displayTimeUnit": "ms", "traceEvents": []
-    }
+    assert open(path).read() == ""
 
 
 def test_flight_stream_same_seed_files_are_byte_identical(tmp_path):
@@ -454,9 +471,10 @@ def test_flight_stream_same_seed_files_are_byte_identical(tmp_path):
         recorder.close_stream()
         return open(path, "rb").read()
 
-    first = produce(str(tmp_path / "a.json"))
-    second = produce(str(tmp_path / "b.json"))
+    first = produce(str(tmp_path / "a.jsonl"))
+    second = produce(str(tmp_path / "b.jsonl"))
     assert first == second
+    assert first.count(b"\n") == 10
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +486,7 @@ def test_sampler_spill_keeps_memory_bounded_and_series_complete(tmp_path):
     counter = sim.metrics.counter("ticks")
     sim.schedule_periodic(0.1, counter.inc)
     sampler = PeriodicSampler(
-        sim, 0.1, name="s", max_points=10, retention="spill",
-        spill_path=path,
+        sim, 0.1, name="s", max_points=10, spill_path=path,
     ).watch("ticks", metric=counter).start()
     sim.run(until=5.0)
     assert len(sampler.series("ticks")) <= 10  # ceiling held while live
@@ -493,19 +510,16 @@ def test_sampler_spill_keeps_memory_bounded_and_series_complete(tmp_path):
 def test_sampler_spill_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, retention="spill")  # no spill_path
+        PeriodicSampler(sim, 1.0, max_points=4)  # a cap with nowhere to spill
     with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, retention="spill", spill_path="x")  # no cap
-    with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, retention="tail", max_points=4,
-                        spill_path="x")  # path without spill retention
+        PeriodicSampler(sim, 1.0, spill_path="x")  # a file with no cap
 
 
 def test_sampler_spill_after_finish_is_an_error(tmp_path):
     path = str(tmp_path / "series.csv")
     sim = Simulator()
     sampler = PeriodicSampler(
-        sim, 1.0, max_points=2, retention="spill", spill_path=path,
+        sim, 1.0, max_points=2, spill_path=path,
     ).watch("x", fn=lambda: 1).start()
     sim.run(until=3.0)
     sampler.stop()

@@ -1,10 +1,6 @@
 """Tests for the cross-run analysis engine: lazy tables, the
-first-divergence diff, the causal explain chain, and the CLI.
-
-Three Fig-8 archives are built once per module: two with the same seed
-(the byte-identical pair every determinism assertion leans on) and one
-with a single trace record's timestamp nudged by 1 ms — the controlled
-perturbation the diff engine must localize exactly.
+first-divergence diff, the causal explain chain, and the CLI verbs over
+them, on the three Fig-8 archives of ``conftest.py``.
 """
 
 import json
@@ -13,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from repro.obs.__main__ import main
 from repro.obs.query import (
     ArchiveReader,
     Table,
@@ -20,30 +17,14 @@ from repro.obs.query import (
     diff_tables,
     explain_archive,
     flatten,
-    main,
     nudge_spill,
     open_artifact,
     read_live_feed,
     read_sampler_csv,
-    run_fig8_archive,
     sniff_kind,
 )
 from repro.sim import Simulator
-
-NUDGE_INDEX = 137
-NUDGE_DT = 1e-3
-END_AT = 30.0
-
-
-@pytest.fixture(scope="module")
-def archives(tmp_path_factory):
-    base = tmp_path_factory.mktemp("fig8-archives")
-    a = run_fig8_archive(str(base / "a"), seed=8, end_at=END_AT)
-    b = run_fig8_archive(str(base / "b"), seed=8, end_at=END_AT)
-    c = run_fig8_archive(str(base / "c"), seed=8, end_at=END_AT,
-                         nudge_index=NUDGE_INDEX, nudge_dt=NUDGE_DT)
-    return {"a": os.path.dirname(a), "b": os.path.dirname(b),
-            "c": os.path.dirname(c)}
+from tests.obs.conftest import NUDGE_DT, NUDGE_INDEX
 
 
 # ----------------------------------------------------------------------

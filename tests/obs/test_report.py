@@ -1,38 +1,32 @@
-"""ExperimentReport: determinism, structure, and the report CLI."""
+"""ExperimentReport: determinism, structure, and the ``fig8`` verb that
+writes one."""
 
 import json
 
 import pytest
 
-from repro.obs.report import (
-    ExperimentReport,
-    build_report,
-    main,
-    run_fig8_report,
-)
+from repro.obs.__main__ import main
+from repro.obs.fig8 import run_fig8
+from repro.obs.report import ExperimentReport, build_report
 from repro.sim import Simulator
 
-#: Shortened Fig-8 schedule so two full report runs stay test-sized.
-SHORT = dict(seed=8, warmup=20.0, fail_at=5.0, fail_duration=12.0,
-             end_at=30.0, interval=0.25)
 
-
-def _short_report() -> ExperimentReport:
+def _fig8_report(out_dir) -> ExperimentReport:
     # The ICMP ident counter is per-simulator, so an in-process rerun
     # matches what two fresh same-seed processes produce.
-    return run_fig8_report(**SHORT)
+    return run_fig8(str(out_dir))[1]
 
 
 @pytest.fixture(scope="module")
-def fig8_report():
-    return _short_report()
+def fig8_report(tmp_path_factory):
+    return _fig8_report(tmp_path_factory.mktemp("fig8-report"))
 
 
 # ----------------------------------------------------------------------
 # Determinism: same seed => byte-identical artifacts
 # ----------------------------------------------------------------------
-def test_same_seed_report_byte_identical(fig8_report):
-    again = _short_report()
+def test_same_seed_report_byte_identical(fig8_report, tmp_path):
+    again = _fig8_report(tmp_path)
     assert fig8_report.to_json() == again.to_json()
     assert fig8_report.to_markdown() == again.to_markdown()
 
@@ -60,6 +54,7 @@ def test_report_contains_every_section(fig8_report):
         "## Routing timelines",
         "### Adjacency transitions",
         "### RIB churn (changes by router and op)",
+        "## Live monitor",
         "## Metrics snapshot",
         "## Sampler series",
         "## Flight recorder",
@@ -73,8 +68,7 @@ def test_report_contains_every_section(fig8_report):
     assert len(episodes) == 2
     assert episodes[0]["trigger"] == "fig8:fail_link fail denver=kansascity"
     assert episodes[0]["changes"] > 0
-    # Detection on the shortened schedule still reflects the 10 s dead
-    # interval, as in the full Fig-8 run.
+    # Detection reflects the 10 s dead interval.
     assert 4.0 < episodes[0]["detection_s"] < 12.0
     windows = data["convergence"]["paths"]["washington->seattle"]
     assert any(w["status"] == "blackhole" for w in windows)
@@ -109,13 +103,14 @@ def test_write_emits_markdown_and_json(tmp_path, fig8_report):
 # CLI
 # ----------------------------------------------------------------------
 def test_report_cli_main(tmp_path, capsys):
-    base = str(tmp_path / "cli_report")
-    code = main(["--warmup", "12", "--end", "18", "--interval", "0.5",
-                 "--out", base])
+    out_dir = tmp_path / "cli_report"
+    code = main(["fig8", str(out_dir), "--end", "20"])
     assert code == 0
     out = capsys.readouterr().out
     assert "episode fig8:fail_link fail denver=kansascity" in out
-    assert f"wrote {base}.md and {base}.json" in out
-    with open(base + ".json") as handle:
+    assert f"wrote {out_dir / 'manifest.json'}" in out
+    assert (out_dir / "report.md").read_text().startswith(
+        "# Experiment report — fig8")
+    with open(out_dir / "report.json") as handle:
         data = json.load(handle)
     assert data["meta"]["seed"] == 8

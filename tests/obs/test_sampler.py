@@ -126,39 +126,14 @@ def test_sampler_does_not_perturb_event_order():
     assert run(True) == run(False)
 
 
-def test_sampler_tail_retention_caps_series():
-    sim, counter = _sim_with_counter()
-    sampler = PeriodicSampler(
-        sim, 1.0, max_points=5, retention="tail"
-    ).watch("ticks", metric=counter).start()
-    sim.run(until=20.0)
-    series = sampler.series("ticks")
-    assert len(series) == 5
-    # A sliding window: the newest snapshots survive.
-    assert [t for t, _v in series] == [16.0, 17.0, 18.0, 19.0, 20.0]
-
-
-def test_sampler_decimate_retention_keeps_coarse_history():
-    sim, counter = _sim_with_counter()
-    sampler = PeriodicSampler(
-        sim, 1.0, max_points=10, retention="decimate", decimate=5
-    ).watch("ticks", metric=counter).start()
-    sim.run(until=40.0)
-    series = sampler.series("ticks")
-    times = [t for t, _v in series]
-    # Bounded well under the un-trimmed 41 points...
-    assert len(series) <= 12
-    # ...but still anchored at the start and dense at the end.
-    assert times[0] == 0.0
-    assert times[-3:] == [38.0, 39.0, 40.0]
-    assert times == sorted(times)
-
-
 def test_sampler_retention_validation():
+    """A cap is lossless or absent: ``max_points`` must be positive and
+    comes with the file the older half spills to (the spill itself is
+    exercised in test_live.py)."""
     sim = Simulator()
     with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, retention="ring")
+        PeriodicSampler(sim, 1.0, max_points=0, spill_path="x")
     with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, max_points=0)
-    with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, decimate=1)
+        PeriodicSampler(sim, 1.0, max_points=5)
+    with pytest.raises(TypeError):
+        PeriodicSampler(sim, 1.0, max_points=5, retention="tail")
