@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test props tier2-bench-smoke bench ledger ledger-smoke ledger-ab flight watch explain
+.PHONY: test props tier2-bench-smoke ledger ledger-smoke ledger-ab flight watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -16,18 +16,12 @@ props:
 		tests/click/test_elements.py::test_dispatch_equals_the_port_it_replaced \
 		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py
 
-# Tier-2: every benchmark cell at tiny scale (seconds, not minutes),
+# Tier-2: the ledger at smoke scale (every benchmark workload, tiny)
 # plus the env-gated scale tests (the 200-AS internet build). Catches
-# broken benchmarks without paying for a real perf run.
-tier2-bench-smoke:
-	$(PYTHON) -m pytest -q -m tier2_bench_smoke tests/benchmarks
+# a broken workload without paying for a real perf run.
+tier2-bench-smoke: ledger-smoke
 	REPRO_SCALE_TESTS=1 $(PYTHON) -m pytest -q -m tier2_bench_smoke \
 		tests/topologies/test_internet.py
-
-# Full perf run: shards cells across cores and appends to
-# benchmarks/results/BENCH_core.json.
-bench:
-	$(PYTHON) benchmarks/runner.py
 
 # The performance ledger: five paper-scenario workloads, end-to-end
 # turnaround plus a per-layer traced run (~75 s). Results land in

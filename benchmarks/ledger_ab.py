@@ -8,8 +8,8 @@ set is kept as ``<out>/base_<i>.json`` / ``<out>/new_<i>.json`` (feed a
 pair to ``benchmarks/ledger/compare.py`` for its verdicts), and the
 summary printed at the end is, for each workload x end-to-end metric,
 each side's median over the sets, the ratio of those medians with its
-base, the ratio set by set, and how many sets NEW won; a digest that
-differs between the sides in any set is called out.
+base, the ratio set by set, how many sets NEW won, each side's worst
+``fail_share`` and every exact counter or output behind a digest that differs.
 """
 
 from __future__ import annotations
@@ -35,6 +35,19 @@ def run_set(checkout: str, out: str, passthrough: list) -> dict:
     )
     with open(out) as handle:
         return json.load(handle)
+
+
+def differences(old: dict, now: dict):
+    """Every exact counter or output the two sides disagree on: both
+    values and, for numbers, the delta."""
+    for section in ("counters", "outputs"):
+        before, after = old.get(section, {}), now.get(section, {})
+        for key in sorted(set(before) | set(after)):
+            was, new = before.get(key), after.get(key)
+            if was != new:
+                numeric = isinstance(was, (int, float)) and isinstance(new, (int, float))
+                yield (f"{section}.{key}: base {was} -> new {new}"
+                       + (f" ({new - was:+})" if numeric else ""))
 
 
 def summarise(pairs: list) -> int:
@@ -64,10 +77,12 @@ def summarise(pairs: list) -> int:
                   f"({won}/{len(ratios)})  (base={base:.4f})")
         same = all(old["digest"] == now["digest"] for old, now in rows)
         differing += not same
-        failed = max(now["fail_share"] for _, now in rows)
+        failed = [max(row[side]["fail_share"] for row in rows) for side in (0, 1)]
         print(f"{name:<20} digest       "
               f"{'identical in every set' if same else 'DIFFERS'}"
-              f"; worst fail_share of new {failed:.4f}")
+              f"; worst fail_share base {failed[0]:.4f} new {failed[1]:.4f}")
+        for line in sorted({line for row in rows for line in differences(*row)}):
+            print(f"{'':<20}   {line}")
     return differing
 
 

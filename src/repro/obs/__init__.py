@@ -13,10 +13,9 @@ first-class layer instead of ad-hoc trace scans:
   stage, plus the OSPF convergence span tree.
 * :mod:`repro.obs.sampler` — :class:`PeriodicSampler`, sim-clock
   snapshots of metrics into time series without perturbing event order.
-* :mod:`repro.obs.export` — deterministic JSONL/series-CSV exporters,
-  the flight record stream (:class:`FlightStream`, JSONL) with its
-  Perfetto/Chrome-trace view (:func:`perfetto_events`), and the
-  per-commit :class:`BenchTrajectory` artifact writer.
+* :mod:`repro.obs.export` — deterministic JSONL/series-CSV exporters
+  and the flight record stream (:class:`FlightStream`, JSONL) with its
+  Perfetto/Chrome-trace view (:func:`perfetto_events`).
 * :mod:`repro.obs.flight` — slowest-N latency decomposition of a
   Table-4/5 ping run, and the comparison of two runs' stage
   decompositions (the ``flight`` verb).
@@ -66,7 +65,6 @@ from repro.obs.archive import (
     sha256_file,
 )
 from repro.obs.export import (
-    BenchTrajectory,
     FlightStream,
     detect_commit,
     export_jsonl,
@@ -113,7 +111,6 @@ from repro.obs.spans import (
 
 __all__ = [
     "Alarm",
-    "BenchTrajectory",
     "ConvergenceEpisode",
     "ConvergenceTracker",
     "Counter",

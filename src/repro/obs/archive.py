@@ -21,7 +21,7 @@ Manifest schema (``repro.archive/1``)::
           "path":   "<relative to the manifest's directory>",
           "kind":   "trace_spill" | "live_feed" | "sampler_csv" |
                     "flight_jsonl" | "report_json" | "report_md" |
-                    "metrics_jsonl" | "bench_cell" | "json" | "text",
+                    "metrics_jsonl" | "json" | "text",
           "bytes":  <file size>,
           "sha256": "<content hash>"
         }, ...
@@ -147,23 +147,6 @@ class RunArchive:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_manifest(cls, path: str) -> "RunArchive":
-        """Reconstruct an archive from its written manifest, so a later
-        stage (e.g. the bench runner) can add artifacts and re-write
-        it. Artifact hashes are recomputed at the next :meth:`write`."""
-        manifest = load_manifest(path)
-        root = os.path.dirname(manifest["_path"])
-        archive = cls(root, name=manifest["name"],
-                      meta=dict(manifest["meta"]))
-        for name in sorted(manifest["artifacts"]):
-            entry = manifest["artifacts"][name]
-            archive.note(
-                os.path.normpath(os.path.join(root, entry["path"])),
-                entry["kind"], name=name,
-            )
-        return archive
-
     def attach(self, sim) -> "RunArchive":
         """Become ``sim``'s archive: every artifact writer that calls
         :func:`note_artifact` on this simulator lands here."""
@@ -207,18 +190,6 @@ class RunArchive:
         self._artifacts[unique] = {"path": abspath, "kind": kind}
         self._by_path[abspath] = unique
         return unique
-
-    def add_json(self, name: str, payload: Any,
-                 kind: str = "json") -> str:
-        """Serialize ``payload`` deterministically into the archive
-        directory and note it; returns the file path."""
-        os.makedirs(self.root, exist_ok=True)
-        path = os.path.join(self.root, name)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        self.note(path, kind, name=name)
-        return path
 
     # ------------------------------------------------------------------
     # Manifest
@@ -303,8 +274,9 @@ def resolve_artifact(manifest: Dict[str, Any], name: str) -> str:
 
 def attach_from_env(sim, until: Optional[float] = None, experiment=None):
     """The zero-wiring hook ``Experiment.run``/``VINI.run`` call before
-    every ``sim.run``: any scenario — every benchmark cell included —
-    grows an archive and a live feed from two environment variables.
+    every ``sim.run``: any scenario — every example and bench script
+    included — grows an archive and a live feed from two environment
+    variables.
 
     ``REPRO_RUN_ARCHIVE`` names a directory: a :class:`RunArchive` is
     attached there and returned (the caller writes it once the run

@@ -1,6 +1,5 @@
-"""Exporters: registry snapshots to JSONL, sampler series to CSV, the
-flight record stream and its Perfetto view, and the per-commit
-:class:`BenchTrajectory` artifact.
+"""Exporters: registry snapshots to JSONL, sampler series to CSV, and
+the flight record stream and its Perfetto view.
 
 All exports are deterministic for a given run: registry rows come out
 of :meth:`MetricsRegistry.collect` pre-sorted by ``(name, labels)``,
@@ -14,13 +13,6 @@ Flights have one on-disk shape — the JSONL records of
 :func:`perfetto_events` maps records to Chrome trace events one row at
 a time, whether the rows come from a live recorder
 (:func:`flight_rows`) or from a ``flights.jsonl`` read back.
-
-:class:`BenchTrajectory` is the cross-commit artifact: each
-:meth:`~BenchTrajectory.append` call writes one JSON line stamped with
-the current git commit to ``benchmarks/results/TRAJECTORY_<name>.jsonl``.
-Append-only JSONL (rather than rewrite-the-whole-file JSON) means a CI
-job can bolt the current commit's numbers onto the artifact from the
-previous run without parsing it first.
 """
 
 from __future__ import annotations
@@ -28,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Header of the long-form series CSV (:func:`export_series_csv`, the
@@ -304,51 +295,3 @@ def detect_commit(start_dir: Optional[str] = None) -> Optional[str]:
         return ref[:12]
     except OSError:
         return None
-
-
-class BenchTrajectory:
-    """Append-only per-commit bench rows in ``benchmarks/results/``.
-
-    Each row is one JSON line ``{"commit": ..., "timestamp": ...,
-    **payload}``; successive CI runs (restoring the previous artifact)
-    accumulate the performance trajectory of the repo across commits.
-    """
-
-    def __init__(self, name: str = "core", results_dir: str = "benchmarks/results"):
-        self.name = name
-        self.path = os.path.join(results_dir, f"TRAJECTORY_{name}.jsonl")
-
-    def append(
-        self,
-        payload: Dict[str, Any],
-        commit: Optional[str] = None,
-        timestamp: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Stamp ``payload`` with commit + UTC timestamp and append it."""
-        row = {
-            "commit": commit if commit is not None else detect_commit(
-                os.path.dirname(self.path) or "."
-            ),
-            "timestamp": timestamp
-            if timestamp is not None
-            else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        row.update(payload)
-        _ensure_parent(self.path)
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-        return row
-
-    def rows(self) -> List[Dict[str, Any]]:
-        if not os.path.exists(self.path):
-            return []
-        rows = []
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        return rows
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BenchTrajectory {self.path!r}>"

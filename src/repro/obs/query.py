@@ -366,7 +366,6 @@ KIND_READERS: Dict[str, Callable[[str], Iterator[Row]]] = {
     "report_json": read_json_leaves,
     "report_md": read_text_lines,
     "metrics_jsonl": read_metrics_jsonl,
-    "bench_cell": read_json_leaves,
     "json": read_json_leaves,
     "text": read_text_lines,
 }

@@ -147,14 +147,6 @@ def _rid(router_id: int) -> str:
     return str(IPv4Address(router_id))
 
 
-def _same_links(a: Optional[RouterLSA], b: Optional[RouterLSA]) -> bool:
-    """True when two LSA snapshots describe the same edge set (a pure
-    seq bump or stub change leaves the SPF graph untouched)."""
-    if a is None or b is None:
-        return a is b
-    return sorted(a.links) == sorted(b.links)
-
-
 class Neighbor:
     """Adjacency state for one neighbor on one interface."""
 
@@ -210,7 +202,6 @@ class OSPFDaemon:
         dead_interval: float = DEFAULT_DEAD_INTERVAL,
         spf_delay: float = SPF_DELAY,
         stub_prefixes: Optional[List[Tuple[Union[str, Prefix], int]]] = None,
-        incremental_spf: bool = True,
     ):
         self.platform = platform
         self.sim = platform.sim
@@ -222,7 +213,6 @@ class OSPFDaemon:
         self.stub_prefixes: List[Tuple[Prefix, int]] = [
             (prefix(p), cost) for p, cost in (stub_prefixes or [])
         ]
-        self.incremental_spf = incremental_spf
         self.enabled_ifaces: Dict[str, RouterInterface] = {}
         self.neighbors: Dict[Tuple[str, int], Neighbor] = {}
         self.lsdb: Dict[int, RouterLSA] = {}
@@ -231,23 +221,7 @@ class OSPFDaemon:
         self._refresh_timer: Optional[PeriodicTimer] = None
         self._spf_pending = False
         self._installed: Set[Tuple[int, int]] = set()
-        # Incremental-SPF state: the LSA snapshot each changed router
-        # had when the pending SPF was scheduled (None = not present),
-        # the (dist, first_hop, parent) tables of the last run, and an
-        # index of stub advertisers so the route delta can re-elect an
-        # affected prefix without scanning the whole LSDB.
-        self._dirty: Dict[int, Optional[RouterLSA]] = {}
-        self._spt: Optional[
-            Tuple[
-                Dict[int, float],
-                Dict[int, Tuple[IPv4Address, str]],
-                Dict[int, int],
-            ]
-        ] = None
-        self._stub_index: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
         self.spf_runs = 0
-        self.spf_full_runs = 0
-        self.spf_incremental_runs = 0
         self.started = False
         # Flight-recorder convergence tree (Fig 8): the open root span
         # of the current convergence episode, and the open SPF hold-down
@@ -284,14 +258,6 @@ class OSPFDaemon:
         self._lsa_flood_tx = metrics.counter("ospf.lsa_flood_tx", router=rid)
         self._lsa_installed = metrics.counter("ospf.lsa_installed", router=rid)
         metrics.counter("ospf.spf_runs", fn=lambda: self.spf_runs, router=rid)
-        metrics.counter(
-            "ospf.spf_full_runs", fn=lambda: self.spf_full_runs, router=rid
-        )
-        metrics.counter(
-            "ospf.spf_incremental_runs",
-            fn=lambda: self.spf_incremental_runs,
-            router=rid,
-        )
         metrics.gauge("ospf.lsdb_size", fn=lambda: len(self.lsdb), router=rid)
         metrics.gauge(
             "ospf.neighbors_full",
@@ -514,7 +480,7 @@ class OSPFDaemon:
             ours = self.lsdb.get(lsa.adv_router)
             if ours is not None and ours.seq >= lsa.seq:
                 continue
-            self._install_lsa(lsa)
+            self.lsdb[lsa.adv_router] = lsa
             self._lsa_installed.inc()
             changed = True
             self._flood(lsa, exclude=neighbor)
@@ -585,7 +551,7 @@ class OSPFDaemon:
         stubs = [(iface.prefix, iface.cost) for iface in self.enabled_ifaces.values()]
         stubs.extend(self.stub_prefixes)
         lsa = RouterLSA(self.router_id, self._seq, links, stubs)
-        self._install_lsa(lsa)
+        self.lsdb[self.router_id] = lsa
         self._lsa_originated.inc()
         self._flood(lsa, exclude=None)
         self._schedule_spf()
@@ -599,34 +565,6 @@ class OSPFDaemon:
             self._send(
                 neighbor.iface, LSUpdate(self.router_id, [lsa]), dst=neighbor.addr
             )
-
-    def _install_lsa(self, lsa: RouterLSA) -> None:
-        """Install ``lsa`` in the LSDB, keeping the incremental-SPF
-        bookkeeping consistent: the pre-change snapshot for the pending
-        SPF run (first write wins, so one run sees the oldest state it
-        must diff against) and the stub-advertiser index."""
-        rid = lsa.adv_router
-        old = self.lsdb.get(rid)
-        if rid not in self._dirty:
-            self._dirty[rid] = old
-        if old is not None:
-            for pfx, cost in old.stubs:
-                advertisers = self._stub_index.get(pfx.key)
-                if advertisers is None:
-                    continue
-                costs = advertisers.get(rid)
-                if costs is None:
-                    continue
-                costs.remove(cost)
-                if not costs:
-                    del advertisers[rid]
-                    if not advertisers:
-                        del self._stub_index[pfx.key]
-        for pfx, cost in lsa.stubs:
-            self._stub_index.setdefault(pfx.key, {}).setdefault(rid, []).append(
-                cost
-            )
-        self.lsdb[rid] = lsa
 
     # ------------------------------------------------------------------
     # SPF
@@ -667,19 +605,7 @@ class OSPFDaemon:
     def _run_spf(self) -> None:
         self._spf_pending = False
         self.spf_runs += 1
-        dirty, self._dirty = self._dirty, {}
-        spt = self._spt
-        # An own-LSA change alters the root's edge set, so the whole
-        # tree may shift; fall back to the reference full recomputation
-        # (also the path taken on the very first run).
-        if (
-            self.incremental_spf
-            and spt is not None
-            and self.router_id not in dirty
-        ):
-            routes_changed = self._spf_incremental(spt, dirty)
-        else:
-            routes_changed = self._spf_full()
+        routes_changed = self._spf_full()
         self._spf_time_gauge.set(self.sim.now)
         if routes_changed:
             self._route_change_gauge.set(self.sim.now)
@@ -714,9 +640,9 @@ class OSPFDaemon:
         return own
 
     def _spf_full(self) -> bool:
-        """Reference path: full Dijkstra + full route election."""
-        self.spf_full_runs += 1
-        dist, first_hop, parent = self._dijkstra()
+        """Full Dijkstra + full route election on every LSDB change, as
+        stock XORP does; returns whether the installed set changed."""
+        dist, first_hop = self._dijkstra()
         # Collect best route per stub prefix across all routers.
         best: Dict[Tuple[int, int], Tuple[float, int]] = {}
         for router, lsa in self.lsdb.items():
@@ -751,263 +677,20 @@ class OSPFDaemon:
         for stale in self._installed - new_installed:
             self.rib.withdraw(Prefix(stale[0], stale[1]), "ospf")
         self._installed = new_installed
-        self._spt = (dist, first_hop, parent)
         return routes_changed
-
-    def _spf_incremental(
-        self,
-        spt: Tuple[
-            Dict[int, float],
-            Dict[int, Tuple[IPv4Address, str]],
-            Dict[int, int],
-        ],
-        dirty: Dict[int, Optional[RouterLSA]],
-    ) -> bool:
-        """Delta path: recompute only what the changed LSAs can move.
-
-        Distances are recomputed lazily over the old tree's invalidated
-        subtrees; first hops are then re-derived for every reachable
-        router by the canonical-parent rule (argmin of (dist, id) over
-        valid equal-cost parents), which is exactly the assignment the
-        reference Dijkstra's pop order produces for positive costs.
-        The route delta then re-elects only prefixes advertised by a
-        dirty or moved router — every other prefix's best (total,
-        advertiser, first hop) is provably unchanged.
-        """
-        self.spf_incremental_runs += 1
-        old_dist, old_first_hop, _old_parent = spt
-        link_dirty = [
-            rid
-            for rid, old_lsa in dirty.items()
-            if not _same_links(old_lsa, self.lsdb.get(rid))
-        ]
-        if link_dirty:
-            dist = self._incremental_dist(spt, link_dirty)
-            first_hop, parent = self._derive_hops(dist)
-            self._spt = (dist, first_hop, parent)
-        else:
-            # Seq-only or stub-only changes: the graph is untouched, so
-            # the tree (and every non-stub route) carries over as-is.
-            dist, first_hop = old_dist, old_first_hop
-        # Prefixes whose election inputs may have moved: stubs of dirty
-        # routers (old and new advertisements) plus stubs of any router
-        # whose distance or first hop changed.
-        affected: Set[Tuple[int, int]] = set()
-        for rid, old_lsa in dirty.items():
-            for lsa in (old_lsa, self.lsdb.get(rid)):
-                if lsa is not None:
-                    affected.update(p.key for p, _c in lsa.stubs)
-        if dist is not old_dist:
-            for router in old_dist.keys() | dist.keys():
-                if old_dist.get(router) != dist.get(router) or old_first_hop.get(
-                    router
-                ) != first_hop.get(router):
-                    lsa = self.lsdb.get(router)
-                    if lsa is not None:
-                        affected.update(p.key for p, _c in lsa.stubs)
-        routes_changed = False
-        own_prefixes = self._own_prefixes()
-        for key in sorted(affected):
-            if key in own_prefixes:
-                continue
-            entry = self._best_for(key, dist)
-            if entry is None:
-                if key in self._installed:
-                    self.rib.withdraw(Prefix(key[0], key[1]), "ospf")
-                    self._installed.discard(key)
-                    routes_changed = True
-                continue
-            metric, router = entry
-            nexthop_addr, ifname = first_hop[router]
-            self.rib.update(
-                RibRoute(
-                    Prefix(key[0], key[1]),
-                    nexthop_addr,
-                    ifname,
-                    "ospf",
-                    AdminDistance.OSPF,
-                    metric,
-                )
-            )
-            if key not in self._installed:
-                self._installed.add(key)
-                routes_changed = True
-        return routes_changed
-
-    def _best_for(
-        self, key: Tuple[int, int], dist: Dict[int, float]
-    ) -> Optional[Tuple[float, int]]:
-        """Best (total metric, advertiser) for one stub prefix, same
-        tie-break as the full election: lowest total, then lowest id."""
-        advertisers = self._stub_index.get(key)
-        if not advertisers:
-            return None
-        best: Optional[Tuple[float, int]] = None
-        for router, costs in advertisers.items():
-            if router == self.router_id or router not in dist:
-                continue
-            total = dist[router] + min(costs)
-            if best is None or total < best[0] or (
-                total == best[0] and router < best[1]
-            ):
-                best = (total, router)
-        return best
-
-    def _edge_cost(self, p: int, v: int) -> Optional[int]:
-        """Cost of the directed edge ``p -> v`` if it is valid: both
-        LSAs present, bidirectional, cheapest of any parallel entries,
-        and (for root edges) mapped to an enabled local interface."""
-        p_lsa = self.lsdb.get(p)
-        v_lsa = self.lsdb.get(v)
-        if p_lsa is None or v_lsa is None:
-            return None
-        cost: Optional[int] = None
-        for neighbor_id, _addr, c in p_lsa.links:
-            if neighbor_id == v and (cost is None or c < cost):
-                cost = c
-        if cost is None:
-            return None
-        back = next((l for l in v_lsa.links if l[0] == p), None)
-        if back is None:
-            return None
-        if p == self.router_id:
-            iface = self.platform.interface_for(back[1])
-            if iface is None or iface.name not in self.enabled_ifaces:
-                return None
-        return cost
-
-    def _incremental_dist(
-        self,
-        spt: Tuple[
-            Dict[int, float],
-            Dict[int, Tuple[IPv4Address, str]],
-            Dict[int, int],
-        ],
-        link_dirty: List[int],
-    ) -> Dict[int, float]:
-        """Distances after a link change, without a full Dijkstra.
-
-        Invalidate the old-tree subtrees rooted at routers whose edge
-        set changed (their old distances may no longer hold; everyone
-        else's old path avoids every changed edge, so it is still
-        valid), seed a lazy Dijkstra from the intact boundary, and let
-        relaxation also improve intact routers when a cheaper edge
-        appeared.
-        """
-        old_dist, _old_first_hop, old_parent = spt
-        children: Dict[int, List[int]] = {}
-        for node, parent_id in old_parent.items():
-            children.setdefault(parent_id, []).append(node)
-        affected: Set[int] = set()
-        stack = list(link_dirty)
-        while stack:
-            router = stack.pop()
-            if router in affected:
-                continue
-            affected.add(router)
-            stack.extend(children.get(router, ()))
-        dist = dict(old_dist)
-        for router in affected:
-            dist.pop(router, None)
-        heap: List[Tuple[float, int]] = []
-        for v in sorted(affected):
-            v_lsa = self.lsdb.get(v)
-            if v_lsa is None:
-                continue
-            seen: Set[int] = set()
-            for p, _addr, _c in v_lsa.links:
-                if p in seen or p not in dist:
-                    continue
-                seen.add(p)
-                cost = self._edge_cost(p, v)
-                if cost is not None:
-                    heapq.heappush(heap, (dist[p] + cost, v))
-        while heap:
-            d, v = heapq.heappop(heap)
-            if v in dist and d >= dist[v]:
-                continue
-            dist[v] = d
-            v_lsa = self.lsdb.get(v)
-            if v_lsa is None:
-                continue
-            for w, _addr, cost in v_lsa.links:
-                w_lsa = self.lsdb.get(w)
-                if w_lsa is None:
-                    continue
-                if not any(l[0] == v for l in w_lsa.links):
-                    continue
-                nd = d + cost
-                if w not in dist or nd < dist[w]:
-                    heapq.heappush(heap, (nd, w))
-        return dist
-
-    def _derive_hops(
-        self, dist: Dict[int, float]
-    ) -> Tuple[Dict[int, Tuple[IPv4Address, str]], Dict[int, int]]:
-        """Canonical first hops and parents from a distance table.
-
-        Processing routers by increasing (dist, id) and picking the
-        valid parent with the smallest (dist, id) reproduces the
-        reference Dijkstra's assignment: with positive costs, the final
-        relaxation order there is exactly this argmin.
-        """
-        first_hop: Dict[int, Tuple[IPv4Address, str]] = {}
-        parent: Dict[int, int] = {}
-        root = self.router_id
-        for _d, node in sorted((d, r) for r, d in dist.items()):
-            if node == root:
-                continue
-            node_lsa = self.lsdb.get(node)
-            if node_lsa is None:
-                continue
-            target = dist[node]
-            best: Optional[Tuple[float, int, Tuple[IPv4Address, str]]] = None
-            seen: Set[int] = set()
-            for p, _addr, _c in node_lsa.links:
-                if p in seen:
-                    continue
-                seen.add(p)
-                parent_dist = dist.get(p)
-                if parent_dist is None:
-                    continue
-                if best is not None and (parent_dist, p) >= best[:2]:
-                    continue
-                cost = self._edge_cost(p, node)
-                if cost is None or parent_dist + cost != target:
-                    continue
-                if p == root:
-                    back = next(l for l in node_lsa.links if l[0] == root)
-                    iface = self.platform.interface_for(back[1])
-                    hop = (back[1], iface.name)
-                else:
-                    hop = first_hop.get(p)
-                    if hop is None:
-                        continue
-                best = (parent_dist, p, hop)
-            if best is not None:
-                first_hop[node] = best[2]
-                parent[node] = best[1]
-        return first_hop, parent
 
     def _dijkstra(
         self,
-    ) -> Tuple[
-        Dict[int, float],
-        Dict[int, Tuple[IPv4Address, str]],
-        Dict[int, int],
-    ]:
+    ) -> Tuple[Dict[int, float], Dict[int, Tuple[IPv4Address, str]]]:
         """Shortest paths over the LSDB with bidirectional checking.
 
-        Returns (distance by router id, first hop by router id, parent
-        by router id) where first hop is (neighbor interface address,
-        our interface name). An edge out of the root is valid only when
-        it maps onto an enabled local interface — the same rule the
-        incremental recomputation applies, so both agree on which part
-        of the graph is usable.
+        Returns (distance by router id, first hop by router id) where
+        first hop is (neighbor interface address, our interface name).
+        An edge out of the root is valid only when it maps onto an
+        enabled local interface.
         """
         dist: Dict[int, float] = {self.router_id: 0.0}
         first_hop: Dict[int, Tuple[IPv4Address, str]] = {}
-        parent: Dict[int, int] = {}
         visited: Set[int] = set()
         heap: List[Tuple[float, int]] = [(0.0, self.router_id)]
         while heap:
@@ -1044,9 +727,8 @@ class OSPFDaemon:
                     continue
                 dist[neighbor_id] = nd
                 first_hop[neighbor_id] = hop
-                parent[neighbor_id] = router
                 heapq.heappush(heap, (nd, neighbor_id))
-        return dist, first_hop, parent
+        return dist, first_hop
 
     # ------------------------------------------------------------------
     def neighbor_states(self) -> Dict[str, str]:

@@ -351,7 +351,6 @@ def build_internet(
     dead_interval: float = 8.0,
     mrai: float = 1.0,
     hold_time: float = 90.0,
-    incremental_spf: bool = True,
     spec: Optional[InternetSpec] = None,
     **spec_kwargs,
 ) -> InternetWorld:
@@ -405,7 +404,6 @@ def build_internet(
             vnode.configure_ospf(
                 hello_interval=hello_interval,
                 dead_interval=dead_interval,
-                incremental_spf=incremental_spf,
             )
             for ifname in intra_ifaces.get(router, ()):
                 vnode.xorp.ospf.enable_interface(ifname)

@@ -162,13 +162,18 @@ def test_perfetto_events_pulls_one_row_per_event_consumed():
 def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     """``python -m repro.obs.query ...`` would now exit 0 having done
     nothing (the module has no ``__main__`` block), so a stale command
-    in CI or the docs must fail here instead."""
+    in CI or the docs must fail here instead. Likewise the microbench
+    harness and the SPF knob it vouched for: deleted, and not to be
+    documented back in beside the ledger."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
-        r"|\bmake\s+(profile|report)\b")
+        r"|\bmake\s+(profile|report)\b"
+        r"|runner\.py|check_regression|bench_core_engine|BENCH_core"
+        r"|TRAJECTORY_core|make\s+bench\b|incremental_spf|BenchTrajectory")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md",
-                 "benchmarks/README.md", ".github/workflows/ci.yml"):
+                 "benchmarks/README.md", ".github/workflows/ci.yml",
+                 ".claude/skills/verify/SKILL.md"):
         for number, line in enumerate(
                 (REPO / name).read_text().splitlines(), start=1):
             if stale.search(line):

@@ -1,11 +1,10 @@
 """Unit tests for repro.obs.export: the registry JSONL exporter, series
-CSV, commit detection, and the BenchTrajectory artifact."""
+CSV, and commit detection."""
 
 import json
 import os
 
 from repro.obs import (
-    BenchTrajectory,
     MetricsRegistry,
     PeriodicSampler,
     detect_commit,
@@ -96,28 +95,6 @@ def test_detect_commit_reads_head(tmp_path):
 def test_detect_commit_on_this_repo():
     commit = detect_commit(os.path.dirname(__file__))
     assert commit is not None and len(commit) == 12
-
-
-def test_bench_trajectory_round_trip(tmp_path):
-    trajectory = BenchTrajectory(name="t", results_dir=str(tmp_path))
-    assert trajectory.rows() == []
-    row1 = trajectory.append({"events_per_sec": 1.5e6}, commit="abc123",
-                             timestamp="2026-08-06T00:00:00Z")
-    trajectory.append({"events_per_sec": 1.6e6}, commit="def456",
-                      timestamp="2026-08-06T01:00:00Z")
-    rows = trajectory.rows()
-    assert [r["commit"] for r in rows] == ["abc123", "def456"]
-    assert rows[0] == row1
-    # Appending never rewrites earlier lines.
-    with open(trajectory.path) as handle:
-        assert len(handle.read().strip().split("\n")) == 2
-
-
-def test_bench_trajectory_stamps_commit_and_time(tmp_path):
-    trajectory = BenchTrajectory(name="auto", results_dir=str(tmp_path))
-    row = trajectory.append({"x": 1})
-    assert "commit" in row and "timestamp" in row
-    assert row["timestamp"].endswith("Z")
 
 
 def test_histogram_buckets_in_jsonl_and_csv():

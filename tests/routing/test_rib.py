@@ -1,8 +1,20 @@
 """Unit tests for the RIB."""
 
-from repro.net.addr import ip, prefix
+import random
+
+import pytest
+
+from repro.net.addr import Prefix, ip, prefix
 from repro.routing.platform import FEA
 from repro.routing.rib import AdminDistance, RIB, RibRoute
+
+from .test_ospf_churn import (
+    SETTLE,
+    apply_event,
+    churn_events,
+    make_world,
+    random_graph,
+)
 
 
 def route(pfx, proto, distance, metric=0.0, nexthop="10.0.0.1", ifname="eth0"):
@@ -89,3 +101,36 @@ def test_routes_listing():
     rib.update(route("10.2.0.0/16", "static", 1))
     assert len(rib.routes()) == 2
     assert len(rib) == 2
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+def test_fib_delta_matches_full_rebuild(seed):
+    """The delta stream the RIB applied leaves the FEA byte-identical
+    to reprogramming it from scratch, at every settle point."""
+    rng = random.Random(seed)
+    names, edges, costs = random_graph(rng, rng.randint(4, 8))
+    sim, fabric, platforms, routers, ifmap = make_world(
+        seed, names, edges, costs
+    )
+    sim.run(until=SETTLE)
+
+    def check_rebuild():
+        for name, router in sorted(routers.items()):
+            before = dict(router.platform.fea.routes)
+            router.rib.rebuild_fib()
+            assert dict(router.platform.fea.routes) == before, name
+
+    check_rebuild()
+    for event in churn_events(rng, edges):
+        apply_event(event, fabric, platforms, routers, ifmap)
+        sim.run(until=sim.now + SETTLE)
+        check_rebuild()
+
+
+def test_fea_clear_only_drops_rib_routes():
+    """FEA.clear drops exactly the RIB-programmed entries."""
+    fea = FEA()
+    fea.install(Prefix.parse("10.1.0.0/16"), None, "eth0")
+    assert len(fea) == 1
+    fea.clear()
+    assert len(fea) == 0

@@ -103,17 +103,6 @@ def test_same_seed_rebuilds_identical_routing_state():
     assert one.fib_checksum() == two.fib_checksum()
 
 
-def test_incremental_and_full_spf_reach_the_same_fib():
-    """The zoo's FIBs are SPF-mode independent — the differential
-    battery's claim, restated at multi-AS scale."""
-    incr = build_internet(incremental_spf=True, **SMALL)
-    full = build_internet(incremental_spf=False, **SMALL)
-    incr.run(until=CONVERGE_AT)
-    full.run(until=CONVERGE_AT)
-    assert incr.converged_routers() == incr.spec.n_routers
-    assert incr.fib_checksum() == full.fib_checksum()
-
-
 def test_overlay_walks_reach_remote_prefixes():
     from repro.faults.invariants import walk_overlay_path
 
