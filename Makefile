@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test props tier2-bench-smoke ledger ledger-smoke ledger-ab flight watch explain
+.PHONY: test props paper tier2-bench-smoke ledger ledger-smoke ledger-ab flight watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -15,6 +15,14 @@ props:
 		tests/net/test_trie_property.py tests/click/test_classifier_property.py \
 		tests/click/test_elements.py::test_dispatch_equals_the_port_it_replaced \
 		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py
+
+# Tier-2: the paper's evaluation (Tables 2-6, Figs 6/8/9, the BGP mux
+# and four ablations, ~4 min). Every scenario of benchmarks/paper.py
+# runs once, is held to its claims, and rewrites its numbers in
+# benchmarks/results/paper.json and its table in EXPERIMENTS.md; seeds
+# are fixed, so `git diff` afterwards shows exactly what moved.
+paper:
+	$(PYTHON) -m pytest -q benchmarks/run_paper.py
 
 # Tier-2: the ledger at smoke scale (every benchmark workload, tiny)
 # plus the env-gated scale tests (the 200-AS internet build). Catches

@@ -6,8 +6,8 @@ table is initially empty and is populated by XORP" (Section 4.2.1).
 
 Two implementations share one API: :class:`RadixIPLookup` (the radix
 trie Click uses for big tables) and :class:`LinearIPLookup` (Click's
-simple list-scan element). The FIB-lookup ablation bench contrasts
-their cost at Abilene scale and at full-Internet scale.
+simple list-scan element); ``tests/click/test_elements.py`` holds the
+two to the same answers.
 
 On a hit, the element annotates the packet with the chosen next hop
 (``meta['gw']``) — Click's destination annotation — and pushes it to
@@ -102,7 +102,7 @@ class LinearIPLookup(_LookupBase):
     """Click's LinearIPLookup: a list scanned per packet.
 
     O(n) per lookup; fine for a handful of routes, pathological for
-    big tables — which is exactly what the ablation bench shows.
+    big tables.
     """
 
     def __init__(self, n_outputs: int = 1, no_route_port: Optional[int] = None):

@@ -9,7 +9,7 @@ An :class:`Experiment` is that specification: a slice with isolation
 parameters, a virtual topology, a routing configuration, a timetable of
 events (link failures/recoveries, traffic start/stop, arbitrary
 callables), and the trace collector the tools write into. The same
-object drives the paper's Section 5.2 experiment and every bench.
+object drives the paper's Section 5.2 experiment and every scenario.
 """
 
 from __future__ import annotations

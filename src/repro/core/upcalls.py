@@ -10,8 +10,8 @@ The PL-VINI prototype itself *lacks* this (failures are masked by IP
 rerouting); the dispatcher here implements the ongoing-work design:
 each virtual link records the physical links it rides on, and when one
 fails, both endpoint routing daemons are notified immediately — which
-the `bench_ablation_hello_interval` bench contrasts with plain
-dead-interval detection.
+the ``ospf_timers`` scenario of ``benchmarks/paper.py`` contrasts with
+plain dead-interval detection.
 """
 
 from __future__ import annotations

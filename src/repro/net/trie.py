@@ -2,8 +2,8 @@
 
 This is the data structure behind the Click ``RadixIPLookup`` element
 and the RIB. A path-compressed binary trie keyed on IPv4 prefixes:
-O(32) lookups independent of table size, which the FIB-lookup ablation
-bench contrasts with Click's ``LinearIPLookup``.
+O(32) lookups independent of table size, unlike the per-packet list
+scan of Click's ``LinearIPLookup``.
 
 Lookups are the per-packet path, so they build nothing: a node that
 holds a route keeps its ``(Prefix, value)`` entry, made at ``insert``

@@ -274,7 +274,7 @@ def resolve_artifact(manifest: Dict[str, Any], name: str) -> str:
 
 def attach_from_env(sim, until: Optional[float] = None, experiment=None):
     """The zero-wiring hook ``Experiment.run``/``VINI.run`` call before
-    every ``sim.run``: any scenario — every example and bench script
+    every ``sim.run``: any scenario — every example and paper scenario
     included — grows an archive and a live feed from two environment
     variables.
 

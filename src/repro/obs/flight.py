@@ -13,10 +13,6 @@ additionally renders the retained flights as deterministic Perfetto /
 Chrome-trace JSON (load it at https://ui.perfetto.dev or
 ``chrome://tracing``); ``--diff A B`` re-runs two ``config:seed`` specs
 and compares their mean stage decompositions.
-
-This module duplicates the small world-builder from
-``benchmarks/common.py`` on purpose: the ``benchmarks`` package lives
-outside ``src/`` and is not importable from an installed ``repro``.
 """
 
 from __future__ import annotations
@@ -26,65 +22,9 @@ from typing import Tuple
 from repro.obs.export import export_perfetto, flight_rows
 from repro.obs.spans import FlightRecorder, Flight
 
-#: Fig. 5 slice of Abilene used by Section 5.1.2 (propagation delays
-#: come from the topology module; 100 Mb/s PlanetLab node Ethernet).
-POPS = ("chicago", "newyork", "washington")
-ACCESS_BW = 100e6
-
 #: How far a flight's stage-duration sum may drift from its measured
 #: end-to-end duration before the CLI flags it (ISSUE acceptance: 1 µs).
 SUM_TOLERANCE = 1e-6
-
-
-def build_world(config: str, seed: int, loaded: bool, warmup: float):
-    """The Chicago--NY--Washington world in one of the paper's three
-    configurations (mirrors ``benchmarks.common.build_planetlab_world``)."""
-    from repro.core import VINI, Experiment
-    from repro.phys.load import CPUHog
-    from repro.topologies.abilene import ABILENE_LINKS
-
-    if config not in ("network", "planetlab", "plvini"):
-        raise ValueError(f"unknown config {config!r}")
-    vini = VINI(seed=seed)
-    for name in POPS:
-        vini.add_node(name)
-    for a, b in zip(POPS, POPS[1:]):
-        vini.connect(a, b, bandwidth=ACCESS_BW, delay=ABILENE_LINKS[(a, b)],
-                     queue_bytes=256 * 1024)
-    vini.install_underlay_routes()
-    exp = None
-    if config != "network":
-        exp = Experiment(
-            vini,
-            "iias",
-            cpu_reservation=0.25 if config == "plvini" else 0.0,
-            realtime=(config == "plvini"),
-        )
-        for name in POPS:
-            exp.add_node(name, name)
-        for a, b in zip(POPS, POPS[1:]):
-            exp.connect(a, b)
-        exp.configure_ospf(hello_interval=5.0, dead_interval=10.0)
-        exp.start()
-    if loaded:
-        for node in vini.nodes.values():
-            for index in range(7):
-                CPUHog(node, name=f"slice{index}", quantum=0.0005,
-                       heavy_tail_prob=0.006, heavy_tail_max=0.045).start()
-    vini.run(until=warmup)
-    return vini, exp
-
-
-def endpoints(vini, exp):
-    """(src node, src sliver, destination address) for the ping."""
-    src = vini.nodes[POPS[0]]
-    if exp is None:
-        return src, None, vini.nodes[POPS[-1]].address
-    return (
-        src,
-        exp.network.nodes[POPS[0]].sliver,
-        exp.network.nodes[POPS[-1]].tap_addr,
-    )
 
 
 def run_flights(
@@ -97,11 +37,18 @@ def run_flights(
 ) -> Tuple[FlightRecorder, "object"]:
     """Build the world, run the traced ping, return (recorder, ping)."""
     from repro.tools.ping import Ping
+    from repro.topologies.planetlab import PLANETLAB_CONFIGS, build_planetlab
 
-    vini, exp = build_world(config, seed=seed, loaded=loaded, warmup=warmup)
+    if config not in PLANETLAB_CONFIGS:
+        raise ValueError(f"unknown config {config!r}")
+    vini, exp = build_planetlab(seed, hogs=7 if loaded else 0, warmup=warmup,
+                                **PLANETLAB_CONFIGS[config])
     recorder = FlightRecorder(vini.sim, policy="slowest").install()
-    src, sliver, dst = endpoints(vini, exp)
-    ping = Ping(src, dst, sliver=sliver, interval=interval,
+    sliver, dst = None, vini.nodes["washington"].address
+    if exp is not None:
+        sliver = exp.network.nodes["chicago"].sliver
+        dst = exp.network.nodes["washington"].tap_addr
+    ping = Ping(vini.nodes["chicago"], dst, sliver=sliver, interval=interval,
                 count=count).start()
     start = vini.sim.now
     vini.run(until=start + count * interval + 5.0)

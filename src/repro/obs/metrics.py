@@ -18,7 +18,7 @@ publish three kinds of instruments, keyed by ``(name, labels)``:
 Hot paths keep their plain integer counters; the registry is how those
 numbers become *artifacts* — snapshot rows for the JSONL/CSV exporters
 (:mod:`repro.obs.export`), probes for :class:`repro.obs.PeriodicSampler`
-time series, and headline numbers for the benches.
+time series, and headline numbers for ``benchmarks/paper.py``.
 
 A disabled registry (``enabled=False``, or flipping
 ``MetricsRegistry.default_enabled`` before building a world) hands out

@@ -349,7 +349,7 @@ def episodes_from_trace(trace) -> List[ConvergenceEpisode]:
 
     The batch counterpart to :class:`ConvergenceTracker`'s incremental
     stitching: scan the recorded ``fault`` and ``rib_change`` records
-    in time order and rebuild the same episode list. Benches assert the
+    in time order and rebuild the same episode list. Tier-1 asserts the
     two derivations are equal, the same live-vs-offline cross-check the
     metric registry gets against legacy sample scans. Only works if a
     tracker/observer enabled ``rib_change`` during the run (quiet kinds

@@ -1,9 +1,10 @@
-"""Ready-made topologies: Abilene, DETER, and generators.
+"""Ready-made topologies: Abilene, DETER, PlanetLab, and generators.
 
-The paper's two experimental settings are the DETER/Emulab 3-node
-testbed (Figs. 3–4) and the 11-PoP Abilene backbone (Figs. 5 and 7).
-Both are reproduced here with calibrated link latencies, along with
-generic generators (line/ring/star/mesh and Waxman random graphs) for
+The paper's three experimental settings are the DETER/Emulab 3-node
+testbed (Figs. 3–4), the three loaded PlanetLab nodes at Abilene PoPs
+(Fig. 5) and the 11-PoP Abilene backbone mirror (Fig. 7). All are
+reproduced here with calibrated link latencies, along with generic
+generators (line/ring/star/mesh and Waxman random graphs) for
 experiments beyond the paper.
 """
 
@@ -31,12 +32,14 @@ from repro.topologies.internet import (
     hijack_plan,
     stuck_route_plan,
 )
+from repro.topologies.planetlab import PLANETLAB_CONFIGS, build_planetlab
 
 __all__ = [
     "ABILENE_LINKS",
     "ABILENE_POPS",
     "InternetSpec",
     "InternetWorld",
+    "PLANETLAB_CONFIGS",
     "build_abilene",
     "build_abilene_iias",
     "build_deter",
@@ -45,6 +48,7 @@ __all__ = [
     "build_full_mesh",
     "build_internet",
     "build_line",
+    "build_planetlab",
     "build_policy_graph",
     "build_ring",
     "build_star",

@@ -163,15 +163,18 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     """``python -m repro.obs.query ...`` would now exit 0 having done
     nothing (the module has no ``__main__`` block), so a stale command
     in CI or the docs must fail here instead. Likewise the microbench
-    harness and the SPF knob it vouched for: deleted, and not to be
-    documented back in beside the ledger."""
+    harness and the SPF knob it vouched for, and the fourteen bench
+    scripts ``make paper`` replaced, with their ``results/*.txt``:
+    deleted, and not to be documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
         r"|runner\.py|check_regression|bench_core_engine|BENCH_core"
-        r"|TRAJECTORY_core|make\s+bench\b|incremental_spf|BenchTrajectory")
+        r"|TRAJECTORY_core|make\s+bench\b|incremental_spf|BenchTrajectory"
+        r"|--benchmark-only|bench_(table|fig|ablation|bgp)|benchmarks/common"
+        r"|fig[89]_experiment|results/\w+\.txt")
     hits = []
-    for name in ("Makefile", "README.md", "EXPERIMENTS.md",
+    for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",
                  ".claude/skills/verify/SKILL.md"):
         for number, line in enumerate(

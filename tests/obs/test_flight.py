@@ -197,9 +197,10 @@ def test_ospf_failure_emits_convergence_span_tree():
     """Failing a link in the overlay produces the Fig-8 causal chain:
     convergence root -> detection/LSA instants -> SPF -> FIB update."""
     from repro.faults import FaultPlan
-    from repro.obs.flight import build_world
+    from repro.topologies import PLANETLAB_CONFIGS, build_planetlab
 
-    vini, exp = build_world("plvini", seed=5, loaded=False, warmup=12.0)
+    vini, exp = build_planetlab(5, hogs=0, warmup=12.0,
+                                **PLANETLAB_CONFIGS["plvini"])
     recorder = FlightRecorder(vini.sim, capacity=64).install()
     exp.apply_faults(
         FaultPlan("t").fail_link(2.0, "chicago", "newyork", duration=30.0),
@@ -260,14 +261,17 @@ def test_recorder_is_passive_golden_trace(plvini_run):
     recorder, ping = plvini_run
 
     def trace_of(install):
-        from repro.obs.flight import build_world, endpoints
         from repro.tools.ping import Ping
+        from repro.topologies import PLANETLAB_CONFIGS, build_planetlab
 
-        vini, exp = build_world("plvini", seed=3, loaded=False, warmup=12.0)
+        vini, exp = build_planetlab(3, hogs=0, warmup=12.0,
+                                    **PLANETLAB_CONFIGS["plvini"])
         if install:
             FlightRecorder(vini.sim).install()
-        src, sliver, dst = endpoints(vini, exp)
-        ping = Ping(src, dst, sliver=sliver, interval=0.1, count=8).start()
+        src = exp.network.nodes["chicago"]
+        dst = exp.network.nodes["washington"].tap_addr
+        ping = Ping(src.phys_node, dst, sliver=src.sliver, interval=0.1,
+                    count=8).start()
         vini.run(until=vini.sim.now + 8 * 0.1 + 5.0)
         return [(r.time, r.kind, r.fields) for r in vini.sim.trace.records]
 

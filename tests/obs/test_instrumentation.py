@@ -1,9 +1,15 @@
 """The instrumented hot paths publish registry values that equal the
-legacy object-attribute readouts — the contract the rewritten benches
-lean on."""
+legacy object-attribute readouts — the contract ``benchmarks/paper.py``
+leans on when it reads each headline once, from the registry."""
 
 from repro.obs import MetricsRegistry
-from repro.tools import IperfTCPClient, IperfTCPServer, Ping
+from repro.tools import (
+    IperfTCPClient,
+    IperfTCPServer,
+    IperfUDPClient,
+    IperfUDPServer,
+    Ping,
+)
 from repro.topologies import build_abilene_iias, build_deter
 
 
@@ -11,14 +17,25 @@ def test_deter_world_metrics_match_legacy_attributes():
     vini = build_deter(seed=4)
     metrics = vini.sim.metrics
     server = IperfTCPServer(vini.nodes["sink"])
-    IperfTCPClient(
+    tcp_client = IperfTCPClient(
         vini.nodes["src"], vini.nodes["sink"].address,
-        streams=2, duration=0.3, server=server,
+        streams=2, duration=0.6, server=server,
+    ).start()
+    udp_server = IperfUDPServer(vini.nodes["sink"])
+    udp_client = IperfUDPClient(
+        vini.nodes["src"], vini.nodes["sink"].address, rate_bps=20e6,
+        duration=0.4, server=udp_server,
     ).start()
     ping = Ping(
         vini.nodes["src"], vini.nodes["sink"].address,
         interval=0.05, count=5,
     ).start()
+    # A 0.25 s outage of the second hop costs each TCP stream an RTO
+    # and the UDP stream its tail, so the loss counters below are
+    # non-zero and sent != received.
+    link = vini.link_between("fwdr", "sink")
+    vini.sim.schedule(0.3, link.fail)
+    vini.sim.schedule(0.55, link.recover)
     vini.run(until=1.0)
 
     # Engine gauges read the live scheduler state.
@@ -52,12 +69,30 @@ def test_deter_world_metrics_match_legacy_attributes():
         metrics.value("iperf.tcp.bytes_received", node="sink", port=5001)
         == server.bytes_received
     )
+    timeouts = sum(conn.timeouts for conn in tcp_client.connections)
+    retransmits = sum(conn.retransmits for conn in tcp_client.connections)
+    assert metrics.value("tcp.timeouts", node="src") == timeouts >= 2
+    assert metrics.value("tcp.retransmits", node="src") == retransmits >= 2
+    udp = udp_client.result()
+    assert udp.sent > udp.received > 0 and udp.jitter > 0
+    assert metrics.value("iperf.udp.sent", node="src", port=5002) == udp.sent
+    assert (
+        metrics.value("iperf.udp.received", node="sink", port=5002)
+        == udp.received
+    )
+    assert metrics.value("iperf.udp.jitter", node="sink", port=5002) == udp.jitter
     labels = dict(src="src", dst=str(ping.dst), ident=ping.ident)
     assert metrics.value("ping.transmitted", **labels) == ping.transmitted
     assert metrics.value("ping.received", **labels) == ping.received
     hist = metrics.get("ping.rtt", **labels)
     assert hist.count == len(ping.samples)
     assert hist.sum == sum(rtt for _t, _s, rtt in ping.samples)
+    # ping's summary line rebuilt from the histogram is the one from the
+    # sample list (mdev by the sum-of-squares identity, so to rounding).
+    stats = ping.stats()
+    assert (hist.min, hist.max) == (stats.min_rtt, stats.max_rtt)
+    assert abs(hist.mean - stats.avg_rtt) <= 1e-12
+    assert abs(hist.stddev - stats.mdev) <= 1e-9 + 1e-6 * stats.mdev
 
 
 def test_abilene_overlay_publishes_click_and_ospf_metrics():
@@ -81,6 +116,12 @@ def test_abilene_overlay_publishes_click_and_ospf_metrics():
     from repro.routing.ospf import _rid
 
     for vnode in exp.network.nodes.values():
+        # Click's CPU time: the per-process pull counter IS cpu_used.
+        click = vnode.click_process
+        assert metrics.value(
+            "cpu.process_seconds", cpu=f"{click.node.name}.cpu",
+            process=click.metric_label,
+        ) == click.cpu_used > 0
         daemon = vnode.xorp.ospf
         if daemon is None:
             continue

@@ -2,11 +2,12 @@
 across commits, not only against the in-file oracle of
 ``test_cpu_property.py``.
 
-Table 4's world — Chicago--NY--Washington, IIAS in a slice, seven
-heavy-tailed hogs per node — runs under both configurations (``plvini``:
-25 % reservation + RT priority; ``planetlab``: default fair share) with
-a short iperf through the overlay, and every dispatch on every node is
-serialized as ``(now, cpu, process, cost)``. The sha256 constants were
+Table 4's world (``build_planetlab``: Chicago--NY--Washington, IIAS in
+a slice, seven heavy-tailed hogs per node) runs under both
+configurations (``plvini``: 25 % reservation + RT priority;
+``planetlab``: default fair share) with a short iperf through the
+overlay, and every dispatch on every node is serialized as
+``(now, cpu, process, cost)``. The sha256 constants were
 recorded at commit a609d73, *before* the election became a single pass
 over an incrementally kept ready set, so a rewrite that reorders ties
 or decays a usage average at a different instant cannot pass.
@@ -16,13 +17,10 @@ import hashlib
 
 import pytest
 
-from repro.core import VINI, Experiment
 from repro.phys.cpu import CPUScheduler
-from repro.phys.load import CPUHog
 from repro.tools import IperfTCPClient, IperfTCPServer
-from repro.topologies.abilene import ABILENE_LINKS
+from repro.topologies import PLANETLAB_CONFIGS, build_planetlab
 
-CHAIN = (("chicago", "newyork"), ("newyork", "washington"))
 WARMUP = 11.0  # OSPF (hello 5 s) is up and the overlay forwards
 DURATION = 0.25
 
@@ -47,31 +45,7 @@ def _dispatch_stream(monkeypatch, config: str, seed: int) -> str:
                 f"{cpu.sim.now!r} {cpu.name} {after[1].name} {after[2]!r}")
 
     monkeypatch.setattr(CPUScheduler, "_dispatch", recording)
-    vini = VINI(seed=seed)
-    pops = ("chicago", "newyork", "washington")
-    for pop in pops:
-        vini.add_node(pop)
-    for a, b in CHAIN:
-        vini.connect(a, b, bandwidth=100e6, delay=ABILENE_LINKS[(a, b)],
-                     queue_bytes=256 * 1024)
-    vini.install_underlay_routes()
-    plvini = config == "plvini"
-    exp = Experiment(
-        vini, "iias", cpu_reservation=0.25 if plvini else 0.0, realtime=plvini
-    )
-    for pop in pops:
-        exp.add_node(pop, pop)
-    for a, b in CHAIN:
-        exp.connect(a, b)
-    exp.configure_ospf(hello_interval=5.0, dead_interval=10.0)
-    exp.start()
-    for node in vini.nodes.values():
-        for index in range(7):
-            CPUHog(
-                node, name=f"slice{index}", quantum=0.0005,
-                heavy_tail_prob=0.006, heavy_tail_max=0.045,
-            ).start()
-    vini.run(until=WARMUP)
+    vini, exp = build_planetlab(seed, warmup=WARMUP, **PLANETLAB_CONFIGS[config])
     src = exp.network.nodes["chicago"]
     dst = exp.network.nodes["washington"]
     server = IperfTCPServer(dst.phys_node, sliver=dst.sliver)

@@ -49,6 +49,18 @@ def test_experiment_announcement_reaches_external():
     route = external.best("198.18.1.0/24")
     assert route is not None
     assert 64512 in route.as_path and 65100 in route.as_path
+    # The registry's session instruments read the sessions' own counters.
+    metrics = sim.metrics
+    session = mux.clients["exp0"].session
+    assert metrics.value(
+        "bgp.updates_received", daemon="bgp-mux", peer="exp0"
+    ) == session.updates_received == 1
+    assert metrics.value(
+        "bgp.updates_sent", daemon="bgp-mux", peer="external"
+    ) == mux.external_session.updates_sent == 1
+    assert metrics.value(
+        "bgp.adj_rib_in_routes", daemon="bgp-mux", peer="exp0"
+    ) == len(session.adj_rib_in) == 1
 
 
 def test_foreign_prefix_filtered():
@@ -61,6 +73,11 @@ def test_foreign_prefix_filtered():
     assert external.best("198.18.2.0/24") is None
     assert external.best("12.34.0.0/16") is None
     assert mux.stats()["exp0"]["filtered"] == 2
+    # The registry's per-client counter is the same number.
+    metrics = sim.metrics
+    assert metrics.value("bgp.mux_filtered", client="exp0") == 2
+    assert metrics.value("bgp.mux_filtered", client="exp1") == 0
+    assert metrics.value("bgp.mux_clients") == len(mux.clients) == 2
 
 
 def test_rate_limit_caps_update_churn():
@@ -82,6 +99,10 @@ def test_rate_limit_caps_update_churn():
     sim.run(until=60.0)
     stats = mux.stats()["exp0"]
     assert stats["ratelimited"] > 0
+    assert (
+        sim.metrics.value("bgp.mux_ratelimited", client="exp0")
+        == stats["ratelimited"]
+    )
 
 
 def test_overlapping_client_blocks_rejected():
