@@ -81,7 +81,7 @@ class FluidFlow:
         if self.end is None and self._plane is not None:
             # The service integral advances lazily (on solve/completion
             # events); bring it up to the current instant for the read.
-            self._plane._advance_class(self._cls, self._plane.sim.now)
+            self._plane._advance((self._cls,), self._plane.sim.now)
         last = self._cls.served if self.end is None else self._served1
         served = last - self._served0
         if self.size_bytes is not None:

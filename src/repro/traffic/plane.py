@@ -19,9 +19,9 @@ packet-accurate and *feel* the background through a coupling layer:
   channel's ``tx_bytes`` counter between solves), so heavy foreground
   traffic squeezes the fluid share exactly as real cross-traffic would.
 
-Rates are re-solved *incrementally*: demand changes (flow arrival,
+Rates are re-solved in full, but rarely: demand changes (flow arrival,
 completion, stop), route changes, and link fail/recover mark the plane
-dirty and coalesce into one deferred solver pass via the engine's
+dirty and coalesce into one deferred *full* solver pass via the engine's
 ``call_unique`` lane — never per-packet, and at most once per
 ``min_interval`` of simulated time when one is set. A pass works on
 state the plane keeps, not state it rebuilds: the classes stand in a
@@ -30,7 +30,14 @@ every directed channel has a dense ``index`` for life, and a class's
 ``hops`` are its channels' indices, rebuilt only when it is re-pathed.
 The solver fills over those indices and one walk over the ordered
 classes adds each class's load onto its hops, so every channel's float
-sum runs in class-key order — a function of the keys alone.
+sum runs in class-key order — a function of the keys alone. A pass
+skips only what cannot move its result: a channel is re-coupled only
+when an input of ``_apply_channel`` (its load, the link's bandwidth or
+queue, the plane's loss ramp) differs from the one last applied, since
+equal inputs install an equal coupling; the shaper and completion walks
+run only when some class has a shaper or a finite flow, since they would
+find nothing. Every class's service integral and every channel's packet
+EWMA still advance at every solve: where those sums are cut is a result.
 
 Everything is deterministic: same seed, same schedule => the same
 solves at the same times with the same rates, byte-identical reports.
@@ -69,6 +76,7 @@ class _ChannelState:
         "index",
         "fluid_bps",
         "packet_bps",
+        "coupled",
         "_last_tx_bytes",
         "_last_time",
     )
@@ -80,23 +88,13 @@ class _ChannelState:
         self.index = index  # position in the plane's dense per-solve lists
         self.fluid_bps = 0.0
         self.packet_bps = 0.0  # EWMA of measured packet throughput
+        self.coupled = None  # every input of the last _apply_channel
         self._last_tx_bytes = channel.tx_bytes
         self._last_time = 0.0
 
     @property
     def util(self) -> float:
         return self.fluid_bps / self.link.bandwidth
-
-    def measure_packets(self, now: float, alpha: float) -> None:
-        """Fold the tx_bytes delta since the last solve into the EWMA."""
-        dt = now - self._last_time
-        if dt <= 0.0:
-            return
-        delta = self.channel.tx_bytes - self._last_tx_bytes
-        instant = delta * 8.0 / dt
-        self.packet_bps = (1.0 - alpha) * self.packet_bps + alpha * instant
-        self._last_tx_bytes = self.channel.tx_bytes
-        self._last_time = now
 
 
 class _FlowClass:
@@ -270,15 +268,20 @@ class FluidTrafficPlane:
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count!r}")
-        self._next_fid += 1
+        if demand_bps is not None and demand_bps < 0:
+            raise ValueError(f"negative demand_bps {demand_bps!r}")
+        for what, size in (("size", size_bytes), ("window", window_bytes)):
+            if size is not None and size <= 0:
+                raise ValueError(f"{what}_bytes must be positive, got {size!r}")
         flow = FluidFlow(
-            self._next_fid, src, dst, demand_bps, size_bytes,
+            self._next_fid + 1, src, dst, demand_bps, size_bytes,
             window_bytes, count,
         )
         flow.start = self.sim.now
         flow._plane = self
-        cls = self._class_for(flow)
-        self._advance_class(cls, self.sim.now)
+        cls = self._class_for(flow)  # raises on an unknown endpoint
+        self._next_fid = flow.fid
+        self._advance((cls,), self.sim.now)
         flow._cls = cls
         flow._served0 = cls.served
         cls.count += count
@@ -305,7 +308,7 @@ class FluidTrafficPlane:
         if flow.end is not None:
             return
         cls = flow._cls
-        self._advance_class(cls, self.sim.now)
+        self._advance((cls,), self.sim.now)
         flow.end = self.sim.now
         flow._served1 = cls.served
         cls.count -= flow.count
@@ -368,9 +371,9 @@ class FluidTrafficPlane:
                 key, flow.src, flow.dst, flow.demand_bps, flow.window_bytes
             )
             cls.last_advance = self.sim.now
-            self.classes[key] = cls
+            self._assign_path(cls)  # resolves the endpoints, or raises:
+            self.classes[key] = cls  # nothing keeps a half-built class
             insort(self._ordered, cls)
-            self._assign_path(cls)
         return cls
 
     def _channel_state(self, link, sender_iface) -> _ChannelState:
@@ -463,9 +466,9 @@ class FluidTrafficPlane:
     def _on_link_state(self, link, up: bool) -> None:
         self._route_cache.clear()
         self._graph = None
+        # Service up to now was earned on the old paths.
+        self._advance(self.classes.values(), self.sim.now)
         for cls in self.classes.values():
-            # Service up to now was earned on the old path.
-            self._advance_class(cls, self.sim.now)
             self._assign_path(cls)
         self._mark_dirty()
 
@@ -473,7 +476,7 @@ class FluidTrafficPlane:
         changed = False
         for cls in self.classes.values():
             if cls.vlink is vlink:
-                self._advance_class(cls, self.sim.now)
+                self._advance((cls,), self.sim.now)
                 cls.blocked = not up
                 changed = True
         if changed:
@@ -493,13 +496,14 @@ class FluidTrafficPlane:
         else:
             self.sim.schedule(due, self._solve_cb)
 
-    def _advance_class(self, cls: _FlowClass, now: float) -> None:
-        """Integrate a class's service up to ``now`` at the old rate."""
-        dt = now - cls.last_advance
-        if dt > 0.0:
-            if cls.rate_bps > 0.0 and not cls.blocked and cls.count > 0:
-                cls.served += cls.rate_bps * dt / 8.0
-            cls.last_advance = now
+    def _advance(self, classes, now: float) -> None:
+        """Integrate each class's service up to ``now`` at its old rate."""
+        for cls in classes:
+            dt = now - cls.last_advance
+            if dt > 0.0:
+                if cls.rate_bps > 0.0 and not cls.blocked and cls.count > 0:
+                    cls.served += cls.rate_bps * dt / 8.0
+                cls.last_advance = now
 
     def _solve(self) -> None:
         self._solve_pending = False
@@ -508,24 +512,44 @@ class FluidTrafficPlane:
         self._dirty = False
         now = self.sim.now
 
-        # 1. Bring every class's service integral up to now, and drop
-        #    classes that emptied out.
-        emptied = False
+        # 1. Bring every class's service integral up to now; one walk
+        #    drops emptied classes, zeroes idle ones, collects the rest.
+        self._advance(self._ordered, now)
+        emptied = shaped = finite = False
+        active = []
         for cls in self._ordered:
-            self._advance_class(cls, now)
-            if cls.count <= 0 and not cls.pending:
+            if cls.count > 0 and not cls.blocked:
+                active.append(cls)
+            elif cls.count > 0 or cls.pending:
+                cls.rate_bps = 0.0
+            else:
                 emptied = True
                 del self.classes[cls.key]
+                continue
+            if cls.shaper is not None:
+                shaped = True
+            if cls.pending:
+                finite = True
         if emptied:
             self._ordered = [
                 cls for cls in self._ordered if cls.count > 0 or cls.pending
             ]
 
-        # 2. Measured packet throughput -> per-channel fluid capacity.
-        capacities = []
-        for state in self._channel_states.values():
-            state.measure_packets(now, self.ewma_alpha)
+        # 2. Measured packet throughput (the tx_bytes delta since the
+        #    last solve, folded into the EWMA) -> per-channel capacity.
+        alpha = self.ewma_alpha
+        states = self._channel_states.values()
+        capacities, bandwidths = [], []
+        for state in states:
+            dt = now - state._last_time
+            if dt > 0.0:
+                sent = state.channel.tx_bytes
+                instant = (sent - state._last_tx_bytes) * 8.0 / dt
+                state.packet_bps = (1.0 - alpha) * state.packet_bps + alpha * instant
+                state._last_tx_bytes = sent
+                state._last_time = now
             bandwidth = state.link.bandwidth
+            bandwidths.append(bandwidth)
             cap = bandwidth * (1.0 - self.headroom) - state.packet_bps
             floor = bandwidth * (1.0 - MAX_FLUID_SHARE)
             if not state.link.up:
@@ -535,12 +559,6 @@ class FluidTrafficPlane:
             capacities.append(cap)
 
         # 3. One progressive-filling pass over the active classes.
-        active = []
-        for cls in self._ordered:
-            if cls.count > 0 and not cls.blocked:
-                active.append(cls)
-            else:
-                cls.rate_bps = 0.0
         rates, iterations = progressive_fill(
             [cls.hops for cls in active],
             capacities,
@@ -560,24 +578,31 @@ class FluidTrafficPlane:
             load = cls.rate_bps * cls.count
             for index in cls.hops:
                 loads[index] += load
-        for state, load in zip(self._channel_states.values(), loads):
-            self._apply_channel(state, load)
-        shaper_loads: Dict[int, list] = {}
-        for cls in self.classes.values():
-            if cls.shaper is not None:
-                entry = shaper_loads.setdefault(id(cls.shaper), [cls.shaper, 0.0])
-                if cls.count > 0 and not cls.blocked:
-                    entry[1] += cls.rate_bps * cls.count
-        for shaper, load in shaper_loads.values():
-            shaper.set_fluid_bps(load)
+        ramp = (self.loss_threshold, self.max_loss)
+        for state, load, bandwidth in zip(states, loads, bandwidths):
+            key = (load, bandwidth, state.link.queue_bytes, ramp)
+            if key != state.coupled:
+                state.coupled = key
+                self._apply_channel(state, load)
+        if shaped:
+            shaper_loads: Dict[int, list] = {}
+            for cls in self.classes.values():
+                if cls.shaper is not None:
+                    entry = shaper_loads.setdefault(id(cls.shaper), [cls.shaper, 0.0])
+                    if cls.count > 0 and not cls.blocked:
+                        entry[1] += cls.rate_bps * cls.count
+            for shaper, load in shaper_loads.values():
+                shaper.set_fluid_bps(load)
 
         # 5. Re-arm one completion event per class with finite flows.
-        for cls in self.classes.values():
-            if cls.pending:
-                self._rearm_completion(cls)
+        if finite:
+            for cls in self.classes.values():
+                if cls.pending:
+                    self._rearm_completion(cls)
         self._last_solve = now
 
     def _apply_channel(self, state: _ChannelState, total_bps: float) -> None:
+        """Couple one channel; whatever this reads is in ``_solve``'s key."""
         link = state.link
         bandwidth = link.bandwidth
         fluid = total_bps
@@ -632,7 +657,7 @@ class FluidTrafficPlane:
     def _complete_due(self, cls: _FlowClass) -> None:
         cls.completion_ev = None
         now = self.sim.now
-        self._advance_class(cls, now)
+        self._advance((cls,), now)
         served = cls.served
         finished = []
         while cls.pending:

@@ -80,7 +80,8 @@ def progressive_fill(
 
     ``hops[i]`` indexes ``residual``, the per-link capacity list, which
     is consumed in place. The plane calls this on the indices it keeps;
-    :func:`max_min_rates` is the hashable-link front end.
+    :func:`max_min_rates` is the hashable-link front end. The loop ends
+    with the round that fixes every class left, after its subtraction.
     """
     rates = [0.0] * len(hops)
     nflows = [0] * len(residual)
@@ -95,7 +96,7 @@ def progressive_fill(
             # with no constraining link has no finite fair share; pin 0).
             rates[i] = caps[i] if caps[i] < INF else 0.0
             continue
-        if not dead.isdisjoint(path):
+        if dead and not dead.isdisjoint(path):
             continue  # a dead hop: the class is stuck at zero
         active.append(i)
         for link in path:
@@ -134,6 +135,8 @@ def progressive_fill(
                 remaining = residual[link] - claim
                 residual[link] = remaining if remaining > 0.0 else 0.0
                 nflows[link] -= count
+        if len(fixed) == len(active):
+            break  # the round fixed every class left (residuals are final)
         frozen = set(fixed)
         active = [i for i in active if i not in frozen]
     return rates, iterations

@@ -16,6 +16,7 @@ from repro.traffic import (
     TraceReplay,
     TrafficMatrix,
 )
+from tests.traffic.test_plane_golden import installed_coupling
 
 BOTTLENECK = 10e6
 USABLE = BOTTLENECK * 0.98  # headroom=0.02 default
@@ -176,6 +177,111 @@ class TestCoupling:
         assert by_name["traffic.flows_active"]["value"] == 7
         assert by_name["traffic.solver_runs"]["value"] >= 1
         assert "traffic.link_fluid_util" in by_name
+
+
+class TestRecoupling:
+    """A solve leaves a channel's coupling alone only while *every*
+    input of ``_apply_channel`` stands still, not just the load."""
+
+    LOAD = 9e6  # util 0.9: past the loss threshold, deep in the delay curve
+
+    def _loaded_bottleneck(self):
+        vini, plane = make_dumbbell()
+        plane.add_flow("s0", "r0", demand_bps=self.LOAD)
+        vini.run(until=0.1)
+        link = vini.link_between("rl", "rr")
+        state = plane._channel_states[(link.name, "rl")]
+        assert state.coupled[0] == self.LOAD
+        assert state.channel._fluid_loss > 0.0
+        return vini, plane, link, state
+
+    def _solve_again(self, vini, plane, state):
+        """Another solve that leaves the rl -> rr load where it was."""
+        runs = plane.stats["solver_runs"]
+        plane.add_flow("r1", "s1", demand_bps=1e5)  # the other direction
+        vini.run(until=vini.sim.now + 0.1)
+        assert plane.stats["solver_runs"] == runs + 1
+        assert state.coupled[0] == self.LOAD
+        held = installed_coupling(state)
+        plane._apply_channel(state, self.LOAD)  # the unconditional answer
+        assert installed_coupling(state) == held
+        return held
+
+    def test_unchanged_inputs_are_not_reinstalled(self, monkeypatch):
+        vini, plane, _link, state = self._loaded_bottleneck()
+        before = installed_coupling(state)
+        applied = []
+        apply = plane._apply_channel
+        monkeypatch.setattr(plane, "_apply_channel",
+                            lambda st, load: applied.append(st) or apply(st, load))
+        plane.add_flow("r1", "s1", demand_bps=1e5)
+        vini.run(until=0.2)
+        assert len(applied) == 3 and state not in applied  # r1 -> s1's hops
+        assert installed_coupling(state) == before
+
+    def test_link_bandwidth_change_recouples(self):
+        vini, plane, link, state = self._loaded_bottleneck()
+        before = installed_coupling(state)
+        link.bandwidth = 20e6
+        after = self._solve_again(vini, plane, state)
+        assert after != before
+        assert state.channel._fluid_bw == 20e6 - self.LOAD
+        assert state.channel._fluid_loss == 0.0  # util 0.45
+
+    def test_link_queue_change_recouples(self):
+        vini, plane, link, state = self._loaded_bottleneck()
+        assert state.channel._fluid_reserved == int(link.queue_bytes * 0.9)
+        link.queue_bytes *= 2
+        self._solve_again(vini, plane, state)
+        assert state.channel._fluid_reserved == int(link.queue_bytes * 0.9)
+
+    @pytest.mark.parametrize("knob,value", [("loss_threshold", 0.95),
+                                            ("max_loss", 0.25)])
+    def test_loss_ramp_change_recouples(self, knob, value):
+        vini, plane, _link, state = self._loaded_bottleneck()
+        loss = state.channel._fluid_loss
+        setattr(plane, knob, value)
+        self._solve_again(vini, plane, state)
+        assert state.channel._fluid_loss == (0.0 if knob == "loss_threshold"
+                                             else loss / 2)
+
+    def test_flap_restores_the_coupling(self):
+        # load -> 0 -> the same load: the second change is a change.
+        vini, plane, _link, state = self._loaded_bottleneck()
+        before = installed_coupling(state)
+        (flow,) = plane.flows.values()
+        flow.stop()
+        vini.run(until=0.2)
+        assert installed_coupling(state) == (0.0, 0.0, 0.0, 0.0, 0, 0.0)
+        plane.add_flow("s0", "r0", demand_bps=self.LOAD)
+        vini.run(until=0.3)
+        assert installed_coupling(state) == before
+
+
+class TestAddFlowRejects:
+    def test_unknown_endpoint_leaves_nothing_behind(self):
+        vini, plane = make_dumbbell()
+        fresh = plane.stats
+        for _ in range(2):  # the retry used to find the half-built class
+            with pytest.raises(KeyError, match="nosuch"):
+                plane.add_flow("nosuch", "r0", demand_bps=1e6)
+            with pytest.raises(KeyError, match="nosuch"):
+                plane.add_flow("s0", "nosuch", demand_bps=1e6)
+        assert plane.classes == {} and plane._ordered == []
+        assert plane.flows == {} and not plane._solve_pending
+        assert plane.stats == fresh
+        assert plane.add_flow("s0", "r0").fid == 1  # no fid was spent
+
+    @pytest.mark.parametrize("bad", [
+        dict(demand_bps=-5e8), dict(window_bytes=-3), dict(window_bytes=0),
+        dict(size_bytes=0), dict(size_bytes=-1), dict(count=0),
+    ])
+    def test_out_of_range_demand_is_a_value_error(self, bad):
+        vini, plane = make_dumbbell()
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            plane.add_flow("s0", "r0", **bad)
+        assert plane.stats["classes"] == 0 and plane.flows == {}
+        plane.add_flow("s0", "r0", demand_bps=0.0)  # zero demand is a demand
 
 
 class TestMatrixAndReport:

@@ -18,7 +18,9 @@ re-solve moved onto standing, index-addressed state (when it still
 sorted the class dict per solve and each channel's class set per
 channel), so a rewrite that sums a channel's or a shaper's load in
 another order, or solves at another instant, cannot pass. The same
-recording hook walks the standing structures after every solve.
+recording hook walks the standing structures after every solve, and
+checks every channel's installed coupling against an unconditional
+``_apply_channel`` (a solve skips the channels whose inputs stood still).
 """
 
 import hashlib
@@ -36,6 +38,13 @@ WARMUP = 40.0  # OSPF (hello 5 s) is up and the overlay forwards
 SPAN = 20.0
 
 
+def installed_coupling(state) -> tuple:
+    """What one channel state and its channel hold of the fluid."""
+    channel = state.channel
+    return (state.fluid_bps, channel.fluid_bps, channel._fluid_qdelay,
+            channel._fluid_loss, channel._fluid_reserved, channel._fluid_bw)
+
+
 def _walk_standing_state(plane) -> None:
     """What the solve relies on instead of rebuilding it."""
     assert plane._ordered == sorted(plane.classes.values())
@@ -44,6 +53,18 @@ def _walk_standing_state(plane) -> None:
         assert state.index == position
     for cls in plane.classes.values():
         assert cls.hops == tuple(state.index for state in cls.channels)
+    # A solve re-couples only the channels whose inputs moved: what every
+    # channel holds must still be what an unconditional _apply_channel
+    # installs for this solve's load (summed here in class-key order).
+    loads = [0.0] * len(plane._channel_states)
+    for cls in plane._ordered:
+        if cls.count > 0 and not cls.blocked:
+            for index in cls.hops:
+                loads[index] += cls.rate_bps * cls.count
+    for state, load in zip(plane._channel_states.values(), loads):
+        held = installed_coupling(state)
+        plane._apply_channel(state, load)
+        assert installed_coupling(state) == held, (state.link.name, state.sender)
 
 
 def _record_solves(monkeypatch, exp, lines, walk) -> None:
