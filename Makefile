@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test props paper tier2-bench-smoke ledger ledger-smoke ledger-ab flight watch explain
+.PHONY: test props paper reach tier2-bench-smoke ledger ledger-smoke ledger-ab flight watch explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -23,6 +23,15 @@ props:
 # are fixed, so `git diff` afterwards shows exactly what moved.
 paper:
 	$(PYTHON) -m pytest -q benchmarks/run_paper.py
+
+# Tier-2: the reach audit (~7 min on two cores). Every paper scenario,
+# ledger workload, example and repro.obs verb runs under a call-only
+# trace; the functions of src/repro none of them entered are rewritten
+# into benchmarks/results/unreached.txt, so `git diff` afterwards shows
+# what stopped being reached (or started to be). A row needs a line in
+# DESIGN.md's "Kept without a run" table.
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 # Tier-2: the ledger at smoke scale (every benchmark workload, tiny)
 # plus the env-gated scale tests (the 200-AS internet build). Catches

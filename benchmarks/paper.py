@@ -31,7 +31,7 @@ import re
 from collections import namedtuple
 from pathlib import Path
 
-from repro.core import VINI, Experiment
+from repro.core.spec import build_experiment
 from repro.faults import FaultPlan, InvariantChecker
 from repro.obs import ConvergenceTracker, PeriodicSampler
 from repro.routing.bgp import BGPDaemon, DirectTransport
@@ -758,28 +758,34 @@ def cpu_isolation():
     return out
 
 
+# The ablation's world as a Section 6.2 experiment specification: a
+# square whose a-b-d side is preferred over a-c-d.
+SQUARE = {
+    "name": "iias",
+    "slice": {"realtime": True},
+    "physical": {
+        "nodes": ["a", "b", "c", "d"],
+        "links": [{"a": a, "b": b, "delay": 0.005}
+                  for a, b in ("ab", "bd", "ac", "cd")],
+    },
+    "topology": {
+        "nodes": {name: name for name in "abcd"},
+        "links": [{"a": "a", "b": "b"}, {"a": "b", "b": "d"},
+                  {"a": "a", "b": "c", "cost": 3},
+                  {"a": "c", "b": "d", "cost": 3}],
+    },
+}
+
+
 def _square_outage(seed, hello, dead, upcalls):
     """Seconds of data-plane outage seen by a 10 Hz ping a -> d when
-    the a--b link of a square (a-b-d preferred over a-c-d) fails: the
-    virtual link, or with ``upcalls`` the physical one under it, which
-    Section 6.1's upcall design reports without waiting for the dead
-    interval. Returns (outage, invariant violations)."""
-    vini = VINI(seed=seed)
-    for name in "abcd":
-        vini.add_node(name)
-    for a, b in ("ab", "bd", "ac", "cd"):
-        vini.connect(a, b, delay=0.005)
-    vini.install_underlay_routes()
-    exp = Experiment(vini, "iias", realtime=True)
-    for name in "abcd":
-        exp.add_node(name, name)
-    exp.connect("a", "b")
-    exp.connect("b", "d")
-    exp.connect("a", "c", cost=3)
-    exp.connect("c", "d", cost=3)
-    exp.configure_ospf(hello_interval=hello, dead_interval=dead)
-    if upcalls:
-        exp.enable_upcalls()
+    the a--b link of ``SQUARE`` fails: the virtual link, or with
+    ``upcalls`` the physical one under it, which Section 6.1's upcall
+    design reports without waiting for the dead interval. Returns
+    (outage, invariant violations)."""
+    vini, exp = build_experiment(dict(
+        SQUARE, seed=seed, upcalls=upcalls,
+        routing={"hello_interval": hello, "dead_interval": dead}))
     checker = InvariantChecker(exp).install()
     warmup = max(30.0, 6 * hello)
     exp.run(until=warmup)

@@ -23,10 +23,6 @@ class Counter(Element):
         self.packets = 0
         self.bytes = 0
 
-    @property
-    def rate_window(self):  # pragma: no cover - convenience only
-        return self.packets, self.bytes
-
 
 class Discard(Element):
     """Silently drops everything (counts what it dropped)."""

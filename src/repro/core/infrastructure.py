@@ -9,7 +9,7 @@ directly — they get slices and virtual topologies embedded on top.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -148,10 +148,6 @@ class VINI:
         )
         self._slices[name] = slice_
         return slice_
-
-    @property
-    def slices(self) -> List[Slice]:
-        return list(self._slices.values())
 
     def run(self, until: Optional[float] = None) -> float:
         archive = attach_from_env(self.sim, until=until)

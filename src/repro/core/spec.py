@@ -42,7 +42,10 @@ Example::
 
 ``build_experiment(SPEC)`` returns a ready (vini, experiment) pair, and
 ``experiment_spec(exp)`` round-trips a programmatically built
-experiment back into this form.
+experiment back into this form. The ``ospf_timers`` ablation of
+``benchmarks/paper.py`` builds its square from such a specification,
+so a misspelt key or name is refused (``SpecError`` naming the section
+and the key), never run as a default.
 """
 
 from __future__ import annotations
@@ -58,10 +61,37 @@ _EVENT_ACTIONS = {
     "fail_physical": "fail_physical_at",
     "recover_physical": "recover_physical_at",
 }
+_ROUTING_KEYS = {
+    "ospf": ("hello_interval", "dead_interval"),
+    "rip": ("update_interval", "timeout"),
+    "none": (),
+}
 
 
 class SpecError(ValueError):
     """The specification is malformed."""
+
+
+def _section(where: str, given: Any, allowed, required=()) -> Dict[str, Any]:
+    """``given``, refused if it lacks a required key or carries one
+    outside ``allowed`` — a misspelt key must not run as a default."""
+    if not isinstance(given, dict):
+        raise SpecError(f"{where}: expected a mapping, got {given!r}")
+    for key in required:
+        if key not in given:
+            raise SpecError(f"{where}: missing key {key!r}")
+    for key in given:
+        if key not in allowed:
+            raise SpecError(
+                f"{where}: unknown key {key!r} (known: {', '.join(sorted(allowed))})"
+            )
+    return given
+
+
+def _known(where: str, key: str, name: Any, names) -> Any:
+    if name not in names:
+        raise SpecError(f"{where}: {key!r} names unknown node {name!r}")
+    return name
 
 
 def build_experiment(
@@ -72,22 +102,29 @@ def build_experiment(
     ``vini`` may be supplied (a pre-built substrate, e.g. the Abilene
     deployment); otherwise the spec's ``physical`` section is required.
     """
+    _section("spec", spec, (
+        "name", "seed", "slice", "physical", "topology", "routing",
+        "upcalls", "events", "tap_route_prefix"))
     if vini is None:
-        physical = spec.get("physical")
-        if physical is None:
+        if "physical" not in spec:
             raise SpecError("spec has no 'physical' section and no vini given")
+        physical = _section(
+            "physical", spec["physical"], ("nodes", "links", "cpu_speed"))
         vini = VINI(seed=spec.get("seed", seed))
         for name in physical.get("nodes", []):
             vini.add_node(name, cpu_speed=physical.get("cpu_speed", 1.0))
-        for link in physical.get("links", []):
+        for index, link in enumerate(physical.get("links", [])):
+            where = f"physical.links[{index}]"
+            _section(where, link, ("a", "b", "bandwidth", "delay"), ("a", "b"))
             vini.connect(
-                link["a"],
-                link["b"],
+                _known(where, "a", link["a"], vini.nodes),
+                _known(where, "b", link["b"], vini.nodes),
                 bandwidth=link.get("bandwidth", 1e9),
                 delay=link.get("delay", 0.001),
             )
         vini.install_underlay_routes()
-    slice_spec = spec.get("slice", {})
+    slice_spec = _section("slice", spec.get("slice", {}), (
+        "cpu_share", "cpu_reservation", "realtime", "cpu_cap"))
     exp = Experiment(
         vini,
         spec.get("name", "experiment"),
@@ -97,21 +134,27 @@ def build_experiment(
         cpu_cap=slice_spec.get("cpu_cap"),
         tap_route_prefix=spec.get("tap_route_prefix", "10.0.0.0/8"),
     )
-    topology = spec.get("topology")
-    if topology is None:
+    if "topology" not in spec:
         raise SpecError("spec has no 'topology' section")
+    topology = _section("topology", spec["topology"], ("nodes", "links"))
     for vname, pname in topology.get("nodes", {}).items():
-        exp.add_node(vname, pname)
-    for link in topology.get("links", []):
+        exp.add_node(vname, _known("topology.nodes", vname, pname, vini.nodes))
+    for index, link in enumerate(topology.get("links", [])):
+        where = f"topology.links[{index}]"
+        _section(where, link, ("a", "b", "cost", "bandwidth", "map_physical"),
+                 ("a", "b"))
         exp.connect(
-            link["a"],
-            link["b"],
+            _known(where, "a", link["a"], exp.network.nodes),
+            _known(where, "b", link["b"], exp.network.nodes),
             cost=link.get("cost", 1),
             bandwidth=link.get("bandwidth"),
             map_physical=link.get("map_physical", True),
         )
     routing = spec.get("routing", {})
-    protocol = routing.get("protocol", "ospf")
+    protocol = routing.get("protocol", "ospf") if isinstance(routing, dict) else "ospf"
+    if protocol not in _ROUTING_KEYS:
+        raise SpecError(f"unknown routing protocol {protocol!r}")
+    _section("routing", routing, ("protocol",) + _ROUTING_KEYS[protocol])
     if protocol == "ospf":
         exp.configure_ospf(
             hello_interval=routing.get("hello_interval", 10.0),
@@ -123,16 +166,23 @@ def build_experiment(
                 update_interval=routing.get("update_interval", 30.0),
                 timeout=routing.get("timeout", 180.0),
             )
-    elif protocol != "none":
-        raise SpecError(f"unknown routing protocol {protocol!r}")
     if spec.get("upcalls"):
         exp.enable_upcalls()
-    for event in spec.get("events", []):
-        action = event.get("action")
-        method = _EVENT_ACTIONS.get(action)
+    for index, event in enumerate(spec.get("events", [])):
+        where = f"events[{index}]"
+        _section(where, event, ("time", "action", "args"), ("time", "action"))
+        method = _EVENT_ACTIONS.get(event["action"])
         if method is None:
-            raise SpecError(f"unknown event action {action!r}")
-        getattr(exp, method)(event["time"], *event.get("args", []))
+            raise SpecError(f"{where}: unknown event action {event['action']!r}")
+        try:
+            a, b = event.get("args")
+            (vini if "physical" in method else exp.network).link_between(a, b)
+        except (TypeError, ValueError, KeyError):
+            raise SpecError(
+                f"{where}: 'args' must name the two ends of a link, "
+                f"got {event.get('args')!r}"
+            ) from None
+        getattr(exp, method)(event["time"], a, b)
     return vini, exp
 
 

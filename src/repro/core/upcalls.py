@@ -27,22 +27,17 @@ class UpcallDispatcher:
 
     def __init__(self, network: VirtualNetwork):
         self.network = network
-        self.enabled = False
         self._observed: Set[int] = set()
         self.upcalls_delivered = 0
 
     def enable(self) -> None:
         """Start observing every physical link any virtual link uses."""
-        self.enabled = True
         for vlink in self.network.links:
             for plink in vlink.physical_links:
                 if id(plink) in self._observed:
                     continue
                 self._observed.add(id(plink))
                 plink.observe(self._on_physical_change)
-
-    def disable(self) -> None:
-        self.enabled = False
 
     # ------------------------------------------------------------------
     def _affected(self, plink: Link) -> List[VirtualLink]:
@@ -53,8 +48,6 @@ class UpcallDispatcher:
         ]
 
     def _on_physical_change(self, plink: Link, up: bool) -> None:
-        if not self.enabled:
-            return
         for vlink in self._affected(plink):
             self.network.sim.trace.log(
                 "upcall", vlink=vlink.name, plink=plink.name, up=up

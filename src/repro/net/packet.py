@@ -235,10 +235,6 @@ class TCPHeader(Header):
         return bool(self.flags & TCP_FIN)
 
     @property
-    def rst(self) -> bool:
-        return bool(self.flags & TCP_RST)
-
-    @property
     def ack_flag(self) -> bool:
         return bool(self.flags & TCP_ACK)
 
@@ -399,9 +395,6 @@ class Packet:
             raise IndexError("decap on empty header stack")
         self._wire_len = None
         return self.headers.pop(0)
-
-    def outer(self) -> Optional[Header]:
-        return self.headers[0] if self.headers else None
 
     def find(self, header_type: Type[H], nth: int = 0) -> Optional[H]:
         """The ``nth`` header of ``header_type`` from the outside in."""

@@ -318,12 +318,6 @@ class ConvergenceTracker:
         return [w for w in self.path_windows(src, dst, until, addr=addr)
                 if w["status"] == BLACKHOLE]
 
-    def loop_windows(self, src: str, dst: str,
-                     until: Optional[float] = None,
-                     addr: Optional[str] = None) -> List[Dict[str, Any]]:
-        return [w for w in self.path_windows(src, dst, until, addr=addr)
-                if w["status"] == LOOP]
-
     def as_dict(self, until: Optional[float] = None) -> Dict[str, Any]:
         return {
             "episodes": [e.as_dict() for e in self.episodes],

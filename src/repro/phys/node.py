@@ -256,7 +256,6 @@ class PhysicalNode:
         self.app_recv_cost = APP_RECV_COST
         self._local_addrs: Dict[int, Interface] = {}
         self._tap_addrs: Dict[int, "Sliver"] = {}  # noqa: F821
-        self._proto_handlers: Dict[int, Callable[[Packet, Optional[object]], None]] = {}
         self._icmp_idents: Dict[Tuple[Optional[str], int], Callable] = {}
         self._icmp_error_listeners: List[Callable[[Packet], None]] = []
         self._captures: List[Callable[[Packet, str], None]] = []
@@ -445,12 +444,6 @@ class PhysicalNode:
         self.vnet.reserve(proto, port, intercept)
         return intercept
 
-    def register_protocol(
-        self, proto: int, handler: Callable[[Packet, Optional[object]], None]
-    ) -> None:
-        """Register a raw IP protocol handler (e.g. OSPF = 89)."""
-        self._proto_handlers[proto] = handler
-
     def icmp_register(
         self, ident: int, callback: Callable, sliver_name: Optional[str] = None
     ) -> None:
@@ -558,13 +551,9 @@ class PhysicalNode:
         elif proto == PROTO_ICMP:
             self._icmp_input(packet, sliver=None)
         else:
-            handler = self._proto_handlers.get(proto)
-            if handler is not None:
-                handler(packet, None)
-            else:
-                self.sim.trace.log(
-                    "kernel_drop", node=self.name, reason=f"proto_{proto}"
-                )
+            self.sim.trace.log(
+                "kernel_drop", node=self.name, reason=f"proto_{proto}"
+            )
 
     def _sliver_deliver(self, packet: Packet, sliver: "Sliver") -> None:  # noqa: F821
         if self._captures:
@@ -585,10 +574,6 @@ class PhysicalNode:
                 self.sim.trace.log("kernel_drop", node=self.name, reason="no_tcp")
         elif proto == PROTO_ICMP:
             self._icmp_input(packet, sliver=sliver)
-        else:
-            handler = self._proto_handlers.get(proto)
-            if handler is not None:
-                handler(packet, sliver)
 
     # ------------------------------------------------------------------
     # ICMP

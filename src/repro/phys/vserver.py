@@ -48,16 +48,6 @@ class Slice:
         self.cpu_cap = cpu_cap
         self.slivers: List["Sliver"] = []
 
-    def instantiate(self, nodes: List[PhysicalNode]) -> List["Sliver"]:
-        """Create a sliver of this slice on each node."""
-        return [node.create_sliver(self) for node in nodes]
-
-    def sliver_on(self, node: PhysicalNode) -> "Sliver":
-        for sliver in self.slivers:
-            if sliver.node is node:
-                return sliver
-        raise KeyError(f"slice {self.name!r} has no sliver on {node.name}")
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Slice {self.name} slivers={len(self.slivers)}>"
 

@@ -3,8 +3,8 @@
 rcc "detects faults by checking constraints that are based on a
 high-level correctness specification". These are the checks that
 matter before mirroring a network into VINI: dangling subnets, cost
-and timer mismatches across a link, OSPF-disabled backbone
-interfaces, duplicate router ids and addresses.
+and timer mismatches across a link, timers that differ between links,
+OSPF-disabled backbone interfaces, duplicate router ids and addresses.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ def check_model(model: NetworkModel) -> List[Fault]:
     faults.extend(_check_duplicate_router_ids(model))
     faults.extend(_check_dangling_subnets(model))
     faults.extend(_check_link_parameter_agreement(model))
+    faults.extend(_check_one_timer_pair(model))
     faults.extend(_check_ospf_coverage(model))
     return faults
 
@@ -128,9 +129,25 @@ def _check_link_parameter_agreement(model: NetworkModel) -> List[Fault]:
     return faults
 
 
+def _check_one_timer_pair(model: NetworkModel) -> List[Fault]:
+    """A mirror runs one hello/dead pair on every virtual link, so links
+    that each agree with themselves must also agree with each other."""
+    first = model.links[0] if model.links else None
+    return [
+        Fault(
+            "error",
+            link.router_a,
+            f"OSPF hello/dead {link.timers} on {link.subnet} differ from "
+            f"{first.timers} on {first.subnet}: a mirror runs one pair",
+        )
+        for link in model.links[1:]
+        if link.timers != first.timers
+    ]
+
+
 def _check_ospf_coverage(model: NetworkModel) -> List[Fault]:
-    """A backbone interface not covered by a network statement is
-    invisible to the IGP."""
+    """A backbone interface that is passive or not covered by a network
+    statement forms no adjacency: the link is invisible to the IGP."""
     faults = []
     for link in model.links:
         for router_name, iface in (
@@ -142,13 +159,13 @@ def _check_ospf_coverage(model: NetworkModel) -> List[Fault]:
                 faults.append(
                     Fault("error", router_name, "no OSPF process configured")
                 )
-            elif not router.ospf.covers(iface.address):
+            elif iface not in router.ospf_interfaces():
                 faults.append(
                     Fault(
                         "error",
                         router_name,
-                        f"{iface.name} ({iface.address}) not covered by any "
-                        "OSPF network statement",
+                        f"{iface.name} ({iface.address}) is passive or not "
+                        "covered by any OSPF network statement",
                     )
                 )
     return faults

@@ -72,6 +72,11 @@ class LinkModel:
         # symmetric, so take the maximum (a fault check flags mismatch).
         return max(self.iface_a.ospf_cost, self.iface_b.ospf_cost)
 
+    @property
+    def timers(self) -> Tuple[Optional[float], Optional[float]]:
+        # Side a's (hello, dead); a fault check flags a side b that differs.
+        return self.iface_a.hello_interval, self.iface_a.dead_interval
+
 
 @dataclass
 class NetworkModel:
@@ -81,23 +86,27 @@ class NetworkModel:
     links: List[LinkModel] = field(default_factory=list)
 
     def infer_links(self) -> None:
-        """Match interface subnets across routers into links."""
-        self.links.clear()
-        seen: Dict[Tuple[int, int], Tuple[str, InterfaceConfig]] = {}
-        for name in sorted(self.routers):
-            router = self.routers[name]
+        """Match interface subnets across routers into links.
+
+        Links come out in subnet order with the lower address as side
+        ``a``, so the order the configurations were handed over in
+        cannot move a link, an address or a cost.
+        """
+        by_subnet: Dict[Tuple[int, int], List[Tuple[str, InterfaceConfig]]] = {}
+        for name, router in self.routers.items():
             for iface in router.interfaces.values():
                 if iface.prefix is None or iface.shutdown:
                     continue
-                key = iface.prefix.key
-                if key in seen:
-                    other_name, other_iface = seen[key]
-                    if other_name != name:
-                        self.links.append(
-                            LinkModel(other_name, other_iface, name, iface, iface.prefix)
-                        )
-                else:
-                    seen[key] = (name, iface)
+                by_subnet.setdefault(iface.prefix.key, []).append((name, iface))
+        self.links.clear()
+        for _key, ends in sorted(by_subnet.items()):
+            ends.sort(key=lambda end: int(end[1].address))
+            (name_a, iface_a) = ends[0]
+            for name_b, iface_b in ends[1:]:
+                if name_b != name_a:
+                    self.links.append(
+                        LinkModel(name_a, iface_a, name_b, iface_b, iface_a.prefix)
+                    )
 
     def link_between(self, a: str, b: str) -> Optional[LinkModel]:
         for link in self.links:

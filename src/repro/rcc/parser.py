@@ -42,36 +42,40 @@ def parse_config(text: str) -> RouterConfig:
     current_iface: Optional[InterfaceConfig] = None
     in_ospf = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("!", "#")):
-            current_iface = None if stripped == "!" else current_iface
-            if stripped == "!":
+        try:
+            line = raw.rstrip()
+            stripped = line.strip()
+            if not stripped or stripped.startswith(("!", "#")):
+                current_iface = None if stripped == "!" else current_iface
+                if stripped == "!":
+                    in_ospf = False
+                continue
+            indented = line[:1] in (" ", "\t")
+            words = stripped.split()
+            if not indented:
+                current_iface = None
                 in_ospf = False
-            continue
-        indented = line[:1] in (" ", "\t")
-        words = stripped.split()
-        if not indented:
-            current_iface = None
-            in_ospf = False
-            if words[0] == "hostname" and len(words) == 2:
-                router.hostname = words[1]
-            elif words[0] == "interface" and len(words) == 2:
-                current_iface = InterfaceConfig(words[1])
-                router.interfaces[words[1]] = current_iface
-            elif words[:2] == ["router", "ospf"] and len(words) == 3:
-                router.ospf = OSPFConfig(process_id=int(words[2]))
-                in_ospf = True
+                if words[0] == "hostname" and len(words) == 2:
+                    router.hostname = words[1]
+                elif words[0] == "interface" and len(words) == 2:
+                    current_iface = InterfaceConfig(words[1])
+                    router.interfaces[words[1]] = current_iface
+                elif words[:2] == ["router", "ospf"] and len(words) == 3:
+                    router.ospf = OSPFConfig(process_id=int(words[2]))
+                    in_ospf = True
+                else:
+                    raise ConfigSyntaxError(line_no, raw, "unknown top-level statement")
+                continue
+            # Indented: belongs to the open block.
+            if current_iface is not None:
+                _parse_interface_line(router, current_iface, words, line_no, raw)
+            elif in_ospf and router.ospf is not None:
+                _parse_ospf_line(router.ospf, words, line_no, raw)
             else:
-                raise ConfigSyntaxError(line_no, raw, "unknown top-level statement")
-            continue
-        # Indented: belongs to the open block.
-        if current_iface is not None:
-            _parse_interface_line(router, current_iface, words, line_no, raw)
-        elif in_ospf and router.ospf is not None:
-            _parse_ospf_line(router.ospf, words, line_no, raw)
-        else:
-            raise ConfigSyntaxError(line_no, raw, "statement outside any block")
+                raise ConfigSyntaxError(line_no, raw, "statement outside any block")
+        except ValueError as err:
+            # A value int(), float(), ip() or the mask check refused.
+            raise ConfigSyntaxError(line_no, raw, str(err)) from None
     return router
 
 

@@ -92,9 +92,6 @@ class TraceCollector:
         # Per-path interning state for incremental spill_to() calls:
         # path -> (kind -> index, field name -> index).
         self._spill_tables: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
-        # Auto-spill configuration (autospill()); None = disabled.
-        self._autospill_threshold: Optional[int] = None
-        self._autospill_path = ""
 
     # ------------------------------------------------------------------
     # Kind interning and enablement
@@ -149,9 +146,6 @@ class TraceCollector:
         if subscribers:
             for callback in subscribers:
                 callback(record)
-        threshold = self._autospill_threshold
-        if threshold is not None and len(self.records) >= threshold:
-            self.spill_to(self._autospill_path)
         return record
 
     def subscribe(self, kind: str, callback: Callable[[TraceRecord], None]) -> None:
@@ -194,26 +188,6 @@ class TraceCollector:
     # ------------------------------------------------------------------
     # Binary spill: stream records to disk and drop them from memory
     # ------------------------------------------------------------------
-    def autospill(self, path: str, threshold: int = 100_000) -> None:
-        """Spill to ``path`` whenever the in-memory log reaches
-        ``threshold`` records.
-
-        Arms a check inside :meth:`log`, so long ``sim.run`` calls spill
-        as they go instead of growing without bound; the spill file
-        appends across flushes (same string tables), so the result is
-        equivalent to one final :meth:`spill_to`. Call with
-        ``threshold=None`` to disarm. Remember to :meth:`spill_to` the
-        tail once the run finishes.
-        """
-        if threshold is None:
-            self._autospill_threshold = None
-            self._autospill_path = ""
-            return
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold!r}")
-        self._autospill_threshold = threshold
-        self._autospill_path = path
-
     def spill_to(self, path: str) -> int:
         """Stream every in-memory record to ``path`` in the struct-packed
         binary format and drop them from memory, so runs too large to

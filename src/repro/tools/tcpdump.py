@@ -107,11 +107,3 @@ def tcp_filter(dport: int):
         return tcp is not None and tcp.dport == dport
 
     return predicate
-
-
-def udp_filter(dport: int):
-    def predicate(packet: Packet, _point: str) -> bool:
-        udp = packet.udp
-        return udp is not None and udp.dport == dport
-
-    return predicate

@@ -92,32 +92,20 @@ def build_abilene(
     return vini
 
 
-def build_abilene_iias(
-    vini: Optional[VINI] = None,
-    seed: int = 0,
-    name: str = "iias",
-    cpu_reservation: float = 0.25,
-    realtime: bool = True,
-    hello_interval: float = 5.0,
-    dead_interval: float = 10.0,
-) -> Tuple[VINI, Experiment]:
+def build_abilene_iias(seed: int = 0) -> Tuple[VINI, Experiment]:
     """The Section 5.2 setup: IIAS mirroring Abilene 1:1.
 
     "We configure IIAS with the same topology and OSPF link weights as
     the underlying Abilene network ... each virtual link maps directly
-    to a single physical link between two Abilene routers." The OSPF
-    hello/dead intervals default to the paper's 5 s / 10 s (footnote 3).
+    to a single physical link between two Abilene routers." As in the
+    paper the mirror is extracted from the eleven routers'
+    configurations: `repro.rcc` parses them, checks them and generates
+    the experiment, so the OSPF costs and the 5 s / 10 s hello/dead
+    intervals (footnote 3) are the ones in the configuration text.
     """
-    if vini is None:
-        vini = build_abilene(seed=seed)
-    exp = Experiment(
-        vini, name, cpu_reservation=cpu_reservation, realtime=realtime
-    )
-    for pop in ABILENE_POPS:
-        exp.add_node(pop, pop)
-    for (a, b), delay in ABILENE_LINKS.items():
-        exp.connect(a, b, cost=ospf_weight(delay))
-    exp.configure_ospf(
-        hello_interval=hello_interval, dead_interval=dead_interval
-    )
-    return vini, exp
+    # repro.rcc.samples writes the configurations from this module's tables.
+    from repro.rcc import abilene_router_configs, experiment_from_model, parse_configs
+
+    vini = build_abilene(seed=seed)
+    model = parse_configs(abilene_router_configs())
+    return vini, experiment_from_model(model, vini, name="iias")

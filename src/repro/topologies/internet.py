@@ -131,9 +131,6 @@ class InternetSpec:
         """AS ``b``'s relationship to AS ``a`` (None: not adjacent)."""
         return self._rels.get((a, b))
 
-    def as_of_router(self, router: str) -> ASSpec:
-        return self.by_asn[int(router.split("r")[0][2:])]
-
     def signature(self) -> Dict:
         """A stable structural digest for determinism assertions."""
         return {

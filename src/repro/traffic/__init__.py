@@ -15,9 +15,8 @@ installed the packet path is byte-identical to a build without this
 package (the golden-trace suite enforces it).
 """
 
-from repro.traffic.flow import FluidFlow, TrafficMatrix
+from repro.traffic.flow import FluidFlow
 from repro.traffic.plane import FluidTrafficPlane
-from repro.traffic.replay import ReplayRecord, TraceReplay
 from repro.traffic.solver import (
     SolveResult,
     max_min_rates,
@@ -27,10 +26,7 @@ from repro.traffic.solver import (
 __all__ = [
     "FluidFlow",
     "FluidTrafficPlane",
-    "ReplayRecord",
     "SolveResult",
-    "TraceReplay",
-    "TrafficMatrix",
     "max_min_rates",
     "tcp_steady_state_cap",
 ]

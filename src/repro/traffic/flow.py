@@ -1,16 +1,14 @@
-"""Fluid flow and traffic-matrix demand models.
+"""The fluid flow demand model.
 
 A :class:`FluidFlow` is one background transfer (or an aggregate of
 ``count`` identical transfers) modelled at flow level: no packets, just
 a demand, an optional finite size, and a rate the fair-share solver
-assigns. A :class:`TrafficMatrix` is the classic demand-matrix spec —
-aggregate bits/s per (src, dst) pair — that expands into fluid flows
-when installed on a :class:`repro.traffic.FluidTrafficPlane`.
+assigns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
 
 class FluidFlow:
@@ -99,56 +97,4 @@ class FluidFlow:
         return (
             f"<FluidFlow #{self.fid} {self.src}->{self.dst}{extra} "
             f"{state} rate={self.rate_bps:.0f}b/s>"
-        )
-
-
-class TrafficMatrix:
-    """Aggregate demand in bits/s per (src, dst) pair.
-
-    Build one with :meth:`add` (or :meth:`uniform` for all-pairs), then
-    ``plane.install_matrix(tm, users_per_pair=...)`` to expand each
-    entry into that many identical fluid flows splitting the pair's
-    aggregate demand.
-    """
-
-    def __init__(self) -> None:
-        self.entries: Dict[Tuple[str, str], float] = {}
-
-    @classmethod
-    def uniform(cls, nodes: Iterable[str], pair_bps: float) -> "TrafficMatrix":
-        """Every ordered pair of distinct nodes demands ``pair_bps``."""
-        tm = cls()
-        names = sorted(nodes)
-        for src in names:
-            for dst in names:
-                if src != dst:
-                    tm.add(src, dst, pair_bps)
-        return tm
-
-    def add(self, src: str, dst: str, bps: float) -> "TrafficMatrix":
-        if src == dst:
-            raise ValueError(f"matrix entry {src}->{dst} loops back")
-        if bps < 0:
-            raise ValueError(f"negative demand {bps!r} for {src}->{dst}")
-        self.entries[(src, dst)] = self.entries.get((src, dst), 0.0) + bps
-        return self
-
-    @property
-    def total_bps(self) -> float:
-        return sum(self.entries.values())
-
-    def pairs(self) -> List[Tuple[str, str, float]]:
-        """Entries as sorted (src, dst, bps) rows — deterministic."""
-        return [
-            (src, dst, bps)
-            for (src, dst), bps in sorted(self.entries.items())
-        ]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<TrafficMatrix {len(self.entries)} pairs "
-            f"{self.total_bps / 1e6:.1f} Mb/s total>"
         )

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.traffic.flow import FluidFlow, TrafficMatrix
+from repro.traffic.flow import FluidFlow
 from repro.traffic.solver import INF, progressive_fill, tcp_steady_state_cap
 
 #: Fluid may claim at most this share of a channel; the remainder keeps
@@ -319,31 +319,6 @@ class FluidTrafficPlane:
                 "fluid_flow", plane=self.name, fid=flow.fid, event="stop",
             )
         self._mark_dirty()
-
-    def install_matrix(
-        self,
-        matrix: TrafficMatrix,
-        users_per_pair: int = 1,
-        size_bytes: Optional[float] = None,
-        window_bytes: Optional[float] = None,
-    ) -> List[FluidFlow]:
-        """Expand a :class:`TrafficMatrix` into fluid flows.
-
-        Each (src, dst, bps) entry becomes ``users_per_pair`` identical
-        flows splitting the pair's aggregate demand.
-        """
-        flows = []
-        for src, dst, bps in matrix.pairs():
-            flows.append(
-                self.add_flow(
-                    src, dst,
-                    demand_bps=bps / users_per_pair,
-                    size_bytes=size_bytes,
-                    window_bytes=window_bytes,
-                    count=users_per_pair,
-                )
-            )
-        return flows
 
     # ------------------------------------------------------------------
     # Class / path management

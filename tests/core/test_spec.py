@@ -1,5 +1,7 @@
 """Tests for the declarative experiment specification (Section 6.2)."""
 
+import copy
+
 import pytest
 
 from repro.core import VINI
@@ -125,3 +127,64 @@ def test_spec_is_json_serializable():
     vini, exp = build_experiment(SQUARE)
     text = json.dumps(experiment_spec(exp))
     assert "square" in text
+
+
+def test_physical_events_name_physical_links_and_upcalls_report_them():
+    """``fail_physical`` takes the two *physical* ends; with upcalls the
+    slice reroutes at once instead of waiting out the dead interval."""
+    spec = dict(SQUARE, upcalls=True, events=[
+        {"time": 30.0, "action": "fail_physical", "args": ["pa", "pb"]},
+        {"time": 60.0, "action": "recover_physical", "args": ["pa", "pb"]},
+    ])
+    vini, exp = build_experiment(spec)
+    a, d = exp.network.nodes["a"], exp.network.nodes["d"]
+    exp.run(until=31.0)  # 1 s after the failure; the dead interval is 6 s
+    assert not vini.link_between("pa", "pb").up
+    assert a.xorp.rib.lookup(d.tap_addr).ifname == "to_c"
+    vini.run(until=95.0)
+    assert a.xorp.rib.lookup(d.tap_addr).ifname == "to_b"
+
+
+def _edited(path, value):
+    """SQUARE with the entry at ``path`` replaced (deep-copied)."""
+    spec = copy.deepcopy(SQUARE)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("spec, names", [
+    (_edited(["topology", "links", 0], {"a": "a"}),
+     ("topology.links[0]", "'b'")),
+    (_edited(["physical", "links", 1], {"a": "pb"}),
+     ("physical.links[1]", "'b'")),
+    (_edited(["topology", "nodes", "a"], "nope"), ("topology.nodes", "'nope'")),
+    (_edited(["topology", "links", 2, "b"], "zz"),
+     ("topology.links[2]", "'zz'")),
+    (_edited(["physical", "links", 0, "a"], "zz"),
+     ("physical.links[0]", "'zz'")),
+    (_edited(["events", 0], {"action": "fail_link", "args": ["a", "b"]}),
+     ("events[0]", "'time'")),
+    (_edited(["events", 1, "args"], ["a"]), ("events[1]", "args")),
+    (_edited(["events", 1, "args"], ["a", "d"]), ("events[1]", "args")),
+    (_edited(["events", 0], {"time": 1.0, "action": "fail_physical",
+                             "args": ["pa", "pd"]}), ("events[0]", "args")),
+    (_edited(["routing"], {"protocl": "rip"}), ("routing", "'protocl'")),
+    (_edited(["routing", "helo_interval"], 1.0), ("routing", "'helo_interval'")),
+    (_edited(["routing"], {"protocol": "rip", "hello_interval": 2.0}),
+     ("routing", "'hello_interval'")),
+    (_edited(["slice", "realtme"], True), ("slice", "'realtme'")),
+    (_edited(["evnts"], []), ("spec", "'evnts'")),
+    (_edited(["physical", "node"], ["pa"]), ("physical", "'node'")),
+    (_edited(["topology", "links", 3, "cst"], 3), ("topology.links[3]", "'cst'")),
+    (_edited(["slice"], ["realtime"]), ("slice", "mapping")),
+])
+def test_misspelt_spec_is_a_spec_error_naming_section_and_key(spec, names):
+    """A missing key, an unknown name or a misspelt key is refused where
+    it stands — never a bare KeyError/TypeError, never a silent default."""
+    with pytest.raises(SpecError) as err:
+        build_experiment(spec)
+    for name in names:
+        assert name in str(err.value)

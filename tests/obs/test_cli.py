@@ -164,15 +164,21 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     nothing (the module has no ``__main__`` block), so a stale command
     in CI or the docs must fail here instead. Likewise the microbench
     harness and the SPF knob it vouched for, and the fourteen bench
-    scripts ``make paper`` replaced, with their ``results/*.txt``:
-    deleted, and not to be documented back in."""
+    scripts ``make paper`` replaced, with their ``results/*.txt`` (the
+    reach audit's ``unreached.txt`` is the one text result there is),
+    and the flow-schedule replayer, the traffic matrix and the trace
+    collector's spill-at-threshold: deleted, and not to be documented
+    back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
         r"|runner\.py|check_regression|bench_core_engine|BENCH_core"
         r"|TRAJECTORY_core|make\s+bench\b|incremental_spf|BenchTrajectory"
         r"|--benchmark-only|bench_(table|fig|ablation|bgp)|benchmarks/common"
-        r"|fig[89]_experiment|results/\w+\.txt")
+        r"|fig[89]_experiment|results/(?!unreached\.txt)\w+\.txt"
+        # One letter bracketed, so a grep for a deleted name finds no file.
+        r"|Trace[R]eplay|Replay[R]ecord|Traffic[M]atrix|install_[m]atrix"
+        r"|auto[s]pill")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

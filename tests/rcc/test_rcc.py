@@ -58,6 +58,25 @@ class TestParser:
             parse_config("hostname x\ninterface e0\n frobnicate\n")
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [
+        " ip ospf cost abc",
+        " ip address 10.0.0.999 255.255.255.0",
+        " ip address 10.0.0.1 255.0.255.0",
+        "router ospf x",
+        " network 10.0.0.0 0.0.0.255 area backbone",
+        " network 10.0.0.0 0.255.0.255 area 0",
+        " router-id banana",
+        " ip ospf hello-interval soon",
+    ])
+    def test_malformed_value_reported_with_line(self, bad):
+        """A value the parser cannot read is a syntax error on its line,
+        not a bare ValueError from int() / ip() / the mask check."""
+        block = "router ospf 1" if bad.split()[0] in ("network", "router-id") else "interface e0"
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(f"hostname x\n!\n{block}\n{bad}\n")
+        assert err.value.line_no == 4
+        assert err.value.line == bad
+
     def test_unknown_toplevel_rejected(self):
         with pytest.raises(ConfigSyntaxError):
             parse_config("banner motd hello\n")
@@ -127,6 +146,22 @@ class TestChecks:
         faults = check_model(model)
         assert any("cost mismatch" in f.message for f in faults)
 
+    @pytest.mark.parametrize("old, new", [
+        (" network 192.0.2.0 0.0.0.255 area 0", " network 203.0.113.0 0.0.0.255 area 0"),
+        (" router-id 10.255.0.2", " router-id 10.255.0.2\n passive-interface ge-0/0/0"),
+    ])
+    def test_linked_interface_outside_ospf_is_error(self, old, new):
+        """Uncovered or passive, the backbone interface forms no
+        adjacency: one definition (``ospf_interfaces``) decides."""
+        peer = (
+            SIMPLE.replace("r1", "r2")
+            .replace("192.0.2.1", "192.0.2.2")
+            .replace("10.255.0.1", "10.255.0.2")
+            .replace(old, new)
+        )
+        faults = check_model(parse_configs([SIMPLE, peer]))
+        assert [f.router for f in faults if f.severity == "error"] == ["r2"]
+
 
 class TestAbileneRoundTrip:
     def test_sample_configs_parse_clean(self):
@@ -157,6 +192,34 @@ class TestAbileneRoundTrip:
         vlink = exp.network.link_between("denver", "kansascity")
         assert vlink.cost == ospf_weight(ABILENE_LINKS[("denver", "kansascity")])
 
+    def test_generated_mirror_is_the_abilene_tables_in_their_order(self):
+        """The one builder of the Section 5.2 mirror: nodes and links
+        come out in ABILENE_POPS / ABILENE_LINKS order (addresses and
+        every golden trace hang on it), timers from the text, the
+        slice with the 25 % reservation and real-time priority."""
+        vini = build_abilene(seed=3)
+        exp = experiment_from_model(parse_configs(abilene_router_configs()), vini)
+        assert list(exp.network.nodes) == ABILENE_POPS
+        assert [
+            (vlink.a.name, vlink.b.name, vlink.cost) for vlink in exp.network.links
+        ] == [(a, b, ospf_weight(delay)) for (a, b), delay in ABILENE_LINKS.items()]
+        for vnode in exp.network.nodes.values():
+            assert vnode.xorp.ospf.hello_interval == 5.0
+            assert vnode.xorp.ospf.dead_interval == 10.0
+        assert exp.slice.cpu_reservation == 0.25 and exp.slice.realtime
+
+    def test_links_do_not_depend_on_the_order_configs_are_given(self):
+        def links(configs):
+            return [
+                (link.router_a, str(link.iface_a.address), link.router_b,
+                 str(link.iface_b.address), str(link.subnet), link.cost)
+                for link in parse_configs(configs).links
+            ]
+
+        configs = abilene_router_configs()
+        assert links(configs[::-1]) == links(configs)
+        assert [(a, b) for a, _, b, _, _, _ in links(configs)] == list(ABILENE_LINKS)
+
     def test_strict_mode_rejects_faulty_configs(self):
         vini = build_abilene(seed=4)
         configs = abilene_router_configs()
@@ -164,3 +227,14 @@ class TestAbileneRoundTrip:
         model = parse_configs(broken)
         with pytest.raises(ValueError):
             experiment_from_model(model, vini)
+
+    def test_one_network_runs_one_pair_of_timers(self):
+        """Each link may agree with itself and the network still not:
+        refused with the fault named, not answered with a default."""
+        model = parse_configs(abilene_router_configs())
+        link = model.links[3]
+        link.iface_a.hello_interval = link.iface_b.hello_interval = 2.0
+        errors = [f for f in check_model(model) if f.severity == "error"]
+        assert [f.router for f in errors] == [link.router_a]
+        with pytest.raises(ValueError, match="configuration has faults.*one pair"):
+            experiment_from_model(model, build_abilene(seed=4))

@@ -119,44 +119,3 @@ def test_spill_interning_does_not_leak_across_paths(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].kind == "kind_a"
     assert loaded[0].fields == {"field": 2}
-
-
-def test_autospill_spills_during_run_and_tail_completes(tmp_path):
-    """With autospill armed, the collector drains itself to disk at the
-    threshold; spilling the tail afterwards yields a file equal to one
-    big end-of-run spill (the format is append-safe)."""
-    auto = Simulator()
-    auto_path = str(tmp_path / "auto.bin")
-    auto.trace.autospill(auto_path, threshold=7)
-
-    def populate(sim):
-        for i in range(25):
-            sim.at(float(i), lambda i=i: sim.trace.log("tick", n=i))
-
-    populate(auto)
-    auto.run()
-    assert len(auto.trace) < 7  # drained mid-run, never past threshold
-    auto.trace.spill_to(auto_path)  # flush the tail
-    assert len(auto.trace) == 0
-
-    ref = Simulator()
-    populate(ref)
-    ref.run()
-    ref_path = str(tmp_path / "ref.bin")
-    ref.trace.spill_to(ref_path)
-
-    with open(auto_path, "rb") as a, open(ref_path, "rb") as b:
-        assert a.read() == b.read()
-    assert [r.fields["n"] for r in read_spill(auto_path)] == list(range(25))
-
-
-def test_autospill_disarm_and_validation(tmp_path):
-    sim = Simulator()
-    path = str(tmp_path / "t.bin")
-    sim.trace.autospill(path, threshold=2)
-    sim.trace.autospill("", threshold=None)  # disarm
-    for i in range(10):
-        sim.trace.log("tick", n=i)
-    assert len(sim.trace) == 10  # nothing spilled once disarmed
-    with pytest.raises(ValueError):
-        sim.trace.autospill(path, threshold=0)

@@ -15,17 +15,16 @@ def test_fig8_unchanged_with_traffic_plane_loaded():
     baseline = _serialize(_run(_with_plan))
 
     # Import the whole package and exercise a plane on a *side*
-    # simulator — flows, completions, a replay, the works.
+    # simulator — flows, completions, a scheduled arrival, the works.
     from repro.topologies import build_dumbbell
-    from repro.traffic import FluidTrafficPlane, TraceReplay
+    from repro.traffic import FluidTrafficPlane
 
     side_vini, _exp = build_dumbbell(pairs=2, seed=77, realtime=False)
     side_plane = FluidTrafficPlane(side_vini)
     side_plane.add_flow("s0", "r0", count=10)
     side_plane.add_flow("s1", "r1", size_bytes=5e4)
-    TraceReplay.from_records(
-        [(0.5, "s0", "r1", 2e6, None, 10)], jitter=0.05
-    ).install(side_plane)
+    side_vini.sim.schedule(0.5, lambda: side_plane.add_flow(
+        "s0", "r1", size_bytes=2e6, count=10))
     side_vini.run(until=5.0)
     assert side_plane.stats["flows_completed"] >= 1
 

@@ -1,4 +1,4 @@
-"""The fluid traffic plane: rates, completions, coupling, replay.
+"""The fluid traffic plane: rates, completions, coupling, determinism.
 
 Everything here runs on small topologies and asserts exact,
 deterministic behavior — fair shares to the bit, completions at the
@@ -11,11 +11,7 @@ import pytest
 
 from repro.obs import build_report
 from repro.topologies import build_dumbbell, build_star
-from repro.traffic import (
-    FluidTrafficPlane,
-    TraceReplay,
-    TrafficMatrix,
-)
+from repro.traffic import FluidTrafficPlane
 from tests.traffic.test_plane_golden import installed_coupling
 
 BOTTLENECK = 10e6
@@ -285,15 +281,6 @@ class TestAddFlowRejects:
 
 
 class TestMatrixAndReport:
-    def test_install_matrix_expands_pairs(self):
-        vini, plane = make_dumbbell()
-        tm = TrafficMatrix().add("s0", "r0", 4e6).add("s1", "r1", 2e6)
-        flows = plane.install_matrix(tm, users_per_pair=4)
-        vini.run(until=0.1)
-        assert len(flows) == 2
-        assert plane.stats["flows_active"] == 8
-        assert flows[0].rate_bps == pytest.approx(1e6)  # 4e6 / 4 users
-
     def test_report_carries_a_traffic_section(self):
         vini, plane = make_dumbbell()
         plane.add_flow("s0", "r0", count=3)
@@ -336,15 +323,10 @@ class TestDeterminism:
         start = vini.sim.now
         vini.sim.schedule(start + 1.0, lambda: plane.add_flow(
             "leaf1", "leaf0", demand_bps=50e3, count=500))
-        replay = TraceReplay.from_records(
-            [
-                {"start": 2.0, "src": "leaf2", "dst": "leaf0",
-                 "bytes": 2e6, "count": 50},
-                (3.0, "leaf1", "hub", None, 1e6, 10),
-            ],
-            jitter=0.1,
-        )
-        replay.install(plane, offset=start)
+        vini.sim.schedule(start + 2.0, lambda: plane.add_flow(
+            "leaf2", "leaf0", size_bytes=2e6, count=50))
+        vini.sim.schedule(start + 3.0, lambda: plane.add_flow(
+            "leaf1", "hub", demand_bps=1e6, count=10))
         vini.run(until=start + 8.0)
         report = build_report(vini.sim, name="hybrid", traffic=plane)
         serialized = json.dumps(report.data, sort_keys=True, default=str)
@@ -366,51 +348,6 @@ class TestDeterminism:
         _report_a, trace_a = self._hybrid_run(seed=21)
         _report_b, trace_b = self._hybrid_run(seed=22)
         assert trace_a != trace_b
-
-
-class TestReplay:
-    def test_csv_and_jsonl_round_trip(self, tmp_path):
-        csv_path = tmp_path / "sched.csv"
-        csv_path.write_text(
-            "start,src,dst,bytes,rate,count\n"
-            "0.5,s0,r0,1000000,,2\n"
-            "1.5,s1,r1,,2000000,1\n"
-        )
-        jsonl_path = tmp_path / "sched.jsonl"
-        jsonl_path.write_text(
-            '{"start": 0.5, "src": "s0", "dst": "r0", "bytes": 1000000,'
-            ' "count": 2}\n'
-            '{"start": 1.5, "src": "s1", "dst": "r1", "rate": 2000000}\n'
-        )
-        from_csv = TraceReplay.from_csv(str(csv_path))
-        from_jsonl = TraceReplay.from_jsonl(str(jsonl_path))
-        for replay in (from_csv, from_jsonl):
-            assert len(replay.records) == 2
-            assert replay.records[0].size_bytes == 1000000.0
-            assert replay.records[0].count == 2
-            assert replay.records[1].rate_bps == 2000000.0
-
-    def test_speed_compresses_time_and_scales_rates(self):
-        vini, plane = make_dumbbell()
-        TraceReplay.from_records(
-            [(4.0, "s0", "r0", None, 1e6)], speed=4.0
-        ).install(plane)
-        vini.run(until=1.1)
-        # Scheduled at 4.0/4 = 1.0, demanding 1e6 * 4.
-        assert plane.stats["flows_active"] == 1
-        (flow,) = plane.flows.values()
-        assert flow.start == pytest.approx(1.0)
-        assert flow.rate_bps == pytest.approx(4e6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceReplay([], speed=0.0)
-        from repro.traffic import ReplayRecord
-
-        with pytest.raises(ValueError):
-            ReplayRecord(-1.0, "a", "b")
-        with pytest.raises(ValueError):
-            ReplayRecord(0.0, "a", "b", count=0)
 
 
 class TestServiceAccounting:
