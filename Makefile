@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test props paper reach tier2-bench-smoke ledger ledger-smoke ledger-ab flight watch explain
+.PHONY: test props paper reach tier2-bench-smoke ledger ledger-smoke ledger-ab flight explain
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -71,16 +71,11 @@ flight:
 # The Fig-8 observatory: the Abilene failover with every collector
 # installed, landed as one manifest-hashed RunArchive under
 # benchmarks/results/archives/fig8 (trace spill + live feed + flight
-# records + sampler series + report.md/report.json). `watch` runs it
-# with the TTY status line (headless automatically when stdout or
-# stderr is not a terminal); `explain` runs it and walks the causal
-# chain: fault -> convergence episode -> blackhole windows -> affected
-# flights. `python -m repro.obs diff A B` compares two such archives
-# record by record; `python -m repro.obs perfetto A OUT.json` renders
-# one's flights for https://ui.perfetto.dev.
-watch:
-	$(PYTHON) -m repro.obs fig8 benchmarks/results/archives/fig8 --watch
-
+# records + sampler series + report.md/report.json). `explain` runs it
+# and walks the causal chain: fault -> convergence episode -> blackhole
+# windows -> affected flights. `python -m repro.obs diff A B` compares
+# two such archives record by record; `python -m repro.obs perfetto A
+# OUT.json` renders one's flights for https://ui.perfetto.dev.
 explain:
 	$(PYTHON) -m repro.obs fig8 benchmarks/results/archives/fig8
 	$(PYTHON) -m repro.obs explain benchmarks/results/archives/fig8

@@ -23,15 +23,20 @@ from repro.obs.archive import attach_from_env
 
 
 class ExperimentEvent:
-    """One scheduled event in the experiment's timetable."""
+    """One scheduled event in the experiment's timetable.
 
-    __slots__ = ("time", "label", "fn", "args")
+    ``action`` is the ``(spec action, args)`` pair of an event a
+    ``*_at`` method scheduled (see :mod:`repro.core.spec`), else None.
+    """
+
+    __slots__ = ("time", "label", "fn", "args", "action")
 
     def __init__(self, time: float, label: str, fn: Callable, args: tuple):
         self.time = time
         self.label = label
         self.fn = fn
         self.args = args
+        self.action: Optional[Tuple[str, Tuple[str, str]]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ExperimentEvent t={self.time:g} {self.label}>"
@@ -124,22 +129,30 @@ class Experiment:
 
     def fail_link_at(self, time: float, a: str, b: str) -> ExperimentEvent:
         """Fail the virtual link (Click-level drop, Section 5.2)."""
-        return self.at(
+        event = self.at(
             time, self.network.fail_link, a, b, label=f"fail {a}={b}"
         )
+        event.action = ("fail_link", (a, b))
+        return event
 
     def recover_link_at(self, time: float, a: str, b: str) -> ExperimentEvent:
-        return self.at(
+        event = self.at(
             time, self.network.recover_link, a, b, label=f"recover {a}={b}"
         )
+        event.action = ("recover_link", (a, b))
+        return event
 
     def fail_physical_at(self, time: float, a: str, b: str) -> ExperimentEvent:
         link = self.vini.link_between(a, b)
-        return self.at(time, link.fail, label=f"fail physical {a}--{b}")
+        event = self.at(time, link.fail, label=f"fail physical {a}--{b}")
+        event.action = ("fail_physical", (a, b))
+        return event
 
     def recover_physical_at(self, time: float, a: str, b: str) -> ExperimentEvent:
         link = self.vini.link_between(a, b)
-        return self.at(time, link.recover, label=f"recover physical {a}--{b}")
+        event = self.at(time, link.recover, label=f"recover physical {a}--{b}")
+        event.action = ("recover_physical", (a, b))
+        return event
 
     def apply_faults(self, plan, offset: float = 0.0):
         """Install a :class:`repro.faults.FaultPlan` on this experiment.
@@ -161,7 +174,7 @@ class Experiment:
 
     def run(self, until: Optional[float] = None) -> float:
         self.start()
-        archive = attach_from_env(self.sim, until=until, experiment=self)
+        archive = attach_from_env(self.sim, experiment=self)
         result = self.sim.run(until=until)
         if archive is not None:
             archive.write()

@@ -150,7 +150,7 @@ class VINI:
         return slice_
 
     def run(self, until: Optional[float] = None) -> float:
-        archive = attach_from_env(self.sim, until=until)
+        archive = attach_from_env(self.sim)
         result = self.sim.run(until=until)
         if archive is not None:
             archive.write()

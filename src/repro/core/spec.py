@@ -54,6 +54,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
+from repro.faults.plan import FaultPlan
 
 _EVENT_ACTIONS = {
     "fail_link": "fail_link_at",
@@ -189,12 +190,15 @@ def build_experiment(
 def experiment_spec(exp: Experiment) -> Dict[str, Any]:
     """Serialize an experiment back into the spec schema.
 
-    Physical topology is included so the spec is self-contained;
-    scheduled events are reproduced from the timetable labels.
+    Physical topology is included so the spec is self-contained. Every
+    timetable row must be a ``*_at`` link event or a :class:`FaultPlan`
+    link fail/recover; any other firing raises :class:`SpecError`
+    naming its label.
     """
     vini = exp.vini
     spec: Dict[str, Any] = {
         "name": exp.name,
+        "seed": vini.sim.seed,
         "slice": {
             "cpu_share": exp.slice.cpu_share,
             "cpu_reservation": exp.slice.cpu_reservation,
@@ -228,6 +232,7 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
                 for vlink in exp.network.links
             ],
         },
+        "upcalls": bool(exp.upcalls._observed),
         "events": [],
     }
     sample = next(iter(exp.network.nodes.values()), None)
@@ -238,17 +243,18 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
             "dead_interval": sample.xorp.ospf.dead_interval,
         }
     for event in exp.events:
-        words = event.label.split()
-        if not words:
-            continue
-        if words[0] == "fail" and "=" in words[-1]:
-            a, b = words[-1].split("=")
-            spec["events"].append(
-                {"time": event.time, "action": "fail_link", "args": [a, b]}
+        action = event.action
+        if action is None and getattr(event.fn, "__func__", None) is FaultPlan._fire:
+            fault = event.args[0]
+            if fault.kind in ("fail_link", "recover_link"):
+                action = (fault.kind, fault.args)
+        if action is None:
+            raise SpecError(
+                f"event {event.label!r} at t={event.time:g} has no spec "
+                f"action (known: {', '.join(_EVENT_ACTIONS)})"
             )
-        elif words[0] == "recover" and "=" in words[-1]:
-            a, b = words[-1].split("=")
-            spec["events"].append(
-                {"time": event.time, "action": "recover_link", "args": [a, b]}
-            )
+        name, args = action
+        spec["events"].append(
+            {"time": event.time, "action": name, "args": list(args)}
+        )
     return spec

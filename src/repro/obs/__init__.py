@@ -28,8 +28,7 @@ first-class layer instead of ad-hoc trace scans:
   samplers, spans, and routing timelines.
 * :mod:`repro.obs.live` — :class:`LiveMonitor`, the streaming
   telemetry bus for runs *while they execute*: a deterministic JSONL
-  feed, a wall-clock TTY status line, and the :class:`Watchdog` layer
-  (stall / livelock / rate alarms).
+  feed of sim-clock snapshots.
 * :mod:`repro.obs.archive` — :class:`RunArchive`, the per-run manifest
   (seed, config signature, commit, content hash per artifact) every
   artifact writer registers into; :func:`attach_from_env` attaches one
@@ -44,8 +43,9 @@ first-class layer instead of ad-hoc trace scans:
 
 ``python -m repro.obs <verb>`` (``fig8``, ``ls``, ``q``, ``diff``,
 ``explain``, ``perfetto``, ``flight``) is the one CLI over all of it.
-*Where did the wall-clock go* is not answered here: that is the
-performance ledger's traced round (``make ledger``).
+Nothing here reads a host clock. *Where did the wall-clock go* is not
+answered here: that is the performance ledger's traced round
+(``make ledger``).
 
 Nothing imported here imports :mod:`repro.sim` at module level: the
 engine imports the registry and the null flight recorder, so the
@@ -74,15 +74,7 @@ from repro.obs.export import (
     perfetto_events,
     registry_jsonl,
 )
-from repro.obs.live import (
-    Alarm,
-    JsonlFeed,
-    LiveMonitor,
-    LivelockWatchdog,
-    RateWatchdog,
-    StallWatchdog,
-    Watchdog,
-)
+from repro.obs.live import JsonlFeed, LiveMonitor
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -110,7 +102,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "Alarm",
     "ConvergenceEpisode",
     "ConvergenceTracker",
     "Counter",
@@ -123,19 +114,15 @@ __all__ = [
     "Histogram",
     "JsonlFeed",
     "LiveMonitor",
-    "LivelockWatchdog",
     "MetricsRegistry",
     "NULL_METRIC",
     "NULL_RECORDER",
     "NullFlightRecorder",
     "PeriodicSampler",
-    "RateWatchdog",
     "RoutingObserver",
     "RunArchive",
     "Span",
     "SpanContext",
-    "StallWatchdog",
-    "Watchdog",
     "attach_from_env",
     "build_report",
     "config_signature",

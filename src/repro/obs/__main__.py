@@ -48,23 +48,14 @@ def _parse_value(text: str) -> Any:
 
 
 def _cmd_fig8(args) -> int:
-    # The status line only where a person is watching: a piped stdout
-    # means the output is being captured, and interleaving a status line
-    # (even on stderr) with captured logs helps nobody.
-    watching = args.watch and sys.stderr.isatty() and sys.stdout.isatty()
     manifest, report = run_fig8(
         args.out, seed=args.seed, end_at=args.end,
-        status=sys.stderr if watching else None,
         nudge_index=args.nudge_index, nudge_dt=args.nudge_dt,
     )
     for episode in report.data["convergence"]["episodes"]:
         print("episode %s: detection %s s, convergence %s s, %d changes" % (
             episode["trigger"], _num(episode["detection_s"]),
             _num(episode["convergence_s"]), episode["changes"]))
-    for alarm in report.data["live"]["alarms"]:
-        print("alarm %s (%s) at t=%.3f: %s" % (
-            alarm["watchdog"], alarm["action"], alarm["sim_t"],
-            alarm["detail"]))
     print(f"wrote {manifest}")
     return 0
 
@@ -160,9 +151,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=8)
     p.add_argument("--end", type=float, default=45.0,
                    help="experiment length after warmup")
-    p.add_argument("--watch", action="store_true",
-                   help="live status line on stderr (only when stdout "
-                        "and stderr are both terminals)")
     p.add_argument("--nudge-index", type=int, default=None,
                    help="perturb this trace record's timestamp after "
                         "the run (diff-engine validation)")

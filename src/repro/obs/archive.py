@@ -272,7 +272,7 @@ def resolve_artifact(manifest: Dict[str, Any], name: str) -> str:
     return os.path.normpath(os.path.join(base, artifacts[name]["path"]))
 
 
-def attach_from_env(sim, until: Optional[float] = None, experiment=None):
+def attach_from_env(sim, experiment=None):
     """The zero-wiring hook ``Experiment.run``/``VINI.run`` call before
     every ``sim.run``: any scenario — every example and paper scenario
     included — grows an archive and a live feed from two environment
@@ -281,10 +281,10 @@ def attach_from_env(sim, until: Optional[float] = None, experiment=None):
     ``REPRO_RUN_ARCHIVE`` names a directory: a :class:`RunArchive` is
     attached there and returned (the caller writes it once the run
     returns). ``REPRO_LIVE_FEED`` names a path: a feed-only
-    :class:`~repro.obs.live.LiveMonitor` is installed, its ETA target
-    refreshed to ``until`` on every call. Both are idempotent per
-    simulator, and the feed lands in the archive whichever came first
-    (:meth:`RunArchive.attach` sweeps a monitor installed before it).
+    :class:`~repro.obs.live.LiveMonitor` is installed there. Both are
+    idempotent per simulator, and the feed lands in the archive
+    whichever came first (:meth:`RunArchive.attach` sweeps a monitor
+    installed before it).
     """
     archive = None
     root = os.environ.get(ENV_ARCHIVE)
@@ -302,18 +302,9 @@ def attach_from_env(sim, until: Optional[float] = None, experiment=None):
                 meta=meta,
             ).attach(sim)
     feed = os.environ.get(ENV_FEED)
-    if feed:
-        monitor = getattr(sim, "_env_live_monitor", None)
-        if monitor is None:
-            from repro.obs.live import (
-                LiveMonitor,
-                LivelockWatchdog,
-                StallWatchdog,
-            )
+    if feed and getattr(sim, "_env_live_monitor", None) is None:
+        from repro.obs.live import LiveMonitor
 
-            monitor = LiveMonitor(sim, feed=feed).watch_engine()
-            monitor.add_watchdog(StallWatchdog(budget_s=120.0, action="mark"))
-            monitor.add_watchdog(LivelockWatchdog(action="mark"))
-            sim._env_live_monitor = monitor.install()
-        monitor.until = until
+        monitor = LiveMonitor(sim, feed=feed).watch_engine()
+        sim._env_live_monitor = monitor.install()
     return archive

@@ -5,7 +5,7 @@ Denver--Kansas City failure, D.C. -> Seattle pings — with every
 collector installed, and lands one :class:`~repro.obs.archive.RunArchive`
 in ``out_dir``: ``trace.spill``, ``flights.jsonl``, ``series.csv``,
 ``live.jsonl``, ``report.md`` + ``report.json`` and the manifest. The
-experiment report, the live watch and the archive that the ``diff``,
+experiment report, the live feed and the archive that the ``diff``,
 ``explain`` and ``perfetto`` verbs read are all this one run.
 
 Not imported from ``repro/obs/__init__.py``: this module imports the
@@ -21,12 +21,7 @@ from typing import Optional, Tuple
 from repro.faults import FaultPlan
 from repro.obs.archive import RunArchive, experiment_signature
 from repro.obs.export import FlightStream, detect_commit
-from repro.obs.live import (
-    LiveMonitor,
-    LivelockWatchdog,
-    StallWatchdog,
-    bgp_oscillation_watchdog,
-)
+from repro.obs.live import LiveMonitor
 from repro.obs.query import nudge_spill
 from repro.obs.report import ExperimentReport, build_report
 from repro.obs.routing import ConvergenceTracker, RoutingObserver
@@ -47,7 +42,6 @@ def run_fig8(
     seed: int = 8,
     end_at: float = 45.0,
     interval: float = 0.5,
-    status=None,
     nudge_index: Optional[int] = None,
     nudge_dt: float = 0.0,
 ) -> Tuple[str, ExperimentReport]:
@@ -55,11 +49,9 @@ def run_fig8(
     pinging every ``interval``; returns the manifest path and the
     compiled report.
 
-    ``status`` is the stream for the live status line (``None``:
-    headless). A same-seed pair of calls produces byte-identical
-    archives — unless ``nudge_index`` injects the single-event timestamp
-    perturbation (by ``nudge_dt`` sim-seconds) used to exercise the diff
-    engine.
+    A same-seed pair of calls produces byte-identical archives — unless
+    ``nudge_index`` injects the single-event timestamp perturbation (by
+    ``nudge_dt`` sim-seconds) used to exercise the diff engine.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -77,12 +69,9 @@ def run_fig8(
     tracker = ConvergenceTracker(exp).install()
     tracker.watch_path("washington", "seattle")
     monitor = LiveMonitor(sim, interval=1.0, feed=path("live.jsonl"),
-                          status=status, name="fig8", until=run_until)
-    monitor.watch_engine().watch_queues().watch_cpu()
+                          name="fig8")
+    monitor.watch_engine().watch_cpu()
     monitor.watch_convergence(tracker)
-    monitor.add_watchdog(StallWatchdog(budget_s=60.0, action="abort"))
-    monitor.add_watchdog(LivelockWatchdog(action="abort"))
-    monitor.add_watchdog(bgp_oscillation_watchdog(sim.metrics, action="mark"))
     monitor.install()
 
     exp.run(until=WARMUP)

@@ -72,7 +72,7 @@ __all__ = [
 Row = Dict[str, Any]
 
 #: Row columns tried, in order, as the "component" of a divergence.
-_COMPONENT_COLS = ("component", "node", "router", "key", "name", "watchdog")
+_COMPONENT_COLS = ("component", "node", "router", "key", "name")
 
 
 def flatten(obj: Any, prefix: str = "") -> Row:

@@ -77,7 +77,7 @@ def build_report(
     ``observer``/``tracker`` the :mod:`repro.obs.routing` collectors;
     ``traffic`` a :class:`~repro.traffic.FluidTrafficPlane`;
     ``monitor`` a :class:`~repro.obs.live.LiveMonitor` (its section is
-    deterministic: snapshot counts plus sim-keyed watchdog alarms).
+    its name, snapshot interval and snapshot count).
     All are optional — absent sections are omitted.
     """
     data: Dict[str, Any] = {
@@ -280,19 +280,10 @@ class ExperimentReport:
     def _live_md(section: Dict[str, Any]) -> List[str]:
         lines = ["", "## Live monitor", ""]
         lines.append(
-            "%d feed snapshots every %s sim-seconds; %d watchdog "
-            "alarm(s)." % (
+            "%d feed snapshots every %s sim-seconds." % (
                 section["snapshots"], _num(section["interval"]),
-                len(section["alarms"]),
             )
         )
-        if section["alarms"]:
-            lines += ["", "### Watchdog alarms", ""]
-            lines += _table(
-                ["watchdog", "sim t (s)", "events", "action", "detail"],
-                [[a["watchdog"], a["sim_t"], a["events"], a["action"],
-                  a["detail"]] for a in section["alarms"]],
-            )
         return lines
 
     @staticmethod

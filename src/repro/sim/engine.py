@@ -129,10 +129,6 @@ class Simulator:
         # shared null object; FlightRecorder(sim).install() swaps in a
         # live one. Instrumented sites guard on ``sim.flight.enabled``.
         self.flight = NULL_RECORDER
-        # Wall-clock hook for repro.obs.live: polled between events;
-        # returns how many events to skip before the next poll.
-        # Uninstalled cost is one attribute load + None test per event.
-        self._live_hook = None
         self._heap: List[tuple] = []
         self._seq = 0
         self._running = False
@@ -277,16 +273,8 @@ class Simulator:
         bound = _INF if until is None else until
         next_event = self._next
         fire = self._fire
-        hook_wait = 0
         try:
             while not self._stopped:
-                hook = self._live_hook
-                if hook is not None:
-                    hook_wait -= 1
-                    if hook_wait <= 0:
-                        hook_wait = hook()
-                        if self._stopped:
-                            break
                 event = next_event(bound)
                 if event is None:
                     break

@@ -491,7 +491,7 @@ class FluidTrafficPlane:
         #    drops emptied classes, zeroes idle ones, collects the rest.
         self._advance(self._ordered, now)
         emptied = shaped = finite = False
-        active = []
+        active, drained = [], []
         for cls in self._ordered:
             if cls.count > 0 and not cls.blocked:
                 active.append(cls)
@@ -500,6 +500,8 @@ class FluidTrafficPlane:
             else:
                 emptied = True
                 del self.classes[cls.key]
+                if cls.shaper is not None:
+                    drained.append(cls.shaper)
                 continue
             if cls.shaper is not None:
                 shaped = True
@@ -559,13 +561,16 @@ class FluidTrafficPlane:
             if key != state.coupled:
                 state.coupled = key
                 self._apply_channel(state, load)
-        if shaped:
+        if shaped or drained:
             shaper_loads: Dict[int, list] = {}
             for cls in self.classes.values():
                 if cls.shaper is not None:
                     entry = shaper_loads.setdefault(id(cls.shaper), [cls.shaper, 0.0])
                     if cls.count > 0 and not cls.blocked:
                         entry[1] += cls.rate_bps * cls.count
+            # A shaper whose classes all emptied carries no fluid now.
+            for shaper in drained:
+                shaper_loads.setdefault(id(shaper), [shaper, 0.0])
             for shaper, load in shaper_loads.values():
                 shaper.set_fluid_bps(load)
 

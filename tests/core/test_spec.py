@@ -145,6 +145,36 @@ def test_physical_events_name_physical_links_and_upcalls_report_them():
     assert a.xorp.rib.lookup(d.tap_addr).ifname == "to_b"
 
 
+def test_spec_of_a_built_experiment_rebuilds_the_same_run():
+    """Every timetable row, the seed and the upcall wiring survive
+    ``build_experiment(experiment_spec(exp))``; a plan-driven link
+    failure counts as a ``fail_link`` row."""
+    from repro.faults import FaultPlan
+
+    spec = dict(SQUARE, upcalls=True, events=[
+        {"time": 20.0, "action": "fail_link", "args": ["c", "d"]},
+        {"time": 30.0, "action": "fail_physical", "args": ["pa", "pb"]},
+        {"time": 60.0, "action": "recover_physical", "args": ["pa", "pb"]},
+    ])
+    vini, exp = build_experiment(spec)
+    exp.apply_faults(FaultPlan().fail_link(5.0, "b", "d", duration=2.0),
+                     offset=30.0)
+    vini2, exp2 = build_experiment(experiment_spec(exp))
+    assert len(exp.timetable()) == 5
+    assert exp2.timetable() == exp.timetable()
+    assert vini2.sim.seed == vini.sim.seed == 5
+    assert len(exp2.upcalls._observed) == len(exp.upcalls._observed) == 4
+
+
+def test_spec_of_an_inexpressible_firing_names_its_label():
+    from repro.faults import FaultPlan
+
+    vini, exp = build_experiment(SQUARE)
+    exp.apply_faults(FaultPlan().crash_node(5.0, "b"))
+    with pytest.raises(SpecError, match="crash b"):
+        experiment_spec(exp)
+
+
 def _edited(path, value):
     """SQUARE with the entry at ``path`` replaced (deep-copied)."""
     spec = copy.deepcopy(SQUARE)

@@ -138,11 +138,10 @@ def test_env_feed_lands_in_env_archive_whichever_comes_first(
     monkeypatch.delenv(second, raising=False)
     monkeypatch.setenv(first, values[first])
     sim = Simulator(seed=2)
-    attach_from_env(sim, until=1.0)
+    attach_from_env(sim)
     monkeypatch.setenv(second, values[second])
-    archive = attach_from_env(sim, until=2.0)
+    archive = attach_from_env(sim)
     sim._env_live_monitor.stop()
-    assert sim._env_live_monitor.until == 2.0
     artifacts = load_manifest(archive.write())["artifacts"]
     assert artifacts["feed.jsonl"]["kind"] == "live_feed"
 

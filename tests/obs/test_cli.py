@@ -167,8 +167,9 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     scripts ``make paper`` replaced, with their ``results/*.txt`` (the
     reach audit's ``unreached.txt`` is the one text result there is),
     and the flow-schedule replayer, the traffic matrix and the trace
-    collector's spill-at-threshold: deleted, and not to be documented
-    back in."""
+    collector's spill-at-threshold, and the live monitor's status line,
+    watchdogs, engine hook and Click-queue probe: deleted, and not to be
+    documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -178,7 +179,10 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|fig[89]_experiment|results/(?!unreached\.txt)\w+\.txt"
         # One letter bracketed, so a grep for a deleted name finds no file.
         r"|Trace[R]eplay|Replay[R]ecord|Traffic[M]atrix|install_[m]atrix"
-        r"|auto[s]pill")
+        r"|auto[s]pill"
+        r"|St[a]llWatchdog|Liv[e]lockWatchdog|Ra[t]eWatchdog"
+        r"|bgp_oscillation_[w]atchdog|status_[l]ine|make\s+watch\b|--watch\b"
+        r"|_live_[h]ook|watch_[q]ueues")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

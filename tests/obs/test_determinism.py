@@ -81,12 +81,10 @@ def _fig8_trace(metrics_enabled: bool, live: bool = False):
         if live:
             import io
 
-            from repro.obs import LiveMonitor, LivelockWatchdog, StallWatchdog
+            from repro.obs import LiveMonitor
 
             monitor = LiveMonitor(vini.sim, interval=1.0, feed=io.StringIO())
-            monitor.watch_engine().watch_queues().watch_cpu()
-            monitor.add_watchdog(StallWatchdog(budget_s=600.0, action="mark"))
-            monitor.add_watchdog(LivelockWatchdog(action="mark"))
+            monitor.watch_engine().watch_cpu()
             monitor.install()
         exp.run(until=WARMUP)
         plan = FaultPlan("fig8").fail_link(

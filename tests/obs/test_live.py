@@ -1,14 +1,12 @@
 """Tests for repro.obs.live: the live run observatory.
 
-Four contracts:
+Three contracts:
 
-* watchdogs (stall, livelock, rate) fire on the pathology, stay quiet
-  on healthy runs, and re-arm only after the condition clears — all
-  driven by synthetic clocks so no test ever sleeps;
-* an ``abort`` watchdog stops a genuinely livelocked simulator from
-  inside the engine's dispatch loop and leaves a diagnostic snapshot;
-* the JSONL feed is wall-clock-free: same seed => byte-identical feed,
-  even under wildly different synthetic clocks;
+* the JSONL feed holds simulation state only: same seed =>
+  byte-identical feed;
+* an installed monitor adds no per-event cost: its snapshots are
+  ordinary periodic sim events, and the engine's dispatch loop polls
+  nothing on its behalf;
 * the streaming exporters (FlightStream, spill sampler) write the
   *complete* series while in-memory retention stays under the
   configured ceiling.
@@ -16,7 +14,7 @@ Four contracts:
 
 import io
 import json
-import os
+import sys
 
 import pytest
 
@@ -26,26 +24,14 @@ from repro.obs import (
     FlightStream,
     JsonlFeed,
     LiveMonitor,
-    LivelockWatchdog,
     PeriodicSampler,
-    RateWatchdog,
-    RunArchive,
-    StallWatchdog,
-    Watchdog,
     attach_from_env,
-    load_manifest,
 )
 from repro.obs.archive import ENV_FEED
 from repro.obs.live import FEED_SCHEMA
 from repro.sim import Simulator
 from repro.tools import IperfTCPClient, IperfTCPServer
 from repro.topologies import build_deter
-
-
-def _advance(sim, t):
-    """Run the sim forward to exactly ``t`` (a no-op event anchors it)."""
-    sim.at(t, lambda: None)
-    sim.run()
 
 
 def _packet():
@@ -75,110 +61,12 @@ def test_jsonl_feed_creates_parent_directories(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Watchdog units (synthetic wall clocks; no sleeping)
-# ----------------------------------------------------------------------
-def test_watchdog_validation():
-    with pytest.raises(ValueError):
-        Watchdog(action="explode")
-    with pytest.raises(ValueError):
-        StallWatchdog(budget_s=0.0)
-    with pytest.raises(ValueError):
-        LivelockWatchdog(window_events=0)
-    with pytest.raises(ValueError):
-        RateWatchdog("x", lambda: 0, max_per_sim_s=0.0)
-    with pytest.raises(ValueError):
-        RateWatchdog("x", lambda: 0, max_per_sim_s=1.0, sustain=0)
-
-
-def test_stall_watchdog_fires_on_stall_not_on_progress():
-    sim = Simulator()
-    monitor = LiveMonitor(sim)
-    dog = StallWatchdog(budget_s=10.0, action="mark")
-    assert dog.poll(monitor, 0.0) is None  # anchors progress
-    assert dog.poll(monitor, 9.0) is None  # within budget
-    detail = dog.poll(monitor, 11.0)  # 11s of wall, sim still at 0
-    assert detail is not None and "no sim-time progress" in detail
-    # Still stalled: already alarmed, no repeat until it clears.
-    assert dog.poll(monitor, 20.0) is None
-    # Sim-time progress clears and re-arms it.
-    _advance(sim, 1.0)
-    assert dog.poll(monitor, 21.0) is None
-    assert not dog.fired
-    # A second stall fires a second alarm.
-    assert dog.poll(monitor, 32.0) is not None
-
-
-def test_stall_watchdog_quiet_while_sim_advances():
-    sim = Simulator()
-    monitor = LiveMonitor(sim)
-    dog = StallWatchdog(budget_s=5.0, action="mark")
-    for i in range(10):
-        _advance(sim, float(i + 1))
-        assert dog.poll(monitor, i * 100.0) is None  # huge wall gaps: fine
-
-
-def test_livelock_watchdog_fires_on_event_storm_without_sim_progress():
-    sim = Simulator()
-    monitor = LiveMonitor(sim)
-    dog = LivelockWatchdog(window_events=100, min_sim_advance=1e-6,
-                           action="mark")
-    assert dog.poll(monitor, 0.0) is None  # anchors (now, seq)
-    sim._seq += 1000  # storm: 1000 events scheduled, sim-time frozen
-    detail = dog.poll(monitor, 1.0)
-    assert detail is not None and "livelock" in detail
-    # Same storm rate but sim-time advancing: healthy.
-    sim._seq += 1000
-    _advance(sim, 1.0)
-    assert dog.poll(monitor, 2.0) is None
-    assert not dog.fired
-
-
-def test_rate_watchdog_requires_sustained_excess():
-    sim = Simulator()
-    monitor = LiveMonitor(sim)
-    state = {"v": 0.0}
-    dog = RateWatchdog("churn", lambda: state["v"], max_per_sim_s=10.0,
-                       sustain=2, action="mark")
-    assert dog.poll(monitor, 0.0) is None  # anchor at (t=0, v=0)
-    _advance(sim, 1.0)
-    state["v"] = 100.0  # 100/sim-s: hot, but only once
-    assert dog.poll(monitor, 1.0) is None
-    _advance(sim, 2.0)
-    state["v"] = 200.0  # second consecutive hot poll: fires
-    detail = dog.poll(monitor, 2.0)
-    assert detail is not None and "churn" in detail
-    # One cool poll resets both the sustain counter and the alarm.
-    _advance(sim, 3.0)
-    state["v"] = 205.0  # 5/sim-s
-    assert dog.poll(monitor, 3.0) is None
-    assert not dog.fired and dog._hot == 0
-    _advance(sim, 4.0)
-    state["v"] = 300.0
-    assert dog.poll(monitor, 4.0) is None  # hot again, not yet sustained
-
-
-def test_rate_watchdog_ignores_polls_without_sim_advance():
-    sim = Simulator()
-    monitor = LiveMonitor(sim)
-    state = {"v": 0.0}
-    dog = RateWatchdog("churn", lambda: state["v"], max_per_sim_s=1.0,
-                       sustain=1, action="mark")
-    assert dog.poll(monitor, 0.0) is None
-    state["v"] = 1e9  # no sim-time denominator: no rate, no fire
-    assert dog.poll(monitor, 1.0) is None
-
-
-# ----------------------------------------------------------------------
-# Monitor: probes, alarms, lifecycle
+# Monitor: probes, lifecycle, cost
 # ----------------------------------------------------------------------
 def test_monitor_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         LiveMonitor(sim, interval=0.0)
-    with pytest.raises(ValueError):
-        LiveMonitor(sim, wall_interval=-1.0)
-    with pytest.raises(ValueError):
-        LiveMonitor(sim, poll_stride=0)
     monitor = LiveMonitor(sim).watch("x", lambda: 1)
     with pytest.raises(ValueError):
         monitor.watch("x", lambda: 2)  # duplicate probe key
@@ -205,69 +93,12 @@ def test_feed_header_and_snapshot_shape():
     assert monitor.snapshots == 4
 
 
-def test_mark_alarm_is_recorded_without_stopping_the_sim(capsys):
-    sim = Simulator()
-    wall = {"t": 0.0}
-    monitor = LiveMonitor(sim, wall_interval=0.0, clock=lambda: wall["t"])
-    monitor.add_watchdog(StallWatchdog(budget_s=5.0, action="mark"))
-    monitor._wall_poll()  # anchors wall state
-    wall["t"] = 10.0
-    monitor._wall_poll()  # watchdog anchors its own progress marker
-    wall["t"] = 20.0
-    monitor._wall_poll()  # 10s stalled > 5s budget: fires
-    (alarm,) = monitor.alarms
-    assert alarm.action == "mark" and alarm.watchdog == "stall"
-    assert alarm.sim_t == 0.0 and alarm.events == sim._seq
-    assert monitor.diagnostic is None  # mark never writes a diagnostic
-    assert not sim._stopped
-    assert "ALARM stall" in capsys.readouterr().err
-
-
-def test_abort_watchdog_stops_a_livelocked_run(tmp_path, capsys):
-    """The end-to-end pathology: a self-feeding call_soon storm never
-    advances sim-time, so only the dispatch-loop hook can see it. The
-    stall watchdog must abort the run (instead of hanging forever) and
-    leave a diagnostic — indexed by the run's archive, since an aborted
-    run is exactly the one somebody will open."""
-    sim = Simulator(seed=1)
-    archive = RunArchive(str(tmp_path / "arch")).attach(sim)
-    wall = {"t": 0.0}
-
-    def clock():
-        wall["t"] += 1.0  # each poll advances fake wall-clock by 1s
-        return wall["t"]
-
-    feed_path = str(tmp_path / "storm.jsonl")
-    monitor = LiveMonitor(sim, interval=1.0, wall_interval=0.0,
-                          feed=feed_path, clock=clock, poll_stride=1)
-    monitor.add_watchdog(StallWatchdog(budget_s=3.0, action="abort"))
-    monitor.install()
-
-    def storm():
-        sim.call_soon(storm)
-
-    sim.call_soon(storm)
-    sim.run(until=10.0)  # returns: the abort stopped it
-
-    assert sim.now == 0.0  # never made sim progress
-    (alarm,) = monitor.alarms
-    assert alarm.action == "abort" and alarm.watchdog == "stall"
-    assert monitor.diagnostic is not None
-    diag = json.loads(open(feed_path + ".diag.json").read())
-    assert diag["alarm"]["watchdog"] == "stall"
-    assert diag["snapshot"]["t"] == 0.0
-    artifacts = load_manifest(archive.write())["artifacts"]
-    assert artifacts["storm.jsonl.diag.json"]["kind"] == "json"
-    assert artifacts["storm.jsonl"]["kind"] == "live_feed"
-    capsys.readouterr()  # swallow the alarm line
-
-
 def test_monitor_stop_is_idempotent_and_unhooks_the_engine():
     sim = Simulator()
     monitor = LiveMonitor(sim, feed=io.StringIO()).install()
-    assert sim._live_hook is not None
+    assert sim.pending == 1  # the periodic snapshot event
     monitor.stop()
-    assert sim._live_hook is None
+    assert sim.pending == 0
     before = monitor.snapshots
     monitor.stop()  # second stop: no extra final snapshot
     assert monitor.snapshots == before
@@ -281,7 +112,7 @@ def test_as_dict_reports_snapshots_and_alarms():
     section = monitor.as_dict()
     assert section["name"] == "live" and section["interval"] == 0.5
     assert section["snapshots"] == monitor.snapshots
-    assert section["alarms"] == []
+    assert set(section) == {"name", "interval", "snapshots"}
 
 
 def test_build_report_renders_live_section():
@@ -296,16 +127,66 @@ def test_build_report_renders_live_section():
     assert "## Live monitor" in report.to_markdown()
 
 
+def _noop() -> None:
+    return None
+
+
+def _dispatch_cost(events: int, monitored: bool):
+    """What ``run()`` does dispatching ``events`` no-op events, all inside
+    one 10 s snapshot interval: the calls (Python and C) it makes, and
+    the lines of ``Simulator.run`` itself it executes (a hook polled on
+    a stride longer than the run makes no call, but costs lines)."""
+    sim = Simulator()
+    if monitored:
+        LiveMonitor(sim, interval=10.0).install()
+    for i in range(events):
+        sim.schedule(i * 1e-4, _noop)
+    calls = lines = 0
+
+    def count_calls(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    def count_lines(_frame, event, _arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    run = Simulator.run.__code__
+    sys.setprofile(count_calls)
+    sys.settrace(lambda frame, _event, _arg:
+                 count_lines if frame.f_code is run else None)
+    try:
+        sim.run(until=5.0)
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return calls, lines
+
+
+def test_installed_monitor_adds_no_per_event_cost():
+    """Between two snapshots a monitor does nothing at all: what a
+    monitored run does beyond a bare one does not grow with the events
+    dispatched, so any engine-polled hook (however strided) fails this."""
+    extra = []
+    for events in (5_000, 10_000):
+        calls, lines = _dispatch_cost(events, monitored=False)
+        assert calls > events and lines > events
+        more_calls, more_lines = _dispatch_cost(events, monitored=True)
+        extra.append((more_calls - calls, more_lines - lines))
+    assert extra[0] == extra[1]
+
+
 # ----------------------------------------------------------------------
-# Feed determinism: same seed => byte-identical, wall-clock-free
+# Feed determinism: same seed => byte-identical
 # ----------------------------------------------------------------------
-def _deter_feed(seed: int, clock) -> str:
+def _deter_feed(seed: int) -> str:
     buf = io.StringIO()
     vini = build_deter(seed=seed)
-    monitor = LiveMonitor(vini.sim, interval=0.25, feed=buf, clock=clock,
-                          wall_interval=0.0, poll_stride=1)
+    monitor = LiveMonitor(vini.sim, interval=0.25, feed=buf)
     monitor.watch_engine()
-    monitor.add_watchdog(StallWatchdog(budget_s=1e9, action="mark"))
     monitor.install()
     server = IperfTCPServer(vini.nodes["sink"])
     IperfTCPClient(
@@ -319,29 +200,16 @@ def _deter_feed(seed: int, clock) -> str:
 
 @pytest.fixture(scope="module")
 def seed11_feed():
-    """One seed-11 run under a slow synthetic clock, shared by the two
-    tests below: each compares it with a run of its own."""
-    slow = {"t": 0.0}
-
-    def slow_clock():
-        slow["t"] += 0.001
-        return slow["t"]
-
-    return _deter_feed(11, slow_clock)
+    """One seed-11 run, shared by the two tests below: each compares it
+    with a run of its own."""
+    return _deter_feed(11)
 
 
 def test_same_seed_live_feed_is_byte_identical(seed11_feed):
-    """Two runs under *different* synthetic wall clocks (one 1000x
-    faster than the other) must still produce byte-identical feeds:
-    snapshot selection and content are both purely sim-keyed."""
-    fast = {"t": 0.0}
-
-    def fast_clock():
-        fast["t"] += 1.0
-        return fast["t"]
-
+    """Snapshot selection (sim-time cadence) and content (sim state
+    only) are both sim-keyed, so a second run writes the same bytes."""
     first = seed11_feed
-    second = _deter_feed(11, fast_clock)
+    second = _deter_feed(11)
     assert first == second
     rows = [json.loads(line) for line in first.splitlines()]
     assert rows[0]["schema"] == FEED_SCHEMA
@@ -352,8 +220,7 @@ def test_same_seed_live_feed_is_byte_identical(seed11_feed):
 
 
 def test_different_seed_changes_feed_content(seed11_feed):
-    clock = iter(range(1, 10 ** 6))
-    b = _deter_feed(12, lambda: float(next(clock)))
+    b = _deter_feed(12)
     assert seed11_feed != b  # seed lands in the header and events differ
 
 
@@ -365,19 +232,18 @@ def test_maybe_attach_env_monitor_absent_env_is_a_no_op(monkeypatch):
     monkeypatch.delenv("REPRO_RUN_ARCHIVE", raising=False)
     sim = Simulator()
     assert attach_from_env(sim) is None
-    assert sim._live_hook is None
+    assert getattr(sim, "_env_live_monitor", None) is None
 
 
 def test_maybe_attach_env_monitor_installs_once(tmp_path, monkeypatch):
     path = str(tmp_path / "env_feed.jsonl")
     monkeypatch.setenv(ENV_FEED, path)
     sim = Simulator(seed=3)
-    attach_from_env(sim, until=5.0)
+    attach_from_env(sim)
     monitor = sim._env_live_monitor
-    assert monitor is not None and monitor.until == 5.0
-    attach_from_env(sim, until=9.0)
+    assert monitor is not None
+    attach_from_env(sim)
     assert sim._env_live_monitor is monitor  # idempotent
-    assert monitor.until == 9.0
     monitor.stop()
     rows = [json.loads(line) for line in open(path)]
     assert rows[0]["schema"] == FEED_SCHEMA and rows[0]["seed"] == 3
@@ -389,7 +255,7 @@ def test_env_monitor_attaches_through_vini_run(tmp_path, monkeypatch):
     vini = build_deter(seed=2)
     vini.run(until=0.5)
     monitor = vini.sim._env_live_monitor
-    assert monitor is not None and monitor.until == 0.5
+    assert monitor is not None
     monitor.stop()
     rows = [json.loads(line) for line in open(path)]
     assert rows[0]["schema"] == FEED_SCHEMA
@@ -526,53 +392,3 @@ def test_sampler_spill_after_finish_is_an_error(tmp_path):
     sampler.finish()
     with pytest.raises(RuntimeError):
         sampler._spill("x", [(4.0, 1)])
-
-
-# ----------------------------------------------------------------------
-# Status line: TTY-aware suppression
-# ----------------------------------------------------------------------
-class _FakeTTY(io.StringIO):
-    def isatty(self):
-        return True
-
-
-def test_status_line_refreshes_in_place_on_a_tty():
-    sim = Simulator()
-    status = _FakeTTY()
-    monitor = LiveMonitor(sim, status=status, clock=lambda: 1.0)
-    monitor._refresh_status(1.0)
-    monitor._refresh_status(2.0)
-    text = status.getvalue()
-    assert "\r\x1b[2K" in text  # in-place rewrite, no scrollback spam
-    assert monitor.status_refreshes == 2
-
-
-def test_status_line_is_suppressed_when_stream_is_not_a_tty():
-    """Piped/redirected output (CI logs) must not fill with carriage
-    returns: non-TTY targets get only final newline-terminated lines."""
-    sim = Simulator()
-    status = io.StringIO()  # isatty() -> False
-    monitor = LiveMonitor(sim, status=status, clock=lambda: 1.0)
-    monitor._refresh_status(1.0)  # in-place refresh: swallowed
-    monitor._refresh_status(2.0)
-    assert status.getvalue() == ""
-    assert monitor.status_refreshes == 0
-    monitor._refresh_status(3.0, newline=True)  # final line still lands
-    text = status.getvalue()
-    assert text.endswith("\n") and "\r" not in text and "\x1b" not in text
-    assert monitor.status_refreshes == 1
-
-
-def test_status_stream_without_isatty_counts_as_non_tty():
-    class NoIsatty:
-        def write(self, text):
-            pass
-
-        def flush(self):
-            pass
-
-    NoIsatty.isatty = property(lambda self: (_ for _ in ()).throw(
-        AttributeError("no isatty")))
-    sim = Simulator()
-    monitor = LiveMonitor(sim, status=NoIsatty(), clock=lambda: 1.0)
-    assert monitor._status_tty is False

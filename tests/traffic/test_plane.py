@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core import VINI, Experiment
 from repro.obs import build_report
 from repro.topologies import build_dumbbell, build_star
 from repro.traffic import FluidTrafficPlane
@@ -150,6 +151,28 @@ class TestCoupling:
         vini.run(until=1.0)
         link = vini.link_between("rl", "rr")
         assert all(ch.fluid_bps == 0.0 for ch in link._channels.values())
+
+    def test_shaper_clears_when_its_last_class_empties(self):
+        vini = VINI(seed=5)
+        for name in ("pa", "pb"):
+            vini.add_node(name)
+        vini.connect("pa", "pb", bandwidth=100e6, delay=0.005)
+        vini.install_underlay_routes()
+        exp = Experiment(vini, "shaped-pair", realtime=False)
+        exp.add_node("a", "pa")
+        exp.add_node("b", "pb")
+        exp.connect("a", "b", bandwidth=10e6)
+        plane = FluidTrafficPlane(exp)
+        flow = plane.add_flow("a", "b", demand_bps=1e6)
+        vini.run(until=0.1)
+        elements = exp.network.nodes["a"].click.elements
+        (shaper,) = [el for name, el in elements.items()
+                     if name.startswith("shape_")]
+        assert shaper._fluid_bps == 1e6
+        flow.stop()
+        vini.run(until=0.2)
+        assert plane.classes == {}
+        assert shaper._fluid_bps == 0.0
 
     def test_link_failure_zeroes_rates_and_recovery_restores(self):
         vini, plane = make_dumbbell()
