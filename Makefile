@@ -9,12 +9,14 @@ test:
 
 # Tier-2: the five differential batteries (new code against the old
 # code kept verbatim in the test file) at 1000 examples each instead of
-# tier-1's 150-300.
+# tier-1's 150-300, and the spec round-trip battery (a run rebuilt from
+# its own experiment spec is the same run) at 150 instead of 8.
 props:
 	HYPOTHESIS_PROFILE=thorough $(PYTHON) -m pytest -q \
 		tests/net/test_trie_property.py tests/click/test_classifier_property.py \
 		tests/click/test_elements.py::test_dispatch_equals_the_port_it_replaced \
-		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py
+		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py \
+		tests/core/test_spec_roundtrip.py
 
 # Tier-2: the paper's evaluation (Tables 2-6, Figs 6/8/9, the BGP mux
 # and four ablations, ~4 min). Every scenario of benchmarks/paper.py

@@ -783,19 +783,17 @@ def _square_outage(seed, hello, dead, upcalls):
     ``upcalls`` the physical one under it, which Section 6.1's upcall
     design reports without waiting for the dead interval. Returns
     (outage, invariant violations)."""
+    warmup = max(30.0, 6 * hello)
+    fail_time = warmup + 2.0
     vini, exp = build_experiment(dict(
         SQUARE, seed=seed, upcalls=upcalls,
-        routing={"hello_interval": hello, "dead_interval": dead}))
+        routing={"hello_interval": hello, "dead_interval": dead},
+        events=[{"time": fail_time, "args": ["a", "b"],
+                 "action": "fail_physical" if upcalls else "fail_link"}]))
     checker = InvariantChecker(exp).install()
-    warmup = max(30.0, 6 * hello)
     exp.run(until=warmup)
     src, src_sliver, _sink, _sink_sliver, addr = _ends(vini, exp, "a", "d")
     ping = Ping(src, addr, sliver=src_sliver, interval=0.1, count=2000).start()
-    fail_time = warmup + 2.0
-    if upcalls:
-        vini.sim.schedule(fail_time, vini.link_between("a", "b").fail)
-    else:
-        vini.sim.schedule(fail_time, exp.network.fail_link, "a", "b")
     vini.run(until=fail_time + dead + 20.0)
     ping.stop()
     checker.check_now()

@@ -12,12 +12,11 @@ multiple experiments can run simultaneously.
 from repro.core.infrastructure import VINI
 from repro.core.virtual_network import VirtualLink, VirtualNetwork, VirtualNode
 from repro.core.upcalls import UpcallDispatcher
-from repro.core.experiment import Experiment, ExperimentEvent
+from repro.core.experiment import Experiment
 from repro.core.spec import build_experiment, experiment_spec
 
 __all__ = [
     "Experiment",
-    "ExperimentEvent",
     "build_experiment",
     "experiment_spec",
     "UpcallDispatcher",

@@ -7,39 +7,19 @@ traces that should be collected."
 
 An :class:`Experiment` is that specification: a slice with isolation
 parameters, a virtual topology, a routing configuration, a timetable of
-events (link failures/recoveries, traffic start/stop, arbitrary
-callables), and the trace collector the tools write into. The same
-object drives the paper's Section 5.2 experiment and every scenario.
+fault-plan firings (:mod:`repro.faults.plan`), and the trace collector
+the tools write into. The same object drives the paper's Section 5.2
+experiment and every scenario.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.infrastructure import VINI
 from repro.core.upcalls import UpcallDispatcher
 from repro.core.virtual_network import VirtualLink, VirtualNetwork, VirtualNode
 from repro.obs.archive import attach_from_env
-
-
-class ExperimentEvent:
-    """One scheduled event in the experiment's timetable.
-
-    ``action`` is the ``(spec action, args)`` pair of an event a
-    ``*_at`` method scheduled (see :mod:`repro.core.spec`), else None.
-    """
-
-    __slots__ = ("time", "label", "fn", "args", "action")
-
-    def __init__(self, time: float, label: str, fn: Callable, args: tuple):
-        self.time = time
-        self.label = label
-        self.fn = fn
-        self.args = args
-        self.action: Optional[Tuple[str, Tuple[str, str]]] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ExperimentEvent t={self.time:g} {self.label}>"
 
 
 class Experiment:
@@ -79,7 +59,6 @@ class Experiment:
             self.sim, self.slice, tap_route_prefix=tap_route_prefix, **net_kwargs
         )
         self.upcalls = UpcallDispatcher(self.network)
-        self.events: List[ExperimentEvent] = []
         self._started = False
 
     # ------------------------------------------------------------------
@@ -121,47 +100,23 @@ class Experiment:
     # ------------------------------------------------------------------
     # Event timetable
     # ------------------------------------------------------------------
-    def at(self, time: float, fn: Callable, *args: Any, label: str = "") -> ExperimentEvent:
-        event = ExperimentEvent(time, label or getattr(fn, "__name__", "event"), fn, args)
-        self.events.append(event)
-        self.sim.schedule(time, fn, *args)
-        return event
-
-    def fail_link_at(self, time: float, a: str, b: str) -> ExperimentEvent:
-        """Fail the virtual link (Click-level drop, Section 5.2)."""
-        event = self.at(
-            time, self.network.fail_link, a, b, label=f"fail {a}={b}"
-        )
-        event.action = ("fail_link", (a, b))
-        return event
-
-    def recover_link_at(self, time: float, a: str, b: str) -> ExperimentEvent:
-        event = self.at(
-            time, self.network.recover_link, a, b, label=f"recover {a}={b}"
-        )
-        event.action = ("recover_link", (a, b))
-        return event
-
-    def fail_physical_at(self, time: float, a: str, b: str) -> ExperimentEvent:
-        link = self.vini.link_between(a, b)
-        event = self.at(time, link.fail, label=f"fail physical {a}--{b}")
-        event.action = ("fail_physical", (a, b))
-        return event
-
-    def recover_physical_at(self, time: float, a: str, b: str) -> ExperimentEvent:
-        link = self.vini.link_between(a, b)
-        event = self.at(time, link.recover, label=f"recover physical {a}--{b}")
-        event.action = ("recover_physical", (a, b))
-        return event
-
-    def apply_faults(self, plan, offset: float = 0.0):
+    def apply_faults(self, plan, offset: float = 0.0) -> None:
         """Install a :class:`repro.faults.FaultPlan` on this experiment.
 
         Plan times are relative; ``offset`` shifts the whole schedule
-        (e.g. past a warmup). Every injection lands in the timetable
-        like a hand-written ``at()`` call.
+        (e.g. past a warmup). Every injection lands in the timetable.
         """
-        return plan.install(self, offset=offset)
+        plan.install(self, offset=offset)
+
+    @property
+    def events(self) -> List[Tuple[float, str, "FaultAction"]]:  # noqa: F821
+        """``(absolute time, plan name, action)`` of every firing
+        installed on this experiment or on the substrate under it, in
+        scheduling order: the rows :func:`repro.core.spec.experiment_spec`
+        serializes."""
+        return [(time, plan, action)
+                for time, plan, action, overlay in self.vini.faults
+                if overlay is None or overlay is self]
 
     # ------------------------------------------------------------------
     def enable_upcalls(self) -> None:
@@ -182,7 +137,7 @@ class Experiment:
 
     def timetable(self) -> List[Tuple[float, str]]:
         """The experiment specification as (time, label) rows."""
-        return sorted((e.time, e.label) for e in self.events)
+        return sorted((time, action.label) for time, _plan, action in self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Experiment {self.name} nodes={len(self.network.nodes)} events={len(self.events)}>"

@@ -9,7 +9,7 @@ directly — they get slices and virtual topologies embedded on top.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -35,6 +35,10 @@ class VINI:
         self.links: Dict[Tuple[str, str], Link] = {}
         self._subnets = prefix(backbone_block).subnets(31)
         self._slices: Dict[str, Slice] = {}
+        # The timetable: (time, plan name, FaultAction, the Experiment
+        # whose overlay it acts on or None) per installed fault-plan
+        # firing, in scheduling order (repro.faults.plan).
+        self.faults: List[Tuple[float, str, Any, Any]] = []
 
     # ------------------------------------------------------------------
     # Physical topology

@@ -40,9 +40,16 @@ Example::
         ],
     }
 
-``build_experiment(SPEC)`` returns a ready (vini, experiment) pair, and
+Each event is one :class:`~repro.faults.plan.FaultAction` at an absolute
+time: ``action`` is any plan kind but ``call``, ``args`` its arguments,
+and the optional ``plan`` the plan name its ``fault`` trace record logs
+(default ``"spec"``; the record's label is the kind's wording of the
+args).
+``build_experiment(SPEC)`` returns a ready (vini, experiment) pair,
+scheduling the events through ``FaultPlan.install``, and
 ``experiment_spec(exp)`` round-trips a programmatically built
-experiment back into this form. The ``ospf_timers`` ablation of
+experiment back into this form, plan firings included, so the rebuilt
+run is the same run. The ``ospf_timers`` ablation of
 ``benchmarks/paper.py`` builds its square from such a specification,
 so a misspelt key or name is refused (``SpecError`` naming the section
 and the key), never run as a default.
@@ -54,14 +61,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultAction, FaultPlan, UnsupportedFault
 
-_EVENT_ACTIONS = {
-    "fail_link": "fail_link_at",
-    "recover_link": "recover_link_at",
-    "fail_physical": "fail_physical_at",
-    "recover_physical": "recover_physical_at",
-}
 _ROUTING_KEYS = {
     "ospf": ("hello_interval", "dead_interval"),
     "rip": ("update_interval", "timeout"),
@@ -116,12 +117,13 @@ def build_experiment(
             vini.add_node(name, cpu_speed=physical.get("cpu_speed", 1.0))
         for index, link in enumerate(physical.get("links", [])):
             where = f"physical.links[{index}]"
-            _section(where, link, ("a", "b", "bandwidth", "delay"), ("a", "b"))
+            _section(where, link, ("a", "b", "bandwidth", "delay", "queue_bytes"),
+                     ("a", "b"))
             vini.connect(
                 _known(where, "a", link["a"], vini.nodes),
                 _known(where, "b", link["b"], vini.nodes),
-                bandwidth=link.get("bandwidth", 1e9),
-                delay=link.get("delay", 0.001),
+                **{key: link[key] for key in ("bandwidth", "delay", "queue_bytes")
+                   if key in link},
             )
         vini.install_underlay_routes()
     slice_spec = _section("slice", spec.get("slice", {}), (
@@ -171,28 +173,25 @@ def build_experiment(
         exp.enable_upcalls()
     for index, event in enumerate(spec.get("events", [])):
         where = f"events[{index}]"
-        _section(where, event, ("time", "action", "args"), ("time", "action"))
-        method = _EVENT_ACTIONS.get(event["action"])
-        if method is None:
-            raise SpecError(f"{where}: unknown event action {event['action']!r}")
+        _section(where, event, ("time", "plan", "action", "args"),
+                 ("time", "action"))
+        plan = FaultPlan(event.get("plan", "spec"))
         try:
-            a, b = event.get("args")
-            (vini if "physical" in method else exp.network).link_between(a, b)
-        except (TypeError, ValueError, KeyError):
-            raise SpecError(
-                f"{where}: 'args' must name the two ends of a link, "
-                f"got {event.get('args')!r}"
-            ) from None
-        getattr(exp, method)(event["time"], a, b)
+            plan.actions.append(FaultAction(
+                event["time"], event["action"], tuple(event.get("args", ()))))
+            plan.install(exp)
+        except (TypeError, ValueError, UnsupportedFault) as err:
+            raise SpecError(f"{where}: {err}") from None
     return vini, exp
 
 
 def experiment_spec(exp: Experiment) -> Dict[str, Any]:
     """Serialize an experiment back into the spec schema.
 
-    Physical topology is included so the spec is self-contained. Every
-    timetable row must be a ``*_at`` link event or a :class:`FaultPlan`
-    link fail/recover; any other firing raises :class:`SpecError`
+    Physical topology is included so the spec is self-contained, and
+    nodes and links keep their construction order (it numbers their
+    addresses). Every timetable row is an event; a ``FaultPlan.at``
+    firing, whose callable has no spec form, raises :class:`SpecError`
     naming its label.
     """
     vini = exp.vini
@@ -206,21 +205,22 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
             "cpu_cap": exp.slice.cpu_cap,
         },
         "physical": {
-            "nodes": sorted(vini.nodes),
+            "nodes": list(vini.nodes),
             "links": [
                 {
-                    "a": a,
-                    "b": b,
+                    "a": link.endpoints[0].node.name,
+                    "b": link.endpoints[1].node.name,
                     "bandwidth": link.bandwidth,
                     "delay": link.delay,
+                    "queue_bytes": link.queue_bytes,
                 }
-                for (a, b), link in sorted(vini.links.items())
+                for link in vini.links.values()
             ],
         },
         "topology": {
             "nodes": {
                 name: vnode.phys_node.name
-                for name, vnode in sorted(exp.network.nodes.items())
+                for name, vnode in exp.network.nodes.items()
             },
             "links": [
                 {
@@ -228,6 +228,7 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
                     "b": vlink.b.name,
                     "cost": vlink.cost,
                     "bandwidth": vlink.bandwidth,
+                    "map_physical": bool(vlink.physical_links),
                 }
                 for vlink in exp.network.links
             ],
@@ -242,19 +243,12 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
             "hello_interval": sample.xorp.ospf.hello_interval,
             "dead_interval": sample.xorp.ospf.dead_interval,
         }
-    for event in exp.events:
-        action = event.action
-        if action is None and getattr(event.fn, "__func__", None) is FaultPlan._fire:
-            fault = event.args[0]
-            if fault.kind in ("fail_link", "recover_link"):
-                action = (fault.kind, fault.args)
-        if action is None:
+    for time, plan, action in exp.events:
+        if action.kind == "call":
             raise SpecError(
-                f"event {event.label!r} at t={event.time:g} has no spec "
-                f"action (known: {', '.join(_EVENT_ACTIONS)})"
+                f"event {action.label!r} at t={time:g} calls a function, "
+                "which a spec cannot carry"
             )
-        name, args = action
-        spec["events"].append(
-            {"time": event.time, "action": name, "args": list(args)}
-        )
+        spec["events"].append({"time": time, "plan": plan,
+                               "action": action.kind, "args": list(action.args)})
     return spec

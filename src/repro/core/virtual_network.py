@@ -502,9 +502,6 @@ class VirtualNetwork:
     def recover_link(self, a: str, b: str) -> None:
         self.link_between(a, b).recover()
 
-    def set_loss(self, a: str, b: str, drop_prob: float) -> None:
-        self.link_between(a, b).set_loss(drop_prob)
-
     def configure_ospf(self, weights: Optional[Dict[Tuple[str, str], int]] = None, **kwargs) -> None:
         """Configure OSPF on every virtual node (link costs already set
         per-link; ``weights`` may override by node-name pair)."""

@@ -8,11 +8,13 @@ control loop for the reproduction:
 * :class:`FaultPlan` — a deterministic event-schedule DSL. A plan is a
   declarative list of injections (link flaps, node crash/restart, CPU
   contention bursts, loss episodes) plus seeded-random generators, and
-  installs onto an :class:`~repro.core.experiment.Experiment` (virtual
-  overlay faults, the paper's Click-level drops) or a
-  :class:`~repro.core.infrastructure.VINI` (physical substrate faults).
-  Every firing is an ordinary engine event, so plans are reproducible
-  per seed and composable per scenario.
+  installs onto an :class:`~repro.core.experiment.Experiment` or a
+  :class:`~repro.core.infrastructure.VINI`. Each kind acts on one layer
+  wherever it is installed: the virtual overlay (the paper's Click-level
+  drops) or the physical substrate. Every firing is an ordinary engine
+  event recorded in the deployment's timetable, so plans are
+  reproducible per seed, composable per scenario, and serialize into
+  an experiment spec (:mod:`repro.core.spec`).
 * :class:`InvariantChecker` — a runtime monitor riding the trace fast
   path (``trace.wants()``-guarded per-hop records) that continuously
   verifies TTL monotonicity and forwarding-loop bounds per packet,

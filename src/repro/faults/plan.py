@@ -1,4 +1,4 @@
-"""The deterministic event-schedule DSL.
+"""The deterministic event-schedule DSL, and the one timetable.
 
 Section 6.2: "In an ns simulation, an experimenter can generate traffic
 and routing streams, specify times when certain links should fail, and
@@ -17,35 +17,79 @@ Design rules that make plans *controlled* in the paper's sense:
   :class:`~repro.sim.rand.RandomStreams`, so two runs with the same
   master seed replay the identical schedule and two plans cannot
   perturb each other's draws.
+* Each kind means one thing, whatever the plan is installed on
+  (``_KINDS``). ``fail_link``, ``recover_link``, ``set_loss``,
+  ``crash_node`` and ``restart_node`` act on an experiment's virtual
+  overlay (the paper's method: virtual links fail by dropping packets
+  inside Click); the ``*_physical`` kinds and ``cpu_burst`` act on the
+  physical substrate under it (fate sharing, Section 3.1). ``install``
+  resolves every action before it schedules any, so an overlay kind on
+  a bare VINI, or a name the target does not have, is refused there
+  (:class:`UnsupportedFault`), never mid-run.
 * Each firing is one ordinary engine event that logs a ``fault`` trace
   record and then calls exactly the function an inline experiment
   script would have called — a plan-driven run is event-for-event
   identical to a hand-scheduled one (the golden-trace test in
   ``tests/faults`` enforces this).
+* Every installed firing lands in the deployment's timetable,
+  ``VINI.faults``, in scheduling order. An experiment's spec ``events``
+  are those rows serialized (:mod:`repro.core.spec`), and a spec is
+  rebuilt through this same path.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class UnsupportedFault(Exception):
-    """The install target cannot express this fault kind."""
+    """The install target cannot carry out a plan action: an overlay kind
+    on a bare VINI, or a name the target does not have."""
+
+
+# kind -> (label, what it acts on, the method it calls there, arity).
+# "vlink"/"vnode" are an experiment's virtual overlay, "link"/"node" the
+# physical substrate. ``call`` is ``at()``'s escape hatch: any callable
+# and its arguments, the one kind no spec can carry.
+_KINDS = {
+    "call": ("call", None, None, None),
+    "fail_link": ("fail {}={}", "vlink", "fail", 2),
+    "recover_link": ("recover {}={}", "vlink", "recover", 2),
+    "set_loss": ("loss {}={} p={:g}", "vlink", "set_loss", 3),
+    "crash_node": ("crash {}", "vnode", "crash", 1),
+    "restart_node": ("restart {}", "vnode", "restart", 1),
+    "fail_physical": ("fail physical {}--{}", "link", "fail", 2),
+    "recover_physical": ("recover physical {}--{}", "link", "recover", 2),
+    "crash_physical": ("crash physical {}", "node", "crash", 1),
+    "restart_physical": ("restart physical {}", "node", "restart", 1),
+    "cpu_burst": ("cpu burst {} {:g}s", "node", None, 4),
+}
 
 
 class FaultAction:
-    """One scheduled injection: ``kind(*args)`` at plan-relative ``time``."""
+    """One scheduled injection: ``kind(*args)`` at plan-relative ``time``.
+
+    ``label`` defaults to the kind's wording of ``args``.
+    """
 
     __slots__ = ("time", "kind", "args", "label")
 
-    def __init__(self, time: float, kind: str, args: tuple, label: str):
+    def __init__(self, time: float, kind: str, args: tuple,
+                 label: Optional[str] = None):
         if time < 0:
             raise ValueError(f"negative fault time {time!r}")
+        if kind not in _KINDS:
+            raise ValueError(
+                f"unknown fault kind {kind!r} (known: {', '.join(_KINDS)})")
+        wording, _layer, _method, arity = _KINDS[kind]
+        if arity is not None and len(args) != arity:
+            raise ValueError(f"{kind} takes {arity} args, got {list(args)!r}")
         self.time = time
         self.kind = kind
-        self.args = args
-        self.label = label
+        self.args = tuple(args)
+        self.label = wording.format(*args) if label is None else label
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultAction t={self.time:g} {self.label}>"
@@ -61,9 +105,10 @@ class FaultPlan:
         exp.apply_faults(plan, offset=WARMUP)
 
     A plan is inert data until :meth:`install` binds it to a target —
-    an :class:`~repro.core.experiment.Experiment` (virtual faults) or a
-    :class:`~repro.core.infrastructure.VINI` (physical faults). The same
-    plan may be installed any number of times, on any number of targets.
+    an :class:`~repro.core.experiment.Experiment` or a
+    :class:`~repro.core.infrastructure.VINI` (substrate kinds only).
+    The same plan may be installed any number of times, on any number
+    of targets.
     """
 
     def __init__(self, name: str = "faults"):
@@ -76,23 +121,38 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Deterministic actions
     # ------------------------------------------------------------------
-    def _add(self, time: float, kind: str, args: tuple, label: str) -> "FaultPlan":
+    def _add(self, time: float, kind: str, *args: Any,
+             label: Optional[str] = None) -> "FaultPlan":
         self.actions.append(FaultAction(time, kind, args, label))
         return self
+
+    def _undone(self, at: float, kind: str, undo: str,
+                duration: Optional[float], *args: Any) -> "FaultPlan":
+        """``kind`` at ``at``; with ``duration``, ``undo`` that much later."""
+        if duration is not None and duration <= 0:
+            raise ValueError(f"duration must be positive, got {duration!r}")
+        self._add(at, kind, *args)
+        return self if duration is None else self._add(at + duration, undo, *args)
 
     def fail_link(
         self, at: float, a: str, b: str, duration: Optional[float] = None
     ) -> "FaultPlan":
-        """Fail the link ``a``--``b``; with ``duration``, auto-recover."""
-        self._add(at, "fail_link", (a, b), f"fail {a}={b}")
-        if duration is not None:
-            if duration <= 0:
-                raise ValueError(f"duration must be positive, got {duration!r}")
-            self.recover_link(at + duration, a, b)
-        return self
+        """Fail the virtual link ``a``=``b``; with ``duration``, auto-recover."""
+        return self._undone(at, "fail_link", "recover_link", duration, a, b)
 
     def recover_link(self, at: float, a: str, b: str) -> "FaultPlan":
-        return self._add(at, "recover_link", (a, b), f"recover {a}={b}")
+        return self._add(at, "recover_link", a, b)
+
+    def fail_physical(
+        self, at: float, a: str, b: str, duration: Optional[float] = None
+    ) -> "FaultPlan":
+        """Fail the physical link ``a``--``b`` (and every virtual link
+        riding it); with ``duration``, auto-recover."""
+        return self._undone(at, "fail_physical", "recover_physical",
+                            duration, a, b)
+
+    def recover_physical(self, at: float, a: str, b: str) -> "FaultPlan":
+        return self._add(at, "recover_physical", a, b)
 
     def flap_link(
         self,
@@ -117,16 +177,21 @@ class FaultPlan:
     def crash_node(
         self, at: float, name: str, duration: Optional[float] = None
     ) -> "FaultPlan":
-        """Crash a node; with ``duration``, restart it afterwards."""
-        self._add(at, "crash_node", (name,), f"crash {name}")
-        if duration is not None:
-            if duration <= 0:
-                raise ValueError(f"duration must be positive, got {duration!r}")
-            self.restart_node(at + duration, name)
-        return self
+        """Crash a virtual router; with ``duration``, restart it afterwards."""
+        return self._undone(at, "crash_node", "restart_node", duration, name)
 
     def restart_node(self, at: float, name: str) -> "FaultPlan":
-        return self._add(at, "restart_node", (name,), f"restart {name}")
+        return self._add(at, "restart_node", name)
+
+    def crash_physical(
+        self, at: float, name: str, duration: Optional[float] = None
+    ) -> "FaultPlan":
+        """Crash a physical node; with ``duration``, restart it afterwards."""
+        return self._undone(at, "crash_physical", "restart_physical",
+                            duration, name)
+
+    def restart_physical(self, at: float, name: str) -> "FaultPlan":
+        return self._add(at, "restart_physical", name)
 
     def loss_episode(
         self, at: float, a: str, b: str, duration: float, drop_prob: float
@@ -140,10 +205,8 @@ class FaultPlan:
             raise ValueError(f"duration must be positive, got {duration!r}")
         if not 0.0 <= drop_prob <= 1.0:
             raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob!r}")
-        self._add(at, "set_loss", (a, b, drop_prob),
-                  f"loss {a}={b} p={drop_prob:g}")
-        self._add(at + duration, "set_loss", (a, b, 0.0), f"loss {a}={b} end")
-        return self
+        self._add(at, "set_loss", a, b, drop_prob)
+        return self._add(at + duration, "set_loss", a, b, 0.0)
 
     def cpu_burst(
         self,
@@ -153,21 +216,18 @@ class FaultPlan:
         share: float = 1.0,
         quantum: float = 0.005,
     ) -> "FaultPlan":
-        """A CPU-contention burst: a hog slice monopolizes ``node`` for
-        ``duration`` seconds (the fluctuating PlanetLab load of
-        Section 5.1.2, on demand)."""
+        """A CPU-contention burst: a hog slice monopolizes physical node
+        ``node`` for ``duration`` seconds (the fluctuating PlanetLab load
+        of Section 5.1.2, on demand)."""
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration!r}")
-        return self._add(
-            at, "cpu_burst", (node, duration, share, quantum),
-            f"cpu burst {node} {duration:g}s",
-        )
+        return self._add(at, "cpu_burst", node, duration, share, quantum)
 
     def at(self, time: float, fn: Callable, *args: Any, label: str = "") -> "FaultPlan":
-        """Escape hatch: schedule an arbitrary callable as a fault event."""
-        return self._add(
-            time, "call", (fn,) + args, label or getattr(fn, "__name__", "call")
-        )
+        """Escape hatch: schedule an arbitrary callable as a fault event.
+        A callable has no spec form, so its experiment has none either."""
+        return self._add(time, "call", fn, *args,
+                         label=label or getattr(fn, "__name__", "call"))
 
     # ------------------------------------------------------------------
     # Seeded-random generators (expanded at install time)
@@ -179,9 +239,9 @@ class FaultPlan:
         count: int,
         down: Tuple[float, float] = (0.5, 2.0),
     ) -> "FaultPlan":
-        """``count`` link flaps drawn from the plan's seeded stream:
-        uniform start times in ``window``, uniform outage lengths in
-        ``down``, links chosen round-robin-free (uniformly)."""
+        """``count`` virtual-link flaps drawn from the plan's seeded
+        stream: uniform start times in ``window``, uniform outage lengths
+        in ``down``, links chosen uniformly."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
         links = [tuple(pair) for pair in links]
@@ -194,10 +254,8 @@ class FaultPlan:
                 a, b = rng.choice(links)
                 start = rng.uniform(t0, t1)
                 outage = rng.uniform(lo, hi)
-                actions.append(FaultAction(
-                    start, "fail_link", (a, b), f"fail {a}={b}"))
-                actions.append(FaultAction(
-                    start + outage, "recover_link", (a, b), f"recover {a}={b}"))
+                actions.append(FaultAction(start, "fail_link", (a, b)))
+                actions.append(FaultAction(start + outage, "recover_link", (a, b)))
             return actions
 
         self._generators.append(expand)
@@ -226,10 +284,8 @@ class FaultPlan:
                 start = rng.uniform(t0, t1)
                 length = rng.uniform(dlo, dhi)
                 p = rng.uniform(plo, phi)
-                actions.append(FaultAction(
-                    start, "set_loss", (a, b, p), f"loss {a}={b} p={p:.3f}"))
-                actions.append(FaultAction(
-                    start + length, "set_loss", (a, b, 0.0), f"loss {a}={b} end"))
+                actions.append(FaultAction(start, "set_loss", (a, b, p)))
+                actions.append(FaultAction(start + length, "set_loss", (a, b, 0.0)))
             return actions
 
         self._generators.append(expand)
@@ -249,34 +305,31 @@ class FaultPlan:
         # Stable sort: ties fire in build order, deterministically.
         return sorted(actions, key=lambda action: action.time)
 
-    def install(self, target, offset: float = 0.0):
-        """Schedule every action on ``target``'s simulator.
+    def install(self, target, offset: float = 0.0) -> None:
+        """Schedule every action on ``target``, an
+        :class:`~repro.core.experiment.Experiment` or a
+        :class:`~repro.core.infrastructure.VINI`, and record each firing
+        in its timetable (``VINI.faults``).
 
-        ``target`` is an :class:`~repro.core.experiment.Experiment`
-        (virtual-overlay faults; firings are also recorded in the
-        experiment timetable) or a
-        :class:`~repro.core.infrastructure.VINI` (physical faults).
-        Returns the bound adapter, which keeps per-install state (e.g.
-        running CPU hogs).
+        Every action is resolved before any is scheduled: a plan the
+        target cannot carry out raises :class:`UnsupportedFault` naming
+        the kind and the name, and schedules nothing.
         """
-        adapter = _adapt(target)
-        sim = adapter.sim
-        for action in self.resolve(sim):
+        vini, experiment = _deployment(target)
+        sim = vini.sim
+        bound = [(action, _bind(action, vini, experiment))
+                 for action in self.resolve(sim)]
+        for action, (overlay, fn) in bound:
             time = offset + action.time
-            adapter.schedule(time, self._fire, action, adapter,
-                             label=action.label)
-        return adapter
+            vini.faults.append((time, self.name, action, overlay))
+            sim.schedule(time, self._fire, sim, action, fn)
 
-    def _fire(self, action: FaultAction, adapter: "_Target") -> None:
-        trace = adapter.sim.trace
+    def _fire(self, sim, action: FaultAction, fn: Callable[[], None]) -> None:
+        trace = sim.trace
         if trace.wants("fault"):
             trace.log("fault", plan=self.name, action=action.kind,
                       label=action.label)
-        if action.kind == "call":
-            fn = action.args[0]
-            fn(*action.args[1:])
-            return
-        getattr(adapter, action.kind)(*action.args)
+        fn()
 
     # ------------------------------------------------------------------
     def timetable(self, sim=None) -> List[Tuple[float, str]]:
@@ -297,129 +350,71 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Install targets
+# The one resolver
 # ----------------------------------------------------------------------
-def _adapt(target) -> "_Target":
+def _deployment(target):
+    """``(vini, experiment or None)`` of an install target."""
     from repro.core.experiment import Experiment
     from repro.core.infrastructure import VINI
 
-    if isinstance(target, _Target):
-        return target
     if isinstance(target, Experiment):
-        return ExperimentTarget(target)
+        return target.vini, target
     if isinstance(target, VINI):
-        return PhysicalTarget(target)
+        return target, None
     raise TypeError(
         f"cannot install a FaultPlan on {type(target).__name__}; "
         "expected an Experiment or a VINI"
     )
 
 
-class _Target:
-    """Resolves plan action names against one concrete deployment."""
-
-    sim = None
-
-    def schedule(self, time: float, fn: Callable, *args: Any, label: str = "") -> None:
-        self.sim.schedule(time, fn, *args)
-
-    # Action verbs; subclasses implement what they can express.
-    def fail_link(self, a: str, b: str) -> None:
-        raise UnsupportedFault("fail_link")
-
-    def recover_link(self, a: str, b: str) -> None:
-        raise UnsupportedFault("recover_link")
-
-    def crash_node(self, name: str) -> None:
-        raise UnsupportedFault("crash_node")
-
-    def restart_node(self, name: str) -> None:
-        raise UnsupportedFault("restart_node")
-
-    def set_loss(self, a: str, b: str, drop_prob: float) -> None:
-        raise UnsupportedFault("set_loss")
-
-    def cpu_burst(self, name: str, duration: float, share: float,
-                  quantum: float) -> None:
-        from repro.phys.load import CPUHog
-
-        node = self._phys_node(name)
-        index = self._burst_seq
-        self._burst_seq += 1
-        hog = CPUHog(
-            node,
-            name=f"faultburst{index}",
-            quantum=quantum,
-            heavy_tail_prob=0.0,
-            share=share,
-            rng_stream=f"faults.burst.{node.name}.{index}",
-        ).start()
-        self.sim.at(duration, hog.stop)
-
-    def _phys_node(self, name: str):
-        raise UnsupportedFault("cpu_burst")
-
-
-class ExperimentTarget(_Target):
-    """Faults on an experiment's virtual overlay (the paper's method:
-    virtual links fail by dropping packets inside Click)."""
-
-    def __init__(self, experiment):
-        self.experiment = experiment
-        self.sim = experiment.sim
-        self._burst_seq = 0
-
-    def schedule(self, time: float, fn: Callable, *args: Any, label: str = "") -> None:
-        # Through the experiment so the timetable records the firing.
-        self.experiment.at(time, fn, *args, label=label)
-
-    def fail_link(self, a: str, b: str) -> None:
-        self.experiment.network.fail_link(a, b)
-
-    def recover_link(self, a: str, b: str) -> None:
-        self.experiment.network.recover_link(a, b)
-
-    def crash_node(self, name: str) -> None:
-        self.experiment.network.nodes[name].crash()
-
-    def restart_node(self, name: str) -> None:
-        self.experiment.network.nodes[name].restart()
-
-    def set_loss(self, a: str, b: str, drop_prob: float) -> None:
-        self.experiment.network.set_loss(a, b, drop_prob)
-
-    def _phys_node(self, name: str):
-        vnode = self.experiment.network.nodes.get(name)
-        if vnode is not None:
-            return vnode.phys_node
-        return self.experiment.vini.nodes[name]
-
-
-class PhysicalTarget(_Target):
-    """Faults on the physical substrate (fate sharing, Section 3.1)."""
-
-    def __init__(self, vini):
-        self.vini = vini
-        self.sim = vini.sim
-        self._burst_seq = 0
-
-    def fail_link(self, a: str, b: str) -> None:
-        self.vini.link_between(a, b).fail()
-
-    def recover_link(self, a: str, b: str) -> None:
-        self.vini.link_between(a, b).recover()
-
-    def crash_node(self, name: str) -> None:
-        self.vini.nodes[name].crash()
-
-    def restart_node(self, name: str) -> None:
-        self.vini.nodes[name].restart()
-
-    def set_loss(self, a: str, b: str, drop_prob: float) -> None:
+def _bind(action: FaultAction, vini, experiment):
+    """``(overlay, fn)``: what firing ``action`` calls, and the experiment
+    whose overlay it acts on (None for the substrate, which every
+    experiment on ``vini`` shares)."""
+    kind, args = action.kind, action.args
+    if kind == "call":
+        if not args or not callable(args[0]):
+            raise UnsupportedFault(f"call {action.label!r} names no callable")
+        return experiment, partial(args[0], *args[1:])
+    _wording, layer, method, _arity = _KINDS[kind]
+    overlay = experiment if layer.startswith("v") else None
+    if layer.startswith("v") and experiment is None:
         raise UnsupportedFault(
-            "loss episodes drop packets inside Click; install the plan on "
-            "an Experiment (virtual overlay) instead"
-        )
+            f"{kind} acts on an experiment's virtual overlay; install the "
+            "plan on the Experiment, not on its VINI")
+    names = args[:2] if layer.endswith("link") else args[:1]
+    try:
+        if layer == "vlink":
+            found = experiment.network.link_between(*names)
+        elif layer == "vnode":
+            found = experiment.network.nodes[names[0]]
+        elif layer == "link":
+            found = vini.link_between(*names)
+        else:
+            found = vini.nodes[names[0]]
+    except (KeyError, TypeError):
+        noun, sep = {"vlink": ("virtual link", "="), "vnode": ("virtual node", ""),
+                     "link": ("physical link", "--"), "node": ("physical node", "")}[layer]
+        raise UnsupportedFault(f"{kind}: args {list(args)!r} name no {noun} "
+                               f"{sep.join(map(str, names))}") from None
+    rest = args[len(names):]
+    if method is None:
+        return overlay, partial(_cpu_burst, found, *rest)
+    return overlay, partial(getattr(found, method), *rest)
 
-    def _phys_node(self, name: str):
-        return self.vini.nodes[name]
+
+def _cpu_burst(node, duration: float, share: float, quantum: float) -> None:
+    from repro.phys.load import CPUHog
+
+    # Numbered per node, not per install: two plans bursting one node
+    # start distinct hogs, and a spec-rebuilt run names them alike.
+    index = sum(p.name.startswith("faultburst") for p in node.cpu.processes)
+    hog = CPUHog(
+        node,
+        name=f"faultburst{index}",
+        quantum=quantum,
+        heavy_tail_prob=0.0,
+        share=share,
+        rng_stream=f"faults.burst.{node.name}.{index}",
+    ).start()
+    node.sim.at(duration, hog.stop)

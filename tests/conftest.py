@@ -7,6 +7,7 @@ budget is spent, dumps every thread's traceback and exits the process.
 """
 
 import faulthandler
+import gc
 import os
 
 import pytest
@@ -29,12 +30,30 @@ else:
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-def battery(max_examples):
+def battery(max_examples, thorough=None):
     """``@settings`` for a differential battery: ``max_examples`` in
-    tier-1, the selected profile's when ``HYPOTHESIS_PROFILE`` is set."""
+    tier-1; when ``HYPOTHESIS_PROFILE`` is set, ``thorough`` examples, or
+    the selected profile's count if the battery names none."""
     if os.environ.get("HYPOTHESIS_PROFILE"):
+        if thorough is not None:
+            return settings(settings.default, max_examples=thorough)
         return settings(settings.default)
     return settings(max_examples=max_examples, deadline=None)
+
+
+@pytest.fixture
+def gc_paused():
+    """For the tests that count calls or frames under ``sys.setprofile``:
+    collect now, and keep the cyclic collector off until the test ends.
+    A collection landing inside a profiled window finalizes an earlier
+    test's garbage (closing a suspended generator is a call), so an exact
+    count would move with whatever ran before and with the str-hash seed."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def pytest_configure(config):

@@ -167,12 +167,52 @@ def test_spec_of_a_built_experiment_rebuilds_the_same_run():
 
 
 def test_spec_of_an_inexpressible_firing_names_its_label():
+    """Every kind has a spec form but ``FaultPlan.at``'s callable."""
     from repro.faults import FaultPlan
 
     vini, exp = build_experiment(SQUARE)
     exp.apply_faults(FaultPlan().crash_node(5.0, "b"))
-    with pytest.raises(SpecError, match="crash b"):
+    assert experiment_spec(exp)["events"][-1]["action"] == "crash_node"
+    exp.apply_faults(FaultPlan().at(6.0, print, "poke", label="poke b"))
+    with pytest.raises(SpecError, match="poke b"):
         experiment_spec(exp)
+
+
+def test_a_plan_installed_on_the_substrate_is_in_the_spec():
+    """The timetable is the deployment's: a plan installed on the VINI
+    under an experiment is one of the experiment's events."""
+    from repro.faults import FaultPlan
+
+    vini, exp = build_experiment(dict(SQUARE, events=[]))
+    FaultPlan("under").fail_physical(3.0, "pa", "pb", duration=2.0).install(vini)
+    events = experiment_spec(exp)["events"]
+    assert [(e["time"], e["plan"], e["action"], e["args"]) for e in events] == [
+        (3.0, "under", "fail_physical", ["pa", "pb"]),
+        (5.0, "under", "recover_physical", ["pa", "pb"]),
+    ]
+    vini2, exp2 = build_experiment(experiment_spec(exp))
+    assert exp2.timetable() == exp.timetable() == [
+        (3.0, "fail physical pa--pb"), (5.0, "recover physical pa--pb")]
+
+
+def test_spec_keeps_construction_order_and_queue_sizes():
+    """Addresses are numbered in construction order, so a spec that
+    sorted its nodes or links, or dropped a queue size, would rebuild a
+    different run."""
+    vini = VINI(seed=2)
+    for name in ("pz", "pa"):
+        vini.add_node(name)
+    vini.connect("pz", "pa", delay=0.002, queue_bytes=4096)
+    vini.install_underlay_routes()
+    spec = {"name": "order", "topology": {
+        "nodes": {"z": "pz", "a": "pa"}, "links": [{"a": "z", "b": "a"}]}}
+    _, exp = build_experiment(spec, vini=vini)
+    vini2, exp2 = build_experiment(experiment_spec(exp))
+    assert list(vini2.nodes) == ["pz", "pa"]
+    link = vini2.link_between("pa", "pz")
+    assert link.name == "pz--pa" and link.queue_bytes == 4096
+    for name in ("z", "a"):
+        assert exp2.network.nodes[name].tap_addr == exp.network.nodes[name].tap_addr
 
 
 def _edited(path, value):
@@ -201,6 +241,9 @@ def _edited(path, value):
     (_edited(["events", 1, "args"], ["a", "d"]), ("events[1]", "args")),
     (_edited(["events", 0], {"time": 1.0, "action": "fail_physical",
                              "args": ["pa", "pd"]}), ("events[0]", "args")),
+    (_edited(["events", 0, "plna"], "x"), ("events[0]", "'plna'")),
+    (_edited(["events", 0, "action"], "call"), ("events[0]", "callable")),
+    (_edited(["events", 0, "time"], -1.0), ("events[0]", "negative")),
     (_edited(["routing"], {"protocl": "rip"}), ("routing", "'protocl'")),
     (_edited(["routing", "helo_interval"], 1.0), ("routing", "'helo_interval'")),
     (_edited(["routing"], {"protocol": "rip", "hello_interval": 2.0}),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import VINI, Experiment
+from repro.faults import FaultPlan
 from repro.net.addr import ip
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
@@ -172,8 +173,7 @@ class TestVirtualLinkFailure:
 
     def test_experiment_timetable(self):
         vini, exp = self.build_square()
-        exp.fail_link_at(10.0, "a", "b")
-        exp.recover_link_at(34.0, "a", "b")
+        exp.apply_faults(FaultPlan().fail_link(10.0, "a", "b", duration=24.0))
         assert exp.timetable() == [
             (10.0, "fail a=b"),
             (34.0, "recover a=b"),

@@ -1,6 +1,6 @@
 """Golden traces for the Fig-8 failover scenario under a FaultPlan.
 
-Three guarantees, all byte-level:
+Four guarantees, all byte-level:
 
 * same seed, same plan => the full measurement trace replays
   identically (controlled experiments are *repeatable*, Section 6.2);
@@ -8,12 +8,16 @@ Three guarantees, all byte-level:
   constant), so a change that reorders events the same way on every
   run cannot pass;
 * a plan-driven run is event-for-event identical to the same scenario
-  scheduled inline with ``fail_link_at``/``recover_link_at`` — the DSL
-  adds a ``fault`` record per firing and changes nothing else.
+  scheduled inline on the simulator — the DSL adds a ``fault`` record
+  per firing and changes nothing else;
+* the run rebuilt from its own specification,
+  ``build_experiment(experiment_spec(exp))``, is that same trace
+  (Section 6.2: the spec holds everything needed to reconstruct a run).
 """
 
 import hashlib
 
+from repro.core.spec import build_experiment, experiment_spec
 from repro.faults import FaultPlan
 from repro.tools import Ping
 from repro.topologies import build_abilene_iias
@@ -38,9 +42,9 @@ def _serialize(sim, exclude=()):
     )
 
 
-def _run(schedule):
+def _run(schedule, build=lambda: build_abilene_iias(seed=SEED)):
     """Build the scenario, let ``schedule(exp)`` inject the failure."""
-    vini, exp = build_abilene_iias(seed=SEED)
+    vini, exp = build()
     exp.run(until=WARMUP)
     schedule(exp)
     washington = exp.network.nodes["washington"]
@@ -61,8 +65,9 @@ def _with_plan(exp):
 
 
 def _inline(exp):
-    exp.fail_link_at(WARMUP + FAIL_AT, "denver", "kansascity")
-    exp.recover_link_at(WARMUP + RECOVER_AT, "denver", "kansascity")
+    exp.sim.schedule(WARMUP + FAIL_AT, exp.network.fail_link, "denver", "kansascity")
+    exp.sim.schedule(WARMUP + RECOVER_AT, exp.network.recover_link,
+                     "denver", "kansascity")
 
 
 def test_fig8_fault_plan_replays_byte_identically():
@@ -101,3 +106,22 @@ def test_fig8_fault_plan_matches_inline_baseline():
     # And the plan logged exactly its two firings.
     assert planned_sim.trace.count("fault", plan="fig8") == 2
     assert baseline_sim.trace.count("fault") == 0
+
+
+def test_fig8_rebuilt_from_its_own_spec_hashes_to_the_golden():
+    """The spec of the run — taken after the warm-up, with the plan
+    installed — rebuilds the golden run byte for byte, although the
+    rebuilt plan is scheduled at build time rather than after warm-up."""
+    vini, exp = build_abilene_iias(seed=SEED)
+    exp.run(until=WARMUP)
+    _with_plan(exp)
+    spec = experiment_spec(exp)
+    assert spec["events"] == [
+        {"time": WARMUP + FAIL_AT, "plan": "fig8", "action": "fail_link",
+         "args": ["denver", "kansascity"]},
+        {"time": WARMUP + RECOVER_AT, "plan": "fig8", "action": "recover_link",
+         "args": ["denver", "kansascity"]},
+    ]
+    rebuilt = _serialize(_run(lambda exp: None,
+                              build=lambda: build_experiment(spec)))
+    assert hashlib.sha256(rebuilt.encode()).hexdigest() == GOLDEN_SHA256

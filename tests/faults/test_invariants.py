@@ -62,8 +62,8 @@ def test_clean_through_a_fault_schedule():
     checker = InvariantChecker(vini).install()
     plan = (
         FaultPlan("mix")
-        .fail_link(0.5, "a", "b", duration=1.0)
-        .crash_node(2.0, "b", duration=1.0)
+        .fail_physical(0.5, "a", "b", duration=1.0)
+        .crash_physical(2.0, "b", duration=1.0)
         .cpu_burst(3.5, "c", duration=0.5)
     )
     plan.install(vini)

@@ -114,7 +114,7 @@ def test_crashed_node_drops_traffic_through_it():
 
 def test_plan_driven_crash_with_duration_restarts():
     vini = _triangle()
-    plan = FaultPlan("crash").crash_node(1.0, "b", duration=2.0)
+    plan = FaultPlan("crash").crash_physical(1.0, "b", duration=2.0)
     plan.install(vini)
     vini.run(until=1.5)
     assert not vini.nodes["b"].alive

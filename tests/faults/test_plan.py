@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.infrastructure import VINI
 from repro.faults import FaultPlan, UnsupportedFault
-from repro.faults.plan import PhysicalTarget
 from repro.sim.engine import Simulator
 from repro.topologies import build_line
 
@@ -135,20 +134,20 @@ def test_generator_draws_are_stream_isolated():
 def test_install_on_vini_fails_and_recovers_the_link():
     vini = _pair()
     link = vini.link_between("a", "b")
-    plan = FaultPlan("t").fail_link(1.0, "a", "b", duration=2.0)
+    plan = FaultPlan("t").fail_physical(1.0, "a", "b", duration=2.0)
     plan.install(vini)
     vini.run(until=1.5)
     assert not link.up
     vini.run(until=4.0)
     assert link.up
     faults = list(vini.sim.trace.select("fault", plan="t"))
-    assert [r["action"] for r in faults] == ["fail_link", "recover_link"]
+    assert [r["action"] for r in faults] == ["fail_physical", "recover_physical"]
 
 
 def test_install_offset_shifts_the_whole_schedule():
     vini = _pair()
     link = vini.link_between("a", "b")
-    plan = FaultPlan().fail_link(1.0, "a", "b")
+    plan = FaultPlan().fail_physical(1.0, "a", "b")
     vini.run(until=5.0)
     plan.install(vini, offset=10.0)
     vini.run(until=10.5)
@@ -177,11 +176,57 @@ def test_cpu_burst_loads_the_node_then_stops():
 
 
 def test_physical_target_rejects_loss_episodes():
+    """A loss episode drops packets inside Click: a bare VINI has no
+    overlay to carry it, and ``install`` says so before scheduling."""
     vini = _pair()
     plan = FaultPlan().loss_episode(1.0, "a", "b", duration=1.0, drop_prob=0.5)
-    plan.install(vini)
-    with pytest.raises(UnsupportedFault):
-        vini.run(until=2.0)
+    with pytest.raises(UnsupportedFault, match="set_loss.*overlay"):
+        plan.install(vini)
+    assert vini.faults == [] and vini.sim.peek() is None
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda p: p.fail_link(3.0, "n0", "zz"), ("fail_link", "n0=zz")),
+    (lambda p: p.crash_node(3.0, "zz"), ("crash_node", "zz")),
+    (lambda p: p.loss_episode(3.0, "zz", "n1", 1.0, 0.1), ("set_loss", "zz=n1")),
+    (lambda p: p.fail_physical(3.0, "n0", "n2"), ("fail_physical", "n0--n2")),
+    (lambda p: p.cpu_burst(3.0, "zz", 1.0), ("cpu_burst", "zz")),
+])
+def test_install_refuses_a_name_the_target_does_not_have(build, names):
+    """Refused at install, naming the kind and the name — not a bare
+    ``KeyError`` at t=3 in the middle of the run."""
+    vini, exp = build_line(3)
+    with pytest.raises(UnsupportedFault) as err:
+        exp.apply_faults(build(FaultPlan().fail_link(1.0, "n0", "n1")))
+    for name in names:
+        assert name in str(err.value)
+    assert exp.timetable() == [] and vini.sim.peek() is None
+
+
+def test_each_kind_acts_on_one_layer_whatever_it_is_installed_on():
+    """``fail_link`` is the virtual link, ``fail_physical`` the wire under
+    it, on an Experiment and on its VINI alike."""
+    vini, exp = build_line(2)
+    exp.apply_faults(FaultPlan().fail_link(1.0, "n0", "n1"))
+    FaultPlan().fail_physical(2.0, "n0", "n1").install(exp)
+    vlink, wire = exp.network.link_between("n0", "n1"), vini.link_between("n0", "n1")
+    vini.run(until=1.5)
+    assert vlink.failed and wire.up
+    vini.run(until=2.5)
+    assert not wire.up
+    with pytest.raises(UnsupportedFault, match="fail_link"):
+        FaultPlan().fail_link(3.0, "n0", "n1").install(vini)
+
+
+def test_cpu_bursts_are_numbered_per_node_not_per_install():
+    """Two plans bursting one node start two distinct hogs."""
+    vini = _pair()
+    for name in ("p", "q"):
+        FaultPlan(name).cpu_burst(1.0, "a", duration=1.0).install(vini)
+    vini.run(until=1.5)
+    hogs = [p.name for p in vini.nodes["a"].cpu.processes
+            if p.name.startswith("faultburst")]
+    assert hogs == ["faultburst0", "faultburst1"]
 
 
 def test_install_rejects_unknown_targets():
@@ -190,7 +235,7 @@ def test_install_rejects_unknown_targets():
 
 
 def test_same_plan_installs_on_many_targets():
-    plan = FaultPlan().fail_link(1.0, "a", "b")
+    plan = FaultPlan().fail_physical(1.0, "a", "b")
     for _ in range(2):
         vini = _pair()
         plan.install(vini)
@@ -211,9 +256,12 @@ def test_experiment_install_records_the_timetable():
 
 
 def test_physical_target_adapter_is_reusable():
+    """One VINI takes any number of plans, each recorded in its
+    timetable in scheduling order."""
     vini = _pair()
-    adapter = PhysicalTarget(vini)
-    FaultPlan().fail_link(1.0, "a", "b").install(adapter)
-    FaultPlan().recover_link(2.0, "a", "b").install(adapter)
+    FaultPlan("down").fail_physical(1.0, "a", "b").install(vini)
+    FaultPlan("up").recover_physical(2.0, "a", "b").install(vini)
+    assert [(t, plan) for t, plan, _action, _on in vini.faults] == [
+        (1.0, "down"), (2.0, "up")]
     vini.run(until=3.0)
     assert vini.link_between("a", "b").up

@@ -84,14 +84,16 @@ def _build(n, edges):
 
 
 def _plan(events):
+    """The drawn events as a plan on the physical substrate."""
     plan = FaultPlan("drawn")
     for event in events:
         if event[0] == "flap":
             _, a, b, at, down, up, count = event
-            plan.flap_link(a, b, start=at, down=down, up=up, count=count)
+            for cycle in range(count):
+                plan.fail_physical(at + cycle * (down + up), a, b, duration=down)
         elif event[0] == "crash":
             _, node, at, duration = event
-            plan.crash_node(at, node, duration=duration)
+            plan.crash_physical(at, node, duration=duration)
         else:
             _, node, at, duration = event
             plan.cpu_burst(at, node, duration=duration)

@@ -27,7 +27,7 @@ ELEMENTS = CLICK + "elements" + os.sep
 FRAMES_PER_TRAVERSAL_BUDGET = 48.9
 
 
-def test_frames_per_click_traversal():
+def test_frames_per_click_traversal(gc_paused):
     vini = VINI(seed=42)
     for name in ("west", "middle", "east"):
         vini.add_node(name)

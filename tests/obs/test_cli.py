@@ -167,9 +167,11 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     scripts ``make paper`` replaced, with their ``results/*.txt`` (the
     reach audit's ``unreached.txt`` is the one text result there is),
     and the flow-schedule replayer, the traffic matrix and the trace
-    collector's spill-at-threshold, and the live monitor's status line,
-    watchdogs, engine hook and Click-queue probe: deleted, and not to be
-    documented back in."""
+    collector's spill-at-threshold, the live monitor's status line,
+    watchdogs, engine hook and Click-queue probe, and the event
+    vocabularies beside ``FaultAction`` (the experiment's event class and
+    per-link scheduling methods, the spec's action table, the install
+    target classes): deleted, and not to be documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -182,7 +184,9 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|auto[s]pill"
         r"|St[a]llWatchdog|Liv[e]lockWatchdog|Ra[t]eWatchdog"
         r"|bgp_oscillation_[w]atchdog|status_[l]ine|make\s+watch\b|--watch\b"
-        r"|_live_[h]ook|watch_[q]ueues")
+        r"|_live_[h]ook|watch_[q]ueues"
+        r"|Experiment[E]vent|_(link|physical)_[a]t\b|_EVENT_[A]CTIONS"
+        r"|Experiment[T]arget|Physical[T]arget")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

@@ -202,7 +202,7 @@ def _engine_calls(enabled: bool) -> int:
     return calls
 
 
-def test_enabled_metrics_add_no_call_to_the_event_loop():
+def test_enabled_metrics_add_no_call_to_the_event_loop(gc_paused):
     """Engine instrumentation is pull-only (three ``fn=`` gauges over
     already-maintained integers), so the event loop runs the same code
     either way — call for call."""

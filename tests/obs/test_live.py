@@ -166,7 +166,7 @@ def _dispatch_cost(events: int, monitored: bool):
     return calls, lines
 
 
-def test_installed_monitor_adds_no_per_event_cost():
+def test_installed_monitor_adds_no_per_event_cost(gc_paused):
     """Between two snapshots a monitor does nothing at all: what a
     monitored run does beyond a bare one does not grow with the events
     dispatched, so any engine-polled hook (however strided) fails this."""

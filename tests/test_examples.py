@@ -29,3 +29,13 @@ def test_fast_examples_run_to_completion(name, capsys):
     runpy.run_path(os.path.join(EXAMPLES_DIR, name), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()  # each example narrates its result
+
+
+def test_readme_quickstart_runs(capsys):
+    """README's Quickstart block is code, not prose: it runs as written
+    (its controlled failure drops the second half of the pings)."""
+    with open(os.path.join(EXAMPLES_DIR, "..", "README.md")) as file:
+        readme = file.read()
+    start = readme.index("```python\n", readme.index("## Quickstart")) + 10
+    exec(compile(readme[start:readme.index("```", start)], "README.md", "exec"), {})
+    assert "10 transmitted, 5 received" in capsys.readouterr().out

@@ -29,6 +29,7 @@ import random
 import pytest
 
 from repro.core import VINI, Experiment
+from repro.faults import FaultPlan
 from repro.tools import Ping
 from repro.topologies import build_abilene_iias
 from repro.topologies.abilene import ABILENE_POPS
@@ -139,8 +140,8 @@ def _abilene_stream(monkeypatch, seed: int, walk=_walk_standing_state) -> str:
     link = vini.link_between("denver", "kansascity")
     sim.schedule(WARMUP + 8.0, link.fail)
     sim.schedule(WARMUP + 12.0, link.recover)
-    exp.fail_link_at(WARMUP + 5.0, "chicago", "newyork")
-    exp.recover_link_at(WARMUP + 9.0, "chicago", "newyork")
+    exp.apply_faults(FaultPlan().fail_link(
+        WARMUP + 5.0, "chicago", "newyork", duration=4.0))
     vini.run(until=WARMUP + SPAN)
     assert ping.received > 0
     assert plane.stats["flows_completed"] > 0
@@ -189,8 +190,7 @@ def _shaped_stream(monkeypatch, seed: int, walk=_walk_standing_state) -> str:
     dst = exp.network.nodes["r1"]
     ping = Ping(src.phys_node, dst.tap_addr, sliver=src.sliver,
                 interval=0.1, count=80).start()
-    exp.fail_link_at(14.0, "rl", "rr")
-    exp.recover_link_at(16.0, "rl", "rr")
+    exp.apply_faults(FaultPlan().fail_link(14.0, "rl", "rr", duration=2.0))
     vini.run(until=20.0)
     assert ping.received > 0
     shaper = exp.network.nodes["rl"].click.elements

@@ -29,7 +29,7 @@ LINK = os.sep + os.path.join("repro", "phys", "link.py")
 FRAMES_PER_SOLVE_BUDGET = 62.0
 
 
-def test_frames_per_solve():
+def test_frames_per_solve(gc_paused):
     vini = build_abilene(seed=3)
     plane = FluidTrafficPlane(vini)
     sim = vini.sim
