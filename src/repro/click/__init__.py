@@ -24,7 +24,7 @@ from repro.click.elements.icmperror import ICMPErrorElement
 from repro.click.elements.lookup import LinearIPLookup, RadixIPLookup
 from repro.click.elements.loss import LossElement
 from repro.click.elements.napt import NAPT
-from repro.click.elements.queue import Queue, Shaper
+from repro.click.elements.queue import Shaper
 from repro.click.elements.tap import FromTap, ToTap
 from repro.click.elements.tunnel import EncapTable, UDPTunnel
 from repro.click.elements.umlswitch import UMLSwitch
@@ -45,7 +45,6 @@ __all__ = [
     "NAPT",
     "Paint",
     "Port",
-    "Queue",
     "RadixIPLookup",
     "Shaper",
     "Tee",

@@ -1,81 +1,20 @@
-"""Queue and Shaper elements.
+"""The Shaper element.
 
 Section 6.2 plans "support for setting link bandwidths, either via
 configuration of traffic shapers in Click, or in the kernel itself" —
-these elements are that support. A :class:`Shaper` placed in front of a
-tunnel makes a virtual link behave like a slower physical circuit
-(token-bucket paced, drop-tail queue), which the virtual-network layer
-uses to give virtual links their own capacities.
+this element is the Click half of that support. A :class:`Shaper`
+placed in front of a tunnel makes a virtual link behave like a slower
+physical circuit (token-bucket paced, drop-tail queue), which the
+virtual-network layer uses to give virtual links their own capacities.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
 from repro.click.element import Element
 from repro.net.packet import Packet
-
-
-class Queue(Element):
-    """A drop-tail FIFO; downstream elements pull via :meth:`pop`."""
-
-    def __init__(self, capacity: int = 1000):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity!r}")
-        super().__init__(n_outputs=1)
-        self.capacity = capacity
-        self._queue: Deque[Packet] = deque()
-        self.drops = 0
-        self.highwater = 0
-        self.enqueued = 0
-        self.dequeued = 0
-        # Slots held by fluid background traffic (repro.traffic); 0
-        # whenever no traffic plane is installed, leaving the original
-        # capacity check untouched.
-        self.fluid_reserved = 0
-
-    def initialize(self) -> None:
-        metrics = self.router.sim.metrics
-        labels = dict(node=self.router.node.name, element=self.name)
-        # Pull counters over the existing hot-path ints: no per-packet
-        # metric calls, readout happens at collection time.
-        metrics.counter("click.queue.offered_pkts", fn=lambda: self.enqueued, **labels)
-        metrics.counter("click.queue.delivered_pkts", fn=lambda: self.dequeued, **labels)
-        metrics.counter("click.queue.dropped_pkts", fn=lambda: self.drops, **labels)
-        metrics.gauge("click.queue.depth", fn=lambda: len(self._queue), **labels)
-        metrics.gauge("click.queue.highwater", fn=lambda: self.highwater, **labels)
-
-    def set_fluid_reserved(self, slots: int) -> None:
-        """Reserve ``slots`` of capacity for fluid background load."""
-        if slots < 0 or slots >= self.capacity:
-            raise ValueError(
-                f"reserved slots must be in [0, {self.capacity}), got {slots!r}"
-            )
-        self.fluid_reserved = slots
-
-    def push(self, port: int, packet: Packet) -> None:
-        self.enqueued += 1  # every offered packet, dropped or not
-        if len(self._queue) >= self.capacity - self.fluid_reserved:
-            self.drops += 1
-            self.router.trace_drop(packet, "queue_full")
-            return
-        self._queue.append(packet)
-        self.highwater = max(self.highwater, len(self._queue))
-        fr = self.router.sim.flight
-        if fr.enabled and packet.span is not None:
-            # Residency: the stage closes when the puller pushes the
-            # packet into the next element.
-            fr.stage(packet, "click.queue", node=self.router.node.name)
-
-    def pop(self) -> Optional[Packet]:
-        if not self._queue:
-            return None
-        self.dequeued += 1
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 class Shaper(Element):
@@ -244,7 +183,3 @@ class Shaper(Element):
                 self.sent += 1
                 out.push(packet)
         self._schedule()
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self._queued_bytes

@@ -97,9 +97,6 @@ class EncapTable(Element):
             raise ValueError(f"port {port} out of range for {len(self.outputs)} outputs")
         self._table[int(ip(gw))] = port
 
-    def remove_mapping(self, gw: Union[str, IPv4Address]) -> None:
-        self._table.pop(int(ip(gw)), None)
-
     def mapping(self) -> Dict[int, int]:
         return dict(self._table)
 

@@ -110,16 +110,6 @@ class ClickRouter:
         self.elements[name] = element
         return element
 
-    def connect(
-        self,
-        src: str,
-        dst: str,
-        out_port: int = 0,
-        in_port: int = 0,
-    ) -> None:
-        """Wire ``src[out_port] -> [in_port]dst`` by element name."""
-        self.elements[src].connect(self.elements[dst], out_port, in_port)
-
     def __getitem__(self, name: str) -> Element:
         return self.elements[name]
 

@@ -65,7 +65,6 @@ from repro.faults.plan import FaultAction, FaultPlan, UnsupportedFault
 
 _ROUTING_KEYS = {
     "ospf": ("hello_interval", "dead_interval"),
-    "rip": ("update_interval", "timeout"),
     "none": (),
 }
 
@@ -156,19 +155,14 @@ def build_experiment(
     routing = spec.get("routing", {})
     protocol = routing.get("protocol", "ospf") if isinstance(routing, dict) else "ospf"
     if protocol not in _ROUTING_KEYS:
-        raise SpecError(f"unknown routing protocol {protocol!r}")
+        raise SpecError(f"unknown routing protocol {protocol!r} "
+                        f"(known: {', '.join(sorted(_ROUTING_KEYS))})")
     _section("routing", routing, ("protocol",) + _ROUTING_KEYS[protocol])
     if protocol == "ospf":
         exp.configure_ospf(
             hello_interval=routing.get("hello_interval", 10.0),
             dead_interval=routing.get("dead_interval", 40.0),
         )
-    elif protocol == "rip":
-        for vnode in exp.network.nodes.values():
-            vnode.xorp.configure_rip(
-                update_interval=routing.get("update_interval", 30.0),
-                timeout=routing.get("timeout", 180.0),
-            )
     if spec.get("upcalls"):
         exp.enable_upcalls()
     for index, event in enumerate(spec.get("events", [])):
@@ -190,11 +184,20 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
 
     Physical topology is included so the spec is self-contained, and
     nodes and links keep their construction order (it numbers their
-    addresses). Every timetable row is an event; a ``FaultPlan.at``
-    firing, whose callable has no spec form, raises :class:`SpecError`
-    naming its label.
+    addresses). The schema has one ``cpu_speed`` for every node, so
+    nodes of different speeds raise :class:`SpecError` naming them.
+    Every timetable row is an event; a ``FaultPlan.at`` firing, whose
+    callable has no spec form, raises :class:`SpecError` naming its
+    label.
     """
     vini = exp.vini
+    speeds = {name: node.cpu.speed for name, node in vini.nodes.items()}
+    if len(set(speeds.values())) > 1:
+        raise SpecError(
+            "physical: nodes differ in cpu_speed ("
+            + ", ".join(f"{name}={speed:g}" for name, speed in speeds.items())
+            + "), which a spec cannot carry"
+        )
     spec: Dict[str, Any] = {
         "name": exp.name,
         "seed": vini.sim.seed,
@@ -204,8 +207,10 @@ def experiment_spec(exp: Experiment) -> Dict[str, Any]:
             "realtime": exp.slice.realtime,
             "cpu_cap": exp.slice.cpu_cap,
         },
+        "tap_route_prefix": str(exp.network.tap_route_prefix),
         "physical": {
             "nodes": list(vini.nodes),
+            "cpu_speed": next(iter(speeds.values()), 1.0),
             "links": [
                 {
                     "a": link.endpoints[0].node.name,

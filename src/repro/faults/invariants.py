@@ -9,9 +9,9 @@ for the ways a fault schedule can silently corrupt a run:
   one bit test until the checker enables it (the PR-1 trace fast path).
   A packet whose TTL fails to strictly decrease hop over hop, or that
   is forwarded more times than any TTL allows, is a violation.
-* **Packet conservation** (per link and queue, on demand): every packet
-  offered to a link channel must be delivered, dropped (and counted),
-  still queued, or still in flight; Click queues and shapers must
+* **Packet conservation** (per link and shaper, on demand): every
+  packet offered to a link channel must be delivered, dropped (and
+  counted), still queued, or still in flight; Click shapers must
   likewise account for every push. Link drop counters are cross-checked
   against the ``link_drop`` trace records, and each CPU scheduler's
   ready set against its processes' queues.
@@ -298,7 +298,7 @@ class InvariantChecker:
     # Packet conservation
     # ------------------------------------------------------------------
     def check_conservation(self) -> None:
-        """Every packet offered to a link or queue is accounted for, and
+        """Every packet offered to a link or shaper is accounted for, and
         each CPU's ready set is exactly its processes with queued work."""
         links = []
         if self.vini is not None:
@@ -345,20 +345,11 @@ class InvariantChecker:
             self._check_click_conservation()
 
     def _check_click_conservation(self) -> None:
-        from repro.click.elements.queue import Queue, Shaper
+        from repro.click.elements.queue import Shaper
 
         for vnode in self.network.nodes.values():
             for element in vnode.click.elements.values():
-                if isinstance(element, Queue):
-                    if element.enqueued != element.dequeued + element.drops + len(element):
-                        self._report(
-                            "conservation", node=vnode.name,
-                            element=element.name,
-                            enqueued=element.enqueued,
-                            dequeued=element.dequeued,
-                            drops=element.drops, queued=len(element),
-                        )
-                elif isinstance(element, Shaper):
+                if isinstance(element, Shaper):
                     queued = len(element._queue)
                     if element.offered != element.sent + element.drops + queued:
                         self._report(

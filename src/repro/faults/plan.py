@@ -339,9 +339,6 @@ class FaultPlan:
         )
         return [(action.time, action.label) for action in actions]
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<FaultPlan {self.name!r} actions={len(self.actions)} "

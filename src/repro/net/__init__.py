@@ -1,16 +1,14 @@
 """Network protocol foundations.
 
 Addresses and prefixes, longest-prefix-match tables, packet headers
-(Ethernet / IPv4 / UDP / TCP / ICMP), the Internet checksum, a simulated
-socket layer, and transport protocols (UDP datagrams and TCP Reno).
+(IPv4 / UDP / TCP / ICMP), and transport protocols (UDP datagrams and
+TCP Reno).
 These are the building blocks shared by the physical substrate, the
 Click data plane, and the XORP-style routing suite.
 """
 
 from repro.net.addr import IPv4Address, Prefix, ip, prefix
-from repro.net.checksum import internet_checksum
 from repro.net.packet import (
-    EthernetHeader,
     ICMPHeader,
     IPv4Header,
     OpaquePayload,
@@ -21,7 +19,6 @@ from repro.net.packet import (
 from repro.net.trie import RadixTrie
 
 __all__ = [
-    "EthernetHeader",
     "ICMPHeader",
     "IPv4Address",
     "IPv4Header",
@@ -31,7 +28,6 @@ __all__ = [
     "RadixTrie",
     "TCPHeader",
     "UDPHeader",
-    "internet_checksum",
     "ip",
     "prefix",
 ]

@@ -60,15 +60,6 @@ class IPv4Address(int):
     def is_multicast(self) -> bool:
         return 224 <= (int(self) >> 24) <= 239
 
-    def to_bytes4(self) -> bytes:
-        return int(self).to_bytes(4, "big")
-
-    @classmethod
-    def from_bytes4(cls, data: bytes) -> "IPv4Address":
-        if len(data) != 4:
-            raise ValueError(f"need exactly 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
-
 
 def _parse_dotted(text: str) -> int:
     parts = text.strip().split(".")
@@ -93,7 +84,6 @@ def ip(value: Union[int, str, IPv4Address]) -> IPv4Address:
 ANY = IPv4Address(0)
 BROADCAST = IPv4Address(_MAX)
 ALL_OSPF_ROUTERS = IPv4Address("224.0.0.5")
-ALL_RIP_ROUTERS = IPv4Address("224.0.0.9")
 
 
 # One int object per prefix length, shared by every Prefix and trie node.

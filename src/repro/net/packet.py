@@ -1,9 +1,8 @@
 """Packet model.
 
 A :class:`Packet` is a stack of typed headers (outermost first) plus a
-payload. The simulation hot path manipulates header objects directly and
-never serializes; ``pack()``/``unpack()`` produce real wire bytes (with
-valid checksums) for tests and for the tcpdump tool.
+payload. The simulation manipulates header objects directly and never
+serializes.
 
 Headers carry only the fields the reproduction exercises, but sizes on
 the wire are the real ones, so encapsulation overhead (IP-in-UDP
@@ -13,18 +12,14 @@ tunnels, Fig. 2's life of a packet) is byte-accurate.
 from __future__ import annotations
 
 import itertools
-import struct
 from typing import Any, Dict, List, Optional, Type, TypeVar, Union
 
 from repro.net.addr import IPv4Address, ip
-from repro.net.checksum import internet_checksum, pseudo_header_sum
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
 PROTO_UDP = 17
 PROTO_OSPF = 89
-
-ETHERTYPE_IPV4 = 0x0800
 
 _packet_ids = itertools.count(1)
 
@@ -36,9 +31,6 @@ class Header:
 
     __slots__ = ()
     length: int = 0  # bytes on the wire; overridden per header
-
-    def pack(self) -> bytes:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def copy(self) -> "Header":
         cls = type(self)
@@ -55,45 +47,10 @@ def _all_slots(cls: type) -> List[str]:
     return names
 
 
-class EthernetHeader(Header):
-    """Ethernet II header (14 bytes).
-
-    MACs are plain ints; the UML switch and tap devices use them only
-    for local delivery, so there is no ARP in the fast path (interfaces
-    learn their peer's MAC when the link comes up, as a /30 point-to-
-    point link would).
-    """
-
-    __slots__ = ("src", "dst", "ethertype")
-    length = 14
-
-    def __init__(self, src: int = 0, dst: int = 0, ethertype: int = ETHERTYPE_IPV4):
-        self.src = src
-        self.dst = dst
-        self.ethertype = ethertype
-
-    def pack(self) -> bytes:
-        return (
-            self.dst.to_bytes(6, "big")
-            + self.src.to_bytes(6, "big")
-            + struct.pack("!H", self.ethertype)
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "EthernetHeader":
-        dst = int.from_bytes(data[0:6], "big")
-        src = int.from_bytes(data[6:12], "big")
-        (ethertype,) = struct.unpack("!H", data[12:14])
-        return cls(src=src, dst=dst, ethertype=ethertype)
-
-    def __repr__(self) -> str:
-        return f"Eth(src={self.src:012x}, dst={self.dst:012x})"
-
-
 class IPv4Header(Header):
     """IPv4 header, no options (20 bytes)."""
 
-    __slots__ = ("src", "dst", "proto", "ttl", "tos", "ident", "total_length")
+    __slots__ = ("src", "dst", "proto", "ttl", "tos", "ident")
     length = 20
 
     def __init__(
@@ -104,7 +61,6 @@ class IPv4Header(Header):
         ttl: int = 64,
         tos: int = 0,
         ident: int = 0,
-        total_length: int = 0,
     ):
         self.src = ip(src)
         self.dst = ip(dst)
@@ -112,55 +68,6 @@ class IPv4Header(Header):
         self.ttl = ttl
         self.tos = tos
         self.ident = ident
-        self.total_length = total_length  # filled in by pack()/Packet
-
-    def pack(self, payload_length: int = 0, total_length: Optional[int] = None) -> bytes:
-        if total_length is not None:
-            total = total_length
-        else:
-            total = self.total_length or (self.length + payload_length)
-        head = struct.pack(
-            "!BBHHHBBH4s4s",
-            (4 << 4) | 5,  # version, IHL
-            self.tos,
-            total,
-            self.ident,
-            0,  # flags/fragment offset: fragmentation not modeled
-            self.ttl,
-            self.proto,
-            0,  # checksum placeholder
-            self.src.to_bytes4(),
-            self.dst.to_bytes4(),
-        )
-        checksum = internet_checksum(head)
-        return head[:10] + struct.pack("!H", checksum) + head[12:]
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "IPv4Header":
-        (
-            ver_ihl,
-            tos,
-            total,
-            ident,
-            _flags,
-            ttl,
-            proto,
-            _checksum,
-            src,
-            dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[:20])
-        if ver_ihl >> 4 != 4:
-            raise ValueError(f"not an IPv4 header (version={ver_ihl >> 4})")
-        header = cls(
-            src=IPv4Address.from_bytes4(src),
-            dst=IPv4Address.from_bytes4(dst),
-            proto=proto,
-            ttl=ttl,
-            tos=tos,
-            ident=ident,
-            total_length=total,
-        )
-        return header
 
     def __repr__(self) -> str:
         return f"IP({self.src} > {self.dst} proto={self.proto} ttl={self.ttl})"
@@ -175,23 +82,6 @@ class UDPHeader(Header):
     def __init__(self, sport: int, dport: int):
         self.sport = sport
         self.dport = dport
-
-    def pack(
-        self,
-        payload: bytes = b"",
-        src: int = 0,
-        dst: int = 0,
-    ) -> bytes:
-        total = self.length + len(payload)
-        head = struct.pack("!HHHH", self.sport, self.dport, total, 0)
-        pseudo = pseudo_header_sum(src, dst, PROTO_UDP, total)
-        checksum = internet_checksum(head + payload, initial=pseudo)
-        return head[:6] + struct.pack("!H", checksum or 0xFFFF)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "UDPHeader":
-        sport, dport, _length, _checksum = struct.unpack("!HHHH", data[:8])
-        return cls(sport=sport, dport=dport)
 
     def __repr__(self) -> str:
         return f"UDP({self.sport} > {self.dport})"
@@ -238,30 +128,6 @@ class TCPHeader(Header):
     def ack_flag(self) -> bool:
         return bool(self.flags & TCP_ACK)
 
-    def pack(self, payload: bytes = b"", src: int = 0, dst: int = 0) -> bytes:
-        head = struct.pack(
-            "!HHIIBBHHH",
-            self.sport,
-            self.dport,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            5 << 4,  # data offset
-            self.flags,
-            self.window,
-            0,  # checksum placeholder
-            0,  # urgent pointer
-        )
-        pseudo = pseudo_header_sum(src, dst, PROTO_TCP, len(head) + len(payload))
-        checksum = internet_checksum(head + payload, initial=pseudo)
-        return head[:16] + struct.pack("!H", checksum) + head[18:]
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "TCPHeader":
-        sport, dport, seq, ack, _offset, flags, window, _csum, _urg = struct.unpack(
-            "!HHIIBBHHH", data[:20]
-        )
-        return cls(sport=sport, dport=dport, seq=seq, ack=ack, flags=flags, window=window)
-
     def flag_string(self) -> str:
         parts = []
         for bit, letter in ((TCP_SYN, "S"), (TCP_FIN, "F"), (TCP_RST, "R"), (TCP_PSH, "P"), (TCP_ACK, ".")):
@@ -294,16 +160,6 @@ class ICMPHeader(Header):
         self.ident = ident
         self.seq = seq
 
-    def pack(self, payload: bytes = b"") -> bytes:
-        head = struct.pack("!BBHHH", self.type, self.code, 0, self.ident, self.seq)
-        checksum = internet_checksum(head + payload)
-        return head[:2] + struct.pack("!H", checksum) + head[4:]
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "ICMPHeader":
-        type_, code, _csum, ident, seq = struct.unpack("!BBHHH", data[:8])
-        return cls(type=type_, code=code, ident=ident, seq=seq)
-
     def __repr__(self) -> str:
         return f"ICMP(type={self.type} code={self.code} id={self.ident} seq={self.seq})"
 
@@ -325,10 +181,6 @@ class OpaquePayload:
         self.size = size
         self.data = data
         self.tag = tag
-
-    @property
-    def length(self) -> int:
-        return self.size
 
     def copy(self) -> "OpaquePayload":
         return OpaquePayload(self.size, self.data, self.tag)
@@ -410,7 +262,6 @@ class Packet:
     # what forwarding wants — the outermost header of a type is the one
     # currently being routed on). Each is one frame: the per-packet path
     # reads them at every element.
-    eth = _outermost(EthernetHeader)
     ip = _outermost(IPv4Header)
     udp = _outermost(UDPHeader)
     tcp = _outermost(TCPHeader)
@@ -485,39 +336,6 @@ class Packet:
         if self._cow:
             self.uniqueify()
         return self.find(header_type, nth)
-
-    # ------------------------------------------------------------------
-    # Wire format (tests, tcpdump)
-    # ------------------------------------------------------------------
-    def pack(self) -> bytes:
-        """Serialize to real bytes with valid checksums, inside out."""
-        data = b"\x00" * self.payload.size
-        for header in reversed(self.headers):
-            if isinstance(header, IPv4Header):
-                # Pass the total explicitly instead of stamping it on the
-                # header: the header object may be shared copy-on-write.
-                data = header.pack(payload_length=len(data),
-                                   total_length=header.length + len(data)) + data
-            elif isinstance(header, (UDPHeader, TCPHeader)):
-                enclosing = self._enclosing_ip(header)
-                src = int(enclosing.src) if enclosing else 0
-                dst = int(enclosing.dst) if enclosing else 0
-                data = header.pack(data, src=src, dst=dst) + data
-            elif isinstance(header, ICMPHeader):
-                data = header.pack(data) + data
-            else:
-                data = header.pack() + data
-        return data
-
-    def _enclosing_ip(self, transport: Header) -> Optional[IPv4Header]:
-        """The IPv4 header immediately outside ``transport``."""
-        previous: Optional[IPv4Header] = None
-        for header in self.headers:
-            if header is transport:
-                return previous
-            if isinstance(header, IPv4Header):
-                previous = header
-        return previous
 
     def __repr__(self) -> str:
         stack = " | ".join(repr(h) for h in self.headers)

@@ -70,10 +70,6 @@ class Metric:
         self.name = name
         self.labels = dict(labels)
 
-    @property
-    def key(self) -> Tuple[str, LabelKey]:
-        return (self.name, _label_key(self.labels))
-
     def snapshot(self) -> Dict[str, Any]:  # pragma: no cover - abstract
         raise NotImplementedError
 

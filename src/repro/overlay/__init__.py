@@ -6,20 +6,16 @@ control plane (XORP, ditto), an opt-in ingress (OpenVPN —
 :mod:`repro.overlay.ingress`), an egress to the legacy Internet (NAPT —
 :mod:`repro.overlay.egress`), and the distributed deployment
 (:class:`~repro.core.infrastructure.VINI`). :class:`IIAS` assembles
-them, and :mod:`repro.overlay.config_gen` emits the Click/XORP
-configuration text a real deployment would install.
+them.
 """
 
 from repro.overlay.egress import configure_egress
 from repro.overlay.iias import IIAS
 from repro.overlay.ingress import OpenVPNClient, OpenVPNServer
-from repro.overlay.config_gen import click_config, xorp_config
 
 __all__ = [
     "IIAS",
     "OpenVPNClient",
     "OpenVPNServer",
-    "click_config",
     "configure_egress",
-    "xorp_config",
 ]

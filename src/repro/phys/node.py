@@ -78,36 +78,10 @@ class Interface:
         self.prefix: Optional[Prefix] = None
         self.link: Optional[Link] = None
         self.up = True
-        self.qdisc = None  # optional HTB egress scheduler
         self.rx_packets = 0
         self.tx_packets = 0
         self.rx_bytes = 0
         self.tx_bytes = 0
-
-    def install_htb(self, line_rate: Optional[float] = None):
-        """Attach an HTB egress scheduler (PlanetLab's per-slice
-        outgoing-bandwidth isolation, Section 4.1.1).
-
-        Traffic is classified by the sending slice (packets without a
-        slice annotation ride a ``default`` class). Classes are created
-        with :meth:`htb_class`; unknown slices fall back to default.
-        """
-        from repro.phys.htb import HTB
-
-        rate = line_rate if line_rate is not None else (
-            self.link.bandwidth if self.link is not None else 1e9
-        )
-        self.qdisc = HTB(
-            self.node.sim, rate, output=lambda pkt: self._transmit_raw(pkt)
-        )
-        self.qdisc.add_class("default", rate=rate * 0.5)
-        return self.qdisc
-
-    def htb_class(self, slice_name: str, rate: float, ceil: Optional[float] = None):
-        """Guarantee ``rate`` (borrow up to ``ceil``) for one slice."""
-        if self.qdisc is None:
-            raise RuntimeError(f"{self.name}: install_htb() first")
-        return self.qdisc.add_class(slice_name, rate=rate, ceil=ceil)
 
     def configure(self, address: Union[str, IPv4Address], plen: int) -> "Interface":
         """Assign an address; installs the connected route."""
@@ -130,14 +104,6 @@ class Interface:
                 "iface_drop", node=self.node.name, iface=self.name, reason="down"
             )
             return False
-        if self.qdisc is not None:
-            slice_name = packet.meta.get("slice", "default")
-            if slice_name not in self.qdisc.classes:
-                slice_name = "default"
-            return self.qdisc.enqueue(slice_name, packet)
-        return self._transmit_raw(packet)
-
-    def _transmit_raw(self, packet: Packet) -> bool:
         self.tx_packets += 1
         self.tx_bytes += packet.wire_len
         return self.link.transmit(self, packet)

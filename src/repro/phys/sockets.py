@@ -94,10 +94,6 @@ class UDPSocket:
             payload=payload,
             created_at=self.node.sim.now,
         )
-        # Attribute the packet to the sending slice (classified by HTB
-        # egress schedulers, Section 4.1.1).
-        if self.owner.sliver is not None:
-            packet.meta["slice"] = self.owner.sliver.slice.name
         if self.node.sim.flight.enabled:
             # A tunnel datagram carries the inner packet by reference
             # (OpaquePayload.data); share its span context so the

@@ -137,9 +137,5 @@ class Sliver:
             port += 1
         return port
 
-    @property
-    def cpu_used(self) -> float:
-        return sum(p.cpu_used for p in self.processes)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Sliver {self.slice.name}@{self.node.name}>"

@@ -4,7 +4,7 @@
 implemented in a Click process running outside of UML" (Section 4.2).
 :class:`XORPRouter` is that instance: it owns the RIB, installs
 connected routes for the platform's interfaces, and hosts whichever
-daemons the experiment configures (OSPF, RIP, BGP, static). The
+daemons the experiment configures (OSPF, BGP, static). The
 platform's FEA receives the winning routes.
 """
 
@@ -16,7 +16,6 @@ from repro.routing.bgp import BGPDaemon
 from repro.routing.ospf import OSPFDaemon
 from repro.routing.platform import RoutingPlatform
 from repro.routing.rib import AdminDistance, RIB, RibRoute
-from repro.routing.rip import RIPDaemon
 from repro.routing.static import StaticRoutes
 
 
@@ -28,7 +27,6 @@ class XORPRouter:
         self.sim = platform.sim
         self.rib = RIB(platform.fea, sim=platform.sim, name=platform.name)
         self.ospf: Optional[OSPFDaemon] = None
-        self.rip: Optional[RIPDaemon] = None
         self.bgp: Optional[BGPDaemon] = None
         self.static = StaticRoutes(platform, self.rib)
         self._started = False
@@ -39,12 +37,6 @@ class XORPRouter:
             raise RuntimeError("OSPF already configured")
         self.ospf = OSPFDaemon(self.platform, self.rib, router_id, **kwargs)
         return self.ospf
-
-    def configure_rip(self, **kwargs) -> RIPDaemon:
-        if self.rip is not None:
-            raise RuntimeError("RIP already configured")
-        self.rip = RIPDaemon(self.platform, self.rib, **kwargs)
-        return self.rip
 
     def configure_bgp(self, asn: int, router_id, **kwargs) -> BGPDaemon:
         if self.bgp is not None:
@@ -73,8 +65,6 @@ class XORPRouter:
         self.refresh_connected()
         if self.ospf is not None:
             self.ospf.start()
-        if self.rip is not None:
-            self.rip.start()
         if self.bgp is not None:
             for session in self.bgp.sessions:
                 session.start()
@@ -83,13 +73,11 @@ class XORPRouter:
         self._started = False
         if self.ospf is not None:
             self.ospf.stop()
-        if self.rip is not None:
-            self.rip.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         daemons = [
             name
-            for name, daemon in (("ospf", self.ospf), ("rip", self.rip), ("bgp", self.bgp))
+            for name, daemon in (("ospf", self.ospf), ("bgp", self.bgp))
             if daemon is not None
         ]
         return f"<XORPRouter {self.platform.name} daemons={daemons}>"

@@ -19,14 +19,12 @@ from repro.tools.iperf import (
     UDPResult,
 )
 from repro.tools.tcpdump import Tcpdump
-from repro.tools.traffic import CBRSource, FlashCrowd, OnOffSource, PoissonSource
+from repro.tools.traffic import CBRSource, FlashCrowd
 from repro.tools.traceroute import Traceroute
 
 __all__ = [
     "CBRSource",
     "FlashCrowd",
-    "OnOffSource",
-    "PoissonSource",
     "IperfTCPClient",
     "IperfTCPServer",
     "IperfUDPClient",

@@ -1,11 +1,11 @@
-"""Traffic generators: CBR, Poisson, on/off bursts, and flash crowds.
+"""Traffic generators: constant-bit-rate sources and flash crowds.
 
 Section 1's list of controlled events is "link failures and flash
 crowds"; Section 2 adds "changes in traffic volume". These generators
-are the machinery for the traffic side: steady sources with different
-arrival processes, and :class:`FlashCrowd`, which turns a set of
-senders loose on one target for a bounded window — the classic
-overload event an experiment wants to inject on cue.
+are the machinery for the traffic side: a steady :class:`CBRSource`,
+and :class:`FlashCrowd`, which turns a set of them loose on one target
+for a bounded window — the classic overload event an experiment wants
+to inject on cue.
 """
 
 from __future__ import annotations
@@ -21,23 +21,28 @@ from repro.phys.vserver import Sliver
 SEND_COST = 5.0e-6
 
 
-class _SourceBase:
-    """Common machinery: a UDP sender on a node (optionally in a sliver)."""
+class CBRSource:
+    """Constant bit rate: one datagram every payload*8/rate seconds,
+    from a UDP sender on a node (optionally in a sliver)."""
 
     def __init__(
         self,
         node: PhysicalNode,
         dst: Union[str, IPv4Address],
         dport: int,
-        payload: int,
+        rate_bps: float,
+        payload: int = 1430,
         sliver: Optional[Sliver] = None,
         name: str = "source",
     ):
+        if rate_bps <= 0:
+            raise ValueError(f"rate must be positive, got {rate_bps!r}")
         self.node = node
         self.sim = node.sim
         self.dst = ip(dst)
         self.dport = dport
         self.payload = payload
+        self.interval = payload * 8 / rate_bps
         self.sliver = sliver
         if sliver is not None:
             self.process = sliver.create_process(name)
@@ -52,14 +57,11 @@ class _SourceBase:
     def start(self):
         if not self.running:
             self.running = True
-            self._schedule_next(first=True)
+            self.sim.at(0.0, self._emit)
         return self
 
     def stop(self) -> None:
         self.running = False
-
-    def _schedule_next(self, first: bool = False) -> None:
-        raise NotImplementedError
 
     def _emit(self) -> None:
         if not self.running:
@@ -73,70 +75,7 @@ class _SourceBase:
             self.dst,
             self.dport,
         )
-        self._schedule_next()
-
-
-class CBRSource(_SourceBase):
-    """Constant bit rate: one datagram every payload*8/rate seconds."""
-
-    def __init__(self, node, dst, dport, rate_bps: float, payload: int = 1430, **kwargs):
-        if rate_bps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_bps!r}")
-        super().__init__(node, dst, dport, payload, **kwargs)
-        self.interval = payload * 8 / rate_bps
-
-    def _schedule_next(self, first: bool = False) -> None:
-        self.sim.at(0.0 if first else self.interval, self._emit)
-
-
-class PoissonSource(_SourceBase):
-    """Poisson arrivals at ``rate_pps`` packets per second."""
-
-    def __init__(self, node, dst, dport, rate_pps: float, payload: int = 1430,
-                 rng_stream: Optional[str] = None, **kwargs):
-        if rate_pps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_pps!r}")
-        super().__init__(node, dst, dport, payload, **kwargs)
-        self.rate_pps = rate_pps
-        self.rng = node.sim.rng(rng_stream or f"poisson.{node.name}.{dport}")
-
-    def _schedule_next(self, first: bool = False) -> None:
-        gap = self.rng.expovariate(self.rate_pps)
-        self.sim.at(gap, self._emit)
-
-
-class OnOffSource(_SourceBase):
-    """Exponential on/off bursts: CBR at ``rate_bps`` while on."""
-
-    def __init__(
-        self,
-        node,
-        dst,
-        dport,
-        rate_bps: float,
-        mean_on: float = 1.0,
-        mean_off: float = 1.0,
-        payload: int = 1430,
-        rng_stream: Optional[str] = None,
-        **kwargs,
-    ):
-        super().__init__(node, dst, dport, payload, **kwargs)
-        self.interval = payload * 8 / rate_bps
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.rng = node.sim.rng(rng_stream or f"onoff.{node.name}.{dport}")
-        self._on_until = 0.0
-
-    def _schedule_next(self, first: bool = False) -> None:
-        now = self.sim.now
-        if first or now >= self._on_until:
-            # Start (or schedule) the next on-period.
-            off_gap = 0.0 if first else self.rng.expovariate(1.0 / self.mean_off)
-            on_length = self.rng.expovariate(1.0 / self.mean_on)
-            self._on_until = now + off_gap + on_length
-            self.sim.at(off_gap, self._emit)
-        else:
-            self.sim.at(self.interval, self._emit)
+        self.sim.at(self.interval, self._emit)
 
 
 class FlashCrowd:

@@ -30,7 +30,6 @@ from repro.click import IPClassifier
 from repro.click.element import Element
 from repro.net.addr import prefix
 from repro.net.packet import (
-    EthernetHeader,
     ICMPHeader,
     IPv4Header,
     OpaquePayload,
@@ -180,13 +179,11 @@ def transport_for(draw, proto):
 def packets(draw) -> Packet:
     addr = st.sampled_from(ADDRS)
     shape = draw(st.sampled_from(
-        ["empty", "headless", "plain", "plain", "eth", "tunnel", "tunnel2"]))
+        ["empty", "headless", "plain", "plain", "tunnel", "tunnel2"]))
     headers = []
     if shape == "headless":
         headers = [UDPHeader(draw(st.sampled_from(PORTS)), draw(st.sampled_from(PORTS)))]
     elif shape != "empty":
-        if shape == "eth":
-            headers.append(EthernetHeader(src=1, dst=2))
         for _ in range({"tunnel": 1, "tunnel2": 2}.get(shape, 0)):
             headers += [IPv4Header(draw(addr), draw(addr), PROTO_UDP),
                         UDPHeader(draw(st.sampled_from(PORTS)), draw(st.sampled_from(PORTS)))]
@@ -210,7 +207,7 @@ def wire(classifier):
 @battery(300)
 def test_classifier_equals_the_body_it_replaced(traffic, pattern_list, data):
     for packet, _shared in traffic:  # the one-frame accessors against find()
-        for name, kind in (("eth", EthernetHeader), ("ip", IPv4Header), ("udp", UDPHeader),
+        for name, kind in (("ip", IPv4Header), ("udp", UDPHeader),
                            ("tcp", TCPHeader), ("icmp", ICMPHeader)):
             assert getattr(packet, name) is packet.find(kind)
     # Some patterns are written about the traffic, and put in at random places.

@@ -14,7 +14,6 @@ from repro.click import (
     LinearIPLookup,
     LossElement,
     Paint,
-    Queue,
     RadixIPLookup,
     Shaper,
     Tee,
@@ -47,7 +46,7 @@ class TestBasicElements:
         sim, node, sliver, router = world
         counter = router.add("c", Counter())
         sink = router.add("s", Sink())
-        router.connect("c", "s")
+        router["c"].connect(router["s"])
         counter.push(0, make_packet(size=100))
         counter.push(0, make_packet(size=200))
         assert counter.packets == 2
@@ -67,7 +66,7 @@ class TestBasicElements:
         tee = router.add("t", Tee(3))
         sinks = [router.add(f"s{i}", Sink()) for i in range(3)]
         for i in range(3):
-            router.connect("t", f"s{i}", out_port=i)
+            router["t"].connect(router[f"s{i}"], out_port=i)
         original = make_packet()
         tee.push(0, original)
         assert all(len(s.packets) == 1 for s in sinks)
@@ -89,7 +88,7 @@ class TestCheckIPAndTTL:
         sim, node, sliver, router = world
         check = router.add("check", CheckIPHeader())
         sink = router.add("sink", Sink())
-        router.connect("check", "sink")
+        router["check"].connect(router["sink"])
         check.push(0, make_packet())
         assert len(sink.packets) == 1
 
@@ -97,7 +96,7 @@ class TestCheckIPAndTTL:
         sim, node, sliver, router = world
         check = router.add("check", CheckIPHeader())
         sink = router.add("sink", Sink())
-        router.connect("check", "sink")
+        router["check"].connect(router["sink"])
         check.push(0, Packet(payload=OpaquePayload(10)))
         assert check.drops == 1
         assert sink.packets == []
@@ -106,7 +105,7 @@ class TestCheckIPAndTTL:
         sim, node, sliver, router = world
         dec = router.add("dec", DecIPTTL())
         sink = router.add("sink", Sink())
-        router.connect("dec", "sink")
+        router["dec"].connect(router["sink"])
         pkt = make_packet(ttl=10)
         dec.push(0, pkt)
         assert pkt.ip.ttl == 9
@@ -116,8 +115,8 @@ class TestCheckIPAndTTL:
         sim, node, sliver, router = world
         dec = router.add("dec", DecIPTTL())
         ok, expired = router.add("ok", Sink()), router.add("exp", Sink())
-        router.connect("dec", "ok", out_port=0)
-        router.connect("dec", "exp", out_port=1)
+        router["dec"].connect(router["ok"], out_port=0)
+        router["dec"].connect(router["exp"], out_port=1)
         dec.push(0, make_packet(ttl=1))
         assert dec.expired == 1
         assert len(expired.packets) == 1
@@ -127,7 +126,7 @@ class TestCheckIPAndTTL:
         sim, node, sliver, router = world
         dec = router.add("dec", DecIPTTL())
         ok = router.add("ok", Sink())
-        router.connect("dec", "ok", out_port=0)
+        router["dec"].connect(router["ok"], out_port=0)
         dec.push(0, make_packet(ttl=0))
         assert router.drops == 1
 
@@ -138,8 +137,8 @@ class TestLookup:
         sim, node, sliver, router = world
         lookup = router.add("rt", lookup_cls(n_outputs=2))
         s0, s1 = router.add("s0", Sink()), router.add("s1", Sink())
-        router.connect("rt", "s0", out_port=0)
-        router.connect("rt", "s1", out_port=1)
+        router["rt"].connect(router["s0"], out_port=0)
+        router["rt"].connect(router["s1"], out_port=1)
         lookup.add_route("10.0.0.0/8", "10.9.9.1", 0)
         lookup.add_route("10.1.0.0/16", "10.9.9.2", 1)
         lookup.push(0, make_packet(dst="10.1.2.3"))
@@ -151,7 +150,7 @@ class TestLookup:
         sim, node, sliver, router = world
         lookup = router.add("rt", lookup_cls())
         sink = router.add("s", Sink())
-        router.connect("rt", "s")
+        router["rt"].connect(router["s"])
         lookup.add_route("10.0.0.0/8", None, 0)
         lookup.push(0, make_packet(dst="10.4.5.6"))
         assert str(sink.packets[0].meta["gw"]) == "10.4.5.6"
@@ -160,7 +159,7 @@ class TestLookup:
         sim, node, sliver, router = world
         lookup = router.add("rt", lookup_cls())
         sink = router.add("s", Sink())
-        router.connect("rt", "s")
+        router["rt"].connect(router["s"])
         lookup.push(0, make_packet(dst="192.0.2.1"))
         assert lookup.misses == 1
         assert router.drops == 1
@@ -169,8 +168,8 @@ class TestLookup:
         sim, node, sliver, router = world
         lookup = router.add("rt", lookup_cls(n_outputs=2, no_route_port=1))
         ok, miss = router.add("ok", Sink()), router.add("miss", Sink())
-        router.connect("rt", "ok", out_port=0)
-        router.connect("rt", "miss", out_port=1)
+        router["rt"].connect(router["ok"], out_port=0)
+        router["rt"].connect(router["miss"], out_port=1)
         lookup.push(0, make_packet(dst="192.0.2.1"))
         assert len(miss.packets) == 1
 
@@ -178,7 +177,7 @@ class TestLookup:
         sim, node, sliver, router = world
         lookup = router.add("rt", lookup_cls())
         sink = router.add("s", Sink())
-        router.connect("rt", "s")
+        router["rt"].connect(router["s"])
         lookup.add_route("10.0.0.0/8", "10.9.9.1", 0)
         lookup.add_route("10.0.0.0/8", "10.9.9.9", 0)
         assert len(lookup) == 1
@@ -207,7 +206,7 @@ class TestClassifier:
         )
         sinks = [router.add(f"s{i}", Sink()) for i in range(4)]
         for i in range(4):
-            router.connect("cl", f"s{i}", out_port=i)
+            router["cl"].connect(router[f"s{i}"], out_port=i)
         classifier.push(0, make_packet(proto=PROTO_UDP, dport=6000))
         classifier.push(0, make_packet(proto=PROTO_TCP))
         classifier.push(0, make_packet(proto=PROTO_ICMP))
@@ -218,8 +217,8 @@ class TestClassifier:
         sim, node, sliver, router = world
         classifier = router.add("cl", IPClassifier("dst 10.0.0.0/8", "-"))
         inside, outside = router.add("in", Sink()), router.add("out", Sink())
-        router.connect("cl", "in", out_port=0)
-        router.connect("cl", "out", out_port=1)
+        router["cl"].connect(router["in"], out_port=0)
+        router["cl"].connect(router["out"], out_port=1)
         classifier.push(0, make_packet(dst="10.1.1.1"))
         classifier.push(0, make_packet(dst="192.0.2.1"))
         assert len(inside.packets) == 1
@@ -231,8 +230,8 @@ class TestClassifier:
             "cl", IPClassifier("proto udp dst 10.0.0.0/8", "-")
         )
         match, rest = router.add("m", Sink()), router.add("r", Sink())
-        router.connect("cl", "m", out_port=0)
-        router.connect("cl", "r", out_port=1)
+        router["cl"].connect(router["m"], out_port=0)
+        router["cl"].connect(router["r"], out_port=1)
         classifier.push(0, make_packet(proto=PROTO_UDP, dst="10.1.1.1"))
         classifier.push(0, make_packet(proto=PROTO_TCP, dst="10.1.1.1"))
         assert len(match.packets) == 1
@@ -242,7 +241,7 @@ class TestClassifier:
         sim, node, sliver, router = world
         classifier = router.add("cl", IPClassifier("proto tcp"))
         sink = router.add("s", Sink())
-        router.connect("cl", "s")
+        router["cl"].connect(router["s"])
         classifier.push(0, make_packet(proto=PROTO_UDP))
         assert classifier.unmatched == 1
 
@@ -281,7 +280,7 @@ class TestLoss:
         sim, node, sliver, router = world
         loss = router.add("loss", LossElement())
         sink = router.add("s", Sink())
-        router.connect("loss", "s")
+        router["loss"].connect(router["s"])
         loss.push(0, make_packet())
         loss.fail()
         loss.push(0, make_packet())
@@ -295,7 +294,7 @@ class TestLoss:
         sim, node, sliver, router = world
         loss = router.add("loss", LossElement(drop_prob=0.5))
         sink = router.add("s", Sink())
-        router.connect("loss", "s")
+        router["loss"].connect(router["s"])
         for _ in range(1000):
             loss.push(0, make_packet())
         assert 350 < len(sink.packets) < 650
@@ -306,18 +305,6 @@ class TestLoss:
 
 
 class TestQueueShaper:
-    def test_queue_fifo_and_overflow(self, world):
-        sim, node, sliver, router = world
-        queue = router.add("q", Queue(capacity=2))
-        first, second = make_packet(), make_packet()
-        queue.push(0, first)
-        queue.push(0, second)
-        queue.push(0, make_packet())
-        assert queue.drops == 1
-        assert queue.pop() is first
-        assert queue.pop() is second
-        assert queue.pop() is None
-
     def test_shaper_paces_to_rate(self, world):
         sim, node, sliver, router = world
         shaper = router.add("sh", Shaper(rate=800_000, burst_bytes=128))
@@ -328,7 +315,7 @@ class TestQueueShaper:
                 arrival_times.append(sim.now)
 
         router.add("s", TimedSink())
-        router.connect("sh", "s")
+        router["sh"].connect(router["s"])
         for _ in range(5):
             shaper.push(0, make_packet(size=72))  # 100B wire
         sim.run()
@@ -341,7 +328,7 @@ class TestQueueShaper:
         sim, node, sliver, router = world
         shaper = router.add("sh", Shaper(rate=8_000, burst_bytes=1000))
         sink = router.add("s", Sink())
-        router.connect("sh", "s")
+        router["sh"].connect(router["s"])
         shaper.push(0, make_packet(size=472))  # 500B <= burst
         assert len(sink.packets) == 1  # no simulation time needed
 
@@ -349,15 +336,13 @@ class TestQueueShaper:
         sim, node, sliver, router = world
         shaper = router.add("sh", Shaper(rate=8_000, burst_bytes=100, queue_bytes=300))
         sink = router.add("s", Sink())
-        router.connect("sh", "s")
+        router["sh"].connect(router["s"])
         for _ in range(10):
             shaper.push(0, make_packet(size=100))
         assert shaper.drops > 0
         sim.run()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Queue(capacity=0)
         with pytest.raises(ValueError):
             Shaper(rate=0)
 
@@ -394,8 +379,8 @@ class TestEncapTable:
         sim, node, sliver, router = world
         encap = router.add("enc", EncapTable(n_outputs=2))
         s0, s1 = router.add("s0", Sink()), router.add("s1", Sink())
-        router.connect("enc", "s0", out_port=0)
-        router.connect("enc", "s1", out_port=1)
+        router["enc"].connect(router["s0"], out_port=0)
+        router["enc"].connect(router["s1"], out_port=1)
         encap.add_mapping("10.9.9.1", 0)
         encap.add_mapping("10.9.9.2", 1)
         pkt = make_packet()
@@ -407,7 +392,7 @@ class TestEncapTable:
         sim, node, sliver, router = world
         encap = router.add("enc", EncapTable(n_outputs=1))
         sink = router.add("s", Sink())
-        router.connect("enc", "s")
+        router["enc"].connect(router["s"])
         encap.push(0, make_packet())  # no gw annotation
         pkt = make_packet()
         from repro.net.addr import ip
@@ -433,8 +418,8 @@ class TestCopyOnWrite:
         for index in range(2):
             router.add(f"dec{index}", DecIPTTL())
             sinks.append(router.add(f"s{index}", Sink()))
-            router.connect("tee", f"dec{index}", out_port=index)
-            router.connect(f"dec{index}", f"s{index}")
+            router["tee"].connect(router[f"dec{index}"], out_port=index)
+            router[f"dec{index}"].connect(router[f"s{index}"])
         untouched = make_packet(ttl=64)
         tee.push(0, untouched.copy())
         assert [s.packets[0].ip.ttl for s in sinks] == [63, 63]

@@ -32,8 +32,8 @@ def build_napt():
     out_sink, in_sink = Sink(), Sink()
     router.add("out", out_sink)
     router.add("in", in_sink)
-    router.connect("napt", "out", out_port=0)
-    router.connect("napt", "in", out_port=1)
+    router["napt"].connect(router["out"], out_port=0)
+    router["napt"].connect(router["in"], out_port=1)
     return napt, out_sink, in_sink
 
 

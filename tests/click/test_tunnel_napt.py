@@ -34,7 +34,7 @@ class TestUDPTunnel:
             "tun", UDPTunnel("198.51.100.1", remote_port=33000, local_port=33001)
         )
         sink = router_b.add("sink", Sink())
-        router_b.connect("tun", "sink")
+        router_b["tun"].connect(router_b["sink"])
         router_a.initialize()
         router_b.initialize()
         inner = overlay_packet()
@@ -47,6 +47,24 @@ class TestUDPTunnel:
         assert len(received.headers) == 2
         assert tun_a.tx_packets == 1
         assert tun_b.rx_packets == 1
+
+    def test_a_closed_tunnel_receives_nothing_and_frees_its_port(self, pair):
+        sim, a, b, router_a, router_b = pair
+        tun_a = router_a.add(
+            "tun", UDPTunnel("198.51.100.2", remote_port=33001, local_port=33000)
+        )
+        tun_b = router_b.add(
+            "tun", UDPTunnel("198.51.100.1", remote_port=33000, local_port=33001)
+        )
+        sink = router_b.add("sink", Sink())
+        router_b["tun"].connect(router_b["sink"])
+        router_a.initialize()
+        router_b.initialize()
+        tun_b.close()
+        tun_a.push(0, overlay_packet())
+        sim.run()
+        assert sink.packets == [] and tun_b.rx_packets == 0
+        router_b.udp_socket(port=33001)  # rebinding succeeds
 
     def test_tunnel_overhead_is_28_bytes(self, pair):
         sim, a, b, router_a, router_b = pair
@@ -71,8 +89,8 @@ class TestUDPTunnel:
         )
         sink_a = router_a.add("sink", Sink())
         sink_b = router_b.add("sink", Sink())
-        router_a.connect("tun", "sink")
-        router_b.connect("tun", "sink")
+        router_a["tun"].connect(router_a["sink"])
+        router_b["tun"].connect(router_b["sink"])
         router_a.initialize()
         router_b.initialize()
         tun_a.push(0, overlay_packet(dst="10.1.2.2"))
@@ -90,7 +108,7 @@ class TestUDPTunnel:
             "tun", UDPTunnel("198.51.100.1", remote_port=33000, local_port=33001)
         )
         router_b.add("sink", Sink())
-        router_b.connect("tun", "sink")
+        router_b["tun"].connect(router_b["sink"])
         router_a.initialize()
         router_b.initialize()
         tun_a.push(0, overlay_packet())
@@ -104,8 +122,8 @@ class TestNAPT:
         sim, node, sliver, router = world
         napt = router.add("napt", NAPT(public_addr="198.51.100.1"))
         out_sink, in_sink = router.add("out", Sink()), router.add("in", Sink())
-        router.connect("napt", "out", out_port=0)
-        router.connect("napt", "in", out_port=1)
+        router["napt"].connect(router["out"], out_port=0)
+        router["napt"].connect(router["in"], out_port=1)
         return sim, node, router, napt, out_sink, in_sink
 
     def test_outbound_rewrites_src_and_port(self, world):

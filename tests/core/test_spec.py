@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.core import VINI
+from repro.core import VINI, Experiment
 from repro.core.spec import SpecError, build_experiment, experiment_spec
 from repro.net.addr import ip
 
@@ -97,15 +97,39 @@ def test_existing_vini_can_be_supplied():
     assert x.xorp.rib.lookup(y.tap_addr) is not None
 
 
-def test_rip_protocol_choice():
-    spec = dict(SQUARE, routing={"protocol": "rip", "update_interval": 5.0,
-                                 "timeout": 20.0}, events=[])
-    vini, exp = build_experiment(spec)
-    exp.run(until=60.0)
-    a = exp.network.nodes["a"]
-    d = exp.network.nodes["d"]
-    route = a.xorp.rib.lookup(ip(d.interfaces["to_b"].address))
-    assert route is not None and route.protocol in ("rip", "connected", "ospf")
+def test_unknown_protocol_is_a_spec_error_listing_the_known_ones():
+    spec = dict(SQUARE, routing={"protocol": "rip"})
+    with pytest.raises(SpecError) as err:
+        build_experiment(spec)
+    assert "'rip'" in str(err.value)
+    assert "none, ospf" in str(err.value)
+
+
+def test_tap_route_prefix_survives_the_round_trip():
+    vini, _ = build_experiment(SQUARE)
+    exp = Experiment(vini, "e", tap_route_prefix="10.0.0.0/16")
+    _, rebuilt = build_experiment(experiment_spec(exp))
+    assert str(rebuilt.network.tap_route_prefix) == "10.0.0.0/16"
+
+
+def test_cpu_speed_survives_the_round_trip():
+    vini = VINI(seed=3)
+    for name in ("pa", "pb"):
+        vini.add_node(name, cpu_speed=2.0)
+    vini.connect("pa", "pb")
+    spec = experiment_spec(Experiment(vini, "e"))
+    assert spec["physical"]["cpu_speed"] == 2.0
+    rebuilt, _ = build_experiment(spec)
+    assert [node.cpu.speed for node in rebuilt.nodes.values()] == [2.0, 2.0]
+
+
+def test_mixed_cpu_speeds_are_refused_naming_the_nodes():
+    vini = VINI(seed=3)
+    vini.add_node("pa")
+    vini.add_node("pb", cpu_speed=2.0)
+    with pytest.raises(SpecError) as err:
+        experiment_spec(Experiment(vini, "e"))
+    assert "pa" in str(err.value) and "pb" in str(err.value)
 
 
 def test_errors_for_malformed_specs():
@@ -246,7 +270,7 @@ def _edited(path, value):
     (_edited(["events", 0, "time"], -1.0), ("events[0]", "negative")),
     (_edited(["routing"], {"protocl": "rip"}), ("routing", "'protocl'")),
     (_edited(["routing", "helo_interval"], 1.0), ("routing", "'helo_interval'")),
-    (_edited(["routing"], {"protocol": "rip", "hello_interval": 2.0}),
+    (_edited(["routing"], {"protocol": "none", "hello_interval": 2.0}),
      ("routing", "'hello_interval'")),
     (_edited(["slice", "realtme"], True), ("slice", "'realtme'")),
     (_edited(["evnts"], []), ("spec", "'evnts'")),

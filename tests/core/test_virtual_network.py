@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import VINI, Experiment
 from repro.faults import FaultPlan
-from repro.net.addr import ip
+from repro.net.addr import Prefix, ip
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
     ICMPHeader,
@@ -12,6 +12,8 @@ from repro.net.packet import (
     OpaquePayload,
     Packet,
     PROTO_ICMP,
+    PROTO_UDP,
+    UDPHeader,
 )
 
 
@@ -124,6 +126,43 @@ class TestOverlayConvergence:
         vini.run(until=35.0)
         # The error comes from the intermediate *virtual* node's address.
         assert errors == [str(v1.tap_addr)]
+
+    def test_fib_rebuilt_from_the_rib_equals_the_one_deltas_built(self):
+        vini, exp = build_line(3)
+        exp.run(until=30.0)
+        v0 = exp.network.nodes["v0"]
+        before = sorted(map(str, v0.lookup.routes()))
+        programmed = {route.prefix for route in v0.xorp.rib.routes()}
+        v0.fea.clear()
+        left = {pfx for pfx, _gw, _port in v0.lookup.routes()}
+        assert programmed and not programmed & left
+        # The wiring-time tap entry lives outside the RIB and stays.
+        assert Prefix(v0.tap_addr, 32) in left
+        v0.xorp.rib.rebuild_fib()
+        assert sorted(map(str, v0.lookup.routes())) == before
+
+    def test_control_plane_unicast_enters_the_fib_path(self):
+        """Control-plane output off the interface subnet goes down
+        through the UML switch, charged to Click, and is forwarded like
+        data (Section 4.2.1)."""
+        vini, exp = build_line(3)
+        exp.run(until=30.0)
+        v0 = exp.network.nodes["v0"]
+        v2 = exp.network.nodes["v2"]
+        received = []
+        app = v2.sliver.create_process("app")
+        sock = v2.phys_node.udp_socket(app, port=7000, local_addr=v2.tap_addr)
+        sock.on_receive = lambda pkt, addr, sport: received.append(str(addr))
+        busy = v0.click_process.cpu_used
+        v0.send(v0.interfaces["to_v1"], Packet(
+            headers=[IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_UDP),
+                     UDPHeader(7001, 7000)],
+            payload=OpaquePayload(10),
+        ))
+        vini.run(until=31.0)
+        assert v0.uml.down_packets == 1
+        assert v0.click_process.cpu_used > busy
+        assert received == [str(v0.tap_addr)]
 
 
 class TestVirtualLinkFailure:

@@ -50,12 +50,6 @@ class TestIPv4Address:
         assert ip("224.0.0.5").is_multicast
         assert not ip("10.0.0.1").is_multicast
 
-    def test_bytes_roundtrip(self):
-        addr = ip("1.2.3.4")
-        assert IPv4Address.from_bytes4(addr.to_bytes4()) == addr
-        with pytest.raises(ValueError):
-            IPv4Address.from_bytes4(b"abc")
-
 
 class TestPrefix:
     def test_parse(self):
@@ -68,6 +62,11 @@ class TestPrefix:
 
     def test_network_is_masked(self):
         assert str(Prefix("10.1.2.3", 16)) == "10.1.0.0/16"
+
+    def test_prefixes_sort_by_network_then_length(self):
+        unsorted = [prefix("10.1.0.0/16"), prefix("10.0.0.0/16"), prefix("10.0.0.0/8")]
+        assert [str(p) for p in sorted(unsorted)] == [
+            "10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16"]
 
     def test_contains_address(self):
         pfx = prefix("10.0.0.0/8")

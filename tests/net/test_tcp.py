@@ -169,6 +169,16 @@ def test_listener_port_conflict():
         sb.listen(pb, 5001)
 
 
+def test_a_closed_listener_accepts_nothing_and_frees_its_port():
+    sim, a, b, sa, sb, pa, pb = make_pair()
+    accepted = []
+    sb.listen(pb, 5001, on_accept=accepted.append).close()
+    conn = sa.connect(pa, "192.0.2.2", 5001)
+    sim.run(until=2.0)
+    assert conn.state == "SYN_SENT" and accepted == []
+    sb.listen(pb, 5001)  # the port is free again
+
+
 def test_syn_to_closed_port_ignored():
     sim, a, b, sa, sb, pa, pb = make_pair()
     conn = sa.connect(pa, "192.0.2.2", 4444)

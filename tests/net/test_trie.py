@@ -125,6 +125,10 @@ def test_clear():
     assert trie.lookup_entry("10.0.0.1") is None
 
 
+def test_an_empty_table_is_still_true():
+    assert RadixTrie()  # `if table:` asks whether there is one, not its size
+
+
 # ----------------------------------------------------------------------
 # Property tests: the trie agrees with a brute-force reference.
 # ----------------------------------------------------------------------

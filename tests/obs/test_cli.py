@@ -171,7 +171,9 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     watchdogs, engine hook and Click-queue probe, and the event
     vocabularies beside ``FaultAction`` (the experiment's event class and
     per-link scheduling methods, the spec's action table, the install
-    target classes): deleted, and not to be documented back in."""
+    target classes), and RIP, HTB, the Click configuration language, the
+    wire format and the Poisson and on/off sources: deleted, and not to
+    be documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -186,7 +188,10 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|bgp_oscillation_[w]atchdog|status_[l]ine|make\s+watch\b|--watch\b"
         r"|_live_[h]ook|watch_[q]ueues"
         r"|Experiment[E]vent|_(link|physical)_[a]t\b|_EVENT_[A]CTIONS"
-        r"|Experiment[T]arget|Physical[T]arget")
+        r"|Experiment[T]arget|Physical[T]arget"
+        r"|RIP[D]aemon|configure_[r]ip|install_[h]tb|parse_click_[c]onfig"
+        r"|click_[c]onfig|xorp_[c]onfig|internet_[c]hecksum|Ethernet[H]eader"
+        r"|Poisson[S]ource|OnOff[S]ource")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

@@ -12,6 +12,7 @@ from repro.obs import (
     export_series_csv,
     registry_jsonl,
 )
+from repro.obs.query import read_metrics_jsonl
 from repro.sim import Simulator
 
 
@@ -52,6 +53,14 @@ def test_jsonl_export_is_byte_deterministic(tmp_path):
         assert handle.read() == a
 
 
+
+def test_exported_metrics_read_back_as_flat_rows(tmp_path):
+    path = export_jsonl(_populated_registry(), str(tmp_path / "m.jsonl"))
+    rows = list(read_metrics_jsonl(path))
+    assert [(r["name"], r["labels.node"]) for r in rows] == [
+        ("depth", "a"), ("pkts", "a"), ("pkts", "b"), ("rtt", "a")]
+    assert rows[2]["value"] == 3 and rows[3]["count"] == 3
+    assert {(r["t"], r["kind"]) for r in rows} == {(None, "metric")}
 def test_export_series_csv(tmp_path):
     sim = Simulator()
     counter = sim.metrics.counter("n")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import PeriodicSampler
+from repro.obs.sampler import _MaxSentinel
 from repro.sim import Simulator
 
 
@@ -92,6 +93,13 @@ def test_sampler_value_at_before_first_snapshot_raises():
     assert sampler.value_at("x", 2.0) == 1
 
 
+
+def test_the_bisect_sentinel_sorts_after_any_value_at_its_time():
+    """``value_at`` bisects ``(t, value)`` points with ``(t, sentinel)``:
+    a snapshot exactly at the edge must count, whatever its value."""
+    for value in (0, 2.5, (3, 0.25)):
+        assert (1.0, value) < (1.0, _MaxSentinel)
+        assert not (1.0, _MaxSentinel) < (1.0, value)
 def test_sampler_stop_takes_final_snapshot_and_restart_rejected():
     sim, counter = _sim_with_counter()
     sampler = PeriodicSampler(sim, 1.0).watch("ticks", metric=counter).start()

@@ -9,7 +9,7 @@ import pytest
 from repro.core import VINI, Experiment
 from repro.net.addr import ip
 from repro.net.packet import IPv4Header, OpaquePayload, Packet, PROTO_UDP, UDPHeader
-from repro.overlay import IIAS, click_config, xorp_config
+from repro.overlay import IIAS
 
 
 @pytest.fixture
@@ -170,21 +170,6 @@ class TestLifeOfAPacket:
 
 
 class TestConfigGeneration:
-    def test_click_config_lists_elements_and_wiring(self, world):
-        vini, exp, iias, server, napt = world
-        text = click_config(exp.network.nodes["v1"])
-        assert "RadixIPLookup" in text
-        assert "UDPTunnel" in text
-        assert "tun_to_v0" in text and "tun_to_v2" in text
-        assert "->" in text
-
-    def test_xorp_config_has_ospf_block(self, world):
-        vini, exp, iias, server, napt = world
-        text = xorp_config(exp.network.nodes["v0"])
-        assert "ospf4" in text
-        assert "router-id" in text
-        assert "hello-interval: 2" in text
-
     def test_duplicate_roles_rejected(self, world):
         vini, exp, iias, server, napt = world
         with pytest.raises(ValueError):

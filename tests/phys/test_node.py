@@ -69,6 +69,18 @@ class TestConfiguration:
         with pytest.raises(RuntimeError):
             _ = node.address
 
+    def test_readdressing_an_interface_forgets_the_old_address(self):
+        sim, a, b = two_nodes()
+        a.interfaces["eth0"].configure("198.51.100.1", 24)
+        assert a.is_local("198.51.100.1")
+        assert not a.is_local("192.0.2.1")
+
+    def test_a_removed_route_no_longer_matches(self):
+        sim, a, f, b = three_nodes_line()
+        assert a.routes.lookup_entry(ip("10.1.2.2")) is not None
+        a.remove_route("10.1.2.0/30")
+        assert a.routes.lookup_entry(ip("10.1.2.2")) is None
+
 
 class TestUDPDelivery:
     def test_udp_end_to_end(self):
@@ -262,6 +274,15 @@ class TestTapDevice:
         p2 = s2.create_process("app")
         a.udp_socket(p1, port=9000, local_addr="10.2.0.1")
         a.udp_socket(p2, port=9000, local_addr="10.3.0.1")  # no conflict
+
+    def test_close_releases_a_sliver_private_port(self):
+        sim, a, sliver, tap, click = self.make_tap_world()
+        app = sliver.create_process("app")
+        sock = a.udp_socket(app, port=9000, local_addr="10.2.0.1")
+        assert sliver.lookup_udp(9000) is sock
+        sock.close()
+        assert sliver.lookup_udp(9000) is None
+        a.udp_socket(app, port=9000, local_addr="10.2.0.1")  # rebinding succeeds
 
     def test_multiple_taps_per_sliver(self):
         """A sliver can hold several taps (one per virtual router);

@@ -180,3 +180,17 @@ def test_mrai_batches_updates():
     # All 10 prefixes arrive, but in few UPDATE messages.
     assert all(b.best(f"198.18.{i}.0/24") is not None for i in range(10))
     assert sa.updates_sent <= 3
+
+
+def test_a_wrong_peer_as_is_refused_with_a_notification():
+    sim = Simulator(seed=79)
+    a = BGPDaemon(sim, 65001, "192.0.2.1", rib=RIB(FEA()))
+    b = BGPDaemon(sim, 65002, "192.0.2.2", rib=RIB(FEA()))
+    ta, tb = DirectTransport.pair(sim, delay=0.010)
+    sa = a.add_session(ta, 65099)  # b's OPEN says 65002
+    sb = b.add_session(tb, 65001)
+    sa.start()
+    sb.start()
+    sim.run(until=5.0)
+    assert (sa.state, sb.state) == (IDLE, IDLE)
+    assert sim.trace.count("bgp_session", reason="notification: bad peer AS") == 1

@@ -166,3 +166,17 @@ def test_connected_beats_ospf_for_shared_subnet():
     ia, ib = ifmap[("a", "b")]
     best = routers["a"].rib.best(ia.prefix)
     assert best.protocol == "connected"
+
+
+def test_a_stopped_router_falls_silent_and_its_neighbour_drops_it():
+    sim = Simulator(seed=52)
+    fabric, platforms, routers, _ = build_topology(sim, [("a", "b")])
+    configure_ospf(routers)
+    sim.run(until=30.0)
+    assert routers["a"].rib.lookup(router_id(1)) is not None
+    routers["b"].stop()
+    assert not routers["b"].ospf.started
+    assert routers["b"].ospf.neighbor_states() == {}
+    sim.run(until=60.0)  # past a's 10 s dead interval: b sent no hello
+    assert routers["a"].ospf.neighbor_states() == {}
+    assert routers["a"].rib.lookup(router_id(1)) is None

@@ -7,6 +7,8 @@ import pytest
 from repro.net.addr import Prefix, ip, prefix
 from repro.routing.platform import FEA
 from repro.routing.rib import AdminDistance, RIB, RibRoute
+from repro.sim import Simulator
+from tests.routing.conftest import build_topology
 
 from .test_ospf_churn import (
     SETTLE,
@@ -134,3 +136,12 @@ def test_fea_clear_only_drops_rib_routes():
     assert len(fea) == 1
     fea.clear()
     assert len(fea) == 0
+
+
+def test_a_removed_static_route_leaves_the_rib():
+    _, _, routers, ifmap = build_topology(Simulator(seed=53), [("a", "b")])
+    statics, rib = routers["a"].static, routers["a"].rib
+    statics.add("192.0.2.0/24", nexthop=ifmap[("a", "b")][1].address)
+    assert rib.best("192.0.2.0/24").ifname == "to_b"
+    statics.remove("192.0.2.0/24")
+    assert rib.best("192.0.2.0/24") is None

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Simulator
@@ -79,6 +82,23 @@ def test_cancel_is_idempotent():
     sim.run()
 
 
+
+def test_a_cancelled_event_lets_go_of_its_callback():
+    """A corpse waiting in the heap must not keep packets or closures
+    alive: cancel swaps the callback for a no-op and drops the args."""
+    class Payload:
+        def fire(self, *_args):
+            raise AssertionError("a cancelled event fired")
+
+    sim = Simulator()
+    payload = Payload()
+    gone = weakref.ref(payload)
+    event = sim.at(1.0, payload.fire, "x")
+    event.cancel()
+    del payload
+    gc.collect()
+    assert gone() is None and event.args == ()
+    assert event.fn(*event.args) is None
 def test_scheduling_in_past_raises():
     sim = Simulator()
     sim.at(1.0, lambda: None)

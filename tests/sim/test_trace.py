@@ -14,6 +14,13 @@ def test_log_records_time_and_fields():
     assert record.get("missing", 13) == 13
 
 
+
+def test_equal_records_hash_equal():
+    sim = Simulator()
+    sim.trace.log("ping", rtt=0.076)
+    sim.trace.log("ping", rtt=0.076)
+    sim.trace.log("ping", rtt=0.093)
+    assert len(set(sim.trace.records)) == 2
 def test_select_filters_by_kind_and_fields():
     sim = Simulator()
     sim.trace.log("drop", node="a")

@@ -48,6 +48,11 @@ class TestTCP:
         with pytest.raises(RuntimeError):
             client.result()
 
+    def test_a_closed_server_frees_its_port(self):
+        sim, a, b = make_pair()
+        IperfTCPServer(b).close()
+        IperfTCPServer(b)  # rebinding port 5001 succeeds
+
 
 class TestUDP:
     def test_cbr_no_loss_on_fast_link(self):
@@ -87,3 +92,8 @@ class TestUDP:
         sim, a, b = make_pair()
         with pytest.raises(ValueError):
             IperfUDPClient(a, "192.0.2.2", rate_bps=0)
+
+    def test_a_closed_server_frees_its_port(self):
+        sim, a, b = make_pair()
+        IperfUDPServer(b).close()
+        IperfUDPServer(b)  # rebinding port 5002 succeeds

@@ -5,7 +5,7 @@ import pytest
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.process import Process
 from repro.sim import Simulator
-from repro.tools.traffic import CBRSource, FlashCrowd, OnOffSource, PoissonSource
+from repro.tools.traffic import CBRSource, FlashCrowd
 
 
 def make_world(n_sources=1):
@@ -49,33 +49,6 @@ def test_cbr_stop():
     assert source.sent == count_at_stop
 
 
-def test_poisson_mean_rate():
-    sim, server, (src,), received = make_world()
-    PoissonSource(src, server_addr(server), 7000, rate_pps=500).start()
-    sim.run(until=4.0)
-    assert len(received) == pytest.approx(2000, rel=0.15)
-
-
-def test_poisson_interarrivals_vary():
-    sim, server, (src,), received = make_world()
-    PoissonSource(src, server_addr(server), 7000, rate_pps=200).start()
-    sim.run(until=3.0)
-    gaps = {round(b - a, 7) for a, b in zip(received, received[1:])}
-    assert len(gaps) > len(received) // 2  # genuinely random spacing
-
-
-def test_onoff_produces_bursts_and_gaps():
-    sim, server, (src,), received = make_world()
-    OnOffSource(src, server_addr(server), 7000, rate_bps=8e6,
-                mean_on=0.2, mean_off=0.5, payload=1000).start()
-    sim.run(until=20.0)
-    assert received
-    gaps = [b - a for a, b in zip(received, received[1:])]
-    burst_gap = 1000 * 8 / 8e6
-    assert any(abs(g - burst_gap) < burst_gap * 0.1 for g in gaps)  # in-burst
-    assert any(g > 0.2 for g in gaps)  # off periods
-
-
 def test_flash_crowd_window():
     sim, server, sources, received = make_world(n_sources=3)
     crowd = FlashCrowd(sources, server_addr(server), 7000,
@@ -92,7 +65,5 @@ def test_validation():
     sim, server, (src,), _ = make_world()
     with pytest.raises(ValueError):
         CBRSource(src, server_addr(server), 7000, rate_bps=0)
-    with pytest.raises(ValueError):
-        PoissonSource(src, server_addr(server), 7000, rate_pps=0)
     with pytest.raises(ValueError):
         FlashCrowd([], server_addr(server), 7000)
