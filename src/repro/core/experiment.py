@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple, Union
 from repro.core.infrastructure import VINI
 from repro.core.upcalls import UpcallDispatcher
 from repro.core.virtual_network import VirtualLink, VirtualNetwork, VirtualNode
-from repro.obs.archive import attach_from_env
 
 
 class Experiment:
@@ -129,11 +128,7 @@ class Experiment:
 
     def run(self, until: Optional[float] = None) -> float:
         self.start()
-        archive = attach_from_env(self.sim, experiment=self)
-        result = self.sim.run(until=until)
-        if archive is not None:
-            archive.write()
-        return result
+        return self.sim.run(until=until)
 
     def timetable(self) -> List[Tuple[float, str]]:
         """The experiment specification as (time, label) rows."""

@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import networkx as nx
 
 from repro.net.addr import Prefix, prefix
-from repro.obs.archive import attach_from_env
 from repro.phys.link import Link
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.vserver import Slice
@@ -154,11 +153,7 @@ class VINI:
         return slice_
 
     def run(self, until: Optional[float] = None) -> float:
-        archive = attach_from_env(self.sim)
-        result = self.sim.run(until=until)
-        if archive is not None:
-            archive.write()
-        return result
+        return self.sim.run(until=until)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<VINI nodes={len(self.nodes)} links={len(self.links)} slices={len(self._slices)}>"

@@ -13,7 +13,7 @@ first-class layer instead of ad-hoc trace scans:
   stage, plus the OSPF convergence span tree.
 * :mod:`repro.obs.sampler` — :class:`PeriodicSampler`, sim-clock
   snapshots of metrics into time series without perturbing event order.
-* :mod:`repro.obs.export` — deterministic JSONL/series-CSV exporters
+* :mod:`repro.obs.export` — the deterministic series-CSV exporter
   and the flight record stream (:class:`FlightStream`, JSONL) with its
   Perfetto/Chrome-trace view (:func:`perfetto_events`).
 * :mod:`repro.obs.flight` — slowest-N latency decomposition of a
@@ -30,10 +30,8 @@ first-class layer instead of ad-hoc trace scans:
   telemetry bus for runs *while they execute*: a deterministic JSONL
   feed of sim-clock snapshots.
 * :mod:`repro.obs.archive` — :class:`RunArchive`, the per-run manifest
-  (seed, config signature, commit, content hash per artifact) every
-  artifact writer registers into; :func:`attach_from_env` attaches one
-  (``REPRO_RUN_ARCHIVE``) and a live feed (``REPRO_LIVE_FEED``) through
-  ``Experiment.run``/``VINI.run`` with zero wiring.
+  (seed, config signature, commit, content hash per artifact) over
+  every file under the archive's directory, each typed from its bytes.
 * :mod:`repro.obs.query` — the cross-run analysis engine: lazy
   :class:`Table` streams over every artifact kind, archive-vs-archive
   first-divergence diffing, and the fault -> episode -> flights causal
@@ -56,23 +54,19 @@ therefore not imported from this file.
 
 from repro.obs.archive import (
     RunArchive,
-    attach_from_env,
     config_signature,
     experiment_signature,
     load_manifest,
-    note_artifact,
     resolve_artifact,
     sha256_file,
 )
 from repro.obs.export import (
     FlightStream,
     detect_commit,
-    export_jsonl,
     export_perfetto,
     export_series_csv,
     flight_rows,
     perfetto_events,
-    registry_jsonl,
 )
 from repro.obs.live import JsonlFeed, LiveMonitor
 from repro.obs.metrics import (
@@ -123,21 +117,17 @@ __all__ = [
     "RunArchive",
     "Span",
     "SpanContext",
-    "attach_from_env",
     "build_report",
     "config_signature",
     "detect_commit",
     "episodes_from_trace",
     "experiment_signature",
-    "export_jsonl",
     "export_perfetto",
     "export_series_csv",
     "flight_rows",
     "load_manifest",
     "log_buckets",
-    "note_artifact",
     "perfetto_events",
-    "registry_jsonl",
     "resolve_artifact",
     "sha256_file",
 ]

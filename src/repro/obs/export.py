@@ -1,11 +1,10 @@
-"""Exporters: registry snapshots to JSONL, sampler series to CSV, and
-the flight record stream and its Perfetto view.
+"""Exporters: sampler series to CSV, and the flight record stream and
+its Perfetto view.
 
-All exports are deterministic for a given run: registry rows come out
-of :meth:`MetricsRegistry.collect` pre-sorted by ``(name, labels)``,
-JSON objects are serialized with sorted keys, and floats go through
-``repr`` (shortest round-trip) — so the same seed produces a
-byte-identical file, which the determinism tests assert.
+All exports are deterministic for a given run: JSON objects are
+serialized with sorted keys, and floats go through ``repr`` (shortest
+round-trip) — so the same seed produces a byte-identical file, which
+the determinism tests assert.
 
 Flights have one on-disk shape — the JSONL records of
 :func:`flight_row` / :func:`control_row`, streamed by
@@ -25,34 +24,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 #: Header of the long-form series CSV (:func:`export_series_csv`, the
 #: sampler's spill file).
 SERIES_HEADER = ["key", "time", "value", "count", "sum"]
-
-
-def registry_jsonl(registry, extra: Optional[Dict[str, Any]] = None) -> str:
-    """Render a registry snapshot as JSONL text (one metric per line,
-    sorted, sorted keys). ``extra`` adds fields to every row (e.g. a
-    seed or scenario tag)."""
-    lines = []
-    for row in registry.collect():
-        if extra:
-            row = dict(row, **extra)
-        lines.append(json.dumps(row, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _note(sim, path: str, kind: str) -> None:
-    """Register an exported file with ``sim``'s RunArchive, if any."""
-    if sim is not None:
-        from repro.obs.archive import note_artifact
-        note_artifact(sim, path, kind)
-
-
-def export_jsonl(registry, path: str, extra: Optional[Dict[str, Any]] = None) -> str:
-    text = registry_jsonl(registry, extra)
-    _ensure_parent(path)
-    with open(path, "w") as handle:
-        handle.write(text)
-    _note(registry.sim, path, "metrics_jsonl")
-    return path
 
 
 def series_rows(key: str, points: Iterable[Tuple[float, Any]]) -> Iterator[List[Any]]:
@@ -75,7 +46,6 @@ def export_series_csv(sampler, path: str, keys: Optional[Iterable[str]] = None) 
         writer.writerow(SERIES_HEADER)
         for key in keys if keys is not None else sampler.keys():
             writer.writerows(series_rows(key, sampler.series(key)))
-    _note(sampler.sim, path, "sampler_csv")
     return path
 
 

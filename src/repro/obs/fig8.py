@@ -22,7 +22,6 @@ from repro.faults import FaultPlan
 from repro.obs.archive import RunArchive, experiment_signature
 from repro.obs.export import FlightStream, detect_commit
 from repro.obs.live import LiveMonitor
-from repro.obs.query import nudge_spill
 from repro.obs.report import ExperimentReport, build_report
 from repro.obs.routing import ConvergenceTracker, RoutingObserver
 from repro.obs.sampler import PeriodicSampler
@@ -50,8 +49,10 @@ def run_fig8(
     compiled report.
 
     A same-seed pair of calls produces byte-identical archives — unless
-    ``nudge_index`` injects the single-event timestamp perturbation (by
-    ``nudge_dt`` sim-seconds) used to exercise the diff engine.
+    ``nudge_index`` injects the single-event timestamp perturbation used
+    to exercise the diff engine: that trace record's time moves by
+    ``nudge_dt`` sim-seconds before the trace is spilled, so the first
+    (and only) divergence a diff reports is exactly its ``t`` field.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -103,9 +104,14 @@ def run_fig8(
         tracker=tracker, monitor=monitor,
     )
     report.write(path("report"))
-    sim.trace.spill_to(path("trace.spill"))
     if nudge_index is not None:
-        nudge_spill(path("trace.spill"), nudge_index, nudge_dt)
+        records = sim.trace.records
+        if not 0 <= nudge_index < len(records):
+            raise ValueError(
+                f"nudge index {nudge_index} is out of range: the trace "
+                f"has {len(records)} records")
+        records[nudge_index].time += nudge_dt
+    sim.trace.spill_to(path("trace.spill"))
     archive.set_meta(config_signature=experiment_signature(exp))
     manifest_path = archive.write()
     archive.detach()

@@ -6,9 +6,7 @@ Metrics, samplers, flights and reports are consumable only after
 window into a run *while it executes*.
 
 :class:`LiveMonitor` is the telemetry bus. Installed on a
-:class:`~repro.sim.engine.Simulator` (directly, or implicitly through
-``Experiment.run`` when ``REPRO_LIVE_FEED`` is set — see
-:func:`repro.obs.archive.attach_from_env`), it writes a JSONL feed: one
+:class:`~repro.sim.engine.Simulator`, it writes a JSONL feed: one
 snapshot per ``interval`` sim-seconds, keyed by sim-time + event-count
 and holding only simulation state (clock, pending events, registered
 probes). The feed is line-buffered, so ``tail -f`` on it is the
@@ -26,8 +24,6 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.obs.archive import note_artifact
 
 __all__ = ["JsonlFeed", "LiveMonitor"]
 
@@ -170,8 +166,6 @@ class LiveMonitor:
                 "interval": self.interval,
                 "seed": self.sim.seed,
             })
-            if self.feed.path:
-                note_artifact(self.sim, self.feed.path, "live_feed")
         metrics = self.sim.metrics
         if metrics.enabled:
             metrics.counter("live.snapshots", fn=lambda: self.snapshots,

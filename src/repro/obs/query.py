@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import struct
 from itertools import zip_longest
 from typing import (
     Any,
@@ -50,12 +49,16 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.obs.archive import load_manifest, resolve_artifact, sha256_file
+from repro.obs.archive import (
+    artifact_kind,
+    load_manifest,
+    resolve_artifact,
+    sha256_file,
+)
 from repro.obs.export import SERIES_HEADER
-from repro.sim.trace import _SPILL_MAGIC, _read_exact, _skip_value, iter_spill
+from repro.sim.trace import iter_spill
 
 __all__ = [
     "ArchiveReader",
@@ -65,7 +68,6 @@ __all__ = [
     "diff_tables",
     "explain_archive",
     "flatten",
-    "nudge_spill",
     "open_artifact",
 ]
 
@@ -303,7 +305,12 @@ def read_sampler_csv(path: str) -> Iterator[Row]:
         if header != SERIES_HEADER:
             raise ValueError(f"{path!r} is not a sampler series CSV "
                              f"(header {header!r})")
-        for key, t, value, count, total in reader:
+        for row in reader:
+            if len(row) != len(SERIES_HEADER):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected "
+                    f"{len(SERIES_HEADER)} fields, got {len(row)}")
+            key, t, value, count, total = row
             yield {"t": _maybe_num(t), "kind": "sample", "key": key,
                    "value": _maybe_num(value), "count": _maybe_num(count),
                    "sum": _maybe_num(total)}
@@ -345,11 +352,6 @@ def read_json_leaves(path: str) -> Iterator[Row]:
         yield {"t": None, "kind": "leaf", "key": key, "value": value}
 
 
-def read_metrics_jsonl(path: str) -> Iterator[Row]:
-    for obj in _jsonl(path):
-        yield dict(flatten(obj), t=None, kind="metric")
-
-
 def read_text_lines(path: str) -> Iterator[Row]:
     with open(path) as handle:
         for index, line in enumerate(handle):
@@ -365,48 +367,15 @@ KIND_READERS: Dict[str, Callable[[str], Iterator[Row]]] = {
     "flight_jsonl": read_flight_jsonl,
     "report_json": read_json_leaves,
     "report_md": read_text_lines,
-    "metrics_jsonl": read_metrics_jsonl,
     "json": read_json_leaves,
     "text": read_text_lines,
 }
 
 
-def sniff_kind(path: str) -> str:
-    """Best-effort artifact kind from magic bytes / first line."""
-    with open(path, "rb") as handle:
-        head = handle.read(len(_SPILL_MAGIC))
-    if head == _SPILL_MAGIC:
-        return "trace_spill"
-    if path.endswith(".csv"):
-        with open(path) as handle:
-            first = handle.readline().strip()
-        return "sampler_csv" if first == ",".join(SERIES_HEADER) else "text"
-    if path.endswith((".json", ".jsonl")):
-        with open(path) as handle:
-            first = handle.readline().strip()
-        try:
-            obj = json.loads(first)
-        except ValueError:
-            # Multi-line (indented) documents only part-parse on the
-            # first line; .json files starting like one are documents.
-            if path.endswith(".json") and first.startswith(("{", "[")):
-                return "json"
-            return "text"
-        if isinstance(obj, dict):
-            if obj.get("schema") == "repro.live/1":
-                return "live_feed"
-            if obj.get("kind") in ("flight", "control"):
-                return "flight_jsonl"
-            if "name" in obj and "value" in obj and "labels" in obj:
-                return "metrics_jsonl"
-        return "json"
-    return "text"
-
-
 def open_artifact(path: str, kind: Optional[str] = None) -> Table:
     """A :class:`Table` over one artifact file; ``kind`` as recorded in
-    a manifest, or sniffed from the file."""
-    resolved = kind or sniff_kind(path)
+    a manifest, or read off the file's bytes."""
+    resolved = kind or artifact_kind(path)
     reader = KIND_READERS.get(resolved, read_text_lines)
     return Table(lambda: reader(path), name=os.path.basename(path))
 
@@ -752,48 +721,3 @@ def explain_archive(path: str, at: Optional[float] = None) -> Dict[str, Any]:
         "episodes": len(episodes),
         "chain": chain,
     }
-
-
-# ----------------------------------------------------------------------
-# Spill perturbation (tests + the worked EXPERIMENTS.md example)
-# ----------------------------------------------------------------------
-def nudge_spill(path: str, index: int, dt: float) -> float:
-    """Patch record ``index`` of a trace spill *in place*, nudging its
-    timestamp by ``dt`` sim-seconds. Returns the new timestamp.
-
-    The controlled single-event perturbation used to validate the diff
-    engine: everything else in the file — every other record, the
-    string tables, the byte length — is untouched, so the first (and
-    only) divergence a diff reports must be exactly this record's
-    ``t`` field.
-    """
-    size = os.path.getsize(path)
-    with open(path, "r+b") as handle:
-        if _read_exact(handle, len(_SPILL_MAGIC)) != _SPILL_MAGIC:
-            raise ValueError(f"{path!r} is not a trace spill file")
-        record_i = 0
-        while True:
-            frame = handle.read(1)
-            if not frame:
-                break
-            tag = frame[0]
-            if tag in (0x01, 0x02):
-                handle.seek(2, os.SEEK_CUR)
-                (length,) = struct.unpack("<H", _read_exact(handle, 2))
-                handle.seek(length, os.SEEK_CUR)
-            elif tag == 0x03:
-                at = handle.tell()
-                time, _kind, nfields = struct.unpack(
-                    "<dHH", _read_exact(handle, 12))
-                if record_i == index:
-                    handle.seek(at)
-                    handle.write(struct.pack("<d", time + dt))
-                    return time + dt
-                record_i += 1
-                for _ in range(nfields):
-                    _read_exact(handle, 2)
-                    _skip_value(handle, size)
-            else:
-                raise ValueError(f"unknown spill frame tag 0x{tag:02x}")
-    raise IndexError(
-        f"spill {path!r} has only {record_i} records, no index {index}")

@@ -112,9 +112,7 @@ def build_report(
         data["traffic"] = traffic.as_dict()
     if monitor is not None:
         data["live"] = monitor.as_dict()
-    report = ExperimentReport(data)
-    report.sim = sim
-    return report
+    return ExperimentReport(data)
 
 
 def _flight_section(recorder) -> Dict[str, Any]:
@@ -153,9 +151,6 @@ class ExperimentReport:
 
     def __init__(self, data: Dict[str, Any]):
         self.data = data
-        # Set by build_report(); lets write() register its output with
-        # an attached RunArchive.
-        self.sim = None
 
     # ------------------------------------------------------------------
     def to_json(self) -> str:
@@ -366,8 +361,4 @@ class ExperimentReport:
             handle.write(self.to_markdown())
         with open(json_path, "w") as handle:
             handle.write(self.to_json())
-        if self.sim is not None:
-            from repro.obs.archive import note_artifact
-            note_artifact(self.sim, md_path, "report_md")
-            note_artifact(self.sim, json_path, "report_json")
         return md_path, json_path

@@ -166,8 +166,6 @@ class PeriodicSampler:
             self._spill_handle.close()
             self._spill_handle = None
             self._spill_writer = None
-        from repro.obs.archive import note_artifact
-        note_artifact(self.sim, self.spill_path, "sampler_csv")
         return self.spill_path
 
     # ------------------------------------------------------------------

@@ -232,10 +232,7 @@ class FlightRecorder:
         returns the streamed path, or ``None``."""
         if self.stream is None:
             return None
-        path = self.stream.close(self.control_spans())
-        from repro.obs.archive import note_artifact
-        note_artifact(self.sim, path, "flight_jsonl")
-        return path
+        return self.stream.close(self.control_spans())
 
     # ------------------------------------------------------------------
     # Data plane: flights

@@ -214,9 +214,6 @@ class TraceCollector:
             for record in records:
                 _write_record(handle, record, kinds, names)
         self.clear()
-        archive = getattr(self._sim, "_run_archive", None)
-        if archive is not None:
-            archive.note(path, "trace_spill")
         return count
 
     def __len__(self) -> int:
@@ -373,7 +370,8 @@ def iter_spill(
       seeking past every other value.
 
     Truncated files raise ``ValueError`` exactly as a full decode
-    would, at the same prefix of yielded records.
+    would, at the same prefix of yielded records; a record naming an
+    undefined kind or field index raises one naming the file.
     """
     if isinstance(kinds, str):
         kinds = (kinds,)
@@ -401,7 +399,10 @@ def iter_spill(
                 time, kind_idx, nfields = struct.unpack(
                     "<dHH", _read_exact(handle, 12)
                 )
-                kind = kind_table[kind_idx]
+                kind = kind_table.get(kind_idx)
+                if kind is None:
+                    raise ValueError(
+                        f"{path}: record uses undefined kind index {kind_idx}")
                 if (
                     (want_kinds is not None and kind not in want_kinds)
                     or (t0 is not None and time < t0)
@@ -414,7 +415,11 @@ def iter_spill(
                 record_fields: Dict[str, Any] = {}
                 for _ in range(nfields):
                     (name_idx,) = _S_U16.unpack(_read_exact(handle, 2))
-                    name = name_table[name_idx]
+                    name = name_table.get(name_idx)
+                    if name is None:
+                        raise ValueError(
+                            f"{path}: record uses undefined field name "
+                            f"index {name_idx}")
                     if want_fields is None or name in want_fields:
                         record_fields[name] = _read_value(handle)
                     else:

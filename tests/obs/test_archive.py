@@ -1,8 +1,10 @@
-"""Tests for run archives: manifests, signatures, the writer hooks."""
+"""Tests for run archives: manifests over a directory, artifact kinds,
+signatures."""
 
+import ast
 import hashlib
 import json
-import os
+from pathlib import Path
 
 import pytest
 
@@ -10,17 +12,17 @@ from repro.obs.archive import (
     ARCHIVE_SCHEMA,
     MANIFEST_NAME,
     RunArchive,
-    attach_from_env,
+    artifact_kind,
     config_signature,
     experiment_signature,
     load_manifest,
-    note_artifact,
     resolve_artifact,
     sha256_file,
 )
 from repro.sim import Simulator
 from repro.topologies import build_abilene_iias
 
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 def test_sha256_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
@@ -39,14 +41,11 @@ def test_config_signature_is_stable_and_order_insensitive():
 
 def test_manifest_records_hashed_relative_artifacts(tmp_path):
     root = tmp_path / "arch"
-    blob = tmp_path / "outside" / "trace.bin"
-    blob.parent.mkdir()
-    blob.write_bytes(b"\x01\x02\x03")
-    archive = RunArchive(str(root), name="run1", meta={"seed": 3})
-    archive.note(str(blob), "trace_spill")
-    root.mkdir()
+    blob = root / "spills" / "trace.bin"
+    blob.parent.mkdir(parents=True)
+    blob.write_bytes(b"REPROTRC\x01\x02\x03")
     (root / "cell.json").write_text(json.dumps({"n": 1}))
-    archive.note(str(root / "cell.json"), "json")
+    archive = RunArchive(str(root), name="run1", meta={"seed": 3})
     path = archive.write()
     assert path == str(root / MANIFEST_NAME)
 
@@ -54,39 +53,44 @@ def test_manifest_records_hashed_relative_artifacts(tmp_path):
     assert manifest["schema"] == ARCHIVE_SCHEMA
     assert manifest["name"] == "run1"
     assert manifest["meta"] == {"seed": 3}
-    entry = manifest["artifacts"]["trace.bin"]
+    assert sorted(manifest["artifacts"]) == ["cell.json", "spills/trace.bin"]
+    entry = manifest["artifacts"]["spills/trace.bin"]
     assert entry["kind"] == "trace_spill"
-    assert entry["bytes"] == 3
-    assert entry["sha256"] == hashlib.sha256(b"\x01\x02\x03").hexdigest()
-    assert "/" in entry["path"] and "\\" not in entry["path"]
-    assert resolve_artifact(manifest, "trace.bin") == str(blob)
+    assert entry["bytes"] == 11
+    assert entry["sha256"] == hashlib.sha256(
+        b"REPROTRC\x01\x02\x03").hexdigest()
+    assert entry["path"] == "spills/trace.bin"
+    assert manifest["artifacts"]["cell.json"]["kind"] == "json"
+    assert resolve_artifact(manifest, "spills/trace.bin") == str(blob)
     assert resolve_artifact(manifest, "cell.json") == str(root / "cell.json")
-
-
-def test_note_dedupes_paths_and_suffixes_name_collisions(tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    for sub in ("a", "b"):
-        (tmp_path / sub / "trace.bin").write_bytes(b"x")
-    archive = RunArchive(str(tmp_path / "arch"))
-    first = archive.note(str(tmp_path / "a" / "trace.bin"), "trace_spill")
-    again = archive.note(str(tmp_path / "a" / "trace.bin"), "json")
-    other = archive.note(str(tmp_path / "b" / "trace.bin"), "trace_spill")
-    assert first == again == "trace.bin"  # re-note updates kind in place
-    assert other == "trace.bin-2"
-    manifest = archive.manifest()
-    assert manifest["artifacts"]["trace.bin"]["kind"] == "json"
-    assert set(manifest["artifacts"]) == {"trace.bin", "trace.bin-2"}
 
 
 def test_manifest_skips_missing_files_and_write_is_deterministic(tmp_path):
     archive = RunArchive(str(tmp_path / "arch"), meta={"seed": 0})
-    archive.note(str(tmp_path / "never-written.bin"), "trace_spill")
     archive.write()
     first = (tmp_path / "arch" / MANIFEST_NAME).read_bytes()
-    archive.write()
+    archive.write()  # the manifest does not index itself
     assert (tmp_path / "arch" / MANIFEST_NAME).read_bytes() == first
     assert load_manifest(str(tmp_path / "arch"))["artifacts"] == {}
+
+
+@pytest.mark.parametrize("first_line, kind", [
+    ("key,time,value,count,sum", "sampler_csv"),
+    ("key,time,value", "text"),
+    ("# Experiment report — x", "report_md"),
+    ('{"schema": "repro.live/1"}', "live_feed"),
+    ('{"kind": "control"}', "flight_jsonl"),
+    ('{"kind": "metric"}\n{"kind": "metric"}', "text"),
+    ('{"meta": {"generator": "repro.obs.report"}}', "report_json"),
+    ('{"meta": {"generator": "elsewhere"}}', "json"),
+    ("[1,\n2]", "json"),
+    ("{ not json", "text"),
+    ("", "text"),
+])
+def test_artifact_kind_is_read_off_the_bytes(first_line, kind, tmp_path):
+    path = tmp_path / "artifact.bin"  # the name plays no part
+    path.write_text(first_line + "\n")
+    assert artifact_kind(str(path)) == kind
 
 
 def test_load_manifest_rejects_wrong_schema(tmp_path):
@@ -100,72 +104,44 @@ def test_attach_hooks_spill_and_detach_stops_collection(tmp_path):
     sim = Simulator(seed=11)
     archive = RunArchive(str(tmp_path / "arch"))
     assert archive.attach(sim) is archive
-    assert sim._run_archive is archive
     assert archive.meta["seed"] == 11  # defaulted from the simulator
 
     sim.trace.log("tick", n=1)
-    spill = str(tmp_path / "trace.spill")
-    sim.trace.spill_to(spill)  # TraceCollector self-registers
+    (tmp_path / "arch").mkdir()
+    sim.trace.spill_to(str(tmp_path / "arch" / "trace.spill"))
     manifest = archive.manifest()
     assert manifest["artifacts"]["trace.spill"]["kind"] == "trace_spill"
     assert manifest["meta"]["sim_time"] == sim.now
 
     archive.detach()
-    assert sim._run_archive is None
-    assert note_artifact(sim, spill, "trace_spill") is None  # no-op now
+    assert "sim_time" not in archive.manifest()["meta"]
 
 
-def test_env_attach_is_gated_and_idempotent(tmp_path, monkeypatch):
-    sim = Simulator(seed=2)
-    monkeypatch.delenv("REPRO_RUN_ARCHIVE", raising=False)
-    monkeypatch.delenv("REPRO_LIVE_FEED", raising=False)
-    assert attach_from_env(sim) is None
-
-    monkeypatch.setenv("REPRO_RUN_ARCHIVE", str(tmp_path / "arch"))
-    archive = attach_from_env(sim)
-    assert archive is not None and sim._run_archive is archive
-    assert attach_from_env(sim) is archive  # second run(): reused
-
-
-@pytest.mark.parametrize("first, second", [
-    ("REPRO_LIVE_FEED", "REPRO_RUN_ARCHIVE"),
-    ("REPRO_RUN_ARCHIVE", "REPRO_LIVE_FEED"),
-])
-def test_env_feed_lands_in_env_archive_whichever_comes_first(
-        first, second, tmp_path, monkeypatch):
-    values = {"REPRO_LIVE_FEED": str(tmp_path / "arch" / "feed.jsonl"),
-              "REPRO_RUN_ARCHIVE": str(tmp_path / "arch")}
-    monkeypatch.delenv(second, raising=False)
-    monkeypatch.setenv(first, values[first])
-    sim = Simulator(seed=2)
-    attach_from_env(sim)
-    monkeypatch.setenv(second, values[second])
-    archive = attach_from_env(sim)
-    sim._env_live_monitor.stop()
-    artifacts = load_manifest(archive.write())["artifacts"]
-    assert artifacts["feed.jsonl"]["kind"] == "live_feed"
-
-
-def test_experiment_run_writes_env_archive(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RUN_ARCHIVE", str(tmp_path / "arch"))
-    vini, exp = build_abilene_iias(seed=8)
-    exp.run(until=2.0)
-    manifest = load_manifest(str(tmp_path / "arch"))
-    meta = manifest["meta"]
-    assert meta["seed"] == 8
-    assert meta["sim_time"] == 2.0
-    assert meta["config_signature"] == experiment_signature(exp)
-    assert meta["events"] > 0
-
-    # The manifest is rewritten after every run() call...
-    vini.run(until=3.0)
-    meta = load_manifest(str(tmp_path / "arch"))["meta"]
-    assert meta["sim_time"] == 3.0
-    # ... and artifacts landing later still register:
-    spill = str(tmp_path / "arch" / "trace.spill")
-    vini.sim.trace.spill_to(spill)
-    vini.sim._run_archive.write()
-    assert "trace.spill" in load_manifest(str(tmp_path / "arch"))["artifacts"]
+def test_only_obs_knows_an_archive_exists():
+    """Below the observatory, ``src/repro`` imports only the registry
+    and the null flight recorder from ``repro.obs``, and nothing there
+    names the archive: writers write files, the archive finds them."""
+    allowed = {"repro.obs.metrics", "repro.obs.spans"}
+    imported, named = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("obs/") or rel == "__init__.py":
+            continue
+        text = path.read_text()
+        if "_run_archive" in text:
+            named.append(rel)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                # ``from repro import obs`` names repro.obs too.
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imported += [(rel, name) for name in names
+                         if name.split(".")[:2] == ["repro", "obs"]
+                         and ".".join(name.split(".")[:3]) not in allowed]
+    assert named == [] and imported == []
 
 
 def test_experiment_signature_tracks_topology_and_timetable():

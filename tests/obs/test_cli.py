@@ -10,6 +10,7 @@ input in ``test_query.py``, ``fig8`` in ``test_report.py`` and
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,97 @@ def test_bad_input_is_an_error_line_not_a_traceback(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+    assert "Traceback" not in err
+
+
+# One battery for the read verbs: each damage is paired with every verb
+# that reads the damaged bytes (``ls`` and ``perfetto`` read neither the
+# spill nor the series CSV; a record skipped by a kind filter is not
+# decoded, so an undefined field name in it goes unread).
+def _missing(root):
+    shutil.rmtree(root)
+    return str(root)
+
+
+def _wrong_schema(root):
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["schema"] = "repro.archive/999"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return "unsupported archive schema"
+
+
+def _truncated_spill(root):
+    spill = root / "trace.spill"
+    spill.write_bytes(spill.read_bytes()[:-1])  # cuts into the last record
+    return "truncated spill file"
+
+
+def _patch_first_record(root, offset, index):
+    """Write the u16 ``index`` at ``offset`` into the first record of
+    the spill (past the kind/name definition frames that precede it)."""
+    data = bytearray((root / "trace.spill").read_bytes())
+    at = len(b"REPROTRC\x01")
+    while data[at] in (0x01, 0x02):
+        at += 5 + struct.unpack_from("<H", data, at + 3)[0]
+    assert data[at] == 0x03
+    struct.pack_into("<H", data, at + offset, index)
+    (root / "trace.spill").write_bytes(bytes(data))
+
+
+def _undefined_kind(root):
+    _patch_first_record(root, 9, 7)  # past the tag and the f64 time
+    return "trace.spill: record uses undefined kind index 7"
+
+
+def _undefined_field(root):
+    _patch_first_record(root, 13, 999)  # the first field's name index
+    return "trace.spill: record uses undefined field name index 999"
+
+
+def _short_csv_row(root):
+    series = root / "series.csv"
+    lines = series.read_text().count("\n")
+    with open(series, "a") as handle:
+        handle.write("rtt,1.0,\n")
+    return f"series.csv:{lines + 1}: expected 5 fields, got 3"
+
+
+_READ_VERBS = {
+    "ls": lambda good, bad, out: ["ls", bad],
+    "q": lambda good, bad, out: ["q", bad, "trace.spill"],
+    "q-pushdown": lambda good, bad, out: [
+        "q", bad, "trace.spill", "--kind", "fault", "--cols", "action"],
+    "q-csv": lambda good, bad, out: ["q", bad, "series.csv"],
+    "diff": lambda good, bad, out: ["diff", good, bad],
+    "explain": lambda good, bad, out: ["explain", bad],
+    "perfetto": lambda good, bad, out: ["perfetto", bad, out],
+}
+_BATTERY = [
+    (damage, verb) for damage, verbs in (
+        (_missing, ("ls", "q", "diff", "explain", "perfetto")),
+        (_wrong_schema, ("ls", "q", "diff", "explain", "perfetto")),
+        (_truncated_spill, ("q", "q-pushdown", "diff", "explain")),
+        (_undefined_kind, ("q", "q-pushdown", "diff", "explain")),
+        (_undefined_field, ("q", "diff")),
+        (_short_csv_row, ("q-csv", "diff")),
+    ) for verb in verbs
+]
+
+
+@pytest.mark.parametrize(
+    "damage, verb", _BATTERY,
+    ids=[f"{damage.__name__.lstrip('_')}-{verb}" for damage, verb in _BATTERY])
+def test_read_verbs_refuse_bad_input_with_one_error_line(
+        damage, verb, archives, tmp_path, capsys):
+    root = tmp_path / "copy"
+    shutil.copytree(archives["a"], root)
+    names = damage(root)
+    argv = _READ_VERBS[verb](archives["a"], str(root),
+                             str(tmp_path / "out.json"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert names in err
     assert "Traceback" not in err
 
@@ -172,8 +264,10 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     vocabularies beside ``FaultAction`` (the experiment's event class and
     per-link scheduling methods, the spec's action table, the install
     target classes), and RIP, HTB, the Click configuration language, the
-    wire format and the Poisson and on/off sources: deleted, and not to
-    be documented back in."""
+    wire format and the Poisson and on/off sources, and the archive's
+    registration hook, its environment attaches, the metrics-JSONL
+    format and the in-place spill nudge: deleted, and not to be
+    documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -191,7 +285,10 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|Experiment[T]arget|Physical[T]arget"
         r"|RIP[D]aemon|configure_[r]ip|install_[h]tb|parse_click_[c]onfig"
         r"|click_[c]onfig|xorp_[c]onfig|internet_[c]hecksum|Ethernet[H]eader"
-        r"|Poisson[S]ource|OnOff[S]ource")
+        r"|Poisson[S]ource|OnOff[S]ource"
+        r"|attach_from_[e]nv|note_[a]rtifact|REPRO_RUN_[A]RCHIVE"
+        r"|REPRO_LIVE_[F]EED|export_[j]sonl|registry_[j]sonl|metrics_[j]sonl"
+        r"|nudge_[s]pill|sniff_[k]ind")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

@@ -2,7 +2,8 @@
 
 Three contracts:
 
-* same seed => byte-identical JSONL export of the registry;
+* same seed => byte-identical registry rows (the ``metrics`` section
+  of an experiment report);
 * a metrics-disabled world replays the golden Fig-8 failover trace
   byte-identically to a metrics-enabled one — instrumentation observes,
   it never perturbs;
@@ -11,12 +12,13 @@ Three contracts:
   pull-based; the loop itself is untouched).
 """
 
+import json
 import sys
 
 import pytest
 
 from repro.faults import FaultPlan
-from repro.obs import MetricsRegistry, registry_jsonl
+from repro.obs import MetricsRegistry
 from repro.sim import PeriodicTimer, Simulator, Timeout
 from repro.tools import IperfTCPClient, IperfTCPServer, Ping
 from repro.topologies import build_abilene_iias, build_deter
@@ -27,7 +29,7 @@ WARMUP = 40.0
 # ----------------------------------------------------------------------
 # Same seed => byte-identical export
 # ----------------------------------------------------------------------
-def _deter_jsonl(seed: int) -> str:
+def _deter_rows(seed: int) -> list:
     vini = build_deter(seed=seed)
     server = IperfTCPServer(vini.nodes["sink"])
     IperfTCPClient(
@@ -35,30 +37,27 @@ def _deter_jsonl(seed: int) -> str:
         streams=4, duration=0.5, server=server,
     ).start()
     vini.run(until=1.0)
-    return registry_jsonl(vini.sim.metrics, extra={"seed": seed})
+    return vini.sim.metrics.collect()
 
 
 @pytest.fixture(scope="module")
-def seed11_jsonl():
-    """One seed-11 export shared by the two tests below: each compares
+def seed11_rows():
+    """One seed-11 snapshot shared by the two tests below: each compares
     it with a run of its own."""
-    return _deter_jsonl(seed=11)
+    return _deter_rows(seed=11)
 
 
-def test_same_seed_exports_byte_identical_jsonl(seed11_jsonl):
-    first = seed11_jsonl
-    second = _deter_jsonl(seed=11)
-    assert first == second
-    assert "iperf.tcp.bytes_received" in first
-    assert "cpu.busy_seconds" in first
+def test_same_seed_exports_byte_identical_jsonl(seed11_rows):
+    first = json.dumps(seed11_rows, sort_keys=True)
+    assert json.dumps(_deter_rows(seed=11), sort_keys=True) == first
+    names = {row["name"] for row in seed11_rows}
+    assert "iperf.tcp.bytes_received" in names
+    assert "cpu.busy_seconds" in names
 
 
-def test_different_seed_changes_the_numbers_not_the_schema(seed11_jsonl):
-    import json
-
-    a = [json.loads(line) for line in seed11_jsonl.strip().split("\n")]
-    b = [json.loads(line) for line in _deter_jsonl(12).strip().split("\n")]
-    assert [(r["name"], r["labels"]) for r in a] == [
+def test_different_seed_changes_the_numbers_not_the_schema(seed11_rows):
+    b = _deter_rows(12)
+    assert [(r["name"], r["labels"]) for r in seed11_rows] == [
         (r["name"], r["labels"]) for r in b
     ]
 

@@ -1,66 +1,17 @@
-"""Unit tests for repro.obs.export: the registry JSONL exporter, series
-CSV, and commit detection."""
+"""Unit tests for repro.obs.export: series CSV, commit detection, and
+the histogram rows a registry snapshot carries."""
 
-import json
 import os
 
 from repro.obs import (
     MetricsRegistry,
     PeriodicSampler,
     detect_commit,
-    export_jsonl,
     export_series_csv,
-    registry_jsonl,
 )
-from repro.obs.query import read_metrics_jsonl
 from repro.sim import Simulator
 
 
-def _populated_registry():
-    reg = MetricsRegistry(enabled=True)
-    reg.counter("pkts", node="b").inc(3)
-    reg.counter("pkts", node="a").inc(1)
-    reg.gauge("depth", node="a").set(2.5)
-    h = reg.histogram("rtt", node="a")
-    for v in (0.076, 0.093, 0.076):
-        h.observe(v)
-    return reg
-
-
-def test_registry_jsonl_sorted_and_parseable():
-    text = registry_jsonl(_populated_registry())
-    lines = text.strip().split("\n")
-    rows = [json.loads(line) for line in lines]
-    names = [r["name"] for r in rows]
-    assert names == sorted(names)
-    (hist_row,) = [r for r in rows if r["type"] == "histogram"]
-    assert hist_row["count"] == 3
-    assert hist_row["min"] == 0.076
-
-
-def test_registry_jsonl_extra_fields_and_empty():
-    text = registry_jsonl(_populated_registry(), extra={"seed": 7})
-    assert all(json.loads(line)["seed"] == 7 for line in text.strip().split("\n"))
-    assert registry_jsonl(MetricsRegistry(enabled=True)) == ""
-
-
-def test_jsonl_export_is_byte_deterministic(tmp_path):
-    a = registry_jsonl(_populated_registry())
-    b = registry_jsonl(_populated_registry())
-    assert a == b
-    path = export_jsonl(_populated_registry(), str(tmp_path / "m.jsonl"))
-    with open(path) as handle:
-        assert handle.read() == a
-
-
-
-def test_exported_metrics_read_back_as_flat_rows(tmp_path):
-    path = export_jsonl(_populated_registry(), str(tmp_path / "m.jsonl"))
-    rows = list(read_metrics_jsonl(path))
-    assert [(r["name"], r["labels.node"]) for r in rows] == [
-        ("depth", "a"), ("pkts", "a"), ("pkts", "b"), ("rtt", "a")]
-    assert rows[2]["value"] == 3 and rows[3]["count"] == 3
-    assert {(r["t"], r["kind"]) for r in rows} == {(None, "metric")}
 def test_export_series_csv(tmp_path):
     sim = Simulator()
     counter = sim.metrics.counter("n")
@@ -114,6 +65,5 @@ def test_histogram_buckets_in_jsonl_and_csv():
     # Cumulative (Prometheus "le") semantics, +Inf carries the total.
     assert h.cumulative_buckets() == [
         [0.01, 1], [0.05, 3], [0.1, 3], ["+Inf", 4]]
-    (row,) = [json.loads(line) for line in
-              registry_jsonl(reg).strip().split("\n")]
+    (row,) = reg.collect()
     assert row["buckets"] == [[0.01, 1], [0.05, 3], [0.1, 3], ["+Inf", 4]]

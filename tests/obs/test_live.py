@@ -25,9 +25,7 @@ from repro.obs import (
     JsonlFeed,
     LiveMonitor,
     PeriodicSampler,
-    attach_from_env,
 )
-from repro.obs.archive import ENV_FEED
 from repro.obs.live import FEED_SCHEMA
 from repro.sim import Simulator
 from repro.tools import IperfTCPClient, IperfTCPServer
@@ -222,44 +220,6 @@ def test_same_seed_live_feed_is_byte_identical(seed11_feed):
 def test_different_seed_changes_feed_content(seed11_feed):
     b = _deter_feed(12)
     assert seed11_feed != b  # seed lands in the header and events differ
-
-
-# ----------------------------------------------------------------------
-# Env-driven attachment (REPRO_LIVE_FEED)
-# ----------------------------------------------------------------------
-def test_maybe_attach_env_monitor_absent_env_is_a_no_op(monkeypatch):
-    monkeypatch.delenv(ENV_FEED, raising=False)
-    monkeypatch.delenv("REPRO_RUN_ARCHIVE", raising=False)
-    sim = Simulator()
-    assert attach_from_env(sim) is None
-    assert getattr(sim, "_env_live_monitor", None) is None
-
-
-def test_maybe_attach_env_monitor_installs_once(tmp_path, monkeypatch):
-    path = str(tmp_path / "env_feed.jsonl")
-    monkeypatch.setenv(ENV_FEED, path)
-    sim = Simulator(seed=3)
-    attach_from_env(sim)
-    monitor = sim._env_live_monitor
-    assert monitor is not None
-    attach_from_env(sim)
-    assert sim._env_live_monitor is monitor  # idempotent
-    monitor.stop()
-    rows = [json.loads(line) for line in open(path)]
-    assert rows[0]["schema"] == FEED_SCHEMA and rows[0]["seed"] == 3
-
-
-def test_env_monitor_attaches_through_vini_run(tmp_path, monkeypatch):
-    path = str(tmp_path / "vini_feed.jsonl")
-    monkeypatch.setenv(ENV_FEED, path)
-    vini = build_deter(seed=2)
-    vini.run(until=0.5)
-    monitor = vini.sim._env_live_monitor
-    assert monitor is not None
-    monitor.stop()
-    rows = [json.loads(line) for line in open(path)]
-    assert rows[0]["schema"] == FEED_SCHEMA
-    assert rows[-1]["t"] == 0.5
 
 
 # ----------------------------------------------------------------------

@@ -17,12 +17,11 @@ from repro.obs.query import (
     diff_tables,
     explain_archive,
     flatten,
-    nudge_spill,
     open_artifact,
     read_live_feed,
     read_sampler_csv,
-    sniff_kind,
 )
+from repro.obs.archive import artifact_kind
 from repro.sim import Simulator
 from tests.obs.conftest import NUDGE_DT, NUDGE_INDEX
 
@@ -87,12 +86,19 @@ def test_diff_tables_reports_record_count_mismatch():
     assert divs[0].b == "<absent>"
 
 
-def test_nudge_spill_rejects_out_of_range_index(archives, tmp_path):
-    spill = ArchiveReader(archives["a"]).path("trace.spill")
-    copy = tmp_path / "copy.spill"
-    copy.write_bytes(open(spill, "rb").read())
-    with pytest.raises(IndexError, match="records"):
-        nudge_spill(str(copy), 10**6, 1.0)
+def test_nudge_spill_rejects_out_of_range_index(tmp_path, capsys):
+    """``fig8 --nudge-index`` past either end of the trace is refused
+    with one error line and status 2: a negative index is not applied
+    to a record counted from the end, and no archive is written."""
+    for index in ("1000000", "-1"):
+        out = tmp_path / f"nudge{index}"
+        argv = ["fig8", str(out), "--end", "5", "--nudge-index", index]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"nudge index {index} is out of range" in err
+        assert not (out / "trace.spill").exists()
+        assert not (out / "manifest.json").exists()
 
 
 # ----------------------------------------------------------------------
@@ -218,15 +224,21 @@ def test_live_feed_and_sampler_readers(archives):
 
 
 def test_sniff_kind_recognizes_every_fixture_artifact(archives):
+    """Every artifact's kind is read off its bytes alone, and the
+    manifest records the same kind."""
     reader = ArchiveReader(archives["a"])
-    for name, want in (
-        ("trace.spill", "trace_spill"),
-        ("live.jsonl", "live_feed"),
-        ("series.csv", "sampler_csv"),
-        ("flights.jsonl", "flight_jsonl"),
-        ("report.json", "json"),
-    ):
-        assert sniff_kind(reader.path(name)) == want
+    kinds = {
+        "trace.spill": "trace_spill",
+        "live.jsonl": "live_feed",
+        "series.csv": "sampler_csv",
+        "flights.jsonl": "flight_jsonl",
+        "report.json": "report_json",
+        "report.md": "report_md",
+    }
+    assert {name: reader.artifacts[name]["kind"]
+            for name in reader.names()} == kinds
+    for name, want in kinds.items():
+        assert artifact_kind(reader.path(name)) == want
 
 
 # ----------------------------------------------------------------------
