@@ -21,7 +21,7 @@ from repro.click.elements.basic import Counter, Discard, Paint, Tee
 from repro.click.elements.checkip import CheckIPHeader, DecIPTTL
 from repro.click.elements.classifier import IPClassifier
 from repro.click.elements.icmperror import ICMPErrorElement
-from repro.click.elements.lookup import LinearIPLookup, RadixIPLookup
+from repro.click.elements.lookup import RadixIPLookup
 from repro.click.elements.loss import LossElement
 from repro.click.elements.napt import NAPT
 from repro.click.elements.queue import Shaper
@@ -40,7 +40,6 @@ __all__ = [
     "FromTap",
     "ICMPErrorElement",
     "IPClassifier",
-    "LinearIPLookup",
     "LossElement",
     "NAPT",
     "Paint",

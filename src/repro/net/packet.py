@@ -194,7 +194,10 @@ def _outermost(header_type: Type[H]) -> property:
     """A read-only property: the first ``header_type`` in the stack, or None."""
 
     def get(self: "Packet") -> Optional[H]:
-        for header in self.headers:
+        headers = self.headers
+        if headers and headers[0].__class__ is header_type:
+            return headers[0]  # the usual case: nothing to skip
+        for header in headers:
             if isinstance(header, header_type):
                 return header
         return None

@@ -1,19 +1,21 @@
 """Longest-prefix-match radix trie.
 
-This is the data structure behind the Click ``RadixIPLookup`` element
-and the RIB. A path-compressed binary trie keyed on IPv4 prefixes:
-O(32) lookups independent of table size, unlike the per-packet list
-scan of Click's ``LinearIPLookup``.
+This is the data structure behind the Click ``RadixIPLookup`` element,
+the kernel FIB and the RIB. A path-compressed binary trie keyed on IPv4
+prefixes: O(32) lookups independent of table size.
 
 Lookups are the per-packet path, so they build nothing: a node that
 holds a route keeps its ``(Prefix, value)`` entry, made at ``insert``
 and dropped at ``remove``, and ``lookup_entry`` returns that tuple.
-Callers must treat the shared ``Prefix`` in it as read-only.
+Callers must treat the shared entry as read-only. A table is read per
+packet and written only when routing reconverges, so ``lookup_entry``
+also remembers its answer per address until the next ``insert``,
+``remove`` or ``clear``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.net.addr import MASKS, IPv4Address, Prefix, ip, prefix
 
@@ -53,6 +55,8 @@ class RadixTrie:
     def __init__(self):
         self._root = _Node(0, 0)
         self._count = 0
+        # address -> lookup_entry's answer, emptied by every write.
+        self._memo: Dict[int, Optional[Tuple[Prefix, Any]]] = {}
 
     def __len__(self) -> int:
         return self._count
@@ -70,6 +74,7 @@ class RadixTrie:
         if node.entry is None:
             self._count += 1
         node.entry = (pfx, value)
+        self._memo.clear()
 
     def _node_at(self, bits: int, plen: int) -> _Node:
         """The node for exactly ``bits/plen``, created when absent."""
@@ -103,11 +108,13 @@ class RadixTrie:
         value = node.entry[1]
         node.entry = None
         self._count -= 1
+        self._memo.clear()
         return value
 
     def clear(self) -> None:
         self._root = _Node(0, 0)
         self._count = 0
+        self._memo.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -149,6 +156,10 @@ class RadixTrie:
         self, addr: Union[int, str, IPv4Address]
     ) -> Optional[Tuple[Prefix, Any]]:
         """(prefix, value) of the longest match, or None."""
+        try:
+            return self._memo[addr]
+        except KeyError:
+            pass
         # ip(addr), inlined: this runs per packet per hop.
         value = addr if type(addr) is IPv4Address else IPv4Address(addr)
         node = self._root
@@ -159,6 +170,7 @@ class RadixTrie:
             # Bit ``plen`` from the top picks the child; the extra
             # shift makes a /32 read bit 32 = 0, and it has no children.
             node = node.children[(value << 1 >> (32 - node.plen)) & 1]
+        self._memo[value] = best
         return best
 
     def items(self) -> Iterator[Tuple[Prefix, Any]]:

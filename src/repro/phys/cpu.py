@@ -36,6 +36,7 @@ from typing import List, Optional, Set
 from repro.phys.process import Process, WorkItem
 from repro.sim.engine import Event, Simulator
 
+_INF = float("inf")
 
 def _order(process: Process):
     """Election order: least virtual runtime, ties to the process
@@ -144,12 +145,22 @@ class CPUScheduler:
 
     def wake(self, process: Process) -> None:
         """A process gained work; dispatch or preempt as policy allows."""
+        running = self._running
         if len(process.queue) == 1:
-            # Idle -> ready; a fair-share sleeper's credit is bounded.
+            # Idle -> ready; a fair-share sleeper's credit is bounded:
+            # it wakes at most wake_bonus before the least vruntime of
+            # the other fair-share processes ready or on the CPU.
             self._ready.add(process)
             if not process.realtime:
-                self._clamp_wakeup(process)
-        running = self._running
+                floor = _INF
+                for p in self._ready:
+                    if p.vruntime < floor and not p.realtime and p is not process:
+                        floor = p.vruntime
+                if (running is not None and running.vruntime < floor
+                        and not running.realtime and running is not process):
+                    floor = running.vruntime
+                if floor != _INF:
+                    process.vruntime = max(process.vruntime, floor - self.wake_bonus)
         if running is None:
             self._dispatch()
             return
@@ -183,37 +194,29 @@ class CPUScheduler:
             self._preempt()
             self._dispatch()
 
-    def _clamp_wakeup(self, process: Process) -> None:
-        floor = None
-        for p in (*self._ready, self._running):
-            if p is not None and p is not process and not p.realtime and (
-                    floor is None or p.vruntime < floor):
-                floor = p.vruntime
-        if floor is not None:
-            process.vruntime = max(process.vruntime, floor - self.wake_bonus)
-
     # ------------------------------------------------------------------
     # Usage accounting
     # ------------------------------------------------------------------
-    def _decay_usage(self, process: Process) -> None:
-        now = self.sim.now
-        dt = now - process._usage_stamp
-        if dt > 0:
-            process.usage_ewma *= math.exp(-dt / self.ewma_tau)
-            process._usage_stamp = now
-
     def _charge(self, process: Process, executed: float) -> None:
         """Account ``executed`` wall-seconds ending now to ``process``."""
         process.cpu_used += executed
         self.busy_time += executed
         process.vruntime += executed / process.share
-        self._decay_usage(process)
+        now = self.sim.now
+        dt = now - process._usage_stamp
+        if dt > 0:
+            process.usage_ewma *= math.exp(-dt / self.ewma_tau)
         process.usage_ewma += executed
-        process._usage_stamp = self.sim.now
+        process._usage_stamp = now
 
     def usage_fraction(self, process: Process) -> float:
-        """Recent CPU fraction used by ``process`` (EWMA over tau)."""
-        self._decay_usage(process)
+        """Recent CPU fraction used by ``process`` (EWMA over tau),
+        decayed to now."""
+        now = self.sim.now
+        dt = now - process._usage_stamp
+        if dt > 0:
+            process.usage_ewma *= math.exp(-dt / self.ewma_tau)
+            process._usage_stamp = now
         return min(1.0, process.usage_ewma / self.ewma_tau)
 
     # ------------------------------------------------------------------
@@ -228,80 +231,101 @@ class CPUScheduler:
         decay is not associative in floats, so *which* processes are
         asked at an election is part of the result: every ready process
         with a cap, always; the interactive and reservation bands only
-        once no real-time process is eligible.
+        once no real-time process is eligible. A sole ready process that
+        the scan would not ask is elected without it.
         """
         ready = self._ready
         if self._running is not None or not ready:
             return
-        usage, owner = self.usage_fraction, self._resume
-        rt = fair = None
-        drained = capped = ()
-        resume = reserved = False
-        least = 0.0  # fair's vruntime
-        for process in ready:
-            queue = process.queue
-            while queue and queue[0].cancelled:
-                queue.popleft()
-            if not queue:
-                drained += (process,)
-            elif process.cpu_cap is not None and usage(process) >= process.cpu_cap:
-                capped += (process,)
-            elif process.realtime:
-                if rt is None or _order(process) < _order(rt):
-                    rt = process
+        owner, process = self._resume, None
+        if len(ready) == 1 and self.interactive_threshold <= 0.0:
+            # A sole ready process wins whichever band it is in. Elect it
+            # directly unless the scan would read its usage: a cap, or a
+            # reservation it does not already resume through.
+            (process,) = ready
+            if process.cpu_cap is not None or not (
+                    process.realtime or process.reservation <= 0.0 or process is owner):
+                process = None
             else:
-                # _order(process) < _order(fair), spelt out: the one
-                # comparison every workload makes per ready process.
-                vruntime = process.vruntime
-                if fair is None or vruntime < least or (
-                        vruntime == least and process.index < fair.index):
-                    fair, least = process, vruntime
-                resume = resume or process is owner
-                reserved = reserved or process.reservation > 0.0
-        ready.difference_update(drained)
-        if rt is None and fair is None:
-            if capped:
-                # Non-work-conserving: everyone ready is at their cap.
-                # Idle until the first EWMA decays below its ceiling.
-                delay = min(
-                    self.ewma_tau
-                    * math.log(max(usage(p) / p.cpu_cap, 1.0 + 1e-9))
-                    for p in capped
-                )
-                self.sim.at(max(delay, 1e-6), self._dispatch)
-            return
-        process = rt
-        if process is None and self.interactive_threshold > 0.0:
-            band = [p for p in ready if p not in capped and self._interactive(p)]
-            if band:
-                process = min(band, key=_order)
-                if owner in band:
+                queue = process.queue
+                while queue and queue[0].cancelled:
+                    queue.popleft()
+                if not queue:
+                    ready.clear()
+                    return
+                if not process.realtime:
                     self._resume = None
         if process is None:
-            self._resume = None
-            if resume:
-                process = owner
-            elif reserved:
-                process = min(
-                    (p for p in ready if p not in capped
-                     and p.reservation > 0.0 and usage(p) < p.reservation),
-                    key=_order, default=fair)
-            else:
-                process = fair
+            usage = self.usage_fraction
+            rt = fair = None
+            drained = capped = ()
+            resume = reserved = False
+            least = 0.0  # fair's vruntime
+            for process in ready:
+                queue = process.queue
+                while queue and queue[0].cancelled:
+                    queue.popleft()
+                if not queue:
+                    drained += (process,)
+                elif process.cpu_cap is not None and usage(process) >= process.cpu_cap:
+                    capped += (process,)
+                elif process.realtime:
+                    if rt is None or _order(process) < _order(rt):
+                        rt = process
+                else:
+                    # _order(process) < _order(fair), spelt out: the one
+                    # comparison every workload makes per ready process.
+                    vruntime = process.vruntime
+                    if fair is None or vruntime < least or (
+                            vruntime == least and process.index < fair.index):
+                        fair, least = process, vruntime
+                    resume = resume or process is owner
+                    reserved = reserved or process.reservation > 0.0
+            ready.difference_update(drained)
+            if rt is None and fair is None:
+                if capped:
+                    # Non-work-conserving: everyone ready is at their cap.
+                    # Idle until the first EWMA decays below its ceiling.
+                    delay = min(
+                        self.ewma_tau
+                        * math.log(max(usage(p) / p.cpu_cap, 1.0 + 1e-9))
+                        for p in capped
+                    )
+                    self.sim.at(max(delay, 1e-6), self._dispatch)
+                return
+            process = rt
+            if process is None and self.interactive_threshold > 0.0:
+                band = [p for p in ready if p not in capped and self._interactive(p)]
+                if band:
+                    process = min(band, key=_order)
+                    if owner in band:
+                        self._resume = None
+            if process is None:
+                self._resume = None
+                if resume:
+                    process = owner
+                elif reserved:
+                    process = min(
+                        (p for p in ready if p not in capped
+                         and p.reservation > 0.0 and usage(p) < p.reservation),
+                        key=_order, default=fair)
+                else:
+                    process = fair
         item = process.queue.popleft()
         if not process.queue:
             ready.remove(process)
+        sim = self.sim
         if self._latency_hist is not None:
-            self._latency_hist.observe(self.sim.now - item.enqueued_at)
+            self._latency_hist.observe(sim.now - item.enqueued_at)
         if item.span_packet is not None:
             # Close the flight's cpu.wait (run-queue) stage: the work is
             # now on the CPU. The stage stays open across preemption, so
             # it covers execution plus any time spent preempted.
-            self.sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
+            sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
         self._running, self._item = process, item
-        self._started_at = self.sim.now
-        self._cost = item.cost / self.speed
-        self._event = self.sim.at(self._cost, self._complete)
+        self._started_at = sim.now
+        self._cost = cost = item.cost / self.speed
+        self._event = sim.at(cost, self._complete)
 
     def _complete(self) -> None:
         process, item = self._running, self._item
@@ -310,7 +334,8 @@ class CPUScheduler:
         self._charge(process, self._cost)
         if not item.cancelled:
             item.fn(*item.args)
-        self._dispatch()
+        if self._running is None and self._ready:
+            self._dispatch()
 
     def _preempt(self) -> None:
         """Stop the current (non-RT) item; requeue its remainder."""

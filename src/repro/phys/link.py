@@ -250,6 +250,7 @@ class Link:
             raise ValueError(f"negative delay {delay!r}")
         self.sim = sim
         self._channels = {}  # Interface -> _Channel (keyed by sender)
+        self._peer = {}  # sender -> receiver, once both ends attach
         self.bandwidth = bandwidth  # property: validates + resets memos
         self.delay = delay
         self.queue_bytes = queue_bytes
@@ -281,10 +282,11 @@ class Link:
             raise ValueError(f"link {self.name or id(self)} already has 2 endpoints")
         self.endpoints.append(interface)
         self._channels[interface] = _Channel(self.sim, self)
-        if not self.name and len(self.endpoints) == 2:
-            a, b = self.endpoints
-            self.name = f"{a.node.name}--{b.node.name}"
         if len(self.endpoints) == 2:
+            a, b = self.endpoints
+            self._peer = {a: b, b: a}
+            if not self.name:
+                self.name = f"{a.node.name}--{b.node.name}"
             self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -307,22 +309,19 @@ class Link:
             metrics.gauge("link.queue_pkts", fn=lambda c=c: len(c.queue), **labels)
 
     def other_end(self, interface: "Interface") -> "Interface":
-        a, b = self.endpoints
-        if interface is a:
-            return b
-        if interface is b:
-            return a
-        raise ValueError(f"{interface!r} is not attached to {self.name}")
+        try:
+            return self._peer[interface]
+        except KeyError:
+            raise ValueError(f"{interface!r} is not attached to {self.name}") from None
 
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
     def transmit(self, sender: "Interface", packet: Packet) -> bool:
         """Send ``packet`` from ``sender`` toward the other endpoint."""
-        if len(self.endpoints) != 2:
+        if not self._peer:
             raise RuntimeError(f"link {self.name} is not fully attached")
-        channel = self._channels[sender]
-        return channel.send(packet, self.other_end(sender))
+        return self._channels[sender].send(packet, self._peer[sender])
 
     # ------------------------------------------------------------------
     # Failure injection (the paper's controlled network events)

@@ -99,7 +99,8 @@ class Process:
         # scheduler may disambiguate duplicate names at registration).
         self.metric_label = name
         self.index = 0  # registration order on the CPU: its tie-break
-        node.cpu.register(self)
+        self.cpu = node.cpu
+        self.cpu.register(self)
 
     # ------------------------------------------------------------------
     def exec_after(
@@ -118,9 +119,10 @@ class Process:
         """
         if cost < 0:
             raise ValueError(f"negative CPU cost {cost!r}")
-        item = WorkItem(cost, fn, args, self.node.cpu.sim.now, span_packet)
+        cpu = self.cpu
+        item = WorkItem(cost, fn, args, cpu.sim.now, span_packet)
         self.queue.append(item)
-        self.node.cpu.wake(self)
+        cpu.wake(self)
         return item
 
     @property

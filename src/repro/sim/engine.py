@@ -9,10 +9,11 @@ seed produce byte-identical traces.
 The pending set is one binary heap of ``(time, seq, event)`` tuples.
 ``seq`` is a per-simulator counter bumped on every insertion, so events
 fire in strict ``(time, seq)`` order: by time, and among equal times in
-the order they were scheduled. Every insertion goes through
-:meth:`Simulator._push`, and ``run``, ``step`` and ``peek`` all find the
-next event through :meth:`Simulator._next`, so that order is decided in
-exactly two places.
+the order they were scheduled. Insertions go through
+:meth:`Simulator._push`, or its copy inlined in ``at`` (the per-packet
+path); ``step`` and ``peek`` find the next event through
+:meth:`Simulator._next`, and ``run`` reads the heap head inline the
+same way.
 
 Cancellation is lazy: a cancelled event stays in the heap as a corpse
 until it reaches the head, or until corpses exceed
@@ -171,7 +172,14 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self._push(Event(fn, args, self), self.now + delay)
+        # _push, inlined: a non-negative delay cannot reach the past.
+        event = Event(fn, args, self)
+        event.time = time = self.now + delay
+        event.queued = True
+        self._seq = seq = self._seq + 1
+        self._live += 1
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
 
     def call_soon(self, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at the current time, after pending events."""
@@ -224,8 +232,10 @@ class Simulator:
         return self._push(event, time)
 
     def _compact_heap(self) -> None:
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        # In place: ``run`` holds the list across callbacks that cancel.
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._heap_cancelled = 0
 
     # ------------------------------------------------------------------
@@ -246,19 +256,6 @@ class Simulator:
                 return event
         return None
 
-    def _fire(self, event: Event) -> None:
-        """Pop ``event`` (the heap head), advance the clock to it, re-arm
-        it if periodic, and run its callback."""
-        heapq.heappop(self._heap)
-        self.now = time = event.time
-        event.queued = False
-        self._live -= 1
-        if event.interval:
-            # Re-armed before the callback runs, so the callback can
-            # cancel its own series.
-            self._push(event, time + event.interval)
-        event.fn(*event.args)
-
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue.
 
@@ -271,14 +268,24 @@ class Simulator:
         self._running = True
         self._stopped = False
         bound = _INF if until is None else until
-        next_event = self._next
-        fire = self._fire
+        heap, heappop, push = self._heap, heapq.heappop, self._push
         try:
-            while not self._stopped:
-                event = next_event(bound)
-                if event is None:
+            # _next and step, inlined: this loop runs once per event.
+            while heap and not self._stopped:
+                time, _seq, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    self._heap_cancelled -= 1
+                    continue
+                if time > bound:
                     break
-                fire(event)
+                heappop(heap)
+                self.now = time
+                event.queued = False
+                self._live -= 1
+                if event.interval:
+                    push(event, time + event.interval)
+                event.fn(*event.args)
         finally:
             self._running = False
         # Only fast-forward when the queue genuinely drained up to
@@ -293,7 +300,15 @@ class Simulator:
         event = self._next()
         if event is None:
             return False
-        self._fire(event)
+        heapq.heappop(self._heap)
+        self.now = time = event.time
+        event.queued = False
+        self._live -= 1
+        if event.interval:
+            # Re-armed before the callback runs, so the callback can
+            # cancel its own series.
+            self._push(event, time + event.interval)
+        event.fn(*event.args)
         return True
 
     def stop(self) -> None:

@@ -11,7 +11,6 @@ from repro.click import (
     Element,
     EncapTable,
     IPClassifier,
-    LinearIPLookup,
     LossElement,
     Paint,
     RadixIPLookup,
@@ -131,7 +130,7 @@ class TestCheckIPAndTTL:
         assert router.drops == 1
 
 
-@pytest.mark.parametrize("lookup_cls", [RadixIPLookup, LinearIPLookup])
+@pytest.mark.parametrize("lookup_cls", [RadixIPLookup])
 class TestLookup:
     def test_longest_match_and_annotation(self, world, lookup_cls):
         sim, node, sliver, router = world

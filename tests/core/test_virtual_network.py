@@ -36,6 +36,12 @@ def build_line(n=3, realtime=True):
     return vini, exp
 
 
+def fib_next_hop(vnode, addr):
+    """(gw, output port) of the Click FIB's longest match, or None."""
+    found = vnode.lookup._trie.lookup_entry(addr)
+    return None if found is None else found[1]
+
+
 def overlay_udp(exp, src_name, dst_name, port=7000, payload=100):
     """Send a UDP datagram across the overlay; returns received list."""
     vini = exp.vini
@@ -70,7 +76,7 @@ class TestOverlayConvergence:
         exp.run(until=30.0)
         v0 = exp.network.nodes["v0"]
         v2 = exp.network.nodes["v2"]
-        entry = v0.lookup._lookup(v2.tap_addr)
+        entry = fib_next_hop(v0, v2.tap_addr)
         assert entry is not None
         gw, port = entry
         assert port == 0  # forward via encap
@@ -190,11 +196,11 @@ class TestVirtualLinkFailure:
         exp.run(until=30.0)
         a = exp.network.nodes["a"]
         d = exp.network.nodes["d"]
-        gw_before, _ = a.lookup._lookup(d.tap_addr)
+        gw_before, _ = fib_next_hop(a, d.tap_addr)
         assert gw_before == a.interfaces["to_b"].peer
         exp.network.fail_link("a", "b")
         vini.run(until=60.0)
-        found = a.lookup._lookup(d.tap_addr)
+        found = fib_next_hop(a, d.tap_addr)
         assert found is not None
         assert found[0] == a.interfaces["to_c"].peer
 
@@ -207,7 +213,7 @@ class TestVirtualLinkFailure:
         vini.run(until=100.0)
         a = exp.network.nodes["a"]
         d = exp.network.nodes["d"]
-        gw, _ = a.lookup._lookup(d.tap_addr)
+        gw, _ = fib_next_hop(a, d.tap_addr)
         assert gw == a.interfaces["to_b"].peer
 
     def test_experiment_timetable(self):
@@ -226,7 +232,7 @@ class TestVirtualLinkFailure:
         vini.run(until=60.0)
         a = exp.network.nodes["a"]
         d = exp.network.nodes["d"]
-        found = a.lookup._lookup(d.tap_addr)
+        found = fib_next_hop(a, d.tap_addr)
         assert found[0] == a.interfaces["to_c"].peer
 
     def test_upcalls_accelerate_physical_failure_detection(self):
@@ -238,7 +244,7 @@ class TestVirtualLinkFailure:
         vini.run(until=31.5)
         a = exp.network.nodes["a"]
         d = exp.network.nodes["d"]
-        found = a.lookup._lookup(d.tap_addr)
+        found = fib_next_hop(a, d.tap_addr)
         assert found is not None
         assert found[0] == a.interfaces["to_c"].peer
         assert exp.upcalls.upcalls_delivered >= 1

@@ -21,6 +21,12 @@ equal ``lookup_entry`` (the prefix too, not only the value), equal
 ``list(items())`` *in order* — the DFS order is what RIB dumps and the
 golden traces are made of, so the node structure must be the old one,
 structural nodes left by ``remove`` included.
+
+``lookup_entry`` also remembers its answer per address until the next
+write. Every address looked up so far is therefore looked up again
+after every operation: each such lookup is a memo hit across whatever
+insert, replace, remove or clear came in between, and must still equal
+the reference's fresh walk.
 """
 
 from typing import Any, Iterator, List, Optional, Tuple, Union
@@ -278,6 +284,7 @@ def outcome(fn, *args):
 def test_trie_equals_the_body_it_replaced(ops):
     want, got = ReferenceTrie(), RadixTrie()
     seen = [Prefix(0, 0)]
+    looked_up = []
     for op in ops:
         kind = op[0]
         if kind == "insert":
@@ -288,6 +295,7 @@ def test_trie_equals_the_body_it_replaced(ops):
             target = seen[op[1] % len(seen)] if isinstance(op[1], int) else op[1]
             assert outcome(got.remove, target) == outcome(want.remove, target)
         elif kind == "lookup":
+            looked_up.append(op[1])
             assert got.lookup_entry(op[1]) == want.lookup_entry(op[1])
             assert outcome(got.lookup, op[1]) == outcome(want.lookup, op[1])
         elif kind == "exact":
@@ -299,6 +307,8 @@ def test_trie_equals_the_body_it_replaced(ops):
             got.clear()
         assert len(got) == len(want)
         assert list(got.items()) == list(want.items())
+        for addr in looked_up:
+            assert got.lookup_entry(addr) == want.lookup_entry(addr)
     # Every address on either side of every prefix ever used.
     for pfx in seen:
         for addr in (pfx.network, pfx.broadcast,
@@ -318,3 +328,30 @@ def test_lookup_returns_the_stored_entry_and_accepts_what_ip_accepts():
         trie.lookup_entry(1 << 32)
     with pytest.raises(ValueError):
         trie.lookup_entry("10.1.2")
+
+
+def test_a_replaced_route_is_seen_by_an_address_already_answered():
+    trie = RadixTrie()
+    trie.insert("10.0.0.0/8", "old")
+    assert trie.lookup("10.1.2.3") == "old"
+    trie.insert("10.0.0.0/8", "new")
+    assert trie.lookup("10.1.2.3") == "new"
+    trie.insert("10.1.0.0/16", "longer")
+    assert trie.lookup_entry(ip("10.1.2.3")) == (Prefix.parse("10.1.0.0/16"), "longer")
+    trie.remove("10.1.0.0/16")
+    assert trie.lookup(0x0A010203) == "new"
+    trie.clear()
+    assert trie.lookup_entry("10.1.2.3") is None
+
+
+def test_bad_addresses_still_raise_after_memoized_lookups():
+    trie = RadixTrie()
+    trie.insert("0.0.0.0/0", "default")
+    for addr in (0, 0xFFFFFFFF, "10.1.2.3", ip("10.1.2.3")):
+        assert trie.lookup(addr) == "default"
+    with pytest.raises(ValueError):
+        trie.lookup_entry(1 << 32)
+    with pytest.raises(ValueError):
+        trie.lookup_entry("10.1.2")
+    with pytest.raises(ValueError):
+        trie.lookup_entry(-1)

@@ -17,7 +17,7 @@ of processes drifts in the last digits.
 import math
 from types import SimpleNamespace
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.phys.cpu import CPUScheduler
 from repro.phys.process import Process, WorkItem
@@ -308,11 +308,71 @@ def _play(make_cpu, on_cpu, kinds, script, threshold, nonpreempt):
     return log, state, cpu.busy_time, sim.now
 
 
+_BANDS = [{}, {"reservation": 0.25}, {"realtime": True}]
+
+
+def _alone(mask, threshold=0.0, extra=()):
+    """An example whose every election has the ``mask`` process alone."""
+    return example(kinds=_BANDS + list(extra), threshold=threshold, nonpreempt=3e-4,
+                   script=[(0.0, mask, 0.001, 0, 0.0), (0.1, mask, 0.001, 0, 0.0)])
+
+
 @battery(150)
 @given(**STRATEGIES)
+# The hand-offs from the sole-ready election to the scan, always drawn:
+@_alone(0b1000, extra=[{"cpu_cap": 0.2}])  # a cap
+@_alone(0b10)  # a reservation, not the resume owner
+@_alone(0b1, threshold=0.05)  # an interactive threshold
 def test_dispatch_sequence_and_accounting_match_reference(
         kinds, script, threshold, nonpreempt):
     new = _play(CPUScheduler, _on_cpu, kinds, script, threshold, nonpreempt)
     old = _play(ReferenceScheduler, ReferenceScheduler.on_cpu, kinds, script,
                 threshold, nonpreempt)
     assert new == old
+
+
+# A sole ready process is elected without the scan unless the scan would
+# read its usage, which decays the average and moves its stamp. One case
+# per hand-off: each election below has exactly one process ready, at an
+# instant after its last charge, so only a usage read moves the stamp.
+def _sole_elections(make_cpu, on_cpu, kind, threshold):
+    sim = Simulator(seed=5)
+    cpu = make_cpu(sim)
+    cpu.interactive_threshold = threshold
+    proc = Process(SimpleNamespace(name="n", cpu=cpu), "p", **kind)
+    seen = []
+    dispatch = cpu._dispatch
+
+    def recording():
+        before = on_cpu(cpu)
+        dispatch()
+        after = on_cpu(cpu)
+        if after and (not before or after[0] is not before[0]):
+            seen.append((sim.now, proc.usage_ewma, proc._usage_stamp))
+
+    cpu._dispatch = recording
+    for start in (0.0, 0.05, 0.3):
+        sim.schedule(start, proc.exec_after, 0.0005, lambda: None)
+    sim.run()
+    return seen
+
+
+def _assert_stamps_follow_the_rescan(kind, threshold):
+    new = _sole_elections(CPUScheduler, _on_cpu, kind, threshold)
+    old = _sole_elections(ReferenceScheduler, ReferenceScheduler.on_cpu,
+                          kind, threshold)
+    assert new == old
+    # The case reads usage at election: the last stamp is the election's.
+    assert len(new) == 3 and new[-1][2] == new[-1][0] == 0.3
+
+
+def test_sole_capped_process_is_elected_through_the_scan():
+    _assert_stamps_follow_the_rescan({"cpu_cap": 0.2}, 0.0)
+
+
+def test_sole_reserved_process_not_resuming_is_elected_through_the_scan():
+    _assert_stamps_follow_the_rescan({"reservation": 0.25}, 0.0)
+
+
+def test_sole_process_under_an_interactive_threshold_is_elected_through_the_scan():
+    _assert_stamps_follow_the_rescan({}, 0.05)

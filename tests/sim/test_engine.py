@@ -244,6 +244,33 @@ def test_cancelled_heap_entries_are_compacted():
     assert sim.pending == 100
 
 
+def test_compaction_inside_run_keeps_time_seq_order():
+    # A callback's cancels compact the heap while run() is draining it;
+    # the events queued before and after the compaction must all fire,
+    # in (time, seq) order.
+    sim = Simulator()
+    fired = []
+    doomed = [sim.at(5.0 + i * 0.001, fired.append, "doomed") for i in range(400)]
+    instants = [2.0 + i * 0.01 for i in range(50)]
+    # Several events per instant, so equal times are decided by seq.
+    for when in instants:
+        sim.schedule(when, fired.append, (when, "a"))
+        sim.schedule(when, fired.append, (when, "b"))
+
+    def cancel_all():
+        for event in doomed:
+            event.cancel()
+        fired.append(("corpses left", sim._heap_cancelled))
+        for when in reversed(instants):
+            sim.schedule(when, fired.append, (when, "c"))
+
+    sim.at(1.0, cancel_all)
+    sim.run()
+    assert fired[0][0] == "corpses left" and fired[0][1] < len(doomed)
+    assert fired[1:] == [(when, tag) for when in instants for tag in "abc"]
+    assert sim.pending == 0 and sim.now == instants[-1]
+
+
 def test_events_beyond_wheel_horizon_fire_in_order():
     sim = Simulator()
     order = []

@@ -10,9 +10,10 @@ stop / step / peek interleavings) and the fire log must be *exactly*
 identical — same tags, same float times — on both.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.sim import Simulator
+from tests.conftest import battery
 
 
 class _Handle:
@@ -216,7 +217,7 @@ def _run_workload_stop_step(sim, spec, chunks, stops, steps):
     return log
 
 
-@settings(max_examples=60, deadline=None)
+@battery(60)
 @given(spec=_workload, chunks=_chunks)
 def test_fire_order_identical_across_timer_structures(spec, chunks):
     assert (_run_workload(Simulator(seed=7), spec, chunks)
@@ -228,7 +229,7 @@ _stops = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
                   max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
+@battery(60)
 @given(spec=_workload, chunks=_chunks, stops=_stops,
        steps=st.integers(min_value=0, max_value=4))
 def test_stop_step_interleaving_identical_across_structures(spec, chunks,
