@@ -21,6 +21,11 @@ from repro.click.element import Element
 from repro.net.addr import IPv4Address, ip
 from repro.net.packet import Packet, PROTO_TCP, PROTO_UDP
 
+#: The public ports an egress translates to: NAPT_PORT_COUNT of them from
+#: NAPT_PORT_BASE, each reserved through VNET when first used.
+NAPT_PORT_BASE = 50000
+NAPT_PORT_COUNT = 4096
+
 
 class NAPT(Element):
     """Network address and port translator.
@@ -30,16 +35,9 @@ class NAPT(Element):
       input 1 / output 1: inbound (Internet -> overlay)
     """
 
-    def __init__(
-        self,
-        public_addr: Union[str, IPv4Address],
-        port_base: int = 50000,
-        port_count: int = 4096,
-    ):
+    def __init__(self, public_addr: Union[str, IPv4Address]):
         super().__init__(n_outputs=2)
         self.public_addr = ip(public_addr)
-        self.port_base = port_base
-        self.port_count = port_count
         # (proto, private_addr, private_port, remote_addr, remote_port)
         #   -> public port
         self._forward: Dict[Tuple[int, int, int, int, int], int] = {}
@@ -76,8 +74,7 @@ class NAPT(Element):
         existing = self._forward.get(key)
         if existing is not None:
             return existing
-        for offset in range(self.port_count):
-            port = self.port_base + offset
+        for port in range(NAPT_PORT_BASE, NAPT_PORT_BASE + NAPT_PORT_COUNT):
             if (proto, port) in self._reverse:
                 continue
             try:

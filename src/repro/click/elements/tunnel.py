@@ -21,6 +21,10 @@ from repro.click.element import Element
 from repro.net.addr import IPv4Address, ip
 from repro.net.packet import OpaquePayload, Packet
 
+#: Receive buffer of every tunnel socket: tuned up from the socket
+#: default, as deployments do for tunnels.
+TUNNEL_RCVBUF = 256 * 1024
+
 
 class UDPTunnel(Element):
     """One point-to-point UDP tunnel to a neighboring overlay node."""
@@ -35,14 +39,13 @@ class UDPTunnel(Element):
         self.remote_addr = ip(remote_addr)
         self.remote_port = remote_port
         self.local_port = local_port
-        self.rcvbuf = 256 * 1024  # tuned up, as deployments do for tunnels
         self.sock = None
         self.tx_packets = 0
         self.rx_packets = 0
         self._sendto = None  # hot-path binding, made at initialize
 
     def initialize(self) -> None:
-        self.sock = self.router.udp_socket(port=self.local_port, rcvbuf=self.rcvbuf)
+        self.sock = self.router.udp_socket(port=self.local_port, rcvbuf=TUNNEL_RCVBUF)
         self.sock.on_receive = self._incoming
         self._sendto = self.sock.sendto
         metrics = self.router.sim.metrics

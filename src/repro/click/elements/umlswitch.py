@@ -29,9 +29,8 @@ UML_CROSSING_COST = 30.0e-6
 class UMLSwitch(Element):
     """Bidirectional adapter between Click and the UML control plane."""
 
-    def __init__(self, control_cost: float = UML_CROSSING_COST):
+    def __init__(self):
         super().__init__(n_outputs=1)
-        self.control_cost = control_cost
         self.control_process: Optional[Process] = None
         self.control_handler: Optional[Callable[[Packet], None]] = None
         self.up_packets = 0
@@ -51,7 +50,7 @@ class UMLSwitch(Element):
             return
         self.up_packets += 1
         self.control_process.exec_after(
-            self.control_cost, self.control_handler, packet
+            UML_CROSSING_COST, self.control_handler, packet
         )
 
     def inject(self, packet: Packet) -> None:

@@ -17,9 +17,9 @@ from repro.click.element import Element
 from repro.net.packet import Packet
 from repro.phys.node import PhysicalNode
 from repro.phys.process import Process
-from repro.phys.sockets import UDPSocket
+from repro.phys.sockets import DEFAULT_RCVBUF, UDPSocket
 
-# Defaults calibrated against Table 2 (195 Mb/s CPU-bound at ~60 us per
+# Calibrated against Table 2 (195 Mb/s CPU-bound at ~60 us per
 # 1458-byte packet) and Table 3 (~130 us extra RTT for 84-byte pings
 # crossing six Click traversals).
 SYSCALL_COST = 5.0e-6
@@ -30,15 +30,7 @@ COPY_COST_PER_BYTE = 12.0e-9
 class ClickRouter:
     """One Click instance: an element graph bound to a process."""
 
-    def __init__(
-        self,
-        node: PhysicalNode,
-        process: Process,
-        name: str = "click",
-        syscall_cost: float = SYSCALL_COST,
-        syscalls_per_packet: int = SYSCALLS_PER_PACKET,
-        copy_cost_per_byte: float = COPY_COST_PER_BYTE,
-    ):
+    def __init__(self, node: PhysicalNode, process: Process, name: str = "click"):
         self.node = node
         self.process = process
         self.name = name
@@ -46,13 +38,12 @@ class ClickRouter:
         # Per-packet cost depends only on wire length; real traffic
         # uses a handful of sizes, so costs are memoized per length
         # (the cached value is the exact original expression — float
-        # identity is what keeps traces byte-identical). The cost
-        # parameters are properties that clear the memo on assignment
-        # so reconfiguring a running router can't serve stale costs.
+        # identity is what keeps traces byte-identical). The syscall
+        # cost, which the syscall_cost ablation sweeps, is a property
+        # that clears the memo on assignment so a reconfigured router
+        # can't serve stale costs.
         self._cost_cache: Dict[int, float] = {}
-        self.syscall_cost = syscall_cost
-        self.syscalls_per_packet = syscalls_per_packet
-        self.copy_cost_per_byte = copy_cost_per_byte
+        self._syscall_cost = SYSCALL_COST
         self.elements: Dict[str, Element] = {}
         self.drops = 0
         self._initialized = False
@@ -69,32 +60,14 @@ class ClickRouter:
         self._syscall_cost = value
         self._cost_cache.clear()
 
-    @property
-    def syscalls_per_packet(self) -> int:
-        return self._syscalls_per_packet
-
-    @syscalls_per_packet.setter
-    def syscalls_per_packet(self, value: int) -> None:
-        self._syscalls_per_packet = value
-        self._cost_cache.clear()
-
-    @property
-    def copy_cost_per_byte(self) -> float:
-        return self._copy_cost_per_byte
-
-    @copy_cost_per_byte.setter
-    def copy_cost_per_byte(self, value: float) -> None:
-        self._copy_cost_per_byte = value
-        self._cost_cache.clear()
-
     def per_packet_cost(self, packet: Packet) -> float:
         """CPU seconds to move one packet through this Click process."""
         wire_len = packet.wire_len
         cost = self._cost_cache.get(wire_len)
         if cost is None:
             cost = (
-                self.syscall_cost * self.syscalls_per_packet
-                + self.copy_cost_per_byte * wire_len
+                self.syscall_cost * SYSCALLS_PER_PACKET
+                + COPY_COST_PER_BYTE * wire_len
             )
             self._cost_cache[wire_len] = cost
         return cost
@@ -127,7 +100,7 @@ class ClickRouter:
     def udp_socket(
         self,
         port: Optional[int] = None,
-        rcvbuf: int = 128 * 1024,
+        rcvbuf: int = DEFAULT_RCVBUF,
         local_addr=None,
     ) -> UDPSocket:
         """A UDP socket read by this Click process (tunnel endpoint)."""

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple, Union
 from repro.core.infrastructure import VINI
 from repro.core.upcalls import UpcallDispatcher
 from repro.core.virtual_network import VirtualLink, VirtualNetwork, VirtualNode
+from repro.phys.vserver import OVERLAY_PREFIX
 
 
 class Experiment:
@@ -32,9 +33,8 @@ class Experiment:
         cpu_reservation: float = 0.0,
         realtime: bool = False,
         cpu_cap=None,
-        tap_route_prefix: str = "10.0.0.0/8",
+        tap_route_prefix: str = OVERLAY_PREFIX,
         tap_block: Optional[str] = None,
-        link_block: Optional[str] = None,
     ):
         self.vini = vini
         self.sim = vini.sim
@@ -46,14 +46,10 @@ class Experiment:
             realtime=realtime,
             cpu_cap=cpu_cap,
         )
-        # tap/link blocks default inside VirtualNetwork; large topologies
+        # The tap block defaults inside VirtualNetwork; large topologies
         # (the internet zoo's ~1000 routers overflow the default /16 tap
-        # block) pass wider ones through.
-        net_kwargs = {}
-        if tap_block is not None:
-            net_kwargs["tap_block"] = tap_block
-        if link_block is not None:
-            net_kwargs["link_block"] = link_block
+        # block) pass a wider one through.
+        net_kwargs = {} if tap_block is None else {"tap_block": tap_block}
         self.network = VirtualNetwork(
             self.sim, self.slice, tap_route_prefix=tap_route_prefix, **net_kwargs
         )

@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import networkx as nx
 
 from repro.net.addr import Prefix, prefix
-from repro.phys.link import Link
+from repro.phys.link import DEFAULT_BANDWIDTH, Link
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.vserver import Slice
 from repro.sim.engine import Simulator
@@ -53,7 +53,7 @@ class VINI:
         self,
         a: str,
         b: str,
-        bandwidth: float = 1_000_000_000,
+        bandwidth: float = DEFAULT_BANDWIDTH,
         delay: float = 0.001,
         queue_bytes: int = 256 * 1024,
     ) -> Link:
@@ -78,33 +78,17 @@ class VINI:
     # ------------------------------------------------------------------
     # Underlying IP routing
     # ------------------------------------------------------------------
-    def install_underlay_routes(self, reroute_on_failure: bool = False) -> None:
+    def install_underlay_routes(self) -> None:
         """Give every node a route to every other node's addresses.
 
         Static shortest paths (by propagation delay) — the "underlying
         IP network" that carries tunnel packets between non-adjacent
-        VINI nodes. With ``reroute_on_failure`` the routes are
-        recomputed when a physical link fails or recovers, modeling the
-        masking behavior Section 3.1 warns about; the default leaves
-        routes static so failures are exposed, which is what VINI
-        wants for fate sharing.
+        VINI nodes. The routes stay static when a physical link fails,
+        so failures are exposed to the experiments above instead of
+        masked (the rerouting Section 3.1 warns about): fate sharing is
+        what VINI wants.
         """
-        self._compute_routes()
-        if reroute_on_failure:
-            for link in self.links.values():
-                link.observe(lambda _link, _up: self._compute_routes())
-
-    def _graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
-        for (a, b), link in self.links.items():
-            if link.up:
-                graph.add_edge(a, b, weight=max(link.delay, 1e-9), link=link)
-        return graph
-
-    def _compute_routes(self) -> None:
-        graph = self._graph()
-        paths = dict(nx.all_pairs_dijkstra_path(graph))
+        paths = dict(nx.all_pairs_dijkstra_path(self._graph()))
         for src_name, node in self.nodes.items():
             reachable = paths.get(src_name, {})
             for dst_name, path in reachable.items():
@@ -126,6 +110,14 @@ class VINI:
                     if existing is not None and existing.interface is out_iface:
                         continue
                     node.add_route(host_route, interface=out_iface)
+
+    def _graph(self) -> nx.Graph:
+        graph = nx.Graph()
+        graph.add_nodes_from(self.nodes)
+        for (a, b), link in self.links.items():
+            if link.up:
+                graph.add_edge(a, b, weight=max(link.delay, 1e-9), link=link)
+        return graph
 
     # ------------------------------------------------------------------
     # Slices

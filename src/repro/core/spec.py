@@ -62,6 +62,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
 from repro.faults.plan import FaultAction, FaultPlan, UnsupportedFault
+from repro.phys.vserver import OVERLAY_PREFIX
 
 _ROUTING_KEYS = {
     "ospf": ("hello_interval", "dead_interval"),
@@ -134,7 +135,7 @@ def build_experiment(
         cpu_reservation=slice_spec.get("cpu_reservation", 0.0),
         realtime=slice_spec.get("realtime", False),
         cpu_cap=slice_spec.get("cpu_cap"),
-        tap_route_prefix=spec.get("tap_route_prefix", "10.0.0.0/8"),
+        tap_route_prefix=spec.get("tap_route_prefix", OVERLAY_PREFIX),
     )
     if "topology" not in spec:
         raise SpecError("spec has no 'topology' section")

@@ -23,7 +23,7 @@ each experiment an arbitrary topology on a fixed infrastructure:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.click import (
     CheckIPHeader,
@@ -46,7 +46,7 @@ from repro.net.addr import IPv4Address, Prefix, ip, prefix
 from repro.net.packet import ICMP_TIME_EXCEEDED, Packet
 from repro.phys.link import Link
 from repro.phys.node import PhysicalNode
-from repro.phys.vserver import Slice, Sliver
+from repro.phys.vserver import OVERLAY_PREFIX, Slice, Sliver
 from repro.routing.platform import FEA, RouterInterface, RoutingPlatform
 from repro.routing.xorp import XORPRouter
 from repro.sim.engine import Simulator
@@ -54,6 +54,11 @@ from repro.sim.engine import Simulator
 FIB_FORWARD = 0  # lookup output: via the encap table to a tunnel
 FIB_LOCAL = 1  # lookup output: to the tap device (local delivery)
 FIB_EGRESS = 2  # lookup output: NAPT to the real Internet
+
+#: Virtual-link /30s are numbered from this block.
+LINK_BLOCK = "10.254.0.0/16"
+#: Tunnel UDP ports are taken from the first free one at or above this.
+TUNNEL_PORT_BASE = 33000
 
 
 class IIASFEA(FEA):
@@ -372,11 +377,8 @@ class VirtualNetwork:
         self,
         sim: Simulator,
         slice_: Slice,
-        tap_route_prefix: Union[str, Prefix] = "10.0.0.0/8",
+        tap_route_prefix: Union[str, Prefix] = OVERLAY_PREFIX,
         tap_block: Union[str, Prefix] = "10.0.0.0/16",
-        link_block: Union[str, Prefix] = "10.254.0.0/16",
-        tunnel_port_base: int = 33000,
-        tunnel_rcvbuf: int = 256 * 1024,
     ):
         self.sim = sim
         self.slice = slice_
@@ -384,10 +386,7 @@ class VirtualNetwork:
         self._tap_hosts = iter(
             Prefix(p.network, 24).host(2) for p in prefix(tap_block).subnets(24)
         )
-        self._link_subnets = prefix(link_block).subnets(30)
-        self._tunnel_ports: Dict[str, int] = {}
-        self._port_base = tunnel_port_base
-        self.tunnel_rcvbuf = tunnel_rcvbuf
+        self._link_subnets = prefix(LINK_BLOCK).subnets(30)
         self.nodes: Dict[str, VirtualNode] = {}
         self.links: List[VirtualLink] = []
         self._started = False
@@ -418,7 +417,7 @@ class VirtualNetwork:
     def _alloc_port(self, phys_node: PhysicalNode) -> int:
         from repro.net.packet import PROTO_UDP
 
-        return phys_node.vnet.preallocate(PROTO_UDP, start=self._port_base)
+        return phys_node.vnet.preallocate(PROTO_UDP, start=TUNNEL_PORT_BASE)
 
     def connect(
         self,
@@ -463,7 +462,6 @@ class VirtualNetwork:
             f"tun_{ifname}",
             UDPTunnel(remote_phys.address, remote_port, local_port),
         )
-        tunnel.rcvbuf = self.tunnel_rcvbuf
         loss = click.add(f"loss_{ifname}", LossElement())
         paint = click.add(f"paint_{ifname}", Paint(ifname))
         # encap[new port] -> loss -> (shaper ->) tunnel -> paint -> demux
@@ -502,15 +500,9 @@ class VirtualNetwork:
     def recover_link(self, a: str, b: str) -> None:
         self.link_between(a, b).recover()
 
-    def configure_ospf(self, weights: Optional[Dict[Tuple[str, str], int]] = None, **kwargs) -> None:
-        """Configure OSPF on every virtual node (link costs already set
-        per-link; ``weights`` may override by node-name pair)."""
-        if weights:
-            for (a, b), cost in weights.items():
-                vlink = self.link_between(a, b)
-                vlink.cost = cost
-                vlink.interface_on(vlink.a).cost = cost
-                vlink.interface_on(vlink.b).cost = cost
+    def configure_ospf(self, **kwargs) -> None:
+        """Configure OSPF on every virtual node, with the link costs each
+        virtual link was created with."""
         for vnode in self.nodes.values():
             vnode.configure_ospf(**kwargs)
 

@@ -31,7 +31,7 @@ a report reads "loop between a and b — after 'fail denver=kansascity'".
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Forwarding observations per packet uid beyond which we declare a
 #: loop: no IPv4 TTL admits more hops than this.
@@ -72,14 +72,13 @@ class InvariantChecker:
         checker.assert_clean()
 
     ``install()`` enables the quiet per-hop trace kind and registers
-    RIB listeners; until then the checker costs nothing. An optional
-    ``interval`` schedules periodic structural sweeps — use it only for
-    scenarios that are expected to stay converged, since transient
-    OSPF micro-loops mid-convergence are real (and reported).
+    RIB listeners; until then the checker costs nothing. Structural
+    sweeps run when asked (``check_now``), at a point the caller knows
+    to be converged: transient OSPF micro-loops mid-convergence are
+    real, and a sweep then would report them.
     """
 
-    def __init__(self, target, interval: Optional[float] = None,
-                 ttl_guard: bool = True):
+    def __init__(self, target):
         self.network, self.vini = _split_target(target)
         if self.network is not None:
             self.sim = self.network.sim
@@ -90,8 +89,6 @@ class InvariantChecker:
                 f"cannot check {type(target).__name__}; expected an "
                 "Experiment, VirtualNetwork, or VINI"
             )
-        self.interval = interval
-        self.ttl_guard = ttl_guard
         self.violations: List[Violation] = []
         self._context = ""
         self._ttl_seen: Dict[int, Tuple[int, int]] = {}  # uid -> (ttl, hops)
@@ -107,16 +104,13 @@ class InvariantChecker:
         trace = self.sim.trace
         for kind in ("fault", "link_state", "vlink_state", "node_state"):
             trace.subscribe(kind, self._note_context)
-        if self.ttl_guard:
-            trace.enable("fwd")
-            trace.subscribe("fwd", self._on_fwd)
+        trace.enable("fwd")
+        trace.subscribe("fwd", self._on_fwd)
         if self.network is not None:
             for vnode in self.network.nodes.values():
                 vnode.xorp.rib.on_change(
                     lambda pfx, route, vn=vnode: self._on_rib_change(vn, pfx)
                 )
-        if self.interval is not None:
-            self.sim.schedule_periodic(self.interval, self.check_now)
         return self
 
     def _note_context(self, record) -> None:

@@ -247,7 +247,6 @@ class TCPConnection:
         scope: Optional[str],
         rcvbuf: int = DEFAULT_RCVBUF,
         sliver=None,
-        mss: int = MSS,
     ):
         self.stack = stack
         self.node = stack.node
@@ -259,16 +258,15 @@ class TCPConnection:
         self.rport = rport
         self.scope = scope
         self.sliver = sliver
-        self.mss = mss
         self.state = CLOSED
         # --- send side ---
         self.snd_una = 0  # oldest unacknowledged byte
         self.snd_nxt = 0  # next byte to send
         self.snd_buf = 0  # bytes the app has queued beyond snd_nxt
         self.snd_buf_limit = 256 * 1024
-        self.cwnd = float(INITIAL_CWND_SEGMENTS * mss)
+        self.cwnd = float(INITIAL_CWND_SEGMENTS * MSS)
         self.ssthresh = float(1 << 30)
-        self.peer_rwnd = mss
+        self.peer_rwnd = MSS
         self.dup_acks = 0
         self.in_recovery = False
         self.recover = 0
@@ -294,11 +292,6 @@ class TCPConnection:
         self._delack_event = None
         self.bytes_received = 0
         self.bytes_acked = 0
-        # 1-in-N data-segment flight sampling (0 = off): long transfers
-        # get representative end-to-end span traces without retaining a
-        # flight per segment.
-        self.flight_sample = 0
-        self._data_emitted = 0
         self.fin_sent = False
         self.fin_received = False
         self._fin_pending = False
@@ -346,18 +339,6 @@ class TCPConnection:
             payload=OpaquePayload(payload_len, tag=tag),
             created_at=self.sim.now,
         )
-        if tag == "data":
-            n = self.flight_sample
-            if n:
-                self._data_emitted += 1
-                if (self._data_emitted - 1) % n == 0:
-                    fr = self.sim.flight
-                    if fr.enabled:
-                        fr.flight_begin(
-                            segment, "tcp.data", node=self.node.name,
-                            stage="tcp.send", seq=seq,
-                            dst=str(self.raddr), sample=n,
-                        )
         self.node.ip_output(segment, sliver=self.sliver)
 
     def _send_ack(self) -> None:
@@ -375,7 +356,7 @@ class TCPConnection:
         window delayed-ACK stall for window-limited transfers.
         """
         self._segs_unacked += 1
-        if self._segs_unacked >= 2 or (0 < payload_len < self.mss):
+        if self._segs_unacked >= 2 or (0 < payload_len < MSS):
             self._send_ack()
             return
         if self._delack_event is None:
@@ -437,7 +418,7 @@ class TCPConnection:
             return
         while self.snd_buf > 0 and self.flight_size < self._window():
             chunk = min(
-                self.mss,
+                MSS,
                 self.snd_buf,
                 self._window() - self.flight_size,
             )
@@ -513,8 +494,8 @@ class TCPConnection:
             return
         # Timeout: collapse to slow start (this is the mechanism behind
         # Fig. 9's stall-and-restart during the routing outage).
-        self.ssthresh = max(self.flight_size / 2.0, 2.0 * self.mss)
-        self.cwnd = float(self.mss)
+        self.ssthresh = max(self.flight_size / 2.0, 2.0 * MSS)
+        self.cwnd = float(MSS)
         self.dup_acks = 0
         self.in_recovery = False
         self._rtt_seq = None  # Karn: do not time retransmitted segments
@@ -527,7 +508,7 @@ class TCPConnection:
             self.retransmits += 1
             self.stack.total_retransmits += 1
             return
-        chunk = min(self.mss, self.snd_nxt - self.snd_una)
+        chunk = min(MSS, self.snd_nxt - self.snd_una)
         if chunk <= 0:
             return
         self.retransmits += 1
@@ -607,9 +588,9 @@ class TCPConnection:
                     self._retransmit_one()
             else:
                 if self.cwnd < self.ssthresh:
-                    self.cwnd += min(newly_acked, self.mss)  # slow start
+                    self.cwnd += min(newly_acked, MSS)  # slow start
                 else:
-                    self.cwnd += self.mss * self.mss / self.cwnd  # AIMD
+                    self.cwnd += MSS * MSS / self.cwnd  # AIMD
             if self.snd_una == self.snd_nxt:
                 self._cancel_rto()
                 if self.fin_sent and self.fin_received:
@@ -626,11 +607,11 @@ class TCPConnection:
                 # Fast retransmit + fast recovery.
                 self.in_recovery = True
                 self.recover = self.snd_nxt
-                self.ssthresh = max(self.flight_size / 2.0, 2.0 * self.mss)
-                self.cwnd = self.ssthresh + 3 * self.mss
+                self.ssthresh = max(self.flight_size / 2.0, 2.0 * MSS)
+                self.cwnd = self.ssthresh + 3 * MSS
                 self._retransmit_one()
             elif self.in_recovery:
-                self.cwnd += self.mss  # window inflation
+                self.cwnd += MSS  # window inflation
                 self._try_send()
 
     def _rtt_sample(self, rtt: float) -> None:
@@ -711,5 +692,5 @@ class TCPConnection:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<TCP {self.laddr}:{self.lport} -> {self.raddr}:{self.rport} "
-            f"{self.state} cwnd={self.cwnd / self.mss:.1f}seg>"
+            f"{self.state} cwnd={self.cwnd / MSS:.1f}seg>"
         )

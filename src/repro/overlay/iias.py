@@ -8,7 +8,7 @@ life-of-a-packet path of Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.click import NAPT
 from repro.core.experiment import Experiment
@@ -42,24 +42,20 @@ class IIAS:
         self.servers[vnode.name] = server
         return server
 
-    def configure_egress(
-        self, vnode: Union[str, VirtualNode], **kwargs
-    ) -> NAPT:
+    def configure_egress(self, vnode: Union[str, VirtualNode]) -> NAPT:
         """Designate a virtual node as a NAPT egress."""
         vnode = self._vnode(vnode)
         if vnode.name in self.egresses:
             raise ValueError(f"{vnode.name} is already an egress")
-        napt = configure_egress(vnode, **kwargs)
+        napt = configure_egress(vnode)
         self.egresses[vnode.name] = napt
         return napt
 
     def opt_in(
-        self,
-        host: PhysicalNode,
-        server: Union[str, OpenVPNServer],
-        port: int = OPENVPN_PORT,
+        self, host: PhysicalNode, server: Union[str, OpenVPNServer]
     ) -> OpenVPNClient:
-        """Connect an end host to an ingress server ("opt in")."""
+        """Connect an end host to an ingress server ("opt in"); the
+        client dials the port the server listens on."""
         if isinstance(server, str):
             server = self.servers[server]
         client = OpenVPNClient(

@@ -17,6 +17,7 @@ from repro.core.virtual_network import FIB_FORWARD, VirtualNode
 from repro.net.addr import IPv4Address, Prefix, ip
 from repro.net.packet import IPv4Header, OpaquePayload, Packet
 from repro.phys.node import PhysicalNode
+from repro.phys.sockets import APP_RECV_COST
 from repro.phys.vserver import Slice
 
 OPENVPN_PORT = 1194
@@ -73,7 +74,7 @@ class OpenVPNServer:
         self.sock = self.node.udp_socket(
             self.process,
             port=port,
-            recv_cost=lambda pkt: VPN_CRYPTO_COST + self.node.app_recv_cost,
+            recv_cost=lambda pkt: VPN_CRYPTO_COST + APP_RECV_COST,
         )
         self.sock.on_receive = self._from_client
         # (real addr, real port) -> leased overlay address
@@ -157,7 +158,7 @@ class OpenVPNClient:
         self.process = self.sliver.create_process("openvpn-client")
         self.sock = node.udp_socket(
             self.process,
-            recv_cost=lambda pkt: VPN_CRYPTO_COST + node.app_recv_cost,
+            recv_cost=lambda pkt: VPN_CRYPTO_COST + APP_RECV_COST,
         )
         self.sock.on_receive = self._from_server
         self.on_receive = None  # callable(Packet)
@@ -177,7 +178,7 @@ class OpenVPNClient:
     def send(self, packet: Packet) -> None:
         """Divert an IP packet into the overlay via the VPN."""
         self.process.exec_after(
-            VPN_CRYPTO_COST + self.node.app_recv_cost,
+            VPN_CRYPTO_COST + APP_RECV_COST,
             self.sock.sendto,
             OpaquePayload(packet.wire_len + (VPN_OVERHEAD - 28), data=packet, tag="openvpn"),
             self.server_addr,

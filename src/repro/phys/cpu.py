@@ -37,6 +37,18 @@ from repro.phys.process import Process, WorkItem
 from repro.sim.engine import Event, Simulator
 
 _INF = float("inf")
+#: Time constant (seconds) of the usage average that backs reservations
+#: and caps.
+EWMA_TAU = 0.1
+#: Sleeper credit bound (CFS-style): a process waking from idle is placed
+#: at most this far before the busiest runners, so interactive tasks
+#: schedule promptly but cannot bank unbounded credit while idle and then
+#: monopolize the CPU. There is no interactivity band beyond it:
+#: PlanetLab's VServer scheduler gave slices no cross-slice wakeup
+#: preemption, which is why even a lightly loaded Click suffers the
+#: latency of Table 5.
+WAKE_BONUS = 0.003
+
 
 def _order(process: Process):
     """Election order: least virtual runtime, ties to the process
@@ -52,44 +64,20 @@ class CPUScheduler:
     speed:
         Relative CPU speed; work costs are expressed in seconds on a
         speed-1.0 reference CPU and divided by this factor.
-    ewma_tau:
-        Time constant (seconds) of the usage average that backs
-        reservation enforcement.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "cpu",
-        speed: float = 1.0,
-        ewma_tau: float = 0.1,
-        wake_bonus: float = 0.003,
-    ):
+    def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):
         if speed <= 0:
             raise ValueError(f"speed must be positive, got {speed!r}")
         self.sim = sim
         self.name = name
         self.speed = speed
-        self.ewma_tau = ewma_tau
-        # Sleeper credit bound (CFS-style): a process waking from idle
-        # is placed at most this far before the busiest runners, so
-        # interactive tasks schedule promptly but cannot bank unbounded
-        # credit while idle and then monopolize the CPU.
-        self.wake_bonus = wake_bonus
         # Kernel non-preemptible sections: even a real-time wakeup waits
         # up to this long for the running (non-RT) code to reach a
         # preemption point — the residual latency that keeps the
         # paper's PL-VINI rows from being perfectly jitter-free
         # (Tables 5 and 6).
         self.max_nonpreempt = 0.0003
-        # Optional interactivity bonus (an O(1)-scheduler-style dynamic
-        # priority): a waking process below this recent-usage fraction
-        # preempts fair-share work. Default OFF (0.0): PlanetLab's
-        # VServer CPU scheduler gave slices no cross-slice wakeup
-        # preemption — which is exactly why even a lightly loaded Click
-        # suffers the latency of Table 5. Set to e.g. 0.05 to model a
-        # desktop-style interactive scheduler instead.
-        self.interactive_threshold = 0.0
         self.processes: List[Process] = []
         self._ready: Set[Process] = set()
         self.busy_time = 0.0  # cumulative seconds the CPU was executing
@@ -148,7 +136,7 @@ class CPUScheduler:
         running = self._running
         if len(process.queue) == 1:
             # Idle -> ready; a fair-share sleeper's credit is bounded:
-            # it wakes at most wake_bonus before the least vruntime of
+            # it wakes at most WAKE_BONUS before the least vruntime of
             # the other fair-share processes ready or on the CPU.
             self._ready.add(process)
             if not process.realtime:
@@ -160,28 +148,17 @@ class CPUScheduler:
                         and not running.realtime and running is not process):
                     floor = running.vruntime
                 if floor != _INF:
-                    process.vruntime = max(process.vruntime, floor - self.wake_bonus)
+                    process.vruntime = max(process.vruntime, floor - WAKE_BONUS)
         if running is None:
             self._dispatch()
             return
-        preempts = process.realtime or self._interactive(process)
-        if preempts and not running.realtime:
+        if process.realtime and not running.realtime:
             if self.max_nonpreempt > 0.0:
                 delay = self._nonpreempt_rng.random() * self.max_nonpreempt
                 self.sim.at(delay, self._deferred_preempt, self._event)
             else:
                 self._preempt()
                 self._dispatch()
-
-    def _interactive(self, process: Process) -> bool:
-        # Interactive = slept a lot recently AND woke to do a small
-        # amount of work (the O(1) scheduler's sleep_avg heuristic;
-        # a task that wakes with a big batch is not interactive).
-        if self.interactive_threshold <= 0.0 or process.realtime:
-            return False
-        if len(process.queue) > 16 or process.backlog > 0.001:
-            return False
-        return self.usage_fraction(process) < self.interactive_threshold
 
     def _deferred_preempt(self, target: Event) -> None:
         """Preempt the chunk that completes at ``target`` if it is still
@@ -205,7 +182,7 @@ class CPUScheduler:
         now = self.sim.now
         dt = now - process._usage_stamp
         if dt > 0:
-            process.usage_ewma *= math.exp(-dt / self.ewma_tau)
+            process.usage_ewma *= math.exp(-dt / EWMA_TAU)
         process.usage_ewma += executed
         process._usage_stamp = now
 
@@ -215,30 +192,30 @@ class CPUScheduler:
         now = self.sim.now
         dt = now - process._usage_stamp
         if dt > 0:
-            process.usage_ewma *= math.exp(-dt / self.ewma_tau)
+            process.usage_ewma *= math.exp(-dt / EWMA_TAU)
             process._usage_stamp = now
-        return min(1.0, process.usage_ewma / self.ewma_tau)
+        return min(1.0, process.usage_ewma / EWMA_TAU)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        """Elect from the ready set in one pass — RT band, interactive
-        band if on, preempted-slice resume, under-reservation band, then
-        fair share — and put the winner's head item on the CPU.
+        """Elect from the ready set in one pass — RT band, preempted-slice
+        resume, under-reservation band, then fair share — and put the
+        winner's head item on the CPU.
 
         ``usage_fraction`` decays the average it reads, and stepwise
         decay is not associative in floats, so *which* processes are
         asked at an election is part of the result: every ready process
-        with a cap, always; the interactive and reservation bands only
-        once no real-time process is eligible. A sole ready process that
-        the scan would not ask is elected without it.
+        with a cap, always; the reservation band only once no real-time
+        process is eligible. A sole ready process that the scan would
+        not ask is elected without it.
         """
         ready = self._ready
         if self._running is not None or not ready:
             return
         owner, process = self._resume, None
-        if len(ready) == 1 and self.interactive_threshold <= 0.0:
+        if len(ready) == 1:
             # A sole ready process wins whichever band it is in. Elect it
             # directly unless the scan would read its usage: a cap, or a
             # reservation it does not already resume through.
@@ -287,19 +264,13 @@ class CPUScheduler:
                     # Non-work-conserving: everyone ready is at their cap.
                     # Idle until the first EWMA decays below its ceiling.
                     delay = min(
-                        self.ewma_tau
+                        EWMA_TAU
                         * math.log(max(usage(p) / p.cpu_cap, 1.0 + 1e-9))
                         for p in capped
                     )
                     self.sim.at(max(delay, 1e-6), self._dispatch)
                 return
             process = rt
-            if process is None and self.interactive_threshold > 0.0:
-                band = [p for p in ready if p not in capped and self._interactive(p)]
-                if band:
-                    process = min(band, key=_order)
-                    if owner in band:
-                        self._resume = None
             if process is None:
                 self._resume = None
                 if resume:

@@ -31,9 +31,14 @@ from repro.net.packet import (
 )
 from repro.net.trie import RadixTrie
 from repro.phys.cpu import CPUScheduler
-from repro.phys.link import Link
+from repro.phys.link import DEFAULT_BANDWIDTH, DEFAULT_QUEUE_BYTES, Link
 from repro.phys.process import Process
-from repro.phys.sockets import RawIntercept, UDPSocket
+from repro.phys.sockets import (
+    DEFAULT_RCVBUF,
+    RawIntercept,
+    UDPSocket,
+    default_recv_cost,
+)
 from repro.phys.vnet import VNet
 from repro.sim.engine import Simulator
 
@@ -43,7 +48,6 @@ from repro.sim.engine import Simulator
 # 48 % CPU).
 KERNEL_COST_FIXED = 2.0e-6
 KERNEL_COST_PER_BYTE = 2.5e-9
-APP_RECV_COST = 5.0e-6
 
 
 class Route:
@@ -145,7 +149,7 @@ class TapDevice:
         self.name = name
         self.reader_process: Optional[Process] = None
         self.reader: Optional[Callable[[Packet], None]] = None
-        self.read_cost: Callable[[Packet], float] = lambda _p: APP_RECV_COST
+        self.read_cost: Callable[[Packet], float] = default_recv_cost
         self.pending_bytes = 0
         self.sndbuf = 256 * 1024
         self.drops = 0
@@ -199,27 +203,16 @@ class TapDevice:
 class PhysicalNode:
     """One machine of the physical infrastructure."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        cpu_speed: float = 1.0,
-        ip_forwarding: bool = True,
-    ):
+    def __init__(self, sim: Simulator, name: str, cpu_speed: float = 1.0):
         self.sim = sim
         self.name = name
         self.cpu = CPUScheduler(sim, name=f"{name}.cpu", speed=cpu_speed)
         self.kernel = Process(self, "kernel", realtime=True)
-        self.ip_forwarding = ip_forwarding
         self.interfaces: Dict[str, Interface] = {}
         self.routes = RadixTrie()
         self.vnet = VNet(self)
         self.slivers: Dict[str, "Sliver"] = {}  # noqa: F821
         self.tcp_stack = None  # installed lazily by repro.net.tcp
-        # Cost model knobs (seconds); see module docstring.
-        self.kernel_cost_fixed = KERNEL_COST_FIXED
-        self.kernel_cost_per_byte = KERNEL_COST_PER_BYTE
-        self.app_recv_cost = APP_RECV_COST
         self._local_addrs: Dict[int, Interface] = {}
         self._tap_addrs: Dict[int, "Sliver"] = {}  # noqa: F821
         self._icmp_idents: Dict[Tuple[Optional[str], int], Callable] = {}
@@ -355,7 +348,7 @@ class PhysicalNode:
         owner: Process,
         port: Optional[int] = None,
         local_addr: Optional[Union[str, IPv4Address]] = None,
-        rcvbuf: int = 128 * 1024,
+        rcvbuf: int = DEFAULT_RCVBUF,
         recv_cost: Optional[Callable[[Packet], float]] = None,
     ) -> UDPSocket:
         """Bind a UDP socket.
@@ -445,16 +438,15 @@ class PhysicalNode:
         """A packet arrived on a NIC; charge the kernel, then process."""
         if not self.alive:
             return
-        cost = self.kernel_cost_fixed + self.kernel_cost_per_byte * packet.wire_len
+        cost = KERNEL_COST_FIXED + KERNEL_COST_PER_BYTE * packet.wire_len
         fr = self.sim.flight
         if fr.enabled and packet.span is not None:
             fr.stage(packet, "kernel.rx", node=self.name)
-            self.kernel.exec_after(cost, self._ip_input, packet, iface,
-                                   span_packet=packet)
+            self.kernel.exec_after(cost, self._ip_input, packet, span_packet=packet)
         else:
-            self.kernel.exec_after(cost, self._ip_input, packet, iface)
+            self.kernel.exec_after(cost, self._ip_input, packet)
 
-    def _ip_input(self, packet: Packet, iface: Optional[Interface]) -> None:
+    def _ip_input(self, packet: Packet) -> None:
         header = packet.ip
         if header is None:
             return
@@ -466,16 +458,6 @@ class PhysicalNode:
         if sliver is not None:
             self._sliver_deliver(packet, sliver)
             return
-        if self.ip_forwarding:
-            self._forward(packet, iface)
-            return
-        self.sim.trace.log("kernel_drop", node=self.name, reason="not_local")
-        fr = self.sim.flight
-        if fr.enabled:
-            fr.flight_drop(packet, "not_local", node=self.name)
-
-    def _forward(self, packet: Packet, in_iface: Optional[Interface]) -> None:
-        header = packet.ip
         if header.ttl <= 1:
             self._icmp_error(packet, ICMP_TIME_EXCEEDED)
             return
@@ -564,13 +546,13 @@ class PhysicalNode:
                 reply.span = packet.span
                 fr.stage(reply, "host.echo", node=self.name)
                 self.kernel.exec_after(
-                    self.kernel_cost_fixed, self.ip_output, reply, sliver,
+                    KERNEL_COST_FIXED, self.ip_output, reply, sliver,
                     span_packet=reply,
                 )
                 return
             # Echo processing is cheap kernel work.
             self.kernel.exec_after(
-                self.kernel_cost_fixed, self.ip_output, reply, sliver
+                KERNEL_COST_FIXED, self.ip_output, reply, sliver
             )
         elif icmp.type == ICMP_ECHO_REPLY:
             key = (sliver.slice.name if sliver else None, icmp.ident)
@@ -600,7 +582,7 @@ class PhysicalNode:
         self.sim.trace.log(
             "icmp_error", node=self.name, type=icmp_type, uid=offending.uid
         )
-        self.kernel.exec_after(self.kernel_cost_fixed, self.ip_output, error, None)
+        self.kernel.exec_after(KERNEL_COST_FIXED, self.ip_output, error, None)
 
     # ------------------------------------------------------------------
     # Output path
@@ -658,7 +640,7 @@ class PhysicalNode:
             # Not for the tap itself: hand to the kernel with NO sliver
             # context (otherwise it would bounce straight back to the
             # tap and loop).
-            self._ip_input(packet, None)
+            self._ip_input(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PhysicalNode {self.name} ifaces={list(self.interfaces)}>"
@@ -668,10 +650,10 @@ def connect(
     sim: Simulator,
     a: PhysicalNode,
     b: PhysicalNode,
-    bandwidth: float = 1_000_000_000,
+    bandwidth: float = DEFAULT_BANDWIDTH,
     delay: float = 0.0,
     subnet: Optional[Union[str, Prefix]] = None,
-    queue_bytes: int = 128 * 1024,
+    queue_bytes: int = DEFAULT_QUEUE_BYTES,
 ) -> Link:
     """Wire two nodes together with a new link.
 

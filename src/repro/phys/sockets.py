@@ -24,6 +24,14 @@ from repro.net.packet import (
 from repro.phys.process import Process
 
 DEFAULT_RCVBUF = 128 * 1024  # bytes, in the spirit of Linux 2.6 rmem_default
+#: CPU seconds an application spends reading one packet from a socket or
+#: a tap device, unless the owner brings its own cost model.
+APP_RECV_COST = 5.0e-6
+
+
+def default_recv_cost(_packet: Packet) -> float:
+    """The default per-read cost: :data:`APP_RECV_COST` whatever the packet."""
+    return APP_RECV_COST
 
 
 class UDPSocket:
@@ -55,7 +63,7 @@ class UDPSocket:
         self.local_addr = local_addr
         self.local_port = local_port
         self.rcvbuf = rcvbuf
-        self.recv_cost = recv_cost or (lambda _pkt: node.app_recv_cost)
+        self.recv_cost = recv_cost or default_recv_cost
         self.sliver = sliver
         self.on_receive: Optional[Callable[[Packet, IPv4Address, int], None]] = None
         self.pending_bytes = 0
@@ -179,7 +187,7 @@ class RawIntercept:
         self.proto = proto
         self.port = port
         self.handler = handler
-        self.recv_cost = recv_cost or (lambda _pkt: node.app_recv_cost)
+        self.recv_cost = recv_cost or default_recv_cost
         self.closed = False
 
     def enqueue(self, packet: Packet) -> bool:

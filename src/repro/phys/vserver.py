@@ -17,6 +17,10 @@ from repro.net.addr import IPv4Address, Prefix, ip, prefix
 from repro.phys.node import PhysicalNode, TapDevice
 from repro.phys.process import Process
 
+#: The overlay prefix the kernel routes to a sliver's tap (PL-VINI's
+#: 10.0.0.0/8), unless an experiment names another.
+OVERLAY_PREFIX = "10.0.0.0/8"
+
 
 class Slice:
     """A network-wide experiment container.
@@ -104,7 +108,7 @@ class Sliver:
     def create_tap(
         self,
         address: Union[str, IPv4Address],
-        route_prefix: Union[str, Prefix] = "10.0.0.0/8",
+        route_prefix: Union[str, Prefix] = OVERLAY_PREFIX,
         name: Optional[str] = None,
     ) -> TapDevice:
         if name is None:

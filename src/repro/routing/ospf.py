@@ -200,7 +200,6 @@ class OSPFDaemon:
         router_id: Union[int, str, IPv4Address],
         hello_interval: float = DEFAULT_HELLO_INTERVAL,
         dead_interval: float = DEFAULT_DEAD_INTERVAL,
-        spf_delay: float = SPF_DELAY,
         stub_prefixes: Optional[List[Tuple[Union[str, Prefix], int]]] = None,
     ):
         self.platform = platform
@@ -209,7 +208,6 @@ class OSPFDaemon:
         self.router_id = int(ip(router_id))
         self.hello_interval = hello_interval
         self.dead_interval = dead_interval
-        self.spf_delay = spf_delay
         self.stub_prefixes: List[Tuple[Prefix, int]] = [
             (prefix(p), cost) for p, cost in (stub_prefixes or [])
         ]
@@ -598,9 +596,9 @@ class OSPFDaemon:
                 "ospf.spf_wait",
                 node=_rid(self.router_id),
                 parent=self._convergence_root(fr),
-                delay=self.spf_delay,
+                delay=SPF_DELAY,
             )
-        self.sim.at(self.spf_delay, self._run_spf)
+        self.sim.at(SPF_DELAY, self._run_spf)
 
     def _run_spf(self) -> None:
         self._spf_pending = False

@@ -116,7 +116,6 @@ class IperfTCPClient:
         duration: float = 10.0,
         window: int = DEFAULT_RCVBUF,
         server: Optional[IperfTCPServer] = None,
-        flight_sample: int = 0,
     ):
         self.node = node
         self.sim = node.sim
@@ -127,10 +126,6 @@ class IperfTCPClient:
         self.duration = duration
         self.window = window
         self.server = server
-        # Flight-record every Nth data segment of each stream (0 = off)
-        # so a multi-minute transfer leaves a bounded span sample
-        # instead of either nothing or one flight per segment.
-        self.flight_sample = flight_sample
         self.process = _make_process(node, sliver, "iperf-client")
         self.connections = []
         self.started_at: Optional[float] = None
@@ -149,7 +144,6 @@ class IperfTCPClient:
                 self.port,
                 rcvbuf=self.window,
             )
-            conn.flight_sample = self.flight_sample
             conn.on_connect = lambda conn=conn: self._pump(conn)
             conn.on_writable = lambda conn=conn: self._pump(conn)
             self.connections.append(conn)

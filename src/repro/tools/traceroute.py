@@ -8,7 +8,7 @@ hop — the "looks and feels like a real network" property of Section 3.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.net.addr import IPv4Address, ip
 from repro.net.packet import (
@@ -37,7 +37,6 @@ class Traceroute:
         sliver: Optional[Sliver] = None,
         max_hops: int = 30,
         probe_timeout: float = 2.0,
-        on_complete: Optional[Callable[[List[Optional[str]]], None]] = None,
     ):
         self.node = node
         self.sim = node.sim
@@ -45,7 +44,6 @@ class Traceroute:
         self.sliver = sliver
         self.max_hops = max_hops
         self.probe_timeout = probe_timeout
-        self.on_complete = on_complete
         _next_ident[0] += 1
         self.ident = _next_ident[0]
         self.process = (
@@ -135,8 +133,6 @@ class Traceroute:
             self.ident,
             sliver_name=self.sliver.slice.name if self.sliver is not None else None,
         )
-        if self.on_complete is not None:
-            self.on_complete(self.hops)
 
     def path(self) -> List[Optional[str]]:
         return list(self.hops)

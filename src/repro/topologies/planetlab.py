@@ -14,10 +14,9 @@ from typing import Optional, Tuple
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
 from repro.phys.load import CPUHog
-from repro.topologies.abilene import ABILENE_LINKS
+from repro.topologies.abilene import ABILENE_LINKS, ACCESS_BANDWIDTH
 
 POPS = ("chicago", "newyork", "washington")
-ACCESS_BW = 100e6  # PlanetLab node Ethernet
 
 #: The three configurations Tables 4-6 and Fig. 6 compare, as
 #: :func:`build_planetlab` keywords: kernel forwarding with no overlay,
@@ -54,7 +53,7 @@ def build_planetlab(
     for name in POPS:
         vini.add_node(name)
     for a, b in zip(POPS, POPS[1:]):
-        vini.connect(a, b, bandwidth=ACCESS_BW, delay=ABILENE_LINKS[(a, b)],
+        vini.connect(a, b, bandwidth=ACCESS_BANDWIDTH, delay=ABILENE_LINKS[(a, b)],
                      queue_bytes=256 * 1024)
     vini.install_underlay_routes()
     exp = None

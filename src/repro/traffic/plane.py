@@ -22,22 +22,21 @@ packet-accurate and *feel* the background through a coupling layer:
 Rates are re-solved in full, but rarely: demand changes (flow arrival,
 completion, stop), route changes, and link fail/recover mark the plane
 dirty and coalesce into one deferred *full* solver pass via the engine's
-``call_unique`` lane — never per-packet, and at most once per
-``min_interval`` of simulated time when one is set. A pass works on
-state the plane keeps, not state it rebuilds: the classes stand in a
-key-ordered list (inserted at creation, filtered when one empties),
-every directed channel has a dense ``index`` for life, and a class's
-``hops`` are its channels' indices, rebuilt only when it is re-pathed.
+``call_unique`` lane — never per-packet. A pass works on state the
+plane keeps, not state it rebuilds: the classes stand in a key-ordered
+list (inserted at creation, filtered when one empties), every directed
+channel has a dense ``index`` for life, and a class's ``hops`` are its
+channels' indices, rebuilt only when it is re-pathed.
 The solver fills over those indices and one walk over the ordered
 classes adds each class's load onto its hops, so every channel's float
 sum runs in class-key order — a function of the keys alone. A pass
 skips only what cannot move its result: a channel is re-coupled only
 when an input of ``_apply_channel`` (its load, the link's bandwidth or
-queue, the plane's loss ramp) differs from the one last applied, since
-equal inputs install an equal coupling; the shaper and completion walks
-run only when some class has a shaper or a finite flow, since they would
-find nothing. Every class's service integral and every channel's packet
-EWMA still advance at every solve: where those sums are cut is a result.
+queue) differs from the one last applied, since equal inputs install an
+equal coupling; the shaper and completion walks run only when some class
+has a shaper or a finite flow, since they would find nothing. Every
+class's service integral and every channel's packet EWMA still advance
+at every solve: where those sums are cut is a result.
 
 Everything is deterministic: same seed, same schedule => the same
 solves at the same times with the same rates, byte-identical reports.
@@ -64,6 +63,14 @@ MAX_FLUID_SHARE = 0.98
 MAX_RHO = 0.95
 #: Reference packet for the delay model: 1500 B on the wire.
 REF_PACKET_BITS = 12000.0
+#: Share of each channel kept out of fluid reach before packets count.
+HEADROOM = 0.02
+#: Fluid-induced packet loss starts past this utilization and ramps
+#: linearly to MAX_LOSS at full utilization.
+LOSS_THRESHOLD = 0.85
+MAX_LOSS = 0.5
+#: EWMA weight of the newest measured packet throughput at a solve.
+EWMA_ALPHA = 0.5
 
 
 class _ChannelState:
@@ -154,25 +161,9 @@ class FluidTrafficPlane:
     virtual nodes; the fluid rides the physical path between their host
     nodes, and a direct shaped virtual link between the endpoints has
     its Shaper charged with the class rate).
-
-    Tunables: ``headroom`` keeps that fraction of each channel out of
-    fluid reach; ``min_interval`` rate-limits re-solves in simulated
-    time (arrival storms coalesce into one solve per interval);
-    ``loss_threshold``/``max_loss`` shape the fluid-induced packet-loss
-    ramp; ``ewma_alpha`` smooths the measured packet throughput fed
-    back into the solver.
     """
 
-    def __init__(
-        self,
-        target,
-        name: str = "traffic",
-        headroom: float = 0.02,
-        min_interval: float = 0.0,
-        loss_threshold: float = 0.85,
-        max_loss: float = 0.5,
-        ewma_alpha: float = 0.5,
-    ):
+    def __init__(self, target, name: str = "traffic"):
         experiment = getattr(target, "network", None)
         if experiment is not None:  # an Experiment
             self.experiment = target
@@ -182,11 +173,6 @@ class FluidTrafficPlane:
             self.vini = target
         self.sim = self.vini.sim
         self.name = name
-        self.headroom = headroom
-        self.min_interval = min_interval
-        self.loss_threshold = loss_threshold
-        self.max_loss = max_loss
-        self.ewma_alpha = ewma_alpha
 
         self.flows: Dict[int, FluidFlow] = {}
         self.classes: Dict[tuple, _FlowClass] = {}  # creation order
@@ -197,7 +183,6 @@ class FluidTrafficPlane:
         self._next_fid = 0
         self._dirty = False
         self._solve_pending = False
-        self._last_solve = -INF
         # Stable bound method: the engine's call_unique lane coalesces
         # on this exact object.
         self._solve_cb = self._solve
@@ -465,11 +450,7 @@ class FluidTrafficPlane:
         if self._solve_pending:
             return
         self._solve_pending = True
-        due = self._last_solve + self.min_interval
-        if due <= self.sim.now:
-            self.sim.call_unique(self._solve_cb)
-        else:
-            self.sim.schedule(due, self._solve_cb)
+        self.sim.call_unique(self._solve_cb)
 
     def _advance(self, classes, now: float) -> None:
         """Integrate each class's service up to ``now`` at its old rate."""
@@ -514,7 +495,6 @@ class FluidTrafficPlane:
 
         # 2. Measured packet throughput (the tx_bytes delta since the
         #    last solve, folded into the EWMA) -> per-channel capacity.
-        alpha = self.ewma_alpha
         states = self._channel_states.values()
         capacities, bandwidths = [], []
         for state in states:
@@ -522,12 +502,13 @@ class FluidTrafficPlane:
             if dt > 0.0:
                 sent = state.channel.tx_bytes
                 instant = (sent - state._last_tx_bytes) * 8.0 / dt
-                state.packet_bps = (1.0 - alpha) * state.packet_bps + alpha * instant
+                state.packet_bps = ((1.0 - EWMA_ALPHA) * state.packet_bps
+                                    + EWMA_ALPHA * instant)
                 state._last_tx_bytes = sent
                 state._last_time = now
             bandwidth = state.link.bandwidth
             bandwidths.append(bandwidth)
-            cap = bandwidth * (1.0 - self.headroom) - state.packet_bps
+            cap = bandwidth * (1.0 - HEADROOM) - state.packet_bps
             floor = bandwidth * (1.0 - MAX_FLUID_SHARE)
             if not state.link.up:
                 cap = 0.0
@@ -555,9 +536,8 @@ class FluidTrafficPlane:
             load = cls.rate_bps * cls.count
             for index in cls.hops:
                 loads[index] += load
-        ramp = (self.loss_threshold, self.max_loss)
         for state, load, bandwidth in zip(states, loads, bandwidths):
-            key = (load, bandwidth, state.link.queue_bytes, ramp)
+            key = (load, bandwidth, state.link.queue_bytes)
             if key != state.coupled:
                 state.coupled = key
                 self._apply_channel(state, load)
@@ -579,7 +559,6 @@ class FluidTrafficPlane:
             for cls in self.classes.values():
                 if cls.pending:
                     self._rearm_completion(cls)
-        self._last_solve = now
 
     def _apply_channel(self, state: _ChannelState, total_bps: float) -> None:
         """Couple one channel; whatever this reads is in ``_solve``'s key."""
@@ -600,14 +579,10 @@ class FluidTrafficPlane:
         max_queueing = link.queue_bytes * 8.0 / bandwidth
         if queueing > max_queueing:
             queueing = max_queueing
-        if util > self.loss_threshold:
-            loss = (
-                (util - self.loss_threshold)
-                / (1.0 - self.loss_threshold)
-                * self.max_loss
-            )
-            if loss > self.max_loss:
-                loss = self.max_loss
+        if util > LOSS_THRESHOLD:
+            loss = (util - LOSS_THRESHOLD) / (1.0 - LOSS_THRESHOLD) * MAX_LOSS
+            if loss > MAX_LOSS:
+                loss = MAX_LOSS
         else:
             loss = 0.0
         # Fluid backlog also eats drop-tail queue headroom.
@@ -734,7 +709,6 @@ class FluidTrafficPlane:
             "solver": {
                 "runs": self._solves,
                 "iterations": self._solver_iterations,
-                "min_interval_s": self.min_interval,
             },
             "classes": classes,
             "links": links,

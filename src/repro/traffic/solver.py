@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.net.tcp import MSS
+
 INF = float("inf")
 
 
@@ -52,21 +54,21 @@ class SolveResult:
 def tcp_steady_state_cap(
     rtt_s: float,
     window_bytes: float = 65535,
-    mss_bytes: float = 1460,
     loss_rate: float = 0.0,
 ) -> float:
     """Steady-state TCP throughput cap for one flow, in bits/s.
 
     Receive-window bound ``window * 8 / RTT``, tightened by the Mathis
     loss bound ``(MSS * 8 / RTT) * sqrt(1.5 / p)`` when a loss rate is
-    given. Returns ``inf`` for a degenerate (non-positive) RTT — the
-    flow is then limited only by its demand and the network.
+    given, with the segment size the packet TCP sends. Returns ``inf``
+    for a degenerate (non-positive) RTT — the flow is then limited only
+    by its demand and the network.
     """
     if rtt_s <= 0.0:
         return INF
     cap = window_bytes * 8.0 / rtt_s
     if loss_rate > 0.0:
-        cap = min(cap, (mss_bytes * 8.0 / rtt_s) * math.sqrt(1.5 / loss_rate))
+        cap = min(cap, (MSS * 8.0 / rtt_s) * math.sqrt(1.5 / loss_rate))
     return cap
 
 

@@ -17,6 +17,7 @@ from repro.click import (
     Shaper,
     Tee,
 )
+from repro.click.router import COPY_COST_PER_BYTE
 from repro.net.packet import (
     IPv4Header,
     OpaquePayload,
@@ -347,7 +348,7 @@ class TestQueueShaper:
 
     def test_reconfiguration_invalidates_memos(self, world):
         # The per-length hot-path memos must not survive a parameter
-        # change: rate/burst_bytes and the router cost params are
+        # change: rate/burst_bytes and the router's syscall cost are
         # properties that rebuild or clear them on assignment.
         sim, node, sliver, router = world
         shaper = router.add("sh", Shaper(rate=8_000, burst_bytes=100))
@@ -363,14 +364,10 @@ class TestQueueShaper:
         pkt = make_packet(size=100)
         baseline = router.per_packet_cost(pkt)
         assert router._cost_cache
-        router.copy_cost_per_byte = 0.0
-        assert not router._cost_cache
-        assert router.per_packet_cost(pkt) < baseline
         router.syscall_cost = 0.0
         assert not router._cost_cache
-        router.syscalls_per_packet = 7
-        assert not router._cost_cache
-        assert router.per_packet_cost(pkt) == 0.0
+        assert router.per_packet_cost(pkt) == COPY_COST_PER_BYTE * pkt.wire_len
+        assert router.per_packet_cost(pkt) < baseline
 
 
 class TestEncapTable:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.click import NAPT, UDPTunnel
 from repro.click.element import Element
+from repro.click.router import SYSCALLS_PER_PACKET
 from repro.net.addr import ip
 from repro.net.packet import (
     IPv4Header,
@@ -114,7 +115,7 @@ class TestUDPTunnel:
         tun_a.push(0, overlay_packet())
         sim.run()
         # Receiving Click paid at least the syscall tax for the packet.
-        assert router_b.process.cpu_used >= router_b.syscall_cost * router_b.syscalls_per_packet
+        assert router_b.process.cpu_used >= router_b.syscall_cost * SYSCALLS_PER_PACKET
 
 
 class TestNAPT:

@@ -100,7 +100,7 @@ def test_crashed_node_drops_traffic_through_it():
     # Force a->c through b so the crash is on-path.
     a, c = vini.nodes["a"], vini.nodes["c"]
     vini.link_between("a", "c").fail()
-    vini._compute_routes()
+    vini.install_underlay_routes()
     ping = Ping(a, c.address, count=20, interval=0.1)
     ping.start()
     vini.sim.schedule(0.55, vini.nodes["b"].crash)

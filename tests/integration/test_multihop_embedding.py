@@ -3,8 +3,9 @@
 VINI's flexible-topology promise (Section 3.1) includes virtual links
 between nodes with no direct physical connection: the tunnel rides the
 underlying IP network through intermediate VINI nodes. These tests pin
-that behavior down, including the failure-masking subtlety the paper
-warns about.
+that behavior down, including fate sharing: the underlay's routes are
+static, so a physical failure on the path is not masked from the
+experiment.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.core import VINI, Experiment
 from repro.tools import Ping
 
 
-def build_line_with_shortcut(reroute_on_failure=False):
+def build_line_with_shortcut():
     """Physical line p0-p1-p2-p3; virtual topology has a DIRECT v0=v3
     link that physically rides all three hops."""
     vini = VINI(seed=77)
@@ -21,7 +22,7 @@ def build_line_with_shortcut(reroute_on_failure=False):
         vini.add_node(f"p{i}")
     for i in range(3):
         vini.connect(f"p{i}", f"p{i + 1}", delay=0.004)
-    vini.install_underlay_routes(reroute_on_failure=reroute_on_failure)
+    vini.install_underlay_routes()
     exp = Experiment(vini, "iias", realtime=True)
     exp.add_node("v0", "p0")
     exp.add_node("v3", "p3")
@@ -50,7 +51,7 @@ def test_virtual_link_rides_multihop_underlay():
 def test_middle_physical_failure_breaks_the_virtual_link():
     """Fate sharing: with static underlay routes, a physical failure
     anywhere on the path kills the tunnel and OSPF notices."""
-    vini, exp = build_line_with_shortcut(reroute_on_failure=False)
+    vini, exp = build_line_with_shortcut()
     exp.run(until=20.0)
     vini.link_between("p1", "p2").fail()
     vini.run(until=40.0)
@@ -58,29 +59,3 @@ def test_middle_physical_failure_breaks_the_virtual_link():
     v3 = exp.network.nodes["v3"]
     assert v0.xorp.rib.lookup(v3.tap_addr) is None
     assert v0.xorp.ospf.neighbor_states() == {}
-
-
-def test_underlay_rerouting_masks_the_failure():
-    """The masking behavior Section 3.1 warns about: when the underlying
-    IP network reroutes, the experiment never sees the failure."""
-    vini = VINI(seed=78)
-    for i in range(3):
-        vini.add_node(f"p{i}")
-    # A triangle: p0-p1 direct plus a detour via p2.
-    vini.connect("p0", "p1", delay=0.002)
-    vini.connect("p0", "p2", delay=0.002)
-    vini.connect("p2", "p1", delay=0.002)
-    vini.install_underlay_routes(reroute_on_failure=True)
-    exp = Experiment(vini, "iias", realtime=True)
-    exp.add_node("v0", "p0")
-    exp.add_node("v1", "p1")
-    exp.connect("v0", "v1", map_physical=False)
-    exp.configure_ospf(hello_interval=2.0, dead_interval=6.0)
-    exp.run(until=20.0)
-    vini.link_between("p0", "p1").fail()
-    vini.run(until=40.0)
-    v0 = exp.network.nodes["v0"]
-    v1 = exp.network.nodes["v1"]
-    # The overlay adjacency survives: the failure was masked.
-    assert v0.xorp.ospf.neighbor_states() != {}
-    assert v0.xorp.rib.lookup(v1.tap_addr) is not None

@@ -266,8 +266,9 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     target classes), and RIP, HTB, the Click configuration language, the
     wire format and the Poisson and on/off sources, and the archive's
     registration hook, its environment attaches, the metrics-JSONL
-    format and the in-place spill nudge: deleted, and not to be
-    documented back in."""
+    format and the in-place spill nudge, and the settings no run changed
+    (now module constants) with the modes only a second value reached:
+    deleted, and not to be documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -288,7 +289,13 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|Poisson[S]ource|OnOff[S]ource"
         r"|attach_from_[e]nv|note_[a]rtifact|REPRO_RUN_[A]RCHIVE"
         r"|REPRO_LIVE_[F]EED|export_[j]sonl|registry_[j]sonl|metrics_[j]sonl"
-        r"|nudge_[s]pill|sniff_[k]ind")
+        r"|nudge_[s]pill|sniff_[k]ind"
+        r"|interactive_[t]hreshold|min_[i]nterval|loss_[t]hreshold|max_[l]oss"
+        r"|ewma_[a]lpha|ewma_[t]au|wake_[b]onus|ip_[f]orwarding"
+        r"|kernel_cost_[f]ixed|kernel_cost_per_[b]yte|app_recv_[c]ost"
+        r"|syscalls_per_[p]acket|copy_cost_per_[b]yte|control_[c]ost|spf_[d]elay"
+        r"|link_[b]lock|tunnel_port_[b]ase|tunnel_[r]cvbuf|reroute_on_[f]ailure"
+        r"|ttl_[g]uard|flight_[s]ample|mss_[b]ytes")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

@@ -159,7 +159,6 @@ def test_realtime_wakeup_latency_is_zero_when_idle():
 
 def test_default_share_wakeup_waits_behind_quantum():
     sim, node = make_node()
-    node.cpu.interactive_threshold = 0.0  # model a busy (non-interactive) waker
     hog = Process(node, "hog")
     click = Process(node, "click")
     done = []
@@ -224,26 +223,6 @@ def test_invalid_parameters_rejected():
     proc = Process(node, "p")
     with pytest.raises(ValueError):
         proc.exec_after(-1.0, lambda: None)
-
-
-def test_interactive_band_when_enabled():
-    """With the optional interactivity bonus on, a low-usage waker with
-    a small burst preempts fair-share work (O(1)-scheduler style)."""
-    sim, node = make_node()
-    node.cpu.interactive_threshold = 0.05
-    node.cpu.max_nonpreempt = 0.0
-    hog = Process(node, "hog")
-    app = Process(node, "app")
-    done = []
-
-    def refill():
-        hog.exec_after(0.005, refill)
-
-    refill()
-    sim.at(0.0025, lambda: app.exec_after(0.0001, lambda: done.append(sim.now)))
-    sim.run(until=0.05)
-    # Preempts the hog immediately rather than waiting for the chunk end.
-    assert done[0] == pytest.approx(0.0026, abs=2e-4)
 
 
 # ----------------------------------------------------------------------

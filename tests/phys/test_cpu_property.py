@@ -2,16 +2,17 @@
 
 The scheduler elects in one pass over an incrementally kept ready set.
 The oracle is :class:`ReferenceScheduler` below — the election as it
-stood at commit a609d73, verbatim: rescan every registered process
-(``_runnable``), filter by cap, then ``_pick`` through per-band lists
-and ``min()``. Hypothesis drives both with one script (mixed plain /
-weighted / reserved / real-time / capped processes, both values of
-``interactive_threshold`` and ``max_nonpreempt``, work arriving at
-random and at tied instants, chained and cancelled items, crashes in
-mid-chunk) and the ``(time, process, cost)`` dispatch sequence must be
-identical and every usage average **bit-identical**: ``usage_fraction``
-decays the average it reads, so an election that asks a different set
-of processes drifts in the last digits.
+stood at commit a609d73, verbatim but for the interactivity band both
+have since lost: rescan every registered process (``_runnable``),
+filter by cap, then ``_pick`` through per-band lists and ``min()``.
+Hypothesis drives both with one script (mixed plain / weighted /
+reserved / real-time / capped processes, both values of
+``max_nonpreempt``, work arriving at random and at tied instants,
+chained and cancelled items, crashes in mid-chunk) and the
+``(time, process, cost)`` dispatch sequence must be identical and every
+usage average **bit-identical**: ``usage_fraction`` decays the average
+it reads, so an election that asks a different set of processes drifts
+in the last digits.
 """
 
 import math
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 
 from hypothesis import example, given, strategies as st
 
-from repro.phys.cpu import CPUScheduler
+from repro.phys.cpu import EWMA_TAU, WAKE_BONUS, CPUScheduler
 from repro.phys.process import Process, WorkItem
 from repro.sim import Simulator
 from tests.conftest import battery
@@ -35,11 +36,10 @@ class _Running:
 class ReferenceScheduler:
     """The scan-and-filter scheduler, minus its metrics and flight hooks."""
 
-    def __init__(self, sim, name="cpu", speed=1.0, ewma_tau=0.1, wake_bonus=0.003):
+    def __init__(self, sim, name="cpu", speed=1.0):
         self.sim, self.name, self.speed = sim, name, speed
-        self.ewma_tau, self.wake_bonus = ewma_tau, wake_bonus
+        self.ewma_tau, self.wake_bonus = EWMA_TAU, WAKE_BONUS
         self.max_nonpreempt = 0.0003
-        self.interactive_threshold = 0.0
         self.processes = []
         self.busy_time = 0.0
         self._running = None
@@ -59,8 +59,7 @@ class ReferenceScheduler:
         if running is None:
             self._dispatch()
             return
-        preempts = process.realtime or self._interactive(process)
-        if preempts and not running.process.realtime:
+        if process.realtime and not running.process.realtime:
             if self.max_nonpreempt > 0.0:
                 delay = (
                     self.sim.rng(f"nonpreempt.{self.name}").random()
@@ -70,13 +69,6 @@ class ReferenceScheduler:
             else:
                 self._preempt()
                 self._dispatch()
-
-    def _interactive(self, process):
-        if self.interactive_threshold <= 0.0 or process.realtime:
-            return False
-        if len(process.queue) > 16 or process.backlog > 0.001:
-            return False
-        return self.usage_fraction(process) < self.interactive_threshold
 
     def _deferred_preempt(self, target):
         if self._running is target:
@@ -129,10 +121,6 @@ class ReferenceScheduler:
         realtime = [p for p in runnable if p.realtime]
         if realtime:
             return min(realtime, key=lambda p: p.vruntime)
-        interactive = [p for p in runnable if self._interactive(p)]
-        if interactive:
-            self._resume = None if self._resume in interactive else self._resume
-            return min(interactive, key=lambda p: p.vruntime)
         if self._resume is not None and self._resume in runnable:
             owner = self._resume
             self._resume = None
@@ -241,11 +229,10 @@ _kind = st.one_of(
 #   action 3: item that, when done, wakes the next process with
 #             ``aux / 10`` of work
 #   action 4: item cancelled at absolute time aux (maybe too late)
-#   action 5: a burst of 20 items (past _interactive's queue bound)
+#   action 5: a burst of 20 items
 #   action 6: crash_flush at ``time``
 _step = st.tuples(
     _grid_or_float(0.0, 0.2, 0.005), st.integers(1, 2 ** 12 - 1),
-    # A third of the costs are small enough for _interactive's backlog bound.
     st.one_of(_grid_or_float(0.0, 0.02, 0.001),
               st.sampled_from([0.0, 0.0002, 0.0005, 0.001])),
     st.integers(0, 6),
@@ -257,7 +244,6 @@ STRATEGIES = dict(
     kinds=st.lists(_kind, max_size=9).map(
         lambda drawn: [{}, {"reservation": 0.25}, {"realtime": True}] + drawn),
     script=st.lists(_step, min_size=1, max_size=30),
-    threshold=st.sampled_from([0.0, 0.05]),
     nonpreempt=st.sampled_from([0.0, 3e-4]),
 )
 
@@ -277,10 +263,9 @@ def _submit(sim, proc, successor, log, cost, action, aux):
         proc.exec_after(cost, log.append, ("done", name))
 
 
-def _play(make_cpu, on_cpu, kinds, script, threshold, nonpreempt):
+def _play(make_cpu, on_cpu, kinds, script, nonpreempt):
     sim = Simulator(seed=5)
     cpu = make_cpu(sim)
-    cpu.interactive_threshold = threshold
     cpu.max_nonpreempt = nonpreempt
     node = SimpleNamespace(name="n", cpu=cpu)
     procs = [Process(node, f"p{i}", **kind) for i, kind in enumerate(kinds)]
@@ -311,9 +296,9 @@ def _play(make_cpu, on_cpu, kinds, script, threshold, nonpreempt):
 _BANDS = [{}, {"reservation": 0.25}, {"realtime": True}]
 
 
-def _alone(mask, threshold=0.0, extra=()):
+def _alone(mask, extra=()):
     """An example whose every election has the ``mask`` process alone."""
-    return example(kinds=_BANDS + list(extra), threshold=threshold, nonpreempt=3e-4,
+    return example(kinds=_BANDS + list(extra), nonpreempt=3e-4,
                    script=[(0.0, mask, 0.001, 0, 0.0), (0.1, mask, 0.001, 0, 0.0)])
 
 
@@ -322,12 +307,10 @@ def _alone(mask, threshold=0.0, extra=()):
 # The hand-offs from the sole-ready election to the scan, always drawn:
 @_alone(0b1000, extra=[{"cpu_cap": 0.2}])  # a cap
 @_alone(0b10)  # a reservation, not the resume owner
-@_alone(0b1, threshold=0.05)  # an interactive threshold
-def test_dispatch_sequence_and_accounting_match_reference(
-        kinds, script, threshold, nonpreempt):
-    new = _play(CPUScheduler, _on_cpu, kinds, script, threshold, nonpreempt)
+def test_dispatch_sequence_and_accounting_match_reference(kinds, script, nonpreempt):
+    new = _play(CPUScheduler, _on_cpu, kinds, script, nonpreempt)
     old = _play(ReferenceScheduler, ReferenceScheduler.on_cpu, kinds, script,
-                threshold, nonpreempt)
+                nonpreempt)
     assert new == old
 
 
@@ -335,10 +318,9 @@ def test_dispatch_sequence_and_accounting_match_reference(
 # read its usage, which decays the average and moves its stamp. One case
 # per hand-off: each election below has exactly one process ready, at an
 # instant after its last charge, so only a usage read moves the stamp.
-def _sole_elections(make_cpu, on_cpu, kind, threshold):
+def _sole_elections(make_cpu, on_cpu, kind):
     sim = Simulator(seed=5)
     cpu = make_cpu(sim)
-    cpu.interactive_threshold = threshold
     proc = Process(SimpleNamespace(name="n", cpu=cpu), "p", **kind)
     seen = []
     dispatch = cpu._dispatch
@@ -357,22 +339,17 @@ def _sole_elections(make_cpu, on_cpu, kind, threshold):
     return seen
 
 
-def _assert_stamps_follow_the_rescan(kind, threshold):
-    new = _sole_elections(CPUScheduler, _on_cpu, kind, threshold)
-    old = _sole_elections(ReferenceScheduler, ReferenceScheduler.on_cpu,
-                          kind, threshold)
+def _assert_stamps_follow_the_rescan(kind):
+    new = _sole_elections(CPUScheduler, _on_cpu, kind)
+    old = _sole_elections(ReferenceScheduler, ReferenceScheduler.on_cpu, kind)
     assert new == old
     # The case reads usage at election: the last stamp is the election's.
     assert len(new) == 3 and new[-1][2] == new[-1][0] == 0.3
 
 
 def test_sole_capped_process_is_elected_through_the_scan():
-    _assert_stamps_follow_the_rescan({"cpu_cap": 0.2}, 0.0)
+    _assert_stamps_follow_the_rescan({"cpu_cap": 0.2})
 
 
 def test_sole_reserved_process_not_resuming_is_elected_through_the_scan():
-    _assert_stamps_follow_the_rescan({"reservation": 0.25}, 0.0)
-
-
-def test_sole_process_under_an_interactive_threshold_is_elected_through_the_scan():
-    _assert_stamps_follow_the_rescan({}, 0.05)
+    _assert_stamps_follow_the_rescan({"reservation": 0.25})

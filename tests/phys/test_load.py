@@ -29,7 +29,6 @@ def test_hog_starves_default_share_victim():
     """The PlanetLab problem: a fair-share process waits behind hogs."""
     sim = Simulator(seed=3)
     node = PhysicalNode(sim, "n")
-    node.cpu.interactive_threshold = 0.0  # the victim models busy Click
     for i in range(7):
         CPUHog(node, name=f"h{i}", heavy_tail_prob=0.0).start()
     victim = Process(node, "click")

@@ -165,16 +165,6 @@ class TestForwarding:
         assert got[0] == 63  # one hop decremented TTL
         assert f.forwarded == 1
 
-    def test_forwarding_disabled_drops(self):
-        sim, a, f, b = three_nodes_line()
-        f.ip_forwarding = False
-        sender = a.create_sliver(Slice("s")).create_process("app")
-        sock_a = a.udp_socket(sender, port=6000)
-        sock_a.sendto(100, "10.1.2.2", 7000)
-        sim.run()
-        assert f.forwarded == 0
-        assert sim.trace.count("kernel_drop", reason="not_local") == 1
-
     def test_ttl_expiry_generates_icmp(self):
         sim, a, f, b = three_nodes_line()
         sender_sliver = a.create_sliver(Slice("s"))

@@ -8,8 +8,11 @@ on a saturated link (max-min optimality), and the answer does not
 depend on the order classes are presented in.
 """
 
+import math
+
 import pytest
 
+from repro.net.tcp import MSS
 from repro.traffic import max_min_rates, tcp_steady_state_cap
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,6 +96,14 @@ def test_tcp_steady_state_cap():
     clean = tcp_steady_state_cap(0.028, window_bytes=10**9)
     assert lossy < clean
     assert tcp_steady_state_cap(0.0) == INF
+
+
+@pytest.mark.parametrize("rtt,loss", [(0.028, 0.01), (0.1, 0.001)])
+def test_mathis_bound_uses_the_packet_stacks_segment_size(rtt, loss):
+    # The fluid cap and packet TCP are held against each other, so the
+    # loss bound must be computed with the segments TCP actually sends.
+    assert tcp_steady_state_cap(rtt, window_bytes=10**9, loss_rate=loss) == (
+        MSS * 8.0 / rtt * math.sqrt(1.5 / loss))
 
 
 # ----------------------------------------------------------------------
