@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test props paper reach tier2-bench-smoke ledger ledger-smoke ledger-ab flight explain
+.PHONY: test props paper reach tier2-bench-smoke ledger ledger-smoke ledger-ab flight explain obs-cmp
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -82,3 +82,28 @@ flight:
 explain:
 	$(PYTHON) -m repro.obs fig8 benchmarks/results/archives/fig8
 	$(PYTHON) -m repro.obs explain benchmarks/results/archives/fig8
+
+# Byte identity of the Fig-8 observatory against another checkout
+# (BASE = a clone of the parent commit): builds a plain and a nudged
+# (--nudge-index 137 --nudge-dt 1e-3) fig8 archive from BASE and from
+# this checkout, in a fresh temporary directory outside any git checkout
+# so the manifest's commit is null on both sides, and prints
+# "identical" or "DIFFERS" for every file either side wrote.
+#   make obs-cmp BASE=/tmp/parent
+obs-cmp:
+	@test -n "$(BASE)" || { echo "usage: make obs-cmp BASE=<clone of the parent>" >&2; exit 2; }
+	@base=$$(cd "$(BASE)" && pwd) && new=$$(pwd) && work=$$(mktemp -d) && \
+	cd "$$work" && \
+	for side in "$$base base" "$$new new"; do set -- $$side; \
+	  PYTHONPATH="$$1/src" $(PYTHON) -m repro.obs fig8 "$$2" > /dev/null && \
+	  PYTHONPATH="$$1/src" $(PYTHON) -m repro.obs fig8 "$$2-nudged" \
+	    --nudge-index 137 --nudge-dt 1e-3 > /dev/null || exit 1; \
+	done && \
+	for run in "" -nudged; do \
+	  for name in $$( (ls "base$$run"; ls "new$$run") | sort -u); do \
+	    if cmp -s "base$$run/$$name" "new$$run/$$name"; then verdict=identical; \
+	    else verdict=DIFFERS; fi; \
+	    printf '%-9s %s\n' "$$verdict" "fig8$$run/$$name"; \
+	  done; \
+	done; \
+	cd / && rm -rf "$$work"

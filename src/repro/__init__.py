@@ -15,7 +15,6 @@ from repro.obs import (
     ExperimentReport,
     MetricsRegistry,
     PeriodicSampler,
-    RoutingObserver,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "InvariantChecker",
     "MetricsRegistry",
     "PeriodicSampler",
-    "RoutingObserver",
     "VirtualNetwork",
     "__version__",
 ]

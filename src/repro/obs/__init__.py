@@ -11,24 +11,24 @@ first-class layer instead of ad-hoc trace scans:
 * :mod:`repro.obs.spans` — :class:`FlightRecorder`, causal per-packet
   span tracing (``sim.flight``): why was *this* packet slow, stage by
   stage, plus the OSPF convergence span tree.
-* :mod:`repro.obs.sampler` — :class:`PeriodicSampler`, sim-clock
-  snapshots of metrics into time series without perturbing event order.
+* :mod:`repro.obs.sampler` — :class:`PeriodicSampler`, the one
+  periodic snapshotter: sim-clock snapshots of metrics into time series
+  without perturbing event order.
 * :mod:`repro.obs.export` — the deterministic series-CSV exporter
   and the flight record stream (:class:`FlightStream`, JSONL) with its
   Perfetto/Chrome-trace view (:func:`perfetto_events`).
 * :mod:`repro.obs.flight` — slowest-N latency decomposition of a
   Table-4/5 ping run, and the comparison of two runs' stage
   decompositions (the ``flight`` verb).
-* :mod:`repro.obs.routing` — :class:`RoutingObserver` control-plane
-  timelines and the :class:`ConvergenceTracker` stitching fault
-  injection -> first reroute -> route-stable with blackhole/micro-loop
-  windows.
+* :mod:`repro.obs.routing` — the :class:`ConvergenceTracker` stitching
+  fault injection -> first reroute -> route-stable with
+  blackhole/micro-loop windows.
 * :mod:`repro.obs.report` — :class:`ExperimentReport`, the
   deterministic Markdown + JSON compiler over one run's metrics,
-  samplers, spans, and routing timelines.
-* :mod:`repro.obs.live` — :class:`LiveMonitor`, the streaming
-  telemetry bus for runs *while they execute*: a deterministic JSONL
-  feed of sim-clock snapshots.
+  samplers, spans, and routing timelines (read from the trace).
+* :mod:`repro.obs.live` — :class:`LiveMonitor`, the sampler that
+  streams every snapshot to a deterministic JSONL feed, for runs
+  *while they execute*.
 * :mod:`repro.obs.archive` — :class:`RunArchive`, the per-run manifest
   (seed, config signature, commit, content hash per artifact) over
   every file under the archive's directory, each typed from its bytes.
@@ -68,7 +68,7 @@ from repro.obs.export import (
     flight_rows,
     perfetto_events,
 )
-from repro.obs.live import JsonlFeed, LiveMonitor
+from repro.obs.live import LiveMonitor
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -82,7 +82,6 @@ from repro.obs.report import ExperimentReport, build_report
 from repro.obs.routing import (
     ConvergenceEpisode,
     ConvergenceTracker,
-    RoutingObserver,
     episodes_from_trace,
 )
 from repro.obs.sampler import PeriodicSampler
@@ -106,14 +105,12 @@ __all__ = [
     "FlightStream",
     "Gauge",
     "Histogram",
-    "JsonlFeed",
     "LiveMonitor",
     "MetricsRegistry",
     "NULL_METRIC",
     "NULL_RECORDER",
     "NullFlightRecorder",
     "PeriodicSampler",
-    "RoutingObserver",
     "RunArchive",
     "Span",
     "SpanContext",

@@ -88,7 +88,7 @@ def _cmd_q(args) -> int:
             raise ValueError(f"--where expects col=value, got {clause!r}")
         col, _, value = clause.partition("=")
         table = table.where(**{col: _parse_value(value)})
-    if args.window:
+    if args.window is not None:
         table = table.window(args.window)
     if args.agg:
         spec = []
@@ -179,7 +179,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="aggregate: count, sum:col, mean:col, "
                         "min:col, max:col")
     p.add_argument("--by", help="comma-separated group-by columns")
-    p.add_argument("--limit", type=int, help="emit at most N rows")
+    p.add_argument("--limit", type=int,
+                   help="emit at most N rows (ignored with --agg)")
     p.set_defaults(fn=_cmd_q)
 
     p = sub.add_parser("diff", help="first-divergence diff of two archives")

@@ -19,33 +19,26 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-#: Header of the long-form series CSV (:func:`export_series_csv`, the
-#: sampler's spill file).
+#: Header of the long-form series CSV (:func:`export_series_csv`).
 SERIES_HEADER = ["key", "time", "value", "count", "sum"]
 
 
-def series_rows(key: str, points: Iterable[Tuple[float, Any]]) -> Iterator[List[Any]]:
-    """Series-CSV rows for one probe's ``(t, value)`` points (histogram
-    probes fill ``count``/``sum`` instead of ``value``)."""
-    for t, value in points:
-        if isinstance(value, tuple) and len(value) == 2:
-            yield [key, repr(t), "", value[0], repr(value[1])]
-        else:
-            yield [key, repr(t), repr(value), "", ""]
-
-
-def export_series_csv(sampler, path: str, keys: Optional[Iterable[str]] = None) -> str:
+def export_series_csv(sampler, path: str) -> str:
     """Write a sampler's time series as long-form CSV rows
-    ``key,time,value`` (histogram probes expand to ``count``/``sum``
-    columns)."""
+    ``key,time,value`` (histogram probes fill ``count``/``sum``
+    instead of ``value``), probe by probe in watch order."""
     _ensure_parent(path)
     with open(path, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SERIES_HEADER)
-        for key in keys if keys is not None else sampler.keys():
-            writer.writerows(series_rows(key, sampler.series(key)))
+        for key in sampler.keys():
+            for t, value in sampler.series(key):
+                if isinstance(value, tuple) and len(value) == 2:
+                    writer.writerow([key, repr(t), "", value[0], repr(value[1])])
+                else:
+                    writer.writerow([key, repr(t), repr(value), "", ""])
     return path
 
 

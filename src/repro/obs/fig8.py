@@ -20,10 +20,10 @@ from typing import Optional, Tuple
 
 from repro.faults import FaultPlan
 from repro.obs.archive import RunArchive, experiment_signature
-from repro.obs.export import FlightStream, detect_commit
+from repro.obs.export import FlightStream, detect_commit, export_series_csv
 from repro.obs.live import LiveMonitor
 from repro.obs.report import ExperimentReport, build_report
-from repro.obs.routing import ConvergenceTracker, RoutingObserver
+from repro.obs.routing import ConvergenceTracker
 from repro.obs.sampler import PeriodicSampler
 from repro.obs.spans import FlightRecorder
 from repro.tools.ping import Ping
@@ -66,7 +66,6 @@ def run_fig8(
                          meta={"commit": detect_commit()}).attach(sim)
     stream = FlightStream(path("flights.jsonl"), chunk_flights=64)
     recorder = FlightRecorder(sim, capacity=128, stream=stream).install()
-    observer = RoutingObserver(sim).install()
     tracker = ConvergenceTracker(exp).install()
     tracker.watch_path("washington", "seattle")
     monitor = LiveMonitor(sim, interval=1.0, feed=path("live.jsonl"),
@@ -85,22 +84,20 @@ def run_fig8(
         washington.phys_node, seattle.tap_addr, sliver=washington.sliver,
         interval=interval, count=int(end_at / interval),
     ).start()
-    # Spilling keeps 32 points in memory and every point in series.csv.
-    sampler = PeriodicSampler(sim, 1.0, name="fig8", max_points=32,
-                              spill_path=path("series.csv"))
+    sampler = PeriodicSampler(sim, 1.0, name="fig8")
     sampler.watch("rtt", metric=ping.rtt_hist).start()
     vini.run(until=run_until)
 
     sampler.stop(final=True)
     monitor.stop()
     recorder.close_stream()
-    sampler.finish()
+    export_series_csv(sampler, path("series.csv"))
     report = build_report(
         sim, name="fig8",
         meta={"config": "abilene-iias", "seed": seed, "warmup_s": WARMUP,
               "fail_at_s": FAIL_AT, "fail_duration_s": FAIL_DURATION,
               "ping": "washington->seattle @ %gs" % interval},
-        samplers=(sampler,), recorder=recorder, observer=observer,
+        samplers=(sampler,), recorder=recorder, routing=True,
         tracker=tracker, monitor=monitor,
     )
     report.write(path("report"))

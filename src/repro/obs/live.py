@@ -5,68 +5,34 @@ Metrics, samplers, flights and reports are consumable only after
 100k-user hybrid traffic plane) run for minutes. This module is the
 window into a run *while it executes*.
 
-:class:`LiveMonitor` is the telemetry bus. Installed on a
-:class:`~repro.sim.engine.Simulator`, it writes a JSONL feed: one
-snapshot per ``interval`` sim-seconds, keyed by sim-time + event-count
-and holding only simulation state (clock, pending events, registered
-probes). The feed is line-buffered, so ``tail -f`` on it is the
-progress view.
+:class:`LiveMonitor` is a :class:`~repro.obs.sampler.PeriodicSampler`
+that also writes each snapshot to a JSONL feed: one row per
+``interval`` sim-seconds, keyed by sim-time + event-count and holding
+only simulation state (clock, pending events, registered probes). The
+feed is line-buffered, so ``tail -f`` on it is the progress view.
 
-Determinism holds by construction: the snapshots are ordinary periodic
-sim events that read no host clock and write no trace record, and the
-engine's dispatch loop polls nothing for the monitor, so a monitored
-run replays an unmonitored one's trace and a same-seed feed is
-byte-identical on machines of any speed.
+Determinism holds by construction: the snapshots are the sampler's
+ordinary periodic sim events, which read no host clock and write no
+trace record, and the engine's dispatch loop polls nothing for the
+monitor, so a monitored run replays an unmonitored one's trace and a
+same-seed feed is byte-identical on machines of any speed.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict
 
-__all__ = ["JsonlFeed", "LiveMonitor"]
+from repro.obs.export import _ensure_parent
+from repro.obs.sampler import PeriodicSampler
+
+__all__ = ["LiveMonitor"]
 
 #: Feed schema identifier written as the first line of every feed.
 FEED_SCHEMA = "repro.live/1"
 
 
-class JsonlFeed:
-    """Deterministic JSONL sink for live snapshots.
-
-    One JSON object per line, sorted keys, floats via ``repr`` (the
-    shortest round-trip form ``json`` emits natively) — the same rules
-    as :mod:`repro.obs.export`, so a same-seed run writes a
-    byte-identical file. Accepts a path (opened line-buffered so a
-    ``tail -f`` watcher sees snapshots as they happen) or any object
-    with ``write``.
-    """
-
-    def __init__(self, target):
-        if hasattr(target, "write"):
-            self._handle = target
-            self._owns = False
-            self.path = getattr(target, "name", None)
-        else:
-            parent = os.path.dirname(os.path.abspath(target))
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._handle = open(target, "w", buffering=1)
-            self._owns = True
-            self.path = target
-        self.lines = 0
-
-    def emit(self, row: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(row, sort_keys=True) + "\n")
-        self.lines += 1
-
-    def close(self) -> None:
-        if self._owns and self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class LiveMonitor:
+class LiveMonitor(PeriodicSampler):
     """The live telemetry bus of one simulator.
 
     Parameters
@@ -74,52 +40,31 @@ class LiveMonitor:
     sim:
         The simulator to observe.
     interval:
-        Sim-seconds between deterministic feed snapshots (a native
-        periodic event, so snapshot times replay exactly).
+        Sim-seconds between feed snapshots.
     feed:
-        Path or file-like for the JSONL feed, or ``None`` for no feed.
+        Path of the JSONL feed: one JSON object per line, sorted keys,
+        floats via ``repr`` — the same rules as :mod:`repro.obs.export`,
+        so a same-seed run writes a byte-identical file.
     name:
         The monitor's label in the feed header, the report and the
         ``live.snapshots`` counter.
     """
 
-    def __init__(
-        self,
-        sim,
-        interval: float = 1.0,
-        feed=None,
-        name: str = "live",
-    ):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval!r}")
-        self.sim = sim
-        self.interval = interval
-        self.name = name
-        self.feed: Optional[JsonlFeed] = None
-        self._feed_target = feed
-        self._probes: List[tuple] = []  # (key, fn), insertion-ordered
-        self._probe_keys: set = set()
+    def __init__(self, sim, interval: float = 1.0, *, feed: str,
+                 name: str = "live"):
+        super().__init__(sim, interval, name=name)
+        self.path = feed
         self.snapshots = 0
-        self._handle = None
-        self._installed = False
+        self._feed = None
 
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
-    def watch(self, key: str, fn: Callable[[], Any]) -> "LiveMonitor":
-        """Register a deterministic health probe; its value appears in
-        every feed snapshot under ``probes[key]``."""
-        if key in self._probe_keys:
-            raise ValueError(f"probe {key!r} already watched")
-        self._probe_keys.add(key)
-        self._probes.append((key, fn))
-        return self
-
     def watch_metric(self, key: str, name: str, **labels) -> "LiveMonitor":
         """Probe the summed value of registry series ``name`` matching
         the label subset (e.g. total run-queue depth over all nodes)."""
         metrics = self.sim.metrics
-        return self.watch(key, lambda: metrics.sum_values(name, **labels))
+        return self.watch(key, fn=lambda: metrics.sum_values(name, **labels))
 
     def watch_engine(self) -> "LiveMonitor":
         """Probe the engine's heap: entries held and how many of them
@@ -127,8 +72,8 @@ class LiveMonitor:
         given seed. (Live events pending and events scheduled are in
         every snapshot already.)"""
         sim = self.sim
-        self.watch("sim.heap_entries", lambda: len(sim._heap))
-        self.watch("sim.heap_cancelled", lambda: sim._heap_cancelled)
+        self.watch("sim.heap_entries", fn=lambda: len(sim._heap))
+        self.watch("sim.heap_cancelled", fn=lambda: sim._heap_cancelled)
         return self
 
     def watch_cpu(self) -> "LiveMonitor":
@@ -145,71 +90,60 @@ class LiveMonitor:
             done = sum(1 for e in episodes if e.convergence_s is not None)
             return done / len(episodes)
 
-        self.watch("convergence.episodes", lambda: len(tracker.episodes))
-        self.watch("convergence.fraction", fraction)
+        self.watch("convergence.episodes", fn=lambda: len(tracker.episodes))
+        self.watch("convergence.fraction", fn=fraction)
         return self
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def install(self) -> "LiveMonitor":
-        """Open the feed and start the sim-clock snapshot series.
-        Idempotent."""
-        if self._installed:
-            return self
-        self._installed = True
-        if self._feed_target is not None:
-            self.feed = JsonlFeed(self._feed_target)
-            self.feed.emit({
-                "schema": FEED_SCHEMA,
-                "name": self.name,
-                "interval": self.interval,
-                "seed": self.sim.seed,
-            })
+        """Start the monitor unless it is running already."""
+        return self if self._handle is not None else self.start()
+
+    def start(self) -> "LiveMonitor":
+        """Open the feed, write its header and start the snapshots (the
+        first one now)."""
+        if self._handle is not None:
+            raise RuntimeError(f"monitor {self.name!r} already started")
+        _ensure_parent(self.path)
+        self._feed = open(self.path, "w", buffering=1)
+        self._emit({
+            "schema": FEED_SCHEMA,
+            "name": self.name,
+            "interval": self.interval,
+            "seed": self.sim.seed,
+        })
         metrics = self.sim.metrics
         if metrics.enabled:
             metrics.counter("live.snapshots", fn=lambda: self.snapshots,
                             monitor=self.name)
-        self._tick()  # anchor snapshot at install time
-        self._handle = self.sim.schedule_periodic(self.interval, self._tick)
-        return self
+        return super().start()
 
     def stop(self, final: bool = True) -> "LiveMonitor":
         """Stop snapshots; with ``final`` take one last snapshot so the
-        feed covers the full run."""
-        if not self._installed:
+        feed covers the full run. Then close the feed."""
+        if self._handle is None:
             return self
-        self._installed = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        if final:
-            self._tick()
-        if self.feed is not None:
-            self.feed.close()
+        super().stop(final)
+        self._feed.close()
         return self
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """The current run-health snapshot. Only simulation state:
-        keyed by sim-time + event-count, probe values from sim-side
-        instruments. Byte-deterministic for a same-seed run."""
+    def _tick(self) -> None:
+        super()._tick()
         sim = self.sim
-        return {
+        self._emit({
             "i": self.snapshots,
             "t": sim.now,
             "events": sim._seq,
             "pending": sim.pending,
-            "probes": {key: fn() for key, fn in self._probes},
-        }
-
-    def _tick(self) -> None:
-        row = self.snapshot()
+            "probes": {key: probe.points[-1][1]
+                       for key, probe in self._probes.items()},
+        })
         self.snapshots += 1
-        if self.feed is not None:
-            self.feed.emit(row)
+
+    def _emit(self, row: Dict[str, Any]) -> None:
+        self._feed.write(json.dumps(row, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------
     # Report integration

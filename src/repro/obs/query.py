@@ -161,6 +161,9 @@ class Table:
         return Table(gen, self.name)
 
     def head(self, n: int) -> "Table":
+        """The first ``n`` rows."""
+        if n < 0:
+            raise ValueError(f"row limit must not be negative, got {n!r}")
         def gen():
             for i, row in enumerate(self._source()):
                 if i >= n:
@@ -178,9 +181,12 @@ class Table:
         group columns plus ``op(column)`` keys. Only the group table
         is held in memory, never the rows.
         """
-        for op, _col in spec:
+        for op, col in spec:
             if op not in _ACCS:
                 raise ValueError(f"unknown aggregate {op!r}")
+            if op != "count" and not col:
+                raise ValueError(
+                    f"aggregate {op!r} needs a column: {op}:COL")
         groups: Dict[tuple, Dict[str, Any]] = {}
         for row in self._source():
             key = tuple(repr(row.get(col)) for col in by)
@@ -618,13 +624,6 @@ def diff_archives(path_a: str, path_b: str, hash_only: bool = False,
 # ----------------------------------------------------------------------
 # Explain: the causal chain around a run (or a divergence)
 # ----------------------------------------------------------------------
-class _TraceShim:
-    """Just enough of a TraceCollector for episodes_from_trace()."""
-
-    def __init__(self, records):
-        self.records = records
-
-
 def explain_archive(path: str, at: Optional[float] = None) -> Dict[str, Any]:
     """Stitch one archive's causal chain: each ``fault`` record, the
     convergence episode it triggers (re-derived from the spilled
@@ -644,7 +643,7 @@ def explain_archive(path: str, at: Optional[float] = None) -> Dict[str, Any]:
         records.extend(iter_spill(reader.path(name),
                                   kinds=("fault", "rib_change")))
     records.sort(key=lambda r: r.time)
-    episodes = episodes_from_trace(_TraceShim(records))
+    episodes = episodes_from_trace(records)
     faults = [r for r in records if r.kind == "fault"]
 
     flights: List[Row] = []

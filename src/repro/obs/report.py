@@ -28,6 +28,15 @@ from repro.obs.export import _ensure_parent
 #: Slowest flights broken down in the report.
 SLOWEST_FLIGHTS = 5
 
+#: The report's routing timelines: section key -> the trace kind whose
+#: records it lists.
+ROUTING_TIMELINES = (
+    ("adjacency", "ospf_neighbor"),
+    ("spf_runs", "ospf_spf"),
+    ("bgp_sessions", "bgp_session"),
+    ("rib_changes", "rib_change"),
+)
+
 
 # ----------------------------------------------------------------------
 # Formatting helpers
@@ -65,7 +74,7 @@ def build_report(
     meta: Optional[Dict[str, Any]] = None,
     samplers: Sequence[Any] = (),
     recorder=None,
-    observer=None,
+    routing: bool = False,
     tracker=None,
     traffic=None,
     monitor=None,
@@ -74,18 +83,28 @@ def build_report(
 
     ``samplers`` are :class:`~repro.obs.sampler.PeriodicSampler`
     instances; ``recorder`` a :class:`~repro.obs.spans.FlightRecorder`;
-    ``observer``/``tracker`` the :mod:`repro.obs.routing` collectors;
+    ``routing`` adds the control-plane timelines, read from the trace's
+    records of :data:`ROUTING_TIMELINES` (it raises ``ValueError`` when
+    the trace is not recording the quiet ``rib_change`` kind, which a
+    :class:`~repro.obs.routing.ConvergenceTracker` enables);
+    ``tracker`` a :class:`~repro.obs.routing.ConvergenceTracker`;
     ``traffic`` a :class:`~repro.traffic.FluidTrafficPlane`;
     ``monitor`` a :class:`~repro.obs.live.LiveMonitor` (its section is
     its name, snapshot interval and snapshot count).
     All are optional — absent sections are omitted.
     """
+    trace = sim.trace
+    if routing and not trace.wants("rib_change"):
+        raise ValueError(
+            "routing=True needs the trace's rib_change records, but the "
+            "trace is not recording them: install a ConvergenceTracker "
+            "(or call trace.enable('rib_change')) before the run")
     data: Dict[str, Any] = {
         "meta": dict(meta or {}, name=name, sim_time=sim.now,
                      generator="repro.obs.report"),
         "faults": [
             dict(record.fields, time=record.time)
-            for record in sim.trace.select("fault")
+            for record in trace.select("fault")
         ],
         "metrics": sim.metrics.collect(),
     }
@@ -102,8 +121,12 @@ def build_report(
                 "series": series,
             }
         data["samplers"] = section
-    if observer is not None:
-        data["routing"] = observer.as_dict()
+    if routing:
+        data["routing"] = {
+            section: [{"time": record.time, **record.fields}
+                      for record in trace.select(kind)]
+            for section, kind in ROUTING_TIMELINES
+        }
     if tracker is not None:
         data["convergence"] = tracker.as_dict()
     if recorder is not None:

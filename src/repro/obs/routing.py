@@ -1,29 +1,23 @@
-"""Control-plane telemetry: routing timelines and convergence analytics.
+"""Control-plane telemetry: convergence analytics.
 
 The paper's Section 5.2 claim is that a controlled event (a link
 failure on a fixed schedule) produces an *observable* convergence
 story: adjacencies drop, LSAs flood, SPF reruns, the RIB churns, and
 traffic reroutes. The routing daemons emit that story on the trace
 stream (``ospf_neighbor``, ``ospf_spf``, ``bgp_session``, and the
-quiet ``rib_change`` kind); this module turns the stream into
-structures a report can print:
+quiet ``rib_change`` kind); the report's routing timelines are those
+records read back (``build_report(routing=True)``). This module adds
+:class:`ConvergenceTracker`: it stitches fault injections (from
+:mod:`repro.faults`) to the RIB churn they cause into per-episode
+convergence stats (first reroute, route-stable, per-router /
+per-prefix churn), and walks tracked overlay paths after every change
+to expose blackhole and micro-loop windows (the same next-hop walk the
+:class:`~repro.faults.InvariantChecker` sweeps with).
 
-* :class:`RoutingObserver` — subscribes to the control-plane trace
-  kinds and accumulates flat timelines (adjacency FSM transitions, SPF
-  runs, BGP session transitions, per-prefix RIB churn).
-* :class:`ConvergenceTracker` — stitches fault injections (from
-  :mod:`repro.faults`) to the RIB churn they cause into per-episode
-  convergence stats (first reroute, route-stable, per-router /
-  per-prefix churn), and walks tracked overlay paths after every
-  change to expose blackhole and micro-loop windows (the same
-  next-hop walk the :class:`~repro.faults.InvariantChecker` sweeps
-  with).
-
-Both ride the trace fast path: ``rib_change`` is a quiet kind, so a
-run without an observer installed logs nothing and default golden
-traces are unchanged. Installing an observer only *reads* the stream —
-it never schedules events, so the experiment's event order is
-untouched.
+The tracker rides the trace fast path: ``rib_change`` is a quiet kind,
+so a run without a tracker installed logs nothing and default golden
+traces are unchanged. Installing one only *reads* the stream — it never
+schedules events, so the experiment's event order is untouched.
 
 Nothing here imports :mod:`repro.sim` or :mod:`repro.faults` at module
 level (the walk helper is imported lazily), keeping the obs package's
@@ -32,67 +26,13 @@ dependencies one-way.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Path-walk statuses, as returned by
 #: :func:`repro.faults.invariants.walk_overlay_path`.
 DELIVERED = "delivered"
 BLACKHOLE = "blackhole"
 LOOP = "loop"
-
-
-# ----------------------------------------------------------------------
-# Flat timelines
-# ----------------------------------------------------------------------
-class RoutingObserver:
-    """Accumulates control-plane timelines from the trace stream.
-
-    Usage::
-
-        observer = RoutingObserver(sim).install()   # before the run
-        ...
-        observer.as_dict()                          # for the report
-
-    ``install()`` enables the quiet ``rib_change`` kind; the other
-    kinds are enabled on first use by the daemons themselves.
-    """
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.adjacency: List[Dict[str, Any]] = []
-        self.spf: List[Dict[str, Any]] = []
-        self.sessions: List[Dict[str, Any]] = []
-        self.rib: List[Dict[str, Any]] = []
-        self._installed = False
-
-    def install(self) -> "RoutingObserver":
-        if self._installed:
-            return self
-        self._installed = True
-        trace = self.sim.trace
-        trace.enable("rib_change")
-        trace.subscribe("ospf_neighbor", self._collect(self.adjacency))
-        trace.subscribe("ospf_spf", self._collect(self.spf))
-        trace.subscribe("bgp_session", self._collect(self.sessions))
-        trace.subscribe("rib_change", self._collect(self.rib))
-        return self
-
-    @staticmethod
-    def _collect(into: List[Dict[str, Any]]):
-        def handler(record) -> None:
-            row = {"time": record.time}
-            row.update(record.fields)
-            into.append(row)
-        return handler
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Timelines in event order, ready for JSON export."""
-        return {
-            "adjacency": list(self.adjacency),
-            "spf_runs": list(self.spf),
-            "bgp_sessions": list(self.sessions),
-            "rib_changes": list(self.rib),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +133,7 @@ class ConvergenceTracker:
         tracker.blackhole_windows("washington", "seattle")
     """
 
-    def __init__(self, target, pairs: Tuple[Tuple[str, str], ...] = ()):
+    def __init__(self, target):
         from repro.faults.invariants import _split_target
 
         self.network, _vini = _split_target(target)
@@ -216,8 +156,6 @@ class ConvergenceTracker:
             Tuple[str, str, Optional[str]], List[Tuple[float, str]]
         ] = {}
         self._installed = False
-        for pair in pairs:
-            self.watch_path(*pair)
 
     # ------------------------------------------------------------------
     def install(self) -> "ConvergenceTracker":
@@ -338,19 +276,20 @@ class ConvergenceTracker:
 # ----------------------------------------------------------------------
 # Offline re-derivation (the batch cross-check)
 # ----------------------------------------------------------------------
-def episodes_from_trace(trace) -> List[ConvergenceEpisode]:
-    """Re-derive convergence episodes from a finished run's trace log.
+def episodes_from_trace(records: Iterable[Any]) -> List[ConvergenceEpisode]:
+    """Re-derive convergence episodes from a finished run's trace
+    records (``sim.trace.records``, or records read back from a spill).
 
     The batch counterpart to :class:`ConvergenceTracker`'s incremental
-    stitching: scan the recorded ``fault`` and ``rib_change`` records
-    in time order and rebuild the same episode list. Tier-1 asserts the
-    two derivations are equal, the same live-vs-offline cross-check the
+    stitching: scan the ``fault`` and ``rib_change`` records in time
+    order and rebuild the same episode list. Tier-1 asserts the two
+    derivations are equal, the same live-vs-offline cross-check the
     metric registry gets against legacy sample scans. Only works if a
-    tracker/observer enabled ``rib_change`` during the run (quiet kinds
-    record nothing by default).
+    tracker enabled ``rib_change`` during the run (quiet kinds record
+    nothing by default).
     """
     episodes: List[ConvergenceEpisode] = []
-    for record in trace.records:  # append order == (time, seq) order
+    for record in records:  # time order: a trace appends in (time, seq) order
         if record.kind == "fault":
             episodes.append(
                 ConvergenceEpisode(episode_trigger(record.fields), record.time)

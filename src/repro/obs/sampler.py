@@ -20,11 +20,8 @@ points for plotting or export via
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.obs.export import SERIES_HEADER, _ensure_parent, series_rows
 
 #: Tolerance when locating a snapshot at a window boundary: boundaries
 #: land exactly on tick times, but callers pass times computed
@@ -33,10 +30,9 @@ _EDGE_EPS = 1e-9
 
 
 class _Probe:
-    __slots__ = ("key", "read", "points")
+    __slots__ = ("read", "points")
 
-    def __init__(self, key: str, read: Callable[[], Any]):
-        self.key = key
+    def __init__(self, read: Callable[[], Any]):
         self.read = read
         self.points: List[Tuple[float, Any]] = []
 
@@ -48,44 +44,18 @@ def _reader_for(metric) -> Callable[[], Any]:
 
 
 class PeriodicSampler:
-    """Snapshot watched metrics every ``interval`` sim-seconds.
+    """Snapshot watched probes every ``interval`` sim-seconds.
 
-    For multi-hour runs, ``max_points`` with ``spill_path`` bounds the
-    in-memory cost *without losing anything*: whenever a probe's series
-    exceeds the cap, the older half is appended to ``spill_path`` (the
-    same long-form ``key,time,value,count,sum`` CSV as
-    :func:`repro.obs.export.export_series_csv`) and dropped from
-    memory. Call :meth:`finish` after the run to append the retained
-    tail, yielding one complete series file while memory never held
-    more than ``max_points`` snapshots per probe.
+    The one periodic snapshotter: :class:`~repro.obs.live.LiveMonitor`
+    is a sampler that also writes each snapshot to its feed.
     """
 
-    def __init__(
-        self,
-        sim,
-        interval: float,
-        name: str = "sampler",
-        max_points: Optional[int] = None,
-        spill_path: Optional[str] = None,
-    ):
+    def __init__(self, sim, interval: float, name: str = "sampler"):
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
-        if max_points is not None and max_points <= 0:
-            raise ValueError(f"max_points must be positive, got {max_points!r}")
-        if (max_points is None) != (spill_path is None):
-            raise ValueError(
-                "max_points= and spill_path= go together: a capped series "
-                "spills its older half to the file"
-            )
         self.sim = sim
         self.interval = interval
         self.name = name
-        self.max_points = max_points
-        self.spill_path = spill_path
-        self.spilled_rows = 0
-        self._spill_handle = None
-        self._spill_writer = None
-        self._finished = False
         self._probes: Dict[str, _Probe] = {}
         self._handle = None
 
@@ -99,74 +69,36 @@ class PeriodicSampler:
             raise ValueError("watch() takes exactly one of metric= or fn=")
         if key in self._probes:
             raise ValueError(f"probe {key!r} already watched")
-        self._probes[key] = _Probe(key, fn if fn is not None else _reader_for(metric))
+        self._probes[key] = _Probe(fn if fn is not None else _reader_for(metric))
         return self
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, immediate: bool = True) -> "PeriodicSampler":
-        """Begin ticking. With ``immediate`` a snapshot is taken at the
-        current sim time as well, so windows can anchor at t=start."""
+    def start(self) -> "PeriodicSampler":
+        """Begin ticking: one snapshot at the current sim time, so
+        windows can anchor at t=start, then one every ``interval``."""
         if self._handle is not None:
             raise RuntimeError(f"sampler {self.name!r} already started")
-        if immediate:
-            self._tick()
+        self._tick()
         self._handle = self.sim.schedule_periodic(self.interval, self._tick)
         return self
 
     def stop(self, final: bool = True) -> "PeriodicSampler":
-        """Stop ticking; with ``final`` take one last snapshot now."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        """Stop ticking; with ``final`` take one last snapshot now.
+        A sampler that is not ticking ignores the call."""
+        if self._handle is None:
+            return self
+        self._handle.cancel()
+        self._handle = None
         if final:
             self._tick()
         return self
 
     def _tick(self) -> None:
         now = self.sim.now
-        cap = self.max_points
         for probe in self._probes.values():
-            points = probe.points
-            points.append((now, probe.read()))
-            if cap is not None and len(points) > cap:
-                # Flush the older half to disk in one chunk; memory keeps
-                # only the recent window, the file keeps everything.
-                half = len(points) // 2
-                self._spill(probe.key, points[:half])
-                del points[:half]
-
-    def _spill(self, key: str, rows: List[Tuple[float, Any]]) -> None:
-        if self._finished:
-            raise RuntimeError(
-                f"sampler {self.name!r} already finished; cannot spill"
-            )
-        if self._spill_writer is None:
-            _ensure_parent(self.spill_path)
-            self._spill_handle = open(self.spill_path, "w")
-            self._spill_writer = csv.writer(
-                self._spill_handle, lineterminator="\n"
-            )
-            self._spill_writer.writerow(SERIES_HEADER)
-        self._spill_writer.writerows(series_rows(key, rows))
-        self.spilled_rows += len(rows)
-
-    def finish(self) -> Optional[str]:
-        """Append the retained in-memory tail of every probe to the
-        spill file and close it, completing the on-disk series.
-        Idempotent; returns the spill path (``None`` for a sampler that
-        does not spill, where there is nothing to finalize)."""
-        if self.spill_path is None or self._finished:
-            return self.spill_path
-        for probe in self._probes.values():
-            self._spill(probe.key, probe.points)
-        self._finished = True
-        if self._spill_handle is not None:
-            self._spill_handle.close()
-            self._spill_handle = None
-            self._spill_writer = None
-        return self.spill_path
+            probe.points.append((now, probe.read()))
 
     # ------------------------------------------------------------------
     # Readback

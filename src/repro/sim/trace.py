@@ -88,7 +88,6 @@ class TraceCollector:
         self._by_kind: Dict[str, List[TraceRecord]] = {}
         self._kind_bits: Dict[str, int] = {}
         self._enabled_mask = 0
-        self.enabled = True
         # Per-path interning state for incremental spill_to() calls:
         # path -> (kind -> index, field name -> index).
         self._spill_tables: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
@@ -122,8 +121,6 @@ class TraceCollector:
     def wants(self, kind: str) -> bool:
         """True if a ``log(kind, ...)`` would record anything. Hot call
         sites guard on this before building expensive fields."""
-        if not self.enabled:
-            return False
         bit = self._kind_bits.get(kind)
         if bit is None:
             bit = self._register(kind)
@@ -137,7 +134,7 @@ class TraceCollector:
         bit = self._kind_bits.get(kind)
         if bit is None:
             bit = self._register(kind)
-        if not self.enabled or not (self._enabled_mask & bit):
+        if not (self._enabled_mask & bit):
             return None
         record = TraceRecord(self._sim.now, kind, fields)
         self.records.append(record)

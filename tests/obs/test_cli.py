@@ -179,6 +179,23 @@ def test_read_verbs_refuse_bad_input_with_one_error_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, names", [
+    (["--agg", "sum"], "aggregate 'sum' needs a column"),
+    (["--agg", "max"], "aggregate 'max' needs a column"),
+    (["--window", "0"], "window width must be positive"),
+    (["--limit", "-1"], "row limit must not be negative"),
+], ids=["agg-sum-no-col", "agg-max-no-col", "window-zero", "limit-negative"])
+def test_q_refuses_an_option_it_cannot_answer(args, names, archives, capsys):
+    """An aggregate with no column, a zero-wide window and a negative
+    limit each have no answer: one error line, not an empty or zero
+    result."""
+    assert main(["q", archives["a"], "series.csv", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and names in captured.err
+
+
 def test_unknown_artifact_names_the_ones_the_archive_has(archives, capsys):
     assert main(["q", archives["a"], "nope.jsonl"]) == 2
     err = capsys.readouterr().err
@@ -267,8 +284,9 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     wire format and the Poisson and on/off sources, and the archive's
     registration hook, its environment attaches, the metrics-JSONL
     format and the in-place spill nudge, and the settings no run changed
-    (now module constants) with the modes only a second value reached:
-    deleted, and not to be documented back in."""
+    (now module constants) with the modes only a second value reached,
+    and the routing observer, the live monitor's feed class and the
+    sampler's spill mode: deleted, and not to be documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -295,7 +313,9 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|kernel_cost_[f]ixed|kernel_cost_per_[b]yte|app_recv_[c]ost"
         r"|syscalls_per_[p]acket|copy_cost_per_[b]yte|control_[c]ost|spf_[d]elay"
         r"|link_[b]lock|tunnel_port_[b]ase|tunnel_[r]cvbuf|reroute_on_[f]ailure"
-        r"|ttl_[g]uard|flight_[s]ample|mss_[b]ytes")
+        r"|ttl_[g]uard|flight_[s]ample|mss_[b]ytes"
+        r"|Routing[O]bserver|Jsonl[F]eed|max_[p]oints|spill_[p]ath"
+        r"|spilled_[r]ows")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

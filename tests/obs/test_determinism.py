@@ -72,17 +72,17 @@ def _serialize(sim) -> str:
     )
 
 
-def _fig8_trace(metrics_enabled: bool, live: bool = False):
+def _fig8_trace(metrics_enabled: bool, live=None):
+    """The Fig-8 run's serialized trace and instrument count; a ``live``
+    feed path installs a LiveMonitor writing there."""
     old = MetricsRegistry.default_enabled
     MetricsRegistry.default_enabled = metrics_enabled
     try:
         vini, exp = build_abilene_iias(seed=8)
         if live:
-            import io
-
             from repro.obs import LiveMonitor
 
-            monitor = LiveMonitor(vini.sim, interval=1.0, feed=io.StringIO())
+            monitor = LiveMonitor(vini.sim, interval=1.0, feed=live)
             monitor.watch_engine().watch_cpu()
             monitor.install()
         exp.run(until=WARMUP)
@@ -112,21 +112,22 @@ def test_disabled_registry_leaves_golden_fig8_trace_unchanged():
     assert "fault" in enabled_trace  # the failover actually happened
     assert enabled_trace == disabled_trace
     # The routing daemons churned the RIB throughout this failover, but
-    # rib_change is a quiet kind: with no observer/tracker installed the
+    # rib_change is a quiet kind: with no tracker installed the
     # guarded call sites log nothing, so golden traces are identical to
     # pre-instrumentation runs.
     assert "rib_change" not in enabled_trace
     assert "bgp_mux" not in enabled_trace
 
 
-def test_live_monitor_leaves_golden_fig8_trace_unchanged():
+def test_live_monitor_leaves_golden_fig8_trace_unchanged(tmp_path):
     """A LiveMonitor is passive at the trace layer: its periodic
     snapshot events read probes but never write trace records, so a
     monitored run replays the golden Fig-8 trace byte-identically —
     and with a disabled registry it registers zero ``live.*``
     instruments on top of zero everything else."""
     baseline_trace, _ = _fig8_trace(True)
-    live_trace, live_count = _fig8_trace(False, live=True)
+    live_trace, live_count = _fig8_trace(
+        False, live=str(tmp_path / "live.jsonl"))
     assert live_count == 0  # disabled registry: no live.* instruments
     assert live_trace == baseline_trace
 

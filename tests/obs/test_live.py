@@ -7,12 +7,10 @@ Three contracts:
 * an installed monitor adds no per-event cost: its snapshots are
   ordinary periodic sim events, and the engine's dispatch loop polls
   nothing on its behalf;
-* the streaming exporters (FlightStream, spill sampler) write the
-  *complete* series while in-memory retention stays under the
-  configured ceiling.
+* the streaming flight exporter (FlightStream) writes the *complete*
+  record while in-memory retention stays under the configured ceiling.
 """
 
-import io
 import json
 import sys
 
@@ -22,7 +20,6 @@ from repro.net.packet import OpaquePayload, Packet, UDPHeader
 from repro.obs import (
     FlightRecorder,
     FlightStream,
-    JsonlFeed,
     LiveMonitor,
     PeriodicSampler,
 )
@@ -37,48 +34,57 @@ def _packet():
 
 
 # ----------------------------------------------------------------------
-# JsonlFeed
+# Monitor: probes, lifecycle, cost
 # ----------------------------------------------------------------------
-def test_jsonl_feed_sorted_keys_and_line_count():
-    buf = io.StringIO()
-    feed = JsonlFeed(buf)
-    feed.emit({"b": 1, "a": 2})
-    feed.emit({"z": 3})
-    assert buf.getvalue() == '{"a": 2, "b": 1}\n{"z": 3}\n'
-    assert feed.lines == 2
-    feed.close()  # does not close a borrowed handle
-    assert not buf.closed
+def test_monitor_is_a_sampler_of_its_probes(tmp_path):
+    """The monitor is the one periodic snapshotter with a feed on top:
+    its probes are sampler series, one point per feed row."""
+    sim = Simulator()
+    counter = sim.metrics.counter("n")
+    sim.schedule_periodic(0.5, counter.inc)
+    monitor = LiveMonitor(sim, feed=str(tmp_path / "live.jsonl"))
+    assert isinstance(monitor, PeriodicSampler)
+    monitor.watch("n", metric=counter).install()
+    sim.run(until=2.0)
+    monitor.stop()
+    rows = [json.loads(line)
+            for line in (tmp_path / "live.jsonl").read_text().splitlines()]
+    assert [[row["t"], row["probes"]["n"]] for row in rows[1:]] == [
+        list(point) for point in monitor.series("n")]
+    assert monitor.delta("n", 0.0, 2.0) == \
+        rows[-1]["probes"]["n"] - rows[1]["probes"]["n"]
+
+
+def test_monitor_validation(tmp_path):
+    sim = Simulator()
+    feed = str(tmp_path / "live.jsonl")
+    with pytest.raises(ValueError):
+        LiveMonitor(sim, interval=0.0, feed=feed)
+    with pytest.raises(TypeError):
+        LiveMonitor(sim)  # the feed is what a monitor adds to a sampler
+    monitor = LiveMonitor(sim, feed=feed).watch("x", fn=lambda: 1)
+    with pytest.raises(ValueError):
+        monitor.watch("x", fn=lambda: 2)  # duplicate probe key
 
 
 def test_jsonl_feed_creates_parent_directories(tmp_path):
-    path = tmp_path / "deep" / "nested" / "feed.jsonl"
-    feed = JsonlFeed(str(path))
-    feed.emit({"ok": True})
-    feed.close()
-    assert json.loads(path.read_text()) == {"ok": True}
+    path = tmp_path / "deep" / "nested" / "live.jsonl"
+    LiveMonitor(Simulator(), feed=str(path)).install().stop()
+    assert json.loads(path.read_text().splitlines()[0])["schema"] == \
+        FEED_SCHEMA
 
 
-# ----------------------------------------------------------------------
-# Monitor: probes, lifecycle, cost
-# ----------------------------------------------------------------------
-def test_monitor_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        LiveMonitor(sim, interval=0.0)
-    monitor = LiveMonitor(sim).watch("x", lambda: 1)
-    with pytest.raises(ValueError):
-        monitor.watch("x", lambda: 2)  # duplicate probe key
-
-
-def test_feed_header_and_snapshot_shape():
+def test_feed_header_and_snapshot_shape(tmp_path):
     sim = Simulator(seed=7)
-    buf = io.StringIO()
-    monitor = LiveMonitor(sim, interval=1.0, feed=buf)
-    monitor.watch("answer", lambda: 42)
+    path = tmp_path / "live.jsonl"
+    monitor = LiveMonitor(sim, interval=1.0, feed=str(path))
+    monitor.watch("answer", fn=lambda: 42)
     monitor.install()
     sim.run(until=2.5)
     monitor.stop(final=True)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    text = path.read_text()
+    assert text.splitlines()[1].startswith('{"events": ')  # sorted keys
+    lines = [json.loads(line) for line in text.splitlines()]
     header, rows = lines[0], lines[1:]
     assert header == {"schema": FEED_SCHEMA, "name": "live",
                       "interval": 1.0, "seed": 7}
@@ -91,9 +97,9 @@ def test_feed_header_and_snapshot_shape():
     assert monitor.snapshots == 4
 
 
-def test_monitor_stop_is_idempotent_and_unhooks_the_engine():
+def test_monitor_stop_is_idempotent_and_unhooks_the_engine(tmp_path):
     sim = Simulator()
-    monitor = LiveMonitor(sim, feed=io.StringIO()).install()
+    monitor = LiveMonitor(sim, feed=str(tmp_path / "live.jsonl")).install()
     assert sim.pending == 1  # the periodic snapshot event
     monitor.stop()
     assert sim.pending == 0
@@ -102,9 +108,22 @@ def test_monitor_stop_is_idempotent_and_unhooks_the_engine():
     assert monitor.snapshots == before
 
 
-def test_as_dict_reports_snapshots_and_alarms():
+def test_a_running_monitor_keeps_its_feed(tmp_path):
+    """``install`` on a running monitor is a no-op and ``start`` refuses:
+    neither truncates the feed it is writing."""
+    path = tmp_path / "live.jsonl"
+    monitor = LiveMonitor(Simulator(), feed=str(path)).install()
+    assert monitor.install() is monitor
+    with pytest.raises(RuntimeError):
+        monitor.start()
+    monitor.stop()
+    assert len(path.read_text().splitlines()) == 3  # header, anchor, final
+
+
+def test_as_dict_reports_snapshots_and_alarms(tmp_path):
     sim = Simulator()
-    monitor = LiveMonitor(sim, interval=0.5).install()
+    monitor = LiveMonitor(sim, interval=0.5,
+                          feed=str(tmp_path / "live.jsonl")).install()
     sim.run(until=1.0)
     monitor.stop()
     section = monitor.as_dict()
@@ -113,11 +132,12 @@ def test_as_dict_reports_snapshots_and_alarms():
     assert set(section) == {"name", "interval", "snapshots"}
 
 
-def test_build_report_renders_live_section():
+def test_build_report_renders_live_section(tmp_path):
     from repro.obs.report import build_report
 
     sim = Simulator()
-    monitor = LiveMonitor(sim, interval=1.0).install()
+    monitor = LiveMonitor(sim, interval=1.0,
+                          feed=str(tmp_path / "live.jsonl")).install()
     sim.run(until=2.0)
     monitor.stop()
     report = build_report(sim, name="t", monitor=monitor)
@@ -129,14 +149,15 @@ def _noop() -> None:
     return None
 
 
-def _dispatch_cost(events: int, monitored: bool):
+def _dispatch_cost(events: int, feed=None):
     """What ``run()`` does dispatching ``events`` no-op events, all inside
     one 10 s snapshot interval: the calls (Python and C) it makes, and
     the lines of ``Simulator.run`` itself it executes (a hook polled on
-    a stride longer than the run makes no call, but costs lines)."""
+    a stride longer than the run makes no call, but costs lines). With
+    a ``feed`` path the run is monitored."""
     sim = Simulator()
-    if monitored:
-        LiveMonitor(sim, interval=10.0).install()
+    if feed is not None:
+        LiveMonitor(sim, interval=10.0, feed=feed).install()
     for i in range(events):
         sim.schedule(i * 1e-4, _noop)
     calls = lines = 0
@@ -164,15 +185,16 @@ def _dispatch_cost(events: int, monitored: bool):
     return calls, lines
 
 
-def test_installed_monitor_adds_no_per_event_cost(gc_paused):
+def test_installed_monitor_adds_no_per_event_cost(gc_paused, tmp_path):
     """Between two snapshots a monitor does nothing at all: what a
     monitored run does beyond a bare one does not grow with the events
     dispatched, so any engine-polled hook (however strided) fails this."""
     extra = []
     for events in (5_000, 10_000):
-        calls, lines = _dispatch_cost(events, monitored=False)
+        calls, lines = _dispatch_cost(events)
         assert calls > events and lines > events
-        more_calls, more_lines = _dispatch_cost(events, monitored=True)
+        more_calls, more_lines = _dispatch_cost(
+            events, feed=str(tmp_path / f"live-{events}.jsonl"))
         extra.append((more_calls - calls, more_lines - lines))
     assert extra[0] == extra[1]
 
@@ -180,10 +202,9 @@ def test_installed_monitor_adds_no_per_event_cost(gc_paused):
 # ----------------------------------------------------------------------
 # Feed determinism: same seed => byte-identical
 # ----------------------------------------------------------------------
-def _deter_feed(seed: int) -> str:
-    buf = io.StringIO()
+def _deter_feed(seed: int, path) -> str:
     vini = build_deter(seed=seed)
-    monitor = LiveMonitor(vini.sim, interval=0.25, feed=buf)
+    monitor = LiveMonitor(vini.sim, interval=0.25, feed=str(path))
     monitor.watch_engine()
     monitor.install()
     server = IperfTCPServer(vini.nodes["sink"])
@@ -193,21 +214,21 @@ def _deter_feed(seed: int) -> str:
     ).start()
     vini.run(until=1.0)
     monitor.stop(final=True)
-    return buf.getvalue()
+    return path.read_text()
 
 
 @pytest.fixture(scope="module")
-def seed11_feed():
+def seed11_feed(tmp_path_factory):
     """One seed-11 run, shared by the two tests below: each compares it
     with a run of its own."""
-    return _deter_feed(11)
+    return _deter_feed(11, tmp_path_factory.mktemp("feed") / "live.jsonl")
 
 
-def test_same_seed_live_feed_is_byte_identical(seed11_feed):
+def test_same_seed_live_feed_is_byte_identical(seed11_feed, tmp_path):
     """Snapshot selection (sim-time cadence) and content (sim state
     only) are both sim-keyed, so a second run writes the same bytes."""
     first = seed11_feed
-    second = _deter_feed(11)
+    second = _deter_feed(11, tmp_path / "live.jsonl")
     assert first == second
     rows = [json.loads(line) for line in first.splitlines()]
     assert rows[0]["schema"] == FEED_SCHEMA
@@ -217,8 +238,8 @@ def test_same_seed_live_feed_is_byte_identical(seed11_feed):
     assert "sim.heap_entries" in rows[1]["probes"]
 
 
-def test_different_seed_changes_feed_content(seed11_feed):
-    b = _deter_feed(12)
+def test_different_seed_changes_feed_content(seed11_feed, tmp_path):
+    b = _deter_feed(12, tmp_path / "live.jsonl")
     assert seed11_feed != b  # seed lands in the header and events differ
 
 
@@ -302,53 +323,3 @@ def test_flight_stream_same_seed_files_are_byte_identical(tmp_path):
     assert first == second
     assert first.count(b"\n") == 10
 
-
-# ----------------------------------------------------------------------
-# Sampler spill: complete on-disk series, bounded memory
-# ----------------------------------------------------------------------
-def test_sampler_spill_keeps_memory_bounded_and_series_complete(tmp_path):
-    path = str(tmp_path / "series.csv")
-    sim = Simulator()
-    counter = sim.metrics.counter("ticks")
-    sim.schedule_periodic(0.1, counter.inc)
-    sampler = PeriodicSampler(
-        sim, 0.1, name="s", max_points=10, spill_path=path,
-    ).watch("ticks", metric=counter).start()
-    sim.run(until=5.0)
-    assert len(sampler.series("ticks")) <= 10  # ceiling held while live
-    assert sampler.spilled_rows > 0  # ... because it actually spilled
-    sampler.stop(final=True)
-    sampler.finish()
-    lines = open(path).read().splitlines()
-    assert lines[0] == "key,time,value,count,sum"
-    rows = [line.split(",") for line in lines[1:]]
-    # Disk holds the complete series: spilled prefix + retained tail.
-    assert len(rows) == sampler.spilled_rows
-    times = [float(r[1]) for r in rows]
-    assert times[0] == 0.0 and times[-1] == 5.0
-    assert times == sorted(times) and len(times) == len(set(times))
-    # Values are the monotone counter: the series round-trips intact.
-    values = [int(float(r[2])) for r in rows]
-    assert values == sorted(values)
-    assert sampler.finish() == path  # idempotent
-
-
-def test_sampler_spill_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, max_points=4)  # a cap with nowhere to spill
-    with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, spill_path="x")  # a file with no cap
-
-
-def test_sampler_spill_after_finish_is_an_error(tmp_path):
-    path = str(tmp_path / "series.csv")
-    sim = Simulator()
-    sampler = PeriodicSampler(
-        sim, 1.0, max_points=2, spill_path=path,
-    ).watch("x", fn=lambda: 1).start()
-    sim.run(until=3.0)
-    sampler.stop()
-    sampler.finish()
-    with pytest.raises(RuntimeError):
-        sampler._spill("x", [(4.0, 1)])

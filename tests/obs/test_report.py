@@ -1,12 +1,13 @@
 """ExperimentReport: determinism, structure, and the ``fig8`` verb that
 writes one."""
 
+import csv
 import json
 
 import pytest
 
 from repro.obs.__main__ import main
-from repro.obs.fig8 import run_fig8
+from repro.obs.fig8 import WARMUP, run_fig8
 from repro.obs.report import ExperimentReport, build_report
 from repro.sim import Simulator
 
@@ -18,8 +19,15 @@ def _fig8_report(out_dir) -> ExperimentReport:
 
 
 @pytest.fixture(scope="module")
-def fig8_report(tmp_path_factory):
-    return _fig8_report(tmp_path_factory.mktemp("fig8-report"))
+def fig8_run(tmp_path_factory):
+    """The default ``fig8`` run: its archive directory and its report."""
+    out_dir = tmp_path_factory.mktemp("fig8-report")
+    return out_dir, _fig8_report(out_dir)
+
+
+@pytest.fixture(scope="module")
+def fig8_report(fig8_run):
+    return fig8_run[1]
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +83,22 @@ def test_report_contains_every_section(fig8_report):
     assert data["routing"]["rib_changes"]
     assert data["flights"]["started"] > 0
     assert data["samplers"]["fig8"]["series"]
+
+
+def test_report_holds_every_point_of_the_sampler_series(fig8_run):
+    """``report.md`` says the full series are in the JSON artifact:
+    ``report.json`` holds one point per data row of ``series.csv``, from
+    the sampler's start at the end of the warm-up (49 points at the
+    default ``--end 45``)."""
+    out_dir, _report = fig8_run
+    with open(out_dir / "series.csv") as handle:
+        rows = list(csv.reader(handle))[1:]
+    with open(out_dir / "report.json") as handle:
+        series = json.load(handle)["samplers"]["fig8"]["series"]["rtt"]
+    assert len(series) == len(rows) == 49
+    assert series[0][0] == WARMUP
+    assert series == [[float(t), [int(count), float(total)]]
+                      for _key, t, _value, count, total in rows]
 
 
 def test_bare_report_omits_optional_sections():

@@ -1,9 +1,9 @@
-"""RoutingObserver timelines and ConvergenceTracker analytics."""
+"""The report's routing timelines and ConvergenceTracker analytics."""
 
 import pytest
 
 from repro.faults import FaultPlan, walk_overlay_path
-from repro.obs import ConvergenceTracker, RoutingObserver
+from repro.obs import ConvergenceTracker, build_report
 from repro.obs.routing import episodes_from_trace
 from repro.sim import Simulator
 from repro.topologies import build_ring
@@ -24,7 +24,6 @@ def _ring_world(seed=7):
 
 def _run_failover(seed=7, pairs=(("n0", "n2"),)):
     vini, exp = _ring_world(seed=seed)
-    observer = RoutingObserver(vini.sim).install()
     tracker = ConvergenceTracker(exp).install()
     for src, dst in pairs:
         tracker.watch_path(src, dst)
@@ -34,41 +33,50 @@ def _run_failover(seed=7, pairs=(("n0", "n2"),)):
                                        duration=DURATION)
     exp.apply_faults(plan, offset=WARMUP)
     vini.run(until=WARMUP + END_AT)
-    return vini, exp, observer, tracker
+    return vini, exp, tracker
 
 
 # ----------------------------------------------------------------------
-# RoutingObserver
+# Routing timelines: the report reads them from the trace
 # ----------------------------------------------------------------------
-def test_observer_accumulates_control_plane_timelines():
-    vini, exp, observer, tracker = _run_failover()
-    assert observer.adjacency, "no adjacency transitions collected"
-    states = {event["state"] for event in observer.adjacency}
-    assert "Full" in states and "Down" in states
-    assert observer.spf, "no SPF runs collected"
-    assert observer.rib, "no RIB changes collected"
-    # Timelines are in event order.
-    times = [event["time"] for event in observer.rib]
-    assert times == sorted(times)
-    section = observer.as_dict()
+def test_report_lists_the_control_plane_timelines():
+    vini, exp, tracker = _run_failover()
+    section = build_report(vini.sim, routing=True).data["routing"]
     assert set(section) == {"adjacency", "spf_runs", "bgp_sessions",
                             "rib_changes"}
-    assert len(section["rib_changes"]) == len(observer.rib)
+    assert section["adjacency"], "no adjacency transitions collected"
+    states = {event["state"] for event in section["adjacency"]}
+    assert "Full" in states and "Down" in states
+    assert section["spf_runs"], "no SPF runs collected"
+    assert section["rib_changes"], "no RIB changes collected"
+    # Timelines are in event order.
+    times = [event["time"] for event in section["rib_changes"]]
+    assert times == sorted(times)
+    trace = vini.sim.trace
+    assert section["rib_changes"] == [
+        dict(record.fields, time=record.time)
+        for record in trace.select("rib_change")]
+    assert len(section["spf_runs"]) == trace.count("ospf_spf")
 
 
-def test_observer_install_enables_the_quiet_rib_kind():
+def test_routing_timelines_need_the_quiet_rib_kind_recorded():
+    """``rib_change`` is quiet: a trace that never enabled it would
+    give an empty RIB timeline, so the report refuses instead."""
     sim = Simulator(seed=1)
-    assert not sim.trace.wants("rib_change")
-    RoutingObserver(sim).install()
-    assert sim.trace.wants("rib_change")
+    with pytest.raises(ValueError, match="rib_change"):
+        build_report(sim, routing=True)
+    ConvergenceTracker(sim).install()  # enables the quiet kind
+    assert build_report(sim, routing=True).data["routing"] == {
+        "adjacency": [], "spf_runs": [], "bgp_sessions": [],
+        "rib_changes": []}
 
 
 # ----------------------------------------------------------------------
 # ConvergenceTracker: episodes
 # ----------------------------------------------------------------------
 def test_tracker_episodes_equal_offline_rederivation():
-    vini, exp, observer, tracker = _run_failover()
-    offline = episodes_from_trace(vini.sim.trace)
+    vini, exp, tracker = _run_failover()
+    offline = episodes_from_trace(vini.sim.trace.records)
     assert [e.as_dict() for e in tracker.episodes] == [
         e.as_dict() for e in offline
     ]
@@ -79,7 +87,7 @@ def test_tracker_episodes_equal_offline_rederivation():
 
 
 def test_episode_stitches_fault_to_rib_churn():
-    vini, exp, observer, tracker = _run_failover()
+    vini, exp, tracker = _run_failover()
     fail_ep = tracker.episodes[0]
     assert fail_ep.start == WARMUP + FAIL_AT
     assert fail_ep.changes > 0
@@ -98,7 +106,7 @@ def test_episode_stitches_fault_to_rib_churn():
 # ConvergenceTracker: path windows
 # ----------------------------------------------------------------------
 def test_blackhole_window_opens_at_the_fault_instant():
-    vini, exp, observer, tracker = _run_failover(pairs=(("n0", "n2"),
+    vini, exp, tracker = _run_failover(pairs=(("n0", "n2"),
                                                         ("n1", "n3")))
     for src, dst in (("n0", "n2"), ("n1", "n3")):
         windows = tracker.path_windows(src, dst)
@@ -119,7 +127,7 @@ def test_blackhole_window_opens_at_the_fault_instant():
 
 
 def test_unaffected_path_stays_delivered():
-    vini, exp, observer, tracker = _run_failover(pairs=(("n2", "n3"),))
+    vini, exp, tracker = _run_failover(pairs=(("n2", "n3"),))
     # n2--n3 is a direct edge untouched by the n0--n1 failure.
     assert [w for w in tracker.blackhole_windows("n2", "n3")
             if w["start"] >= WARMUP] == []

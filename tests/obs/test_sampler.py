@@ -111,6 +111,8 @@ def test_sampler_stop_takes_final_snapshot_and_restart_rejected():
     before = len(sampler.series("ticks"))
     sim.run(until=5.0)
     assert len(sampler.series("ticks")) == before  # no ticks after stop
+    sampler.stop(final=True)
+    assert len(sampler.series("ticks")) == before  # nor a second final
 
 
 def test_sampler_does_not_perturb_event_order():
@@ -133,15 +135,3 @@ def test_sampler_does_not_perturb_event_order():
 
     assert run(True) == run(False)
 
-
-def test_sampler_retention_validation():
-    """A cap is lossless or absent: ``max_points`` must be positive and
-    comes with the file the older half spills to (the spill itself is
-    exercised in test_live.py)."""
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, max_points=0, spill_path="x")
-    with pytest.raises(ValueError):
-        PeriodicSampler(sim, 1.0, max_points=5)
-    with pytest.raises(TypeError):
-        PeriodicSampler(sim, 1.0, max_points=5, retention="tail")

@@ -85,7 +85,7 @@ def test_hijack_diverts_blackholes_and_heals(world):
         f"hijack-as{ATTACKER}:call as{ATTACKER} hijacks {victim.prefix}",
         f"hijack-as{ATTACKER}:call as{ATTACKER} withdraws {victim.prefix}",
     ]
-    offline = episodes_from_trace(world.sim.trace)
+    offline = episodes_from_trace(world.sim.trace.records)
     assert _episode_keys(offline) == _episode_keys(tracker.episodes)
     assert [e.as_dict() for e in offline] == \
         [e.as_dict() for e in tracker.episodes]
@@ -128,7 +128,7 @@ def test_stuck_route_blackholes_until_restored(world):
                                       addr=far_host)
     assert holes and abs(holes[0]["start"] - fail_at) < 1e-9
     assert holes[-1]["end"] < fail_at + 120.0
-    offline = episodes_from_trace(world.sim.trace)
+    offline = episodes_from_trace(world.sim.trace.records)
     assert _episode_keys(offline) == _episode_keys(tracker.episodes)
 
 

@@ -42,13 +42,6 @@ def test_subscribe_and_unsubscribe():
     assert [r["n"] for r in seen] == [1]
 
 
-def test_disabled_collector_drops_records():
-    sim = Simulator()
-    sim.trace.enabled = False
-    assert sim.trace.log("x") is None
-    assert len(sim.trace) == 0
-
-
 def test_clear():
     sim = Simulator()
     sim.trace.log("x")
@@ -101,11 +94,3 @@ def test_select_uses_per_kind_index():
     assert sim.trace.count("a") == 0
     assert list(sim.trace.select("a")) == []
 
-
-def test_global_disable_still_wins():
-    sim = Simulator()
-    sim.trace.enabled = False
-    assert sim.trace.log("x") is None
-    assert not sim.trace.wants("x")
-    sim.trace.enabled = True
-    assert sim.trace.log("x") is not None
