@@ -149,8 +149,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def _push(self, event: Event, time: float) -> Event:
         """Queue ``event`` at ``time`` under a fresh sequence number."""
-        if time < self.now:
-            # A past event would silently reorder history and mask bugs.
+        if not time >= self.now:
+            # A past (or NaN) event would silently reorder history.
             raise ValueError(
                 f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
             )
@@ -164,14 +164,14 @@ class Simulator:
     def schedule(self, time: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated ``time``.
 
-        Scheduling in the past raises ``ValueError``.
+        Scheduling in the past, or at NaN, raises ``ValueError``.
         """
         return self._push(Event(fn, args, self), time)
 
     def at(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN too
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         # _push, inlined: a non-negative delay cannot reach the past.
         event = Event(fn, args, self)
         event.time = time = self.now + delay
@@ -214,7 +214,7 @@ class Simulator:
         firing (fresh sequence number, no allocation). Cancel it to
         stop the series.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
         return self._push(Event(fn, args, self, interval), self.now + interval)
 

@@ -25,8 +25,11 @@ dirty and coalesce into one deferred *full* solver pass via the engine's
 ``call_unique`` lane — never per-packet. A pass works on state the
 plane keeps, not state it rebuilds: the classes stand in a key-ordered
 list (inserted at creation, filtered when one empties), every directed
-channel has a dense ``index`` for life, and a class's ``hops`` are its
-channels' indices, rebuilt only when it is re-pathed.
+channel has a dense ``index`` for life, a class's ``hops`` are its
+channels' indices, rebuilt only when it is re-pathed, and each channel's
+count of flows in unblocked classes stands in ``_nflows``, moved by a
+class's count where a flow starts, stops or completes, around a re-path
+and at a virtual-link flap; the fill takes a copy of it.
 The solver fills over those indices and one walk over the ordered
 classes adds each class's load onto its hops, so every channel's float
 sum runs in class-key order — a function of the keys alone. A pass
@@ -179,6 +182,8 @@ class FluidTrafficPlane:
         self._ordered: List[_FlowClass] = []  # the same classes, key order
         self._graph = None  # up-links graph of this topology epoch
         self._channel_states: Dict[Tuple[str, str], _ChannelState] = {}
+        # Flows of the unblocked classes crossing each channel, by index.
+        self._nflows: List[int] = []
         self._route_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
         self._next_fid = 0
         self._dirty = False
@@ -198,32 +203,17 @@ class FluidTrafficPlane:
 
         metrics = self.sim.metrics
         if metrics.enabled:
-            labels = dict(plane=name)
-            metrics.gauge(
-                "traffic.flows_active", fn=lambda: self._flows_active, **labels
-            )
-            metrics.gauge(
-                "traffic.flows_peak", fn=lambda: self._peak_active, **labels
-            )
-            metrics.counter(
-                "traffic.flows_started", fn=lambda: self._flows_started, **labels
-            )
-            metrics.counter(
-                "traffic.flows_completed",
-                fn=lambda: self._flows_completed,
-                **labels,
-            )
-            metrics.counter(
-                "traffic.solver_runs", fn=lambda: self._solves, **labels
-            )
-            metrics.counter(
-                "traffic.solver_iterations",
-                fn=lambda: self._solver_iterations,
-                **labels,
-            )
-            metrics.gauge(
-                "traffic.classes", fn=lambda: len(self.classes), **labels
-            )
+            gauge, counter = metrics.gauge, metrics.counter
+            for register, metric, read in (
+                (gauge, "flows_active", lambda: self._flows_active),
+                (gauge, "flows_peak", lambda: self._peak_active),
+                (counter, "flows_started", lambda: self._flows_started),
+                (counter, "flows_completed", lambda: self._flows_completed),
+                (counter, "solver_runs", lambda: self._solves),
+                (counter, "solver_iterations", lambda: self._solver_iterations),
+                (gauge, "classes", lambda: len(self.classes)),
+            ):
+                register(f"traffic.{metric}", fn=read, plane=name)
 
         # Fluid reacts to link fail/recover at both layers.
         for link in self.vini.links.values():
@@ -251,12 +241,13 @@ class FluidTrafficPlane:
         applies the TCP steady-state cap ``window * 8 / path-RTT``.
         Returns the (possibly aggregate) :class:`FluidFlow` handle.
         """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count!r}")
-        if demand_bps is not None and demand_bps < 0:
-            raise ValueError(f"negative demand_bps {demand_bps!r}")
+        if not isinstance(count, int) or count <= 0:
+            raise ValueError(f"count must be a positive int, got {count!r}")
+        # Written as ``not ... >=`` so that NaN fails too.
+        if demand_bps is not None and not demand_bps >= 0:
+            raise ValueError(f"demand_bps must be >= 0, got {demand_bps!r}")
         for what, size in (("size", size_bytes), ("window", window_bytes)):
-            if size is not None and size <= 0:
+            if size is not None and not size > 0:
                 raise ValueError(f"{what}_bytes must be positive, got {size!r}")
         flow = FluidFlow(
             self._next_fid + 1, src, dst, demand_bps, size_bytes,
@@ -270,6 +261,7 @@ class FluidTrafficPlane:
         flow._cls = cls
         flow._served0 = cls.served
         cls.count += count
+        self._recount(cls, count)
         if size_bytes is not None:
             heapq.heappush(
                 cls.pending, (cls.served + float(size_bytes), flow.fid, flow)
@@ -297,6 +289,7 @@ class FluidTrafficPlane:
         flow.end = self.sim.now
         flow._served1 = cls.served
         cls.count -= flow.count
+        self._recount(cls, -flow.count)
         self._flows_active -= flow.count
         trace = self.sim.trace
         if trace.wants("fluid_flow"):
@@ -345,21 +338,16 @@ class FluidTrafficPlane:
             state = _ChannelState(link, channel, sender, len(self._channel_states))
             state._last_time = self.sim.now
             self._channel_states[state_key] = state
+            self._nflows.append(0)
             metrics = self.sim.metrics
             if metrics.enabled:
-                labels = dict(plane=self.name, link=link.name, sender=sender)
-                metrics.gauge(
-                    "traffic.link_fluid_bps",
-                    fn=lambda s=state: s.fluid_bps, **labels,
-                )
-                metrics.gauge(
-                    "traffic.link_fluid_util",
-                    fn=lambda s=state: s.util, **labels,
-                )
-                metrics.gauge(
-                    "traffic.link_packet_bps",
-                    fn=lambda s=state: s.packet_bps, **labels,
-                )
+                for metric, read in (
+                    ("link_fluid_bps", lambda: state.fluid_bps),
+                    ("link_fluid_util", lambda: state.util),
+                    ("link_packet_bps", lambda: state.packet_bps),
+                ):
+                    metrics.gauge(f"traffic.{metric}", fn=read, plane=self.name,
+                                  link=link.name, sender=sender)
         return state
 
     def _route(self, src: str, dst: str) -> Optional[List[str]]:
@@ -429,7 +417,9 @@ class FluidTrafficPlane:
         # Service up to now was earned on the old paths.
         self._advance(self.classes.values(), self.sim.now)
         for cls in self.classes.values():
+            self._recount(cls, -cls.count)
             self._assign_path(cls)
+            self._recount(cls, cls.count)
         self._mark_dirty()
 
     def _on_vlink_state(self, vlink, up: bool) -> None:
@@ -437,7 +427,9 @@ class FluidTrafficPlane:
         for cls in self.classes.values():
             if cls.vlink is vlink:
                 self._advance((cls,), self.sim.now)
+                self._recount(cls, -cls.count)
                 cls.blocked = not up
+                self._recount(cls, cls.count)
                 changed = True
         if changed:
             self._mark_dirty()
@@ -445,6 +437,13 @@ class FluidTrafficPlane:
     # ------------------------------------------------------------------
     # The incremental solver pass
     # ------------------------------------------------------------------
+    def _recount(self, cls: _FlowClass, delta: int) -> None:
+        """Move the standing counts on an unblocked class's hops."""
+        if not cls.blocked:
+            nflows = self._nflows
+            for index in cls.hops:
+                nflows[index] += delta
+
     def _mark_dirty(self) -> None:
         self._dirty = True
         if self._solve_pending:
@@ -469,21 +468,19 @@ class FluidTrafficPlane:
         now = self.sim.now
 
         # 1. Bring every class's service integral up to now; one walk
-        #    drops emptied classes, zeroes idle ones, collects the rest.
+        #    drops emptied classes and zeroes idle ones, one collects the rest.
         self._advance(self._ordered, now)
         emptied = shaped = finite = False
-        active, drained = [], []
+        drained = []
         for cls in self._ordered:
-            if cls.count > 0 and not cls.blocked:
-                active.append(cls)
-            elif cls.count > 0 or cls.pending:
-                cls.rate_bps = 0.0
-            else:
+            if cls.count <= 0 and not cls.pending:
                 emptied = True
                 del self.classes[cls.key]
                 if cls.shaper is not None:
                     drained.append(cls.shaper)
                 continue
+            if cls.count <= 0 or cls.blocked:
+                cls.rate_bps = 0.0
             if cls.shaper is not None:
                 shaped = True
             if cls.pending:
@@ -492,11 +489,13 @@ class FluidTrafficPlane:
             self._ordered = [
                 cls for cls in self._ordered if cls.count > 0 or cls.pending
             ]
+        active = [cls for cls in self._ordered if cls.count > 0 and not cls.blocked]
 
         # 2. Measured packet throughput (the tx_bytes delta since the
         #    last solve, folded into the EWMA) -> per-channel capacity.
         states = self._channel_states.values()
-        capacities, bandwidths = [], []
+        capacities = [0.0] * len(states)
+        bandwidths = capacities[:]
         for state in states:
             dt = now - state._last_time
             if dt > 0.0:
@@ -506,22 +505,22 @@ class FluidTrafficPlane:
                                     + EWMA_ALPHA * instant)
                 state._last_tx_bytes = sent
                 state._last_time = now
-            bandwidth = state.link.bandwidth
-            bandwidths.append(bandwidth)
+            bandwidths[state.index] = bandwidth = state.link.bandwidth
             cap = bandwidth * (1.0 - HEADROOM) - state.packet_bps
             floor = bandwidth * (1.0 - MAX_FLUID_SHARE)
             if not state.link.up:
                 cap = 0.0
             elif cap < floor:
                 cap = floor
-            capacities.append(cap)
+            capacities[state.index] = cap
 
         # 3. One progressive-filling pass over the active classes.
-        rates, iterations = progressive_fill(
+        rates, iterations, _last = progressive_fill(
             [cls.hops for cls in active],
             capacities,
             [cls.cap for cls in active],
             [cls.count for cls in active],
+            self._nflows[:],
         )
         self._solves += 1
         self._solver_iterations += iterations
@@ -640,6 +639,7 @@ class FluidTrafficPlane:
                 flow.end = now
                 flow._served1 = served
                 cls.count -= flow.count
+                self._recount(cls, -flow.count)
                 self._flows_completed += flow.count
                 self._flows_active -= flow.count
                 if wants:
@@ -674,30 +674,18 @@ class FluidTrafficPlane:
 
     def as_dict(self) -> dict:
         """The ``traffic`` section of an experiment report."""
-        links = []
-        for (link_name, sender), state in sorted(
-            self._channel_states.items()
-        ):
-            links.append(
-                {
-                    "link": link_name,
-                    "sender": sender,
-                    "fluid_mbps": round(state.fluid_bps / 1e6, 3),
-                    "util": round(state.util, 4),
-                    "packet_mbps": round(state.packet_bps / 1e6, 3),
-                }
-            )
-        classes = []
-        for cls in self._ordered:
-            classes.append(
-                {
-                    "src": cls.src,
-                    "dst": cls.dst,
-                    "flows": cls.count,
-                    "rate_bps": round(cls.rate_bps, 1),
-                    "blocked": cls.blocked,
-                }
-            )
+        links = [
+            {"link": link_name, "sender": sender,
+             "fluid_mbps": round(state.fluid_bps / 1e6, 3),
+             "util": round(state.util, 4),
+             "packet_mbps": round(state.packet_bps / 1e6, 3)}
+            for (link_name, sender), state in sorted(self._channel_states.items())
+        ]
+        classes = [
+            {"src": cls.src, "dst": cls.dst, "flows": cls.count,
+             "rate_bps": round(cls.rate_bps, 1), "blocked": cls.blocked}
+            for cls in self._ordered
+        ]
         return {
             "plane": self.name,
             "flows": {

@@ -18,8 +18,9 @@ The module is engine-free: it operates on plain sequences and mappings
 so property tests (capacity conservation, insertion-order invariance)
 can drive it directly, without a simulator. There is one filling loop,
 :func:`progressive_fill`, over dense link indices; the plane calls it
-on the indices it keeps, and :func:`max_min_rates` is the public
-hashable-link API that translates once and calls it.
+on the indices and flow counts it keeps, and :func:`max_min_rates` is
+the public hashable-link API that translates and counts once, calls it,
+and subtracts the last round's claims the fill leaves to it.
 """
 
 from __future__ import annotations
@@ -77,32 +78,30 @@ def progressive_fill(
     residual: List[float],
     caps: Sequence[float],
     counts: Sequence[int],
-) -> Tuple[List[float], int]:
-    """The filling loop, on dense state: ``(rates, iterations)``.
+    nflows: List[int],
+) -> Tuple[List[float], int, List[int]]:
+    """The filling loop, on dense state: ``(rates, iterations, last)``.
 
-    ``hops[i]`` indexes ``residual``, the per-link capacity list, which
-    is consumed in place. The plane calls this on the indices it keeps;
-    :func:`max_min_rates` is the hashable-link front end. The loop ends
-    with the round that fixes every class left, after its subtraction.
+    ``hops[i]`` indexes ``residual`` (each link's capacity) and ``nflows``
+    (the flows of positive-count classes crossing it), both consumed in
+    place. The loop returns at the round that fixes every class left, as
+    ``last``, without subtracting their claims: only :func:`max_min_rates`
+    reads the residuals, and it subtracts ``last`` in this order.
     """
     rates = [0.0] * len(hops)
-    nflows = [0] * len(residual)
-    dead = {link for link, room in enumerate(residual) if room <= 0.0}
-    active: List[int] = []
     for i, path in enumerate(hops):
-        count = counts[i]
-        if count <= 0:
-            continue
-        if not path:
+        if not path and counts[i] > 0:
             # Unconstrained class: it gets its demand (an elastic class
             # with no constraining link has no finite fair share; pin 0).
             rates[i] = caps[i] if caps[i] < INF else 0.0
-            continue
-        if dead and not dead.isdisjoint(path):
-            continue  # a dead hop: the class is stuck at zero
-        active.append(i)
-        for link in path:
-            nflows[link] += count
+    active = [i for i, path in enumerate(hops) if path and counts[i] > 0]
+    dead = {link for link, room in enumerate(residual) if room <= 0.0}
+    if dead:  # a class with a dead hop is stuck at zero
+        for i in active:
+            if not dead.isdisjoint(hops[i]):
+                for link in hops[i]:
+                    nflows[link] -= counts[i]
+        active = [i for i in active if dead.isdisjoint(hops[i])]
 
     iterations = 0
     while active:
@@ -128,6 +127,8 @@ def progressive_fill(
                 rates[i] = level
         else:  # pragma: no cover - defensive: no constraining link left
             break
+        if len(fixed) == len(active):
+            return rates, iterations, fixed  # the round fixed every class left
         # Subtract in active-class order: each link's residual is a
         # float sum and must not depend on how classes were frozen.
         for i in fixed:
@@ -137,11 +138,9 @@ def progressive_fill(
                 remaining = residual[link] - claim
                 residual[link] = remaining if remaining > 0.0 else 0.0
                 nflows[link] -= count
-        if len(fixed) == len(active):
-            break  # the round fixed every class left (residuals are final)
         frozen = set(fixed)
         active = [i for i in active if i not in frozen]
-    return rates, iterations
+    return rates, iterations, []
 
 
 def max_min_rates(
@@ -177,7 +176,17 @@ def max_min_rates(
     # Constrained hops only: a link without a declared capacity cannot
     # bottleneck anything.
     hops = [[index[link] for link in path if link in index] for path in paths]
-    rates, iterations = progressive_fill(
-        hops, residual, caps, [1] * n if counts is None else counts
-    )
+    if counts is None:
+        counts = [1] * n
+    nflows = [0] * len(residual)
+    for path, count in zip(hops, counts):
+        if count > 0:
+            for link in path:
+                nflows[link] += count
+    rates, iterations, last = progressive_fill(hops, residual, caps, counts, nflows)
+    for i in last:  # the fill's last round, subtracted in its order
+        claim = rates[i] * counts[i]
+        for link in hops[i]:
+            remaining = residual[link] - claim
+            residual[link] = remaining if remaining > 0.0 else 0.0
     return SolveResult(rates, iterations, dict(zip(capacities, residual)))

@@ -373,3 +373,22 @@ def test_step_and_peek_merge_wheel_and_heap():
     assert sim.step()
     assert not sim.step()
     assert order == ["near", "far"]
+
+
+@pytest.mark.parametrize("arm", [
+    lambda sim: sim.at(float("nan"), lambda: None),
+    lambda sim: sim.schedule(float("nan"), lambda: None),
+    lambda sim: sim.schedule_periodic(float("nan"), lambda: None),
+], ids=["at", "schedule", "schedule_periodic"])
+def test_nan_time_or_delay_raises(arm):
+    # NaN compares false both ways, so ``delay < 0`` let it through and
+    # the event fired at an arbitrary heap position with now = nan.
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        sim.schedule(t, lambda t=t: fired.append(sim.now))
+    with pytest.raises(ValueError):
+        arm(sim)
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0, 4.0]
+    assert sim.pending == 0

@@ -16,9 +16,11 @@ from repro.topologies import build_abilene_iias, build_dumbbell, build_star
 from repro.topologies.abilene import ABILENE_POPS
 from repro.traffic import FluidTrafficPlane
 from repro.traffic.plane import HEADROOM
-from tests.traffic.test_plane_golden import installed_coupling
+from repro.faults import FaultPlan
+from tests.traffic.test_plane_golden import installed_coupling, recounted
 
 BOTTLENECK = 10e6
+NAN = float("nan")
 USABLE = BOTTLENECK * (1.0 - HEADROOM)
 
 
@@ -295,6 +297,79 @@ class TestRecoupling:
         assert installed_coupling(state) == before
 
 
+class TestStandingCounts:
+    """The plane keeps each channel's flow count standing; every site
+    that moves a class's ``count``, ``blocked`` or ``hops`` moves it."""
+
+    def _bottleneck(self, vini, plane):
+        link = vini.link_between("rl", "rr")
+        return plane._nflows[plane._channel_states[(link.name, "rl")].index]
+
+    def test_add_counts_the_new_flows(self):
+        vini, plane = make_dumbbell()
+        plane.add_flow("s0", "r0", count=3)
+        plane.add_flow("s0", "r0", count=2)  # into the same class
+        crowd = plane.add_flow("s1", "r1", count=5)
+        assert plane._nflows == recounted(plane)
+        assert self._bottleneck(vini, plane) == 10
+        vini.run(until=0.1)
+        assert crowd.rate_bps == USABLE / 10
+
+    def test_stop_uncounts_the_flows(self):
+        vini, plane = make_dumbbell()
+        flow = plane.add_flow("s0", "r0")
+        mate = plane.add_flow("s1", "r1", count=4)
+        vini.sim.schedule(0.5, mate.stop)
+        vini.run(until=1.0)
+        assert plane._nflows == recounted(plane)
+        assert self._bottleneck(vini, plane) == 1
+        assert flow.rate_bps == USABLE
+
+    def test_completion_uncounts_the_flows(self):
+        vini, plane = make_dumbbell()
+        flow = plane.add_flow("s0", "r0")
+        done = plane.add_flow("s1", "r1", size_bytes=125_000, count=2)
+        vini.run(until=2.0)
+        assert not done.active
+        assert plane._nflows == recounted(plane)
+        assert self._bottleneck(vini, plane) == 1
+        assert flow.rate_bps == USABLE
+
+    def test_physical_flap_moves_the_counts_with_the_path(self):
+        vini, plane = make_dumbbell()
+        flow = plane.add_flow("s0", "r0", count=3)
+        link = vini.link_between("rl", "rr")
+        seen = {}
+
+        def look(when):
+            seen[when] = (list(plane._nflows), recounted(plane))
+
+        vini.sim.schedule(1.0, link.fail)
+        vini.sim.schedule(1.5, look, "down")
+        vini.sim.schedule(2.0, link.recover)
+        vini.run(until=3.0)
+        look("up")
+        assert seen["down"][0] == seen["down"][1] == [0, 0, 0]
+        assert seen["up"][0] == seen["up"][1] == [3, 3, 3]
+        assert flow.rate_bps == USABLE / 3
+
+    def test_virtual_link_flap_moves_the_counts_with_blocked(self):
+        vini, exp = build_dumbbell(pairs=2, bottleneck=BOTTLENECK,
+                                   seed=5, realtime=False)
+        plane = FluidTrafficPlane(exp)
+        flow = plane.add_flow("rl", "rr", count=4)
+        plane.add_flow("s0", "r0")
+        exp.apply_faults(FaultPlan().fail_link(1.0, "rl", "rr", duration=1.0))
+        seen = {}
+        vini.sim.schedule(1.5, lambda: seen.update(
+            down=(list(plane._nflows), recounted(plane))))
+        vini.run(until=3.0)
+        assert seen["down"][0] == seen["down"][1] == [1, 1, 1]
+        assert self._bottleneck(vini, plane) == 5
+        assert plane._nflows == recounted(plane)
+        assert flow.rate_bps == USABLE / 5
+
+
 class TestAddFlowRejects:
     def test_unknown_endpoint_leaves_nothing_behind(self):
         vini, plane = make_dumbbell()
@@ -312,6 +387,8 @@ class TestAddFlowRejects:
     @pytest.mark.parametrize("bad", [
         dict(demand_bps=-5e8), dict(window_bytes=-3), dict(window_bytes=0),
         dict(size_bytes=0), dict(size_bytes=-1), dict(count=0),
+        dict(demand_bps=NAN), dict(window_bytes=NAN), dict(size_bytes=NAN),
+        dict(count=2.5), dict(count=2.0),
     ])
     def test_out_of_range_demand_is_a_value_error(self, bad):
         vini, plane = make_dumbbell()

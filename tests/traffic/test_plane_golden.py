@@ -18,7 +18,8 @@ re-solve moved onto standing, index-addressed state (when it still
 sorted the class dict per solve and each channel's class set per
 channel), so a rewrite that sums a channel's or a shaper's load in
 another order, or solves at another instant, cannot pass. The same
-recording hook walks the standing structures after every solve, and
+recording hook walks the standing structures after every solve, holds
+the standing per-channel flow counts to a recount from the classes, and
 checks every channel's installed coupling against an unconditional
 ``_apply_channel`` (a solve skips the channels whose inputs stood still).
 """
@@ -46,6 +47,16 @@ def installed_coupling(state) -> tuple:
             channel._fluid_loss, channel._fluid_reserved, channel._fluid_bw)
 
 
+def recounted(plane) -> list:
+    """Flows crossing each channel, counted afresh from the classes."""
+    nflows = [0] * len(plane._channel_states)
+    for cls in plane.classes.values():
+        if cls.count > 0 and not cls.blocked:
+            for index in cls.hops:
+                nflows[index] += cls.count
+    return nflows
+
+
 def _walk_standing_state(plane) -> None:
     """What the solve relies on instead of rebuilding it."""
     assert plane._ordered == sorted(plane.classes.values())
@@ -54,6 +65,7 @@ def _walk_standing_state(plane) -> None:
         assert state.index == position
     for cls in plane.classes.values():
         assert cls.hops == tuple(state.index for state in cls.channels)
+    assert plane._nflows == recounted(plane)
     # A solve re-couples only the channels whose inputs moved: what every
     # channel holds must still be what an unconditional _apply_channel
     # installs for this solve's load (summed here in class-key order).

@@ -21,11 +21,14 @@ from repro.traffic import FluidTrafficPlane
 TRAFFIC = os.sep + os.path.join("repro", "traffic") + os.sep
 LINK = os.sep + os.path.join("repro", "phys", "link.py")
 
-# Measured on this schedule under Python 3.11 (exact, seeded): 33 877
-# frames over 601 solves = 56.4 each; 07f9da8 measured 192 500 = 320.3
+# Measured on this schedule under Python 3.11 (exact, seeded): 35 679
+# frames over 601 solves = 59.4 each; 07f9da8 measured 192 500 = 320.3
 # each. Comprehensions are frames up to 3.11 and inlined from 3.12, so
-# 3.11 is the interpreter that counts more. The budget is the new value
-# + 10 %.
+# 3.11 is the interpreter that counts more. The budget was set at 56.4
+# + 10 %. Of the three frames since, one is the ``_recount`` that keeps
+# the flow counts standing at each of the 600 starts and stops, and two
+# are the comprehensions that collect the solve's and the fill's active
+# classes in place of about 200 ``list.append`` calls per solve.
 FRAMES_PER_SOLVE_BUDGET = 62.0
 
 
