@@ -74,7 +74,7 @@ client.on_receive = got_response
 print(f"  [1] Firefox sends a request to {cnn.address}:80; the kernel "
       "routes it to tap0 and the OpenVPN client tunnels it out")
 request = Packet(
-    headers=[IPv4Header(leased, cnn.address, PROTO_UDP), UDPHeader(5555, 80)],
+    IPv4Header(leased, cnn.address, PROTO_UDP), UDPHeader(5555, 80),
     payload=OpaquePayload(300, tag="GET /"),
 )
 client.send(request)

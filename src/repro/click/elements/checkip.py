@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.click.element import Element
-from repro.net.packet import IPv4Header, Packet
+from repro.net.packet import Packet
 
 
 class CheckIPHeader(Element):
@@ -47,5 +47,5 @@ class DecIPTTL(Element):
             trace.log(
                 "fwd", node=self.router.name, uid=packet.uid, ttl=header.ttl
             )
-        packet.writable(IPv4Header).ttl -= 1
+        header.ttl -= 1
         self.outputs[0].push(packet)

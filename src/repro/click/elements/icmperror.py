@@ -41,10 +41,8 @@ class ICMPErrorElement(Element):
         if header is None:
             return
         error = Packet(
-            headers=[
-                IPv4Header(self.src, header.src, PROTO_ICMP, ttl=64),
-                ICMPHeader(self.icmp_type, code=self.code),
-            ],
+            IPv4Header(self.src, header.src, PROTO_ICMP, ttl=64),
+            ICMPHeader(self.icmp_type, code=self.code),
             payload=OpaquePayload(28, data=packet, tag="icmp-error"),
             created_at=self.router.sim.now,
         )

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.click.element import Element
 from repro.net.addr import IPv4Address, ip
 from repro.net.packet import Packet, PROTO_TCP, PROTO_UDP
+from repro.phys.vnet import PortConflictError
 
 #: The public ports an egress translates to: NAPT_PORT_COUNT of them from
 #: NAPT_PORT_BASE, each reserved through VNET when first used.
@@ -85,7 +86,7 @@ class NAPT(Element):
                     self._return_traffic,
                     recv_cost=self.router.per_packet_cost,
                 )
-            except Exception:
+            except PortConflictError:
                 continue  # port reserved by someone else: try the next
             self._forward[key] = port
             self._intercepts[(proto, port)] = intercept
@@ -118,11 +119,6 @@ class NAPT(Element):
             header.dst,
             dport,
         )
-        # Materialize private headers before rewriting (copy-on-write);
-        # re-fetch them since uniqueify replaces the shared objects.
-        packet.uniqueify()
-        header = packet.ip
-        transport = packet.tcp if proto == PROTO_TCP else packet.udp
         header.src = self.public_addr
         transport.sport = public_port
         self.translated_out += 1
@@ -152,9 +148,7 @@ class NAPT(Element):
             # Restricted-cone behavior: only the mapped remote may reply.
             self.router.trace_drop(packet, "napt_wrong_remote")
             return
-        packet.uniqueify()
         packet.ip.dst = private_addr
-        transport = packet.tcp if proto == PROTO_TCP else packet.udp
         transport.dport = private_port
         self.translated_in += 1
         fr = self.router.sim.flight

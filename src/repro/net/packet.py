@@ -1,8 +1,10 @@
 """Packet model.
 
-A :class:`Packet` is a stack of typed headers (outermost first) plus a
-payload. The simulation manipulates header objects directly and never
-serializes.
+A :class:`Packet` is an IPv4 header, at most one transport header (UDP,
+TCP or ICMP) and a payload. The simulation manipulates header objects
+directly and never serializes. Encapsulation is a packet in a packet: a
+tunnel's outer datagram carries the inner :class:`Packet` as its
+payload's ``data`` and its size.
 
 Headers carry only the fields the reproduction exercises, but sizes on
 the wire are the real ones, so encapsulation overhead (IP-in-UDP
@@ -11,8 +13,9 @@ tunnels, Fig. 2's life of a packet) is byte-accurate.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from typing import Any, Dict, List, Optional, Type, TypeVar, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.net.addr import IPv4Address, ip
 
@@ -23,28 +26,12 @@ PROTO_OSPF = 89
 
 _packet_ids = itertools.count(1)
 
-H = TypeVar("H", bound="Header")
-
 
 class Header:
     """Base class for protocol headers."""
 
     __slots__ = ()
     length: int = 0  # bytes on the wire; overridden per header
-
-    def copy(self) -> "Header":
-        cls = type(self)
-        clone = cls.__new__(cls)
-        for name in _all_slots(cls):
-            setattr(clone, name, getattr(self, name))
-        return clone
-
-
-def _all_slots(cls: type) -> List[str]:
-    names: List[str] = []
-    for klass in cls.__mro__:
-        names.extend(getattr(klass, "__slots__", ()))
-    return names
 
 
 class IPv4Header(Header):
@@ -190,156 +177,67 @@ class OpaquePayload:
         return f"Payload({self.size}B{suffix})"
 
 
-def _outermost(header_type: Type[H]) -> property:
-    """A read-only property: the first ``header_type`` in the stack, or None."""
-
-    def get(self: "Packet") -> Optional[H]:
-        headers = self.headers
-        if headers and headers[0].__class__ is header_type:
-            return headers[0]  # the usual case: nothing to skip
-        for header in headers:
-            if isinstance(header, header_type):
-                return header
-        return None
-
-    return property(get, doc=f"The outermost {header_type.__name__}, or None.")
-
-
 class Packet:
-    """A packet: header stack (outermost first) + payload + annotations.
+    """A packet: an IPv4 header, one transport header, a payload, annotations.
+
+    ``ip``, ``udp``, ``tcp``, ``icmp`` and ``wire_len`` are plain slots
+    set once here: the transport header lands in the slot its class
+    names, the others stay None. A tunnel carries a whole inner
+    :class:`Packet` in the outer datagram's ``payload.data``.
 
     ``meta`` is the equivalent of Click's packet annotations: elements
     stamp it (e.g. the destination annotation set by the lookup element
     and consumed by the encapsulation table).
     """
 
-    __slots__ = ("headers", "payload", "meta", "uid", "created_at", "span",
-                 "_wire_len", "_cow")
+    __slots__ = ("ip", "udp", "tcp", "icmp", "payload", "meta", "uid",
+                 "created_at", "span", "wire_len")
 
     def __init__(
         self,
-        headers: Optional[List[Header]] = None,
+        ip: Optional[IPv4Header],
+        transport: Optional[Header] = None,
         payload: Optional[OpaquePayload] = None,
         meta: Optional[Dict[str, Any]] = None,
         created_at: float = 0.0,
     ):
-        self.headers: List[Header] = headers if headers is not None else []
+        self.ip = ip
+        self.udp = self.tcp = self.icmp = None
+        length = 0 if ip is None else ip.length
+        if transport is not None:
+            kind = transport.__class__
+            if kind is UDPHeader:
+                self.udp = transport
+            elif kind is TCPHeader:
+                self.tcp = transport
+            elif kind is ICMPHeader:
+                self.icmp = transport
+            else:
+                raise TypeError(f"not a transport header: {transport!r}")
+            length += transport.length
         self.payload = payload if payload is not None else OpaquePayload(0)
         self.meta: Dict[str, Any] = meta if meta is not None else {}
         self.uid = next(_packet_ids)
         self.created_at = created_at
         # Flight-recorder span context (repro.obs.spans.SpanContext), or
-        # None for untracked packets. Shared by reference across copies
-        # and encapsulations: the context *is* the flight's identity.
+        # None for untracked packets. Shared by reference with clones,
+        # the tunnel's outer packet and the echo reply: the context *is*
+        # the flight's identity.
         self.span = None
-        self._wire_len: Optional[int] = None  # cache; see wire_len
-        self._cow = False  # headers may be shared with another packet
-
-    # ------------------------------------------------------------------
-    # Header stack manipulation
-    # ------------------------------------------------------------------
-    def encap(self, header: Header) -> "Packet":
-        """Push ``header`` onto the outside of the stack."""
-        self.headers.insert(0, header)
-        self._wire_len = None
-        return self
-
-    def decap(self) -> Header:
-        """Pop and return the outermost header."""
-        if not self.headers:
-            raise IndexError("decap on empty header stack")
-        self._wire_len = None
-        return self.headers.pop(0)
-
-    def find(self, header_type: Type[H], nth: int = 0) -> Optional[H]:
-        """The ``nth`` header of ``header_type`` from the outside in."""
-        seen = 0
-        for header in self.headers:
-            if isinstance(header, header_type):
-                if seen == nth:
-                    return header
-                seen += 1
-        return None
-
-    # Convenience accessors for the common case (innermost wins is NOT
-    # what forwarding wants — the outermost header of a type is the one
-    # currently being routed on). Each is one frame: the per-packet path
-    # reads them at every element.
-    ip = _outermost(IPv4Header)
-    udp = _outermost(UDPHeader)
-    tcp = _outermost(TCPHeader)
-    icmp = _outermost(ICMPHeader)
-
-    @property
-    def inner_ip(self) -> Optional[IPv4Header]:
-        """The innermost IPv4 header (the original packet in a tunnel)."""
-        result = None
-        for header in self.headers:
-            if isinstance(header, IPv4Header):
-                result = header
-        return result
-
-    # ------------------------------------------------------------------
-    # Size and copying
-    # ------------------------------------------------------------------
-    @property
-    def wire_len(self) -> int:
-        """Total bytes on the wire (cached; invalidated by encap/decap)."""
-        length = self._wire_len
-        if length is None:
-            length = sum(h.length for h in self.headers) + self.payload.size
-            self._wire_len = length
-        return length
+        self.wire_len = length + self.payload.size  # bytes on the wire
 
     def copy(self) -> "Packet":
-        """Clone the packet.
+        """Clone the packet (Click's ``Tee``).
 
-        The clone is copy-on-write, mirroring Click's packet sharing:
-        it shares the header objects (and the payload) with the
-        original, and whichever side first *mutates* a header
-        materializes private copies via :meth:`writable` /
-        :meth:`uniqueify`. Per-hop fan-out (Tee, tcpdump taps) therefore
-        never deep-copies headers it only reads;
-        ``copy().uniqueify()`` forces private headers at once.
-
-        The header *stacks* are independent either way: ``encap`` /
-        ``decap`` on one side never affect the other.
+        The clone gets private copies of the headers, shares the payload
+        and the span context, copies ``meta`` and takes a fresh uid.
         """
-        clone = Packet.__new__(Packet)
-        clone.headers = list(self.headers)
-        clone.payload = self.payload
-        clone.meta = dict(self.meta) if self.meta else {}
-        clone.uid = next(_packet_ids)
-        clone.created_at = self.created_at
+        clone = Packet(copy.copy(self.ip), copy.copy(self.udp or self.tcp or self.icmp),
+                       self.payload, dict(self.meta), self.created_at)
         clone.span = self.span
-        clone._wire_len = self._wire_len
-        clone._cow = True
-        self._cow = True
         return clone
 
-    def uniqueify(self) -> "Packet":
-        """Ensure this packet's headers are private (Click's uniqueify).
-
-        A no-op unless the packet shares headers with a copy-on-write
-        sibling; then every header is materialized once.
-        """
-        if self._cow:
-            self.headers = [h.copy() for h in self.headers]
-            self._cow = False
-        return self
-
-    def writable(self, header_type: Type[H], nth: int = 0) -> Optional[H]:
-        """The ``nth`` header of ``header_type``, safe to mutate.
-
-        Reading through :meth:`find` (or ``.ip``/``.tcp``/...) on a
-        shared packet is free; any code that *writes* a header field
-        must fetch it through here so the mutate-on-write fault can
-        materialize private copies first.
-        """
-        if self._cow:
-            self.uniqueify()
-        return self.find(header_type, nth)
-
     def __repr__(self) -> str:
-        stack = " | ".join(repr(h) for h in self.headers)
+        headers = (self.ip, self.udp or self.tcp or self.icmp)
+        stack = " | ".join(repr(h) for h in headers if h is not None)
         return f"<Packet #{self.uid} [{stack}] {self.payload!r}>"

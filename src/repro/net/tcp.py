@@ -325,17 +325,15 @@ class TCPConnection:
         tag: str = "",
     ) -> None:
         segment = Packet(
-            headers=[
-                IPv4Header(self.laddr, self.raddr, PROTO_TCP),
-                TCPHeader(
-                    self.lport,
-                    self.rport,
-                    seq=seq,
-                    ack=self.rcv_nxt,
-                    flags=flags,
-                    window=self._advertised_window(),
-                ),
-            ],
+            IPv4Header(self.laddr, self.raddr, PROTO_TCP),
+            TCPHeader(
+                self.lport,
+                self.rport,
+                seq=seq,
+                ack=self.rcv_nxt,
+                flags=flags,
+                window=self._advertised_window(),
+            ),
             payload=OpaquePayload(payload_len, tag=tag),
             created_at=self.sim.now,
         )

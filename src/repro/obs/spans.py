@@ -2,13 +2,14 @@
 
 `repro.obs.metrics` answers *how much* (p95 RTT, queue depth); this
 module answers *why one packet was slow*. It is an OpenTelemetry-style
-tracing layer riding the COW packet model:
+tracing layer riding the packet model:
 
 * A :class:`SpanContext` (trace id / span id / parent id) is carried on
   ``Packet.span`` and shared **by reference** between a packet, its
-  copy-on-write clones, the inner packet of a tunnel encapsulation, and
-  the ICMP echo reply — so one ping *flight* (request + reply) is a
-  single trace no matter how many times it is encapsulated or copied.
+  clones (``Packet.copy``), the tunnel datagram that carries it as its
+  payload, and the ICMP echo reply — so one ping *flight* (request +
+  reply) is a single trace no matter how many times it is encapsulated
+  or copied.
 * Instrumented components call :meth:`FlightRecorder.stage` at every
   hand-off (tap read queue, CPU run-queue, Click elements, tunnel
   encap/decap, link serialization + propagation, kernel receive).
@@ -56,8 +57,8 @@ class SpanContext:
     """Trace identity carried on a packet (``Packet.span``).
 
     One context object is allocated per flight and *shared by
-    reference*: COW clones, tunnel inner/outer packets and the echo
-    reply all point at the same object, and :meth:`FlightRecorder.stage`
+    reference*: clones, tunnel inner/outer packets and the echo reply
+    all point at the same object, and :meth:`FlightRecorder.stage`
     updates ``span_id``/``parent_id`` in place as the flight moves so
     the context always names the current span.
     """

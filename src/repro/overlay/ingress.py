@@ -15,7 +15,7 @@ from typing import Dict, Optional, Union
 
 from repro.core.virtual_network import FIB_FORWARD, VirtualNode
 from repro.net.addr import IPv4Address, Prefix, ip
-from repro.net.packet import IPv4Header, OpaquePayload, Packet
+from repro.net.packet import OpaquePayload, Packet
 from repro.phys.node import PhysicalNode
 from repro.phys.sockets import APP_RECV_COST
 from repro.phys.vserver import Slice
@@ -116,7 +116,7 @@ class OpenVPNServer:
         # The client stamps its leased address as source (it learned it
         # at connect time); enforce it like OpenVPN's iroute check.
         if inner.ip is not None and int(inner.ip.src) != int(leased):
-            inner.writable(IPv4Header).src = leased
+            inner.ip.src = leased
         self.rx_packets += 1
         # Inject into the data plane (FIB decides where it goes).
         fr = self.sim.flight

@@ -468,7 +468,7 @@ class PhysicalNode:
         trace = self.sim.trace
         if trace.wants("fwd"):
             trace.log("fwd", node=self.name, uid=packet.uid, ttl=header.ttl)
-        packet.writable(IPv4Header).ttl -= 1
+        header.ttl -= 1
         self.forwarded += 1
         route: Route = found[1]
         route.interface.transmit(packet)
@@ -532,10 +532,8 @@ class PhysicalNode:
             return
         if icmp.type == ICMP_ECHO_REQUEST:
             reply = Packet(
-                headers=[
-                    IPv4Header(packet.ip.dst, packet.ip.src, PROTO_ICMP),
-                    ICMPHeader(ICMP_ECHO_REPLY, ident=icmp.ident, seq=icmp.seq),
-                ],
+                IPv4Header(packet.ip.dst, packet.ip.src, PROTO_ICMP),
+                ICMPHeader(ICMP_ECHO_REPLY, ident=icmp.ident, seq=icmp.seq),
                 payload=packet.payload.copy(),
                 created_at=self.sim.now,
             )
@@ -572,10 +570,8 @@ class PhysicalNode:
         if src is None:
             return
         error = Packet(
-            headers=[
-                IPv4Header(src, offending.ip.src, PROTO_ICMP),
-                ICMPHeader(icmp_type, code=code),
-            ],
+            IPv4Header(src, offending.ip.src, PROTO_ICMP),
+            ICMPHeader(icmp_type, code=code),
             payload=OpaquePayload(28, data=offending, tag="icmp-error"),
             created_at=self.sim.now,
         )
@@ -624,7 +620,7 @@ class PhysicalNode:
             return False
         route: Route = found[1]
         if header.src == 0 and route.interface.address is not None:
-            packet.writable(IPv4Header).src = route.interface.address
+            header.src = route.interface.address
         return route.interface.transmit(packet)
 
     def tap_input(self, tap: TapDevice, packet: Packet) -> None:

@@ -95,10 +95,8 @@ class UDPSocket:
             payload = OpaquePayload(payload)
         dst_addr = ip(dst)
         packet = Packet(
-            headers=[
-                IPv4Header(self.local_addr, dst_addr, PROTO_UDP, tos=tos, ttl=ttl),
-                UDPHeader(self.local_port, dport),
-            ],
+            IPv4Header(self.local_addr, dst_addr, PROTO_UDP, tos=tos, ttl=ttl),
+            UDPHeader(self.local_port, dport),
             payload=payload,
             created_at=self.node.sim.now,
         )

@@ -335,14 +335,12 @@ class OSPFDaemon:
     # ------------------------------------------------------------------
     def _send(self, iface: RouterInterface, message, dst: Optional[IPv4Address] = None) -> None:
         packet = Packet(
-            headers=[
-                IPv4Header(
-                    iface.address,
-                    dst if dst is not None else ALL_OSPF_ROUTERS,
-                    PROTO_OSPF,
-                    ttl=1,
-                )
-            ],
+            IPv4Header(
+                iface.address,
+                dst if dst is not None else ALL_OSPF_ROUTERS,
+                PROTO_OSPF,
+                ttl=1,
+            ),
             payload=OpaquePayload(message.wire_size, data=message, tag="ospf"),
             created_at=self.sim.now,
         )

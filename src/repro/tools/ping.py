@@ -144,10 +144,8 @@ class Ping:
         self._outstanding[seq] = now
         src = self.src if self.src is not None else 0
         packet = Packet(
-            headers=[
-                IPv4Header(src, self.dst, PROTO_ICMP),
-                ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=seq),
-            ],
+            IPv4Header(src, self.dst, PROTO_ICMP),
+            ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=seq),
             payload=OpaquePayload(self.payload, data=now, tag="ping"),
             created_at=now,
         )

@@ -41,6 +41,8 @@ class Tcpdump:
         filter: Optional[Callable[[Packet, str], bool]] = None,
         direction: Optional[str] = None,
     ):
+        if direction not in (None, "in", "out"):
+            raise ValueError(f"direction must be None, 'in' or 'out', not {direction!r}")
         self.node = node
         self.filter = filter
         self.direction = direction
@@ -83,9 +85,10 @@ class Tcpdump:
         self.records.append(record)
 
     # ------------------------------------------------------------------
-    def tcp_arrivals(self, dport: Optional[int] = None) -> List[tuple]:
+    def tcp_arrivals(self) -> List[tuple]:
         """(time, seq, payload_len) rows of received TCP data segments —
-        the Fig. 9(b) byte-position series."""
+        the Fig. 9(b) byte-position series. Select a port with the
+        capture filter (:func:`tcp_filter`)."""
         rows = []
         for record in self.records:
             if record.proto != PROTO_TCP or record.point != "in":

@@ -86,10 +86,8 @@ class Traceroute:
             else 0
         )
         probe = Packet(
-            headers=[
-                IPv4Header(src, self.dst, PROTO_ICMP, ttl=ttl),
-                ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=ttl),
-            ],
+            IPv4Header(src, self.dst, PROTO_ICMP, ttl=ttl),
+            ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=ttl),
             payload=OpaquePayload(32, tag="traceroute"),
             created_at=self.sim.now,
         )

@@ -33,12 +33,9 @@ from tests.conftest import battery
 
 
 def make_packet(dst="10.1.2.3", proto=PROTO_UDP, ttl=64, sport=5000, dport=6000, size=100):
-    headers = [IPv4Header("10.1.1.1", dst, proto, ttl=ttl)]
-    if proto == PROTO_UDP:
-        headers.append(UDPHeader(sport, dport))
-    elif proto == PROTO_TCP:
-        headers.append(TCPHeader(sport, dport))
-    return Packet(headers=headers, payload=OpaquePayload(size))
+    kind = {PROTO_UDP: UDPHeader, PROTO_TCP: TCPHeader}.get(proto)
+    transport = kind(sport, dport) if kind is not None else None
+    return Packet(IPv4Header("10.1.1.1", dst, proto, ttl=ttl), transport, OpaquePayload(size))
 
 
 class TestBasicElements:
@@ -97,7 +94,7 @@ class TestCheckIPAndTTL:
         check = router.add("check", CheckIPHeader())
         sink = router.add("sink", Sink())
         router["check"].connect(router["sink"])
-        check.push(0, Packet(payload=OpaquePayload(10)))
+        check.push(0, Packet(None, payload=OpaquePayload(10)))
         assert check.drops == 1
         assert sink.packets == []
 
@@ -405,9 +402,9 @@ class TestEncapTable:
 
 class TestCopyOnWrite:
     def test_decttl_on_shared_copies_writes_private_headers(self, world):
-        # Tee hands port 1 a copy-on-write clone; each DecIPTTL must
-        # fault its own headers apart before the write, so both branches
-        # see 64 -> 63 once and the clone's TTL is not decremented twice.
+        # Tee hands port 1 a clone with private headers, so each
+        # branch's DecIPTTL takes its own TTL 64 -> 63 and leaves the
+        # other branch's alone.
         sim, node, sliver, router = world
         tee = router.add("tee", Tee(2))
         sinks = []

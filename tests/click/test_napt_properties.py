@@ -50,7 +50,7 @@ def make_outbound(proto, sport, host_octet, dport, remote="203.0.113.7"):
         TCPHeader(sport, dport) if proto == PROTO_TCP else UDPHeader(sport, dport)
     )
     return Packet(
-        headers=[IPv4Header(f"10.1.87.{host_octet}", remote, proto), transport],
+        IPv4Header(f"10.1.87.{host_octet}", remote, proto), transport,
         payload=OpaquePayload(64),
     )
 
@@ -87,7 +87,7 @@ def test_return_translation_inverts_outbound(flow_list):
             else UDPHeader(dport, public_port)
         )
         reply = Packet(
-            headers=[IPv4Header("203.0.113.7", "198.51.100.1", proto), transport],
+            IPv4Header("203.0.113.7", "198.51.100.1", proto), transport,
             payload=OpaquePayload(64),
         )
         napt.push(1, reply)

@@ -15,12 +15,13 @@ from repro.net.packet import (
     TCPHeader,
     UDPHeader,
 )
+from repro.phys.vserver import Slice
 from tests.click.conftest import Sink
 
 
 def overlay_packet(src="10.1.1.1", dst="10.1.2.2", size=100):
     return Packet(
-        headers=[IPv4Header(src, dst, PROTO_UDP), UDPHeader(4000, 4001)],
+        IPv4Header(src, dst, PROTO_UDP), UDPHeader(4000, 4001),
         payload=OpaquePayload(size),
     )
 
@@ -44,8 +45,9 @@ class TestUDPTunnel:
         assert len(sink.packets) == 1
         received = sink.packets[0]
         assert str(received.ip.dst) == "10.1.2.2"
-        # Decapsulated: no outer headers remain.
-        assert len(received.headers) == 2
+        # Decapsulated: the inner packet itself, not the outer datagram.
+        assert received is inner
+        assert received.wire_len == 20 + 8 + 100
         assert tun_a.tx_packets == 1
         assert tun_b.rx_packets == 1
 
@@ -130,10 +132,8 @@ class TestNAPT:
     def test_outbound_rewrites_src_and_port(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
-                TCPHeader(5555, 80),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
+            TCPHeader(5555, 80),
             payload=OpaquePayload(100),
         )
         napt.push(0, pkt)
@@ -145,19 +145,15 @@ class TestNAPT:
     def test_return_traffic_translated_back(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
-                TCPHeader(5555, 80),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
+            TCPHeader(5555, 80),
             payload=OpaquePayload(100),
         )
         napt.push(0, pkt)
         public_port = out_sink.packets[0].tcp.sport
         reply = Packet(
-            headers=[
-                IPv4Header("64.236.16.20", "198.51.100.1", PROTO_TCP),
-                TCPHeader(80, public_port),
-            ],
+            IPv4Header("64.236.16.20", "198.51.100.1", PROTO_TCP),
+            TCPHeader(80, public_port),
             payload=OpaquePayload(500),
         )
         napt.push(1, reply)
@@ -169,10 +165,8 @@ class TestNAPT:
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         for _ in range(3):
             pkt = Packet(
-                headers=[
-                    IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
-                    UDPHeader(5555, 53),
-                ],
+                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
+                UDPHeader(5555, 53),
                 payload=OpaquePayload(60),
             )
             napt.push(0, pkt)
@@ -184,10 +178,8 @@ class TestNAPT:
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         for sport in (5555, 5556):
             pkt = Packet(
-                headers=[
-                    IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
-                    UDPHeader(sport, 53),
-                ],
+                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
+                UDPHeader(sport, 53),
                 payload=OpaquePayload(60),
             )
             napt.push(0, pkt)
@@ -197,10 +189,8 @@ class TestNAPT:
     def test_unknown_return_port_dropped(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         reply = Packet(
-            headers=[
-                IPv4Header("64.236.16.20", "198.51.100.1", PROTO_TCP),
-                TCPHeader(80, 50099),
-            ],
+            IPv4Header("64.236.16.20", "198.51.100.1", PROTO_TCP),
+            TCPHeader(80, 50099),
             payload=OpaquePayload(500),
         )
         napt.push(1, reply)
@@ -210,19 +200,15 @@ class TestNAPT:
     def test_wrong_remote_blocked(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
-                UDPHeader(5555, 53),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
+            UDPHeader(5555, 53),
             payload=OpaquePayload(60),
         )
         napt.push(0, pkt)
         public_port = out_sink.packets[0].udp.sport
         spoofed = Packet(
-            headers=[
-                IPv4Header("203.0.113.9", "198.51.100.1", PROTO_UDP),
-                UDPHeader(53, public_port),
-            ],
+            IPv4Header("203.0.113.9", "198.51.100.1", PROTO_UDP),
+            UDPHeader(53, public_port),
             payload=OpaquePayload(60),
         )
         napt.push(1, spoofed)
@@ -231,10 +217,8 @@ class TestNAPT:
     def test_napt_ports_reserved_in_vnet(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
-                UDPHeader(5555, 53),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
+            UDPHeader(5555, 53),
             payload=OpaquePayload(60),
         )
         napt.push(0, pkt)
@@ -242,6 +226,31 @@ class TestNAPT:
         assert node.vnet.lookup(PROTO_UDP, public_port) is not None
         napt.close()
         assert node.vnet.lookup(PROTO_UDP, public_port) is None
+
+    def test_a_port_reserved_by_another_slice_is_skipped(self, world):
+        sim, node, router, napt, out_sink, in_sink = self.build(world)
+        other = node.create_sliver(Slice("other")).create_process("app")
+        node.raw_intercept(other, PROTO_UDP, 50000, lambda packet: None)
+        napt.push(0, Packet(IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
+                            UDPHeader(5555, 53), OpaquePayload(60)))
+        assert out_sink.packets[0].udp.sport == 50001
+
+    def test_an_intercept_error_that_is_no_port_conflict_propagates(self, world, monkeypatch):
+        # Only a PortConflictError means "try the next port"; anything
+        # else is a fault, not 4 096 conflicts and napt_ports_exhausted.
+        sim, node, router, napt, out_sink, in_sink = self.build(world)
+        attempts = []
+
+        def broken(*args, **kwargs):
+            attempts.append(args[2])
+            raise RuntimeError("intercept table corrupt")
+
+        monkeypatch.setattr(node, "raw_intercept", broken)
+        with pytest.raises(RuntimeError, match="corrupt"):
+            napt.push(0, Packet(IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
+                                UDPHeader(5555, 53), OpaquePayload(60)))
+        assert attempts == [50000]
+        assert router.drops == 0 and out_sink.packets == []
 
     def test_flight_span_carried_across_napt(self, world):
         """A spanned packet keeps its flight identity through the NAT:
@@ -252,22 +261,18 @@ class TestNAPT:
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         recorder = FlightRecorder(sim).install()
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
-                TCPHeader(5555, 80),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
+            TCPHeader(5555, 80),
             payload=OpaquePayload(100),
         )
         ctx = recorder.flight_begin(pkt, "web_fetch", node=node.name)
         napt.push(0, pkt)
         (sent,) = out_sink.packets
-        assert sent.span is ctx  # uniqueify kept the shared context
+        assert sent.span is ctx  # the rewrite kept the shared context
         public_port = sent.tcp.sport
         reply = Packet(
-            headers=[
-                IPv4Header("64.236.16.20", "198.51.100.1", PROTO_TCP),
-                TCPHeader(80, public_port),
-            ],
+            IPv4Header("64.236.16.20", "198.51.100.1", PROTO_TCP),
+            TCPHeader(80, public_port),
             payload=OpaquePayload(500),
         )
         assert reply.span is None
@@ -284,10 +289,8 @@ class TestNAPT:
     def test_napt_spans_not_tracked_when_recorder_disabled(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
-                TCPHeader(5555, 80),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_TCP),
+            TCPHeader(5555, 80),
             payload=OpaquePayload(100),
         )
         napt.push(0, pkt)
@@ -298,10 +301,8 @@ class TestNAPT:
         from repro.net.packet import ICMPHeader, PROTO_ICMP
 
         pkt = Packet(
-            headers=[
-                IPv4Header("10.1.87.2", "64.236.16.20", PROTO_ICMP),
-                ICMPHeader(8),
-            ],
+            IPv4Header("10.1.87.2", "64.236.16.20", PROTO_ICMP),
+            ICMPHeader(8),
             payload=OpaquePayload(56),
         )
         napt.push(0, pkt)

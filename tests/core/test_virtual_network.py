@@ -102,10 +102,8 @@ class TestOverlayConvergence:
             sliver_name=exp.slice.name,
         )
         request = Packet(
-            headers=[
-                IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_ICMP),
-                ICMPHeader(ICMP_ECHO_REQUEST, ident=9, seq=1),
-            ],
+            IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_ICMP),
+            ICMPHeader(ICMP_ECHO_REQUEST, ident=9, seq=1),
             payload=OpaquePayload(56),
         )
         v0.phys_node.ip_output(request, sliver=v0.sliver)
@@ -122,10 +120,8 @@ class TestOverlayConvergence:
         v0.phys_node.icmp_errors_to(lambda pkt: errors.append(str(pkt.ip.src)))
         # ttl=2: the local Click is virtual hop 1, v1's Click is hop 2.
         probe = Packet(
-            headers=[
-                IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_ICMP, ttl=2),
-                ICMPHeader(ICMP_ECHO_REQUEST, ident=1, seq=1),
-            ],
+            IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_ICMP, ttl=2),
+            ICMPHeader(ICMP_ECHO_REQUEST, ident=1, seq=1),
             payload=OpaquePayload(56),
         )
         v0.phys_node.ip_output(probe, sliver=v0.sliver)
@@ -161,8 +157,7 @@ class TestOverlayConvergence:
         sock.on_receive = lambda pkt, addr, sport: received.append(str(addr))
         busy = v0.click_process.cpu_used
         v0.send(v0.interfaces["to_v1"], Packet(
-            headers=[IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_UDP),
-                     UDPHeader(7001, 7000)],
+            IPv4Header(v0.tap_addr, v2.tap_addr, PROTO_UDP), UDPHeader(7001, 7000),
             payload=OpaquePayload(10),
         ))
         vini.run(until=31.0)

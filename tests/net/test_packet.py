@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import (
+    ICMPHeader,
     IPv4Header,
     OpaquePayload,
     Packet,
@@ -10,15 +11,13 @@ from repro.net import (
     UDPHeader,
     ip,
 )
-from repro.net.packet import PROTO_UDP, TCP_ACK, TCP_SYN
+from repro.net.packet import ICMP_ECHO_REQUEST, PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN
 
 
 def make_udp_packet(payload=64):
     return Packet(
-        headers=[
-            IPv4Header("10.1.1.2", "10.1.2.3", PROTO_UDP),
-            UDPHeader(5000, 5001),
-        ],
+        IPv4Header("10.1.1.2", "10.1.2.3", PROTO_UDP),
+        UDPHeader(5000, 5001),
         payload=OpaquePayload(payload),
     )
 
@@ -28,81 +27,66 @@ class TestHeaderStack:
         pkt = make_udp_packet(payload=1430)
         assert pkt.wire_len == 20 + 8 + 1430
 
-    def test_encap_decap(self):
-        pkt = make_udp_packet()
-        inner_ip = pkt.ip
-        # Tunnel encapsulation: outer IP + UDP (as IIAS UDP tunnels do).
-        pkt.encap(UDPHeader(33000, 33001))
-        pkt.encap(IPv4Header("198.32.154.170", "198.32.154.250", PROTO_UDP))
-        assert pkt.wire_len == 20 + 8 + 20 + 8 + 64
-        assert str(pkt.ip.dst) == "198.32.154.250"  # outermost IP
-        assert pkt.inner_ip is inner_ip
-        pkt.decap()
-        pkt.decap()
-        assert pkt.ip is inner_ip
+    def test_transport_lands_in_the_slot_its_class_names(self):
+        tcp = TCPHeader(1, 2)
+        pkt = Packet(IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP), tcp)
+        assert pkt.tcp is tcp and pkt.udp is None and pkt.icmp is None
+        icmp = Packet(None, ICMPHeader(ICMP_ECHO_REQUEST))
+        assert icmp.ip is None and icmp.icmp is not None
+        assert icmp.wire_len == 8
+        assert Packet(None).wire_len == 0
+        with pytest.raises(TypeError):
+            Packet(None, IPv4Header("10.0.0.1", "10.0.0.2", PROTO_UDP))
 
-    def test_decap_empty_raises(self):
-        with pytest.raises(IndexError):
-            Packet().decap()
-
-    def test_find_nth(self):
-        pkt = make_udp_packet()
-        pkt.encap(IPv4Header("1.1.1.1", "2.2.2.2", PROTO_UDP))
-        assert str(pkt.find(IPv4Header, 0).src) == "1.1.1.1"
-        assert str(pkt.find(IPv4Header, 1).src) == "10.1.1.2"
-        assert pkt.find(IPv4Header, 2) is None
-        assert pkt.find(TCPHeader) is None
+    def test_a_tunnel_carries_the_inner_packet_as_payload(self):
+        inner = make_udp_packet()
+        # IIAS UDP tunnels: outer IP + UDP around the whole inner packet.
+        outer = Packet(
+            IPv4Header("198.32.154.170", "198.32.154.250", PROTO_UDP),
+            UDPHeader(33000, 33001),
+            payload=OpaquePayload(inner.wire_len, data=inner),
+        )
+        assert outer.wire_len == 20 + 8 + 20 + 8 + 64
+        assert str(outer.ip.dst) == "198.32.154.250"
+        assert outer.payload.data.ip is inner.ip
 
     def test_copy_isolates_header_writes_and_meta(self):
         pkt = make_udp_packet()
         pkt.meta["annotation"] = "x"
         clone = pkt.copy()
-        clone.writable(IPv4Header).ttl = 1
+        clone.ip.ttl = 1
+        clone.udp.dport = 9
         clone.meta["annotation"] = "y"
         assert pkt.ip.ttl == 64
+        assert pkt.udp.dport == 5001
         assert pkt.meta["annotation"] == "x"
         assert clone.uid != pkt.uid
-
-    def test_copy_is_copy_on_write(self):
-        pkt = make_udp_packet()
-        clone = pkt.copy()
-        # Headers are shared until someone writes ...
-        assert clone.ip is pkt.ip
-        assert clone.udp is pkt.udp
-        # ... then the writer materializes private copies, once.
-        header = clone.writable(IPv4Header)
-        assert header is not pkt.ip
-        assert header is clone.writable(IPv4Header)
-        header.ttl = 9
-        assert pkt.ip.ttl == 64
-        # The original's view is unchanged by the clone's write.
-        assert clone.ip.ttl == 9
 
     def test_original_write_does_not_leak_into_clone(self):
         pkt = make_udp_packet()
         clone = pkt.copy()
-        pkt.writable(IPv4Header).ttl = 3
+        pkt.ip.ttl = 3
         assert clone.ip.ttl == 64
 
-    def test_copy_stacks_are_independent(self):
-        pkt = make_udp_packet()
-        clone = pkt.copy()
-        clone.encap(IPv4Header("1.1.1.1", "2.2.2.2", PROTO_UDP))
-        assert len(pkt.headers) == 2
-        assert len(clone.headers) == 3
-        clone.decap()
-        clone.decap()
-        assert len(pkt.headers) == 2
-
     def test_deep_copy_still_available(self):
+        # copy() is the one clone (Click's Tee): private headers, the
+        # payload and the span shared, a fresh uid, meta copied.
         pkt = make_udp_packet()
-        clone = pkt.copy().uniqueify()
-        assert clone.ip is not pkt.ip
-        clone.ip.ttl = 1  # direct mutation is fine on private headers
-        assert pkt.ip.ttl == 64
+        pkt.span = object()
+        pkt.meta["gw"] = "10.8.8.8"
+        clone = pkt.copy()
+        assert clone.ip is not pkt.ip and clone.udp is not pkt.udp
+        assert (clone.ip.src, clone.ip.dst, clone.ip.ttl) == (pkt.ip.src, pkt.ip.dst, 64)
+        assert (clone.udp.sport, clone.udp.dport) == (5000, 5001)
+        assert clone.tcp is None and clone.icmp is None
+        assert clone.payload is pkt.payload
+        assert clone.span is pkt.span
+        assert clone.meta == pkt.meta and clone.meta is not pkt.meta
+        assert clone.uid > pkt.uid
+        assert clone.wire_len == pkt.wire_len
 
     def test_payload_data_travels(self):
-        pkt = Packet(payload=OpaquePayload(100, data={"t": 1.5}, tag="ping"))
+        pkt = Packet(None, payload=OpaquePayload(100, data={"t": 1.5}, tag="ping"))
         assert pkt.payload.data == {"t": 1.5}
         assert pkt.copy().payload.data == {"t": 1.5}
 

@@ -1,5 +1,5 @@
 """Tests for repro.obs.spans + the flight CLI: span propagation across
-COW copies and tunnel encap/decap, exact latency decomposition,
+copies and tunnel encap/decap, exact latency decomposition,
 retention policies, golden-trace passivity, and Perfetto determinism."""
 
 import json
@@ -18,7 +18,7 @@ from repro.sim import Simulator
 
 
 def _packet():
-    return Packet([UDPHeader(1000, 2000)], payload=OpaquePayload(8))
+    return Packet(None, UDPHeader(1000, 2000), OpaquePayload(8))
 
 
 # ----------------------------------------------------------------------
@@ -28,21 +28,21 @@ def test_packet_span_defaults_to_none():
     assert _packet().span is None
 
 
-def test_span_shared_across_cow_copy_and_uniqueify():
+def test_span_shared_across_copy():
     sim = Simulator()
     recorder = FlightRecorder(sim).install()
     packet = _packet()
     ctx = recorder.flight_begin(packet, "probe", node="a")
-    shallow = packet.copy()
-    deep = packet.copy().uniqueify()
-    assert shallow.span is ctx and deep.span is ctx
-    # uniqueify() replaces the header list in place; identity survives.
-    shallow.uniqueify()
-    assert shallow.span is ctx
+    clone = packet.copy()
+    twice = clone.copy()
+    assert clone.span is ctx and twice.span is ctx
+    # The clone's headers are private; its span identity is not.
+    clone.udp.dport = 1
+    assert clone.span is ctx and packet.udp.dport == 2000
     # Later id mutations are visible through every clone: one flight.
     recorder.stage(packet, "hop", node="b")
-    assert shallow.span.span_id == packet.span.span_id
-    assert deep.span.trace_id == ctx.trace_id
+    assert clone.span.span_id == packet.span.span_id
+    assert twice.span.trace_id == ctx.trace_id
 
 
 def test_null_recorder_is_the_default_and_inert():

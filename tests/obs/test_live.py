@@ -30,7 +30,7 @@ from repro.topologies import build_deter
 
 
 def _packet():
-    return Packet([UDPHeader(1000, 2000)], payload=OpaquePayload(8))
+    return Packet(None, UDPHeader(1000, 2000), OpaquePayload(8))
 
 
 # ----------------------------------------------------------------------

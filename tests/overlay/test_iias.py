@@ -41,7 +41,7 @@ def world():
 
 def make_web_request(src, dst, sport=5555, dport=80, size=200):
     return Packet(
-        headers=[IPv4Header(src, dst, PROTO_UDP), UDPHeader(sport, dport)],
+        IPv4Header(src, dst, PROTO_UDP), UDPHeader(sport, dport),
         payload=OpaquePayload(size, tag="request"),
     )
 

@@ -33,8 +33,8 @@ def test_vpn_frames_carry_real_overhead(world):
     link = vini.nodes["host"].interfaces["eth0"].link
     bytes_before = link.stats()["tx_bytes"]
     inner = Packet(
-        headers=[IPv4Header(server.address_of(client), exp.network.nodes["v"].tap_addr, PROTO_UDP),
-                 UDPHeader(1000, 2000)],
+        IPv4Header(server.address_of(client), exp.network.nodes["v"].tap_addr, PROTO_UDP),
+        UDPHeader(1000, 2000),
         payload=OpaquePayload(100),
     )
     expected_wire = inner.wire_len + VPN_OVERHEAD

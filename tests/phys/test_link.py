@@ -25,7 +25,7 @@ class FakeInterface:
 
 def make_packet(size=1000):
     return Packet(
-        headers=[IPv4Header("10.0.0.1", "10.0.0.2", PROTO_UDP)],
+        IPv4Header("10.0.0.1", "10.0.0.2", PROTO_UDP),
         payload=OpaquePayload(size - 20),
     )
 

@@ -195,10 +195,8 @@ class TestICMPEcho:
         replies = []
         a.icmp_register(ident=55, callback=lambda pkt: replies.append(sim.now))
         request = Packet(
-            headers=[
-                IPv4Header("192.0.2.1", "192.0.2.2", PROTO_ICMP),
-                ICMPHeader(ICMP_ECHO_REQUEST, ident=55, seq=1),
-            ],
+            IPv4Header("192.0.2.1", "192.0.2.2", PROTO_ICMP),
+            ICMPHeader(ICMP_ECHO_REQUEST, ident=55, seq=1),
             payload=OpaquePayload(56),
         )
         a.ip_output(request)
@@ -235,10 +233,8 @@ class TestTapDevice:
         from repro.net.packet import PROTO_UDP, UDPHeader
 
         pkt = Packet(
-            headers=[
-                IPv4Header("10.2.5.5", "10.2.0.1", PROTO_UDP),
-                UDPHeader(9001, 9000),
-            ],
+            IPv4Header("10.2.5.5", "10.2.0.1", PROTO_UDP),
+            UDPHeader(9001, 9000),
             payload=OpaquePayload(10),
         )
         tap.write(pkt)

@@ -3,17 +3,23 @@
 Every backticked ``repro.<dotted>`` name in the prose docs must import as
 a module or resolve from one by ``getattr``, so a rename or a deletion
 that leaves a document behind fails here. Schema tags such as
-``repro.archive/1`` name a format, not code, and are skipped.
+``repro.archive/1`` name a format, not code, and are skipped. The
+``Class.attr`` names (and their ``/ attr`` continuations) in the first
+column of DESIGN.md's "Kept without a run" table must be functions the
+reach audit knows, so a deleted method cannot linger there.
 """
 
 import importlib
 import re
 from pathlib import Path
 
+from benchmarks import reach
+
 REPO = Path(__file__).resolve().parent.parent
 DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md", "benchmarks/README.md")
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"\brepro(?:\.\w+)+(?![\w/])")
+KEPT_METHODS = re.compile(r"`(\w+)\.(\w+)`((?:\s*/\s*`\w+`)*)")
 
 
 def resolves(dotted: str) -> bool:
@@ -40,4 +46,22 @@ def test_every_backticked_repro_name_in_the_docs_resolves():
                 for dotted in DOTTED.findall(span):
                     if not resolves(dotted):
                         dead.append(f"{doc}:{number}: {dotted}")
+    assert dead == []
+
+
+def test_every_kept_method_in_design_is_a_function_the_reach_audit_knows():
+    known = set()
+    for name, _lines in reach.functions().values():
+        parts = name.split(":", 1)[1].split(".")
+        known.update(".".join(parts[cut:]) for cut in range(len(parts)))
+    section = (REPO / "DESIGN.md").read_text().split("### Kept without a run", 1)[1]
+    rows = [line for line in section.split("\n#", 1)[0].splitlines()
+            if line.startswith("| `")]
+    assert rows
+    dead = []
+    for row in rows:
+        for cls, attr, more in KEPT_METHODS.findall(row.split("|")[1]):
+            for name in [attr] + re.findall(r"`(\w+)`", more):
+                if f"{cls}.{name}" not in known:
+                    dead.append(f"{cls}.{name}")
     assert dead == []

@@ -78,8 +78,8 @@ def samples(tmp_path_factory):
         "two", [ASSpec(1, "tier1", ["r1"], []), ASSpec(2, "stub", ["r2"], [])],
         [InterASEdge(1, "r1", 2, "r2", "peer")])
     plan = FaultPlan("p").fail_link(1.0, "a", "b")
-    packet = Packet(headers=[IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP),
-                             TCPHeader(1, 2)], payload=OpaquePayload(8))
+    packet = Packet(IPv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP),
+                    TCPHeader(1, 2), payload=OpaquePayload(8))
     yield [
         vini, exp, exp.network, a, next(iter(exp.network.links)), a.click,
         a.lookup, a.xorp, a.xorp.ospf, next(iter(a.xorp.ospf.lsdb.values())),
@@ -91,7 +91,7 @@ def samples(tmp_path_factory):
         sim.trace.records[0], sim.metrics, sim.metrics.counter("reprs"),
         TCPStack.of(pa).connect(a.click_process, "192.0.2.1", 5001),
         ip("10.0.0.1"), prefix("10.0.0.0/8"),
-        packet, *packet.headers, packet.payload, UDPHeader(1, 2), ICMPHeader(ICMP_ECHO_REQUEST),
+        packet, packet.ip, packet.tcp, packet.payload, UDPHeader(1, 2), ICMPHeader(ICMP_ECHO_REQUEST),
         plan, plan.actions[0], checker,
         Violation(1.0, "loop", {"node": "a"}, "fail_link a-b"),
         archive, stream, monitor, tracker, ConvergenceEpisode("fail", 1.0),
