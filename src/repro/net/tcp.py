@@ -29,6 +29,7 @@ from repro.net.packet import (
     TCPHeader,
 )
 from repro.phys.process import Process
+from repro.phys.vnet import EPHEMERAL_START
 
 MSS = 1448  # bytes of payload per segment (Linux-typical with timestamps)
 INITIAL_CWND_SEGMENTS = 2
@@ -54,10 +55,9 @@ class TCPStack:
     def __init__(self, node: "PhysicalNode"):  # noqa: F821
         self.node = node
         node.tcp_stack = self
-        # (scope, laddr, lport, raddr, rport) -> TCPConnection
+        # (scope, laddr, lport, raddr, rport) -> TCPConnection; listeners
+        # live in the node's VNET table under (scope, PROTO_TCP, port).
         self._connections: Dict[Tuple, "TCPConnection"] = {}
-        # (scope, lport) -> Listener
-        self._listeners: Dict[Tuple[Optional[str], int], "Listener"] = {}
         # Node-level totals: survive individual connections closing and
         # back pull metrics (per-connection counters would churn labels).
         self.total_retransmits = 0
@@ -82,9 +82,6 @@ class TCPStack:
         return node.tcp_stack if node.tcp_stack is not None else TCPStack(node)
 
     # ------------------------------------------------------------------
-    def _scope(self, sliver) -> Optional[str]:
-        return sliver.slice.name if sliver is not None else None
-
     def listen(
         self,
         owner: Process,
@@ -93,21 +90,11 @@ class TCPStack:
         on_accept: Optional[Callable[["TCPConnection"], None]] = None,
         rcvbuf: int = DEFAULT_RCVBUF,
     ) -> "Listener":
-        sliver = owner.sliver
+        """Listen on ``port`` in the VNET address space of the bound address."""
         bind_addr = ip(local_addr) if local_addr is not None else self.node.address
-        in_tap_space = (
-            sliver is not None
-            and sliver.tap is not None
-            and bind_addr in sliver.tap.route_prefix
-        )
-        scope = self._scope(sliver) if in_tap_space else None
-        key = (scope, port)
-        if key in self._listeners:
-            raise ValueError(f"{self.node.name}: TCP port {port} already listening")
+        scope = self.node.endpoint_scope(owner, bind_addr)
         listener = Listener(self, owner, bind_addr, port, scope, on_accept, rcvbuf)
-        self._listeners[key] = listener
-        if scope is None:
-            self.node.vnet.reserve(PROTO_TCP, port, listener)
+        self.node.vnet.reserve(PROTO_TCP, port, listener, scope)
         return listener
 
     def connect(
@@ -119,46 +106,31 @@ class TCPStack:
         local_port: Optional[int] = None,
         rcvbuf: int = DEFAULT_RCVBUF,
     ) -> "TCPConnection":
-        sliver = owner.sliver
+        """Open a connection; a remote in the owner's tap prefix puts it
+        in the slice's address space, sourced from the tap address."""
         remote = ip(remote_addr)
-        in_tap_space = (
-            sliver is not None
-            and sliver.tap is not None
-            and remote in sliver.tap.route_prefix
-        )
+        scope = self.node.endpoint_scope(owner, remote)
         if local_addr is not None:
             laddr = ip(local_addr)
-        elif in_tap_space:
-            laddr = sliver.tap.address
+        elif scope is not None:
+            laddr = owner.sliver.tap.address
         else:
             laddr = self.node.address
-        scope = self._scope(sliver) if in_tap_space else None
         if local_port is None:
             local_port = self._free_port(scope)
         conn = TCPConnection(
-            self,
-            owner,
-            laddr,
-            local_port,
-            remote,
-            remote_port,
-            scope,
-            rcvbuf=rcvbuf,
-            sliver=sliver if in_tap_space else None,
+            self, owner, laddr, local_port, remote, remote_port, scope, rcvbuf=rcvbuf
         )
         self._register(conn)
         conn._start_connect()
         return conn
 
-    def _free_port(self, scope: Optional[str], start: int = 32768) -> int:
-        """An ephemeral local port unused by any connection in ``scope``."""
-        used = {
-            key[2] for key in self._connections if key[0] == scope
-        }
-        port = start
-        while port in used or (
-            scope is None and self.node.vnet.lookup(PROTO_TCP, port) is not None
-        ):
+    def _free_port(self, scope: Optional[str]) -> int:
+        """An ephemeral local port that no connection and no VNET entry
+        of ``scope`` holds."""
+        used = {key[2] for key in self._connections if key[0] == scope}
+        port = EPHEMERAL_START
+        while port in used or self.node.vnet.lookup(PROTO_TCP, port, scope) is not None:
             port += 1
         return port
 
@@ -171,25 +143,19 @@ class TCPStack:
     def _unregister(self, conn: "TCPConnection") -> None:
         self._connections.pop(conn.key, None)
 
-    def close_listener(self, listener: "Listener") -> None:
-        self._listeners.pop((listener.scope, listener.port), None)
-        if listener.scope is None:
-            self.node.vnet.release(PROTO_TCP, listener.port, listener)
-
     # ------------------------------------------------------------------
-    def input(self, packet: Packet, sliver) -> None:
-        """A TCP segment reached one of this node's addresses."""
+    def input(self, packet: Packet, scope: Optional[str]) -> None:
+        """A TCP segment reached one of this node's addresses in ``scope``."""
         header = packet.ip
         tcp = packet.tcp
-        scope = self._scope(sliver)
         key = (scope, int(header.dst), tcp.dport, int(header.src), tcp.sport)
         conn = self._connections.get(key)
         if conn is not None:
             conn._enqueue_segment(packet)
             return
-        listener = self._listeners.get((scope, tcp.dport))
+        listener = self.node.vnet.lookup(PROTO_TCP, tcp.dport, scope)
         if listener is not None and tcp.syn and not tcp.ack_flag:
-            listener._accept_syn(packet, sliver)
+            listener._accept_syn(packet)
             return
         self.node.sim.trace.log(
             "tcp_drop", node=self.node.name, reason="no_connection", port=tcp.dport
@@ -208,10 +174,8 @@ class Listener:
         self.on_accept = on_accept
         self.rcvbuf = rcvbuf
         self.accepted = []
-        # VNET compatibility (reservation bookkeeping).
-        self.sliver = owner.sliver
 
-    def _accept_syn(self, packet: Packet, sliver) -> None:
+    def _accept_syn(self, packet: Packet) -> None:
         conn = TCPConnection(
             self.stack,
             self.owner,
@@ -221,7 +185,6 @@ class Listener:
             packet.tcp.sport,
             self.scope,
             rcvbuf=self.rcvbuf,
-            sliver=sliver,
         )
         self.stack._register(conn)
         self.accepted.append(conn)
@@ -230,7 +193,7 @@ class Listener:
             self.on_accept(conn)
 
     def close(self) -> None:
-        self.stack.close_listener(self)
+        self.stack.node.vnet.release(PROTO_TCP, self.port, self, self.scope)
 
 
 class TCPConnection:
@@ -246,7 +209,6 @@ class TCPConnection:
         rport: int,
         scope: Optional[str],
         rcvbuf: int = DEFAULT_RCVBUF,
-        sliver=None,
     ):
         self.stack = stack
         self.node = stack.node
@@ -257,7 +219,8 @@ class TCPConnection:
         self.raddr = ip(raddr)
         self.rport = rport
         self.scope = scope
-        self.sliver = sliver
+        # Routing context of sends: the slice's tap in its address space.
+        self.sliver = owner.sliver if scope is not None else None
         self.state = CLOSED
         # --- send side ---
         self.snd_una = 0  # oldest unacknowledged byte

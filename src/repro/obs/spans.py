@@ -454,54 +454,13 @@ class NullFlightRecorder:
 
     Mirrors ``NullMetric``: instrumented hot paths test ``fr.enabled``
     (a class attribute, ``False``) and skip all span work, so tracing
-    costs one attribute load + branch per guarded site when off.
+    costs one attribute load + branch per guarded site when off. It has
+    no methods: an unguarded call fails loudly instead of costing a call.
     """
 
     __slots__ = ()
 
     enabled = False
-
-    def install(self):  # pragma: no cover - symmetry with FlightRecorder
-        return self
-
-    def close_stream(self):
-        return None
-
-    def flight_begin(self, packet, name, node="", stage="origin", **meta):
-        return None
-
-    def stage(self, packet, name, node=""):
-        return None
-
-    def flight_end(self, packet, node="", status="ok"):
-        return None
-
-    def flight_drop(self, packet, reason, node=""):
-        return None
-
-    def span_begin(self, name, node="", parent=None, **meta):
-        return None
-
-    def span_end(self, span):
-        return None
-
-    def instant(self, name, node="", parent=None, **meta):
-        return None
-
-    def mark_reroute(self, scope, span):
-        return None
-
-    def flights(self):
-        return []
-
-    def slowest(self, n=10):
-        return []
-
-    def open_flights(self):
-        return []
-
-    def control_spans(self):
-        return []
 
 
 #: The singleton handed out as every simulator's default ``sim.flight``.

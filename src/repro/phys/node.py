@@ -216,7 +216,7 @@ class PhysicalNode:
         self._local_addrs: Dict[int, Interface] = {}
         self._tap_addrs: Dict[int, "Sliver"] = {}  # noqa: F821
         self._icmp_idents: Dict[Tuple[Optional[str], int], Callable] = {}
-        self._icmp_error_listeners: List[Callable[[Packet], None]] = []
+        self._icmp_error_callbacks: List[Callable[[Packet], None]] = []
         self._captures: List[Callable[[Packet, str], None]] = []
         self.forwarded = 0
         self.alive = True
@@ -343,6 +343,15 @@ class PhysicalNode:
     # ------------------------------------------------------------------
     # Sockets
     # ------------------------------------------------------------------
+    def endpoint_scope(self, owner: Process, address: IPv4Address) -> Optional[str]:
+        """The VNET address space of an endpoint ``owner`` opens at ``address``:
+        its slice's name inside its sliver's tap prefix, else ``None``
+        (the node's own addresses)."""
+        sliver = owner.sliver
+        if sliver is not None and sliver.tap is not None and address in sliver.tap.route_prefix:
+            return sliver.slice.name
+        return None
+
     def udp_socket(
         self,
         owner: Process,
@@ -353,22 +362,15 @@ class PhysicalNode:
     ) -> UDPSocket:
         """Bind a UDP socket.
 
-        Binding to a sliver's tap address puts the socket in that
-        sliver's private port space; otherwise the port is reserved
-        node-wide through VNET.
+        The port is reserved through VNET in the address space of the
+        bound address (:meth:`endpoint_scope`): the owner's slice's on
+        one of its tap addresses, the node's otherwise. Without a
+        ``port``, the first free ephemeral one of that space is taken.
         """
-        sliver = owner.sliver
         bind_addr = ip(local_addr) if local_addr is not None else self.address
-        in_tap_space = (
-            sliver is not None
-            and sliver.tap is not None
-            and bind_addr in sliver.tap.route_prefix
-        )
+        scope = self.endpoint_scope(owner, bind_addr)
         if port is None:
-            if in_tap_space:
-                port = sliver.free_udp_port()
-            else:
-                port = self.vnet.free_port(PROTO_UDP)
+            port = self.vnet.free_port(PROTO_UDP, scope)
         sock = UDPSocket(
             self,
             owner,
@@ -376,19 +378,10 @@ class PhysicalNode:
             port,
             rcvbuf=rcvbuf,
             recv_cost=recv_cost,
-            sliver=sliver if in_tap_space else None,
+            scope=scope,
         )
-        if in_tap_space:
-            sliver.bind_udp(port, sock)
-        else:
-            self.vnet.reserve(PROTO_UDP, port, sock)
+        self.vnet.reserve(PROTO_UDP, port, sock, scope)
         return sock
-
-    def unbind_udp(self, sock: UDPSocket) -> None:
-        if sock.sliver is not None:
-            sock.sliver.unbind_udp(sock.local_port, sock)
-        else:
-            self.vnet.release(PROTO_UDP, sock.local_port, sock)
 
     def raw_intercept(
         self,
@@ -412,7 +405,7 @@ class PhysicalNode:
         self._icmp_idents.pop((sliver_name, ident), None)
 
     def icmp_errors_to(self, callback: Callable[[Packet], None]) -> None:
-        self._icmp_error_listeners.append(callback)
+        self._icmp_error_callbacks.append(callback)
 
     def add_capture(self, callback: Callable[[Packet, str], None]) -> None:
         """Register a tcpdump-style packet tap.
@@ -456,7 +449,7 @@ class PhysicalNode:
             return
         sliver = self._tap_addrs.get(dst)
         if sliver is not None:
-            self._sliver_deliver(packet, sliver)
+            self._local_deliver(packet, sliver)
             return
         if header.ttl <= 1:
             self._icmp_error(packet, ICMP_TIME_EXCEEDED)
@@ -477,51 +470,36 @@ class PhysicalNode:
     # Local delivery
     # ------------------------------------------------------------------
     def _local_deliver(self, packet: Packet, sliver: Optional["Sliver"]) -> None:  # noqa: F821
+        """Deliver a packet to the endpoint VNET holds for it: in the node's
+        own address space, or in ``sliver``'s when it is for a tap address."""
         if self._captures:
             self._capture(packet, "in")
+        scope = None if sliver is None else sliver.slice.name
         proto = packet.ip.proto
         if proto == PROTO_UDP:
-            entry = self.vnet.lookup(PROTO_UDP, packet.udp.dport)
+            entry = self.vnet.lookup(PROTO_UDP, packet.udp.dport, scope)
             if entry is not None:
                 entry.enqueue(packet)
             else:
                 self.sim.trace.log(
-                    "kernel_drop", node=self.name, reason="udp_port_unreachable"
+                    "kernel_drop", node=self.name,
+                    reason="udp_port_unreachable" if sliver is None
+                    else "sliver_udp_unreachable",
                 )
         elif proto == PROTO_TCP:
-            entry = self.vnet.lookup(PROTO_TCP, packet.tcp.dport)
+            entry = self.vnet.lookup(PROTO_TCP, packet.tcp.dport, scope)
             if isinstance(entry, RawIntercept):
                 entry.enqueue(packet)
             elif self.tcp_stack is not None:
-                self.tcp_stack.input(packet, sliver=None)
+                self.tcp_stack.input(packet, scope)
             else:
                 self.sim.trace.log("kernel_drop", node=self.name, reason="no_tcp")
         elif proto == PROTO_ICMP:
-            self._icmp_input(packet, sliver=None)
-        else:
+            self._icmp_input(packet, sliver)
+        elif sliver is None:
             self.sim.trace.log(
                 "kernel_drop", node=self.name, reason=f"proto_{proto}"
             )
-
-    def _sliver_deliver(self, packet: Packet, sliver: "Sliver") -> None:  # noqa: F821
-        if self._captures:
-            self._capture(packet, "in")
-        proto = packet.ip.proto
-        if proto == PROTO_UDP:
-            sock = sliver.lookup_udp(packet.udp.dport)
-            if sock is not None:
-                sock.enqueue(packet)
-            else:
-                self.sim.trace.log(
-                    "kernel_drop", node=self.name, reason="sliver_udp_unreachable"
-                )
-        elif proto == PROTO_TCP:
-            if self.tcp_stack is not None:
-                self.tcp_stack.input(packet, sliver=sliver)
-            else:
-                self.sim.trace.log("kernel_drop", node=self.name, reason="no_tcp")
-        elif proto == PROTO_ICMP:
-            self._icmp_input(packet, sliver=sliver)
 
     # ------------------------------------------------------------------
     # ICMP
@@ -558,7 +536,7 @@ class PhysicalNode:
             if callback is not None:
                 callback(packet)
         else:
-            for listener in self._icmp_error_listeners:
+            for listener in self._icmp_error_callbacks:
                 listener(packet)
 
     def _icmp_error(self, offending: Packet, icmp_type: int, code: int = 0) -> None:
@@ -602,12 +580,12 @@ class PhysicalNode:
             return True
         if sliver is not None and sliver.tap is not None and dst in sliver.tap.route_prefix:
             if dst_int == int(sliver.tap.address):
-                self._sliver_deliver(packet, sliver)
+                self._local_deliver(packet, sliver)
                 return True
             return sliver.tap.to_reader(packet)
         owner = self._tap_addrs.get(dst_int)
         if owner is not None:
-            self._sliver_deliver(packet, owner)
+            self._local_deliver(packet, owner)
             return True
         found = self.routes.lookup_entry(dst)
         if found is None:
@@ -631,7 +609,7 @@ class PhysicalNode:
         if int(dst) == int(tap.address) or (
             int(dst) in self._tap_addrs and self._tap_addrs[int(dst)] is tap.sliver
         ):
-            self._sliver_deliver(packet, tap.sliver)
+            self._local_deliver(packet, tap.sliver)
         else:
             # Not for the tap itself: hand to the kernel with NO sliver
             # context (otherwise it would bounce straight back to the

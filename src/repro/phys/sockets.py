@@ -46,6 +46,10 @@ class UDPSocket:
         space.
     rcvbuf:
         Receive buffer size in bytes; overflow drops the datagram.
+    scope:
+        The VNET address space the port is bound in: ``None`` for the
+        node's own addresses, the owner's slice name for its tap
+        addresses (whose sends then take the sliver's routing context).
     """
 
     def __init__(
@@ -56,7 +60,7 @@ class UDPSocket:
         local_port: int,
         rcvbuf: int = DEFAULT_RCVBUF,
         recv_cost: Optional[Callable[[Packet], float]] = None,
-        sliver: Optional["Sliver"] = None,  # noqa: F821
+        scope: Optional[str] = None,
     ):
         self.node = node
         self.owner = owner
@@ -64,7 +68,8 @@ class UDPSocket:
         self.local_port = local_port
         self.rcvbuf = rcvbuf
         self.recv_cost = recv_cost or default_recv_cost
-        self.sliver = sliver
+        self.scope = scope
+        self.sliver = owner.sliver if scope is not None else None
         self.on_receive: Optional[Callable[[Packet, IPv4Address, int], None]] = None
         self.pending_bytes = 0
         self.drops = 0
@@ -153,7 +158,7 @@ class UDPSocket:
         if self.closed:
             return
         self.closed = True
-        self.node.unbind_udp(self)
+        self.node.vnet.release(PROTO_UDP, self.local_port, self, self.scope)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -206,4 +211,4 @@ class RawIntercept:
 
     def close(self) -> None:
         self.closed = True
-        self.node.vnet.release_raw(self)
+        self.node.vnet.release(self.proto, self.port, self)

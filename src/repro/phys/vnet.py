@@ -4,9 +4,12 @@ PlanetLab's VNET module "tracks and multiplexes incoming and outgoing
 traffic [and] provides each slice with the illusion of root-level access
 to the underlying network device. Each slice has access only to its own
 traffic and may reserve specific ports" (Section 4.1.1). This module is
-the reproduction of that: a per-node registry mapping (protocol, port)
-to the slice-owned socket or raw intercept entitled to that traffic.
-Conflicting reservations across slices are refused — the isolation the
+the reproduction of that: the node's one endpoint table, mapping
+(scope, protocol, port) to the UDP socket, TCP listener or raw intercept
+entitled to that traffic. The scope is the address space: ``None`` for
+the node's own addresses, a slice's name for the tap addresses of that
+slice, so two slices may hold the same port on their own taps.
+Conflicting reservations in one scope are refused — the isolation the
 paper needs for simultaneous experiments (Section 3.4).
 """
 
@@ -16,37 +19,36 @@ from typing import Dict, Optional, Tuple
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 
+#: The ephemeral port range the kernel allocates from.
+EPHEMERAL_START = 32768
+EPHEMERAL_END = 61000
 
-class PortConflictError(Exception):
-    """Another slice already reserved this port."""
+
+class PortConflictError(ValueError):
+    """Another endpoint already holds this port in this address space."""
 
 
 class VNet:
-    """Port reservation table for one physical node."""
+    """The endpoint table of one physical node."""
 
     def __init__(self, node: "PhysicalNode"):  # noqa: F821
         self.node = node
-        # (proto, port) -> socket-like (UDPSocket, TCP listener, RawIntercept)
-        self._table: Dict[Tuple[int, int], object] = {}
-        # Ports promised to a future bind (tunnel endpoints are numbered
-        # at topology-build time, before their sockets exist).
+        # (scope, proto, port) -> socket-like (UDPSocket, Listener, RawIntercept)
+        self._table: Dict[Tuple[Optional[str], int, int], object] = {}
+        # Node-scope ports promised to a future bind (tunnel endpoints
+        # are numbered at topology-build time, before their sockets exist).
         self._preallocated: set = set()
 
     # ------------------------------------------------------------------
     def _owner_slice(self, entry: object) -> Optional[str]:
-        sliver = getattr(entry, "sliver", None)
-        if sliver is not None:
-            return sliver.slice.name
-        owner = getattr(entry, "owner", None)
-        if owner is not None and owner.sliver is not None:
-            return owner.sliver.slice.name
-        return None
+        sliver = entry.owner.sliver
+        return sliver.slice.name if sliver is not None else None
 
-    def reserve(self, proto: int, port: int, entry: object) -> None:
-        """Reserve (proto, port) for ``entry``; raise on conflict."""
+    def reserve(self, proto: int, port: int, entry: object, scope: Optional[str] = None) -> None:
+        """Reserve (scope, proto, port) for ``entry``; raise on conflict."""
         if not 0 < port < 65536:
             raise ValueError(f"port out of range: {port}")
-        key = (proto, port)
+        key = (scope, proto, port)
         existing = self._table.get(key)
         if existing is not None:
             raise PortConflictError(
@@ -55,33 +57,35 @@ class VNet:
             )
         self._table[key] = entry
 
-    def release(self, proto: int, port: int, entry: object) -> None:
-        key = (proto, port)
+    def release(self, proto: int, port: int, entry: object, scope: Optional[str] = None) -> None:
+        key = (scope, proto, port)
         if self._table.get(key) is entry:
             del self._table[key]
 
-    def release_raw(self, intercept: object) -> None:
-        self.release(intercept.proto, intercept.port, intercept)
-
-    def lookup(self, proto: int, port: int) -> Optional[object]:
-        return self._table.get((proto, port))
+    def lookup(self, proto: int, port: int, scope: Optional[str] = None) -> Optional[object]:
+        return self._table.get((scope, proto, port))
 
     def ports_of_slice(self, slice_name: str) -> list:
         return [
             (proto, port)
-            for (proto, port), entry in self._table.items()
+            for (_scope, proto, port), entry in self._table.items()
             if self._owner_slice(entry) == slice_name
         ]
 
-    def free_port(self, proto: int, start: int = 32768, end: int = 61000) -> int:
-        """First unreserved port in [start, end) — ephemeral allocation."""
-        for port in range(start, end):
-            if (proto, port) not in self._table and (proto, port) not in self._preallocated:
+    def free_port(self, proto: int, scope: Optional[str] = None) -> int:
+        """First unreserved ephemeral port in ``scope``.
+
+        Preallocated ports are node-scope numbers, skipped only there.
+        """
+        for port in range(EPHEMERAL_START, EPHEMERAL_END):
+            if (scope, proto, port) not in self._table and (
+                scope is not None or (proto, port) not in self._preallocated
+            ):
                 return port
         raise PortConflictError(f"{self.node.name}: ephemeral {_proto_name(proto)} ports exhausted")
 
-    def preallocate(self, proto: int, start: int = 33000, end: int = 61000) -> int:
-        """Reserve a port number for a future bind on this node.
+    def preallocate(self, proto: int, start: int = 33000, end: int = EPHEMERAL_END) -> int:
+        """Reserve a node-scope port number for a future bind on this node.
 
         Used when port numbers must be exchanged before sockets exist
         (both ends of a UDP tunnel are configured with each other's
@@ -91,7 +95,7 @@ class VNet:
         """
         for port in range(start, end):
             key = (proto, port)
-            if key not in self._table and key not in self._preallocated:
+            if (None, proto, port) not in self._table and key not in self._preallocated:
                 self._preallocated.add(key)
                 return port
         raise PortConflictError(

@@ -2,16 +2,17 @@
 
 PlanetLab isolates experiments in VServers: each *slice* is a network-
 wide experiment container, and its per-node instance is a *sliver* with
-its own processes, namespaces, tap device and port bindings
-(Section 4.1.1). Resource isolation parameters (CPU share, reservation,
-real-time priority) live on the slice and are inherited by the
-processes it spawns — these are exactly the knobs the PL-VINI
+its own processes, namespaces and tap device (Section 4.1.1); the
+ports it binds on its tap addresses live in the node's VNET table,
+scoped by the slice's name. Resource isolation parameters (CPU share,
+reservation, real-time priority) live on the slice and are inherited
+by the processes it spawns — these are exactly the knobs the PL-VINI
 experiments turn in Section 5.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.net.addr import IPv4Address, Prefix, ip, prefix
 from repro.phys.node import PhysicalNode, TapDevice
@@ -67,9 +68,6 @@ class Sliver:
         # that place many virtual routers on one physical node (the
         # internet zoo) create one tap per virtual router.
         self.taps: List[TapDevice] = []
-        # Per-sliver (tap address space) UDP port table; physical-side
-        # ports go through the node-wide VNET instead.
-        self._udp_ports: Dict[int, object] = {}
         slice_.slivers.append(self)
 
     # ------------------------------------------------------------------
@@ -117,29 +115,6 @@ class Sliver:
         self.taps.append(tap)
         self.node._register_tap(tap)
         return tap
-
-    # ------------------------------------------------------------------
-    # Sliver-private UDP port space (overlay addresses)
-    # ------------------------------------------------------------------
-    def bind_udp(self, port: int, sock: object) -> None:
-        if port in self._udp_ports:
-            raise ValueError(
-                f"port {port} already bound in slice {self.slice.name} on {self.node.name}"
-            )
-        self._udp_ports[port] = sock
-
-    def unbind_udp(self, port: int, sock: object) -> None:
-        if self._udp_ports.get(port) is sock:
-            del self._udp_ports[port]
-
-    def lookup_udp(self, port: int) -> Optional[object]:
-        return self._udp_ports.get(port)
-
-    def free_udp_port(self, start: int = 32768) -> int:
-        port = start
-        while port in self._udp_ports:
-            port += 1
-        return port
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Sliver {self.slice.name}@{self.node.name}>"

@@ -75,7 +75,7 @@ class RIB:
         # prefix key -> {protocol: RibRoute}
         self._candidates: Dict[Tuple[int, int], Dict[str, RibRoute]] = {}
         self._winners = RadixTrie()
-        self._listeners: List[Callable[[Prefix, Optional[RibRoute]], None]] = []
+        self._change_callbacks: List[Callable[[Prefix, Optional[RibRoute]], None]] = []
         self._trace = sim.trace if sim is not None else None
         if sim is not None:
             metrics = sim.metrics
@@ -151,7 +151,7 @@ class RIB:
                 nexthop=str(new_best.nexthop) if new_best is not None
                 and new_best.nexthop is not None else "",
             )
-        for listener in self._listeners:
+        for listener in self._change_callbacks:
             listener(pfx, new_best)
 
     # ------------------------------------------------------------------
@@ -166,7 +166,7 @@ class RIB:
         return [route for _pfx, route in self._winners.items()]
 
     def on_change(self, listener: Callable[[Prefix, Optional[RibRoute]], None]) -> None:
-        self._listeners.append(listener)
+        self._change_callbacks.append(listener)
 
     def rebuild_fib(self) -> None:
         """Re-program the FEA from scratch from the current winners.

@@ -23,7 +23,8 @@ from repro.phys.node import PhysicalNode
 from repro.phys.process import Process
 from repro.phys.vserver import Sliver
 
-_next_ident = [20000]
+#: First ICMP ident handed out per simulator, less one.
+_IDENT_BASE = 20000
 PROBE_COST = 5.0e-6
 
 
@@ -44,8 +45,10 @@ class Traceroute:
         self.sliver = sliver
         self.max_hops = max_hops
         self.probe_timeout = probe_timeout
-        _next_ident[0] += 1
-        self.ident = _next_ident[0]
+        # Per simulator, like Ping's: same-seed worlds built back to
+        # back in one process send the same probes.
+        self.ident = getattr(self.sim, "_traceroute_next_ident", _IDENT_BASE) + 1
+        self.sim._traceroute_next_ident = self.ident
         self.process = (
             sliver.create_process("traceroute")
             if sliver is not None

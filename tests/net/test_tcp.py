@@ -169,6 +169,27 @@ def test_listener_port_conflict():
         sb.listen(pb, 5001)
 
 
+def make_tap_owner():
+    """Node ``a`` of a pair, with a sliver whose tap holds 10.2.0.1."""
+    sim, a, b, sa, sb, pa, pb = make_pair()
+    pa.sliver.create_tap("10.2.0.1", route_prefix="10.0.0.0/8")
+    return sa, pa
+
+
+def test_a_tap_space_listener_rejects_port_zero():
+    sa, pa = make_tap_owner()
+    with pytest.raises(ValueError):
+        sa.listen(pa, 0, local_addr="10.2.0.1")
+
+
+def test_a_tap_space_connect_skips_the_ports_of_tap_listeners():
+    sa, pa = make_tap_owner()
+    sa.listen(pa, 32768, local_addr="10.2.0.1")
+    conn = sa.connect(pa, "10.9.0.1", 5001)
+    assert str(conn.laddr) == "10.2.0.1"
+    assert conn.lport == 32769
+
+
 def test_a_closed_listener_accepts_nothing_and_frees_its_port():
     sim, a, b, sa, sb, pa, pb = make_pair()
     accepted = []

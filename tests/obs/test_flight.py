@@ -49,14 +49,6 @@ def test_null_recorder_is_the_default_and_inert():
     sim = Simulator()
     assert sim.flight is NULL_RECORDER
     assert not sim.flight.enabled
-    packet = _packet()
-    assert sim.flight.flight_begin(packet, "x") is None
-    assert packet.span is None
-    sim.flight.stage(packet, "y")
-    sim.flight.flight_end(packet)
-    assert sim.flight.flights() == []
-    assert sim.flight.slowest() == []
-    assert sim.flight.control_spans() == []
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,11 @@ from repro.net.packet import (
     OpaquePayload,
     Packet,
     PROTO_ICMP,
+    PROTO_UDP,
 )
+from repro.net.tcp import TCPStack
 from repro.phys.node import PhysicalNode, connect
+from repro.phys.process import Process
 from repro.phys.vnet import PortConflictError
 from repro.phys.vserver import Slice
 from repro.sim import Simulator
@@ -265,10 +268,48 @@ class TestTapDevice:
         sim, a, sliver, tap, click = self.make_tap_world()
         app = sliver.create_process("app")
         sock = a.udp_socket(app, port=9000, local_addr="10.2.0.1")
-        assert sliver.lookup_udp(9000) is sock
+        assert a.vnet.lookup(PROTO_UDP, 9000, "overlay") is sock
         sock.close()
-        assert sliver.lookup_udp(9000) is None
+        assert a.vnet.lookup(PROTO_UDP, 9000, "overlay") is None
         a.udp_socket(app, port=9000, local_addr="10.2.0.1")  # rebinding succeeds
+
+    def test_a_tap_space_port_out_of_range_is_rejected(self):
+        sim, a, sliver, tap, click = self.make_tap_world()
+        app = sliver.create_process("app")
+        with pytest.raises(ValueError):
+            a.udp_socket(app, port=70000, local_addr="10.2.0.1")
+
+    def test_each_address_space_delivers_to_its_own_endpoint(self):
+        """Two slices and the node bind the same UDP and TCP ports; a
+        datagram or a SYN to each address reaches exactly its owner."""
+        sim, a, b = two_nodes()
+        b.add_route("10.0.0.0/8", "eth0")
+        owners = {"192.0.2.1": Process(a, "node-app")}
+        for name, tap_addr in (("one", "10.2.0.1"), ("two", "10.3.0.1")):
+            sliver = a.create_sliver(Slice(name))
+            sliver.create_tap(tap_addr, route_prefix="10.0.0.0/8")
+            owners[tap_addr] = sliver.create_process("app")
+        datagrams = {addr: [] for addr in owners}
+        accepted = {addr: [] for addr in owners}
+        for addr, owner in owners.items():
+            sock = a.udp_socket(owner, port=9000, local_addr=addr)
+            sock.on_receive = (
+                lambda pkt, src, sport, got=datagrams[addr]: got.append(pkt.payload.size)
+            )
+            TCPStack.of(a).listen(owner, 5001, local_addr=addr,
+                                  on_accept=accepted[addr].append)
+        sender = b.create_sliver(Slice("sender")).create_process("app")
+        out = b.udp_socket(sender, port=6000)
+        conns = {}
+        for size, addr in enumerate(owners, start=100):
+            out.sendto(size, addr, 9000)
+            conns[addr] = TCPStack.of(b).connect(sender, addr, 5001)
+        sim.run(until=1.0)
+        assert datagrams == {"192.0.2.1": [100], "10.2.0.1": [101], "10.3.0.1": [102]}
+        for addr, (server,) in accepted.items():
+            assert str(server.laddr) == addr
+            assert server.owner is owners[addr]
+            assert server.state == conns[addr].state == "ESTABLISHED"
 
     def test_multiple_taps_per_sliver(self):
         """A sliver can hold several taps (one per virtual router);

@@ -3,10 +3,12 @@
 Every backticked ``repro.<dotted>`` name in the prose docs must import as
 a module or resolve from one by ``getattr``, so a rename or a deletion
 that leaves a document behind fails here. Schema tags such as
-``repro.archive/1`` name a format, not code, and are skipped. The
-``Class.attr`` names (and their ``/ attr`` continuations) in the first
-column of DESIGN.md's "Kept without a run" table must be functions the
-reach audit knows, so a deleted method cannot linger there.
+``repro.archive/1`` name a format, not code, and are skipped. Every
+name in the first column of DESIGN.md's "Kept without a run" table must
+be one the reach audit knows, so a deleted function cannot linger there:
+a ``Class.attr`` (with its ``/ attr`` continuations) or a bare name must
+be a function, and a class (``Class.*`` too), a ``path.py`` or a
+``path.py::Name`` must hold one.
 """
 
 import importlib
@@ -51,12 +53,15 @@ def test_every_backticked_repro_name_in_the_docs_resolves():
 
 def test_every_kept_method_in_design_is_a_function_the_reach_audit_knows():
     known = set()
-    for name, _lines in reach.functions().values():
+    for (path, _first), (name, _lines) in reach.functions().items():
         parts = name.split(":", 1)[1].split(".")
         known.update(".".join(parts[cut:]) for cut in range(len(parts)))
+        known.update(parts)  # a class holding a function
+        known.update({path, f"{path}::{parts[0]}"})
     section = (REPO / "DESIGN.md").read_text().split("### Kept without a run", 1)[1]
-    rows = [line for line in section.split("\n#", 1)[0].splitlines()
-            if line.startswith("| `")]
+    table = [line for line in section.split("\n#", 1)[0].splitlines()
+             if line.startswith("|")]
+    rows = table[2:]  # past the header and its rule
     assert rows
     dead = []
     for row in rows:
@@ -64,4 +69,7 @@ def test_every_kept_method_in_design_is_a_function_the_reach_audit_knows():
             for name in [attr] + re.findall(r"`(\w+)`", more):
                 if f"{cls}.{name}" not in known:
                     dead.append(f"{cls}.{name}")
+        for name in INLINE_CODE.findall(row.split("|")[1]):
+            if name.removesuffix(".*") not in known:
+                dead.append(name)
     assert dead == []

@@ -108,3 +108,20 @@ class TestTraceroute:
         vini.run(until=60.0)
         assert trace.done
         assert None in trace.path()
+
+    def test_probe_idents_repeat_across_same_seed_worlds(self):
+        def probe_idents():
+            sim = Simulator(seed=23)
+            a = PhysicalNode(sim, "a")
+            b = PhysicalNode(sim, "b")
+            connect(sim, a, b, bandwidth=100e6, delay=0.001, subnet="192.0.2.0/30")
+            sent = []
+            a.add_capture(
+                lambda pkt, point: point == "out" and sent.append(pkt.icmp.ident)
+            )
+            trace = Traceroute(a, "192.0.2.2").start()
+            sim.run(until=5.0)
+            assert trace.done
+            return sent
+
+        assert probe_idents() == probe_idents() == [20001]
