@@ -30,11 +30,6 @@ class CPUHog:
         ``[quantum, heavy_tail_max]`` instead — modeling occasional
         long non-preemptible stretches (kernel work, cache-cold phases)
         that produce the 80 ms ping outliers of Table 5.
-    duty_cycle:
-        Fraction of time the hog wants to run. Below 1.0 the hog sleeps
-        between bursts, modeling slices that are busy only sometimes —
-        this is what makes contention *fluctuate*, the paper's stated
-        obstacle to repeatable experiments.
     """
 
     def __init__(
@@ -44,18 +39,14 @@ class CPUHog:
         quantum: float = 0.005,
         heavy_tail_prob: float = 0.02,
         heavy_tail_max: float = 0.060,
-        duty_cycle: float = 1.0,
         share: float = 1.0,
         rng_stream: Optional[str] = None,
     ):
-        if not 0 < duty_cycle <= 1.0:
-            raise ValueError(f"duty_cycle must be in (0, 1], got {duty_cycle!r}")
         self.node = node
         self.process = Process(node, name, share=share)
         self.quantum = quantum
         self.heavy_tail_prob = heavy_tail_prob
         self.heavy_tail_max = heavy_tail_max
-        self.duty_cycle = duty_cycle
         self.rng = node.sim.rng(rng_stream or f"hog.{node.name}.{name}")
         self.running = False
 
@@ -76,16 +67,4 @@ class CPUHog:
     def _submit(self) -> None:
         if not self.running:
             return
-        self.process.exec_after(self._chunk(), self._done)
-
-    def _done(self) -> None:
-        if not self.running:
-            return
-        if self.duty_cycle >= 1.0:
-            self._submit()
-            return
-        # Sleep so that the long-run demand equals the duty cycle.
-        sleep = self.quantum * (1.0 - self.duty_cycle) / self.duty_cycle
-        # Burstiness: exponential-ish gap around the mean sleep.
-        gap = self.rng.expovariate(1.0 / sleep) if sleep > 0 else 0.0
-        self.node.sim.at(gap, self._submit)
+        self.process.exec_after(self._chunk(), self._submit)

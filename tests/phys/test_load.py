@@ -64,14 +64,6 @@ def test_realtime_victim_not_starved():
     assert mean < 0.0005
 
 
-def test_duty_cycle_reduces_load():
-    sim = Simulator(seed=4)
-    node = PhysicalNode(sim, "n")
-    hog = CPUHog(node, duty_cycle=0.3, heavy_tail_prob=0.0).start()
-    sim.run(until=20.0)
-    assert hog.process.cpu_used / 20.0 == pytest.approx(0.3, rel=0.25)
-
-
 def test_stop_halts_consumption():
     sim = Simulator(seed=5)
     node = PhysicalNode(sim, "n")
@@ -88,10 +80,3 @@ def test_heavy_tail_produces_long_chunks():
     chunks = {hog._chunk() for _ in range(200)}
     assert max(chunks) > 0.02
     assert min(chunks) == hog.quantum
-
-
-def test_invalid_duty_cycle():
-    sim = Simulator()
-    node = PhysicalNode(sim, "n")
-    with pytest.raises(ValueError):
-        CPUHog(node, duty_cycle=0.0)
