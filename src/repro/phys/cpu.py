@@ -293,6 +293,11 @@ class CPUScheduler:
             # now on the CPU. The stage stays open across preemption, so
             # it covers execution plus any time spent preempted.
             sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
+        self._run(process, item)
+
+    def _run(self, process: Process, item: WorkItem) -> None:
+        """Put ``item`` on the CPU: the one site a chunk starts at."""
+        sim = self.sim
         self._running, self._item = process, item
         self._started_at = sim.now
         self._cost = cost = item.cost / self.speed

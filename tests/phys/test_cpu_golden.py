@@ -6,8 +6,8 @@ Table 4's world (``build_planetlab``: Chicago--NY--Washington, IIAS in
 a slice, seven heavy-tailed hogs per node) runs under both
 configurations (``plvini``: 25 % reservation + RT priority;
 ``planetlab``: default fair share) with a short iperf through the
-overlay, and every dispatch on every node is serialized as
-``(now, cpu, process, cost)``. The sha256 constants were
+overlay, and every chunk put on a CPU (``CPUScheduler._run``) is
+serialized as ``(start, cpu, process, cost)``. The sha256 constants were
 recorded at commit a609d73, *before* the election became a single pass
 over an incrementally kept ready set, so a rewrite that reorders ties
 or decays a usage average at a different instant cannot pass.
@@ -25,26 +25,16 @@ WARMUP = 11.0  # OSPF (hello 5 s) is up and the overlay forwards
 DURATION = 0.25
 
 
-def _on_cpu(cpu):
-    """(identity token, process, cost) of the chunk on ``cpu``, or None."""
-    if cpu._running is None:
-        return None
-    return cpu._event, cpu._running, cpu._cost
-
-
 def _dispatch_stream(monkeypatch, config: str, seed: int) -> str:
     lines = []
-    dispatch = CPUScheduler._dispatch
+    run = CPUScheduler._run
 
-    def recording(cpu):
-        before = _on_cpu(cpu)
-        dispatch(cpu)
-        after = _on_cpu(cpu)
-        if after is not None and (before is None or after[0] is not before[0]):
-            lines.append(
-                f"{cpu.sim.now!r} {cpu.name} {after[1].name} {after[2]!r}")
+    def recording(cpu, process, item):
+        run(cpu, process, item)
+        lines.append(
+            f"{cpu._started_at!r} {cpu.name} {process.name} {cpu._cost!r}")
 
-    monkeypatch.setattr(CPUScheduler, "_dispatch", recording)
+    monkeypatch.setattr(CPUScheduler, "_run", recording)
     vini, exp = build_planetlab(seed, warmup=WARMUP, **PLANETLAB_CONFIGS[config])
     src = exp.network.nodes["chicago"]
     dst = exp.network.nodes["washington"]

@@ -24,7 +24,17 @@ from repro.phys.cpu import EWMA_TAU, WAKE_BONUS, CPUScheduler
 from repro.phys.process import Process, WorkItem
 from repro.sim import Simulator
 from tests.conftest import battery
-from tests.phys.test_cpu_golden import _on_cpu
+
+
+def _record(cpu, log, entry):
+    """:meth:`ReferenceScheduler.record` for :class:`CPUScheduler`."""
+    run = cpu._run
+
+    def recording(process, item):
+        run(process, item)
+        log.append(entry(process, cpu._cost))
+
+    cpu._run = recording
 
 
 class _Running:
@@ -45,9 +55,18 @@ class ReferenceScheduler:
         self._running = None
         self._resume = None
 
-    def on_cpu(self):
-        running = self._running
-        return running and (running, running.process, running.cost)
+    def record(self, log, entry):
+        """Call ``entry()`` and log it for every chunk put on the CPU."""
+        dispatch = self._dispatch
+
+        def recording():
+            before = self._running
+            dispatch()
+            after = self._running
+            if after and after is not before:
+                log.append(entry(after.process, after.cost))
+
+        self._dispatch = recording
 
     def register(self, process):
         self.processes.append(process)
@@ -263,23 +282,14 @@ def _submit(sim, proc, successor, log, cost, action, aux):
         proc.exec_after(cost, log.append, ("done", name))
 
 
-def _play(make_cpu, on_cpu, kinds, script, nonpreempt):
+def _play(make_cpu, record, kinds, script, nonpreempt):
     sim = Simulator(seed=5)
     cpu = make_cpu(sim)
     cpu.max_nonpreempt = nonpreempt
     node = SimpleNamespace(name="n", cpu=cpu)
     procs = [Process(node, f"p{i}", **kind) for i, kind in enumerate(kinds)]
     log = []
-    dispatch = cpu._dispatch
-
-    def recording():
-        before = on_cpu(cpu)
-        dispatch()
-        after = on_cpu(cpu)
-        if after and (not before or after[0] is not before[0]):
-            log.append((sim.now, after[1].name, after[2]))
-
-    cpu._dispatch = recording
+    record(cpu, log, lambda process, cost: (sim.now, process.name, cost))
     for time, mask, cost, action, aux in script:
         if action == 6:
             sim.schedule(time, cpu.crash_flush)
@@ -308,8 +318,8 @@ def _alone(mask, extra=()):
 @_alone(0b1000, extra=[{"cpu_cap": 0.2}])  # a cap
 @_alone(0b10)  # a reservation, not the resume owner
 def test_dispatch_sequence_and_accounting_match_reference(kinds, script, nonpreempt):
-    new = _play(CPUScheduler, _on_cpu, kinds, script, nonpreempt)
-    old = _play(ReferenceScheduler, ReferenceScheduler.on_cpu, kinds, script,
+    new = _play(CPUScheduler, _record, kinds, script, nonpreempt)
+    old = _play(ReferenceScheduler, ReferenceScheduler.record, kinds, script,
                 nonpreempt)
     assert new == old
 
@@ -318,21 +328,12 @@ def test_dispatch_sequence_and_accounting_match_reference(kinds, script, nonpree
 # read its usage, which decays the average and moves its stamp. One case
 # per hand-off: each election below has exactly one process ready, at an
 # instant after its last charge, so only a usage read moves the stamp.
-def _sole_elections(make_cpu, on_cpu, kind):
+def _sole_elections(make_cpu, record, kind):
     sim = Simulator(seed=5)
     cpu = make_cpu(sim)
     proc = Process(SimpleNamespace(name="n", cpu=cpu), "p", **kind)
     seen = []
-    dispatch = cpu._dispatch
-
-    def recording():
-        before = on_cpu(cpu)
-        dispatch()
-        after = on_cpu(cpu)
-        if after and (not before or after[0] is not before[0]):
-            seen.append((sim.now, proc.usage_ewma, proc._usage_stamp))
-
-    cpu._dispatch = recording
+    record(cpu, seen, lambda *_: (sim.now, proc.usage_ewma, proc._usage_stamp))
     for start in (0.0, 0.05, 0.3):
         sim.schedule(start, proc.exec_after, 0.0005, lambda: None)
     sim.run()
@@ -340,8 +341,8 @@ def _sole_elections(make_cpu, on_cpu, kind):
 
 
 def _assert_stamps_follow_the_rescan(kind):
-    new = _sole_elections(CPUScheduler, _on_cpu, kind)
-    old = _sole_elections(ReferenceScheduler, ReferenceScheduler.on_cpu, kind)
+    new = _sole_elections(CPUScheduler, _record, kind)
+    old = _sole_elections(ReferenceScheduler, ReferenceScheduler.record, kind)
     assert new == old
     # The case reads usage at election: the last stamp is the election's.
     assert len(new) == 3 and new[-1][2] == new[-1][0] == 0.3
