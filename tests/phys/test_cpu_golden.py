@@ -7,13 +7,16 @@ a slice, seven heavy-tailed hogs per node) runs under both
 configurations (``plvini``: 25 % reservation + RT priority;
 ``planetlab``: default fair share) with a short iperf through the
 overlay, and every chunk put on a CPU (``CPUScheduler._run``) is
-serialized as ``(start, cpu, process, cost)``. The sha256 constants were
+serialized as ``(start, cpu, process, cost)``, in the order the engine
+started them. The sha256 constants were
 recorded at commit a609d73, *before* the election became a single pass
 over an incrementally kept ready set, so a rewrite that reorders ties
 or decays a usage average at a different instant cannot pass.
 """
 
+import functools
 import hashlib
+import math
 
 import pytest
 
@@ -25,16 +28,61 @@ WARMUP = 11.0  # OSPF (hello 5 s) is up and the overlay forwards
 DURATION = 0.25
 
 
+class _Chunk:
+    """A chunk put on a CPU, and the chunk whose completion started it."""
+
+    def __init__(self, cpu, process, after, order):
+        self.start, self.cost = cpu._started_at, cpu._cost
+        self.line = f"{self.start!r} {cpu.name} {process.name} {self.cost!r}"
+        self.after, self.order = after, order
+
+
+def _chain(chunk):
+    """Sort key of ``chunk``: its start, the start of the chunk whose
+    completion started it, and so on back to a chunk some other event
+    started; then that chunk's place in the recording."""
+    while chunk.after is not None:
+        yield chunk.start
+        chunk = chunk.after
+    yield chunk.start
+    yield math.inf
+    yield chunk.order
+
+
+def _started_before(a, b) -> int:
+    if a.start != b.start:
+        return -1 if a.start < b.start else 1
+    for x, y in zip(_chain(a), _chain(b)):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
 def _dispatch_stream(monkeypatch, config: str, seed: int) -> str:
-    lines = []
-    run = CPUScheduler._run
+    """Every chunk in the order the engine started it.
+
+    A chunk that ran without an event is recorded when its CPU catches
+    up, after chunks other CPUs started later. The engine fires
+    same-instant events in the order they were scheduled, and a chunk's
+    completion is scheduled when the chunk starts, so sorting by
+    :func:`_chain` restores the order of an event per chunk.
+    """
+    chunks = []
+    run, complete = CPUScheduler._run, CPUScheduler._complete
 
     def recording(cpu, process, item):
         run(cpu, process, item)
-        lines.append(
-            f"{cpu._started_at!r} {cpu.name} {process.name} {cpu._cost!r}")
+        cpu.on_cpu = _Chunk(cpu, process, getattr(cpu, "ending", None),
+                            len(chunks))
+        chunks.append(cpu.on_cpu)
+
+    def completing(cpu):
+        cpu.ending = cpu.on_cpu
+        complete(cpu)
+        cpu.ending = None
 
     monkeypatch.setattr(CPUScheduler, "_run", recording)
+    monkeypatch.setattr(CPUScheduler, "_complete", completing)
     vini, exp = build_planetlab(seed, warmup=WARMUP, **PLANETLAB_CONFIGS[config])
     src = exp.network.nodes["chicago"]
     dst = exp.network.nodes["washington"]
@@ -45,7 +93,8 @@ def _dispatch_stream(monkeypatch, config: str, seed: int) -> str:
     ).start()
     vini.run(until=WARMUP + DURATION + 0.25)
     assert server.bytes_received > 0
-    return "\n".join(lines)
+    chunks.sort(key=functools.cmp_to_key(_started_before))
+    return "\n".join(chunk.line for chunk in chunks)
 
 
 # sha256 of the dispatch stream, recorded at commit a609d73 (the last
