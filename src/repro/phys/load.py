@@ -21,6 +21,9 @@ from repro.phys.process import Process
 class CPUHog:
     """A slice process that consumes every cycle it is offered.
 
+    Its demand stands (:attr:`CPUScheduler.standing`): the scheduler
+    queues its work item again at each completion, at :meth:`_next`.
+
     Parameters
     ----------
     quantum:
@@ -52,11 +55,17 @@ class CPUHog:
 
     def start(self) -> "CPUHog":
         if not self.running:
+            # Chunks that ended before now ended stopped.
+            cpu = self.node.cpu
+            cpu.catch_up()
+            cpu.standing.add(self.process)
             self.running = True
-            self._submit()
+            self.process.exec_after(self._chunk(), self._next)
         return self
 
     def stop(self) -> None:
+        """Draw no further chunk; a chunk queued or on the CPU still runs."""
+        self.node.cpu.catch_up()
         self.running = False
 
     def _chunk(self) -> float:
@@ -64,7 +73,6 @@ class CPUHog:
             return self.rng.uniform(self.quantum, self.heavy_tail_max)
         return self.quantum
 
-    def _submit(self) -> None:
-        if not self.running:
-            return
-        self.process.exec_after(self._chunk(), self._submit)
+    def _next(self) -> Optional[float]:
+        """The next chunk, drawn as the last one ends; None once stopped."""
+        return self._chunk() if self.running else None

@@ -6,8 +6,9 @@ randomness draws it from named, seeded streams
 (:class:`repro.sim.rand.RandomStreams`) so that two runs with the same
 seed produce byte-identical traces.
 
-The pending set is one binary heap of ``(time, seq, event)`` tuples.
-``seq`` is a per-simulator counter bumped on every insertion, so events
+The pending set is one binary heap of ``(time, seq, born, event)``
+tuples, ``born`` the time it was scheduled at. ``seq`` is a
+per-simulator counter bumped on every insertion, so events
 fire in strict ``(time, seq)`` order: by time, and among equal times in
 the order they were scheduled. Insertions go through
 :meth:`Simulator._push`, or its copy inlined in ``at`` (the per-packet
@@ -138,6 +139,12 @@ class Simulator:
         self._heap_cancelled = 0
         # call_unique coalescing: callable -> its one pending event.
         self._unique: Dict[Callable, Event] = {}
+        # Models advanced lazily (CPU standing demand): ``run`` calls
+        # these once drained to its bound, so state read after is current;
+        # they order what they skipped against ``_firing``, the running
+        # event's heap entry.
+        self.catch_ups: List[Callable[[], None]] = []
+        self._firing: tuple = (0.0, 0, 0.0, None)
         # Engine introspection series: pull-only, read at collection
         # time — no per-event cost in the dispatch loop.
         self.metrics.gauge("sim.pending", fn=lambda: self._live)
@@ -158,7 +165,7 @@ class Simulator:
         event.time = time
         event.queued = True
         self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, self.now, event))
         return event
 
     def schedule(self, time: float, fn: Callable, *args: Any) -> Event:
@@ -174,11 +181,12 @@ class Simulator:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         # _push, inlined: a non-negative delay cannot reach the past.
         event = Event(fn, args, self)
-        event.time = time = self.now + delay
+        now = self.now
+        event.time = time = now + delay
         event.queued = True
         self._seq = seq = self._seq + 1
         self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, now, event))
         return event
 
     def call_soon(self, fn: Callable, *args: Any) -> Event:
@@ -234,7 +242,7 @@ class Simulator:
     def _compact_heap(self) -> None:
         # In place: ``run`` holds the list across callbacks that cancel.
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapq.heapify(heap)
         self._heap_cancelled = 0
 
@@ -246,7 +254,7 @@ class Simulator:
         heap head, or None. Corpses met on the way are discarded."""
         heap = self._heap
         while heap:
-            time, _seq, event = heap[0]
+            time, _seq, _born, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._heap_cancelled -= 1
@@ -272,7 +280,7 @@ class Simulator:
         try:
             # _next and step, inlined: this loop runs once per event.
             while heap and not self._stopped:
-                time, _seq, event = heap[0]
+                time, _seq, _born, event = entry = heap[0]
                 if event.cancelled:
                     heappop(heap)
                     self._heap_cancelled -= 1
@@ -281,6 +289,7 @@ class Simulator:
                     break
                 heappop(heap)
                 self.now = time
+                self._firing = entry
                 event.queued = False
                 self._live -= 1
                 if event.interval:
@@ -291,8 +300,11 @@ class Simulator:
         # Only fast-forward when the queue genuinely drained up to
         # ``until``. After stop() events may remain before ``until``; a
         # later run() would fire them and send the clock backwards.
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
+        if not self._stopped:
+            if until is not None and self.now < until:
+                self.now = until
+            for catch_up in self.catch_ups:
+                catch_up()
         return self.now
 
     def step(self) -> bool:
@@ -300,7 +312,7 @@ class Simulator:
         event = self._next()
         if event is None:
             return False
-        heapq.heappop(self._heap)
+        self._firing = heapq.heappop(self._heap)
         self.now = time = event.time
         event.queued = False
         self._live -= 1

@@ -6,6 +6,7 @@ from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
 from repro.faults import FaultPlan, InvariantChecker
 from repro.net.addr import Prefix, prefix
+from repro.phys.load import CPUHog
 from repro.routing import RibRoute
 from repro.tools import Ping
 from repro.topologies import build_line
@@ -73,6 +74,24 @@ def test_clean_through_a_fault_schedule():
     vini.run(until=6.0)
     checker.check_now()
     checker.assert_clean()
+
+
+def test_clean_through_a_crash_under_hogs():
+    """A crash flushes the hogs' work with the rest, so the ready set
+    stays exactly the processes with work queued through the restart;
+    the hogs stay dead, having run until the crash."""
+    vini = _triangle()
+    node = vini.nodes["b"]
+    for index in range(3):
+        CPUHog(node, name=f"slice{index}").start()
+    checker = InvariantChecker(vini).install()
+    FaultPlan("crash").crash_physical(1.0, "b", duration=1.0).install(vini)
+    Ping(vini.nodes["a"], node.address, count=30, interval=0.1).start()
+    vini.run(until=4.0)
+    checker.check_now()
+    checker.assert_clean()
+    hogs = sum(p.cpu_used for p in node.cpu.processes if p.name.startswith("slice"))
+    assert 1.0 <= hogs < 1.1
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.infrastructure import VINI
 from repro.faults import FaultPlan, UnsupportedFault
+from repro.phys.load import CPUHog
 from repro.sim.engine import Simulator
 from repro.topologies import build_line
 
@@ -173,6 +174,20 @@ def test_cpu_burst_loads_the_node_then_stops():
     vini.run(until=10.0)
     # The hog consumed roughly the burst window and nothing more.
     assert 1.5 < node.cpu.busy_time < 2.6
+
+
+def test_cpu_burst_on_a_hog_loaded_node_takes_a_fair_share():
+    vini = _pair()
+    node = vini.nodes["a"]
+    for index in range(3):
+        CPUHog(node, name=f"slice{index}", heavy_tail_prob=0.0).start()
+    FaultPlan().cpu_burst(1.0, "a", duration=2.0).install(vini)
+    vini.run(until=4.0)
+    (burst,) = (p for p in node.cpu.processes if p.name == "faultburst0")
+    # A quarter of the CPU for the two seconds of the burst; the hogs
+    # kept it busy throughout.
+    assert burst.cpu_used == pytest.approx(0.5, rel=0.05)
+    assert node.cpu.busy_time == pytest.approx(4.0, rel=0.01)
 
 
 def test_physical_target_rejects_loss_episodes():

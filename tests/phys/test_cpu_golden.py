@@ -68,21 +68,19 @@ def _dispatch_stream(monkeypatch, config: str, seed: int) -> str:
     :func:`_chain` restores the order of an event per chunk.
     """
     chunks = []
-    run, complete = CPUScheduler._run, CPUScheduler._complete
+    run = CPUScheduler._run
 
     def recording(cpu, process, item):
         run(cpu, process, item)
-        cpu.on_cpu = _Chunk(cpu, process, getattr(cpu, "ending", None),
-                            len(chunks))
+        # A chunk that starts as the last one ends was started by its
+        # completion (a preempted chunk stops before its end).
+        last = getattr(cpu, "on_cpu", None)
+        if last is not None and last.start + last.cost != cpu._started_at:
+            last = None
+        cpu.on_cpu = _Chunk(cpu, process, last, len(chunks))
         chunks.append(cpu.on_cpu)
 
-    def completing(cpu):
-        cpu.ending = cpu.on_cpu
-        complete(cpu)
-        cpu.ending = None
-
     monkeypatch.setattr(CPUScheduler, "_run", recording)
-    monkeypatch.setattr(CPUScheduler, "_complete", completing)
     vini, exp = build_planetlab(seed, warmup=WARMUP, **PLANETLAB_CONFIGS[config])
     src = exp.network.nodes["chicago"]
     dst = exp.network.nodes["washington"]

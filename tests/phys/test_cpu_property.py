@@ -17,12 +17,17 @@ in the last digits.
 
 import math
 from types import SimpleNamespace
+from typing import List, Optional, Set
 
 from hypothesis import example, given, strategies as st
 
+from repro.faults.plan import _cpu_burst
 from repro.phys.cpu import EWMA_TAU, WAKE_BONUS, CPUScheduler
+from repro.phys.load import CPUHog
+from repro.phys.node import PhysicalNode
 from repro.phys.process import Process, WorkItem
 from repro.sim import Simulator
+from repro.sim.engine import Event
 from tests.conftest import battery
 
 
@@ -354,3 +359,552 @@ def test_sole_capped_process_is_elected_through_the_scan():
 
 def test_sole_reserved_process_not_resuming_is_elected_through_the_scan():
     _assert_stamps_follow_the_rescan({"reservation": 0.25})
+
+
+# ----------------------------------------------------------------------
+# Standing demand. The oracle is the scheduler and the hog of the commit
+# before hogs ran without engine events — every chunk an event —
+# verbatim but for their names: ParentScheduler, ParentHog and
+# _parent_burst (FaultPlan's cpu_burst, building a ParentHog). Hypothesis
+# drives both with one script over hog sets (count, quantum, heavy tail,
+# share) beside reserved, capped and real-time processes: work at
+# instants tied to chunk ends, hog starts and stops, CPU bursts, crashes
+# and probe reads at random instants. The dispatch stream, every
+# accounting float, every probe read and the latency histogram must be
+# identical, at a mid-run stop and at the end.
+# ----------------------------------------------------------------------
+_INF = float("inf")
+
+
+def _order(process: Process):
+    """Election order: least virtual runtime, ties to the process
+    registered first."""
+    return process.vruntime, process.index
+
+
+class ParentScheduler:
+    """Single-CPU scheduler with fair share, reservations and RT bands.
+
+    Parameters
+    ----------
+    speed:
+        Relative CPU speed; work costs are expressed in seconds on a
+        speed-1.0 reference CPU and divided by this factor.
+    """
+
+    def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):
+        if speed <= 0:
+            raise ValueError(f"speed must be positive, got {speed!r}")
+        self.sim = sim
+        self.name = name
+        self.speed = speed
+        # Kernel non-preemptible sections: even a real-time wakeup waits
+        # up to this long for the running (non-RT) code to reach a
+        # preemption point — the residual latency that keeps the
+        # paper's PL-VINI rows from being perfectly jitter-free
+        # (Tables 5 and 6).
+        self.max_nonpreempt = 0.0003
+        self.processes: List[Process] = []
+        self._ready: Set[Process] = set()
+        self.busy_time = 0.0  # cumulative seconds the CPU was executing
+        # The chunk on the CPU: its owner (None when idle), the item,
+        # when it started, the wall seconds it takes, its completion.
+        self._running: Optional[Process] = None
+        self._item: Optional[WorkItem] = None
+        self._started_at = self._cost = 0.0
+        self._event: Optional[Event] = None
+        # A non-RT process whose chunk was preempted by real-time work:
+        # it owns the rest of its timeslice and resumes first.
+        self._resume: Optional[Process] = None
+        # Bound once: a stream is seeded from sha256(seed:name), so when
+        # it is created cannot change what it draws.
+        self._nonpreempt_rng = sim.rng(f"nonpreempt.{name}")
+        metrics = sim.metrics
+        # Per-slice scheduling latency (time from work arriving to it
+        # getting the CPU): the one push instrument on this path — a
+        # distribution cannot be pulled. None when metrics are off, so
+        # the dispatch loop pays a single identity test.
+        self._latency_hist = (
+            metrics.histogram("cpu.sched_latency", cpu=self.name)
+            if metrics.enabled
+            else None
+        )
+        metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
+        metrics.gauge(
+            "cpu.runq_depth",
+            fn=lambda: sum(len(p.queue) for p in self._ready),
+            cpu=self.name,
+        )
+
+    # ------------------------------------------------------------------
+    # Registration and wakeups
+    # ------------------------------------------------------------------
+    def register(self, process: Process) -> None:
+        process.index = len(self.processes)
+        self.processes.append(process)
+        metrics = self.sim.metrics
+        if metrics.enabled:
+            # Disambiguate duplicate process names on one CPU so each
+            # keeps its own series.
+            label = process.name
+            if metrics.get("cpu.process_seconds", cpu=self.name, process=label) is not None:
+                label = f"{process.name}#{len(self.processes)}"
+            metrics.counter(
+                "cpu.process_seconds",
+                fn=lambda: process.cpu_used,
+                cpu=self.name,
+                process=label,
+            )
+            process.metric_label = label
+
+    def wake(self, process: Process) -> None:
+        """A process gained work; dispatch or preempt as policy allows."""
+        running = self._running
+        if len(process.queue) == 1:
+            # Idle -> ready; a fair-share sleeper's credit is bounded:
+            # it wakes at most WAKE_BONUS before the least vruntime of
+            # the other fair-share processes ready or on the CPU.
+            self._ready.add(process)
+            if not process.realtime:
+                floor = _INF
+                for p in self._ready:
+                    if p.vruntime < floor and not p.realtime and p is not process:
+                        floor = p.vruntime
+                if (running is not None and running.vruntime < floor
+                        and not running.realtime and running is not process):
+                    floor = running.vruntime
+                if floor != _INF:
+                    process.vruntime = max(process.vruntime, floor - WAKE_BONUS)
+        if running is None:
+            self._dispatch()
+            return
+        if process.realtime and not running.realtime:
+            if self.max_nonpreempt > 0.0:
+                delay = self._nonpreempt_rng.random() * self.max_nonpreempt
+                self.sim.at(delay, self._deferred_preempt, self._event)
+            else:
+                self._preempt()
+                self._dispatch()
+
+    def _deferred_preempt(self, target: Event) -> None:
+        """Preempt the chunk that completes at ``target`` if it is still
+        on the CPU.
+
+        If the chunk already finished, the normal completion dispatch
+        has run (and will have picked the real-time work).
+        """
+        if self._running is not None and self._event is target:
+            self._preempt()
+            self._dispatch()
+
+    # ------------------------------------------------------------------
+    # Usage accounting
+    # ------------------------------------------------------------------
+    def _charge(self, process: Process, executed: float) -> None:
+        """Account ``executed`` wall-seconds ending now to ``process``."""
+        process.cpu_used += executed
+        self.busy_time += executed
+        process.vruntime += executed / process.share
+        now = self.sim.now
+        dt = now - process._usage_stamp
+        if dt > 0:
+            process.usage_ewma *= math.exp(-dt / EWMA_TAU)
+        process.usage_ewma += executed
+        process._usage_stamp = now
+
+    def usage_fraction(self, process: Process) -> float:
+        """Recent CPU fraction used by ``process`` (EWMA over tau),
+        decayed to now."""
+        now = self.sim.now
+        dt = now - process._usage_stamp
+        if dt > 0:
+            process.usage_ewma *= math.exp(-dt / EWMA_TAU)
+            process._usage_stamp = now
+        return min(1.0, process.usage_ewma / EWMA_TAU)
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+    def _dispatch(self) -> None:
+        """Elect from the ready set in one pass — RT band, preempted-slice
+        resume, under-reservation band, then fair share — and put the
+        winner's head item on the CPU.
+
+        ``usage_fraction`` decays the average it reads, and stepwise
+        decay is not associative in floats, so *which* processes are
+        asked at an election is part of the result: every ready process
+        with a cap, always; the reservation band only once no real-time
+        process is eligible. A sole ready process that the scan would
+        not ask is elected without it.
+        """
+        ready = self._ready
+        if self._running is not None or not ready:
+            return
+        owner, process = self._resume, None
+        if len(ready) == 1:
+            # A sole ready process wins whichever band it is in. Elect it
+            # directly unless the scan would read its usage: a cap, or a
+            # reservation it does not already resume through.
+            (process,) = ready
+            if process.cpu_cap is not None or not (
+                    process.realtime or process.reservation <= 0.0 or process is owner):
+                process = None
+            else:
+                queue = process.queue
+                while queue and queue[0].cancelled:
+                    queue.popleft()
+                if not queue:
+                    ready.clear()
+                    return
+                if not process.realtime:
+                    self._resume = None
+        if process is None:
+            usage = self.usage_fraction
+            rt = fair = None
+            drained = capped = ()
+            resume = reserved = False
+            least = 0.0  # fair's vruntime
+            for process in ready:
+                queue = process.queue
+                while queue and queue[0].cancelled:
+                    queue.popleft()
+                if not queue:
+                    drained += (process,)
+                elif process.cpu_cap is not None and usage(process) >= process.cpu_cap:
+                    capped += (process,)
+                elif process.realtime:
+                    if rt is None or _order(process) < _order(rt):
+                        rt = process
+                else:
+                    # _order(process) < _order(fair), spelt out: the one
+                    # comparison every workload makes per ready process.
+                    vruntime = process.vruntime
+                    if fair is None or vruntime < least or (
+                            vruntime == least and process.index < fair.index):
+                        fair, least = process, vruntime
+                    resume = resume or process is owner
+                    reserved = reserved or process.reservation > 0.0
+            ready.difference_update(drained)
+            if rt is None and fair is None:
+                if capped:
+                    # Non-work-conserving: everyone ready is at their cap.
+                    # Idle until the first EWMA decays below its ceiling.
+                    delay = min(
+                        EWMA_TAU
+                        * math.log(max(usage(p) / p.cpu_cap, 1.0 + 1e-9))
+                        for p in capped
+                    )
+                    self.sim.at(max(delay, 1e-6), self._dispatch)
+                return
+            process = rt
+            if process is None:
+                self._resume = None
+                if resume:
+                    process = owner
+                elif reserved:
+                    process = min(
+                        (p for p in ready if p not in capped
+                         and p.reservation > 0.0 and usage(p) < p.reservation),
+                        key=_order, default=fair)
+                else:
+                    process = fair
+        item = process.queue.popleft()
+        if not process.queue:
+            ready.remove(process)
+        sim = self.sim
+        if self._latency_hist is not None:
+            self._latency_hist.observe(sim.now - item.enqueued_at)
+        if item.span_packet is not None:
+            # Close the flight's cpu.wait (run-queue) stage: the work is
+            # now on the CPU. The stage stays open across preemption, so
+            # it covers execution plus any time spent preempted.
+            sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
+        self._running, self._item = process, item
+        self._started_at = sim.now
+        self._cost = cost = item.cost / self.speed
+        self._event = sim.at(cost, self._complete)
+
+    def _complete(self) -> None:
+        process, item = self._running, self._item
+        assert process is not None
+        self._running = None
+        self._charge(process, self._cost)
+        if not item.cancelled:
+            item.fn(*item.args)
+        if self._running is None and self._ready:
+            self._dispatch()
+
+    def _preempt(self) -> None:
+        """Stop the current (non-RT) item; requeue its remainder."""
+        process, item = self._running, self._item
+        assert process is not None
+        self._running = None
+        self._event.cancel()
+        executed = self.sim.now - self._started_at
+        self._charge(process, executed)
+        remaining = self._cost - executed
+        if remaining > 0 or not item.cancelled:
+            leftover = WorkItem(
+                max(0.0, remaining) * self.speed, item.fn, item.args,
+                item.enqueued_at, item.span_packet,
+            )
+            leftover.cancelled = item.cancelled
+            process.queue.appendleft(leftover)
+            self._ready.add(process)
+            if not process.realtime:
+                self._resume = process
+
+    # ------------------------------------------------------------------
+    # Crash handling
+    # ------------------------------------------------------------------
+    def crash_flush(self) -> None:
+        """Discard all pending work (node crash).
+
+        The item on the CPU is cancelled (its completion event still
+        fires to keep accounting sane, but its callback is suppressed),
+        every queued item on every process is cancelled and dropped,
+        and any preemption-resume claim is forgotten.
+        """
+        if self._running is not None:
+            self._item.cancelled = True
+        for process in self.processes:
+            for item in process.queue:
+                item.cancelled = True
+            process.queue.clear()
+        self._ready.clear()
+        self._resume = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = f"running {self._running.name}" if self._running else "idle"
+        return f"<ParentScheduler {self.name} {state} procs={len(self.processes)}>"
+
+
+class ParentHog:
+    """A slice process that consumes every cycle it is offered.
+
+    Parameters
+    ----------
+    quantum:
+        Nominal work-chunk size in seconds (a Linux-2.6-era timeslice).
+    heavy_tail_prob / heavy_tail_max:
+        With this probability a chunk is drawn uniformly from
+        ``[quantum, heavy_tail_max]`` instead — modeling occasional
+        long non-preemptible stretches (kernel work, cache-cold phases)
+        that produce the 80 ms ping outliers of Table 5.
+    duty_cycle:
+        Fraction of time the hog wants to run. Below 1.0 the hog sleeps
+        between bursts, modeling slices that are busy only sometimes —
+        this is what makes contention *fluctuate*, the paper's stated
+        obstacle to repeatable experiments.
+    """
+
+    def __init__(
+        self,
+        node: PhysicalNode,
+        name: str = "hog",
+        quantum: float = 0.005,
+        heavy_tail_prob: float = 0.02,
+        heavy_tail_max: float = 0.060,
+        duty_cycle: float = 1.0,
+        share: float = 1.0,
+        rng_stream: Optional[str] = None,
+    ):
+        if not 0 < duty_cycle <= 1.0:
+            raise ValueError(f"duty_cycle must be in (0, 1], got {duty_cycle!r}")
+        self.node = node
+        self.process = Process(node, name, share=share)
+        self.quantum = quantum
+        self.heavy_tail_prob = heavy_tail_prob
+        self.heavy_tail_max = heavy_tail_max
+        self.duty_cycle = duty_cycle
+        self.rng = node.sim.rng(rng_stream or f"hog.{node.name}.{name}")
+        self.running = False
+
+    def start(self) -> "ParentHog":
+        if not self.running:
+            self.running = True
+            self._submit()
+        return self
+
+    def stop(self) -> None:
+        self.running = False
+
+    def _chunk(self) -> float:
+        if self.heavy_tail_prob and self.rng.random() < self.heavy_tail_prob:
+            return self.rng.uniform(self.quantum, self.heavy_tail_max)
+        return self.quantum
+
+    def _submit(self) -> None:
+        if not self.running:
+            return
+        self.process.exec_after(self._chunk(), self._done)
+
+    def _done(self) -> None:
+        if not self.running:
+            return
+        if self.duty_cycle >= 1.0:
+            self._submit()
+            return
+        # Sleep so that the long-run demand equals the duty cycle.
+        sleep = self.quantum * (1.0 - self.duty_cycle) / self.duty_cycle
+        # Burstiness: exponential-ish gap around the mean sleep.
+        gap = self.rng.expovariate(1.0 / sleep) if sleep > 0 else 0.0
+        self.node.sim.at(gap, self._submit)
+
+
+def _parent_burst(node, duration: float, share: float, quantum: float) -> None:
+    # Numbered per node, not per install: two plans bursting one node
+    # start distinct hogs, and a spec-rebuilt run names them alike.
+    index = sum(p.name.startswith("faultburst") for p in node.cpu.processes)
+    hog = ParentHog(
+        node,
+        name=f"faultburst{index}",
+        quantum=quantum,
+        heavy_tail_prob=0.0,
+        share=share,
+        rng_stream=f"faults.burst.{node.name}.{index}",
+    ).start()
+    node.sim.at(duration, hog.stop)
+
+
+def _record_parent(cpu, log):
+    dispatch = cpu._dispatch
+
+    def recording():
+        before = cpu._running and cpu._event
+        dispatch()
+        if cpu._running is not None and cpu._event is not before:
+            log.append((cpu.sim.now, cpu._running.name, cpu._cost))
+
+    cpu._dispatch = recording
+
+
+# Dyadic quanta and grid: sums of them are exact, so a chunk often ends
+# at the very instant work arrives or a probe reads.
+_TICK = 2 ** -11  # ~0.5 ms
+_QUANTA = [_TICK, 2 * _TICK, 8 * _TICK]
+_hog = st.builds(
+    dict,
+    quantum=st.sampled_from(_QUANTA),
+    heavy_tail_prob=st.sampled_from([0.0, 0.006, 0.3]),
+    heavy_tail_max=st.sampled_from([0.01, 0.045]),
+    share=st.sampled_from([1.0, 0.5, 2.0]),
+)
+# (time, action, target, cost, aux); times and costs partly on the hogs'
+# quantum grid.
+#   action 0-2: a work item of ``cost`` for process ``target``
+#   action 3 / 4: start / stop hog ``target``
+#   action 5: a CPU burst of ``aux`` s, share and quantum from ``target``
+#   action 6: crash_flush
+#   action 7: read every probe and every usage fraction
+#   action 8: schedule, from an event at ``time``, action 0 ``aux - tick``
+#             s later (0 included: the same instant)
+_hog_step = st.tuples(
+    _grid_or_float(0.0, 0.3, _TICK), st.integers(0, 8), st.integers(0, 63),
+    _grid_or_float(0.0, 0.004, _TICK),
+    st.one_of(_grid_or_float(_TICK, 0.1, _TICK),
+              st.integers(1, 9).map(lambda k: k * _TICK)),
+)
+HOG_STRATEGIES = dict(
+    members=st.lists(
+        st.one_of(_hog.map(lambda kw: ("hog", kw)), _kind.map(lambda kw: ("proc", kw))),
+        min_size=1, max_size=10),
+    started=st.integers(0, 2 ** 10 - 1),
+    script=st.lists(_hog_step, max_size=30),
+    nonpreempt=st.sampled_from([0.0, 3e-4]),
+)
+
+
+def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
+               nonpreempt):
+    sim = Simulator(seed=11)
+    cpu = make_cpu(sim, "n")
+    cpu.max_nonpreempt = nonpreempt
+    node = SimpleNamespace(name="n", sim=sim, cpu=cpu)
+    dispatches, log = [], []
+    record(cpu, dispatches)
+    hogs, procs = [], []
+    for index, (kind, kw) in enumerate(members):
+        if kind == "hog":
+            hogs.append(make_hog(node, name=f"h{index}", **kw))
+        else:
+            procs.append(Process(node, f"p{index}", **kw))
+    for index, hog in enumerate(hogs):
+        if started >> index & 1:
+            hog.start()
+
+    def read():
+        metrics = sim.metrics
+        log.append((
+            sim.now, metrics.value("cpu.busy_seconds", cpu="n"),
+            metrics.value("cpu.runq_depth", cpu="n"),
+            [metrics.value("cpu.process_seconds", cpu="n", process=p.metric_label)
+             for p in cpu.processes],
+            [cpu.usage_fraction(p) for p in cpu.processes],
+        ))
+
+    for time, action, target, cost, aux in script:
+        if action in (0, 1, 2, 8) and procs:
+            proc = procs[target % len(procs)]
+            work = (proc.exec_after, cost, log.append, ("done", proc.name))
+            if action == 8:
+                work = (sim.at, aux - _TICK) + work
+            sim.schedule(time, *work)
+        elif action in (3, 4) and hogs:
+            hog = hogs[target % len(hogs)]
+            sim.schedule(time, hog.start if action == 3 else hog.stop)
+        elif action == 5:
+            sim.schedule(time, burst, node, aux, [1.0, 0.5, 2.0][target % 3],
+                         _QUANTA[target // 3 % 3])
+        elif action == 6:
+            sim.schedule(time, cpu.crash_flush)
+        elif action == 7:
+            sim.schedule(time, read)
+
+    def state():
+        histogram = sim.metrics.get("cpu.sched_latency", cpu="n")
+        return (
+            sim.now, cpu.busy_time,
+            [(p.name, p.cpu_used, p.vruntime, p.usage_ewma, p._usage_stamp,
+              len(p.queue)) for p in cpu.processes],
+            (histogram.bucket_counts, histogram.count, histogram.sum,
+             histogram.sum_sq, histogram.min, histogram.max),
+        )
+
+    sim.run(until=0.15)
+    middle = state()
+    sim.run(until=0.4)
+    return dispatches, log, middle, state()
+
+
+def _record_new(cpu, log):
+    _record(cpu, log, lambda process, cost: (cpu._started_at, process.name, cost))
+
+
+def _relayed(*steps):
+    """An example: one hog of 8-tick chunks from 0, one process; work
+    scheduled at 18 ticks for the end of the chunk begun at 16."""
+    return example(
+        members=[("hog", dict(quantum=_QUANTA[2], heavy_tail_prob=0.0,
+                              heavy_tail_max=0.01, share=1.0)), ("proc", {})],
+        started=1, nonpreempt=0.0,
+        script=[(18 * _TICK, 8, 0, 0.0, 7 * _TICK)] + list(steps))
+
+
+@battery(100)
+@given(**HOG_STRATEGIES)
+# The chunk begins inside a catch-up (a probe read at 20 ticks), or also
+# gets its event late from work arriving at 20 ticks: the relayed work,
+# scheduled after the chunk began, must find it ended.
+@_relayed((20 * _TICK, 7, 0, 0.0, _TICK))
+@_relayed((17 * _TICK, 7, 0, 0.0, _TICK), (20 * _TICK, 0, 0, 0.0, _TICK))
+# A burst that stops as its first chunk ends, and work at its start.
+@example(members=[("proc", {})], started=0, nonpreempt=0.0,
+         script=[(0.0, 5, 0, 0.0, _TICK), (0.0, 0, 0, 0.0, _TICK)])
+def test_standing_demand_matches_an_event_per_chunk(members, started, script,
+                                                     nonpreempt):
+    new = _play_hogs(CPUScheduler, CPUHog, _cpu_burst, _record_new, members,
+                     started, script, nonpreempt)
+    old = _play_hogs(ParentScheduler, ParentHog, _parent_burst, _record_parent,
+                     members, started, script, nonpreempt)
+    assert new == old

@@ -6,6 +6,7 @@ from repro.phys.load import CPUHog
 from repro.phys.node import PhysicalNode
 from repro.phys.process import Process
 from repro.sim import Simulator
+from repro.topologies import PLANETLAB_CONFIGS, build_planetlab
 
 
 def test_hog_consumes_full_cpu_when_alone():
@@ -71,6 +72,28 @@ def test_stop_halts_consumption():
     sim.at(1.0, hog.stop)
     sim.run(until=5.0)
     assert hog.process.cpu_used < 1.1
+
+
+def test_stop_in_mid_heavy_tail_chunk_lets_that_chunk_finish():
+    sim = Simulator(seed=5)
+    node = PhysicalNode(sim, "n")
+    hog = CPUHog(node, quantum=0.01, heavy_tail_prob=1.0, heavy_tail_max=0.06).start()
+    sim.run(until=0.5)
+    hog.stop()
+    sim.run(until=2.0)
+    # Alone, the hog ran back to back from 0: the chunk it was in at
+    # 0.5 s ran to its end, and no chunk followed.
+    assert 0.5 < node.cpu.busy_time < 0.56
+    assert hog.process.cpu_used == node.cpu.busy_time
+
+
+def test_planetlab_warmup_costs_under_a_thousand_engine_events():
+    """The hogs' chunks (about 47 000 in 10 sim-s of the Table-4 world
+    under plvini) run without engine events; what is left is OSPF, the
+    overlay and the chunks on the CPU when Click wakes. Like the frame
+    budgets, this moves only on purpose: re-measure, don't raise it."""
+    vini, _exp = build_planetlab(0, warmup=10.0, **PLANETLAB_CONFIGS["plvini"])
+    assert vini.sim.metrics.value("sim.events_scheduled") <= 1000
 
 
 def test_heavy_tail_produces_long_chunks():
