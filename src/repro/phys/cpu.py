@@ -28,8 +28,8 @@ Elections read ``_ready``, which at every instant holds exactly the
 registered processes whose queue is non-empty (cancelled items count).
 
 **Standing demand** (:attr:`CPUScheduler.standing`, a started
-:class:`~repro.phys.load.CPUHog`) costs no engine events: while only it
-is ready, a chunk that a completion puts on the CPU has no event, and
+:class:`~repro.phys.load.CPUHog`) costs no engine events: a chunk put on
+the CPU while only such demand is ready has no event, and
 :meth:`CPUScheduler.catch_up` later runs charge → draw → election at
 each such chunk's end, in a loop, before anything reads or changes the
 scheduler (``wake``, ``usage_fraction``, the ``cpu.*`` probes,
@@ -341,7 +341,7 @@ class CPUScheduler:
         """
         sim = self.sim
         now = sim.now
-        ready, standing, hist = self._ready, self.standing, self._latency_hist
+        ready, hist = self._ready, self._latency_hist
         while self._mark_at is not None and self._running is not None:
             end = self._end
             if end >= now:
@@ -355,9 +355,11 @@ class CPUScheduler:
                 event.cancel()
             sim.now = end
             process, item = self._running, self._item
-            # A stopped hog draws None; _complete then draws None again.
-            if (event is not None or not ready <= standing or process not in standing
-                    or item.cancelled or process.queue or (cost := item.fn()) is None):
+            # Without an event, only standing demand is ready (a waking
+            # process gives the chunk one). A stopped hog draws None, and
+            # _complete then draws None again.
+            if (event is not None or item.cancelled or process.queue
+                    or (cost := item.fn()) is None):
                 self._complete()
             else:
                 # _complete, wake, _dispatch: one scan, floor and rival.
