@@ -22,7 +22,8 @@ class CPUHog:
     """A slice process that consumes every cycle it is offered.
 
     Its demand stands (:attr:`CPUScheduler.standing`): the scheduler
-    queues its work item again at each completion, at :meth:`_next`.
+    queues its work item again at each completion, for the chunk
+    :meth:`_next` draws.
 
     Parameters
     ----------
@@ -55,7 +56,7 @@ class CPUHog:
 
     def start(self) -> "CPUHog":
         if not self.running:
-            # Chunks that ended before now ended stopped.
+            # Catch up first: chunks that ended before now found it stopped.
             cpu = self.node.cpu
             cpu.catch_up()
             cpu.standing.add(self.process)
