@@ -309,7 +309,6 @@ class InvariantChecker:
                         seen.add(id(link))
                         links.append(link)
         for node in nodes:
-            node.cpu.catch_up()
             queued = {p for p in node.cpu.processes if p.queue}
             if node.cpu._ready != queued:
                 self._report("cpu_ready_set", node=node.name, differ=sorted(

@@ -29,20 +29,16 @@ registered processes whose queue is non-empty (cancelled items count).
 
 **Standing demand** (:attr:`CPUScheduler.standing`, a started
 :class:`~repro.phys.load.CPUHog`) costs no engine events: a chunk put on
-the CPU while only such demand is ready has no event, and
-:meth:`CPUScheduler.catch_up` later runs charge → draw → election at
-each such chunk's end, in a loop, before anything reads or changes the
-scheduler (``wake``, ``usage_fraction``, the ``cpu.*`` probes,
-``crash_flush``, a hog's ``start``/``stop``, the invariant checker, the
-end of ``Simulator.run``). A process that is not standing demand waking
-gives the chunk on the CPU its event: the wait for it is the latency of
-Tables 4–6, and ``_deferred_preempt`` targets it by identity.
+the CPU while only such demand is ready has none, and
+:meth:`CPUScheduler.catch_up` completes it at the engine's horizon
+(:meth:`~repro.sim.engine.Simulator.due`), in the order of an event per
+chunk. A process that is not standing demand waking gives it an event.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.phys.process import Process, WorkItem
 from repro.sim.engine import Event, Simulator
@@ -98,10 +94,8 @@ class CPUScheduler:
         self._item: Optional[WorkItem] = None
         self._started_at = self._cost = self._end = 0.0
         self._event: Optional[Event] = None
-        # A chunk begun without an event: its start and the engine's seq
-        # counter then (None if begun inside a catch-up); None otherwise.
-        self._mark_at: Optional[float] = None
-        self._mark_seq: Optional[int] = None
+        # The mark of a chunk whose end catch_up completes, else None.
+        self._mark: Optional[int] = None
         # Plain fair-share processes whose demand stands (CPUHog).
         self.standing: Set[Process] = set()
         sim.catch_ups.append(self.catch_up)
@@ -121,12 +115,10 @@ class CPUScheduler:
             if metrics.enabled
             else None
         )
-        # Every probe catches up first (catch_up returns None).
-        metrics.counter("cpu.busy_seconds", fn=lambda: self.catch_up() or self.busy_time,
-                        cpu=self.name)
+        metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
         metrics.gauge(
             "cpu.runq_depth",
-            fn=lambda: self.catch_up() or sum(len(p.queue) for p in self._ready),
+            fn=lambda: sum(len(p.queue) for p in self._ready),
             cpu=self.name,
         )
 
@@ -145,7 +137,7 @@ class CPUScheduler:
                 label = f"{process.name}#{len(self.processes)}"
             metrics.counter(
                 "cpu.process_seconds",
-                fn=lambda: self.catch_up() or process.cpu_used,
+                fn=lambda: process.cpu_used,
                 cpu=self.name,
                 process=label,
             )
@@ -153,8 +145,6 @@ class CPUScheduler:
 
     def wake(self, process: Process) -> None:
         """A process gained work; dispatch or preempt as policy allows."""
-        if self._mark_at is not None:
-            self.catch_up()
         running = self._running
         if len(process.queue) == 1:
             # Idle -> ready; a fair-share sleeper's credit is bounded:
@@ -175,7 +165,8 @@ class CPUScheduler:
             self._dispatch()
             return
         if self._event is None and process not in self.standing:
-            self._event = self.sim.schedule(self._end, self._complete)
+            # _deferred_preempt's target and a limit to catch-ups; catch_up cancels it.
+            self._event = self.sim.schedule(self._end, self.catch_up)
         if process.realtime and not running.realtime:
             if self.max_nonpreempt > 0.0:
                 delay = self._nonpreempt_rng.random() * self.max_nonpreempt
@@ -213,8 +204,6 @@ class CPUScheduler:
     def usage_fraction(self, process: Process) -> float:
         """Recent CPU fraction used by ``process`` (EWMA over tau),
         decayed to now."""
-        if self._mark_at is not None:
-            self.catch_up()
         now = self.sim.now
         dt = now - process._usage_stamp
         if dt > 0:
@@ -327,65 +316,23 @@ class CPUScheduler:
         self._started_at = now = self.sim.now
         self._cost = cost = item.cost / self.speed
         if process in self.standing and self._ready <= self.standing:
-            self._end, self._event = now + cost, None  # the float sim.at makes
-            self._mark_at, self._mark_seq = now, self.sim._seq
+            self._end = end = now + cost  # the float sim.at makes
+            self._event, self._mark = None, self.sim.due(end)
         else:
-            self._event, self._mark_at = self.sim.at(cost, self._complete), None
+            self._event, self._mark = self.sim.at(cost, self._complete), None
 
-    def catch_up(self) -> None:
-        """Complete the chunks without their own event that ended by now.
-
-        Inside ``Simulator.run``, one ending exactly now (or given a late
-        event) has ended only if the running event was scheduled after
-        it began: later in seq or, if it began in a catch-up, in time.
-        """
+    def catch_up(self) -> Optional[Tuple[float, int]]:
+        """Complete the chunks without their own event that end before
+        the next pending event (:meth:`Simulator.is_due`); returns the
+        end and mark of the one that does not, if any."""
         sim = self.sim
-        now = sim.now
-        ready, hist = self._ready, self._latency_hist
-        while self._mark_at is not None and self._running is not None:
-            end = self._end
-            if end >= now:
-                _time, seq, born, _event = sim._firing
-                if end > now or sim._running and not (
-                        seq > self._mark_seq if self._mark_seq is not None
-                        else born > self._mark_at):
-                    break
-            event = self._event
-            if event is not None:
-                event.cancel()
-            sim.now = end
-            process, item = self._running, self._item
-            # Without an event, only standing demand is ready (a waking
-            # process gives the chunk one). A stopped hog draws None, and
-            # _complete then draws None again.
-            if (event is not None or item.cancelled or process.queue
-                    or (cost := item.fn()) is None):
-                self._complete()
-            else:
-                # _complete, wake, _dispatch: one scan, floor and rival.
-                self._running = None
-                self._charge(process, self._cost)
-                item.cost, item.enqueued_at = cost, end
-                rival = None
-                for other in ready:
-                    vruntime = other.vruntime
-                    if rival is None or vruntime < least or (
-                            vruntime == least and other.index < rival.index):
-                        rival, least = other, vruntime
-                if rival is not None:
-                    vruntime = process.vruntime = max(process.vruntime, least - WAKE_BONUS)
-                    if least < vruntime or least == vruntime and rival.index < process.index:
-                        process.queue.append(item)
-                        ready.add(process)
-                        process, item = rival, rival.queue.popleft()
-                        if not process.queue:
-                            ready.remove(process)
-                if hist is not None:
-                    hist.observe(end - item.enqueued_at)
-                self._run(process, item)
-            if end < now:
-                self._mark_seq = None
-        sim.now = now
+        while self._mark is not None and sim.is_due(self._end, self._mark):
+            if self._event is not None:
+                self._event.cancel()
+            self._mark = None
+            sim.now = self._end
+            self._complete()
+        return None if self._mark is None else (self._end, self._mark)
 
     def _complete(self) -> None:
         process, item = self._running, self._item
@@ -407,7 +354,7 @@ class CPUScheduler:
         """Stop the current (non-RT) item; requeue its remainder."""
         process, item = self._running, self._item
         assert process is not None
-        self._running = None
+        self._running, self._mark = None, None
         self._event.cancel()
         executed = self.sim.now - self._started_at
         self._charge(process, executed)
@@ -434,7 +381,6 @@ class CPUScheduler:
         every queued item on every process is cancelled and dropped,
         and any preemption-resume claim is forgotten.
         """
-        self.catch_up()
         if self._running is not None:
             self._item.cancelled = True
         for process in self.processes:

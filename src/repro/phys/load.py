@@ -22,8 +22,7 @@ class CPUHog:
     """A slice process that consumes every cycle it is offered.
 
     Its demand stands (:attr:`CPUScheduler.standing`): the scheduler
-    queues its work item again at each completion, for the chunk
-    :meth:`_next` draws.
+    queues its work item again, for the chunk :meth:`_next` draws.
 
     Parameters
     ----------
@@ -56,17 +55,13 @@ class CPUHog:
 
     def start(self) -> "CPUHog":
         if not self.running:
-            # Catch up first: chunks that ended before now found it stopped.
-            cpu = self.node.cpu
-            cpu.catch_up()
-            cpu.standing.add(self.process)
+            self.node.cpu.standing.add(self.process)
             self.running = True
             self.process.exec_after(self._chunk(), self._next)
         return self
 
     def stop(self) -> None:
         """Draw no further chunk; a chunk queued or on the CPU still runs."""
-        self.node.cpu.catch_up()
         self.running = False
 
     def _chunk(self) -> float:

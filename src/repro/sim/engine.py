@@ -6,9 +6,8 @@ randomness draws it from named, seeded streams
 (:class:`repro.sim.rand.RandomStreams`) so that two runs with the same
 seed produce byte-identical traces.
 
-The pending set is one binary heap of ``(time, seq, born, event)``
-tuples, ``born`` the time it was scheduled at. ``seq`` is a
-per-simulator counter bumped on every insertion, so events
+The pending set is one binary heap of ``(time, seq, event)`` tuples.
+``seq`` is a per-simulator counter bumped on every insertion, so events
 fire in strict ``(time, seq)`` order: by time, and among equal times in
 the order they were scheduled. Insertions go through
 :meth:`Simulator._push`, or its copy inlined in ``at`` (the per-packet
@@ -20,12 +19,20 @@ Cancellation is lazy: a cancelled event stays in the heap as a corpse
 until it reaches the head, or until corpses exceed
 :data:`MAX_CORPSE_SHARE` of the heap and it is rebuilt without them, so
 cancellation churn (restartable dead timers, TCP RTO) cannot bloat it.
+
+A model may also advance off the heap (the CPU's standing demand):
+:meth:`Simulator.due` registers work ending at a given time and returns
+a mark, the ``seq`` of the last event scheduled before it. One *horizon*
+event waits at the earliest such work, keyed ``(time, mark + 0.5)``
+where an event for it would have fired, and there the
+:attr:`Simulator.catch_ups` complete the work that comes first, setting
+the clock to each piece's end.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_RECORDER
@@ -86,6 +93,10 @@ class Event:
             ):
                 sim._compact_heap()
 
+    def __lt__(self, other: "Event") -> bool:
+        # Only a horizon and its own corpse tie (Simulator._arm).
+        return False
+
     @property
     def active(self) -> bool:
         return not self.cancelled
@@ -135,16 +146,19 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._stopped = False
+        # How far the horizon may take lazy models: the run's ``until``,
+        # or the instant ``step`` fires.
+        self._bound = _INF
         self._live = 0
         self._heap_cancelled = 0
         # call_unique coalescing: callable -> its one pending event.
         self._unique: Dict[Callable, Event] = {}
-        # Models advanced lazily (CPU standing demand): ``run`` calls
-        # these once drained to its bound, so state read after is current;
-        # they order what they skipped against ``_firing``, the running
-        # event's heap entry.
-        self.catch_ups: List[Callable[[], None]] = []
-        self._firing: tuple = (0.0, 0, 0.0, None)
+        # Models advanced off the heap, the horizon and its key, and the
+        # key their work must come before while it fires.
+        self.catch_ups: List[Callable[[], Optional[Tuple[float, int]]]] = []
+        self._horizon: Optional[Event] = None
+        self._horizon_key: Tuple[float, int] = (_INF, 0)
+        self._limit: Tuple[float, float] = (-_INF, 0)
         # Engine introspection series: pull-only, read at collection
         # time — no per-event cost in the dispatch loop.
         self.metrics.gauge("sim.pending", fn=lambda: self._live)
@@ -165,7 +179,7 @@ class Simulator:
         event.time = time
         event.queued = True
         self._live += 1
-        heapq.heappush(self._heap, (time, seq, self.now, event))
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule(self, time: float, fn: Callable, *args: Any) -> Event:
@@ -181,12 +195,11 @@ class Simulator:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         # _push, inlined: a non-negative delay cannot reach the past.
         event = Event(fn, args, self)
-        now = self.now
-        event.time = time = now + delay
+        event.time = time = self.now + delay
         event.queued = True
         self._seq = seq = self._seq + 1
         self._live += 1
-        heapq.heappush(self._heap, (time, seq, now, event))
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def call_soon(self, fn: Callable, *args: Any) -> Event:
@@ -242,9 +255,43 @@ class Simulator:
     def _compact_heap(self) -> None:
         # In place: ``run`` holds the list across callbacks that cancel.
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self._heap_cancelled = 0
+
+    def due(self, time: float) -> int:
+        """Register work, begun now, ending at ``time``; returns its mark."""
+        self._arm(time, self._seq)
+        return self._seq
+
+    def is_due(self, time: float, mark: int) -> bool:
+        """Asked while the horizon fires: whether the work registered at
+        ``mark`` ends at ``time`` before the next event, within bounds."""
+        return (time, mark) < self._limit
+
+    def _arm(self, time: float, mark: int) -> None:
+        if (time, mark) < self._horizon_key:
+            if self._horizon is not None:
+                self._horizon.cancel()
+            self._horizon = event = Event(self._catch_up, (), self)
+            event.time, event.queued = time, True
+            self._horizon_key = (time, mark)
+            self._live += 1
+            heapq.heappush(self._heap, (time, mark + 0.5, event))
+
+    def _catch_up(self) -> None:
+        """The horizon fires: catch the models up to the next event."""
+        head = self._next(self._bound)
+        self._limit = (self._bound, _INF) if head is None else self._heap[0][:2]
+        # Work registered from here on is in some model's answer.
+        self._horizon, self._horizon_key = None, (-_INF, 0)
+        left = (_INF, 0)
+        for catch_up in self.catch_ups:
+            key = catch_up()
+            if key is not None and key < left:
+                left = key
+        self._horizon_key = (_INF, 0)
+        self._arm(*left)
 
     # ------------------------------------------------------------------
     # Execution
@@ -254,7 +301,7 @@ class Simulator:
         heap head, or None. Corpses met on the way are discarded."""
         heap = self._heap
         while heap:
-            time, _seq, _born, event = heap[0]
+            time, _seq, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._heap_cancelled -= 1
@@ -275,12 +322,12 @@ class Simulator:
             raise RuntimeError("simulator is re-entrant: run() called from event")
         self._running = True
         self._stopped = False
-        bound = _INF if until is None else until
+        self._bound = bound = _INF if until is None else until
         heap, heappop, push = self._heap, heapq.heappop, self._push
         try:
             # _next and step, inlined: this loop runs once per event.
             while heap and not self._stopped:
-                time, _seq, _born, event = entry = heap[0]
+                time, _seq, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
                     self._heap_cancelled -= 1
@@ -289,7 +336,6 @@ class Simulator:
                     break
                 heappop(heap)
                 self.now = time
-                self._firing = entry
                 event.queued = False
                 self._live -= 1
                 if event.interval:
@@ -300,11 +346,8 @@ class Simulator:
         # Only fast-forward when the queue genuinely drained up to
         # ``until``. After stop() events may remain before ``until``; a
         # later run() would fire them and send the clock backwards.
-        if not self._stopped:
-            if until is not None and self.now < until:
-                self.now = until
-            for catch_up in self.catch_ups:
-                catch_up()
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
         return self.now
 
     def step(self) -> bool:
@@ -312,8 +355,8 @@ class Simulator:
         event = self._next()
         if event is None:
             return False
-        self._firing = heapq.heappop(self._heap)
-        self.now = time = event.time
+        heapq.heappop(self._heap)
+        self.now = self._bound = time = event.time
         event.queued = False
         self._live -= 1
         if event.interval:

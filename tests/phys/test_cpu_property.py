@@ -799,8 +799,10 @@ _hog = st.builds(
 #   action 7: read every probe and every usage fraction
 #   action 8: schedule, from an event at ``time``, action 0 ``aux - tick``
 #             s later (0 included: the same instant)
+#   action 9: the same, through an event ``target >> 3 & 7`` ticks later
+#   action 10: action 7 every ``aux`` s from ``time`` on, a periodic event
 _hog_step = st.tuples(
-    _grid_or_float(0.0, 0.3, _TICK), st.integers(0, 8), st.integers(0, 63),
+    _grid_or_float(0.0, 0.3, _TICK), st.integers(0, 10), st.integers(0, 63),
     _grid_or_float(0.0, 0.004, _TICK),
     st.one_of(_grid_or_float(_TICK, 0.1, _TICK),
               st.integers(1, 9).map(lambda k: k * _TICK)),
@@ -844,11 +846,13 @@ def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
         ))
 
     for time, action, target, cost, aux in script:
-        if action in (0, 1, 2, 8) and procs:
+        if action in (0, 1, 2, 8, 9) and procs:
             proc = procs[target % len(procs)]
             work = (proc.exec_after, cost, log.append, ("done", proc.name))
-            if action == 8:
+            if action >= 8:
                 work = (sim.at, aux - _TICK) + work
+            if action == 9:
+                work = (sim.at, (target >> 3 & 7) * _TICK) + work
             sim.schedule(time, *work)
         elif action in (3, 4) and hogs:
             hog = hogs[target % len(hogs)]
@@ -860,6 +864,8 @@ def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
             sim.schedule(time, cpu.crash_flush)
         elif action == 7:
             sim.schedule(time, read)
+        elif action == 10:
+            sim.schedule(time, sim.schedule_periodic, aux, read)
 
     def state():
         histogram = sim.metrics.get("cpu.sched_latency", cpu="n")
@@ -871,7 +877,7 @@ def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
              histogram.sum_sq, histogram.min, histogram.max),
         )
 
-    sim.run(until=0.15)
+    sim.run(until=0.125)  # on the grid: chunks end at the bound
     middle = state()
     sim.run(until=0.4)
     return dispatches, log, middle, state()
@@ -881,23 +887,40 @@ def _record_new(cpu, log):
     _record(cpu, log, lambda process, cost: (cpu._started_at, process.name, cost))
 
 
-def _relayed(*steps):
-    """An example: one hog of 8-tick chunks from 0, one process; work
-    scheduled at 18 ticks for the end of the chunk begun at 16."""
+def _one_hog(*script):
+    """An example: one hog of 8-tick chunks from 0, and one process."""
     return example(
         members=[("hog", dict(quantum=_QUANTA[2], heavy_tail_prob=0.0,
                               heavy_tail_max=0.01, share=1.0)), ("proc", {})],
-        started=1, nonpreempt=0.0,
-        script=[(18 * _TICK, 8, 0, 0.0, 7 * _TICK)] + list(steps))
+        started=1, nonpreempt=0.0, script=list(script))
+
+
+# Work that an event at 18 ticks relays to 24, where the chunk begun at
+# 16 ends.
+_RELAYED = (18 * _TICK, 8, 0, 0.0, 7 * _TICK)
 
 
 @battery(100)
 @given(**HOG_STRATEGIES)
-# The chunk begins inside a catch-up (a probe read at 20 ticks), or also
-# gets its event late from work arriving at 20 ticks: the relayed work,
-# scheduled after the chunk began, must find it ended.
-@_relayed((20 * _TICK, 7, 0, 0.0, _TICK))
-@_relayed((17 * _TICK, 7, 0, 0.0, _TICK), (20 * _TICK, 0, 0, 0.0, _TICK))
+# The relayed work must find the chunk ended: with a probe read at 20
+# ticks, or with work at 20 that gives the chunk a late event.
+@_one_hog(_RELAYED, (20 * _TICK, 7, 0, 0.0, _TICK))
+@_one_hog(_RELAYED, (17 * _TICK, 7, 0, 0.0, _TICK), (20 * _TICK, 0, 0, 0.0, _TICK))
+# So must work relayed in two hops, 12 -> 16 -> 24 ticks: the chunk
+# begins at the instant of the middle hop, ahead of it.
+@_one_hog((12 * _TICK, 9, 32, 0.0, 9 * _TICK))
+# A probe read in the chunk that ends at the mid-run bound: the chunk
+# completes in that run.
+@_one_hog((250 * _TICK, 7, 0, 0.0, _TICK))
+# Probes read by a periodic event as each chunk ends.
+@_one_hog((0.0, 10, 0, 0.0, 8 * _TICK))
+# A crash in the deferral before real-time work preempts the chunk: the
+# preempted remainder is cancelled, and the CPU goes idle.
+@example(members=[("hog", dict(quantum=_QUANTA[2], heavy_tail_prob=0.0,
+                               heavy_tail_max=0.01, share=1.0)),
+                  ("proc", dict(realtime=True))],
+         started=1, nonpreempt=3e-4,
+         script=[(_TICK, 0, 0, 0.0, _TICK), (_TICK, 6, 0, 0.0, _TICK)])
 # A burst that stops as its first chunk ends, and work at its start.
 @example(members=[("proc", {})], started=0, nonpreempt=0.0,
          script=[(0.0, 5, 0, 0.0, _TICK), (0.0, 0, 0, 0.0, _TICK)])

@@ -392,3 +392,47 @@ def test_nan_time_or_delay_raises(arm):
     sim.run()
     assert fired == [1.0, 2.0, 3.0, 4.0]
     assert sim.pending == 0
+
+
+class _Lazy:
+    """Pieces of work ``length`` long, back to back from when it is
+    made, advanced off the heap."""
+
+    def __init__(self, sim, length, log):
+        self.sim, self.length, self.log = sim, length, log
+        self.end = sim.now + length
+        self.mark = sim.due(self.end)
+        sim.catch_ups.append(self.catch_up)
+
+    def catch_up(self):
+        while self.sim.is_due(self.end, self.mark):
+            self.log.append(("lazy", self.end))
+            self.end += self.length
+            self.mark = self.sim.due(self.end)
+        return self.end, self.mark
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_lazy_work_ends_where_an_event_per_piece_would(drive):
+    sim = Simulator()
+    log = []
+    sim.at(1.0, log.append, "before")
+    _Lazy(sim, 1.0, log)
+    sim.at(1.0, log.append, "after")
+    # At 2.0, scheduled before and after the piece ending then began.
+    sim.at(0.5, sim.at, 1.5, log.append, "relayed")
+    sim.at(1.0, sim.at, 1.0, log.append, "relayed late")
+    sim.at(10.0, log.append, "end")
+    if drive == "run":
+        sim.run(until=2.5)
+    else:
+        while sim.peek() <= 2.5:
+            sim.step()
+    assert log == ["before", ("lazy", 1.0), "after", "relayed", ("lazy", 2.0),
+                   "relayed late"]
+    # The piece ending at the bound, or at the instant stepped to, only.
+    if drive == "run":
+        sim.run(until=3.0)
+    else:
+        sim.step()
+    assert (log[-1], sim.now, sim.peek()) == (("lazy", 3.0), 3.0, 4.0)
