@@ -265,8 +265,8 @@ class Simulator:
         return self._seq
 
     def is_due(self, time: float, mark: int) -> bool:
-        """Asked while the horizon fires: whether the work registered at
-        ``mark`` ends at ``time`` before the next event, within bounds."""
+        """Asked while the horizon fires: whether work registered at
+        ``mark``, ending at ``time``, comes before the next event and bound."""
         return (time, mark) < self._limit
 
     def _arm(self, time: float, mark: int) -> None:
