@@ -99,12 +99,12 @@ class LiveMonitor(PeriodicSampler):
     # ------------------------------------------------------------------
     def install(self) -> "LiveMonitor":
         """Start the monitor unless it is running already."""
-        return self if self._handle is not None else self.start()
+        return self if self._timer is not None else self.start()
 
     def start(self) -> "LiveMonitor":
         """Open the feed, write its header and start the snapshots (the
         first one now)."""
-        if self._handle is not None:
+        if self._timer is not None:
             raise RuntimeError(f"monitor {self.name!r} already started")
         _ensure_parent(self.path)
         self._feed = open(self.path, "w", buffering=1)
@@ -123,7 +123,7 @@ class LiveMonitor(PeriodicSampler):
     def stop(self, final: bool = True) -> "LiveMonitor":
         """Stop snapshots; with ``final`` take one last snapshot so the
         feed covers the full run. Then close the feed."""
-        if self._handle is None:
+        if self._timer is None:
             return self
         super().stop(final)
         self._feed.close()

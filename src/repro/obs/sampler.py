@@ -1,8 +1,8 @@
 """Sim-clock periodic sampling of metrics into time series.
 
-A :class:`PeriodicSampler` rides the simulator's native periodic-event
-machinery (``schedule_periodic``), so its ticks are ordinary events in
-the deterministic (time, seq) order — adding a sampler never reorders
+A :class:`PeriodicSampler` ticks through a
+:class:`repro.sim.timer.PeriodicTimer`, so its ticks are ordinary events
+in the deterministic (time, seq) order — adding a sampler never reorders
 the events of the experiment around it, it only interleaves snapshot
 reads. Each tick records the current value of every watched probe:
 
@@ -51,13 +51,13 @@ class PeriodicSampler:
     """
 
     def __init__(self, sim, interval: float, name: str = "sampler"):
-        if interval <= 0:
+        if not interval > 0:  # NaN too
             raise ValueError(f"interval must be positive, got {interval!r}")
         self.sim = sim
         self.interval = interval
         self.name = name
         self._probes: Dict[str, _Probe] = {}
-        self._handle = None
+        self._timer = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -78,19 +78,23 @@ class PeriodicSampler:
     def start(self) -> "PeriodicSampler":
         """Begin ticking: one snapshot at the current sim time, so
         windows can anchor at t=start, then one every ``interval``."""
-        if self._handle is not None:
+        # Imported here: repro.sim.engine imports repro.obs.metrics, so
+        # a module-level import of repro.sim from repro.obs is circular.
+        from repro.sim.timer import PeriodicTimer
+
+        if self._timer is not None:
             raise RuntimeError(f"sampler {self.name!r} already started")
         self._tick()
-        self._handle = self.sim.schedule_periodic(self.interval, self._tick)
+        self._timer = PeriodicTimer(self.sim, self.interval, self._tick)
         return self
 
     def stop(self, final: bool = True) -> "PeriodicSampler":
         """Stop ticking; with ``final`` take one last snapshot now.
         A sampler that is not ticking ignores the call."""
-        if self._handle is None:
+        if self._timer is None:
             return self
-        self._handle.cancel()
-        self._handle = None
+        self._timer.stop()
+        self._timer = None
         if final:
             self._tick()
         return self

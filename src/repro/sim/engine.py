@@ -9,7 +9,10 @@ seed produce byte-identical traces.
 The pending set is one binary heap of ``(time, seq, event)`` tuples.
 ``seq`` is a per-simulator counter bumped on every insertion, so events
 fire in strict ``(time, seq)`` order: by time, and among equal times in
-the order they were scheduled. Insertions go through
+the order they were scheduled. Every event is one-shot, armed by one
+push: ``at``, ``schedule`` or ``call_soon`` (and the horizon below).
+Something that fires again, a :class:`repro.sim.timer.PeriodicTimer`,
+pushes its next event from its own callback. Insertions go through
 :meth:`Simulator._push`, or its copy inlined in ``at`` (the per-packet
 path); ``step`` and ``peek`` find the next event through
 :meth:`Simulator._next`, and ``run`` reads the heap head inline the
@@ -32,7 +35,7 @@ the clock to each piece's end.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_RECORDER
@@ -53,21 +56,15 @@ class Event:
     Cancellation is O(1): the event is marked dead, the live-event
     counter drops immediately, and the heap entry is discarded lazily
     (at the heap head, or in bulk when corpses pile up).
-
-    ``interval`` > 0 makes the event periodic: the engine re-arms it in
-    place after each firing, with a fresh sequence number, so periodic
-    timers allocate nothing per tick.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "interval", "sim", "queued")
+    __slots__ = ("time", "fn", "args", "cancelled", "sim", "queued")
 
-    def __init__(self, fn: Callable, args: tuple, sim: "Simulator",
-                 interval: float = 0.0):
+    def __init__(self, fn: Callable, args: tuple, sim: "Simulator"):
         self.time = 0.0
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.interval = interval
         self.sim = sim
         # True while a live heap entry refers to this event.
         self.queued = False
@@ -77,7 +74,6 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
-        self.interval = 0.0
         # Drop references so a corpse waiting in the heap does not keep
         # packets / closures alive.
         self.fn = _noop
@@ -151,8 +147,6 @@ class Simulator:
         self._bound = _INF
         self._live = 0
         self._heap_cancelled = 0
-        # call_unique coalescing: callable -> its one pending event.
-        self._unique: Dict[Callable, Event] = {}
         # Models advanced off the heap, the horizon and its key, and the
         # key their work must come before while it fires.
         self.catch_ups: List[Callable[[], Optional[Tuple[float, int]]]] = []
@@ -205,52 +199,6 @@ class Simulator:
     def call_soon(self, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at the current time, after pending events."""
         return self._push(Event(fn, args, self), self.now)
-
-    def call_unique(self, fn: Callable) -> Event:
-        """Run ``fn()`` at the current time, coalescing duplicates.
-
-        While a prior ``call_unique(fn)`` for the *same* callable is
-        still pending, further calls return that pending event instead
-        of scheduling another — the deferred-work idiom for components
-        that get dirtied many times per timestep (the fluid traffic
-        plane's rate re-solve) but must act once. The registration
-        clears when the event fires, so ``fn`` can re-arm itself.
-        """
-        pending = self._unique.get(fn)
-        if pending is not None:
-            return pending
-        event = self.call_soon(self._fire_unique, fn)
-        self._unique[fn] = event
-        return event
-
-    def _fire_unique(self, fn: Callable) -> None:
-        self._unique.pop(fn, None)
-        fn()
-
-    def schedule_periodic(self, interval: float, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` every ``interval`` seconds, starting one
-        interval from now.
-
-        The engine re-arms the returned event in place after each
-        firing (fresh sequence number, no allocation). Cancel it to
-        stop the series.
-        """
-        if not interval > 0:
-            raise ValueError(f"interval must be positive, got {interval!r}")
-        return self._push(Event(fn, args, self, interval), self.now + interval)
-
-    def reschedule(self, event: Event, time: float) -> Event:
-        """Re-arm a fired event at ``time`` without allocating a new one.
-
-        Only valid for an event that is not queued (i.e. it has fired)
-        and was not cancelled; :class:`repro.sim.timer.PeriodicTimer`
-        uses this to avoid a per-tick Event allocation.
-        """
-        if event.queued:
-            raise RuntimeError("cannot reschedule an event that is still queued")
-        if event.cancelled:
-            raise RuntimeError("cannot reschedule a cancelled event")
-        return self._push(event, time)
 
     def _compact_heap(self) -> None:
         # In place: ``run`` holds the list across callbacks that cancel.
@@ -323,7 +271,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         self._bound = bound = _INF if until is None else until
-        heap, heappop, push = self._heap, heapq.heappop, self._push
+        heap, heappop = self._heap, heapq.heappop
         try:
             # _next and step, inlined: this loop runs once per event.
             while heap and not self._stopped:
@@ -338,8 +286,6 @@ class Simulator:
                 self.now = time
                 event.queued = False
                 self._live -= 1
-                if event.interval:
-                    push(event, time + event.interval)
                 event.fn(*event.args)
         finally:
             self._running = False
@@ -356,13 +302,9 @@ class Simulator:
         if event is None:
             return False
         heapq.heappop(self._heap)
-        self.now = self._bound = time = event.time
+        self.now = self._bound = event.time
         event.queued = False
         self._live -= 1
-        if event.interval:
-            # Re-armed before the callback runs, so the callback can
-            # cancel its own series.
-            self._push(event, time + event.interval)
         event.fn(*event.args)
         return True
 

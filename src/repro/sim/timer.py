@@ -2,7 +2,9 @@
 
 Routing protocols are timer machines (hello intervals, dead intervals,
 LSA refresh, RTO). These helpers keep that code free of raw event
-bookkeeping.
+bookkeeping. Both arm one-shot events through ``sim.at``, the engine's
+one way to arm an event: a periodic timer pushes its next tick as each
+tick fires, before the callback runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class PeriodicTimer:
         rng_stream: str = "timers",
         start: bool = True,
     ):
-        if interval <= 0:
+        if not interval > 0:  # NaN too
             raise ValueError(f"interval must be positive, got {interval!r}")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter!r}")
@@ -50,22 +52,16 @@ class PeriodicTimer:
         return self.interval * (1.0 - self.jitter * rng.random())
 
     def _fire(self) -> None:
-        if not self._running:
-            return
-        # Re-arm the fired event in place: no Event allocation per tick.
-        self.sim.reschedule(self._event, self.sim.now + self._next_delay())
+        # Re-armed before the callback runs, so the callback can stop
+        # its own series.
+        self._event = self.sim.at(self._next_delay(), self._fire)
         self.fn()
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        if self.jitter == 0.0:
-            # Fixed period: let the engine re-arm the event itself, with
-            # no per-tick Python timer machinery at all.
-            self._event = self.sim.schedule_periodic(self.interval, self.fn)
-        else:
-            self._event = self.sim.at(self._next_delay(), self._fire)
+        self._event = self.sim.at(self._next_delay(), self._fire)
 
     def stop(self) -> None:
         self._running = False
@@ -76,7 +72,7 @@ class PeriodicTimer:
     def reschedule(self, interval: Optional[float] = None) -> None:
         """Restart the period (optionally with a new interval)."""
         if interval is not None:
-            if interval <= 0:
+            if not interval > 0:
                 raise ValueError(f"interval must be positive, got {interval!r}")
             self.interval = interval
         self.stop()
@@ -95,7 +91,7 @@ class Timeout:
     """
 
     def __init__(self, sim: Simulator, delay: float, fn: Callable[[], Any]):
-        if delay <= 0:
+        if not delay > 0:  # NaN too
             raise ValueError(f"delay must be positive, got {delay!r}")
         self.sim = sim
         self.delay = delay
@@ -104,7 +100,7 @@ class Timeout:
 
     def restart(self, delay: Optional[float] = None) -> None:
         if delay is not None:
-            if delay <= 0:
+            if not delay > 0:
                 raise ValueError(f"delay must be positive, got {delay!r}")
             self.delay = delay
         self.cancel()

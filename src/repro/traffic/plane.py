@@ -21,8 +21,9 @@ packet-accurate and *feel* the background through a coupling layer:
 
 Rates are re-solved in full, but rarely: demand changes (flow arrival,
 completion, stop), route changes, and link fail/recover mark the plane
-dirty and coalesce into one deferred *full* solver pass via the engine's
-``call_unique`` lane — never per-packet. A pass works on state the
+dirty and coalesce into one deferred *full* solver pass: the first mark
+of an instant queues it with ``call_soon`` and sets ``_solve_pending``,
+which the later marks find set — never per-packet. A pass works on state the
 plane keeps, not state it rebuilds: the classes stand in a key-ordered
 list (inserted at creation, filtered when one empties), every directed
 channel has a dense ``index`` for life, a class's ``hops`` are its
@@ -188,9 +189,6 @@ class FluidTrafficPlane:
         self._next_fid = 0
         self._dirty = False
         self._solve_pending = False
-        # Stable bound method: the engine's call_unique lane coalesces
-        # on this exact object.
-        self._solve_cb = self._solve
 
         # Introspection ints (pull-based metrics read them at
         # collection time; the solve path only bumps them).
@@ -449,7 +447,7 @@ class FluidTrafficPlane:
         if self._solve_pending:
             return
         self._solve_pending = True
-        self.sim.call_unique(self._solve_cb)
+        self.sim.call_soon(self._solve)
 
     def _advance(self, classes, now: float) -> None:
         """Integrate each class's service up to ``now`` at its old rate."""

@@ -9,14 +9,14 @@ from repro.obs import (
     detect_commit,
     export_series_csv,
 )
-from repro.sim import Simulator
+from repro.sim import PeriodicTimer, Simulator
 
 
 def test_export_series_csv(tmp_path):
     sim = Simulator()
     counter = sim.metrics.counter("n")
     hist = sim.metrics.histogram("lat")
-    sim.schedule_periodic(0.5, lambda: (counter.inc(), hist.observe(0.01)))
+    PeriodicTimer(sim, 0.5, lambda: (counter.inc(), hist.observe(0.01)))
     sampler = PeriodicSampler(sim, 1.0)
     sampler.watch("n", metric=counter).watch("lat", metric=hist).start()
     sim.run(until=2.0)

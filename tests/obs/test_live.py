@@ -24,7 +24,7 @@ from repro.obs import (
     PeriodicSampler,
 )
 from repro.obs.live import FEED_SCHEMA
-from repro.sim import Simulator
+from repro.sim import PeriodicTimer, Simulator
 from repro.tools import IperfTCPClient, IperfTCPServer
 from repro.topologies import build_deter
 
@@ -41,7 +41,7 @@ def test_monitor_is_a_sampler_of_its_probes(tmp_path):
     its probes are sampler series, one point per feed row."""
     sim = Simulator()
     counter = sim.metrics.counter("n")
-    sim.schedule_periodic(0.5, counter.inc)
+    PeriodicTimer(sim, 0.5, counter.inc)
     monitor = LiveMonitor(sim, feed=str(tmp_path / "live.jsonl"))
     assert isinstance(monitor, PeriodicSampler)
     monitor.watch("n", metric=counter).install()

@@ -4,13 +4,13 @@ import pytest
 
 from repro.obs import PeriodicSampler
 from repro.obs.sampler import _MaxSentinel
-from repro.sim import Simulator
+from repro.sim import PeriodicTimer, Simulator
 
 
 def _sim_with_counter():
     sim = Simulator()
     counter = sim.metrics.counter("ticks")
-    sim.schedule_periodic(0.1, counter.inc)
+    PeriodicTimer(sim, 0.1, counter.inc)
     return sim, counter
 
 
@@ -50,7 +50,7 @@ def test_sampler_histogram_windowed_mean():
         state["t"] += 0.25
         hist.observe(state["t"] / 10.0)
 
-    sim.schedule_periodic(0.25, observe)
+    PeriodicTimer(sim, 0.25, observe)
     sampler = PeriodicSampler(sim, 1.0).watch("lat", metric=hist).start()
     # A histogram nothing observes: its windows are empty.
     sampler.watch("quiet", metric=sim.metrics.histogram("quiet"))
@@ -127,7 +127,7 @@ def test_sampler_does_not_perturb_event_order():
             counter.inc()
             sim.trace.log("work", n=counter.value)
 
-        sim.schedule_periodic(0.3, work)
+        PeriodicTimer(sim, 0.3, work)
         if with_sampler:
             PeriodicSampler(sim, 1.0).watch("n", metric=counter).start()
         sim.run(until=5.0)

@@ -26,7 +26,7 @@ from repro.phys.cpu import EWMA_TAU, WAKE_BONUS, CPUScheduler
 from repro.phys.load import CPUHog
 from repro.phys.node import PhysicalNode
 from repro.phys.process import Process, WorkItem
-from repro.sim import Simulator
+from repro.sim import PeriodicTimer, Simulator
 from repro.sim.engine import Event
 from tests.conftest import battery
 
@@ -865,7 +865,7 @@ def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
         elif action == 7:
             sim.schedule(time, read)
         elif action == 10:
-            sim.schedule(time, sim.schedule_periodic, aux, read)
+            sim.schedule(time, PeriodicTimer, sim, aux, read)
 
     def state():
         histogram = sim.metrics.get("cpu.sched_latency", cpu="n")

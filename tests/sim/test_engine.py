@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from repro.sim import Simulator
+from repro.obs.sampler import PeriodicSampler
+from repro.sim import PeriodicTimer, Simulator, Timeout
 
 
 def test_events_run_in_time_order():
@@ -298,41 +299,6 @@ def test_schedule_from_callback_into_current_drain():
     assert [name for name, _ in order] == ["first", "wedge", "second"]
 
 
-def test_reschedule_reuses_event_object():
-    sim = Simulator()
-    fired = []
-    event = sim.at(1.0, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [1.0]
-    again = sim.reschedule(event, 2.0)
-    assert again is event
-    sim.run()
-    assert fired == [1.0, 2.0]
-
-
-def test_reschedule_rejects_queued_or_cancelled_events():
-    sim = Simulator()
-    queued = sim.at(1.0, lambda: None)
-    with pytest.raises(RuntimeError):
-        sim.reschedule(queued, 2.0)
-    queued.cancel()
-    with pytest.raises(RuntimeError):
-        sim.reschedule(queued, 2.0)
-
-
-def test_schedule_periodic_fires_and_cancels():
-    sim = Simulator()
-    times = []
-    event = sim.schedule_periodic(0.5, lambda: times.append(sim.now))
-    sim.run(until=2.2)
-    assert times == [0.5, 1.0, 1.5, 2.0]
-    event.cancel()
-    sim.run(until=5.0)
-    assert times == [0.5, 1.0, 1.5, 2.0]
-    with pytest.raises(ValueError):
-        sim.schedule_periodic(0.0, lambda: None)
-
-
 def test_stop_mid_slot_preserves_remaining_events():
     sim = Simulator()
     fired = []
@@ -375,14 +341,39 @@ def test_step_and_peek_merge_wheel_and_heap():
     assert order == ["near", "far"]
 
 
+_NAN = float("nan")
+
+
+def _reschedule_timer(sim):
+    timer = PeriodicTimer(sim, 1.0, lambda: None, start=False)
+    try:
+        timer.reschedule(_NAN)
+    finally:  # rejected before it touches the timer
+        assert timer.interval == 1.0 and not timer.running
+
+
+def _restart_timeout(sim):
+    timeout = Timeout(sim, 1.0, lambda: None)
+    try:
+        timeout.restart(_NAN)
+    finally:
+        assert timeout.delay == 1.0 and not timeout.armed
+
+
 @pytest.mark.parametrize("arm", [
-    lambda sim: sim.at(float("nan"), lambda: None),
-    lambda sim: sim.schedule(float("nan"), lambda: None),
-    lambda sim: sim.schedule_periodic(float("nan"), lambda: None),
-], ids=["at", "schedule", "schedule_periodic"])
+    lambda sim: sim.at(_NAN, lambda: None),
+    lambda sim: sim.schedule(_NAN, lambda: None),
+    lambda sim: PeriodicTimer(sim, _NAN, lambda: None, start=False),
+    lambda sim: Timeout(sim, _NAN, lambda: None),
+    lambda sim: PeriodicSampler(sim, _NAN),
+    _reschedule_timer,
+    _restart_timeout,
+], ids=["at", "schedule", "PeriodicTimer", "Timeout", "PeriodicSampler",
+        "PeriodicTimer.reschedule", "Timeout.restart"])
 def test_nan_time_or_delay_raises(arm):
     # NaN compares false both ways, so ``delay < 0`` let it through and
-    # the event fired at an arbitrary heap position with now = nan.
+    # the event fired at an arbitrary heap position with now = nan. A
+    # timer or sampler rejects a NaN period itself, not at its first arm.
     sim = Simulator()
     fired = []
     for t in (1.0, 2.0, 3.0, 4.0):

@@ -4,28 +4,27 @@ The engine promises a strict (time, seq) total order. The oracle is
 :class:`ReferenceScheduler` below: an unordered list and a ``min()``
 per event, written to be obviously right rather than fast. Hypothesis
 generates random programs (mixed near/far deadlines, absolute and
-relative scheduling, call_soon / call_unique from inside callbacks,
-chained scheduling, cancels, reschedules, periodics, chunked runs,
+relative scheduling, call_soon from inside callbacks, chained
+scheduling, cancels, self re-arms, periodic timers, chunked runs,
 stop / step / peek interleavings) and the fire log must be *exactly*
 identical — same tags, same float times — on both.
 """
 
 from hypothesis import given, strategies as st
 
-from repro.sim import Simulator
+from repro.sim import PeriodicTimer, Simulator
 from tests.conftest import battery
 
 
 class _Handle:
-    def __init__(self, fn, args, interval=0.0):
-        self.fn, self.args, self.interval = fn, args, interval
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
         self.time = self.seq = None
         self.cancelled = self.queued = False
         self.sched = None
 
     def cancel(self):
         self.cancelled = True
-        self.interval = 0.0
         if self.queued:
             self.queued = False
             self.sched.queue.remove(self)
@@ -39,7 +38,6 @@ class ReferenceScheduler:
         self.queue = []
         self.seq = 0
         self.stopped = False
-        self.unique = {}
 
     def _add(self, handle, time):
         assert time >= self.now
@@ -58,21 +56,6 @@ class ReferenceScheduler:
     def call_soon(self, fn, *args):
         return self._add(_Handle(fn, args), self.now)
 
-    def call_unique(self, fn):
-        if fn not in self.unique:
-            def fire():
-                del self.unique[fn]
-                fn()
-            self.unique[fn] = self.call_soon(fire)
-        return self.unique[fn]
-
-    def schedule_periodic(self, interval, fn, *args):
-        return self._add(_Handle(fn, args, interval), self.now + interval)
-
-    def reschedule(self, handle, time):
-        assert not handle.queued and not handle.cancelled
-        return self._add(handle, time)
-
     def peek(self):
         return min((h.time for h in self.queue), default=None)
 
@@ -85,8 +68,6 @@ class ReferenceScheduler:
         self.queue.remove(handle)
         handle.queued = False
         self.now = handle.time
-        if handle.interval:
-            self._add(handle, self.now + handle.interval)
         handle.fn(*handle.args)
         return True
 
@@ -107,11 +88,11 @@ class ReferenceScheduler:
 #   action 0: plain one-shot
 #   action 1: one-shot that schedules a follow-up +aux from its fire
 #   action 2: one-shot cancelled at absolute time aux (maybe too late)
-#   action 3: periodic(period) echoing one-shots onto its own next
-#             tick, cancelled at absolute time aux
-#   action 4: one-shot that reschedules itself once to now+aux
+#   action 3: PeriodicTimer(period) echoing one-shots onto its own
+#             next tick, stopped at absolute time aux
+#   action 4: one-shot that re-arms itself once, at now+aux
 #   action 5: one-shot at *absolute* time delay whose fire call_soons a
-#             follow-up and call_uniques the shared sweep twice
+#             follow-up
 #   action 6: one-shot that call_soons a follow-up and cancels it
 #
 # Half the draws come from a coarse grid, so same-time ties — where
@@ -137,50 +118,42 @@ _chunks = st.lists(st.floats(min_value=0.0, max_value=60_000.0,
 
 
 def _schedule_workload(sim, spec, log):
-    events = {}
-
-    def sweep():
-        log.append(("sweep", sim.now))
-
     for i, (delay, action, aux, period) in enumerate(spec):
         if action == 0:
-            events[i] = sim.at(delay, lambda i=i: log.append((i, sim.now)))
+            sim.at(delay, lambda i=i: log.append((i, sim.now)))
         elif action == 1:
             def chained(i=i, aux=aux):
                 log.append((i, sim.now))
                 sim.at(aux, lambda i=i: log.append((i, sim.now, "follow")))
-            events[i] = sim.at(delay, chained)
+            sim.at(delay, chained)
         elif action == 2:
             event = sim.at(delay, lambda i=i: log.append((i, sim.now)))
-            events[i] = event
             sim.at(aux, event.cancel)
         elif action == 3:
             def tick(i=i, period=period):
                 log.append((i, sim.now))
                 # Lands on the next tick's instant, after it.
                 sim.at(period, lambda i=i: log.append((i, sim.now, "echo")))
-            event = sim.schedule_periodic(period, tick)
-            sim.at(aux, event.cancel)
+            timer = PeriodicTimer(sim, period, tick)
+            sim.at(aux, timer.stop)
         elif action == 4:
-            once = []
-            def rearming(i=i, aux=aux, once=once):
+            # Every action-4 timer runs this same code; the arguments
+            # say whose it is.
+            def rearming(i=i, aux=aux, again=True):
                 log.append((i, sim.now))
-                if not once:
-                    once.append(1)
-                    sim.reschedule(events[i], sim.now + aux)
-            events[i] = sim.at(delay, rearming)
+                if again:
+                    sim.at(aux, rearming, i, aux, False)
+            sim.at(delay, rearming)
         elif action == 5:
             def soonish(i=i):
                 log.append((i, sim.now))
-                sim.call_unique(sweep)
                 sim.call_soon(lambda i=i: log.append((i, sim.now, "soon")))
-                sim.call_unique(sweep)
-            events[i] = sim.schedule(delay, soonish)
+            sim.schedule(delay, soonish)
         elif action == 6:
             def fickle(i=i):
                 log.append((i, sim.now))
                 sim.call_soon(lambda i=i: log.append((i, "never"))).cancel()
-            events[i] = sim.at(delay, fickle)
+            sim.at(delay, fickle)
 
 
 def _run_workload(sim, spec, chunks):

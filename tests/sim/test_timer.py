@@ -90,25 +90,6 @@ def test_timeout_expires_at():
     assert timeout.expires_at is None
 
 
-def test_periodic_timer_reuses_one_event_object():
-    """The hot path allocates no Event per tick: fixed-period timers ride
-    one engine-rearmed periodic event."""
-    sim = Simulator()
-    timer = PeriodicTimer(sim, 0.5, lambda: None)
-    event = timer._event
-    sim.run(until=10.0)
-    assert timer._event is event
-    assert event.active
-
-
-def test_jittered_timer_reuses_one_event_object():
-    sim = Simulator(seed=3)
-    timer = PeriodicTimer(sim, 0.5, lambda: None, jitter=0.2)
-    event = timer._event
-    sim.run(until=10.0)
-    assert timer._event is event
-
-
 def test_periodic_timer_stop_from_callback():
     sim = Simulator()
     times = []

@@ -159,6 +159,21 @@ class TestCompletions:
         vini.run(until=5.0)
         assert plane.stats["solver_runs"] <= 4
 
+    def test_many_marks_in_one_instant_queue_one_solve(self):
+        vini, plane = make_dumbbell()
+        sim = vini.sim
+        vini.run(until=1.0)
+        runs, pending = plane.stats["solver_runs"], sim.pending
+        flows = [plane.add_flow(f"s{i % 2}", f"r{i % 2}") for i in range(6)]
+        for flow in flows[::2]:
+            plane.remove_flow(flow)
+        solves = [event for _time, _seq, event in sim._heap
+                  if not event.cancelled and event.fn == plane._solve]
+        assert len(solves) == 1 and solves[0].time == sim.now
+        assert sim.pending == pending + 1
+        vini.run(until=1.5)
+        assert plane.stats["solver_runs"] == runs + 1
+
 
 class TestCoupling:
     def test_fluid_occupancy_lands_on_the_channel(self):
