@@ -17,7 +17,7 @@ forwarding CPU-bound at roughly one fifth of kernel rate (Table 2).
 
 from repro.click.element import Element, Port
 from repro.click.router import ClickRouter
-from repro.click.elements.basic import Counter, Discard, Paint, Tee
+from repro.click.elements.basic import Discard, Paint
 from repro.click.elements.checkip import CheckIPHeader, DecIPTTL
 from repro.click.elements.classifier import IPClassifier
 from repro.click.elements.icmperror import ICMPErrorElement
@@ -32,7 +32,6 @@ from repro.click.elements.umlswitch import UMLSwitch
 __all__ = [
     "CheckIPHeader",
     "ClickRouter",
-    "Counter",
     "DecIPTTL",
     "Discard",
     "Element",
@@ -46,7 +45,6 @@ __all__ = [
     "Port",
     "RadixIPLookup",
     "Shaper",
-    "Tee",
     "ToTap",
     "UDPTunnel",
     "UMLSwitch",

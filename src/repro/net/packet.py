@@ -13,7 +13,6 @@ tunnels, Fig. 2's life of a packet) is byte-accurate.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Any, Dict, Optional, Union
 
@@ -220,22 +219,11 @@ class Packet:
         self.uid = next(_packet_ids)
         self.created_at = created_at
         # Flight-recorder span context (repro.obs.spans.SpanContext), or
-        # None for untracked packets. Shared by reference with clones,
-        # the tunnel's outer packet and the echo reply: the context *is*
+        # None for untracked packets. Shared by reference with the
+        # tunnel's outer packet and the echo reply: the context *is*
         # the flight's identity.
         self.span = None
         self.wire_len = length + self.payload.size  # bytes on the wire
-
-    def copy(self) -> "Packet":
-        """Clone the packet (Click's ``Tee``).
-
-        The clone gets private copies of the headers, shares the payload
-        and the span context, copies ``meta`` and takes a fresh uid.
-        """
-        clone = Packet(copy.copy(self.ip), copy.copy(self.udp or self.tcp or self.icmp),
-                       self.payload, dict(self.meta), self.created_at)
-        clone.span = self.span
-        return clone
 
     def __repr__(self) -> str:
         headers = (self.ip, self.udp or self.tcp or self.icmp)

@@ -9,15 +9,15 @@ holds a route keeps its ``(Prefix, value)`` entry, made at ``insert``
 and dropped at ``remove``, and ``lookup_entry`` returns that tuple.
 Callers must treat the shared entry as read-only. A table is read per
 packet and written only when routing reconverges, so ``lookup_entry``
-also remembers its answer per address until the next ``insert``,
-``remove`` or ``clear``.
+also remembers its answer per address until the next ``insert`` or
+``remove``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.net.addr import MASKS, IPv4Address, Prefix, ip, prefix
+from repro.net.addr import MASKS, IPv4Address, Prefix, prefix
 
 
 class _Node:
@@ -111,11 +111,6 @@ class RadixTrie:
         self._memo.clear()
         return value
 
-    def clear(self) -> None:
-        self._root = _Node(0, 0)
-        self._count = 0
-        self._memo.clear()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -144,13 +139,6 @@ class RadixTrie:
 
     def __contains__(self, pfx: Union[str, Prefix]) -> bool:
         return self._find_exact(prefix(pfx)) is not None
-
-    def lookup(self, addr: Union[int, str, IPv4Address]) -> Any:
-        """Longest-prefix-match for ``addr``; KeyError when no route."""
-        found = self.lookup_entry(addr)
-        if found is None:
-            raise KeyError(str(ip(addr)))
-        return found[1]
 
     def lookup_entry(
         self, addr: Union[int, str, IPv4Address]
@@ -183,10 +171,3 @@ class RadixTrie:
             for child in node.children:
                 if child is not None:
                     stack.append(child)
-
-    def keys(self) -> Iterator[Prefix]:
-        for pfx, _value in self.items():
-            yield pfx
-
-    def __iter__(self) -> Iterator[Prefix]:
-        return self.keys()

@@ -170,12 +170,6 @@ class FlightStream:
         self.flights_written = 0
         self.closed = False
 
-    @property
-    def buffered(self) -> int:
-        """Flights currently held in memory (bounded by
-        ``chunk_flights``)."""
-        return len(self._buffer)
-
     # ------------------------------------------------------------------
     def add(self, flight) -> None:
         """Buffer one completed flight; flushes a chunk when full."""
@@ -220,7 +214,7 @@ class FlightStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FlightStream {self.path!r} "
-                f"written={self.flights_written} buffered={self.buffered}>")
+                f"written={self.flights_written} buffered={len(self._buffer)}>")
 
 
 def _ensure_parent(path: str) -> None:

@@ -117,7 +117,7 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A point-in-time level: push via set/inc/dec, or pull via ``fn=``."""
+    """A point-in-time level: push via ``set``, or pull via ``fn=``."""
 
     __slots__ = ("_value", "_fn")
     kind = "gauge"
@@ -129,12 +129,6 @@ class Gauge(Metric):
 
     def set(self, value: float) -> None:
         self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self._value -= amount
 
     def set_function(self, fn: Callable[[], float]) -> "Gauge":
         self._fn = fn
@@ -288,9 +282,6 @@ class NullMetric:
     def inc(self, amount: float = 1) -> None:
         pass
 
-    def dec(self, amount: float = 1) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -398,15 +389,6 @@ class MetricsRegistry:
         rows = [m.snapshot() for m in self._metrics.values()]
         rows.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
         return rows
-
-    def clear(self) -> None:
-        self._metrics.clear()
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "enabled" if self.enabled else "disabled"

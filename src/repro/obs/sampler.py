@@ -12,14 +12,14 @@ reads. Each tick records the current value of every watched probe:
   (delta-sum / delta-count) without storing per-sample data;
 * a bare callable probe snapshots whatever it returns.
 
-Windows are read back with :meth:`delta`, :meth:`rate` and
-:meth:`windowed_mean`; :meth:`series` exposes the raw ``(t, value)``
-points for plotting or export via
-:func:`repro.obs.export.export_series_csv`.
+Windows are read back with :meth:`delta` and :meth:`windowed_mean`;
+:meth:`series` exposes the raw ``(t, value)`` points for plotting or
+export via :func:`repro.obs.export.export_series_csv`.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -51,8 +51,8 @@ class PeriodicSampler:
     """
 
     def __init__(self, sim, interval: float, name: str = "sampler"):
-        if not interval > 0:  # NaN too
-            raise ValueError(f"interval must be positive, got {interval!r}")
+        if not 0 < interval < math.inf:  # NaN too
+            raise ValueError(f"interval must be positive and finite, got {interval!r}")
         self.sim = sim
         self.interval = interval
         self.name = name
@@ -131,16 +131,6 @@ class PeriodicSampler:
         if isinstance(v0, tuple):
             return tuple(b - a for a, b in zip(v0, v1))
         return v1 - v0
-
-    def rate(self, key: str, t0: float, t1: float) -> float:
-        """Average per-second rate of a scalar (counter) probe over the
-        window."""
-        if t1 <= t0:
-            raise ValueError(f"need t0 < t1, got {t0!r}, {t1!r}")
-        d = self.delta(key, t0, t1)
-        if isinstance(d, tuple):
-            raise TypeError(f"{key!r} is a histogram probe; use windowed_mean()")
-        return d / (t1 - t0)
 
     def windowed_mean(self, key: str, t0: float, t1: float) -> float:
         """Mean of a histogram probe's observations inside the window:

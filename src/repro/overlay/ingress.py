@@ -49,26 +49,17 @@ class OpenVPNServer:
     """An OpenVPN server on an IIAS ingress node.
 
     Clients that connect are leased an overlay address from
-    ``client_pool``; a host route for each client is installed in the
-    node's Click FIB so return traffic finds its way back out the VPN.
+    ``client_pool``, a /26 carved from the overlay space near the node's
+    tap; a host route for each client is installed in the node's Click
+    FIB so return traffic finds its way back out the VPN.
     """
 
-    def __init__(
-        self,
-        vnode: VirtualNode,
-        port: int = OPENVPN_PORT,
-        client_pool: Union[str, Prefix] = None,
-    ):
+    def __init__(self, vnode: VirtualNode, port: int = OPENVPN_PORT):
         self.vnode = vnode
         self.node = vnode.phys_node
         self.sim = vnode.sim
         self.port = port
-        if client_pool is None:
-            # Carve the pool from the overlay space near the tap.
-            client_pool = Prefix(int(vnode.tap_addr) & 0xFFFFFF00 | 0x40, 26)
-        self.client_pool = (
-            client_pool if isinstance(client_pool, Prefix) else Prefix.parse(client_pool)
-        )
+        self.client_pool = Prefix(int(vnode.tap_addr) & 0xFFFFFF00 | 0x40, 26)
         self._pool = iter(self.client_pool.hosts())
         self.process = vnode.sliver.create_process("openvpn")
         self.sock = self.node.udp_socket(

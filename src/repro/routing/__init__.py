@@ -13,13 +13,7 @@ The Section 6.1 BGP multiplexer (sharing one external BGP session among
 many experiments) lives in :mod:`repro.routing.bgp_mux`.
 """
 
-from repro.routing.platform import (
-    FEA,
-    LocalFabric,
-    LocalPlatform,
-    RouterInterface,
-    RoutingPlatform,
-)
+from repro.routing.platform import FEA, RouterInterface, RoutingPlatform
 from repro.routing.rib import RIB, AdminDistance, RibRoute
 from repro.routing.ospf import OSPFDaemon
 from repro.routing.static import StaticRoutes
@@ -44,8 +38,6 @@ __all__ = [
     "DirectTransport",
     "FEA",
     "GaoRexfordPolicy",
-    "LocalFabric",
-    "LocalPlatform",
     "OSPFDaemon",
     "PEER",
     "PROVIDER",

@@ -38,7 +38,7 @@ ESTABLISHED = "Established"
 class BGPRoute:
     """A BGP path for one prefix."""
 
-    __slots__ = ("prefix", "as_path", "nexthop", "local_pref", "med", "origin")
+    __slots__ = ("prefix", "as_path", "nexthop", "local_pref", "origin")
 
     def __init__(
         self,
@@ -46,19 +46,17 @@ class BGPRoute:
         as_path: Tuple[int, ...],
         nexthop: Union[str, IPv4Address],
         local_pref: int = 100,
-        med: int = 0,
         origin: int = ORIGIN_IGP,
     ):
         self.prefix = prefix(pfx)
         self.as_path = tuple(as_path)
         self.nexthop = ip(nexthop)
         self.local_pref = local_pref
-        self.med = med
         self.origin = origin
 
     def copy(self) -> "BGPRoute":
         return BGPRoute(
-            self.prefix, self.as_path, self.nexthop, self.local_pref, self.med, self.origin
+            self.prefix, self.as_path, self.nexthop, self.local_pref, self.origin
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -450,6 +448,7 @@ class BGPDaemon:
         return result
 
     def _prefer(self, item: Tuple[BGPRoute, Optional[BGPSession]]):
+        # The standard steps, less MED: no route here carries one.
         route, session = item
         ebgp_rank = 0 if session is None else (1 if session.is_ebgp else 2)
         peer_id = session.peer_router_id if session is not None else 0
@@ -457,7 +456,6 @@ class BGPDaemon:
             -route.local_pref,
             len(route.as_path),
             route.origin,
-            route.med,
             ebgp_rank,
             peer_id,
         )

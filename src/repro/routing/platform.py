@@ -7,14 +7,9 @@ forwarding engines include the Linux kernel routing table and the Click
 modular software router (which is why we chose XORP for IIAS)",
 Section 4.2.2).
 
-Implementations:
-
-* ``VirtualNode`` (in :mod:`repro.core`) — the PL-VINI case: interfaces
-  are UML virtual Ethernets over UDP tunnels, the FEA programs the
-  Click FIB.
-* :class:`LocalPlatform` + :class:`LocalFabric` — an in-memory fabric
-  for protocol unit tests: point-to-point wires with configurable
-  delay and controllable failures, no Click or CPU model underneath.
+The one implementation is ``VirtualNode`` (in :mod:`repro.core`), the
+PL-VINI case: interfaces are UML virtual Ethernets over UDP tunnels,
+and the FEA programs the Click FIB.
 """
 
 from __future__ import annotations
@@ -70,9 +65,6 @@ class FEA:
         """Drop every RIB-programmed route (full-rebuild support)."""
         self.routes.clear()
 
-    def __len__(self) -> int:
-        return len(self.routes)
-
 
 class RoutingPlatform:
     """Abstract router platform used by the protocol daemons."""
@@ -119,88 +111,3 @@ class RoutingPlatform:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
-
-
-class _Wire:
-    """One direction of a LocalFabric point-to-point wire."""
-
-    def __init__(self, sim: Simulator, delay: float):
-        self.sim = sim
-        self.delay = delay
-        self.up = True
-        self.dst_platform: Optional[LocalPlatform] = None
-        self.dst_iface: Optional[RouterInterface] = None
-
-
-class LocalFabric:
-    """In-memory wiring between LocalPlatforms for protocol tests."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        # (platform name, iface name) -> _Wire
-        self._wires: Dict[Tuple[str, str], _Wire] = {}
-        self._links: Dict[frozenset, List[_Wire]] = {}
-
-    def connect(
-        self,
-        a: "LocalPlatform",
-        iface_a: str,
-        b: "LocalPlatform",
-        iface_b: str,
-        delay: float = 0.001,
-    ) -> None:
-        wire_ab = _Wire(self.sim, delay)
-        wire_ab.dst_platform = b
-        wire_ab.dst_iface = b.interfaces[iface_b]
-        wire_ba = _Wire(self.sim, delay)
-        wire_ba.dst_platform = a
-        wire_ba.dst_iface = a.interfaces[iface_a]
-        self._wires[(a.name, iface_a)] = wire_ab
-        self._wires[(b.name, iface_b)] = wire_ba
-        self._links[frozenset([(a.name, iface_a), (b.name, iface_b)])] = [
-            wire_ab,
-            wire_ba,
-        ]
-
-    def fail(self, a: "LocalPlatform", iface_a: str) -> None:
-        """Fail the link attached to (platform, interface), both ways."""
-        self._set_link(a.name, iface_a, up=False)
-
-    def recover(self, a: "LocalPlatform", iface_a: str) -> None:
-        self._set_link(a.name, iface_a, up=True)
-
-    def _set_link(self, name: str, iface: str, up: bool) -> None:
-        for key, wires in self._links.items():
-            if (name, iface) in key:
-                for wire in wires:
-                    wire.up = up
-                return
-        raise KeyError(f"no link at {name}:{iface}")
-
-    def transmit(self, platform: "LocalPlatform", iface: RouterInterface, packet: Packet) -> None:
-        wire = self._wires.get((platform.name, iface.name))
-        if wire is None or not wire.up:
-            return
-        dst_platform, dst_iface = wire.dst_platform, wire.dst_iface
-        self.sim.at(wire.delay, dst_platform.deliver, dst_iface, packet)
-
-
-class LocalPlatform(RoutingPlatform):
-    """A RoutingPlatform wired through a LocalFabric."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        fabric: LocalFabric,
-        fea: Optional[FEA] = None,
-    ):
-        super().__init__(sim, name, fea)
-        self.fabric = fabric
-        self.sent = 0
-
-    def send(self, iface: RouterInterface, packet: Packet) -> None:
-        if not iface.up:
-            return
-        self.sent += 1
-        self.fabric.transmit(self, iface, packet)

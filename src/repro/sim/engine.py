@@ -268,6 +268,8 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("simulator is re-entrant: run() called from event")
+        if until != until:  # NaN: ``time > bound`` would never stop the loop
+            raise ValueError(f"until must be a time or None, got {until!r}")
         self._running = True
         self._stopped = False
         self._bound = bound = _INF if until is None else until

@@ -9,6 +9,7 @@ tick fires, before the callback runs.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
@@ -31,8 +32,8 @@ class PeriodicTimer:
         rng_stream: str = "timers",
         start: bool = True,
     ):
-        if not interval > 0:  # NaN too
-            raise ValueError(f"interval must be positive, got {interval!r}")
+        if not 0 < interval < math.inf:  # NaN too
+            raise ValueError(f"interval must be positive and finite, got {interval!r}")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter!r}")
         self.sim = sim
@@ -72,8 +73,8 @@ class PeriodicTimer:
     def reschedule(self, interval: Optional[float] = None) -> None:
         """Restart the period (optionally with a new interval)."""
         if interval is not None:
-            if not interval > 0:
-                raise ValueError(f"interval must be positive, got {interval!r}")
+            if not 0 < interval < math.inf:
+                raise ValueError(f"interval must be positive and finite, got {interval!r}")
             self.interval = interval
         self.stop()
         self.start()

@@ -18,7 +18,7 @@ co-located at the PoPs are 2006-era servers whose access links are
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
@@ -68,11 +68,7 @@ BACKBONE_BANDWIDTH = 10_000_000_000  # OC-192
 ACCESS_BANDWIDTH = 100_000_000  # PlanetLab node 100 Mb/s Ethernet
 
 
-def build_abilene(
-    vini: Optional[VINI] = None,
-    seed: int = 0,
-    node_bandwidth: float = ACCESS_BANDWIDTH,
-) -> VINI:
+def build_abilene(seed: int = 0) -> VINI:
     """Build the physical Abilene backbone with a PlanetLab-style node
     at each PoP.
 
@@ -82,11 +78,11 @@ def build_abilene(
     bandwidth — the resource that actually limits the Section 5.1.2
     experiments.
     """
-    vini = vini if vini is not None else VINI(seed=seed)
+    vini = VINI(seed=seed)
     for pop in ABILENE_POPS:
         vini.add_node(pop)
     for (a, b), delay in ABILENE_LINKS.items():
-        vini.connect(a, b, bandwidth=node_bandwidth, delay=delay,
+        vini.connect(a, b, bandwidth=ACCESS_BANDWIDTH, delay=delay,
                      queue_bytes=512 * 1024)
     vini.install_underlay_routes()
     return vini

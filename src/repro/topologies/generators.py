@@ -8,12 +8,18 @@ experiments.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
+
+#: The dumbbell's middle link delay (s).
+BOTTLENECK_DELAY = 0.01
+#: The ``alpha`` and ``beta`` of ``networkx.waxman_graph``.
+WAXMAN_ALPHA = 0.6
+WAXMAN_BETA = 0.3
 
 
 def _build(
@@ -98,7 +104,6 @@ def build_dumbbell(
     bandwidth: float = 1e9,
     bottleneck: float = 10e6,
     delay: float = 0.002,
-    bottleneck_delay: float = 0.01,
     seed: int = 0,
     name: str = "dumbbell",
     realtime: bool = True,
@@ -107,7 +112,7 @@ def build_dumbbell(
 
     ``pairs`` senders (``s0..``) hang off router ``rl``, matching
     receivers (``r0..``) off router ``rr``; only the ``rl--rr`` middle
-    link is narrow (``bottleneck`` b/s, ``bottleneck_delay`` s), so
+    link is narrow (``bottleneck`` b/s, :data:`BOTTLENECK_DELAY` s), so
     every s->r flow competes there and nowhere else. This is the
     2-link-path bottleneck the fluid-vs-packet differential
     calibration runs on.
@@ -123,7 +128,7 @@ def build_dumbbell(
     for i in range(pairs):
         vini.connect(f"s{i}", "rl", bandwidth=bandwidth, delay=delay)
         vini.connect("rr", f"r{i}", bandwidth=bandwidth, delay=delay)
-    vini.connect("rl", "rr", bandwidth=bottleneck, delay=bottleneck_delay)
+    vini.connect("rl", "rr", bandwidth=bottleneck, delay=BOTTLENECK_DELAY)
     vini.install_underlay_routes()
     exp = Experiment(vini, name, realtime=realtime)
     for node in names:
@@ -137,8 +142,6 @@ def build_dumbbell(
 
 def build_waxman(
     n: int,
-    alpha: float = 0.6,
-    beta: float = 0.3,
     bandwidth: float = 1e9,
     delay: float = 0.002,
     seed: int = 0,
@@ -146,7 +149,7 @@ def build_waxman(
     realtime: bool = True,
 ) -> Tuple[VINI, Experiment]:
     """A connected Waxman random graph (extra edges added if needed)."""
-    graph = nx.waxman_graph(n, alpha=alpha, beta=beta, seed=seed)
+    graph = nx.waxman_graph(n, alpha=WAXMAN_ALPHA, beta=WAXMAN_BETA, seed=seed)
     # Stitch components together deterministically.
     components = [sorted(c) for c in nx.connected_components(graph)]
     for first, second in zip(components, components[1:]):

@@ -53,6 +53,12 @@ STUB = "stub"
 #: a is the provider of b on a "transit" edge.
 TRANSIT = "transit"
 
+#: Shares of the ASes that are tier-1 and mid-tier (the rest are stubs).
+TIER1_FRAC = 0.02
+TIER2_FRAC = 0.15
+#: Chance that two mid-tier ASes peer.
+TIER2_PEER_PROB = 0.12
+
 
 class ASSpec:
     """One autonomous system: tier, routers, anchor, originated prefix."""
@@ -159,14 +165,11 @@ def generate_internet_spec(
     n_as: int,
     rng_streams: Callable,
     name: str = "internet",
-    tier1_frac: float = 0.02,
-    tier2_frac: float = 0.15,
     tier1_routers: Tuple[int, int] = (16, 32),
     tier2_routers: Tuple[int, int] = (4, 12),
     stub_routers: Tuple[int, int] = (2, 5),
     tier2_providers: Tuple[int, int] = (1, 2),
     stub_providers: Tuple[int, int] = (1, 2),
-    tier2_peer_prob: float = 0.12,
 ) -> InternetSpec:
     """Generate a tiered AS internet from named seeded RNG streams.
 
@@ -188,8 +191,8 @@ def generate_internet_spec(
     intra_rng = rng_streams(f"topo.{name}.intra")
     border_rng = rng_streams(f"topo.{name}.borders")
 
-    n_t1 = max(1, round(n_as * tier1_frac))
-    n_t2 = min(max(1, round(n_as * tier2_frac)), max(n_as - n_t1 - 1, 0))
+    n_t1 = max(1, round(n_as * TIER1_FRAC))
+    n_t2 = min(max(1, round(n_as * TIER2_FRAC)), max(n_as - n_t1 - 1, 0))
     tiers = ([TIER1] * n_t1 + [TIER2] * n_t2
              + [STUB] * (n_as - n_t1 - n_t2))
     router_ranges = {TIER1: tier1_routers, TIER2: tier2_routers,
@@ -241,7 +244,7 @@ def generate_internet_spec(
     # Mid-tier lateral peerings.
     for i, a in enumerate(t2_asns):
         for b in t2_asns[i + 1:]:
-            if graph_rng.random() < tier2_peer_prob:
+            if graph_rng.random() < TIER2_PEER_PROB:
                 add_edge(a, b, PEER)
     # Stubs: transit from mid-tier (tier-1 when there is no mid-tier).
     provider_pool = t2_asns if t2_asns else t1_asns

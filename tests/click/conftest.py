@@ -19,6 +19,26 @@ class Sink(Element):
         self.packets.append(packet)
 
 
+class Count(Element):
+    """Test pass-through that counts what crosses it."""
+
+    def __init__(self):
+        super().__init__(n_outputs=1)
+        self.packets = 0
+
+    def push(self, port, packet):
+        self.packets += 1
+        self.outputs[0].push(packet)
+
+
+class FanOut(Element):
+    """Test element that pushes each packet out of every output port."""
+
+    def push(self, port, packet):
+        for output in self.outputs:
+            output.push(packet)
+
+
 class StubRouter:
     """What an element needs of its router to drop a packet: for
     property tests that build hundreds of graphs without a simulator."""

@@ -133,15 +133,15 @@ class TestOverlayConvergence:
         vini, exp = build_line(3)
         exp.run(until=30.0)
         v0 = exp.network.nodes["v0"]
-        before = sorted(map(str, v0.lookup.routes()))
+        before = sorted(map(str, v0.lookup._trie.items()))
         programmed = {route.prefix for route in v0.xorp.rib.routes()}
         v0.fea.clear()
-        left = {pfx for pfx, _gw, _port in v0.lookup.routes()}
+        left = {pfx for pfx, _entry in v0.lookup._trie.items()}
         assert programmed and not programmed & left
         # The wiring-time tap entry lives outside the RIB and stays.
         assert Prefix(v0.tap_addr, 32) in left
         v0.xorp.rib.rebuild_fib()
-        assert sorted(map(str, v0.lookup.routes())) == before
+        assert sorted(map(str, v0.lookup._trie.items())) == before
 
     def test_control_plane_unicast_enters_the_fib_path(self):
         """Control-plane output off the interface subnet goes down

@@ -50,45 +50,9 @@ class TestHeaderStack:
         assert str(outer.ip.dst) == "198.32.154.250"
         assert outer.payload.data.ip is inner.ip
 
-    def test_copy_isolates_header_writes_and_meta(self):
-        pkt = make_udp_packet()
-        pkt.meta["annotation"] = "x"
-        clone = pkt.copy()
-        clone.ip.ttl = 1
-        clone.udp.dport = 9
-        clone.meta["annotation"] = "y"
-        assert pkt.ip.ttl == 64
-        assert pkt.udp.dport == 5001
-        assert pkt.meta["annotation"] == "x"
-        assert clone.uid != pkt.uid
-
-    def test_original_write_does_not_leak_into_clone(self):
-        pkt = make_udp_packet()
-        clone = pkt.copy()
-        pkt.ip.ttl = 3
-        assert clone.ip.ttl == 64
-
-    def test_deep_copy_still_available(self):
-        # copy() is the one clone (Click's Tee): private headers, the
-        # payload and the span shared, a fresh uid, meta copied.
-        pkt = make_udp_packet()
-        pkt.span = object()
-        pkt.meta["gw"] = "10.8.8.8"
-        clone = pkt.copy()
-        assert clone.ip is not pkt.ip and clone.udp is not pkt.udp
-        assert (clone.ip.src, clone.ip.dst, clone.ip.ttl) == (pkt.ip.src, pkt.ip.dst, 64)
-        assert (clone.udp.sport, clone.udp.dport) == (5000, 5001)
-        assert clone.tcp is None and clone.icmp is None
-        assert clone.payload is pkt.payload
-        assert clone.span is pkt.span
-        assert clone.meta == pkt.meta and clone.meta is not pkt.meta
-        assert clone.uid > pkt.uid
-        assert clone.wire_len == pkt.wire_len
-
     def test_payload_data_travels(self):
         pkt = Packet(None, payload=OpaquePayload(100, data={"t": 1.5}, tag="ping"))
         assert pkt.payload.data == {"t": 1.5}
-        assert pkt.copy().payload.data == {"t": 1.5}
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):

@@ -99,7 +99,7 @@ def _fig8_trace(metrics_enabled: bool, live=None):
         vini.run(until=WARMUP + 25.0)
         if live:
             monitor.stop()
-        return _serialize(vini.sim), len(vini.sim.metrics)
+        return _serialize(vini.sim), len(vini.sim.metrics.collect())
     finally:
         MetricsRegistry.default_enabled = old
 
@@ -158,7 +158,7 @@ def test_traffic_plane_registers_nothing_when_registry_disabled():
     try:
         vini = build_deter(seed=5)
         FluidTrafficPlane(vini)
-        assert len(vini.sim.metrics) == 0
+        assert vini.sim.metrics.collect() == []
     finally:
         MetricsRegistry.default_enabled = old
 

@@ -1,5 +1,5 @@
 """Tests for repro.obs.spans + the flight CLI: span propagation across
-copies and tunnel encap/decap, exact latency decomposition,
+tunnel encap/decap, exact latency decomposition,
 retention policies, golden-trace passivity, and Perfetto determinism."""
 
 import json
@@ -26,23 +26,6 @@ def _packet():
 # ----------------------------------------------------------------------
 def test_packet_span_defaults_to_none():
     assert _packet().span is None
-
-
-def test_span_shared_across_copy():
-    sim = Simulator()
-    recorder = FlightRecorder(sim).install()
-    packet = _packet()
-    ctx = recorder.flight_begin(packet, "probe", node="a")
-    clone = packet.copy()
-    twice = clone.copy()
-    assert clone.span is ctx and twice.span is ctx
-    # The clone's headers are private; its span identity is not.
-    clone.udp.dport = 1
-    assert clone.span is ctx and packet.udp.dport == 2000
-    # Later id mutations are visible through every clone: one flight.
-    recorder.stage(packet, "hop", node="b")
-    assert clone.span.span_id == packet.span.span_id
-    assert twice.span.trace_id == ctx.trace_id
 
 
 def test_null_recorder_is_the_default_and_inert():

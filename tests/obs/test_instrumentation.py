@@ -160,7 +160,6 @@ def test_disabled_registry_covers_policy_counters():
         sim = Simulator(seed=2)
         daemons, _policies = build_policy_graph(sim, 3, [(1, 2), (3, 2)], [])
         sim.run(until=30.0)
-        assert len(sim.metrics) == 0
         assert sim.metrics.collect() == []
         # Policy still enforced — only the bookkeeping is gone.
         from repro.net.addr import prefix
@@ -181,7 +180,6 @@ def test_disabled_world_registers_no_instruments():
             streams=1, duration=0.2, server=server,
         ).start()
         vini.run(until=0.5)
-        assert len(vini.sim.metrics) == 0
         assert vini.sim.metrics.collect() == []
         # The world still worked — only the bookkeeping is gone.
         assert server.bytes_received > 0

@@ -257,7 +257,7 @@ def test_flight_stream_writes_complete_trace_under_memory_ceiling(tmp_path):
         recorder.flight_begin(packet, "probe", node=f"n{i % 3}")
         recorder.stage(packet, "hop", node=f"n{(i + 1) % 3}")
         recorder.flight_end(packet)
-        max_buffered = max(max_buffered, stream.buffered)
+        max_buffered = max(max_buffered, len(stream._buffer))
     recorder.close_stream()
     # The memory ceiling held on both sides of the pipe...
     assert len(recorder.flights()) <= 4

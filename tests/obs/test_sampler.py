@@ -29,15 +29,12 @@ def test_sampler_records_series_on_sim_clock():
     assert values[-1] >= 29
 
 
-def test_sampler_delta_and_rate():
+def test_sampler_delta():
     sim, counter = _sim_with_counter()
     sampler = PeriodicSampler(sim, 1.0).watch("ticks", metric=counter).start()
     sim.run(until=4.0)
     d = sampler.delta("ticks", 1.0, 3.0)
     assert d == sampler.value_at("ticks", 3.0) - sampler.value_at("ticks", 1.0)
-    assert sampler.rate("ticks", 1.0, 3.0) == pytest.approx(d / 2.0)
-    with pytest.raises(ValueError):
-        sampler.rate("ticks", 3.0, 1.0)
 
 
 def test_sampler_histogram_windowed_mean():

@@ -3,8 +3,51 @@
 import pytest
 
 from repro.net.addr import Prefix
-from repro.routing import LocalFabric, LocalPlatform, RouterInterface, XORPRouter
+from repro.routing import RouterInterface, RoutingPlatform, XORPRouter
 from repro.sim import Simulator
+
+
+class LocalFabric:
+    """In-memory point-to-point wires between LocalPlatforms, so routing
+    daemons run without Click or a CPU model underneath."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._wires = {}  # (platform name, iface name) -> (peer, peer iface, delay)
+        self._down = set()  # the (platform name, iface name) ends of failed links
+
+    def connect(self, a, iface_a, b, iface_b, delay=0.001):
+        self._wires[(a.name, iface_a)] = (b, b.interfaces[iface_b], delay)
+        self._wires[(b.name, iface_b)] = (a, a.interfaces[iface_a], delay)
+
+    def _ends(self, platform, iface):
+        peer, peer_iface, _delay = self._wires[(platform.name, iface)]
+        return {(platform.name, iface), (peer.name, peer_iface.name)}
+
+    def fail(self, platform, iface):
+        """Fail the link attached to (platform, interface), both ways."""
+        self._down |= self._ends(platform, iface)
+
+    def recover(self, platform, iface):
+        self._down -= self._ends(platform, iface)
+
+    def transmit(self, platform, iface, packet):
+        end = (platform.name, iface.name)
+        if end in self._wires and end not in self._down:
+            peer, peer_iface, delay = self._wires[end]
+            self.sim.at(delay, peer.deliver, peer_iface, packet)
+
+
+class LocalPlatform(RoutingPlatform):
+    """A RoutingPlatform wired through a LocalFabric."""
+
+    def __init__(self, sim, name, fabric):
+        super().__init__(sim, name)
+        self.fabric = fabric
+
+    def send(self, iface, packet):
+        if iface.up:
+            self.fabric.transmit(self, iface, packet)
 
 
 def build_topology(sim, edges, delay=0.001, costs=None):

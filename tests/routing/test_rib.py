@@ -27,7 +27,7 @@ def test_single_route_installed_in_fea():
     fea = FEA()
     rib = RIB(fea)
     rib.update(route("10.1.0.0/16", "static", 1))
-    assert len(fea) == 1
+    assert len(fea.routes) == 1
     assert rib.best("10.1.0.0/16").protocol == "static"
 
 
@@ -59,7 +59,7 @@ def test_withdraw_falls_back_to_next_best():
     assert rib.best("10.1.0.0/16").protocol == "rip"
     rib.withdraw("10.1.0.0/16", "rip")
     assert rib.best("10.1.0.0/16") is None
-    assert len(fea) == 0
+    assert len(fea.routes) == 0
 
 
 def test_withdraw_absent_is_noop():
@@ -133,9 +133,9 @@ def test_fea_clear_only_drops_rib_routes():
     """FEA.clear drops exactly the RIB-programmed entries."""
     fea = FEA()
     fea.install(Prefix.parse("10.1.0.0/16"), None, "eth0")
-    assert len(fea) == 1
+    assert len(fea.routes) == 1
     fea.clear()
-    assert len(fea) == 0
+    assert len(fea.routes) == 0
 
 
 def test_a_removed_static_route_leaves_the_rib():

@@ -8,7 +8,9 @@ name in the first column of DESIGN.md's "Kept without a run" table must
 be one the reach audit knows, so a deleted function cannot linger there:
 a ``Class.attr`` (with its ``/ attr`` continuations) or a bare name must
 be a function, and a class (``Class.*`` too), a ``path.py`` or a
-``path.py::Name`` must hold one.
+``path.py::Name`` must hold one. The other way round, every row of
+``benchmarks/results/unreached.txt`` must fall under one of those names,
+so a function that stops being reached needs a caller or a line there.
 """
 
 import importlib
@@ -51,6 +53,23 @@ def test_every_backticked_repro_name_in_the_docs_resolves():
     assert dead == []
 
 
+def kept_cells():
+    """The first column of DESIGN.md's "Kept without a run" table."""
+    section = (REPO / "DESIGN.md").read_text().split("### Kept without a run", 1)[1]
+    table = [line for line in section.split("\n#", 1)[0].splitlines()
+             if line.startswith("|")]
+    rows = table[2:]  # past the header and its rule
+    assert rows
+    return [row.split("|")[1] for row in rows]
+
+
+def kept_methods(cell):
+    """Each ``Class.attr`` of a cell, its ``/ attr`` continuations spelled out."""
+    for cls, attr, more in KEPT_METHODS.findall(cell):
+        for name in [attr] + re.findall(r"`(\w+)`", more):
+            yield f"{cls}.{name}"
+
+
 def test_every_kept_method_in_design_is_a_function_the_reach_audit_knows():
     known = set()
     for (path, _first), (name, _lines) in reach.functions().items():
@@ -58,18 +77,34 @@ def test_every_kept_method_in_design_is_a_function_the_reach_audit_knows():
         known.update(".".join(parts[cut:]) for cut in range(len(parts)))
         known.update(parts)  # a class holding a function
         known.update({path, f"{path}::{parts[0]}"})
-    section = (REPO / "DESIGN.md").read_text().split("### Kept without a run", 1)[1]
-    table = [line for line in section.split("\n#", 1)[0].splitlines()
-             if line.startswith("|")]
-    rows = table[2:]  # past the header and its rule
-    assert rows
     dead = []
-    for row in rows:
-        for cls, attr, more in KEPT_METHODS.findall(row.split("|")[1]):
-            for name in [attr] + re.findall(r"`(\w+)`", more):
-                if f"{cls}.{name}" not in known:
-                    dead.append(f"{cls}.{name}")
-        for name in INLINE_CODE.findall(row.split("|")[1]):
+    for cell in kept_cells():
+        dead += [name for name in kept_methods(cell) if name not in known]
+        for name in INLINE_CODE.findall(cell):
             if name.removesuffix(".*") not in known:
                 dead.append(name)
     assert dead == []
+
+
+def test_every_unreached_function_falls_under_a_kept_name():
+    kept = set()
+    for cell in kept_cells():
+        kept.update(kept_methods(cell))
+        # What is left is bare names, classes and paths.
+        kept.update(name.removesuffix(".*")
+                    for name in INLINE_CODE.findall(KEPT_METHODS.sub("", cell)))
+    with open(reach.OUT) as committed:
+        rows = [line.split()[0] for line in committed if not line.startswith("#")]
+    assert rows
+    stray = []
+    for row in rows:
+        module, qualname = row.split(":", 1)
+        path = module.removeprefix("repro.").replace(".", "/") + ".py"
+        parts = qualname.split(".")
+        # The qualified name and every scope around it (class, enclosing
+        # function), the last name, the file, the file's top-level name.
+        under = {".".join(parts[:cut]) for cut in range(1, len(parts) + 1)}
+        under.update({parts[-1], path, f"{path}::{parts[0]}"})
+        if not under & kept:
+            stray.append(row)
+    assert stray == []

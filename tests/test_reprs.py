@@ -36,7 +36,7 @@ from repro.obs.routing import ConvergenceEpisode, ConvergenceTracker
 from repro.obs.spans import Flight, Span, SpanContext
 from repro.overlay import IIAS
 from repro.rcc.checks import Fault
-from repro.routing import BGPDaemon, BGPRoute, LocalFabric, LocalPlatform
+from repro.routing import BGPDaemon, BGPRoute, RoutingPlatform
 from repro.tools.iperf import TCPResult, UDPResult
 from repro.tools.ping import PingStats
 from repro.topologies.internet import ASSpec, InterASEdge, InternetSpec, InternetWorld
@@ -84,7 +84,7 @@ def samples(tmp_path_factory):
         vini, exp, exp.network, a, next(iter(exp.network.links)), a.click,
         a.lookup, a.xorp, a.xorp.ospf, next(iter(a.xorp.ospf.lsdb.values())),
         a.xorp.rib.routes()[0], a.interfaces["to_b"],
-        LocalPlatform(sim, "r", LocalFabric(sim)), exp.slice, a.sliver,
+        RoutingPlatform(sim, "r"), exp.slice, a.sliver,
         a.click_process, pa, pa.interfaces["eth0"], pa.cpu, link,
         pa.routes.lookup_entry(pa.address)[1],
         pa.udp_socket(a.click_process), sim, sim.at(1.0, lambda: None),
