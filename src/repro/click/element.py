@@ -27,13 +27,12 @@ class Port:
     input port. :meth:`connect` is the only way to point (or re-point)
     a port; it rebinds ``push``."""
 
-    __slots__ = ("element", "index", "target", "target_port", "push")
+    __slots__ = ("element", "index", "target", "push")
 
     def __init__(self, element: "Element", index: int):
         self.element = element
         self.index = index
         self.target: Optional["Element"] = None
-        self.target_port = 0
         self.push: Callable[[Packet], None] = self._unconnected
 
     def connect(self, target: "Element", target_port: int = 0, replace: bool = False) -> None:
@@ -42,7 +41,6 @@ class Port:
                 f"{self.element.name}[{self.index}] is already connected"
             )
         self.target = target
-        self.target_port = target_port
         self.push = partial(target.push, target_port)
 
     def _unconnected(self, packet: Packet) -> None:

@@ -7,14 +7,13 @@ from repro.net.packet import Packet
 
 
 class Discard(Element):
-    """Silently drops everything (counts what it dropped)."""
+    """Silently drops everything."""
 
     def __init__(self):
         super().__init__(n_outputs=0)
-        self.packets = 0
 
     def push(self, port: int, packet: Packet) -> None:
-        self.packets += 1
+        pass
 
 
 class Paint(Element):

@@ -11,12 +11,10 @@ class CheckIPHeader(Element):
 
     def __init__(self):
         super().__init__(n_outputs=1)
-        self.drops = 0
 
     def push(self, port: int, packet: Packet) -> None:
         header = packet.ip
         if header is None or not 0 < header.ttl <= 255:
-            self.drops += 1
             self.router.trace_drop(packet, "bad_ip_header")
             return
         self.outputs[0].push(packet)
@@ -31,12 +29,10 @@ class DecIPTTL(Element):
 
     def __init__(self):
         super().__init__(n_outputs=2)
-        self.expired = 0
 
     def push(self, port: int, packet: Packet) -> None:
         header = packet.ip
         if header.ttl <= 1:
-            self.expired += 1
             if self.outputs[1].target is not None:
                 self.outputs[1].push(packet)
             else:

@@ -97,9 +97,7 @@ class IPClassifier(Element):
         if not patterns:
             raise ValueError("IPClassifier needs at least one pattern")
         super().__init__(n_outputs=len(patterns))
-        self.patterns = patterns
         self._matchers = [_compile(p) for p in patterns]
-        self.unmatched = 0
 
     def push(self, port: int, packet: Packet) -> None:
         header = packet.ip
@@ -107,5 +105,4 @@ class IPClassifier(Element):
             if matcher(packet, header):
                 self.outputs[index].push(packet)
                 return
-        self.unmatched += 1
         self.router.trace_drop(packet, "classifier_unmatched")

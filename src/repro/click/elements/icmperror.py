@@ -24,17 +24,10 @@ from repro.net.packet import (
 class ICMPErrorElement(Element):
     """Builds an ICMP error for each offending packet pushed in."""
 
-    def __init__(
-        self,
-        src: Union[str, IPv4Address],
-        icmp_type: int,
-        code: int = 0,
-    ):
+    def __init__(self, src: Union[str, IPv4Address], icmp_type: int):
         super().__init__(n_outputs=1)
         self.src = ip(src)
         self.icmp_type = icmp_type
-        self.code = code
-        self.generated = 0
 
     def push(self, port: int, packet: Packet) -> None:
         header = packet.ip
@@ -42,9 +35,7 @@ class ICMPErrorElement(Element):
             return
         error = Packet(
             IPv4Header(self.src, header.src, PROTO_ICMP, ttl=64),
-            ICMPHeader(self.icmp_type, code=self.code),
+            ICMPHeader(self.icmp_type),
             payload=OpaquePayload(28, data=packet, tag="icmp-error"),
-            created_at=self.router.sim.now,
         )
-        self.generated += 1
         self.outputs[0].push(error)

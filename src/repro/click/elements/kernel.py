@@ -16,10 +16,8 @@ class ToIPOutput(Element):
 
     def __init__(self):
         super().__init__(n_outputs=0)
-        self.tx_packets = 0
 
     def push(self, port: int, packet: Packet) -> None:
-        self.tx_packets += 1
         # No sliver context: this is the real Internet path, not the
         # overlay.
         self.router.node.ip_output(packet, sliver=None)

@@ -26,8 +26,6 @@ class RadixIPLookup(Element):
 
     def __init__(self, n_outputs: int = 1):
         super().__init__(n_outputs=n_outputs)
-        self.lookups = 0
-        self.misses = 0
         self._trie = RadixTrie()
 
     # -- table mutation (called by the FEA) ----------------------------
@@ -44,11 +42,9 @@ class RadixIPLookup(Element):
 
     # -- data path ------------------------------------------------------
     def push(self, port: int, packet: Packet) -> None:
-        self.lookups += 1
         dst = packet.ip.dst
         found = self._trie.lookup_entry(dst)
         if found is None:
-            self.misses += 1
             self.router.trace_drop(packet, "no_route")
             return
         gw, out_port = found[1]

@@ -32,9 +32,10 @@ class Shaper(Element):
         queue_bytes: int = 128 * 1024,
     ):
         super().__init__(n_outputs=1)
-        # Hot-path precomputes (_rate_bytes, _burst_f, _need_cache)
-        # are derived by the rate / burst_bytes property setters so
-        # they can never go stale if the shaper is reconfigured.
+        if rate <= 0:
+            raise ValueError(f"rate must be positive, got {rate!r}")
+        # Hot-path precomputes: _rate_bytes is rederived by _apply_rate
+        # whenever the fluid load moves; the rate and burst are fixed.
         # Dividing by 8 is exact in binary floats, so rate/8.0 is the
         # same value the inline expression produced — pacing stays
         # float-identical. The token requirement depends only on wire
@@ -43,8 +44,9 @@ class Shaper(Element):
         # Fluid background load riding this shaped link (repro.traffic);
         # 0.0 keeps _apply_rate on the exact original rate/8.0 value.
         self._fluid_bps = 0.0
-        self.rate = rate
-        self.burst_bytes = burst_bytes
+        self._rate = rate
+        self._apply_rate()
+        self._burst_f = float(burst_bytes)
         self.queue_bytes = queue_bytes
         self.tokens = float(burst_bytes)
         self._stamp = 0.0
@@ -54,17 +56,6 @@ class Shaper(Element):
         self.drops = 0
         self.offered = 0
         self.sent = 0
-
-    @property
-    def rate(self) -> float:
-        return self._rate
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError(f"rate must be positive, got {value!r}")
-        self._rate = value
-        self._apply_rate()
 
     def _apply_rate(self) -> None:
         # Dividing by 8 is exact in binary floats, so with no fluid
@@ -95,18 +86,6 @@ class Shaper(Element):
         self._apply_rate()
         if self._queue and not self._pending:
             self._schedule()
-
-    @property
-    def burst_bytes(self) -> int:
-        return self._burst_bytes
-
-    @burst_bytes.setter
-    def burst_bytes(self, value: int) -> None:
-        self._burst_bytes = value
-        self._burst_f = float(value)
-        # The memoized token requirement is min(len, burst); a new
-        # burst invalidates it.
-        self._need_cache.clear()
 
     def initialize(self) -> None:
         metrics = self.router.sim.metrics

@@ -21,7 +21,6 @@ class FromTap(Element):
     def __init__(self, tap: TapDevice):
         super().__init__(n_outputs=1)
         self.tap = tap
-        self.rx_packets = 0
 
     def initialize(self) -> None:
         self.tap.set_reader(
@@ -29,7 +28,6 @@ class FromTap(Element):
         )
 
     def _read(self, packet: Packet) -> None:
-        self.rx_packets += 1
         self.outputs[0].push(packet)
 
 
@@ -39,8 +37,6 @@ class ToTap(Element):
     def __init__(self, tap: TapDevice):
         super().__init__(n_outputs=0)
         self.tap = tap
-        self.tx_packets = 0
 
     def push(self, port: int, packet: Packet) -> None:
-        self.tx_packets += 1
         self.tap.write(packet)

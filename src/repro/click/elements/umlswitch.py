@@ -33,8 +33,6 @@ class UMLSwitch(Element):
         super().__init__(n_outputs=1)
         self.control_process: Optional[Process] = None
         self.control_handler: Optional[Callable[[Packet], None]] = None
-        self.up_packets = 0
-        self.down_packets = 0
 
     def attach_control(
         self, process: Process, handler: Callable[[Packet], None]
@@ -48,7 +46,6 @@ class UMLSwitch(Element):
         if self.control_handler is None or self.control_process is None:
             self.router.trace_drop(packet, "no_control_plane")
             return
-        self.up_packets += 1
         self.control_process.exec_after(
             UML_CROSSING_COST, self.control_handler, packet
         )
@@ -59,7 +56,6 @@ class UMLSwitch(Element):
         Charged to the Click process like any other packet entering the
         graph.
         """
-        self.down_packets += 1
         self.router.process.exec_after(
             self.router.per_packet_cost(packet), self._emit, packet
         )

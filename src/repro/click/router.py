@@ -45,7 +45,6 @@ class ClickRouter:
         self._cost_cache: Dict[int, float] = {}
         self._syscall_cost = SYSCALL_COST
         self.elements: Dict[str, Element] = {}
-        self.drops = 0
         self._initialized = False
 
     # ------------------------------------------------------------------
@@ -114,7 +113,6 @@ class ClickRouter:
 
     # ------------------------------------------------------------------
     def trace_drop(self, packet: Packet, reason: str) -> None:
-        self.drops += 1
         trace = self.sim.trace
         if trace.wants("click_drop"):
             trace.log(

@@ -28,7 +28,6 @@ class UpcallDispatcher:
     def __init__(self, network: VirtualNetwork):
         self.network = network
         self._observed: Set[int] = set()
-        self.upcalls_delivered = 0
 
     def enable(self) -> None:
         """Start observing every physical link any virtual link uses."""
@@ -52,7 +51,6 @@ class UpcallDispatcher:
             self.network.sim.trace.log(
                 "upcall", vlink=vlink.name, plink=plink.name, up=up
             )
-            self.upcalls_delivered += 1
             for vnode, ifname in (
                 (vlink.a, vlink.ifname_a),
                 (vlink.b, vlink.ifname_b),

@@ -477,9 +477,7 @@ class VirtualNetwork:
         paint.connect(vnode.demux)
         vnode.encap.add_mapping(remote_addr, encap_port)
         # The routing software sees a fresh point-to-point interface.
-        iface = RouterInterface(
-            ifname, local_addr, vlink.subnet, cost=vlink.cost, peer=remote_addr
-        )
+        iface = RouterInterface(ifname, local_addr, vlink.subnet, cost=vlink.cost)
         vnode.add_interface(iface)
         vnode.vlinks[ifname] = vlink
         vnode._tunnels[ifname] = tunnel

@@ -39,6 +39,7 @@ Design rules that make plans *controlled* in the paper's sense:
 
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -47,6 +48,12 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 class UnsupportedFault(Exception):
     """The install target cannot carry out a plan action: an overlay kind
     on a bare VINI, or a name the target does not have."""
+
+
+def _positive(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is positive and finite (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # kind -> (label, what it acts on, the method it calls there, arity).
@@ -78,8 +85,8 @@ class FaultAction:
 
     def __init__(self, time: float, kind: str, args: tuple,
                  label: Optional[str] = None):
-        if time < 0:
-            raise ValueError(f"negative fault time {time!r}")
+        if not 0 <= time < math.inf:
+            raise ValueError(f"fault time must be finite and not negative, got {time!r}")
         if kind not in _KINDS:
             raise ValueError(
                 f"unknown fault kind {kind!r} (known: {', '.join(_KINDS)})")
@@ -129,8 +136,8 @@ class FaultPlan:
     def _undone(self, at: float, kind: str, undo: str,
                 duration: Optional[float], *args: Any) -> "FaultPlan":
         """``kind`` at ``at``; with ``duration``, ``undo`` that much later."""
-        if duration is not None and duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
+        if duration is not None:
+            _positive("duration", duration)
         self._add(at, kind, *args)
         return self if duration is None else self._add(at + duration, undo, *args)
 
@@ -201,8 +208,7 @@ class FaultPlan:
         Restores a loss-free link afterwards (episodes assume the link's
         baseline drop probability is 0, the overlay default).
         """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
+        _positive("duration", duration)
         if not 0.0 <= drop_prob <= 1.0:
             raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob!r}")
         self._add(at, "set_loss", a, b, drop_prob)
@@ -219,8 +225,9 @@ class FaultPlan:
         """A CPU-contention burst: a hog slice monopolizes physical node
         ``node`` for ``duration`` seconds (the fluctuating PlanetLab load
         of Section 5.1.2, on demand)."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
+        _positive("duration", duration)
+        _positive("share", share)
+        _positive("quantum", quantum)
         return self._add(at, "cpu_burst", node, duration, share, quantum)
 
     def at(self, time: float, fn: Callable, *args: Any, label: str = "") -> "FaultPlan":
@@ -247,6 +254,8 @@ class FaultPlan:
         links = [tuple(pair) for pair in links]
         t0, t1 = window
         lo, hi = down
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"down must be 0 < lo <= hi < inf, got {down!r}")
 
         def expand(rng: random.Random) -> List[FaultAction]:
             actions: List[FaultAction] = []
@@ -276,6 +285,12 @@ class FaultPlan:
         t0, t1 = window
         dlo, dhi = duration
         plo, phi = drop_prob
+        if not 0 < dlo <= dhi < math.inf:
+            raise ValueError(
+                f"duration must be 0 < lo <= hi < inf, got {duration!r}")
+        if not 0.0 <= plo <= phi <= 1.0:
+            raise ValueError(
+                f"drop_prob must be 0 <= lo <= hi <= 1, got {drop_prob!r}")
 
         def expand(rng: random.Random) -> List[FaultAction]:
             actions: List[FaultAction] = []

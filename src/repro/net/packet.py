@@ -36,7 +36,7 @@ class Header:
 class IPv4Header(Header):
     """IPv4 header, no options (20 bytes)."""
 
-    __slots__ = ("src", "dst", "proto", "ttl", "tos", "ident")
+    __slots__ = ("src", "dst", "proto", "ttl")
     length = 20
 
     def __init__(
@@ -45,15 +45,11 @@ class IPv4Header(Header):
         dst: Union[int, str, IPv4Address],
         proto: int,
         ttl: int = 64,
-        tos: int = 0,
-        ident: int = 0,
     ):
         self.src = ip(src)
         self.dst = ip(dst)
         self.proto = proto
         self.ttl = ttl
-        self.tos = tos
-        self.ident = ident
 
     def __repr__(self) -> str:
         return f"IP({self.src} > {self.dst} proto={self.proto} ttl={self.ttl})"
@@ -137,17 +133,16 @@ ICMP_TIME_EXCEEDED = 11
 class ICMPHeader(Header):
     """ICMP header (8 bytes, echo-style layout)."""
 
-    __slots__ = ("type", "code", "ident", "seq")
+    __slots__ = ("type", "ident", "seq")
     length = 8
 
-    def __init__(self, type: int, code: int = 0, ident: int = 0, seq: int = 0):
+    def __init__(self, type: int, ident: int = 0, seq: int = 0):
         self.type = type
-        self.code = code
         self.ident = ident
         self.seq = seq
 
     def __repr__(self) -> str:
-        return f"ICMP(type={self.type} code={self.code} id={self.ident} seq={self.seq})"
+        return f"ICMP(type={self.type} id={self.ident} seq={self.seq})"
 
 
 class OpaquePayload:
@@ -190,7 +185,7 @@ class Packet:
     """
 
     __slots__ = ("ip", "udp", "tcp", "icmp", "payload", "meta", "uid",
-                 "created_at", "span", "wire_len")
+                 "span", "wire_len")
 
     def __init__(
         self,
@@ -198,7 +193,6 @@ class Packet:
         transport: Optional[Header] = None,
         payload: Optional[OpaquePayload] = None,
         meta: Optional[Dict[str, Any]] = None,
-        created_at: float = 0.0,
     ):
         self.ip = ip
         self.udp = self.tcp = self.icmp = None
@@ -217,7 +211,6 @@ class Packet:
         self.payload = payload if payload is not None else OpaquePayload(0)
         self.meta: Dict[str, Any] = meta if meta is not None else {}
         self.uid = next(_packet_ids)
-        self.created_at = created_at
         # Flight-recorder span context (repro.obs.spans.SpanContext), or
         # None for untracked packets. Shared by reference with the
         # tunnel's outer packet and the echo reply: the context *is*

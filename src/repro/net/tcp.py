@@ -93,7 +93,7 @@ class TCPStack:
         """Listen on ``port`` in the VNET address space of the bound address."""
         bind_addr = ip(local_addr) if local_addr is not None else self.node.address
         scope = self.node.endpoint_scope(owner, bind_addr)
-        listener = Listener(self, owner, bind_addr, port, scope, on_accept, rcvbuf)
+        listener = Listener(self, owner, port, scope, on_accept, rcvbuf)
         self.node.vnet.reserve(PROTO_TCP, port, listener, scope)
         return listener
 
@@ -103,7 +103,6 @@ class TCPStack:
         remote_addr: Union[str, IPv4Address],
         remote_port: int,
         local_addr: Optional[Union[str, IPv4Address]] = None,
-        local_port: Optional[int] = None,
         rcvbuf: int = DEFAULT_RCVBUF,
     ) -> "TCPConnection":
         """Open a connection; a remote in the owner's tap prefix puts it
@@ -116,10 +115,9 @@ class TCPStack:
             laddr = owner.sliver.tap.address
         else:
             laddr = self.node.address
-        if local_port is None:
-            local_port = self._free_port(scope)
         conn = TCPConnection(
-            self, owner, laddr, local_port, remote, remote_port, scope, rcvbuf=rcvbuf
+            self, owner, laddr, self._free_port(scope), remote, remote_port, scope,
+            rcvbuf=rcvbuf,
         )
         self._register(conn)
         conn._start_connect()
@@ -165,10 +163,9 @@ class TCPStack:
 class Listener:
     """A passive TCP endpoint accepting connections on one port."""
 
-    def __init__(self, stack, owner, addr, port, scope, on_accept, rcvbuf):
+    def __init__(self, stack, owner, port, scope, on_accept, rcvbuf):
         self.stack = stack
         self.owner = owner
-        self.addr = addr
         self.port = port
         self.scope = scope
         self.on_accept = on_accept
@@ -213,7 +210,6 @@ class TCPConnection:
         self.stack = stack
         self.node = stack.node
         self.sim = stack.node.sim
-        self.owner = owner
         self.laddr = ip(laddr)
         self.lport = lport
         self.raddr = ip(raddr)
@@ -233,8 +229,6 @@ class TCPConnection:
         self.dup_acks = 0
         self.in_recovery = False
         self.recover = 0
-        self.retransmits = 0
-        self.timeouts = 0
         # --- RTT estimation (Jacobson) ---
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
@@ -254,7 +248,6 @@ class TCPConnection:
         self._segs_unacked = 0
         self._delack_event = None
         self.bytes_received = 0
-        self.bytes_acked = 0
         self.fin_sent = False
         self.fin_received = False
         self._fin_pending = False
@@ -298,7 +291,6 @@ class TCPConnection:
                 window=self._advertised_window(),
             ),
             payload=OpaquePayload(payload_len, tag=tag),
-            created_at=self.sim.now,
         )
         self.node.ip_output(segment, sliver=self.sliver)
 
@@ -436,7 +428,6 @@ class TCPConnection:
             # Deadline was pushed out by intervening ACKs; sleep on.
             self._rto_event = self.sim.schedule(self._rto_deadline, self._on_rto)
             return
-        self.timeouts += 1
         self.stack.total_timeouts += 1
         self._backoff = min(self._backoff * 2, 64)
         self.sim.trace.log(
@@ -466,13 +457,11 @@ class TCPConnection:
     def _retransmit_one(self) -> None:
         if self.fin_sent and self.snd_una == self.snd_nxt - 1:
             self._emit(self.snd_una, 0, TCP_FIN | TCP_ACK)
-            self.retransmits += 1
             self.stack.total_retransmits += 1
             return
         chunk = min(MSS, self.snd_nxt - self.snd_una)
         if chunk <= 0:
             return
-        self.retransmits += 1
         self.stack.total_retransmits += 1
         self._emit(self.snd_una, chunk, TCP_ACK, tag="retransmit")
 
@@ -533,7 +522,6 @@ class TCPConnection:
         if ack > self.snd_una:
             newly_acked = ack - self.snd_una
             self.snd_una = ack
-            self.bytes_acked += newly_acked
             self.dup_acks = 0
             self._backoff = 1
             # RTT sample (Karn-safe: only the timed, untouched sequence).

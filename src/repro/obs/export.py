@@ -167,7 +167,6 @@ class FlightStream:
         self.chunk_flights = chunk_flights
         self._buffer: List[Any] = []
         self._handle = None
-        self.flights_written = 0
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -209,12 +208,10 @@ class FlightStream:
             self._open()
         for flight in self._buffer:
             self._line(flight_row(flight))
-        self.flights_written += len(self._buffer)
         self._buffer.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<FlightStream {self.path!r} "
-                f"written={self.flights_written} buffered={len(self._buffer)}>")
+        return f"<FlightStream {self.path!r} buffered={len(self._buffer)}>"
 
 
 def _ensure_parent(path: str) -> None:

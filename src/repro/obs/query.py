@@ -391,7 +391,6 @@ class ArchiveReader:
 
     def __init__(self, path: str):
         self.manifest = load_manifest(path)
-        self.root = os.path.dirname(self.manifest["_path"])
 
     @property
     def name(self) -> str:

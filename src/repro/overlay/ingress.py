@@ -70,7 +70,6 @@ class OpenVPNServer:
         self.sock.on_receive = self._from_client
         # (real addr, real port) -> leased overlay address
         self.clients: Dict[tuple, IPv4Address] = {}
-        self.rx_packets = 0
         # Advertise the client pool into the overlay IGP so remote
         # nodes (e.g. the NAPT egress handling return traffic) know to
         # route client addresses toward this ingress.
@@ -108,7 +107,6 @@ class OpenVPNServer:
         # at connect time); enforce it like OpenVPN's iroute check.
         if inner.ip is not None and int(inner.ip.src) != int(leased):
             inner.ip.src = leased
-        self.rx_packets += 1
         # Inject into the data plane (FIB decides where it goes).
         fr = self.sim.flight
         tracked = fr.enabled and inner.span is not None
@@ -154,7 +152,6 @@ class OpenVPNClient:
         self.sock.on_receive = self._from_server
         self.on_receive = None  # callable(Packet)
         self.overlay_addr: Optional[IPv4Address] = None
-        self.rx_packets = 0
 
     def connect(self) -> None:
         """Handshake: announce ourselves so the server leases an address."""
@@ -180,7 +177,6 @@ class OpenVPNClient:
         inner = outer.payload.data
         if not isinstance(inner, Packet):
             return
-        self.rx_packets += 1
         if self.overlay_addr is None and inner.ip is not None:
             self.overlay_addr = inner.ip.dst
         if self.on_receive is not None:

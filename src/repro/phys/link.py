@@ -45,7 +45,6 @@ class _Channel:
         "dropped_bytes",
         "_tx_cache",
         "fluid_bps",
-        "fluid_drops",
         "_fluid_bw",
         "_fluid_qdelay",
         "_fluid_loss",
@@ -80,7 +79,6 @@ class _Channel:
         # the exact original arithmetic — golden traces stay
         # byte-identical with the traffic plane importable but unused.
         self.fluid_bps = 0.0
-        self.fluid_drops = 0
         self._fluid_bw = 0.0  # bandwidth left for packets while fluid > 0
         self._fluid_qdelay = 0.0
         self._fluid_loss = 0.0
@@ -100,7 +98,6 @@ class _Channel:
             # isolated per-channel stream so no other RNG stream shifts.
             if self._fluid_rng.random() < self._fluid_loss:
                 self.drops += 1
-                self.fluid_drops += 1
                 self.dropped_bytes += packet.wire_len
                 self.link._trace_drop(packet, "fluid_congestion")
                 return False

@@ -53,23 +53,14 @@ KERNEL_COST_PER_BYTE = 2.5e-9
 class Route:
     """A kernel routing table entry."""
 
-    __slots__ = ("prefix", "interface", "gateway", "metric")
+    __slots__ = ("prefix", "interface")
 
-    def __init__(
-        self,
-        pfx: Prefix,
-        interface: "Interface",
-        gateway: Optional[IPv4Address] = None,
-        metric: int = 0,
-    ):
+    def __init__(self, pfx: Prefix, interface: "Interface"):
         self.prefix = pfx
         self.interface = interface
-        self.gateway = gateway
-        self.metric = metric
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        via = f" via {self.gateway}" if self.gateway else ""
-        return f"<Route {self.prefix} dev {self.interface.name}{via}>"
+        return f"<Route {self.prefix} dev {self.interface.name}>"
 
 
 class Interface:
@@ -82,10 +73,6 @@ class Interface:
         self.prefix: Optional[Prefix] = None
         self.link: Optional[Link] = None
         self.up = True
-        self.rx_packets = 0
-        self.tx_packets = 0
-        self.rx_bytes = 0
-        self.tx_bytes = 0
 
     def configure(self, address: Union[str, IPv4Address], plen: int) -> "Interface":
         """Assign an address; installs the connected route."""
@@ -108,15 +95,11 @@ class Interface:
                 "iface_drop", node=self.node.name, iface=self.name, reason="down"
             )
             return False
-        self.tx_packets += 1
-        self.tx_bytes += packet.wire_len
         return self.link.transmit(self, packet)
 
     def receive(self, packet: Packet) -> None:
         if not self.up:
             return
-        self.rx_packets += 1
-        self.rx_bytes += packet.wire_len
         self.node.ip_input(self, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -218,7 +201,6 @@ class PhysicalNode:
         self._icmp_idents: Dict[Tuple[Optional[str], int], Callable] = {}
         self._icmp_error_callbacks: List[Callable[[Packet], None]] = []
         self._captures: List[Callable[[Packet, str], None]] = []
-        self.forwarded = 0
         self.alive = True
         # Links/interfaces this node's crash took down, so restart()
         # recovers exactly those and nothing an experiment failed
@@ -243,20 +225,11 @@ class PhysicalNode:
         self._local_addrs.pop(int(address), None)
 
     def add_route(
-        self,
-        pfx: Union[str, Prefix],
-        interface: Union[str, Interface],
-        gateway: Optional[Union[str, IPv4Address]] = None,
-        metric: int = 0,
+        self, pfx: Union[str, Prefix], interface: Union[str, Interface]
     ) -> Route:
         if isinstance(interface, str):
             interface = self.interfaces[interface]
-        route = Route(
-            prefix(pfx),
-            interface,
-            ip(gateway) if gateway is not None else None,
-            metric,
-        )
+        route = Route(prefix(pfx), interface)
         self.routes.insert(route.prefix, route)
         return route
 
@@ -462,7 +435,6 @@ class PhysicalNode:
         if trace.wants("fwd"):
             trace.log("fwd", node=self.name, uid=packet.uid, ttl=header.ttl)
         header.ttl -= 1
-        self.forwarded += 1
         route: Route = found[1]
         route.interface.transmit(packet)
 
@@ -513,7 +485,6 @@ class PhysicalNode:
                 IPv4Header(packet.ip.dst, packet.ip.src, PROTO_ICMP),
                 ICMPHeader(ICMP_ECHO_REPLY, ident=icmp.ident, seq=icmp.seq),
                 payload=packet.payload.copy(),
-                created_at=self.sim.now,
             )
             # The reply continues the request's flight: carry the span
             # context across so the trace covers the full round trip.
@@ -539,7 +510,7 @@ class PhysicalNode:
             for listener in self._icmp_error_callbacks:
                 listener(packet)
 
-    def _icmp_error(self, offending: Packet, icmp_type: int, code: int = 0) -> None:
+    def _icmp_error(self, offending: Packet, icmp_type: int) -> None:
         src = None
         for iface in self.interfaces.values():
             if iface.address is not None:
@@ -549,9 +520,8 @@ class PhysicalNode:
             return
         error = Packet(
             IPv4Header(src, offending.ip.src, PROTO_ICMP),
-            ICMPHeader(icmp_type, code=code),
+            ICMPHeader(icmp_type),
             payload=OpaquePayload(28, data=offending, tag="icmp-error"),
-            created_at=self.sim.now,
         )
         self.sim.trace.log(
             "icmp_error", node=self.name, type=icmp_type, uid=offending.uid

@@ -72,9 +72,6 @@ class UDPSocket:
         self.sliver = owner.sliver if scope is not None else None
         self.on_receive: Optional[Callable[[Packet, IPv4Address, int], None]] = None
         self.pending_bytes = 0
-        self.drops = 0
-        self.rx_packets = 0
-        self.tx_packets = 0
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -85,7 +82,6 @@ class UDPSocket:
         payload: Union[int, OpaquePayload],
         dst: Union[str, IPv4Address],
         dport: int,
-        tos: int = 0,
         ttl: int = 64,
     ) -> Packet:
         """Send a datagram. ``payload`` is a size or an OpaquePayload.
@@ -100,10 +96,9 @@ class UDPSocket:
             payload = OpaquePayload(payload)
         dst_addr = ip(dst)
         packet = Packet(
-            IPv4Header(self.local_addr, dst_addr, PROTO_UDP, tos=tos, ttl=ttl),
+            IPv4Header(self.local_addr, dst_addr, PROTO_UDP, ttl=ttl),
             UDPHeader(self.local_port, dport),
             payload=payload,
-            created_at=self.node.sim.now,
         )
         if self.node.sim.flight.enabled:
             # A tunnel datagram carries the inner packet by reference
@@ -112,7 +107,6 @@ class UDPSocket:
             inner = payload.data
             if isinstance(inner, Packet) and inner.span is not None:
                 packet.span = inner.span
-        self.tx_packets += 1
         self.node.ip_output(packet, sliver=self.sliver)
         return packet
 
@@ -127,7 +121,6 @@ class UDPSocket:
         fr = self.node.sim.flight
         tracked = fr.enabled and packet.span is not None
         if self.pending_bytes + size > self.rcvbuf:
-            self.drops += 1
             self.node.sim.trace.log(
                 "sock_drop",
                 node=self.node.name,
@@ -148,7 +141,6 @@ class UDPSocket:
         self.pending_bytes -= size
         if self.closed:
             return
-        self.rx_packets += 1
         if self.on_receive is not None:
             ip_header = packet.ip
             udp_header = packet.udp

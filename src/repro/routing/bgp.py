@@ -108,7 +108,6 @@ class DirectTransport:
         self.on_down: Optional[Callable[[], None]] = None
         self.up = True
         self.silent = False
-        self.tx_messages = 0
 
     @classmethod
     def pair(cls, sim: Simulator, delay: float = 0.010) -> Tuple["DirectTransport", "DirectTransport"]:
@@ -119,7 +118,6 @@ class DirectTransport:
     def send(self, message: object) -> None:
         if not self.up or self.silent or self.peer is None:
             return
-        self.tx_messages += 1
         self.sim.at(self.delay, self.peer._deliver, message)
 
     def _deliver(self, message: object) -> None:

@@ -59,13 +59,11 @@ class _ClientPort:
         self,
         mux: "BGPMultiplexer",
         name: str,
-        session: BGPSession,
         allowed: Prefix,
         limiter: _RateLimiter,
     ):
         self.mux = mux
         self.name = name
-        self.session = session
         self.allowed = allowed
         self.limiter = limiter
         self.filtered = 0
@@ -151,7 +149,7 @@ class BGPMultiplexer:
                     f"client block {allowed} overlaps {other.name}'s {other.allowed}"
                 )
         limiter = _RateLimiter(self.sim, max_update_rate, burst)
-        port = _ClientPort(self, name, None, allowed, limiter)  # type: ignore[arg-type]
+        port = _ClientPort(self, name, allowed, limiter)
         self.sim.metrics.counter(
             "bgp.mux_filtered", fn=lambda: float(port.filtered), client=name
         )
@@ -165,7 +163,6 @@ class BGPMultiplexer:
             import_policy=port.import_filter,
             mrai=0.5,
         )
-        port.session = session
         self.clients[name] = port
         session.start()
         return session

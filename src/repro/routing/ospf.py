@@ -342,7 +342,6 @@ class OSPFDaemon:
                 ttl=1,
             ),
             payload=OpaquePayload(message.wire_size, data=message, tag="ospf"),
-            created_at=self.sim.now,
         )
         self._msg_tx[type(message)].inc()
         self.platform.send(iface, packet)

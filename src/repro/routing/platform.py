@@ -30,13 +30,11 @@ class RouterInterface:
         address: Union[str, IPv4Address],
         pfx: Union[str, Prefix],
         cost: int = 1,
-        peer: Optional[Union[str, IPv4Address]] = None,
     ):
         self.name = name
         self.address = ip(address)
         self.prefix = prefix(pfx)
         self.cost = cost
-        self.peer = ip(peer) if peer is not None else None
         self.up = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -147,7 +147,6 @@ class Ping:
             IPv4Header(src, self.dst, PROTO_ICMP),
             ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=seq),
             payload=OpaquePayload(self.payload, data=now, tag="ping"),
-            created_at=now,
         )
         fr = self.sim.flight
         if fr.enabled:

@@ -92,7 +92,6 @@ class Traceroute:
             IPv4Header(src, self.dst, PROTO_ICMP, ttl=ttl),
             ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=ttl),
             payload=OpaquePayload(32, tag="traceroute"),
-            created_at=self.sim.now,
         )
         self.node.ip_output(probe, sliver=self.sliver)
 

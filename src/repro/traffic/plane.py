@@ -83,7 +83,6 @@ class _ChannelState:
     __slots__ = (
         "link",
         "channel",
-        "sender",
         "index",
         "fluid_bps",
         "packet_bps",
@@ -92,10 +91,9 @@ class _ChannelState:
         "_last_time",
     )
 
-    def __init__(self, link, channel, sender: str, index: int):
+    def __init__(self, link, channel, index: int):
         self.link = link
         self.channel = channel
-        self.sender = sender
         self.index = index  # position in the plane's dense per-solve lists
         self.fluid_bps = 0.0
         self.packet_bps = 0.0  # EWMA of measured packet throughput
@@ -333,7 +331,7 @@ class FluidTrafficPlane:
         state = self._channel_states.get(state_key)
         if state is None:
             channel = link._channels[sender_iface]
-            state = _ChannelState(link, channel, sender, len(self._channel_states))
+            state = _ChannelState(link, channel, len(self._channel_states))
             state._last_time = self.sim.now
             self._channel_states[state_key] = state
             self._nflows.append(0)

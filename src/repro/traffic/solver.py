@@ -26,30 +26,19 @@ and subtracts the last round's claims the fill leaves to it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.net.tcp import MSS
 
 INF = float("inf")
 
 
-class SolveResult:
+class SolveResult(NamedTuple):
     """Per-class per-flow rates plus solver introspection."""
 
-    __slots__ = ("rates", "iterations", "residual")
-
-    def __init__(
-        self,
-        rates: List[float],
-        iterations: int,
-        residual: Dict[Hashable, float],
-    ):
-        self.rates = rates
-        self.iterations = iterations
-        self.residual = residual
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SolveResult rates={self.rates!r} iterations={self.iterations}>"
+    rates: List[float]
+    iterations: int
+    residual: Dict[Hashable, float]
 
 
 def tcp_steady_state_cap(

@@ -9,6 +9,9 @@ from repro.sim.engine import Simulator
 from repro.topologies import build_line
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def _pair():
     """A 2-node physical network for install tests."""
     vini = VINI(seed=3)
@@ -61,6 +64,41 @@ def test_crash_node_with_duration_adds_restart():
         lambda p: p.loss_episode(0.0, "a", "b", duration=1.0, drop_prob=1.5),
         lambda p: p.cpu_burst(0.0, "a", duration=-1.0),
         lambda p: p.random_flaps([("a", "b")], (0.0, 1.0), count=0),
+        # Each below used to build, then hang the run, raise mid-run, or
+        # (a NaN recovery) leave a link failed for good. quantum=0 would
+        # hang on zero-cost hog chunks at one instant: it is only built.
+        pytest.param(lambda p: p.cpu_burst(1.0, "a", 1.0, quantum=0.0), id="quantum-0"),
+        pytest.param(lambda p: p.cpu_burst(1.0, "a", 1.0, quantum=INF), id="quantum-inf"),
+        pytest.param(lambda p: p.cpu_burst(1.0, "a", 1.0, share=0.0), id="share-0"),
+        pytest.param(lambda p: p.cpu_burst(1.0, "a", 1.0, share=INF), id="share-inf"),
+        pytest.param(lambda p: p.cpu_burst(1.0, "a", NAN), id="burst-duration-nan"),
+        pytest.param(lambda p: p.cpu_burst(1.0, "a", INF), id="burst-duration-inf"),
+        pytest.param(lambda p: p.fail_link(NAN, "a", "b"), id="time-nan"),
+        pytest.param(lambda p: p.fail_link(INF, "a", "b"), id="time-inf"),
+        pytest.param(lambda p: p.fail_link(1.0, "a", "b", duration=NAN), id="fail-duration-nan"),
+        pytest.param(lambda p: p.crash_node(1.0, "a", duration=INF), id="crash-duration-inf"),
+        pytest.param(lambda p: p.loss_episode(1.0, "a", "b", NAN, 0.5), id="loss-duration-nan"),
+        pytest.param(lambda p: p.loss_episode(1.0, "a", "b", INF, 0.5), id="loss-duration-inf"),
+        pytest.param(lambda p: p.random_flaps([("a", "b")], (0.0, 1.0), 1, down=(0.0, 1.0)),
+                     id="flap-down-0"),
+        pytest.param(lambda p: p.random_flaps([("a", "b")], (0.0, 1.0), 1, down=(-2.0, -1.0)),
+                     id="flap-down-negative"),
+        pytest.param(lambda p: p.random_flaps([("a", "b")], (0.0, 1.0), 1, down=(2.0, 1.0)),
+                     id="flap-down-reversed"),
+        pytest.param(lambda p: p.random_flaps([("a", "b")], (0.0, 1.0), 1, down=(1.0, INF)),
+                     id="flap-down-inf"),
+        pytest.param(lambda p: p.random_loss_episodes([("a", "b")], (0.0, 1.0), 1,
+                                                      duration=(-1.0, 1.0)),
+                     id="episode-duration-negative"),
+        pytest.param(lambda p: p.random_loss_episodes([("a", "b")], (0.0, 1.0), 1,
+                                                      duration=(1.0, NAN)),
+                     id="episode-duration-nan"),
+        pytest.param(lambda p: p.random_loss_episodes([("a", "b")], (0.0, 1.0), 1,
+                                                      drop_prob=(1.5, 2.0)),
+                     id="episode-drop-prob-above-1"),
+        pytest.param(lambda p: p.random_loss_episodes([("a", "b")], (0.0, 1.0), 1,
+                                                      drop_prob=(-0.5, 0.2)),
+                     id="episode-drop-prob-negative"),
     ],
 )
 def test_builder_validation(build):

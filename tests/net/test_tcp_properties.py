@@ -70,11 +70,11 @@ def test_all_bytes_delivered_exactly_once(total, drop_seed, drop_rate):
 def test_heavy_loss_still_completes_eventually():
     delivered, conn = run_transfer(30_000, drop_seeds=7, drop_rate=0.30)
     assert delivered == 30_000
-    assert conn.retransmits > 0
+    assert conn.stack.total_retransmits > 0
 
 
 def test_zero_loss_has_no_retransmits():
     delivered, conn = run_transfer(100_000, drop_seeds=1, drop_rate=0.0)
     assert delivered == 100_000
-    assert conn.retransmits == 0
-    assert conn.timeouts == 0
+    assert conn.stack.total_retransmits == 0
+    assert conn.stack.total_timeouts == 0

@@ -69,10 +69,12 @@ def test_deter_world_metrics_match_legacy_attributes():
         metrics.value("iperf.tcp.bytes_received", node="sink", port=5001)
         == server.bytes_received
     )
-    timeouts = sum(conn.timeouts for conn in tcp_client.connections)
-    retransmits = sum(conn.retransmits for conn in tcp_client.connections)
-    assert metrics.value("tcp.timeouts", node="src") == timeouts >= 2
-    assert metrics.value("tcp.retransmits", node="src") == retransmits >= 2
+    src_stack = TCPStack.of(vini.nodes["src"])
+    assert metrics.value("tcp.timeouts", node="src") == src_stack.total_timeouts >= 2
+    assert (
+        metrics.value("tcp.retransmits", node="src")
+        == src_stack.total_retransmits >= 2
+    )
     udp = udp_client.result()
     assert udp.sent > udp.received > 0 and udp.jitter > 0
     assert metrics.value("iperf.udp.sent", node="src", port=5002) == udp.sent

@@ -73,8 +73,8 @@ def build_topology(sim, edges, delay=0.001, costs=None):
         subnet = next(subnets)
         hosts = list(subnet.hosts())
         cost = (costs or {}).get((a, b), (costs or {}).get((b, a), 1))
-        ia = RouterInterface(f"to_{b}", hosts[0], subnet, cost=cost, peer=hosts[1])
-        ib = RouterInterface(f"to_{a}", hosts[1], subnet, cost=cost, peer=hosts[0])
+        ia = RouterInterface(f"to_{b}", hosts[0], subnet, cost=cost)
+        ib = RouterInterface(f"to_{a}", hosts[1], subnet, cost=cost)
         platforms[a].add_interface(ia)
         platforms[b].add_interface(ib)
         fabric.connect(platforms[a], ia.name, platforms[b], ib.name, delay=delay)

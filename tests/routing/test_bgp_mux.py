@@ -51,7 +51,7 @@ def test_experiment_announcement_reaches_external():
     assert 64512 in route.as_path and 65100 in route.as_path
     # The registry's session instruments read the sessions' own counters.
     metrics = sim.metrics
-    session = mux.clients["exp0"].session
+    (session,) = [s for s in mux.daemon.sessions if s.name == "exp0"]
     assert metrics.value(
         "bgp.updates_received", daemon="bgp-mux", peer="exp0"
     ) == session.updates_received == 1

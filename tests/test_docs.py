@@ -11,8 +11,10 @@ be a function, and a class (``Class.*`` too), a ``path.py`` or a
 ``path.py::Name`` must hold one. The other way round, every row of
 ``benchmarks/results/unreached.txt`` must fall under one of those names,
 so a function that stops being reached needs a caller or a line there.
+The field fence (last test) holds ``src/repro`` to state something reads.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -108,3 +110,47 @@ def test_every_unreached_function_falls_under_a_kept_name():
         if not under & kept:
             stray.append(row)
     assert stray == []
+
+
+# Stored for whoever catches the error or reads the violation, not for
+# the program: the name and reason of each field the fence lets through.
+UNREAD_FIELDS = {
+    "line_no": "ConfigSyntaxError: the config line number, for the catcher",
+    "line": "ConfigSyntaxError: the config line's text, for the catcher",
+    "detail": "Violation: the invariant's measured values, for the reader",
+    "context": "Violation: the events before the breach, for the reader",
+}
+
+
+def test_every_stored_field_is_read_somewhere():
+    """Every ``self.<name> = ...`` in ``src/repro`` is loaded as
+    ``<something>.<name>`` somewhere in ``src/repro``, ``benchmarks`` or
+    ``examples``, outside a ``__repr__`` / ``__str__``; a field only
+    written (a counter bumped per packet for no reader) fails here. The
+    check is by attribute name, not by class: a dead field whose name
+    another class reads (``tx_packets``, ``drops``) passes unseen."""
+    stored, loaded = {}, set()
+    for root in ("src/repro", "benchmarks", "examples"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            in_repr = set()
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name in ("__repr__", "__str__")):
+                    in_repr.update(id(inner) for inner in ast.walk(node))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if isinstance(node.ctx, ast.Load):
+                    if id(node) not in in_repr:
+                        loaded.add(node.attr)
+                elif (root == "src/repro" and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    where = f"{path.relative_to(REPO)}:{node.lineno}"
+                    stored.setdefault(node.attr, where)
+    unread = {name: where for name, where in stored.items()
+              if name not in loaded and name not in UNREAD_FIELDS}
+    assert unread == {}
+    # An allowlisted name that is gone, or read after all, leaves the list.
+    assert sorted(name for name in UNREAD_FIELDS
+                  if name not in stored or name in loaded) == []
