@@ -16,7 +16,7 @@ plain dead-interval detection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.core.virtual_network import VirtualLink, VirtualNetwork
 from repro.phys.link import Link

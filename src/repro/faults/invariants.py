@@ -293,7 +293,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def check_conservation(self) -> None:
         """Every packet offered to a link or shaper is accounted for, and
-        each CPU's ready set is exactly its processes with queued work."""
+        each CPU's ready set and standby heap hold exactly its queued processes."""
         links = []
         if self.vini is not None:
             links.extend(self.vini.links.values())
@@ -310,9 +310,10 @@ class InvariantChecker:
                         links.append(link)
         for node in nodes:
             queued = {p for p in node.cpu.processes if p.queue}
-            if node.cpu._ready != queued:
+            ready = node.cpu._ready.union(p for _, _, p in node.cpu._standby)
+            if ready != queued:
                 self._report("cpu_ready_set", node=node.name, differ=sorted(
-                    p.name for p in node.cpu._ready ^ queued))
+                    p.name for p in ready ^ queued))
         trace = self.sim.trace
         for link in links:
             offered = delivered = drops = backlog = flight = 0

@@ -24,12 +24,14 @@ packet waking Click and Click actually running — is exactly what
 produces the jitter, loss, and throughput collapse of Tables 4–6 and
 Figure 6, and real-time priority is exactly what removes it.
 
-Elections read ``_ready``, which at every instant holds exactly the
-registered processes whose queue is non-empty (cancelled items count).
+Elections read ``_ready`` ∪ ``_standby``: each registered process whose
+queue is non-empty (cancelled items count) is in exactly one of the two.
 
 **Standing demand** (:attr:`CPUScheduler.standing`, a started
-:class:`~repro.phys.load.CPUHog`) costs no engine events: a chunk put on
-the CPU while only such demand is ready has none, and
+:class:`~repro.phys.load.CPUHog`) is plain fair share: off the CPU it
+waits in the heap ``_standby`` keyed ``(vruntime, index)``, never stale
+as a vruntime moves only on the CPU and at a wake. It costs no engine
+events: a chunk put on the CPU while only such demand is ready has none, and
 :meth:`CPUScheduler.catch_up` completes it at the engine's horizon
 (:meth:`~repro.sim.engine.Simulator.due`), in the order of an event per
 chunk. A process that is not standing demand waking gives it an event.
@@ -38,6 +40,7 @@ chunk. A process that is not standing demand waking gives it an event.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import List, Optional, Set, Tuple
 
 from repro.phys.process import Process, WorkItem
@@ -87,6 +90,7 @@ class CPUScheduler:
         self.max_nonpreempt = 0.0003
         self.processes: List[Process] = []
         self._ready: Set[Process] = set()
+        self._standby: List[Tuple[float, int, Process]] = []  # (vruntime, index, process)
         self.busy_time = 0.0  # cumulative seconds the CPU was executing
         # The chunk on the CPU: its owner (None when idle), the item,
         # when it started, the wall seconds it takes, its completion.
@@ -118,7 +122,8 @@ class CPUScheduler:
         metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
         metrics.gauge(
             "cpu.runq_depth",
-            fn=lambda: sum(len(p.queue) for p in self._ready),
+            fn=lambda: sum(len(p.queue) for p in self._ready) + sum(
+                len(p.queue) for _, _, p in self._standby),
             cpu=self.name,
         )
 
@@ -150,17 +155,21 @@ class CPUScheduler:
             # Idle -> ready; a fair-share sleeper's credit is bounded:
             # it wakes at most WAKE_BONUS before the least vruntime of
             # the other fair-share processes ready or on the CPU.
-            self._ready.add(process)
             if not process.realtime:
-                floor = _INF
+                floor = self._standby[0][0] if self._standby else _INF
                 for p in self._ready:
-                    if p.vruntime < floor and not p.realtime and p is not process:
+                    if p.vruntime < floor and not p.realtime:
                         floor = p.vruntime
                 if (running is not None and running.vruntime < floor
                         and not running.realtime and running is not process):
                     floor = running.vruntime
                 if floor != _INF:
                     process.vruntime = max(process.vruntime, floor - WAKE_BONUS)
+            # Standing demand off the CPU (no _charge to come) waits in the heap.
+            if process in self.standing and process is not running:
+                heappush(self._standby, (process.vruntime, process.index, process))
+            else:
+                self._ready.add(process)
         if running is None:
             self._dispatch()
             return
@@ -217,7 +226,8 @@ class CPUScheduler:
     def _dispatch(self) -> None:
         """Elect from the ready set in one pass — RT band, preempted-slice
         resume, under-reservation band, then fair share — and put the
-        winner's head item on the CPU.
+        winner's head item on the CPU. The top of ``_standby`` is fair
+        share, its head never cancelled (``crash_flush`` empties the heap).
 
         ``usage_fraction`` decays the average it reads, and stepwise
         decay is not associative in floats, so *which* processes are
@@ -226,11 +236,13 @@ class CPUScheduler:
         process is eligible. A sole ready process that the scan would
         not ask is elected without it.
         """
-        ready = self._ready
-        if self._running is not None or not ready:
+        ready, standby = self._ready, self._standby
+        if self._running is not None or not (ready or standby):
             return
         owner, process = self._resume, None
-        if len(ready) == 1:
+        if not ready:
+            process, self._resume = heappop(standby)[2], None
+        elif len(ready) == 1 and not standby:
             # A sole ready process wins whichever band it is in. Elect it
             # directly unless the scan would read its usage: a cap, or a
             # reservation it does not already resume through.
@@ -274,6 +286,8 @@ class CPUScheduler:
                     resume = resume or process is owner
                     reserved = reserved or process.reservation > 0.0
             ready.difference_update(drained)
+            if standby and (fair is None or _order(standby[0][2]) < _order(fair)):
+                fair = standby[0][2]
             if rt is None and fair is None:
                 if capped:
                     # Non-work-conserving: everyone ready is at their cap.
@@ -297,9 +311,13 @@ class CPUScheduler:
                         key=_order, default=fair)
                 else:
                     process = fair
+            if standby and process is standby[0][2]:
+                heappop(standby)
         item = process.queue.popleft()
-        if not process.queue:
-            ready.remove(process)
+        if process.queue:
+            ready.add(process)  # popped from _standby with more queued
+        else:
+            ready.discard(process)
         sim = self.sim
         if self._latency_hist is not None:
             self._latency_hist.observe(sim.now - item.enqueued_at)
@@ -347,7 +365,7 @@ class CPUScheduler:
             item.cost, item.enqueued_at = cost, self.sim.now
             process.queue.append(item)
             self.wake(process)
-        if self._running is None and self._ready:
+        if self._running is None and (self._ready or self._standby):
             self._dispatch()
 
     def _preempt(self) -> None:
@@ -388,6 +406,7 @@ class CPUScheduler:
                 item.cancelled = True
             process.queue.clear()
         self._ready.clear()
+        self._standby.clear()
         self._resume = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

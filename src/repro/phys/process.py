@@ -125,11 +125,6 @@ class Process:
         cpu.wake(self)
         return item
 
-    @property
-    def backlog(self) -> float:
-        """Seconds of CPU work currently queued."""
-        return sum(item.cost for item in self.queue if not item.cancelled)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = []
         if self.realtime:

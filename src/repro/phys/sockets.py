@@ -11,7 +11,7 @@ buffer will overflow and the kernel will drop packets").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.net.addr import IPv4Address, ip
 from repro.net.packet import (

@@ -65,13 +65,6 @@ class VNet:
     def lookup(self, proto: int, port: int, scope: Optional[str] = None) -> Optional[object]:
         return self._table.get((scope, proto, port))
 
-    def ports_of_slice(self, slice_name: str) -> list:
-        return [
-            (proto, port)
-            for (_scope, proto, port), entry in self._table.items()
-            if self._owner_slice(entry) == slice_name
-        ]
-
     def free_port(self, proto: int, scope: Optional[str] = None) -> int:
         """First unreserved ephemeral port in ``scope``.
 

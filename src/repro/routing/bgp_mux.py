@@ -23,7 +23,7 @@ experiment it enforces:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.net.addr import IPv4Address, Prefix, ip, prefix
 from repro.routing.bgp import BGPDaemon, BGPRoute, BGPSession, DirectTransport

@@ -67,7 +67,6 @@ class IperfTCPServer:
         local_addr: Optional[Union[str, IPv4Address]] = None,
         window: int = DEFAULT_RCVBUF,
     ):
-        self.node = node
         self.sim = node.sim
         self.port = port
         self.process = _make_process(node, sliver, "iperf-server")
@@ -121,7 +120,6 @@ class IperfTCPClient:
         self.sim = node.sim
         self.server_addr = ip(server_addr)
         self.port = port
-        self.sliver = sliver
         self.streams = streams
         self.duration = duration
         self.window = window
@@ -210,7 +208,6 @@ class IperfUDPServer:
         local_addr: Optional[Union[str, IPv4Address]] = None,
         rcvbuf: int = 256 * 1024,
     ):
-        self.node = node
         self.sim = node.sim
         self.process = _make_process(node, sliver, "iperf-udp-server")
         bind = (
@@ -264,12 +261,9 @@ class IperfUDPClient:
     ):
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps!r}")
-        self.node = node
         self.sim = node.sim
         self.server_addr = ip(server_addr)
         self.port = port
-        self.sliver = sliver
-        self.rate_bps = rate_bps
         self.duration = duration
         self.payload = payload
         self.server = server

@@ -37,13 +37,11 @@ class CBRSource:
     ):
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps!r}")
-        self.node = node
         self.sim = node.sim
         self.dst = ip(dst)
         self.dport = dport
         self.payload = payload
         self.interval = payload * 8 / rate_bps
-        self.sliver = sliver
         if sliver is not None:
             self.process = sliver.create_process(name)
             bind = sliver.tap.address if sliver.tap is not None else None

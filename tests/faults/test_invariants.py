@@ -1,5 +1,7 @@
 """InvariantChecker: detection power and freedom from false alarms."""
 
+import heapq
+
 import pytest
 
 from repro.core.experiment import Experiment
@@ -256,6 +258,25 @@ def test_detects_a_stale_cpu_ready_set():
     bad = [v for v in checker.violations if v.invariant == "cpu_ready_set"]
     assert bad and bad[0].detail == {
         "node": "a", "differ": [cpu.processes[0].name]}
+
+
+def test_detects_a_stale_standby_entry():
+    """Two hogs keep one in the standby heap, and the check reads it;
+    a heap entry with nothing queued is reported."""
+    vini = _triangle()
+    checker = InvariantChecker(vini).install()
+    node = vini.nodes["a"]
+    CPUHog(node, "h0").start()
+    CPUHog(node, "h1").start()
+    vini.run(until=1.0)
+    checker.check_conservation()
+    assert checker.violations == []
+    cpu = node.cpu
+    stale = cpu.processes[0]
+    heapq.heappush(cpu._standby, (stale.vruntime, stale.index, stale))
+    checker.check_conservation()
+    bad = [v for v in checker.violations if v.invariant == "cpu_ready_set"]
+    assert bad and bad[0].detail == {"node": "a", "differ": [stale.name]}
 
 
 def test_detects_a_cooked_shaper_counter():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.phys.load import CPUHog
 from repro.phys.node import PhysicalNode
 from repro.phys.process import Process
 from repro.sim import Simulator
@@ -286,3 +287,109 @@ def test_capped_only_ready_set_arms_the_idle_timer():
     sim.run()
     # Idle for tau * ln(0.5 / 0.25) from t = 0.05, then 10 ms of work.
     assert done == [pytest.approx(0.050 + 0.1 * 0.6931 + 0.010, abs=1e-4)]
+
+
+# ----------------------------------------------------------------------
+# Standing demand waits in the standby heap
+# ----------------------------------------------------------------------
+Q = 2 ** -8  # a dyadic hog quantum: sums of it are exact
+
+
+def hogs(node, count):
+    return [CPUHog(node, f"h{i}", quantum=Q, heavy_tail_prob=0.0)
+            for i in range(count)]
+
+
+def elections(cpu):
+    """The names of the processes put on the CPU, in order."""
+    log, run = [], cpu._run
+
+    def recording(process, item):
+        log.append(process.name)
+        run(process, item)
+
+    cpu._run = recording
+    return log
+
+
+def test_standby_ties_are_elected_by_index():
+    """Hogs of equal virtual runtime leave the heap in registration
+    order, whatever order they woke in."""
+    sim, node = make_node()
+    log = elections(node.cpu)
+    for hog in reversed(hogs(node, 3)):
+        hog.start()
+    assert [key for key, _, _ in node.cpu._standby] == [0.0, 0.0]
+    sim.run(until=6.5 * Q)
+    # From 3Q on all three have run one quantum: h0 before h2 by index.
+    assert log == ["h2", "h0", "h1", "h0", "h1", "h2", "h0"]
+
+
+def test_a_preempted_hog_resumes_before_the_standby_heap():
+    """A real-time wakeup preempts a hog mid-chunk; the remainder goes
+    to the ready set and resumes before the hogs of lesser virtual
+    runtime waiting in the heap."""
+    sim, node = make_node()
+    node.cpu.max_nonpreempt = 0.0
+    rt = Process(node, "rt", realtime=True)
+    log = elections(node.cpu)
+    for hog in hogs(node, 3):
+        hog.start()
+    sim.at(Q / 2, rt.exec_after, Q / 4, lambda: None)
+    sim.run(until=2 * Q)
+    assert log == ["h0", "rt", "h0", "h1"]
+    assert node.cpu._resume is None
+    assert [p.name for _, _, p in node.cpu._standby] == ["h2", "h0"]
+    assert node.cpu._ready == set() and node.cpu._running.name == "h1"
+
+
+def test_a_hog_restarted_on_the_cpu_waits_in_the_ready_set():
+    """A hog stopped and started again while its chunk is on the CPU
+    queues a second chunk. It joins the ready set, not the heap: the
+    charge for the chunk on the CPU would leave its heap key stale."""
+    sim, node = make_node()
+    log = elections(node.cpu)
+    h0, h1, h2 = hogs(node, 3)
+    for hog in (h0, h1, h2):
+        hog.start()
+
+    def restart():
+        h0.stop()
+        h0.start()
+
+    sim.at(Q / 2, restart)
+    sim.run(until=Q / 2)
+    assert node.cpu._ready == {h0.process} and len(node.cpu._standby) == 2
+    sim.run(until=3.5 * Q)
+    # h0 ran first, so it waits out h1 and h2, then wins the tie by index.
+    assert log == ["h0", "h1", "h2", "h0"]
+
+
+def test_crash_flush_empties_the_standby_heap():
+    sim, node = make_node()
+    for hog in hogs(node, 3):
+        hog.start()
+    assert len(node.cpu._standby) == 2
+    node.cpu.crash_flush()
+    assert node.cpu._standby == [] and queued(node) == set()
+    sim.run(until=1.0)
+    assert node.cpu.busy_time == Q  # the cancelled chunk on the CPU, alone
+
+
+def test_runq_depth_counts_the_standby_heap():
+    """The run-queue gauge counts every queued item, the standing
+    demand in the heap included."""
+    sim, node = make_node()
+    for hog in hogs(node, 3):
+        hog.start()
+    proc = Process(node, "p")
+    proc.exec_after(0.001, lambda: None)
+    proc.exec_after(0.001, lambda: None)
+
+    def depth():
+        return sim.metrics.value("cpu.runq_depth", cpu=node.cpu.name)
+
+    assert depth() == sum(len(p.queue) for p in node.cpu.processes) == 4
+    sim.run(until=3.5 * Q)  # p's second item is on the CPU
+    assert depth() == sum(len(p.queue) for p in node.cpu.processes) == 3
+    assert len(node.cpu._standby) == 3

