@@ -46,7 +46,9 @@ class Port:
     def _unconnected(self, packet: Packet) -> None:
         # Click would fail at config time; we drop and trace so
         # misconfigurations are visible in tests.
-        self.element.router.trace_drop(packet, f"{self.element.name}[{self.index}] unconnected")
+        router = self.element.router
+        router.sim.trace.drop(
+            packet, f"{self.element.name}[{self.index}] unconnected", router.name)
 
 
 class Element:

@@ -15,7 +15,7 @@ class CheckIPHeader(Element):
     def push(self, port: int, packet: Packet) -> None:
         header = packet.ip
         if header is None or not 0 < header.ttl <= 255:
-            self.router.trace_drop(packet, "bad_ip_header")
+            self.router.sim.trace.drop(packet, "bad_ip_header", self.router.name)
             return
         self.outputs[0].push(packet)
 
@@ -36,12 +36,10 @@ class DecIPTTL(Element):
             if self.outputs[1].target is not None:
                 self.outputs[1].push(packet)
             else:
-                self.router.trace_drop(packet, "ttl_expired")
+                self.router.sim.trace.drop(packet, "ttl_expired", self.router.name)
             return
-        trace = self.router.sim.trace
-        if trace.wants("fwd"):
-            trace.log(
-                "fwd", node=self.router.name, uid=packet.uid, ttl=header.ttl
-            )
+        sim = self.router.sim
+        if sim.trace.wants("fwd"):
+            sim.trace.log("fwd", node=self.router.name, uid=sim.uid(packet), ttl=header.ttl)
         header.ttl -= 1
         self.outputs[0].push(packet)

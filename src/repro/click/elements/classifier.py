@@ -105,4 +105,4 @@ class IPClassifier(Element):
             if matcher(packet, header):
                 self.outputs[index].push(packet)
                 return
-        self.router.trace_drop(packet, "classifier_unmatched")
+        self.router.sim.trace.drop(packet, "classifier_unmatched", self.router.name)

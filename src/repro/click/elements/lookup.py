@@ -45,7 +45,7 @@ class RadixIPLookup(Element):
         dst = packet.ip.dst
         found = self._trie.lookup_entry(dst)
         if found is None:
-            self.router.trace_drop(packet, "no_route")
+            self.router.sim.trace.drop(packet, "no_route", self.router.name)
             return
         gw, out_port = found[1]
         packet.meta["gw"] = gw if gw is not None else dst

@@ -48,31 +48,20 @@ class LossElement(Element):
         metrics.counter("click.loss.dropped_pkts", fn=lambda: self.dropped, **labels)
         metrics.counter("click.loss.delivered_pkts", fn=lambda: self.passed, **labels)
 
-    def _drop(self, packet: Packet, reason: str) -> None:
-        self.dropped += 1
-        # Quiet per-packet kind (off by default): the wants() guard
-        # skips the field build unless a monitor enabled it.
-        trace = self.router.sim.trace
-        if trace.wants("loss_drop"):
-            trace.log(
-                "loss_drop", node=self.router.node.name, element=self.name,
-                reason=reason, uid=packet.uid,
-            )
-        fr = self.router.sim.flight
-        if fr.enabled:
-            fr.flight_drop(packet, reason, node=self.router.node.name)
-
     def push(self, port: int, packet: Packet) -> None:
         if self.failed:
-            self._drop(packet, "failed")
-            return
-        if self.drop_prob > 0.0:
+            reason = "failed"
+        elif self.drop_prob > 0.0:
             random = self._random
             if random is None:
                 random = self._random = self.router.sim.rng(self.rng_stream).random
-            if random() < self.drop_prob:
-                self._drop(packet, "loss_prob")
-                return
+            reason = "loss_prob" if random() < self.drop_prob else None
+        else:
+            reason = None
+        if reason is not None:
+            self.dropped += 1
+            self.router.sim.trace.drop(packet, reason, self.router.name)
+            return
         self.passed += 1
         fr = self.router.sim.flight
         if fr.enabled and packet.span is not None:

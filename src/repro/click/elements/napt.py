@@ -103,7 +103,7 @@ class NAPT(Element):
     def _outbound(self, packet: Packet) -> None:
         found = self._ports_of(packet)
         if found is None:
-            self.router.trace_drop(packet, "napt_unsupported_proto")
+            self.router.sim.trace.drop(packet, "napt_unsupported_proto", self.router.name)
             return
         proto, sport, transport = found
         header = packet.ip
@@ -111,7 +111,7 @@ class NAPT(Element):
         key = (proto, int(header.src), sport, int(header.dst), dport)
         public_port = self._allocate(proto, key)
         if public_port is None:
-            self.router.trace_drop(packet, "napt_ports_exhausted")
+            self.router.sim.trace.drop(packet, "napt_ports_exhausted", self.router.name)
             return
         self._reverse[(proto, public_port)] = (
             header.src,
@@ -136,17 +136,17 @@ class NAPT(Element):
         proto = packet.ip.proto
         transport = packet.tcp if proto == PROTO_TCP else packet.udp
         if transport is None:
-            self.router.trace_drop(packet, "napt_unsupported_proto")
+            self.router.sim.trace.drop(packet, "napt_unsupported_proto", self.router.name)
             return
         public_port = transport.dport
         entry = self._reverse.get((proto, public_port))
         if entry is None:
-            self.router.trace_drop(packet, "napt_no_mapping")
+            self.router.sim.trace.drop(packet, "napt_no_mapping", self.router.name)
             return
         private_addr, private_port, remote, _rport = entry
         if int(packet.ip.src) != int(remote):
             # Restricted-cone behavior: only the mapped remote may reply.
-            self.router.trace_drop(packet, "napt_wrong_remote")
+            self.router.sim.trace.drop(packet, "napt_wrong_remote", self.router.name)
             return
         packet.ip.dst = private_addr
         transport.dport = private_port

@@ -16,6 +16,10 @@ from typing import Deque, Dict
 from repro.click.element import Element
 from repro.net.packet import Packet
 
+#: Every shaper's token-bucket depth and drop-tail queue, in bytes.
+BURST_BYTES = 3000
+QUEUE_BYTES = 128 * 1024
+
 
 class Shaper(Element):
     """Token-bucket pacing to ``rate`` bits/s with a drop-tail queue.
@@ -25,12 +29,7 @@ class Shaper(Element):
     schedule; overflow is dropped.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        burst_bytes: int = 3000,
-        queue_bytes: int = 128 * 1024,
-    ):
+    def __init__(self, rate: float):
         super().__init__(n_outputs=1)
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate!r}")
@@ -46,9 +45,8 @@ class Shaper(Element):
         self._fluid_bps = 0.0
         self._rate = rate
         self._apply_rate()
-        self._burst_f = float(burst_bytes)
-        self.queue_bytes = queue_bytes
-        self.tokens = float(burst_bytes)
+        self._burst_f = float(BURST_BYTES)
+        self.tokens = self._burst_f
         self._stamp = 0.0
         self._queue: Deque[Packet] = deque()
         self._queued_bytes = 0
@@ -126,9 +124,9 @@ class Shaper(Element):
             self.sent += 1
             self.outputs[0].push(packet)
             return
-        if self._queued_bytes + size > self.queue_bytes:
+        if self._queued_bytes + size > QUEUE_BYTES:
             self.drops += 1
-            self.router.trace_drop(packet, "shaper_overflow")
+            self.router.sim.trace.drop(packet, "shaper_overflow", self.router.name)
             return
         self._queue.append(packet)
         self._queued_bytes += size

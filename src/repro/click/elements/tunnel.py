@@ -68,7 +68,7 @@ class UDPTunnel(Element):
     def _incoming(self, outer: Packet, src: IPv4Address, sport: int) -> None:
         inner = outer.payload.data
         if not isinstance(inner, Packet):
-            self.router.trace_drop(outer, "tunnel_garbage")
+            self.router.sim.trace.drop(outer, "tunnel_garbage", self.router.name)
             return
         self.rx_packets += 1
         fr = self.router.sim.flight
@@ -106,10 +106,10 @@ class EncapTable(Element):
     def push(self, port: int, packet: Packet) -> None:
         gw: Optional[IPv4Address] = packet.meta.get("gw")
         if gw is None:
-            self.router.trace_drop(packet, "no_gw_annotation")
+            self.router.sim.trace.drop(packet, "no_gw_annotation", self.router.name)
             return
         out = self._table.get(int(gw))
         if out is None:
-            self.router.trace_drop(packet, "no_encap_entry")
+            self.router.sim.trace.drop(packet, "no_encap_entry", self.router.name)
             return
         self.outputs[out].push(packet)

@@ -44,7 +44,7 @@ class UMLSwitch(Element):
     def push(self, port: int, packet: Packet) -> None:
         """Data plane -> control plane (routing protocol input)."""
         if self.control_handler is None or self.control_process is None:
-            self.router.trace_drop(packet, "no_control_plane")
+            self.router.sim.trace.drop(packet, "no_control_plane", self.router.name)
             return
         self.control_process.exec_after(
             UML_CROSSING_COST, self.control_handler, packet

@@ -111,19 +111,5 @@ class ClickRouter:
             recv_cost=self.per_packet_cost,
         )
 
-    # ------------------------------------------------------------------
-    def trace_drop(self, packet: Packet, reason: str) -> None:
-        trace = self.sim.trace
-        if trace.wants("click_drop"):
-            trace.log(
-                "click_drop", router=self.name, node=self.node.name,
-                reason=reason, uid=packet.uid,
-            )
-        fr = self.sim.flight
-        if fr.enabled:
-            # Every Click-level drop funnels through here, so the flight
-            # recorder learns why any tracked packet died in the graph.
-            fr.flight_drop(packet, reason, node=self.node.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ClickRouter {self.name}@{self.node.name} elements={len(self.elements)}>"

@@ -13,8 +13,8 @@ for the ways a fault schedule can silently corrupt a run:
   packet offered to a link channel must be delivered, dropped (and
   counted), still queued, or still in flight; Click shapers must
   likewise account for every push. Link drop counters are cross-checked
-  against the ``link_drop`` trace records, and each CPU scheduler's
-  ready set against its processes' queues.
+  against the ``drop`` trace records naming the link, and each CPU
+  scheduler's ready set against its processes' queues.
 * **No forwarding loops** (structural, after convergence): following
   RIB next hops from every source toward every destination must never
   revisit a node. The same walk over kernel routing tables covers
@@ -104,7 +104,7 @@ class InvariantChecker:
         trace = self.sim.trace
         for kind in ("fault", "link_state", "vlink_state", "node_state"):
             trace.subscribe(kind, self._note_context)
-        trace.enable("fwd")
+        trace.enable("fwd", "drop")
         trace.subscribe("fwd", self._on_fwd)
         if self.network is not None:
             for vnode in self.network.nodes.values():
@@ -329,8 +329,8 @@ class InvariantChecker:
                     delivered=delivered, drops=drops, queued=backlog,
                     in_flight=flight,
                 )
-            if trace.wants("link_drop"):
-                traced = trace.count("link_drop", link=link.name)
+            if trace.wants("drop"):
+                traced = trace.count("drop", where=link.name)
                 if traced != drops:
                     self._report(
                         "drop_accounting", link=link.name,

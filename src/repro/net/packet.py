@@ -13,7 +13,6 @@ tunnels, Fig. 2's life of a packet) is byte-accurate.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional, Union
 
 from repro.net.addr import IPv4Address, ip
@@ -22,8 +21,6 @@ PROTO_ICMP = 1
 PROTO_TCP = 6
 PROTO_UDP = 17
 PROTO_OSPF = 89
-
-_packet_ids = itertools.count(1)
 
 
 class Header:
@@ -210,7 +207,7 @@ class Packet:
             length += transport.length
         self.payload = payload if payload is not None else OpaquePayload(0)
         self.meta: Dict[str, Any] = meta if meta is not None else {}
-        self.uid = next(_packet_ids)
+        self.uid = 0  # until a record names it (Simulator.uid)
         # Flight-recorder span context (repro.obs.spans.SpanContext), or
         # None for untracked packets. Shared by reference with the
         # tunnel's outer packet and the echo reply: the context *is*

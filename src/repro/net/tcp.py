@@ -155,9 +155,7 @@ class TCPStack:
         if listener is not None and tcp.syn and not tcp.ack_flag:
             listener._accept_syn(packet)
             return
-        self.node.sim.trace.log(
-            "tcp_drop", node=self.node.name, reason="no_connection", port=tcp.dport
-        )
+        self.node.sim.trace.drop(packet, "no_connection", self.node.name)
 
 
 class Listener:

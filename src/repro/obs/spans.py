@@ -311,7 +311,7 @@ class FlightRecorder:
     def flight_drop(self, packet, reason: str, node: str = "") -> None:
         """Close ``packet``'s flight because the packet was dropped.
 
-        Call sites piggyback on the existing drop/trace hooks; the
+        Called by the one drop site, :meth:`TraceCollector.drop`; the
         flight is retained with ``status == "dropped:<reason>"`` so
         "why did my packet die" is answerable from the same export.
         """

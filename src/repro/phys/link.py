@@ -58,7 +58,7 @@ class _Channel:
         self.queue: Deque[Packet] = deque()
         self.queued_bytes = 0
         self.transmitting = False
-        self.in_flight: Dict[int, Event] = {}  # packet uid -> delivery event
+        self.in_flight: Dict[Packet, Event] = {}  # packet -> delivery event
         self.tx_packets = 0
         self.tx_bytes = 0
         self.drops = 0
@@ -89,36 +89,30 @@ class _Channel:
         self.offered += 1
         self.offered_bytes += packet.wire_len
         if not self.link.up:
-            self.drops += 1
-            self.dropped_bytes += packet.wire_len
-            self.link._trace_drop(packet, "link_down")
-            return False
-        if self.fluid_bps and self._fluid_loss:
+            reason = "link_down"
+        elif (self.fluid_bps and self._fluid_loss
+              and self._fluid_rng.random() < self._fluid_loss):
             # Congestion loss induced by fluid occupancy, drawn from an
             # isolated per-channel stream so no other RNG stream shifts.
-            if self._fluid_rng.random() < self._fluid_loss:
-                self.drops += 1
-                self.dropped_bytes += packet.wire_len
-                self.link._trace_drop(packet, "fluid_congestion")
-                return False
-        if self.transmitting:
-            limit = self.link.queue_bytes
-            if self.fluid_bps:
+            reason = "fluid_congestion"
+        elif not self.transmitting:
+            self._transmit(packet, receiver)
+            return True
+        elif self.queued_bytes + packet.wire_len > self.link.queue_bytes - (
                 # Fluid backlog occupies part of the drop-tail queue.
-                limit -= self._fluid_reserved
-            if self.queued_bytes + packet.wire_len > limit:
-                self.drops += 1
-                self.dropped_bytes += packet.wire_len
-                self.link._trace_drop(packet, "queue_overflow")
-                return False
+                self._fluid_reserved if self.fluid_bps else 0):
+            reason = "queue_overflow"
+        else:
             self.queue.append(packet)
             self.queued_bytes += packet.wire_len
             fr = self.sim.flight
             if fr.enabled and packet.span is not None:
                 fr.stage(packet, "link.queue", node=self.link.name)
             return True
-        self._transmit(packet, receiver)
-        return True
+        self.drops += 1
+        self.dropped_bytes += packet.wire_len
+        self.sim.trace.drop(packet, reason, self.link.name)
+        return False
 
     def _transmit(self, packet: Packet, receiver: "Interface") -> None:
         self.transmitting = True
@@ -145,8 +139,7 @@ class _Channel:
             # Waiting behind fluid-occupied queue slots (M/M/1-shaped
             # estimate computed by the plane at solve time).
             arrival += self._fluid_qdelay
-        event = self.sim.at(arrival, self._deliver, packet, receiver)
-        self.in_flight[packet.uid] = event
+        self.in_flight[packet] = self.sim.at(arrival, self._deliver, packet, receiver)
 
     def _tx_done(self, receiver: "Interface") -> None:
         self.transmitting = False
@@ -156,7 +149,7 @@ class _Channel:
             self._transmit(packet, receiver)
 
     def _deliver(self, packet: Packet, receiver: "Interface") -> None:
-        self.in_flight.pop(packet.uid, None)
+        self.in_flight.pop(packet, None)
         self.delivered += 1
         self.delivered_bytes += packet.wire_len
         receiver.receive(packet)
@@ -203,32 +196,16 @@ class _Channel:
         self._fluid_reserved = reserved_bytes
 
     def flush(self) -> None:
-        """Drop everything queued and in flight (link failure).
-
-        Every loss is both counted (``drops``) and traced
-        (``link_drop``/``link_failed``) so the two stay in agreement.
-        """
-        trace = self.sim.trace
-        fr = self.sim.flight
-        name = self.link.name
-        for packet in self.queue:
+        """Drop everything queued and in flight (link failure)."""
+        for event in self.in_flight.values():
+            event.cancel()
+        trace, name = self.sim.trace, self.link.name
+        for packet in [*self.queue, *self.in_flight]:
             self.drops += 1
             self.dropped_bytes += packet.wire_len
-            trace.log("link_drop", link=name, reason="link_failed", uid=packet.uid)
-            if fr.enabled:
-                fr.flight_drop(packet, "link_failed", node=name)
+            trace.drop(packet, "link_failed", name)
         self.queue.clear()
         self.queued_bytes = 0
-        for uid, event in self.in_flight.items():
-            # Grab the packet before cancel() clears the event's args.
-            packet = event.args[0] if event.args else None
-            event.cancel()
-            self.drops += 1
-            if packet is not None:
-                self.dropped_bytes += packet.wire_len
-                if fr.enabled:
-                    fr.flight_drop(packet, "link_failed", node=name)
-            trace.log("link_drop", link=name, reason="link_failed", uid=uid)
         self.in_flight.clear()
 
 
@@ -350,12 +327,6 @@ class Link:
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
-    def _trace_drop(self, packet: Packet, reason: str) -> None:
-        self.sim.trace.log("link_drop", link=self.name, reason=reason, uid=packet.uid)
-        fr = self.sim.flight
-        if fr.enabled:
-            fr.flight_drop(packet, reason, node=self.name)
-
     def stats(self, sender: Optional["Interface"] = None) -> dict:
         channels = (
             [self._channels[sender]] if sender else list(self._channels.values())

@@ -55,13 +55,18 @@ class CPUHog:
 
     def start(self) -> "CPUHog":
         if not self.running:
-            self.node.cpu.standing.add(self.process)
             self.running = True
-            self.process.exec_after(self._chunk(), self._next)
+            cpu, process = self.node.cpu, self.process
+            held = [*process.queue] + ([cpu._item] if cpu._running is process else [])
+            # A live chunk, queued or on the CPU, carries the chain on (_next).
+            if all(item.cancelled for item in held):
+                cpu.standing.add(process)
+                process.exec_after(self._chunk(), self._next)
         return self
 
     def stop(self) -> None:
-        """Draw no further chunk; a chunk queued or on the CPU still runs."""
+        """Draw no further chunk; a chunk queued or on the CPU still runs,
+        and carries the chain on if the hog is started before it ends."""
         self.running = False
 
     def _chunk(self) -> float:

@@ -91,14 +91,13 @@ class Interface:
 
     def transmit(self, packet: Packet) -> bool:
         if not self.up or self.link is None:
-            self.node.sim.trace.log(
-                "iface_drop", node=self.node.name, iface=self.name, reason="down"
-            )
+            self.node.sim.trace.drop(packet, "iface_down", self.node.name)
             return False
         return self.link.transmit(self, packet)
 
     def receive(self, packet: Packet) -> None:
         if not self.up:
+            self.node.sim.trace.drop(packet, "iface_down", self.node.name)
             return
         self.node.ip_input(self, packet)
 
@@ -135,7 +134,6 @@ class TapDevice:
         self.read_cost: Callable[[Packet], float] = default_recv_cost
         self.pending_bytes = 0
         self.sndbuf = 256 * 1024
-        self.drops = 0
 
     def set_reader(
         self,
@@ -151,19 +149,14 @@ class TapDevice:
     def to_reader(self, packet: Packet) -> bool:
         """Kernel -> user space: queue the packet for the reader."""
         if self.reader is None or self.reader_process is None:
-            self.drops += 1
+            self.node.sim.trace.drop(packet, "tap_no_reader", self.node.name)
             return False
         size = packet.wire_len
+        if self.pending_bytes + size > self.sndbuf:
+            self.node.sim.trace.drop(packet, "tap_overflow", self.node.name)
+            return False
         fr = self.node.sim.flight
         tracked = fr.enabled and packet.span is not None
-        if self.pending_bytes + size > self.sndbuf:
-            self.drops += 1
-            self.node.sim.trace.log(
-                "tap_drop", node=self.node.name, slice=self.sliver.slice.name
-            )
-            if tracked:
-                fr.flight_drop(packet, "tap_overflow", node=self.node.name)
-            return False
         self.pending_bytes += size
         if tracked:
             fr.stage(packet, "cpu.wait", node=self.node.name)
@@ -433,7 +426,7 @@ class PhysicalNode:
             return
         trace = self.sim.trace
         if trace.wants("fwd"):
-            trace.log("fwd", node=self.name, uid=packet.uid, ttl=header.ttl)
+            trace.log("fwd", node=self.name, uid=self.sim.uid(packet), ttl=header.ttl)
         header.ttl -= 1
         route: Route = found[1]
         route.interface.transmit(packet)
@@ -453,10 +446,9 @@ class PhysicalNode:
             if entry is not None:
                 entry.enqueue(packet)
             else:
-                self.sim.trace.log(
-                    "kernel_drop", node=self.name,
-                    reason="udp_port_unreachable" if sliver is None
-                    else "sliver_udp_unreachable",
+                self.sim.trace.drop(
+                    packet, "udp_port_unreachable" if sliver is None
+                    else "sliver_udp_unreachable", self.name,
                 )
         elif proto == PROTO_TCP:
             entry = self.vnet.lookup(PROTO_TCP, packet.tcp.dport, scope)
@@ -465,13 +457,11 @@ class PhysicalNode:
             elif self.tcp_stack is not None:
                 self.tcp_stack.input(packet, scope)
             else:
-                self.sim.trace.log("kernel_drop", node=self.name, reason="no_tcp")
+                self.sim.trace.drop(packet, "no_tcp", self.name)
         elif proto == PROTO_ICMP:
             self._icmp_input(packet, sliver)
         elif sliver is None:
-            self.sim.trace.log(
-                "kernel_drop", node=self.name, reason=f"proto_{proto}"
-            )
+            self.sim.trace.drop(packet, f"proto_{proto}", self.name)
 
     # ------------------------------------------------------------------
     # ICMP
@@ -524,7 +514,7 @@ class PhysicalNode:
             payload=OpaquePayload(28, data=offending, tag="icmp-error"),
         )
         self.sim.trace.log(
-            "icmp_error", node=self.name, type=icmp_type, uid=offending.uid
+            "icmp_error", node=self.name, type=icmp_type, uid=self.sim.uid(offending)
         )
         self.kernel.exec_after(KERNEL_COST_FIXED, self.ip_output, error, None)
 
@@ -539,6 +529,7 @@ class PhysicalNode:
         the slice's overlay), everything else uses the kernel table.
         """
         if not self.alive:
+            self.sim.trace.drop(packet, "node_down", self.name)
             return False
         if self._captures:
             self._capture(packet, "out")
@@ -559,12 +550,7 @@ class PhysicalNode:
             return True
         found = self.routes.lookup_entry(dst)
         if found is None:
-            self.sim.trace.log(
-                "kernel_drop", node=self.name, reason="no_route", dst=str(dst)
-            )
-            fr = self.sim.flight
-            if fr.enabled:
-                fr.flight_drop(packet, "no_route", node=self.name)
+            self.sim.trace.drop(packet, "no_route", self.name)
             return False
         route: Route = found[1]
         if header.src == 0 and route.interface.address is not None:

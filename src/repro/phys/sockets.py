@@ -82,7 +82,6 @@ class UDPSocket:
         payload: Union[int, OpaquePayload],
         dst: Union[str, IPv4Address],
         dport: int,
-        ttl: int = 64,
     ) -> Packet:
         """Send a datagram. ``payload`` is a size or an OpaquePayload.
 
@@ -96,7 +95,7 @@ class UDPSocket:
             payload = OpaquePayload(payload)
         dst_addr = ip(dst)
         packet = Packet(
-            IPv4Header(self.local_addr, dst_addr, PROTO_UDP, ttl=ttl),
+            IPv4Header(self.local_addr, dst_addr, PROTO_UDP),
             UDPHeader(self.local_port, dport),
             payload=payload,
         )
@@ -115,21 +114,14 @@ class UDPSocket:
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         """Kernel-side delivery into the receive buffer."""
-        if self.closed:
-            return False
         size = packet.wire_len
+        if self.closed or self.pending_bytes + size > self.rcvbuf:
+            self.node.sim.trace.drop(
+                packet, "sock_closed" if self.closed else "sock_overflow",
+                self.node.name)
+            return False
         fr = self.node.sim.flight
         tracked = fr.enabled and packet.span is not None
-        if self.pending_bytes + size > self.rcvbuf:
-            self.node.sim.trace.log(
-                "sock_drop",
-                node=self.node.name,
-                port=self.local_port,
-                pending=self.pending_bytes,
-            )
-            if tracked:
-                fr.flight_drop(packet, "sock_overflow", node=self.node.name)
-            return False
         self.pending_bytes += size
         if tracked:
             fr.stage(packet, "cpu.wait", node=self.node.name)
@@ -140,6 +132,7 @@ class UDPSocket:
     def _deliver(self, packet: Packet, size: int) -> None:
         self.pending_bytes -= size
         if self.closed:
+            self.node.sim.trace.drop(packet, "sock_closed", self.node.name)
             return
         if self.on_receive is not None:
             ip_header = packet.ip
@@ -187,6 +180,7 @@ class RawIntercept:
 
     def enqueue(self, packet: Packet) -> bool:
         if self.closed:
+            self.node.sim.trace.drop(packet, "sock_closed", self.node.name)
             return False
         fr = self.node.sim.flight
         if fr.enabled and packet.span is not None:
@@ -198,7 +192,9 @@ class RawIntercept:
         return True
 
     def _deliver(self, packet: Packet) -> None:
-        if not self.closed:
+        if self.closed:
+            self.node.sim.trace.drop(packet, "sock_closed", self.node.name)
+        else:
             self.handler(packet)
 
     def close(self) -> None:

@@ -140,6 +140,7 @@ class Simulator:
         self.flight = NULL_RECORDER
         self._heap: List[tuple] = []
         self._seq = 0
+        self._packet_ids = 0
         self._running = False
         self._stopped = False
         # How far the horizon may take lazy models: the run's ``until``,
@@ -324,6 +325,14 @@ class Simulator:
         """Number of scheduled (non-cancelled) events. O(1): a live
         counter maintained by schedule/cancel/execution."""
         return self._live
+
+    def uid(self, packet: Any) -> int:
+        """``packet``'s id: numbered from 1 in this simulator, in the
+        order records first name packets, so same-seed runs agree."""
+        uid = packet.uid
+        if not uid:
+            self._packet_ids = packet.uid = uid = self._packet_ids + 1
+        return uid
 
     def rng(self, stream: str):
         """Named deterministic random stream (see RandomStreams)."""

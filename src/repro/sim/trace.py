@@ -40,11 +40,11 @@ from typing import (
 #: Kinds that intern *disabled*: per-packet record streams nobody reads
 #: unless a monitor (e.g. the faults invariant checker) explicitly calls
 #: ``enable()``. Everything else is enabled on first use, as before.
-#: ``loss_drop`` is the per-packet kind added with the observability
-#: layer — quiet so default-run golden traces are unchanged.
-#: ``rib_change`` is the per-route-churn kind the convergence tracker
-#: enables; quiet for the same reason.
-QUIET_KINDS = frozenset({"fwd", "loss_drop", "rib_change"})
+#: ``drop`` is the one record of a lost packet (:meth:`TraceCollector.drop`),
+#: quiet so the Fig-8 failover's loss-element drops stay out of default
+#: golden traces. ``rib_change`` is the per-route-churn kind the
+#: convergence tracker enables; quiet for the same reason.
+QUIET_KINDS = frozenset({"fwd", "drop", "rib_change"})
 
 
 class TraceRecord:
@@ -144,6 +144,16 @@ class TraceCollector:
             for callback in subscribers:
                 callback(record)
         return record
+
+    def drop(self, packet: Any, reason: str, where: str) -> None:
+        """``packet`` vanished at ``where`` (a link, a Click router or a
+        node) for ``reason``. Every place that loses a packet calls this
+        one site: it logs a ``drop`` record and closes the packet's flight."""
+        sim = self._sim
+        if self.wants("drop"):
+            self.log("drop", where=where, reason=reason, uid=sim.uid(packet))
+        if sim.flight.enabled:
+            sim.flight.flight_drop(packet, reason, node=where)
 
     def subscribe(self, kind: str, callback: Callable[[TraceRecord], None]) -> None:
         """Invoke ``callback`` for every future record of ``kind``."""

@@ -1,5 +1,7 @@
 """Shared fixtures for Click element tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.click import ClickRouter, Element
@@ -43,10 +45,14 @@ class StubRouter:
     """What an element needs of its router to drop a packet: for
     property tests that build hundreds of graphs without a simulator."""
 
+    name = "stub"
+
     def __init__(self):
         self.dropped = []  # (packet, reason)
+        self.sim = SimpleNamespace(trace=SimpleNamespace(drop=self._drop))
 
-    def trace_drop(self, packet, reason):
+    def _drop(self, packet, reason, where):
+        assert where == self.name
         self.dropped.append((packet, reason))
 
 
@@ -59,6 +65,7 @@ def world():
     sliver = node.create_sliver(Slice("exp"))
     process = sliver.create_process("click", realtime=True)
     router = ClickRouter(node, process)
+    sim.trace.enable("drop")
     return sim, node, sliver, router
 
 

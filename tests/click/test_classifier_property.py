@@ -111,7 +111,7 @@ class ReferenceClassifier(Element):
             if matcher(packet):
                 self.output(index).push(packet)
                 return
-        self.router.trace_drop(packet, "classifier_unmatched")
+        self.router.sim.trace.drop(packet, "classifier_unmatched", self.router.name)
 
 
 # ---------------------------------------------------------------------
@@ -216,8 +216,8 @@ def test_classifier_equals_the_body_it_replaced(traffic, pattern_list, data):
     for packet in traffic:
         want.push(0, packet)
         got.push(0, packet)
-    assert [[p.uid for p in s.packets] for s in got_sinks] == [
-        [p.uid for p in s.packets] for s in want_sinks]
+    # Packets compare by identity: the same objects, port by port.
+    assert [s.packets for s in got_sinks] == [s.packets for s in want_sinks]
     assert got_router.dropped == want_router.dropped  # the same packets, the same reason
     delivered = sum(len(s.packets) for s in got_sinks)
     assert delivered + len(got_router.dropped) == len(traffic)

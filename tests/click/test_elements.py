@@ -15,6 +15,7 @@ from repro.click import (
     RadixIPLookup,
     Shaper,
 )
+from repro.click.elements import queue
 from repro.click.router import COPY_COST_PER_BYTE
 from repro.net.packet import (
     IPv4Header,
@@ -36,8 +37,10 @@ def make_packet(dst="10.1.2.3", proto=PROTO_UDP, ttl=64, sport=5000, dport=6000,
     return Packet(IPv4Header("10.1.1.1", dst, proto, ttl=ttl), transport, OpaquePayload(size))
 
 
-def click_drops(sim, reason):
-    return sim.trace.count("click_drop", reason=reason)
+def click_drops(router, reason=None):
+    """The drop records ``router`` wrote: all of them, or for one reason."""
+    match = {} if reason is None else {"reason": reason}
+    return router.sim.trace.count("drop", where=router.name, **match)
 
 
 class TestBasicElements:
@@ -45,14 +48,14 @@ class TestBasicElements:
         sim, node, sliver, router = world
         discard = router.add("d", Discard())
         discard.push(0, make_packet())
-        assert sim.trace.count("click_drop") == 0
+        assert click_drops(router) == 0
 
     def test_unconnected_port_drops_with_trace(self, world):
         sim, node, sliver, router = world
         paint = router.add("p", Paint("x"))
         paint.push(0, make_packet())
-        assert click_drops(sim, "p[0] unconnected") == 1
-        assert sim.trace.count("click_drop") == 1
+        assert click_drops(router, "p[0] unconnected") == 1
+        assert click_drops(router) == 1
 
 
 class TestCheckIPAndTTL:
@@ -70,7 +73,7 @@ class TestCheckIPAndTTL:
         sink = router.add("sink", Sink())
         router["check"].connect(router["sink"])
         check.push(0, Packet(None, payload=OpaquePayload(10)))
-        assert click_drops(sim, "bad_ip_header") == 1
+        assert click_drops(router, "bad_ip_header") == 1
         assert sink.packets == []
 
     def test_decttl_decrements(self, world):
@@ -92,7 +95,7 @@ class TestCheckIPAndTTL:
         dec.push(0, make_packet(ttl=1))
         assert len(expired.packets) == 1
         assert ok.packets == []
-        assert sim.trace.count("click_drop") == 0
+        assert click_drops(router) == 0
 
     def test_decttl_expired_dropped_without_port1(self, world):
         sim, node, sliver, router = world
@@ -101,7 +104,7 @@ class TestCheckIPAndTTL:
         router["dec"].connect(router["ok"], out_port=0)
         dec.push(0, make_packet(ttl=0))
         assert ok.packets == []
-        assert click_drops(sim, "ttl_expired") == 1
+        assert click_drops(router, "ttl_expired") == 1
 
 
 @pytest.mark.parametrize("lookup_cls", [RadixIPLookup])
@@ -135,7 +138,7 @@ class TestLookup:
         router["rt"].connect(router["s"])
         lookup.push(0, make_packet(dst="192.0.2.1"))
         assert sink.packets == []
-        assert click_drops(sim, "no_route") == 1
+        assert click_drops(router, "no_route") == 1
 
     def test_replace_and_remove(self, world, lookup_cls):
         sim, node, sliver, router = world
@@ -199,7 +202,7 @@ class TestClassifier:
         router["cl"].connect(router["s"])
         classifier.push(0, make_packet(proto=PROTO_UDP))
         assert sink.packets == []
-        assert click_drops(sim, "classifier_unmatched") == 1
+        assert click_drops(router, "classifier_unmatched") == 1
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -244,7 +247,7 @@ class TestLoss:
         loss.recover()
         loss.push(0, make_packet())
         assert len(sink.packets) == 2
-        assert loss.dropped == 2
+        assert loss.dropped == 2 == click_drops(router, "failed") == click_drops(router)
 
     def test_probabilistic_loss(self, world):
         sim, node, sliver, router = world
@@ -254,6 +257,7 @@ class TestLoss:
         for _ in range(1000):
             loss.push(0, make_packet())
         assert 350 < len(sink.packets) < 650
+        assert loss.dropped == 1000 - len(sink.packets) == click_drops(router, "loss_prob")
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -261,9 +265,10 @@ class TestLoss:
 
 
 class TestQueueShaper:
-    def test_shaper_paces_to_rate(self, world):
+    def test_shaper_paces_to_rate(self, world, monkeypatch):
         sim, node, sliver, router = world
-        shaper = router.add("sh", Shaper(rate=800_000, burst_bytes=128))
+        monkeypatch.setattr(queue, "BURST_BYTES", 128)
+        shaper = router.add("sh", Shaper(rate=800_000))
         arrival_times = []
 
         class TimedSink(Sink):
@@ -280,17 +285,20 @@ class TestQueueShaper:
         gaps = [b - a for a, b in zip(arrival_times, arrival_times[1:])]
         assert all(gap == pytest.approx(0.001, rel=0.1) for gap in gaps[1:])
 
-    def test_shaper_burst_passes_immediately(self, world):
+    def test_shaper_burst_passes_immediately(self, world, monkeypatch):
         sim, node, sliver, router = world
-        shaper = router.add("sh", Shaper(rate=8_000, burst_bytes=1000))
+        monkeypatch.setattr(queue, "BURST_BYTES", 1000)
+        shaper = router.add("sh", Shaper(rate=8_000))
         sink = router.add("s", Sink())
         router["sh"].connect(router["s"])
         shaper.push(0, make_packet(size=472))  # 500B <= burst
         assert len(sink.packets) == 1  # no simulation time needed
 
-    def test_shaper_overflow_drops(self, world):
+    def test_shaper_overflow_drops(self, world, monkeypatch):
         sim, node, sliver, router = world
-        shaper = router.add("sh", Shaper(rate=8_000, burst_bytes=100, queue_bytes=300))
+        monkeypatch.setattr(queue, "BURST_BYTES", 100)
+        monkeypatch.setattr(queue, "QUEUE_BYTES", 300)
+        shaper = router.add("sh", Shaper(rate=8_000))
         sink = router.add("s", Sink())
         router["sh"].connect(router["s"])
         for _ in range(10):
@@ -341,7 +349,7 @@ class TestEncapTable:
         pkt.meta["gw"] = ip("10.8.8.8")
         encap.push(0, pkt)  # no mapping
         assert sink.packets == []
-        assert sim.trace.count("click_drop") == 2
+        assert click_drops(router) == 2
 
     def test_port_range_validated(self, world):
         sim, node, sliver, router = world
@@ -377,7 +385,9 @@ class ReferencePort:
         if self.target is None:
             # Unconnected port: Click would fail at config time; we drop
             # and trace so misconfigurations are visible in tests.
-            self.element.router.trace_drop(packet, f"{self.element.name}[{self.index}] unconnected")
+            router = self.element.router
+            router.sim.trace.drop(
+                packet, f"{self.element.name}[{self.index}] unconnected", router.name)
             return
         self.target.push(self.target_port, packet)
 

@@ -195,8 +195,8 @@ class TestNAPT:
         )
         napt.push(1, reply)
         assert in_sink.packets == []
-        assert sim.trace.count("click_drop") == 1
-        assert sim.trace.count("click_drop", reason="napt_no_mapping") == 1
+        assert sim.trace.count("drop", where=router.name) == 1
+        assert sim.trace.count("drop", where=router.name, reason="napt_no_mapping") == 1
 
     def test_wrong_remote_blocked(self, world):
         sim, node, router, napt, out_sink, in_sink = self.build(world)
@@ -251,7 +251,7 @@ class TestNAPT:
             napt.push(0, Packet(IPv4Header("10.1.87.2", "64.236.16.20", PROTO_UDP),
                                 UDPHeader(5555, 53), OpaquePayload(60)))
         assert attempts == [50000]
-        assert sim.trace.count("click_drop") == 0 and out_sink.packets == []
+        assert sim.trace.count("drop", where=router.name) == 0 and out_sink.packets == []
 
     def test_flight_span_carried_across_napt(self, world):
         """A spanned packet keeps its flight identity through the NAT:
@@ -308,5 +308,5 @@ class TestNAPT:
         )
         napt.push(0, pkt)
         assert out_sink.packets == []
-        assert sim.trace.count("click_drop") == 1
-        assert sim.trace.count("click_drop", reason="napt_unsupported_proto") == 1
+        assert sim.trace.count("drop", where=router.name) == 1
+        assert sim.trace.count("drop", where=router.name, reason="napt_unsupported_proto") == 1

@@ -42,6 +42,30 @@ def battery(max_examples, thorough=None):
     return settings(max_examples=max_examples, deadline=None)
 
 
+class DropWatch:
+    """The drop records and flights of one simulator: ``track(packet)``
+    opens a flight on ``packet``, ``drops()`` lists ``(where, reason)``
+    per drop record, and ``open_flights`` are the flights not yet closed."""
+
+    def __init__(self, sim):
+        from repro.obs.spans import FlightRecorder
+
+        sim.trace.enable("drop")
+        self.sim = sim
+        self.recorder = FlightRecorder(sim).install()
+
+    def track(self, packet):
+        self.recorder.flight_begin(packet, "probe", node="test")
+        return packet
+
+    def drops(self):
+        return [(r["where"], r["reason"]) for r in self.sim.trace.select("drop")]
+
+    @property
+    def open_flights(self):
+        return self.recorder._open
+
+
 @pytest.fixture
 def gc_paused():
     """For the tests that count calls or frames under ``sys.setprofile``:

@@ -79,11 +79,10 @@ def installs(draw):
 
 
 def _serialize(sim):
-    """The trace as text, less packet uids: they count every packet the
-    process has made, so two worlds built in one process differ there."""
+    """The trace as text, packet ids included: each simulator numbers
+    its own, so two worlds built in one process agree there too."""
     return "\n".join(
-        f"{r.time:.9f} {r.kind} "
-        f"{sorted(item for item in r.fields.items() if item[0] != 'uid')!r}"
+        f"{r.time:.9f} {r.kind} {sorted(r.fields.items())!r}"
         for r in sim.trace.records
     )
 
@@ -93,6 +92,7 @@ def _wire(link):
 
 
 def _run(vini, exp):
+    vini.sim.trace.enable("drop")
     washington = exp.network.nodes["washington"]
     seattle = exp.network.nodes["seattle"]
     Ping(washington.phys_node, seattle.tap_addr, sliver=washington.sliver,

@@ -4,6 +4,7 @@ from repro.core.infrastructure import VINI
 from repro.faults import FaultPlan
 from repro.tools import Ping
 from repro.topologies import build_line
+from tests.conftest import DropWatch
 
 
 def _triangle():
@@ -84,6 +85,7 @@ def test_crash_discards_queued_cpu_work():
 
 def test_crashed_node_neither_forwards_nor_originates():
     vini = _triangle()
+    watch = DropWatch(vini.sim)
     vini.run(until=0.1)
     b = vini.nodes["b"]
     b.crash()
@@ -91,12 +93,16 @@ def test_crashed_node_neither_forwards_nor_originates():
     ping.start()
     vini.run(until=2.0)
     assert ping.received == 0
+    # Each echo request is one drop record, and its flight is closed.
+    assert watch.drops() == [("b", "node_down")] * 3
+    assert watch.recorder.flights_started == 3 and watch.open_flights == {}
 
 
 def test_crashed_node_drops_traffic_through_it():
     """Fate sharing: traffic riding a crashed node's links is lost, and
     every loss is accounted (counter == trace records)."""
     vini = _triangle()
+    vini.sim.trace.enable("drop")
     # Force a->c through b so the crash is on-path.
     a, c = vini.nodes["a"], vini.nodes["c"]
     vini.link_between("a", "c").fail()
@@ -108,7 +114,7 @@ def test_crashed_node_drops_traffic_through_it():
     assert 0 < ping.received < 20
     for key, link in vini.links.items():
         drops = link.stats()["drops"]
-        traced = vini.sim.trace.count("link_drop", link=link.name)
+        traced = vini.sim.trace.count("drop", where=link.name)
         assert drops == traced
 
 

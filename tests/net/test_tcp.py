@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.net.packet import IPv4Header, OpaquePayload, Packet, PROTO_TCP, TCPHeader
 from repro.net.tcp import ESTABLISHED, MSS, TCPStack
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.vserver import Slice
 from repro.sim import Simulator
+from tests.conftest import DropWatch
 
 
 def make_pair(bandwidth=10_000_000, delay=0.010, queue_bytes=64 * 1024):
@@ -202,10 +204,22 @@ def test_a_closed_listener_accepts_nothing_and_frees_its_port():
 
 def test_syn_to_closed_port_ignored():
     sim, a, b, sa, sb, pa, pb = make_pair()
+    sim.trace.enable("drop")
     conn = sa.connect(pa, "192.0.2.2", 4444)
     sim.run(until=2.0)
     assert conn.state == "SYN_SENT"
-    assert sim.trace.count("tcp_drop", reason="no_connection") >= 1
+    assert sim.trace.count("drop", where="b", reason="no_connection") >= 1
+
+
+def test_a_segment_for_no_connection_is_one_drop():
+    sim, a, b, sa, sb, pa, pb = make_pair()
+    watch = DropWatch(sim)
+    segment = Packet(IPv4Header("192.0.2.1", "192.0.2.2", PROTO_TCP),
+                     TCPHeader(6000, 4444), OpaquePayload(100))
+    a.ip_output(watch.track(segment))
+    sim.run()
+    assert watch.drops() == [("b", "no_connection")]
+    assert watch.open_flights == {}
 
 
 def test_rtt_estimation_converges():

@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from repro.core.infrastructure import VINI
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.sim import PeriodicTimer, Simulator, Timeout
@@ -29,6 +30,33 @@ WARMUP = 40.0
 # ----------------------------------------------------------------------
 # Same seed => byte-identical export
 # ----------------------------------------------------------------------
+def _drop_records(seed: int) -> list:
+    """A three-node line, a ping across it and its second link failed
+    under the ping: the drop records, as text."""
+    vini = VINI(seed=seed)
+    for name in ("a", "b", "c"):
+        vini.add_node(name)
+    vini.connect("a", "b", delay=0.004)
+    vini.connect("b", "c", delay=0.004)
+    vini.install_underlay_routes()
+    vini.sim.trace.enable("drop")
+    Ping(vini.nodes["a"], vini.nodes["c"].address, count=40, interval=0.005).start()
+    vini.sim.schedule(0.1, vini.link_between("b", "c").fail)
+    vini.run(until=1.0)
+    return [f"{r.time:.9f} {sorted(r.fields.items())!r}"
+            for r in vini.sim.trace.select("drop")]
+
+
+def test_same_seed_runs_in_one_process_write_identical_drop_records():
+    """Packet ids come from the simulator, not the process: a second
+    run numbers its packets as the first did."""
+    first = _drop_records(seed=3)
+    second = _drop_records(seed=3)
+    assert len(first) > 10
+    assert "'link_failed'" in first[0] and "'link_down'" in first[-1]
+    assert first == second
+
+
 def _deter_rows(seed: int) -> list:
     vini = build_deter(seed=seed)
     server = IperfTCPServer(vini.nodes["sink"])

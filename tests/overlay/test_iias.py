@@ -117,6 +117,7 @@ class TestLifeOfAPacket:
         v0, v2 = exp.network.nodes["v0"], exp.network.nodes["v2"]
         egress_port = v2.lookup.outputs[2]
         assert egress_port.target is napt and egress_port.push.args == (0,)
+        vini.sim.trace.enable("drop")
         client = iias.opt_in(vini.nodes["client"], "v0")
         vini.run(until=21.0)
         leased = server.address_of(client)
@@ -129,8 +130,8 @@ class TestLifeOfAPacket:
         assert napt.translated_out == 1 and napt.translated_in == 1
         assert len(got) == 1
         trace = vini.sim.trace
-        assert trace.count("click_drop", router=v0.click.name) == 0
-        assert trace.count("click_drop", router=v2.click.name) == 0
+        assert trace.count("drop", where=v0.click.name) == 0
+        assert trace.count("drop", where=v2.click.name) == 0
 
     def test_source_spoofing_rewritten_at_ingress(self, world):
         vini, exp, iias, server, napt = world

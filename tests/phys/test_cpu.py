@@ -343,10 +343,15 @@ def test_a_preempted_hog_resumes_before_the_standby_heap():
     assert node.cpu._ready == set() and node.cpu._running.name == "h1"
 
 
-def test_a_hog_restarted_on_the_cpu_waits_in_the_ready_set():
+def chunks(cpu, process):
+    """The live (uncancelled) chunks ``process`` holds, queued or on the CPU."""
+    held = [*process.queue] + ([cpu._item] if cpu._running is process else [])
+    return sum(not item.cancelled for item in held)
+
+
+def test_a_hog_restarted_on_the_cpu_keeps_its_one_chunk():
     """A hog stopped and started again while its chunk is on the CPU
-    queues a second chunk. It joins the ready set, not the heap: the
-    charge for the chunk on the CPU would leave its heap key stale."""
+    queues no second chunk: the chunk on the CPU carries its chain on."""
     sim, node = make_node()
     log = elections(node.cpu)
     h0, h1, h2 = hogs(node, 3)
@@ -359,10 +364,50 @@ def test_a_hog_restarted_on_the_cpu_waits_in_the_ready_set():
 
     sim.at(Q / 2, restart)
     sim.run(until=Q / 2)
-    assert node.cpu._ready == {h0.process} and len(node.cpu._standby) == 2
+    assert chunks(node.cpu, h0.process) == 1
+    assert node.cpu._ready == set() and len(node.cpu._standby) == 2
+    sim.run(until=6.5 * Q)
+    # One chain per hog: each runs every third chunk, in index order.
+    assert log == ["h0", "h1", "h2"] * 2 + ["h0"]
+    assert all(chunks(node.cpu, hog.process) == 1 for hog in (h0, h1, h2))
+
+
+def test_a_hog_restarted_while_queued_keeps_its_one_chunk():
+    sim, node = make_node()
+    log = elections(node.cpu)
+    h0, h1 = hogs(node, 2)
+    h0.start()
+    h1.start()
+
+    def restart():
+        h1.stop()
+        h1.start()
+
+    sim.at(Q / 2, restart)
+    sim.run(until=Q / 2)
+    assert chunks(node.cpu, h1.process) == 1
+    sim.run(until=4.5 * Q)
+    assert log == ["h0", "h1"] * 2 + ["h0"]
+
+
+def test_a_hog_restarted_after_a_crash_starts_a_new_chain():
+    """A crash cancels the chunk on the CPU, which ends its chain: a
+    restart then draws a new chunk."""
+    sim, node = make_node()
+    log = elections(node.cpu)
+    (h0,) = hogs(node, 1)
+    h0.start()
+
+    def crash_and_restart():
+        h0.stop()
+        node.cpu.crash_flush()
+        h0.start()
+
+    sim.at(Q / 2, crash_and_restart)
+    sim.run(until=Q / 2)
+    assert chunks(node.cpu, h0.process) == 1
     sim.run(until=3.5 * Q)
-    # h0 ran first, so it waits out h1 and h2, then wins the tie by index.
-    assert log == ["h0", "h1", "h2", "h0"]
+    assert log == ["h0"] * 4
 
 
 def test_crash_flush_empties_the_standby_heap():

@@ -365,7 +365,9 @@ def test_sole_reserved_process_not_resuming_is_elected_through_the_scan():
 # Standing demand. The oracle is the scheduler and the hog of the commit
 # before hogs ran without engine events — every chunk an event —
 # verbatim but for their names: ParentScheduler, ParentHog and
-# _parent_burst (FaultPlan's cpu_burst, building a ParentHog). Hypothesis
+# _parent_burst (FaultPlan's cpu_burst, building a ParentHog). One change
+# since: ParentHog.start, like CPUHog.start, draws no second chunk while
+# a live one is queued or on the CPU (one chain per hog). Hypothesis
 # drives both with one script over hog sets (count, quantum, heavy tail,
 # share) beside reserved, capped and real-time processes: work at
 # instants tied to chunk ends, hog starts and stops, CPU bursts, crashes
@@ -723,7 +725,12 @@ class ParentHog:
     def start(self) -> "ParentHog":
         if not self.running:
             self.running = True
-            self._submit()
+            # Changed from the parent: one chain per hog. A live chunk,
+            # queued or on the CPU, carries the chain on (_done).
+            cpu, process = self.node.cpu, self.process
+            held = [*process.queue] + ([cpu._item] if cpu._running is process else [])
+            if all(item.cancelled for item in held):
+                self._submit()
         return self
 
     def stop(self) -> None:

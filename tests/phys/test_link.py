@@ -5,6 +5,7 @@ import pytest
 from repro.net.packet import IPv4Header, OpaquePayload, Packet, PROTO_UDP
 from repro.phys.link import Link
 from repro.sim import Simulator
+from tests.conftest import DropWatch
 
 
 class FakeNode:
@@ -75,13 +76,14 @@ def test_queue_overflow_drops():
     sim = Simulator()
     # Queue holds 4000 bytes = 4 packets; 1 transmitting + 4 queued.
     link, a, b = make_link(sim)
+    sim.trace.enable("drop")
     results = [link.transmit(a, make_packet(1000)) for _ in range(8)]
     assert results[:5] == [True] * 5
     assert results[5:] == [False] * 3
     sim.run()
     assert len(b.received) == 5
     assert link.stats()["drops"] == 3
-    assert sim.trace.count("link_drop", reason="queue_overflow") == 3
+    assert sim.trace.count("drop", where=link.name, reason="queue_overflow") == 3
 
 
 def test_duplex_directions_independent():
@@ -107,28 +109,33 @@ def test_fail_drops_queued_and_in_flight():
 
 
 def test_fail_accounts_every_dropped_packet():
-    """The drop counter and the per-packet ``link_drop`` trace records
-    must agree after ``fail()`` flushes queued and in-flight packets."""
+    """The drop counter and the per-packet ``drop`` trace records must
+    agree after ``fail()`` flushes queued and in-flight packets, and
+    each lost packet's flight is closed."""
     sim = Simulator()
     link, a, b = make_link(sim, queue_bytes=100000)
-    packets = [make_packet(1000) for _ in range(4)]
+    watch = DropWatch(sim)
+    packets = [watch.track(make_packet(1000)) for _ in range(4)]
     for pkt in packets:
         link.transmit(a, pkt)
     sim.at(0.0005, link.fail)  # first packet mid-serialization, 3 queued
     sim.run()
     assert link.stats()["drops"] == 4
-    records = list(sim.trace.select("link_drop", reason="link_failed"))
+    records = list(sim.trace.select("drop", reason="link_failed"))
     assert len(records) == 4
+    # Ids come from this simulator: the four packets are its first named.
     assert sorted(r["uid"] for r in records) == sorted(
         pkt.uid for pkt in packets
-    )
-    assert all(r["link"] == link.name for r in records)
+    ) == [1, 2, 3, 4]
+    assert all(r["where"] == link.name for r in records)
+    assert watch.open_flights == {}
 
 
 def test_offered_delivered_conservation():
     """offered == delivered + drops + queued + in-flight, always."""
     sim = Simulator()
     link, a, b = make_link(sim)  # queue holds 4: 5 accepted, 3 overflow
+    sim.trace.enable("drop")
     for _ in range(8):
         link.transmit(a, make_packet(1000))
     stats = link.stats()
@@ -143,16 +150,19 @@ def test_offered_delivered_conservation():
     sim.run()
     stats = link.stats()
     assert stats["offered"] == stats["delivered"] + stats["drops"]
-    assert stats["drops"] == sim.trace.count("link_drop", link=link.name)
+    assert stats["drops"] == sim.trace.count("drop", where=link.name)
 
 
 def test_down_link_rejects_sends():
     sim = Simulator()
     link, a, b = make_link(sim)
+    watch = DropWatch(sim)
     link.fail()
-    assert link.transmit(a, make_packet()) is False
+    assert link.transmit(a, watch.track(make_packet())) is False
     sim.run()
     assert b.received == []
+    assert watch.drops() == [(link.name, "link_down")]
+    assert watch.open_flights == {}
 
 
 def test_recover_restores_service():

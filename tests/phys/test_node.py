@@ -10,7 +10,10 @@ from repro.net.packet import (
     OpaquePayload,
     Packet,
     PROTO_ICMP,
+    PROTO_TCP,
     PROTO_UDP,
+    TCPHeader,
+    UDPHeader,
 )
 from repro.net.tcp import TCPStack
 from repro.phys.node import PhysicalNode, connect
@@ -18,6 +21,13 @@ from repro.phys.process import Process
 from repro.phys.vnet import PortConflictError
 from repro.phys.vserver import Slice
 from repro.sim import Simulator
+from tests.conftest import DropWatch
+
+
+def datagram(dst, dport=7000, proto=PROTO_UDP, src="192.0.2.1"):
+    transport = {PROTO_UDP: UDPHeader, PROTO_TCP: TCPHeader}.get(proto)
+    return Packet(IPv4Header(src, dst, proto),
+                  transport(6000, dport) if transport else None, OpaquePayload(100))
 
 
 def two_nodes():
@@ -103,11 +113,14 @@ class TestUDPDelivery:
 
     def test_udp_unreachable_port_dropped(self):
         sim, a, b = two_nodes()
+        watch = DropWatch(sim)
         sender = a.create_sliver(Slice("exp")).create_process("app")
         sock_a = a.udp_socket(sender, port=6000)
         sock_a.sendto(100, "192.0.2.2", 7777)
+        a.ip_output(watch.track(datagram("192.0.2.2", 7777)))
         sim.run()
-        assert sim.trace.count("kernel_drop", reason="udp_port_unreachable") == 1
+        assert watch.drops() == [("b", "udp_port_unreachable")] * 2
+        assert watch.open_flights == {}
 
     def test_port_conflict_across_slices(self):
         sim, a, b = two_nodes()
@@ -133,14 +146,16 @@ class TestUDPDelivery:
             slow_owner, port=7000, rcvbuf=2500, recv_cost=lambda p: 0.010
         )
         got = []
-        sock_b.on_receive = lambda pkt, src, sport: got.append(pkt.uid)
+        sock_b.on_receive = lambda pkt, src, sport: got.append(pkt)
         sock_a = a.udp_socket(sender, port=6000)
+        watch = DropWatch(sim)
         for _ in range(10):
             sock_a.sendto(1000, "192.0.2.2", 7000)
         sim.run()
-        drops = sim.trace.count("sock_drop", node="b", port=7000)
+        drops = sim.trace.count("drop", where="b", reason="sock_overflow")
         assert drops > 0
         assert len(got) + drops == 10
+        assert len(watch.drops()) == drops
 
     def test_loopback_delivery(self):
         sim, a, b = two_nodes()
@@ -152,6 +167,83 @@ class TestUDPDelivery:
         sock1.sendto(42, "192.0.2.1", 5001)
         sim.run()
         assert got == [42]
+
+
+class TestDrops:
+    """Each place the kernel loses a packet writes one drop record, and
+    closes the flight of a tracked packet."""
+
+    def lose(self, send, where, reason):
+        sim, a, b = two_nodes()
+        watch = DropWatch(sim)
+        send(a, b, watch.track)
+        sim.run()
+        assert watch.drops() == [(where, reason)]
+        assert watch.open_flights == {}
+
+    def test_tcp_without_a_stack(self):
+        self.lose(lambda a, b, track: a.ip_output(track(datagram("192.0.2.2", proto=PROTO_TCP))),
+                  "b", "no_tcp")
+
+    def test_a_protocol_the_kernel_does_not_speak(self):
+        self.lose(lambda a, b, track: a.ip_output(track(datagram("192.0.2.2", proto=47))),
+                  "b", "proto_47")
+
+    def test_no_route(self):
+        self.lose(lambda a, b, track: a.ip_output(track(datagram("203.0.113.9"))),
+                  "a", "no_route")
+
+    def test_a_closed_socket(self):
+        def send(a, b, track):
+            sock = b.udp_socket(b.create_sliver(Slice("r")).create_process("app"), port=7000)
+            sock.close()
+            assert sock.enqueue(track(datagram("192.0.2.2"))) is False
+
+        self.lose(send, "b", "sock_closed")
+
+    def test_a_closed_raw_intercept(self):
+        def send(a, b, track):
+            owner = b.create_sliver(Slice("r")).create_process("app")
+            intercept = b.raw_intercept(owner, PROTO_UDP, 7000, lambda packet: None)
+            intercept.close()
+            assert intercept.enqueue(track(datagram("192.0.2.2"))) is False
+
+        self.lose(send, "b", "sock_closed")
+
+    def test_a_socket_closed_while_its_read_is_queued(self):
+        def send(a, b, track):
+            owner = b.create_sliver(Slice("r")).create_process("app")
+            sock = b.udp_socket(owner, port=7000, recv_cost=lambda packet: 0.01)
+            sock.on_receive = lambda *args: pytest.fail("delivered after close")
+            a.ip_output(track(datagram("192.0.2.2")))
+            a.sim.schedule(0.005, sock.close)
+
+        self.lose(send, "b", "sock_closed")
+
+    def test_an_intercept_closed_while_its_read_is_queued(self):
+        def send(a, b, track):
+            owner = b.create_sliver(Slice("r")).create_process("app")
+            intercept = b.raw_intercept(
+                owner, PROTO_UDP, 7000, lambda packet: pytest.fail("delivered after close"),
+                recv_cost=lambda packet: 0.01)
+            a.ip_output(track(datagram("192.0.2.2")))
+            a.sim.schedule(0.005, intercept.close)
+
+        self.lose(send, "b", "sock_closed")
+
+    def test_a_down_interface_receiving(self):
+        def send(a, b, track):
+            b.interfaces["eth0"].up = False
+            a.ip_output(track(datagram("192.0.2.2")))
+
+        self.lose(send, "b", "iface_down")
+
+    def test_a_down_interface_transmitting(self):
+        def send(a, b, track):
+            a.interfaces["eth0"].up = False
+            assert a.ip_output(track(datagram("192.0.2.2"))) is False
+
+        self.lose(send, "a", "iface_down")
 
 
 class TestForwarding:
@@ -177,7 +269,9 @@ class TestForwarding:
         errors = []
         a.icmp_errors_to(lambda pkt: errors.append(str(pkt.ip.src)))
         sock_a = a.udp_socket(sender, port=6000)
-        sock_a.sendto(100, "10.1.2.2", 7000, ttl=1)
+        a.ip_output(Packet(
+            IPv4Header(sock_a.local_addr, "10.1.2.2", PROTO_UDP, ttl=1),
+            UDPHeader(6000, 7000), OpaquePayload(100)))
         sim.run()
         assert errors == ["10.1.1.2"]  # f's interface toward a
         assert sim.trace.count("icmp_error", node="f") == 1
@@ -248,11 +342,14 @@ class TestTapDevice:
 
     def test_tap_without_reader_drops(self):
         sim, a, sliver, tap, click = self.make_tap_world()
+        watch = DropWatch(sim)
         app = sliver.create_process("app")
         sock = a.udp_socket(app, port=9000, local_addr="10.2.0.1")
         sock.sendto(10, "10.2.5.5", 9001)
+        a.ip_output(watch.track(datagram("10.2.5.5", src="10.2.0.1")), sliver=sliver)
         sim.run()
-        assert tap.drops == 1
+        assert watch.drops() == [("a", "tap_no_reader")] * 2
+        assert watch.open_flights == {}
 
     def test_sliver_private_port_space(self):
         """Two slices can bind the same port in their own tap spaces."""

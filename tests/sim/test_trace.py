@@ -23,12 +23,12 @@ def test_equal_records_hash_equal():
     assert len(set(sim.trace.records)) == 2
 def test_select_filters_by_kind_and_fields():
     sim = Simulator()
-    sim.trace.log("drop", node="a")
-    sim.trace.log("drop", node="b")
+    sim.trace.log("recv", node="a")
+    sim.trace.log("recv", node="b")
     sim.trace.log("send", node="a")
-    assert sim.trace.count("drop") == 2
-    assert sim.trace.count("drop", node="a") == 1
-    assert [r["node"] for r in sim.trace.select("drop")] == ["a", "b"]
+    assert sim.trace.count("recv") == 2
+    assert sim.trace.count("recv", node="a") == 1
+    assert [r["node"] for r in sim.trace.select("recv")] == ["a", "b"]
 
 
 def test_subscribe_and_unsubscribe():

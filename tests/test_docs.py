@@ -11,7 +11,8 @@ be a function, and a class (``Class.*`` too), a ``path.py`` or a
 ``path.py::Name`` must hold one. The other way round, every row of
 ``benchmarks/results/unreached.txt`` must fall under one of those names,
 so a function that stops being reached needs a caller or a line there.
-The field fence (last test) holds ``src/repro`` to state something reads.
+The field fence holds ``src/repro`` to state something reads, and the
+drop fence (last test) to one place that records a lost packet.
 """
 
 import ast
@@ -154,3 +155,30 @@ def test_every_stored_field_is_read_somewhere():
     # An allowlisted name that is gone, or read after all, leaves the list.
     assert sorted(name for name in UNREAD_FIELDS
                   if name not in stored or name in loaded) == []
+
+
+OLD_DROP_KINDS = {f"{site}_drop" for site in (
+    "link", "click", "loss", "kernel", "sock", "tap", "iface", "tcp")}
+
+
+def test_every_lost_packet_is_recorded_at_one_site():
+    """``src/repro`` logs the ``drop`` kind and closes a dropped flight
+    (``flight_drop``) at one call site each, ``TraceCollector.drop``,
+    and names none of the per-site kinds that site replaced."""
+    logs, closes, old = [], [], []
+    for path in sorted((REPO / "src/repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(REPO)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and node.value in OLD_DROP_KINDS:
+                old.append(where)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "flight_drop":
+                closes.append(where)
+            elif (node.func.attr == "log" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "drop"):
+                logs.append(where)
+    assert len(logs) == 1 and len(closes) == 1, (logs, closes)
+    assert logs[0].split(":")[0] == closes[0].split(":")[0] == "src/repro/sim/trace.py"
+    assert old == []

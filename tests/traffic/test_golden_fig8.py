@@ -37,8 +37,9 @@ def test_uninstalled_coupling_fields_stay_zero():
     from repro.topologies import build_star
 
     vini, _exp = build_star(3, bandwidth=20e6, seed=9, realtime=False)
+    vini.sim.trace.enable("drop")
     vini.run(until=1.0)
     for link in vini.links.values():
         for channel in link._channels.values():
             assert channel.fluid_bps == 0.0
-    assert vini.sim.trace.count("link_drop", reason="fluid_congestion") == 0
+    assert vini.sim.trace.count("drop", reason="fluid_congestion") == 0
