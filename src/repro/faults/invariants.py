@@ -292,8 +292,9 @@ class InvariantChecker:
     # Packet conservation
     # ------------------------------------------------------------------
     def check_conservation(self) -> None:
-        """Every packet offered to a link or shaper is accounted for, and
-        each CPU's ready set and standby heap hold exactly its queued processes."""
+        """Every packet offered to a link or shaper is accounted for, and each
+        queued process waits once on its CPU: in the ready set, or in the heap
+        if plain, keyed by its vruntime and not owning a preempted slice."""
         links = []
         if self.vini is not None:
             links.extend(self.vini.links.values())
@@ -309,11 +310,14 @@ class InvariantChecker:
                         seen.add(id(link))
                         links.append(link)
         for node in nodes:
-            queued = {p for p in node.cpu.processes if p.queue}
-            ready = node.cpu._ready.union(p for _, _, p in node.cpu._standby)
-            if ready != queued:
+            cpu = node.cpu
+            queued = {p for p in cpu.processes if p.queue}
+            ready = cpu._ready.union(p for _, _, p in cpu._fair)
+            misplaced = {p for v, i, p in cpu._fair if (v, i) != (p.vruntime, p.index)
+                         or not p.plain or p is cpu._resume or p in cpu._ready}
+            if ready != queued or misplaced:
                 self._report("cpu_ready_set", node=node.name, differ=sorted(
-                    p.name for p in ready ^ queued))
+                    p.name for p in ready ^ queued | misplaced))
         trace = self.sim.trace
         for link in links:
             offered = delivered = drops = backlog = flight = 0

@@ -24,14 +24,17 @@ packet waking Click and Click actually running — is exactly what
 produces the jitter, loss, and throughput collapse of Tables 4–6 and
 Figure 6, and real-time priority is exactly what removes it.
 
-Elections read ``_ready`` ∪ ``_standby``: each registered process whose
+Elections read ``_ready`` ∪ ``_fair``: each registered process whose
 queue is non-empty (cancelled items count) is in exactly one of the two.
+Off the CPU a *plain* process (no RT, reservation or cap) waits in the
+heap ``_fair`` keyed ``(vruntime, index)``, never stale as a vruntime
+moves only on the CPU and at a wake; ``_ready`` holds the others, the
+preempted slice's owner and the process on the CPU with work queued.
+Only a crash cancels queued work, and it empties the heap.
 
 **Standing demand** (:attr:`CPUScheduler.standing`, a started
-:class:`~repro.phys.load.CPUHog`) is plain fair share: off the CPU it
-waits in the heap ``_standby`` keyed ``(vruntime, index)``, never stale
-as a vruntime moves only on the CPU and at a wake. It costs no engine
-events: a chunk put on the CPU while only such demand is ready has none, and
+:class:`~repro.phys.load.CPUHog`) is plain. It costs no engine events: a
+chunk put on the CPU while only such demand waits has none, and
 :meth:`CPUScheduler.catch_up` completes it at the engine's horizon
 (:meth:`~repro.sim.engine.Simulator.due`), in the order of an event per
 chunk. A process that is not standing demand waking gives it an event.
@@ -90,7 +93,8 @@ class CPUScheduler:
         self.max_nonpreempt = 0.0003
         self.processes: List[Process] = []
         self._ready: Set[Process] = set()
-        self._standby: List[Tuple[float, int, Process]] = []  # (vruntime, index, process)
+        self._fair: List[Tuple[float, int, Process]] = []  # (vruntime, index, process)
+        self._waiting = 0  # entries of _fair that are not standing demand
         self.busy_time = 0.0  # cumulative seconds the CPU was executing
         # The chunk on the CPU: its owner (None when idle), the item,
         # when it started, the wall seconds it takes, its completion.
@@ -120,18 +124,16 @@ class CPUScheduler:
             else None
         )
         metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
-        metrics.gauge(
-            "cpu.runq_depth",
-            fn=lambda: sum(len(p.queue) for p in self._ready) + sum(
-                len(p.queue) for _, _, p in self._standby),
-            cpu=self.name,
-        )
+        # Every process with queued work waits in _ready or _fair.
+        metrics.gauge("cpu.runq_depth", fn=lambda: sum(
+            len(p.queue) for p in self.processes), cpu=self.name)
 
     # ------------------------------------------------------------------
     # Registration and wakeups
     # ------------------------------------------------------------------
     def register(self, process: Process) -> None:
         process.index = len(self.processes)
+        process.plain = not (process.realtime or process.reservation or process.cpu_cap)
         self.processes.append(process)
         metrics = self.sim.metrics
         if metrics.enabled:
@@ -152,12 +154,20 @@ class CPUScheduler:
         """A process gained work; dispatch or preempt as policy allows."""
         running = self._running
         if len(process.queue) == 1:
+            ready, fair = self._ready, self._fair
+            if running is None and not (ready or fair) and (
+                    process.plain or process.realtime and process.cpu_cap is None):
+                # Alone at an idle CPU, elected by a scan that reads no usage.
+                if not process.realtime:
+                    self._resume = None
+                self._run(process, process.queue.popleft())
+                return
             # Idle -> ready; a fair-share sleeper's credit is bounded:
             # it wakes at most WAKE_BONUS before the least vruntime of
             # the other fair-share processes ready or on the CPU.
             if not process.realtime:
-                floor = self._standby[0][0] if self._standby else _INF
-                for p in self._ready:
+                floor = fair[0][0] if fair else _INF
+                for p in ready:
                     if p.vruntime < floor and not p.realtime:
                         floor = p.vruntime
                 if (running is not None and running.vruntime < floor
@@ -165,11 +175,12 @@ class CPUScheduler:
                     floor = running.vruntime
                 if floor != _INF:
                     process.vruntime = max(process.vruntime, floor - WAKE_BONUS)
-            # Standing demand off the CPU (no _charge to come) waits in the heap.
-            if process in self.standing and process is not running:
-                heappush(self._standby, (process.vruntime, process.index, process))
+            # Plain, off the CPU (no _charge to come), owning no preempted slice.
+            if process.plain and process is not running and process is not self._resume:
+                heappush(fair, (process.vruntime, process.index, process))
+                self._waiting += process not in self.standing
             else:
-                self._ready.add(process)
+                ready.add(process)
         if running is None:
             self._dispatch()
             return
@@ -224,47 +235,28 @@ class CPUScheduler:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        """Elect from the ready set in one pass — RT band, preempted-slice
-        resume, under-reservation band, then fair share — and put the
-        winner's head item on the CPU. The top of ``_standby`` is fair
-        share, its head never cancelled (``crash_flush`` empties the heap).
+        """Elect in one pass over ``_ready`` — RT band, preempted-slice
+        resume, under-reservation band, then fair share, against the top
+        of ``_fair`` — and put the winner's head item on the CPU.
 
         ``usage_fraction`` decays the average it reads, and stepwise
         decay is not associative in floats, so *which* processes are
         asked at an election is part of the result: every ready process
         with a cap, always; the reservation band only once no real-time
-        process is eligible. A sole ready process that the scan would
-        not ask is elected without it.
+        process is eligible; never one in ``_fair``, which has neither.
         """
-        ready, standby = self._ready, self._standby
-        if self._running is not None or not (ready or standby):
+        ready, fair = self._ready, self._fair
+        if self._running is not None or not (ready or fair):
             return
-        owner, process = self._resume, None
         if not ready:
-            process, self._resume = heappop(standby)[2], None
-        elif len(ready) == 1 and not standby:
-            # A sole ready process wins whichever band it is in. Elect it
-            # directly unless the scan would read its usage: a cap, or a
-            # reservation it does not already resume through.
-            (process,) = ready
-            if process.cpu_cap is not None or not (
-                    process.realtime or process.reservation <= 0.0 or process is owner):
-                process = None
-            else:
-                queue = process.queue
-                while queue and queue[0].cancelled:
-                    queue.popleft()
-                if not queue:
-                    ready.clear()
-                    return
-                if not process.realtime:
-                    self._resume = None
-        if process is None:
+            process, self._resume = fair[0][2], None
+        else:
+            owner = self._resume
             usage = self.usage_fraction
-            rt = fair = None
+            rt = best = None
             drained = capped = ()
             resume = reserved = False
-            least = 0.0  # fair's vruntime
+            least = 0.0  # best's vruntime
             for process in ready:
                 queue = process.queue
                 while queue and queue[0].cancelled:
@@ -277,18 +269,18 @@ class CPUScheduler:
                     if rt is None or _order(process) < _order(rt):
                         rt = process
                 else:
-                    # _order(process) < _order(fair), spelt out: the one
+                    # _order(process) < _order(best), spelt out: the one
                     # comparison every workload makes per ready process.
                     vruntime = process.vruntime
-                    if fair is None or vruntime < least or (
-                            vruntime == least and process.index < fair.index):
-                        fair, least = process, vruntime
+                    if best is None or vruntime < least or (
+                            vruntime == least and process.index < best.index):
+                        best, least = process, vruntime
                     resume = resume or process is owner
                     reserved = reserved or process.reservation > 0.0
             ready.difference_update(drained)
-            if standby and (fair is None or _order(standby[0][2]) < _order(fair)):
-                fair = standby[0][2]
-            if rt is None and fair is None:
+            if fair and (best is None or _order(fair[0][2]) < _order(best)):
+                best = fair[0][2]
+            if rt is None and best is None:
                 if capped:
                     # Non-work-conserving: everyone ready is at their cap.
                     # Idle until the first EWMA decays below its ceiling.
@@ -308,36 +300,37 @@ class CPUScheduler:
                     process = min(
                         (p for p in ready if p not in capped
                          and p.reservation > 0.0 and usage(p) < p.reservation),
-                        key=_order, default=fair)
+                        key=_order, default=best)
                 else:
-                    process = fair
-            if standby and process is standby[0][2]:
-                heappop(standby)
+                    process = best
+        if fair and process is fair[0][2]:
+            heappop(fair)
+            self._waiting -= process not in self.standing
         item = process.queue.popleft()
         if process.queue:
-            ready.add(process)  # popped from _standby with more queued
+            ready.add(process)  # its vruntime moves on the CPU: out of _fair
         else:
             ready.discard(process)
+        self._run(process, item)
+
+    def _run(self, process: Process, item: WorkItem) -> None:
+        """Put ``item`` on the CPU: the one site a chunk starts at."""
         sim = self.sim
+        self._running, self._item = process, item
+        self._started_at = now = sim.now
         if self._latency_hist is not None:
-            self._latency_hist.observe(sim.now - item.enqueued_at)
+            self._latency_hist.observe(now - item.enqueued_at)
         if item.span_packet is not None:
             # Close the flight's cpu.wait (run-queue) stage: the work is
             # now on the CPU. The stage stays open across preemption, so
             # it covers execution plus any time spent preempted.
             sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
-        self._run(process, item)
-
-    def _run(self, process: Process, item: WorkItem) -> None:
-        """Put ``item`` on the CPU: the one site a chunk starts at."""
-        self._running, self._item = process, item
-        self._started_at = now = self.sim.now
         self._cost = cost = item.cost / self.speed
-        if process in self.standing and self._ready <= self.standing:
+        if process in self.standing and not self._waiting and self._ready <= self.standing:
             self._end = end = now + cost  # the float sim.at makes
-            self._event, self._mark = None, self.sim.due(end)
+            self._event, self._mark = None, sim.due(end)
         else:
-            self._event, self._mark = self.sim.at(cost, self._complete), None
+            self._event, self._mark = sim.at(cost, self._complete), None
 
     def catch_up(self) -> Optional[Tuple[float, int]]:
         """Complete the chunks without their own event that end before
@@ -357,6 +350,11 @@ class CPUScheduler:
         assert process is not None
         self._running = None
         self._charge(process, self._cost)
+        if process.queue and process.plain:
+            # Charged, its vruntime is fixed until it runs again.
+            self._ready.discard(process)
+            heappush(self._fair, (process.vruntime, process.index, process))
+            self._waiting += process not in self.standing
         if item.cancelled:
             pass
         elif process not in self.standing:
@@ -365,7 +363,7 @@ class CPUScheduler:
             item.cost, item.enqueued_at = cost, self.sim.now
             process.queue.append(item)
             self.wake(process)
-        if self._running is None and (self._ready or self._standby):
+        if self._running is None and (self._ready or self._fair):
             self._dispatch()
 
     def _preempt(self) -> None:
@@ -397,17 +395,16 @@ class CPUScheduler:
         The item on the CPU is cancelled (its completion event still
         fires to keep accounting sane, but its callback is suppressed),
         every queued item on every process is cancelled and dropped,
-        and any preemption-resume claim is forgotten.
+        and any preemption-resume claim is forgotten. The packet a
+        cancelled item carries for its flight is a ``node_crash`` drop.
         """
-        if self._running is not None:
-            self._item.cancelled = True
-        for process in self.processes:
-            for item in process.queue:
-                item.cancelled = True
+        held = [(self._running, self._item)] if self._running is not None else []
+        for process, item in held + [(p, i) for p in self.processes for i in p.queue]:
+            if not item.cancelled and item.span_packet is not None:
+                self.sim.trace.drop(item.span_packet, "node_crash", process.node.name)
+            item.cancelled = True
             process.queue.clear()
-        self._ready.clear()
-        self._standby.clear()
-        self._resume = None
+        self._ready, self._fair, self._waiting, self._resume = set(), [], 0, None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"running {self._running.name}" if self._running else "idle"

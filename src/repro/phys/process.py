@@ -11,7 +11,7 @@ slices, and preemption all show up in packet timings.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional
 
 
 class WorkItem:
@@ -109,21 +109,19 @@ class Process:
         fn: Callable,
         *args: Any,
         span_packet: Optional[Any] = None,
-    ) -> WorkItem:
+    ) -> None:
         """Queue ``cost`` seconds of CPU work, then call ``fn(*args)``.
 
-        Returns the :class:`WorkItem` so callers can cancel it (e.g. a
-        socket dropping queued datagrams on close). ``span_packet``
-        must be set *here* (not on the returned item) because
-        ``cpu.wake`` may dispatch the item synchronously.
+        Only a node crash (:meth:`CPUScheduler.crash_flush`) cancels
+        queued work: a caller that may no longer want the callback checks
+        at delivery (a socket tests ``closed``). ``span_packet`` must be
+        set *here* because ``cpu.wake`` may start the item synchronously.
         """
         if cost < 0:
             raise ValueError(f"negative CPU cost {cost!r}")
         cpu = self.cpu
-        item = WorkItem(cost, fn, args, cpu.sim.now, span_packet)
-        self.queue.append(item)
+        self.queue.append(WorkItem(cost, fn, args, cpu.sim.now, span_packet))
         cpu.wake(self)
-        return item
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = []

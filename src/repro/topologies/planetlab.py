@@ -17,6 +17,8 @@ from repro.phys.load import CPUHog
 from repro.topologies.abilene import ABILENE_LINKS, ACCESS_BANDWIDTH
 
 POPS = ("chicago", "newyork", "washington")
+#: A contending slice's chunk (CPUHog keywords): 0.5 ms, or 0.5-45 ms at 0.6 %.
+SLICE_HOG = dict(quantum=0.0005, heavy_tail_prob=0.006, heavy_tail_max=0.045)
 
 #: The three configurations Tables 4-6 and Fig. 6 compare, as
 #: :func:`build_planetlab` keywords: kernel forwarding with no overlay,
@@ -68,7 +70,6 @@ def build_planetlab(
         exp.start()
     for node in vini.nodes.values():
         for index in range(hogs):
-            CPUHog(node, name=f"slice{index}", quantum=0.0005,
-                   heavy_tail_prob=0.006, heavy_tail_max=0.045).start()
+            CPUHog(node, name=f"slice{index}", **SLICE_HOG).start()
     vini.run(until=warmup)
     return vini, exp

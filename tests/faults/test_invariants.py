@@ -9,6 +9,7 @@ from repro.core.infrastructure import VINI
 from repro.faults import FaultPlan, InvariantChecker
 from repro.net.addr import Prefix, prefix
 from repro.phys.load import CPUHog
+from repro.phys.process import Process, WorkItem
 from repro.routing import RibRoute
 from repro.tools import Ping
 from repro.topologies import build_line
@@ -261,7 +262,7 @@ def test_detects_a_stale_cpu_ready_set():
 
 
 def test_detects_a_stale_standby_entry():
-    """Two hogs keep one in the standby heap, and the check reads it;
+    """Two hogs keep one in the fair-share heap, and the check reads it;
     a heap entry with nothing queued is reported."""
     vini = _triangle()
     checker = InvariantChecker(vini).install()
@@ -273,10 +274,34 @@ def test_detects_a_stale_standby_entry():
     assert checker.violations == []
     cpu = node.cpu
     stale = cpu.processes[0]
-    heapq.heappush(cpu._standby, (stale.vruntime, stale.index, stale))
+    heapq.heappush(cpu._fair, (stale.vruntime, stale.index, stale))
     checker.check_conservation()
     bad = [v for v in checker.violations if v.invariant == "cpu_ready_set"]
     assert bad and bad[0].detail == {"node": "a", "differ": [stale.name]}
+
+
+def test_detects_a_misplaced_fair_share_entry():
+    """A heap entry must be a plain process keyed by its current
+    ``(vruntime, index)``, and not the preempted slice's owner: a stale
+    key, a real-time process and the owner in the heap are each reported."""
+    vini = _triangle()
+    checker = InvariantChecker(vini).install()
+    node = vini.nodes["a"]
+    for i in range(3):
+        CPUHog(node, f"h{i}").start()
+    vini.run(until=1.0)
+    checker.check_conservation()
+    assert checker.violations == []
+    cpu = node.cpu
+    stale, owner = sorted((p for _, _, p in cpu._fair), key=lambda p: p.name)
+    stale.vruntime += 1.0
+    cpu._resume = owner
+    rt = Process(node, "rt", realtime=True)
+    rt.queue.append(WorkItem(0.001, print, ()))
+    heapq.heappush(cpu._fair, (rt.vruntime, rt.index, rt))
+    checker.check_conservation()
+    bad = [v.detail for v in checker.violations if v.invariant == "cpu_ready_set"]
+    assert bad == [{"node": "a", "differ": sorted([stale.name, owner.name, "rt"])}]
 
 
 def test_detects_a_cooked_shaper_counter():

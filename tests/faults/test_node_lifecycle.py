@@ -98,6 +98,32 @@ def test_crashed_node_neither_forwards_nor_originates():
     assert watch.recorder.flights_started == 3 and watch.open_flights == {}
 
 
+def test_crash_drops_the_packets_its_cpu_work_held():
+    """b crashes from inside ip_input, as its kernel holds a tracked echo
+    request on the CPU: the cancelled work item's packet is one drop
+    record, and its flight is closed."""
+    vini = VINI(seed=5)
+    for name in ("a", "b", "c"):
+        vini.add_node(name)
+    vini.connect("a", "b", delay=0.001)
+    vini.connect("b", "c", delay=0.001)
+    vini.install_underlay_routes()
+    watch = DropWatch(vini.sim)
+    b = vini.nodes["b"]
+    ip_input = b.ip_input
+
+    def crashing_input(iface, packet):
+        ip_input(iface, packet)
+        assert b.cpu._item.span_packet is packet  # the ping's own flight
+        b.crash()
+
+    b.ip_input = crashing_input
+    Ping(vini.nodes["a"], vini.nodes["c"].address, count=1).start()
+    vini.run(until=1.0)
+    assert watch.drops() == [("b", "node_crash")]
+    assert watch.recorder.flights_started == 1 and watch.open_flights == {}
+
+
 def test_crashed_node_drops_traffic_through_it():
     """Fate sharing: traffic riding a crashed node's links is lost, and
     every loss is accounted (counter == trace records)."""

@@ -175,14 +175,19 @@ def test_default_share_wakeup_waits_behind_quantum():
 
 
 def test_cancelled_work_item_not_executed():
+    """A crash cancels the item on the CPU and the one queued: neither
+    callback runs, the first still takes its CPU time, and work queued
+    after the crash runs behind it."""
     sim, node = make_node()
     proc = Process(node, "p")
     done = []
     proc.exec_after(0.001, lambda: done.append("first"))
-    item = proc.exec_after(0.001, lambda: done.append("second"))
-    item.cancelled = True
+    proc.exec_after(0.001, lambda: done.append("second"))
+    sim.at(0.0005, node.cpu.crash_flush)
+    sim.at(0.0005, proc.exec_after, 0.001, done.append, ("after", 0.0005))
     sim.run()
-    assert done == ["first"]
+    assert done == [("after", 0.0005)]
+    assert sim.now == node.cpu.busy_time == pytest.approx(0.002)
 
 
 def test_cpu_used_and_busy_time_account():
@@ -290,7 +295,7 @@ def test_capped_only_ready_set_arms_the_idle_timer():
 
 
 # ----------------------------------------------------------------------
-# Standing demand waits in the standby heap
+# Plain processes wait in the fair-share heap (once the standby heap)
 # ----------------------------------------------------------------------
 Q = 2 ** -8  # a dyadic hog quantum: sums of it are exact
 
@@ -319,7 +324,7 @@ def test_standby_ties_are_elected_by_index():
     log = elections(node.cpu)
     for hog in reversed(hogs(node, 3)):
         hog.start()
-    assert [key for key, _, _ in node.cpu._standby] == [0.0, 0.0]
+    assert [key for key, _, _ in node.cpu._fair] == [0.0, 0.0]
     sim.run(until=6.5 * Q)
     # From 3Q on all three have run one quantum: h0 before h2 by index.
     assert log == ["h2", "h0", "h1", "h0", "h1", "h2", "h0"]
@@ -339,7 +344,7 @@ def test_a_preempted_hog_resumes_before_the_standby_heap():
     sim.run(until=2 * Q)
     assert log == ["h0", "rt", "h0", "h1"]
     assert node.cpu._resume is None
-    assert [p.name for _, _, p in node.cpu._standby] == ["h2", "h0"]
+    assert [p.name for _, _, p in node.cpu._fair] == ["h2", "h0"]
     assert node.cpu._ready == set() and node.cpu._running.name == "h1"
 
 
@@ -365,7 +370,7 @@ def test_a_hog_restarted_on_the_cpu_keeps_its_one_chunk():
     sim.at(Q / 2, restart)
     sim.run(until=Q / 2)
     assert chunks(node.cpu, h0.process) == 1
-    assert node.cpu._ready == set() and len(node.cpu._standby) == 2
+    assert node.cpu._ready == set() and len(node.cpu._fair) == 2
     sim.run(until=6.5 * Q)
     # One chain per hog: each runs every third chunk, in index order.
     assert log == ["h0", "h1", "h2"] * 2 + ["h0"]
@@ -414,9 +419,9 @@ def test_crash_flush_empties_the_standby_heap():
     sim, node = make_node()
     for hog in hogs(node, 3):
         hog.start()
-    assert len(node.cpu._standby) == 2
+    assert len(node.cpu._fair) == 2
     node.cpu.crash_flush()
-    assert node.cpu._standby == [] and queued(node) == set()
+    assert node.cpu._fair == [] and queued(node) == set()
     sim.run(until=1.0)
     assert node.cpu.busy_time == Q  # the cancelled chunk on the CPU, alone
 
@@ -437,4 +442,28 @@ def test_runq_depth_counts_the_standby_heap():
     assert depth() == sum(len(p.queue) for p in node.cpu.processes) == 4
     sim.run(until=3.5 * Q)  # p's second item is on the CPU
     assert depth() == sum(len(p.queue) for p in node.cpu.processes) == 3
-    assert len(node.cpu._standby) == 3
+    assert len(node.cpu._fair) == 3
+
+
+def test_a_resume_owner_that_drained_its_leftover_resumes_first():
+    """A crash cancels p's chunk on the CPU; real-time work then preempts
+    it, so p owns the (cancelled) remainder, which the election strips.
+    When p wakes again it still owns the slice: it waits in the ready
+    set, not the heap, and resumes before q, whose vruntime is lower."""
+    sim, node = make_node()
+    node.cpu.max_nonpreempt = 0.0
+    p, q = Process(node, "p"), Process(node, "q")
+    rt = Process(node, "rt", realtime=True)
+    log = elections(node.cpu)
+    done = []
+    p.exec_after(0.100, done.append, "cancelled")
+    sim.at(0.010, node.cpu.crash_flush)
+    sim.at(0.015, q.exec_after, 0.001, done.append, "q")
+    sim.at(0.020, rt.exec_after, 0.001, done.append, "rt")
+    sim.at(0.0205, p.exec_after, 0.001, done.append, "p")
+    sim.run(until=0.0205)
+    assert node.cpu._resume is p and q.vruntime < p.vruntime
+    assert node.cpu._ready == {p} and [w for _, _, w in node.cpu._fair] == [q]
+    sim.run()
+    assert log == ["p", "rt", "p", "q"]
+    assert done == ["rt", "p", "q"]
