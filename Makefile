@@ -7,7 +7,7 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Tier-2: the six differential batteries (new code against the old
+# Tier-2: the seven differential batteries (new code against the old
 # code kept verbatim in the test file, or the engine against a
 # list-and-min() scheduler) at 1000 examples each instead of tier-1's
 # 60-300, and the spec round-trip battery (a run rebuilt from its own
@@ -17,7 +17,8 @@ props:
 		tests/net/test_trie_property.py tests/click/test_classifier_property.py \
 		tests/click/test_elements.py::test_dispatch_equals_the_port_it_replaced \
 		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py \
-		tests/sim/test_engine_property.py tests/core/test_spec_roundtrip.py
+		tests/sim/test_engine_property.py tests/phys/test_link_property.py \
+		tests/core/test_spec_roundtrip.py
 
 # Tier-2: the paper's evaluation (Tables 2-6, Figs 6/8/9, the BGP mux
 # and four ablations, ~4 min). Every scenario of benchmarks/paper.py

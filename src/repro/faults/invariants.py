@@ -325,8 +325,8 @@ class InvariantChecker:
                 offered += channel.offered
                 delivered += channel.delivered
                 drops += channel.drops
-                backlog += len(channel.queue)
-                flight += len(channel.in_flight)
+                backlog += len(channel._retire().queue)
+                flight += len(channel.in_flight) - len(channel.queue)
             if offered != delivered + drops + backlog + flight:
                 self._report(
                     "conservation", link=link.name, offered=offered,

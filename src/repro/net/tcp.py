@@ -295,7 +295,7 @@ class TCPConnection:
     def _send_ack(self) -> None:
         self._segs_unacked = 0
         if self._delack_event is not None:
-            self._delack_event.cancel()
+            self.sim.cancel(self._delack_event)
             self._delack_event = None
         self._emit(self.snd_nxt, 0, TCP_ACK)
 
@@ -406,16 +406,16 @@ class TCPConnection:
         self._rto_deadline = self.sim.now + min(self.rto * self._backoff, MAX_RTO)
         if self._rto_event is None:
             self._rto_event = self.sim.schedule(self._rto_deadline, self._on_rto)
-        elif self._rto_event.time > self._rto_deadline:
+        elif self._rto_event[0] > self._rto_deadline:
             # Deadline moved earlier (e.g. backoff reset after an ACK):
             # the pending event is too late, replace it.
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = self.sim.schedule(self._rto_deadline, self._on_rto)
 
     def _cancel_rto(self) -> None:
         self._rto_deadline = None
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = None
 
     def _on_rto(self) -> None:
@@ -474,7 +474,7 @@ class TCPConnection:
         paper's "Network" baseline stays fast on loaded PlanetLab
         nodes while user-space Click starves.
         """
-        self.node.kernel.exec_after(SEGMENT_PROC_COST, self._segment, packet)
+        self.node.kernel.exec_after(SEGMENT_PROC_COST, self._segment, packet, packet=packet)
 
     def _segment(self, packet: Packet) -> None:
         if self.state == CLOSED:

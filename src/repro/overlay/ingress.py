@@ -109,14 +109,13 @@ class OpenVPNServer:
             inner.ip.src = leased
         # Inject into the data plane (FIB decides where it goes).
         fr = self.sim.flight
-        tracked = fr.enabled and inner.span is not None
-        if tracked:
+        if fr.enabled and inner.span is not None:
             fr.stage(inner, "vpn.ingress", node=self.vnode.name)
         self.vnode.click_process.exec_after(
             self.vnode.click.per_packet_cost(inner),
             self.vnode.elements_entry,
             inner,
-            span_packet=inner if tracked else None,
+            packet=inner,
         )
 
     def address_of(self, client: "OpenVPNClient") -> IPv4Address:

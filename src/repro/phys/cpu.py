@@ -47,7 +47,7 @@ from heapq import heappop, heappush
 from typing import List, Optional, Set, Tuple
 
 from repro.phys.process import Process, WorkItem
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 _INF = float("inf")
 #: Time constant (seconds) of the usage average that backs reservations
@@ -101,7 +101,7 @@ class CPUScheduler:
         self._running: Optional[Process] = None
         self._item: Optional[WorkItem] = None
         self._started_at = self._cost = self._end = 0.0
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         # The mark of a chunk whose end catch_up completes, else None.
         self._mark: Optional[int] = None
         # Plain fair-share processes whose demand stands (CPUHog).
@@ -195,7 +195,7 @@ class CPUScheduler:
                 self._preempt()
                 self._dispatch()
 
-    def _deferred_preempt(self, target: Event) -> None:
+    def _deferred_preempt(self, target: list) -> None:
         """Preempt the chunk that completes at ``target`` if it is still
         on the CPU.
 
@@ -320,11 +320,11 @@ class CPUScheduler:
         self._started_at = now = sim.now
         if self._latency_hist is not None:
             self._latency_hist.observe(now - item.enqueued_at)
-        if item.span_packet is not None:
+        if item.packet is not None and item.packet.span is not None:
             # Close the flight's cpu.wait (run-queue) stage: the work is
             # now on the CPU. The stage stays open across preemption, so
             # it covers execution plus any time spent preempted.
-            sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
+            sim.flight.stage(item.packet, "cpu.exec", node=self.name)
         self._cost = cost = item.cost / self.speed
         if process in self.standing and not self._waiting and self._ready <= self.standing:
             self._end = end = now + cost  # the float sim.at makes
@@ -339,7 +339,7 @@ class CPUScheduler:
         sim = self.sim
         while self._mark is not None and sim.is_due(self._end, self._mark):
             if self._event is not None:
-                self._event.cancel()
+                self.sim.cancel(self._event)
             self._mark = None
             sim.now = self._end
             self._complete()
@@ -371,14 +371,14 @@ class CPUScheduler:
         process, item = self._running, self._item
         assert process is not None
         self._running, self._mark = None, None
-        self._event.cancel()
+        self.sim.cancel(self._event)
         executed = self.sim.now - self._started_at
         self._charge(process, executed)
         remaining = self._cost - executed
         if remaining > 0 or not item.cancelled:
             leftover = WorkItem(
                 max(0.0, remaining) * self.speed, item.fn, item.args,
-                item.enqueued_at, item.span_packet,
+                item.enqueued_at, item.packet,
             )
             leftover.cancelled = item.cancelled
             process.queue.appendleft(leftover)
@@ -396,12 +396,12 @@ class CPUScheduler:
         fires to keep accounting sane, but its callback is suppressed),
         every queued item on every process is cancelled and dropped,
         and any preemption-resume claim is forgotten. The packet a
-        cancelled item carries for its flight is a ``node_crash`` drop.
+        cancelled item is handed is a ``node_crash`` drop.
         """
         held = [(self._running, self._item)] if self._running is not None else []
         for process, item in held + [(p, i) for p in self.processes for i in p.queue]:
-            if not item.cancelled and item.span_packet is not None:
-                self.sim.trace.drop(item.span_packet, "node_crash", process.node.name)
+            if not item.cancelled and item.packet is not None:
+                self.sim.trace.drop(item.packet, "node_crash", process.node.name)
             item.cancelled = True
             process.queue.clear()
         self._ready, self._fair, self._waiting, self._resume = set(), [], 0, None

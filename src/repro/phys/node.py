@@ -156,13 +156,11 @@ class TapDevice:
             self.node.sim.trace.drop(packet, "tap_overflow", self.node.name)
             return False
         fr = self.node.sim.flight
-        tracked = fr.enabled and packet.span is not None
         self.pending_bytes += size
-        if tracked:
+        if fr.enabled and packet.span is not None:
             fr.stage(packet, "cpu.wait", node=self.node.name)
         self.reader_process.exec_after(
-            self.read_cost(packet), self._deliver, packet, size,
-            span_packet=packet if tracked else None,
+            self.read_cost(packet), self._deliver, packet, size, packet=packet,
         )
         return True
 
@@ -401,9 +399,7 @@ class PhysicalNode:
         fr = self.sim.flight
         if fr.enabled and packet.span is not None:
             fr.stage(packet, "kernel.rx", node=self.name)
-            self.kernel.exec_after(cost, self._ip_input, packet, span_packet=packet)
-        else:
-            self.kernel.exec_after(cost, self._ip_input, packet)
+        self.kernel.exec_after(cost, self._ip_input, packet, packet=packet)
 
     def _ip_input(self, packet: Packet) -> None:
         header = packet.ip
@@ -482,14 +478,9 @@ class PhysicalNode:
             if fr.enabled and packet.span is not None:
                 reply.span = packet.span
                 fr.stage(reply, "host.echo", node=self.name)
-                self.kernel.exec_after(
-                    KERNEL_COST_FIXED, self.ip_output, reply, sliver,
-                    span_packet=reply,
-                )
-                return
             # Echo processing is cheap kernel work.
             self.kernel.exec_after(
-                KERNEL_COST_FIXED, self.ip_output, reply, sliver
+                KERNEL_COST_FIXED, self.ip_output, reply, sliver, packet=reply
             )
         elif icmp.type == ICMP_ECHO_REPLY:
             key = (sliver.slice.name if sliver else None, icmp.ident)
@@ -516,7 +507,7 @@ class PhysicalNode:
         self.sim.trace.log(
             "icmp_error", node=self.name, type=icmp_type, uid=self.sim.uid(offending)
         )
-        self.kernel.exec_after(KERNEL_COST_FIXED, self.ip_output, error, None)
+        self.kernel.exec_after(KERNEL_COST_FIXED, self.ip_output, error, None, packet=error)
 
     # ------------------------------------------------------------------
     # Output path

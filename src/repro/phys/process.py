@@ -21,13 +21,13 @@ class WorkItem:
     the scheduler measures queueing (scheduling latency) against it.
     A preempted item's leftover keeps the original arrival time.
 
-    ``span_packet`` (usually None) is the flight-recorder-tracked packet
-    this work item carries; the scheduler opens its ``cpu.exec`` stage
-    at dispatch so run-queue wait and execution are attributed
-    separately. A preempted item's leftover keeps the packet.
+    ``packet`` is the packet ``fn`` is handed, if any: a crash that
+    cancels the item records its drop, and the scheduler opens a tracked
+    one's ``cpu.exec`` stage at dispatch, so run-queue wait and
+    execution are attributed separately. A leftover keeps the packet.
     """
 
-    __slots__ = ("cost", "fn", "args", "cancelled", "enqueued_at", "span_packet")
+    __slots__ = ("cost", "fn", "args", "cancelled", "enqueued_at", "packet")
 
     def __init__(
         self,
@@ -35,14 +35,14 @@ class WorkItem:
         fn: Callable,
         args: tuple,
         enqueued_at: float = 0.0,
-        span_packet: Optional[Any] = None,
+        packet: Optional[Any] = None,
     ):
         self.cost = cost
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.enqueued_at = enqueued_at
-        self.span_packet = span_packet
+        self.packet = packet
 
 
 class Process:
@@ -108,19 +108,19 @@ class Process:
         cost: float,
         fn: Callable,
         *args: Any,
-        span_packet: Optional[Any] = None,
+        packet: Optional[Any] = None,
     ) -> None:
         """Queue ``cost`` seconds of CPU work, then call ``fn(*args)``.
 
         Only a node crash (:meth:`CPUScheduler.crash_flush`) cancels
         queued work: a caller that may no longer want the callback checks
-        at delivery (a socket tests ``closed``). ``span_packet`` must be
-        set *here* because ``cpu.wake`` may start the item synchronously.
+        at delivery (a socket tests ``closed``). ``packet`` (see
+        :class:`WorkItem`) is named here: ``cpu.wake`` may start the item.
         """
         if cost < 0:
             raise ValueError(f"negative CPU cost {cost!r}")
         cpu = self.cpu
-        self.queue.append(WorkItem(cost, fn, args, cpu.sim.now, span_packet))
+        self.queue.append(WorkItem(cost, fn, args, cpu.sim.now, packet))
         cpu.wake(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -121,12 +121,10 @@ class UDPSocket:
                 self.node.name)
             return False
         fr = self.node.sim.flight
-        tracked = fr.enabled and packet.span is not None
         self.pending_bytes += size
-        if tracked:
+        if fr.enabled and packet.span is not None:
             fr.stage(packet, "cpu.wait", node=self.node.name)
-        self.owner.exec_after(self.recv_cost(packet), self._deliver, packet, size,
-                              span_packet=packet if tracked else None)
+        self.owner.exec_after(self.recv_cost(packet), self._deliver, packet, size, packet=packet)
         return True
 
     def _deliver(self, packet: Packet, size: int) -> None:
@@ -185,10 +183,7 @@ class RawIntercept:
         fr = self.node.sim.flight
         if fr.enabled and packet.span is not None:
             fr.stage(packet, "cpu.wait", node=self.node.name)
-            self.owner.exec_after(self.recv_cost(packet), self._deliver, packet,
-                                  span_packet=packet)
-        else:
-            self.owner.exec_after(self.recv_cost(packet), self._deliver, packet)
+        self.owner.exec_after(self.recv_cost(packet), self._deliver, packet, packet=packet)
         return True
 
     def _deliver(self, packet: Packet) -> None:

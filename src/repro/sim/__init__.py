@@ -7,13 +7,12 @@ for a given seed, which is what gives experiments the *controlled* half
 of the paper's "realistic and controlled" goal.
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
 from repro.sim.timer import PeriodicTimer, Timeout
 from repro.sim.trace import TraceCollector, TraceRecord
 
 __all__ = [
-    "Event",
     "PeriodicTimer",
     "RandomStreams",
     "Simulator",

@@ -6,19 +6,19 @@ randomness draws it from named, seeded streams
 (:class:`repro.sim.rand.RandomStreams`) so that two runs with the same
 seed produce byte-identical traces.
 
-The pending set is one binary heap of ``(time, seq, event)`` tuples.
-``seq`` is a per-simulator counter bumped on every insertion, so events
-fire in strict ``(time, seq)`` order: by time, and among equal times in
-the order they were scheduled. Every event is one-shot, armed by one
-push: ``at``, ``schedule`` or ``call_soon`` (and the horizon below).
-Something that fires again, a :class:`repro.sim.timer.PeriodicTimer`,
-pushes its next event from its own callback. Insertions go through
-:meth:`Simulator._push`, or its copy inlined in ``at`` (the per-packet
-path); ``step`` and ``peek`` find the next event through
-:meth:`Simulator._next`, and ``run`` reads the heap head inline the
-same way.
+The pending set is one binary heap of ``[time, seq, fn, args]`` lists,
+each also the handle of its event (``h[0]`` is its time). ``seq`` is a
+per-simulator counter bumped on every insertion, so events fire in
+strict ``(time, seq)`` order: by time, and among equal times in the
+order they were scheduled; no two entries share a key, so the heap
+never compares past ``seq``. Every event is one-shot, armed by one push
+(``at``, ``schedule`` or ``call_soon``, and the horizon below); a
+:class:`repro.sim.timer.PeriodicTimer` pushes its next event from its
+own callback. ``at`` inlines ``schedule`` (the per-packet path), and
+``run`` inlines ``step``'s and ``peek``'s :meth:`Simulator._next`.
 
-Cancellation is lazy: a cancelled event stays in the heap as a corpse
+Cancellation (:meth:`Simulator.cancel`) is lazy: the entry's ``fn``
+becomes None, as a fired one's does, and the corpse stays in the heap
 until it reaches the head, or until corpses exceed
 :data:`MAX_CORPSE_SHARE` of the heap and it is rebuilt without them, so
 cancellation churn (restartable dead timers, TCP RTO) cannot bloat it.
@@ -29,13 +29,15 @@ a mark, the ``seq`` of the last event scheduled before it. One *horizon*
 event waits at the earliest such work, keyed ``(time, mark + 0.5)``
 where an event for it would have fired, and there the
 :attr:`Simulator.catch_ups` complete the work that comes first, setting
-the clock to each piece's end.
+the clock to each piece's end. A horizon superseded by an earlier one
+is a corpse kept by its key: armed there again, the corpse comes back
+to life rather than tie with a new entry.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_RECORDER
@@ -48,62 +50,6 @@ _INF = float("inf")
 #: (and :data:`MIN_CORPSES` in number, so small heaps are left alone).
 MAX_CORPSE_SHARE = 0.25
 MIN_CORPSES = 64
-
-
-class Event:
-    """A handle to a scheduled callback.
-
-    Cancellation is O(1): the event is marked dead, the live-event
-    counter drops immediately, and the heap entry is discarded lazily
-    (at the heap head, or in bulk when corpses pile up).
-    """
-
-    __slots__ = ("time", "fn", "args", "cancelled", "sim", "queued")
-
-    def __init__(self, fn: Callable, args: tuple, sim: "Simulator"):
-        self.time = 0.0
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.sim = sim
-        # True while a live heap entry refers to this event.
-        self.queued = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running. Safe to call twice."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        # Drop references so a corpse waiting in the heap does not keep
-        # packets / closures alive.
-        self.fn = _noop
-        self.args = ()
-        if self.queued:
-            self.queued = False
-            sim = self.sim
-            sim._live -= 1
-            sim._heap_cancelled += 1
-            if (
-                sim._heap_cancelled > MIN_CORPSES
-                and sim._heap_cancelled > MAX_CORPSE_SHARE * len(sim._heap)
-            ):
-                sim._compact_heap()
-
-    def __lt__(self, other: "Event") -> bool:
-        # Only a horizon and its own corpse tie (Simulator._arm).
-        return False
-
-    @property
-    def active(self) -> bool:
-        return not self.cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "active"
-        return f"<Event t={self.time:.6f} {state}>"
-
-
-def _noop(*_args: Any) -> None:
-    return None
 
 
 class Simulator:
@@ -138,7 +84,7 @@ class Simulator:
         # shared null object; FlightRecorder(sim).install() swaps in a
         # live one. Instrumented sites guard on ``sim.flight.enabled``.
         self.flight = NULL_RECORDER
-        self._heap: List[tuple] = []
+        self._heap: List[list] = []
         self._seq = 0
         self._packet_ids = 0
         self._running = False
@@ -146,67 +92,69 @@ class Simulator:
         # How far the horizon may take lazy models: the run's ``until``,
         # or the instant ``step`` fires.
         self._bound = _INF
-        self._live = 0
         self._heap_cancelled = 0
-        # Models advanced off the heap, the horizon and its key, and the
-        # key their work must come before while it fires.
+        # Models advanced off the heap, the horizon and its key, the
+        # superseded horizons still in the heap by key, and the key
+        # their work must come before while it fires.
         self.catch_ups: List[Callable[[], Optional[Tuple[float, int]]]] = []
-        self._horizon: Optional[Event] = None
+        self._horizon: Optional[list] = None
         self._horizon_key: Tuple[float, int] = (_INF, 0)
+        self._parked: Dict[Tuple[float, int], list] = {}
         self._limit: Tuple[float, float] = (-_INF, 0)
         # Engine introspection series: pull-only, read at collection
         # time — no per-event cost in the dispatch loop.
-        self.metrics.gauge("sim.pending", fn=lambda: self._live)
+        self.metrics.gauge("sim.pending", fn=lambda: self.pending)
         self.metrics.gauge("sim.now", fn=lambda: self.now)
         self.metrics.counter("sim.events_scheduled", fn=lambda: self._seq)
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push(self, event: Event, time: float) -> Event:
-        """Queue ``event`` at ``time`` under a fresh sequence number."""
+    def schedule(self, time: float, fn: Callable, *args: Any) -> list:
+        """Run ``fn(*args)`` at absolute simulated ``time``.
+
+        Scheduling in the past, or at NaN, raises ``ValueError``.
+        """
         if not time >= self.now:
             # A past (or NaN) event would silently reorder history.
             raise ValueError(
                 f"cannot schedule at t={time:.9f}, now is t={self.now:.9f}"
             )
         self._seq = seq = self._seq + 1
-        event.time = time
-        event.queued = True
-        self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [time, seq, fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule(self, time: float, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated ``time``.
-
-        Scheduling in the past, or at NaN, raises ``ValueError``.
-        """
-        return self._push(Event(fn, args, self), time)
-
-    def at(self, delay: float, fn: Callable, *args: Any) -> Event:
+    def at(self, delay: float, fn: Callable, *args: Any) -> list:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if not delay >= 0:  # NaN too
             raise ValueError(f"delay must be >= 0, got {delay!r}")
-        # _push, inlined: a non-negative delay cannot reach the past.
-        event = Event(fn, args, self)
-        event.time = time = self.now + delay
-        event.queued = True
+        # schedule, inlined: a non-negative delay cannot reach the past.
         self._seq = seq = self._seq + 1
-        self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [self.now + delay, seq, fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def call_soon(self, fn: Callable, *args: Any) -> Event:
+    def call_soon(self, fn: Callable, *args: Any) -> list:
         """Run ``fn(*args)`` at the current time, after pending events."""
-        return self._push(Event(fn, args, self), self.now)
+        return self.schedule(self.now, fn, *args)
+
+    def cancel(self, entry: list) -> None:
+        """Keep event ``entry`` from running (a no-op once it fired), and
+        let go of its callback and arguments: a corpse holds nothing."""
+        if entry[2] is not None:
+            entry[2], entry[3] = None, ()
+            self._heap_cancelled = corpses = self._heap_cancelled + 1
+            if corpses > MIN_CORPSES and corpses > MAX_CORPSE_SHARE * len(self._heap):
+                self._compact_heap()
 
     def _compact_heap(self) -> None:
         # In place: ``run`` holds the list across callbacks that cancel.
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapq.heapify(heap)
         self._heap_cancelled = 0
+        self._parked.clear()
 
     def due(self, time: float) -> int:
         """Register work, begun now, ending at ``time``; returns its mark."""
@@ -219,46 +167,57 @@ class Simulator:
         return (time, mark) < self._limit
 
     def _arm(self, time: float, mark: int) -> None:
-        if (time, mark) < self._horizon_key:
-            if self._horizon is not None:
-                self._horizon.cancel()
-            self._horizon = event = Event(self._catch_up, (), self)
-            event.time, event.queued = time, True
-            self._horizon_key = (time, mark)
-            self._live += 1
-            heapq.heappush(self._heap, (time, mark + 0.5, event))
+        key = (time, mark)
+        if key < self._horizon_key:
+            horizon = self._horizon
+            if horizon is not None:
+                # cancel, without a compaction that would drop the corpse
+                horizon[2] = None
+                self._heap_cancelled += 1
+                self._parked[self._horizon_key] = horizon
+            heap = self._heap
+            entry = self._parked.pop(key, None)
+            # A corpse still in the heap is at or after its head.
+            if entry is not None and heap and (heap[0] is entry or heap[0] < entry):
+                entry[2] = self._catch_up
+                self._heap_cancelled -= 1
+            else:
+                entry = [time, mark + 0.5, self._catch_up, ()]
+                heapq.heappush(heap, entry)
+            self._horizon, self._horizon_key = entry, key
 
     def _catch_up(self) -> None:
         """The horizon fires: catch the models up to the next event."""
-        head = self._next(self._bound)
-        self._limit = (self._bound, _INF) if head is None else self._heap[0][:2]
+        head = self._next()
+        head = (_INF, 0) if head is None else (head[0], head[1])
+        # Every parked corpse keyed before the head has left the heap.
+        for key in [key for key in self._parked if key < head]:
+            del self._parked[key]
+        self._limit = head if head[0] <= self._bound else (self._bound, _INF)
         # Work registered from here on is in some model's answer.
         self._horizon, self._horizon_key = None, (-_INF, 0)
-        left = (_INF, 0)
+        latest, left = self.now, (_INF, 0)
         for catch_up in self.catch_ups:
             key = catch_up()
             if key is not None and key < left:
                 left = key
+            latest = max(latest, self.now)
+        # Each model set the clock to its own last piece's end.
+        self.now = latest
         self._horizon_key = (_INF, 0)
         self._arm(*left)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next(self, bound: float = _INF) -> Optional[Event]:
-        """The next live event due at or before ``bound``, left at the
-        heap head, or None. Corpses met on the way are discarded."""
+    def _next(self) -> Optional[list]:
+        """The next live event, left at the heap head, or None. Corpses
+        met on the way are discarded."""
         heap = self._heap
-        while heap:
-            time, _seq, event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._heap_cancelled -= 1
-            elif time > bound:
-                return None
-            else:
-                return event
-        return None
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+            self._heap_cancelled -= 1
+        return heap[0] if heap else None
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue.
@@ -278,8 +237,9 @@ class Simulator:
         try:
             # _next and step, inlined: this loop runs once per event.
             while heap and not self._stopped:
-                time, _seq, event = heap[0]
-                if event.cancelled:
+                entry = heap[0]
+                time, _seq, fn, args = entry
+                if fn is None:
                     heappop(heap)
                     self._heap_cancelled -= 1
                     continue
@@ -287,9 +247,8 @@ class Simulator:
                     break
                 heappop(heap)
                 self.now = time
-                event.queued = False
-                self._live -= 1
-                event.fn(*event.args)
+                entry[2] = None
+                fn(*args)
         finally:
             self._running = False
         # Only fast-forward when the queue genuinely drained up to
@@ -301,14 +260,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the single next event. Returns False if queue empty."""
-        event = self._next()
-        if event is None:
+        entry = self._next()
+        if entry is None:
             return False
         heapq.heappop(self._heap)
-        self.now = self._bound = event.time
-        event.queued = False
-        self._live -= 1
-        event.fn(*event.args)
+        self.now = self._bound = entry[0]
+        fn, entry[2] = entry[2], None
+        fn(*entry[3])
         return True
 
     def stop(self) -> None:
@@ -317,14 +275,13 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None."""
-        event = self._next()
-        return None if event is None else event.time
+        entry = self._next()
+        return None if entry is None else entry[0]
 
     @property
     def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events. O(1): a live
-        counter maintained by schedule/cancel/execution."""
-        return self._live
+        """Number of scheduled (non-cancelled) events, in O(1)."""
+        return len(self._heap) - self._heap_cancelled
 
     def uid(self, packet: Any) -> int:
         """``packet``'s id: numbered from 1 in this simulator, in the
@@ -339,4 +296,4 @@ class Simulator:
         return self.random.stream(stream)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self.now:.6f} pending={self._live}>"
+        return f"<Simulator t={self.now:.6f} pending={self.pending}>"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 class PeriodicTimer:
@@ -41,7 +41,7 @@ class PeriodicTimer:
         self.fn = fn
         self.jitter = jitter
         self.rng_stream = rng_stream
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         self._running = False
         if start:
             self.start()
@@ -67,7 +67,7 @@ class PeriodicTimer:
     def stop(self) -> None:
         self._running = False
         if self._event is not None:
-            self._event.cancel()
+            self.sim.cancel(self._event)
             self._event = None
 
     def reschedule(self, interval: Optional[float] = None) -> None:
@@ -97,7 +97,7 @@ class Timeout:
         self.sim = sim
         self.delay = delay
         self.fn = fn
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
 
     def restart(self, delay: Optional[float] = None) -> None:
         if delay is not None:
@@ -116,7 +116,7 @@ class Timeout:
 
     def cancel(self) -> None:
         if self._event is not None:
-            self._event.cancel()
+            self.sim.cancel(self._event)
             self._event = None
 
     @property
@@ -125,4 +125,4 @@ class Timeout:
 
     @property
     def expires_at(self) -> Optional[float]:
-        return self._event.time if self._event is not None else None
+        return self._event[0] if self._event is not None else None

@@ -121,7 +121,7 @@ class Ping:
     def stop(self) -> None:
         self._running = False
         if self._send_event is not None:
-            self._send_event.cancel()
+            self.sim.cancel(self._send_event)
             self._send_event = None
         self.node.icmp_unregister(
             self.ident,

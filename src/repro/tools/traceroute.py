@@ -97,7 +97,7 @@ class Traceroute:
 
     def _cancel_timeout(self) -> None:
         if self._timeout_event is not None:
-            self._timeout_event.cancel()
+            self.sim.cancel(self._timeout_event)
             self._timeout_event = None
 
     def _on_error(self, packet: Packet) -> None:

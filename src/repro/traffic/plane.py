@@ -98,7 +98,7 @@ class _ChannelState:
         self.fluid_bps = 0.0
         self.packet_bps = 0.0  # EWMA of measured packet throughput
         self.coupled = None  # every input of the last _apply_channel
-        self._last_tx_bytes = channel.tx_bytes
+        self._last_tx_bytes = channel._retire().tx_bytes
         self._last_time = 0.0
 
     @property
@@ -495,7 +495,8 @@ class FluidTrafficPlane:
         for state in states:
             dt = now - state._last_time
             if dt > 0.0:
-                sent = state.channel.tx_bytes
+                channel = state.channel
+                sent = (channel._retire() if channel.queue else channel).tx_bytes
                 instant = (sent - state._last_tx_bytes) * 8.0 / dt
                 state.packet_bps = ((1.0 - EWMA_ALPHA) * state.packet_bps
                                     + EWMA_ALPHA * instant)
@@ -589,7 +590,7 @@ class FluidTrafficPlane:
     # ------------------------------------------------------------------
     def _rearm_completion(self, cls: _FlowClass) -> None:
         if cls.completion_ev is not None:
-            cls.completion_ev.cancel()
+            self.sim.cancel(cls.completion_ev)
             cls.completion_ev = None
         # Skip entries for flows stopped early (lazy heap deletion).
         while cls.pending and cls.pending[0][2].end is not None:

@@ -114,7 +114,7 @@ def test_crash_drops_the_packets_its_cpu_work_held():
 
     def crashing_input(iface, packet):
         ip_input(iface, packet)
-        assert b.cpu._item.span_packet is packet  # the ping's own flight
+        assert b.cpu._item.packet is packet  # the ping's own flight
         b.crash()
 
     b.ip_input = crashing_input
@@ -122,6 +122,32 @@ def test_crash_drops_the_packets_its_cpu_work_held():
     vini.run(until=1.0)
     assert watch.drops() == [("b", "node_crash")]
     assert watch.recorder.flights_started == 1 and watch.open_flights == {}
+
+
+def test_crash_records_untracked_cpu_work_as_a_drop():
+    """The same crash with no flight recorder installed: the kernel's
+    work item still names the echo request it is handed, so the crash
+    writes exactly one node_crash record for it."""
+    vini = VINI(seed=5)
+    for name in ("a", "b", "c"):
+        vini.add_node(name)
+    vini.connect("a", "b", delay=0.001)
+    vini.connect("b", "c", delay=0.001)
+    vini.install_underlay_routes()
+    vini.sim.trace.enable("drop")
+    b = vini.nodes["b"]
+    ip_input = b.ip_input
+
+    def crashing_input(iface, packet):
+        ip_input(iface, packet)
+        assert b.cpu._item.packet is packet and packet.span is None
+        b.crash()
+
+    b.ip_input = crashing_input
+    Ping(vini.nodes["a"], vini.nodes["c"].address, count=1).start()
+    vini.run(until=1.0)
+    drops = [(r["where"], r["reason"]) for r in vini.sim.trace.select("drop")]
+    assert drops == [("b", "node_crash")]
 
 
 def test_crashed_node_drops_traffic_through_it():

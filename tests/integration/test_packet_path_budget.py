@@ -1,12 +1,14 @@
 """A deterministic pin on what the per-packet path costs.
 
-Tier-1 cannot gate wall-clock, so the forwarding path is pinned by two
+Tier-1 cannot gate wall-clock, so the forwarding path is pinned by
 counts that repeat exactly: Python frames spent in ``repro/net`` and
-``repro/click`` per Click traversal, and heap blocks a FIB hit leaves
-behind. Both fail at 8715f4b, where every classifier clause re-read
-``packet.ip`` through ``find()``, every hop went through
-``Element.output`` -> ``Port.push`` -> ``target.push``, and every trie
-hit built a ``Prefix``.
+``repro/click`` per Click traversal, heap blocks a FIB hit leaves
+behind, and engine events scheduled per link delivery. The first two
+fail at 8715f4b, where every classifier clause re-read ``packet.ip``
+through ``find()``, every hop went through ``Element.output`` ->
+``Port.push`` -> ``target.push``, and every trie hit built a
+``Prefix``; the third fails at 4e1fb31, where a link paid an event at
+the end of each serialization.
 """
 
 import os
@@ -32,7 +34,9 @@ ELEMENTS = CLICK + "elements" + os.sep
 FRAMES_PER_TRAVERSAL_BUDGET = 25.4
 
 
-def test_frames_per_click_traversal(gc_paused):
+def _chain():
+    """West - middle - east under OSPF, converged, and a 200-echo ping
+    from west to east ready to run from 30 s to 45 s."""
     vini = VINI(seed=42)
     for name in ("west", "middle", "east"):
         vini.add_node(name)
@@ -49,6 +53,11 @@ def test_frames_per_click_traversal(gc_paused):
     west, east = exp.network.nodes["west"], exp.network.nodes["east"]
     ping = Ping(west.phys_node, east.tap_addr, sliver=west.sliver,
                 interval=0.05, count=200).start()
+    return vini, ping
+
+
+def test_frames_per_click_traversal(gc_paused):
+    vini, ping = _chain()
 
     frames = traversals = 0
 
@@ -92,3 +101,26 @@ def test_fib_hit_allocates_nothing():
     # entries: 8715f4b holds a fresh tuple, Prefix and IPv4Address for
     # each (28 508 blocks here).
     assert held <= 16
+
+
+def _delivered(vini):
+    return sum(channel.delivered for link in vini.links.values()
+               for channel in link._channels.values())
+
+
+# Measured on the chain above from 30 s to 45 s (exact, seeded): 3 484
+# engine events scheduled over 812 link deliveries = 4.29 each. 4e1fb31's
+# link paid an event when a serialization ended as well as one at
+# delivery: 4 296 = 5.29. The budget is the measured value + 10 %.
+EVENTS_PER_DELIVERY_BUDGET = 4.72
+
+
+def test_engine_events_per_link_delivery():
+    vini, ping = _chain()
+    metrics = vini.sim.metrics
+    events, delivered = metrics.value("sim.events_scheduled"), _delivered(vini)
+    vini.run(until=45.0)
+    events = metrics.value("sim.events_scheduled") - events
+    delivered = _delivered(vini) - delivered
+    assert ping.stats().received == 200
+    assert events / delivered <= EVENTS_PER_DELIVERY_BUDGET, (events, delivered)

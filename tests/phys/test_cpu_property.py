@@ -28,7 +28,6 @@ from repro.phys.load import CPUHog
 from repro.phys.node import PhysicalNode
 from repro.phys.process import Process, WorkItem
 from repro.sim import PeriodicTimer, Simulator
-from repro.sim.engine import Event
 from tests.conftest import battery
 
 
@@ -202,14 +201,14 @@ class ReferenceScheduler:
         running = self._running
         assert running is not None
         self._running = None
-        running.event.cancel()
+        self.sim.cancel(running.event)
         executed = self.sim.now - running.started_at
         self._charge(running.process, executed)
         remaining = running.cost - executed
         if remaining > 0 or not running.item.cancelled:
             leftover = WorkItem(
                 max(0.0, remaining) * self.speed, running.item.fn, running.item.args,
-                running.item.enqueued_at, running.item.span_packet,
+                running.item.enqueued_at, running.item.packet,
             )
             leftover.cancelled = running.item.cancelled
             running.process.queue.appendleft(leftover)
@@ -428,7 +427,7 @@ class ParentScheduler:
         self._running: Optional[Process] = None
         self._item: Optional[WorkItem] = None
         self._started_at = self._cost = 0.0
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         # A non-RT process whose chunk was preempted by real-time work:
         # it owns the rest of its timeslice and resumes first.
         self._resume: Optional[Process] = None
@@ -502,7 +501,7 @@ class ParentScheduler:
                 self._preempt()
                 self._dispatch()
 
-    def _deferred_preempt(self, target: Event) -> None:
+    def _deferred_preempt(self, target: list) -> None:
         """Preempt the chunk that completes at ``target`` if it is still
         on the CPU.
 
@@ -630,11 +629,11 @@ class ParentScheduler:
         sim = self.sim
         if self._latency_hist is not None:
             self._latency_hist.observe(sim.now - item.enqueued_at)
-        if item.span_packet is not None:
+        if item.packet is not None:
             # Close the flight's cpu.wait (run-queue) stage: the work is
             # now on the CPU. The stage stays open across preemption, so
             # it covers execution plus any time spent preempted.
-            sim.flight.stage(item.span_packet, "cpu.exec", node=self.name)
+            sim.flight.stage(item.packet, "cpu.exec", node=self.name)
         self._running, self._item = process, item
         self._started_at = sim.now
         self._cost = cost = item.cost / self.speed
@@ -655,14 +654,14 @@ class ParentScheduler:
         process, item = self._running, self._item
         assert process is not None
         self._running = None
-        self._event.cancel()
+        self.sim.cancel(self._event)
         executed = self.sim.now - self._started_at
         self._charge(process, executed)
         remaining = self._cost - executed
         if remaining > 0 or not item.cancelled:
             leftover = WorkItem(
                 max(0.0, remaining) * self.speed, item.fn, item.args,
-                item.enqueued_at, item.span_packet,
+                item.enqueued_at, item.packet,
             )
             leftover.cancelled = item.cancelled
             process.queue.appendleft(leftover)

@@ -69,24 +69,25 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     event = sim.at(1.0, fired.append, "x")
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert fired == []
-    assert not event.active
 
 
 def test_cancel_is_idempotent():
     sim = Simulator()
     event = sim.at(1.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    sim.cancel(event)
+    sim.cancel(event)
+    assert sim.pending == 0
     sim.run()
+    assert sim.pending == 0 and sim._heap_cancelled == 0
 
 
 
 def test_a_cancelled_event_lets_go_of_its_callback():
     """A corpse waiting in the heap must not keep packets or closures
-    alive: cancel swaps the callback for a no-op and drops the args."""
+    alive: cancel drops the callback and the args."""
     class Payload:
         def fire(self, *_args):
             raise AssertionError("a cancelled event fired")
@@ -95,11 +96,11 @@ def test_a_cancelled_event_lets_go_of_its_callback():
     payload = Payload()
     gone = weakref.ref(payload)
     event = sim.at(1.0, payload.fire, "x")
-    event.cancel()
+    sim.cancel(event)
     del payload
     gc.collect()
-    assert gone() is None and event.args == ()
-    assert event.fn(*event.args) is None
+    assert gone() is None and event[2:] == [None, ()]
+    sim.run()
 def test_scheduling_in_past_raises():
     sim = Simulator()
     sim.at(1.0, lambda: None)
@@ -164,7 +165,7 @@ def test_peek_skips_cancelled():
     sim = Simulator()
     event = sim.at(1.0, lambda: None)
     sim.at(2.0, lambda: None)
-    event.cancel()
+    sim.cancel(event)
     assert sim.peek() == 2.0
 
 
@@ -216,10 +217,10 @@ def test_pending_counter_is_live():
     sim = Simulator()
     events = [sim.at(1.0 + i, lambda: None) for i in range(10)]
     assert sim.pending == 10
-    events[3].cancel()
-    events[7].cancel()
+    sim.cancel(events[3])
+    sim.cancel(events[7])
     assert sim.pending == 8
-    events[3].cancel()  # idempotent: no double decrement
+    sim.cancel(events[3])  # idempotent: no double decrement
     assert sim.pending == 8
     sim.run()
     assert sim.pending == 0
@@ -239,7 +240,7 @@ def test_cancelled_heap_entries_are_compacted():
     events = [sim.at(10.0 + i * 0.01, lambda: None) for i in range(1000)]
     assert len(sim._heap) == 1000
     for event in events[:900]:
-        event.cancel()
+        sim.cancel(event)
     # Compaction kicked in well before 900 corpses accumulated.
     assert len(sim._heap) < 500
     assert sim.pending == 100
@@ -260,7 +261,7 @@ def test_compaction_inside_run_keeps_time_seq_order():
 
     def cancel_all():
         for event in doomed:
-            event.cancel()
+            sim.cancel(event)
         fired.append(("corpses left", sim._heap_cancelled))
         for when in reversed(instants):
             sim.schedule(when, fired.append, (when, "c"))
@@ -318,7 +319,7 @@ def test_cancel_call_soon_event_before_it_fires():
 
     def outer():
         event = sim.call_soon(fired.append, "soon")
-        event.cancel()
+        sim.cancel(event)
         sim.call_soon(fired.append, "kept")
 
     sim.at(1.0, outer)

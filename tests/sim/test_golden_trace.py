@@ -70,11 +70,11 @@ def _torture_workload(sim: Simulator) -> None:
     def reap():
         log("reap")
         for event in doomed:
-            event.cancel()
+            sim.cancel(event)
 
     sim.at(4.9, reap)
     same_t = sim.at(7.0, lambda: log("never"))
-    sim.schedule(7.0, same_t.cancel)  # earlier seq at the same time wins
+    sim.schedule(7.0, sim.cancel, same_t)  # earlier seq at the same time wins
 
     # Random-stream consumers interleaved with the timers.
     def draw():

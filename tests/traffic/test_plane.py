@@ -167,9 +167,9 @@ class TestCompletions:
         flows = [plane.add_flow(f"s{i % 2}", f"r{i % 2}") for i in range(6)]
         for flow in flows[::2]:
             plane.remove_flow(flow)
-        solves = [event for _time, _seq, event in sim._heap
-                  if not event.cancelled and event.fn == plane._solve]
-        assert len(solves) == 1 and solves[0].time == sim.now
+        solves = [time for time, _seq, fn, _args in sim._heap
+                  if fn == plane._solve]
+        assert solves == [sim.now]
         assert sim.pending == pending + 1
         vini.run(until=1.5)
         assert plane.stats["solver_runs"] == runs + 1
