@@ -21,10 +21,11 @@ props:
 		tests/core/test_spec_roundtrip.py
 
 # Tier-2: the paper's evaluation (Tables 2-6, Figs 6/8/9, the BGP mux
-# and four ablations, ~4 min). Every scenario of benchmarks/paper.py
-# runs once, is held to its claims, and rewrites its numbers in
-# benchmarks/results/paper.json and its table in EXPERIMENTS.md; seeds
-# are fixed, so `git diff` afterwards shows exactly what moved.
+# and four ablations, ~2 min on a 2-core host). Every scenario of
+# benchmarks/paper.py runs once, is held to its claims, and rewrites its
+# numbers in benchmarks/results/paper.json and its table in
+# EXPERIMENTS.md; seeds are fixed, so `git diff` afterwards shows
+# exactly what moved.
 paper:
 	$(PYTHON) -m pytest -q benchmarks/run_paper.py
 

@@ -54,18 +54,15 @@ class Port:
 class Element:
     """Base class for all Click elements.
 
-    Subclasses declare ``n_outputs`` (or pass it to ``__init__``) and
-    override :meth:`push`. The router assigns ``name`` and ``router``
-    at add time. Upstream ports bind ``push`` when they are connected,
-    so replacing ``push`` on an instance that is already wired is not
+    Subclasses pass their output count to ``__init__`` and override
+    :meth:`push`. The router assigns ``name`` and ``router`` at add
+    time. Upstream ports bind ``push`` when they are connected, so
+    replacing ``push`` on an instance that is already wired is not
     supported: subclass instead.
     """
 
-    n_outputs = 1
-
-    def __init__(self, n_outputs: Optional[int] = None):
-        count = self.n_outputs if n_outputs is None else n_outputs
-        self.outputs: List[Port] = [Port(self, i) for i in range(count)]
+    def __init__(self, n_outputs: int):
+        self.outputs: List[Port] = [Port(self, i) for i in range(n_outputs)]
         self.name = type(self).__name__
         self.router: "ClickRouter" = None  # noqa: F821 - set by router
 

@@ -16,12 +16,9 @@ from repro.net.packet import Packet
 class LossElement(Element):
     """Drops packets: all of them when failed, else with probability p."""
 
-    def __init__(self, drop_prob: float = 0.0, rng_stream: str = "click.loss"):
-        if not 0.0 <= drop_prob <= 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob!r}")
+    def __init__(self):
         super().__init__(n_outputs=1)
-        self.drop_prob = drop_prob
-        self.rng_stream = rng_stream
+        self.drop_prob = 0.0
         self.failed = False
         self.dropped = 0
         self.passed = 0
@@ -54,7 +51,7 @@ class LossElement(Element):
         elif self.drop_prob > 0.0:
             random = self._random
             if random is None:
-                random = self._random = self.router.sim.rng(self.rng_stream).random
+                random = self._random = self.router.sim.rng("click.loss").random
             reason = "loss_prob" if random() < self.drop_prob else None
         else:
             reason = None

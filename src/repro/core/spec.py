@@ -57,7 +57,7 @@ and the key), never run as a default.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
@@ -96,36 +96,29 @@ def _known(where: str, key: str, name: Any, names) -> Any:
     return name
 
 
-def build_experiment(
-    spec: Dict[str, Any], vini: Optional[VINI] = None, seed: int = 0
-) -> Tuple[VINI, Experiment]:
-    """Construct (vini, experiment) from a specification dict.
-
-    ``vini`` may be supplied (a pre-built substrate, e.g. the Abilene
-    deployment); otherwise the spec's ``physical`` section is required.
-    """
+def build_experiment(spec: Dict[str, Any]) -> Tuple[VINI, Experiment]:
+    """Construct (vini, experiment) from a specification dict."""
     _section("spec", spec, (
         "name", "seed", "slice", "physical", "topology", "routing",
         "upcalls", "events", "tap_route_prefix"))
-    if vini is None:
-        if "physical" not in spec:
-            raise SpecError("spec has no 'physical' section and no vini given")
-        physical = _section(
-            "physical", spec["physical"], ("nodes", "links", "cpu_speed"))
-        vini = VINI(seed=spec.get("seed", seed))
-        for name in physical.get("nodes", []):
-            vini.add_node(name, cpu_speed=physical.get("cpu_speed", 1.0))
-        for index, link in enumerate(physical.get("links", [])):
-            where = f"physical.links[{index}]"
-            _section(where, link, ("a", "b", "bandwidth", "delay", "queue_bytes"),
-                     ("a", "b"))
-            vini.connect(
-                _known(where, "a", link["a"], vini.nodes),
-                _known(where, "b", link["b"], vini.nodes),
-                **{key: link[key] for key in ("bandwidth", "delay", "queue_bytes")
-                   if key in link},
-            )
-        vini.install_underlay_routes()
+    if "physical" not in spec:
+        raise SpecError("spec has no 'physical' section")
+    physical = _section(
+        "physical", spec["physical"], ("nodes", "links", "cpu_speed"))
+    vini = VINI(seed=spec.get("seed", 0))
+    for name in physical.get("nodes", []):
+        vini.add_node(name, cpu_speed=physical.get("cpu_speed", 1.0))
+    for index, link in enumerate(physical.get("links", [])):
+        where = f"physical.links[{index}]"
+        _section(where, link, ("a", "b", "bandwidth", "delay", "queue_bytes"),
+                 ("a", "b"))
+        vini.connect(
+            _known(where, "a", link["a"], vini.nodes),
+            _known(where, "b", link["b"], vini.nodes),
+            **{key: link[key] for key in ("bandwidth", "delay", "queue_bytes")
+               if key in link},
+        )
+    vini.install_underlay_routes()
     slice_spec = _section("slice", spec.get("slice", {}), (
         "cpu_share", "cpu_reservation", "realtime", "cpu_cap"))
     exp = Experiment(
@@ -146,13 +139,14 @@ def build_experiment(
         where = f"topology.links[{index}]"
         _section(where, link, ("a", "b", "cost", "bandwidth", "map_physical"),
                  ("a", "b"))
-        exp.connect(
-            _known(where, "a", link["a"], exp.network.nodes),
-            _known(where, "b", link["b"], exp.network.nodes),
-            cost=link.get("cost", 1),
-            bandwidth=link.get("bandwidth"),
-            map_physical=link.get("map_physical", True),
-        )
+        a = _known(where, "a", link["a"], exp.network.nodes)
+        b = _known(where, "b", link["b"], exp.network.nodes)
+        try:
+            exp.connect(a, b, cost=link.get("cost", 1),
+                        bandwidth=link.get("bandwidth"),
+                        map_physical=link.get("map_physical", True))
+        except ValueError as err:  # an OSPF cost out of range
+            raise SpecError(f"{where}: {err}") from None
     routing = spec.get("routing", {})
     protocol = routing.get("protocol", "ospf") if isinstance(routing, dict) else "ospf"
     if protocol not in _ROUTING_KEYS:

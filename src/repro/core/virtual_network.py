@@ -428,6 +428,9 @@ class VirtualNetwork:
         subnet: Optional[Union[str, Prefix]] = None,
     ) -> VirtualLink:
         """Create a virtual link between two virtual nodes."""
+        # An OSPF interface cost is a 16-bit integer >= 1 (RFC 2328 C.3).
+        if type(cost) is not int or not 1 <= cost <= 65535:
+            raise ValueError(f"OSPF cost must be an integer in 1..65535, got {cost!r}")
         vnode_a = self.nodes[a] if isinstance(a, str) else a
         vnode_b = self.nodes[b] if isinstance(b, str) else b
         block = prefix(subnet) if subnet is not None else next(self._link_subnets)

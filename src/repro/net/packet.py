@@ -189,7 +189,6 @@ class Packet:
         ip: Optional[IPv4Header],
         transport: Optional[Header] = None,
         payload: Optional[OpaquePayload] = None,
-        meta: Optional[Dict[str, Any]] = None,
     ):
         self.ip = ip
         self.udp = self.tcp = self.icmp = None
@@ -206,7 +205,7 @@ class Packet:
                 raise TypeError(f"not a transport header: {transport!r}")
             length += transport.length
         self.payload = payload if payload is not None else OpaquePayload(0)
-        self.meta: Dict[str, Any] = meta if meta is not None else {}
+        self.meta: Dict[str, Any] = {}
         self.uid = 0  # until a record names it (Simulator.uid)
         # Flight-recorder span context (repro.obs.spans.SpanContext), or
         # None for untracked packets. Shared by reference with the

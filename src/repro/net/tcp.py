@@ -510,7 +510,7 @@ class TCPConnection:
             if fr.enabled and packet.span is not None:
                 # A sampled data segment: its flight ends on delivery
                 # to the receiving connection.
-                fr.flight_end(packet, node=self.node.name)
+                fr.flight_end(packet)
             self._handle_data(tcp.seq, payload_len)
         if tcp.fin:
             self._handle_fin(tcp)

@@ -63,12 +63,12 @@ ARCHIVE_SCHEMA = "repro.archive/1"
 MANIFEST_NAME = "manifest.json"
 
 
-def sha256_file(path: str, chunk: int = 1 << 20) -> str:
-    """Streaming content hash — never loads the file whole."""
+def sha256_file(path: str) -> str:
+    """Streaming content hash — never loads the file whole (1 MiB reads)."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         while True:
-            block = handle.read(chunk)
+            block = handle.read(1 << 20)
             if not block:
                 break
             digest.update(block)

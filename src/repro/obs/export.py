@@ -220,10 +220,10 @@ def _ensure_parent(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def detect_commit(start_dir: Optional[str] = None) -> Optional[str]:
-    """Short commit hash of the repo containing ``start_dir`` (or the
-    CWD), read straight from ``.git`` — no subprocess."""
-    directory = os.path.abspath(start_dir or os.getcwd())
+def detect_commit() -> Optional[str]:
+    """Short commit hash of the repo containing the working directory,
+    read straight from ``.git`` — no subprocess."""
+    directory = os.getcwd()
     while True:
         git_dir = os.path.join(directory, ".git")
         if os.path.isdir(git_dir):

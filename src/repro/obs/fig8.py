@@ -34,18 +34,19 @@ from repro.topologies import build_abilene_iias
 WARMUP = 40.0
 FAIL_AT = 10.0
 FAIL_DURATION = 24.0
+#: D.C. -> Seattle ping spacing, sim-seconds.
+PING_INTERVAL = 0.5
 
 
 def run_fig8(
     out_dir: str,
     seed: int = 8,
     end_at: float = 45.0,
-    interval: float = 0.5,
     nudge_index: Optional[int] = None,
     nudge_dt: float = 0.0,
 ) -> Tuple[str, ExperimentReport]:
     """Run the failover for ``end_at`` sim-seconds past the warm-up,
-    pinging every ``interval``; returns the manifest path and the
+    pinging every ``PING_INTERVAL``; returns the manifest path and the
     compiled report.
 
     A same-seed pair of calls produces byte-identical archives — unless
@@ -82,7 +83,7 @@ def run_fig8(
     seattle = exp.network.nodes["seattle"]
     ping = Ping(
         washington.phys_node, seattle.tap_addr, sliver=washington.sliver,
-        interval=interval, count=int(end_at / interval),
+        interval=PING_INTERVAL, count=int(end_at / PING_INTERVAL),
     ).start()
     sampler = PeriodicSampler(sim, 1.0, name="fig8")
     sampler.watch("rtt", metric=ping.rtt_hist).start()
@@ -96,7 +97,7 @@ def run_fig8(
         sim, name="fig8",
         meta={"config": "abilene-iias", "seed": seed, "warmup_s": WARMUP,
               "fail_at_s": FAIL_AT, "fail_duration_s": FAIL_DURATION,
-              "ping": "washington->seattle @ %gs" % interval},
+              "ping": "washington->seattle @ %gs" % PING_INTERVAL},
         samplers=(sampler,), recorder=recorder, routing=True,
         tracker=tracker, monitor=monitor,
     )

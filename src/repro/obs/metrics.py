@@ -81,23 +81,24 @@ class Metric:
 class Counter(Metric):
     """A monotonically increasing total.
 
-    Push counters accumulate via :meth:`inc`; pull counters are built
-    with ``fn=`` and read a live value (an existing hot-path integer)
-    only when collected, costing the instrumented code nothing.
+    Push counters count :meth:`inc` calls; pull counters are given a
+    function (:meth:`set_function`) and read a live value (an existing
+    hot-path integer) only when collected, costing the instrumented
+    code nothing.
     """
 
     __slots__ = ("_value", "_fn")
     kind = "counter"
 
-    def __init__(self, name: str, labels: Dict[str, Any], fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, labels: Dict[str, Any]):
         super().__init__(name, labels)
         self._value = 0
-        self._fn = fn
+        self._fn: Optional[Callable[[], float]] = None
 
-    def inc(self, amount: float = 1) -> None:
+    def inc(self) -> None:
         if self._fn is not None:
             raise RuntimeError(f"{self.name} is a pull counter; it cannot be inc()ed")
-        self._value += amount
+        self._value += 1
 
     def set_function(self, fn: Callable[[], float]) -> "Counter":
         self._fn = fn
@@ -117,15 +118,15 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A point-in-time level: push via ``set``, or pull via ``fn=``."""
+    """A point-in-time level: push via ``set``, or pull via ``set_function``."""
 
     __slots__ = ("_value", "_fn")
     kind = "gauge"
 
-    def __init__(self, name: str, labels: Dict[str, Any], fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, labels: Dict[str, Any]):
         super().__init__(name, labels)
         self._value = 0.0
-        self._fn = fn
+        self._fn: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
         self._value = value
@@ -148,7 +149,7 @@ class Gauge(Metric):
 
 
 class Histogram(Metric):
-    """A distribution over fixed log-spaced buckets.
+    """A distribution over the log-spaced :data:`DEFAULT_BUCKETS`.
 
     ``count``/``sum``/``sum_sq``/``min``/``max`` are exact (so means
     and standard deviations match a per-sample computation bit-for-bit
@@ -160,16 +161,9 @@ class Histogram(Metric):
     __slots__ = ("bounds", "bucket_counts", "count", "sum", "sum_sq", "min", "max")
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        labels: Dict[str, Any],
-        bounds: Optional[Tuple[float, ...]] = None,
-    ):
+    def __init__(self, name: str, labels: Dict[str, Any]):
         super().__init__(name, labels)
-        self.bounds = tuple(bounds) if bounds is not None else DEFAULT_BUCKETS
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError("histogram bounds must be sorted ascending")
+        self.bounds = DEFAULT_BUCKETS
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -279,7 +273,7 @@ class NullMetric:
     name = ""
     labels: Dict[str, Any] = {}
 
-    def inc(self, amount: float = 1) -> None:
+    def inc(self) -> None:
         pass
 
     def set(self, value: float) -> None:
@@ -316,31 +310,31 @@ class MetricsRegistry:
 
     Asking for an existing key returns the same object, so independent
     call sites share a series. When the registry is disabled —
-    ``enabled=False``, or :attr:`default_enabled` flipped before the
-    world is built — every factory returns the shared
-    :data:`NULL_METRIC` and nothing is registered, making a metrics-off
-    run bit-identical to one without instrumentation at all.
+    :attr:`default_enabled` flipped before the world is built — every
+    factory returns the shared :data:`NULL_METRIC` and nothing is
+    registered, making a metrics-off run bit-identical to one without
+    instrumentation at all.
     """
 
     #: Class-wide default: tests flip this to build whole worlds with
     #: metrics off.
     default_enabled = True
 
-    def __init__(self, sim=None, enabled: Optional[bool] = None):
+    def __init__(self, sim=None):
         self.sim = sim
-        self.enabled = type(self).default_enabled if enabled is None else enabled
+        self.enabled = type(self).default_enabled
         self._metrics: Dict[Tuple[str, LabelKey], Metric] = {}
 
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------
-    def _get_or_create(self, cls, name: str, labels: Dict[str, Any], **kwargs):
+    def _get_or_create(self, cls, name: str, labels: Dict[str, Any]):
         if not self.enabled:
             return NULL_METRIC
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, labels, **kwargs)
+            metric = cls(name, labels)
             self._metrics[key] = metric
         return metric
 
@@ -356,8 +350,8 @@ class MetricsRegistry:
             metric.set_function(fn)
         return metric
 
-    def histogram(self, name: str, bounds: Optional[Tuple[float, ...]] = None, **labels):
-        return self._get_or_create(Histogram, name, labels, bounds=bounds)
+    def histogram(self, name: str, **labels):
+        return self._get_or_create(Histogram, name, labels)
 
     # ------------------------------------------------------------------
     # Queries

@@ -235,33 +235,28 @@ class ConvergenceTracker:
     # Readback
     # ------------------------------------------------------------------
     def path_windows(self, src: str, dst: str,
-                     until: Optional[float] = None,
                      addr: Optional[str] = None) -> List[Dict[str, Any]]:
         """Contiguous ``{status, start, end}`` windows for one pair.
-        The final window is closed at ``until`` (default: now)."""
+        The final window is closed now."""
         events = self._path_events.get(
             (src, dst, str(addr) if addr is not None else None), []
         )
-        if until is None:
-            until = self.sim.now
         windows = []
         for index, (start, status) in enumerate(events):
-            end = events[index + 1][0] if index + 1 < len(events) else until
+            end = events[index + 1][0] if index + 1 < len(events) else self.sim.now
             windows.append({"status": status, "start": start, "end": end})
         return windows
 
-    def blackhole_windows(self, src: str, dst: str,
-                          until: Optional[float] = None,
-                          addr: Optional[str] = None) -> List[Dict[str, Any]]:
-        return [w for w in self.path_windows(src, dst, until, addr=addr)
+    def blackhole_windows(self, src: str, dst: str) -> List[Dict[str, Any]]:
+        return [w for w in self.path_windows(src, dst)
                 if w["status"] == BLACKHOLE]
 
-    def as_dict(self, until: Optional[float] = None) -> Dict[str, Any]:
+    def as_dict(self) -> Dict[str, Any]:
         return {
             "episodes": [e.as_dict() for e in self.episodes],
             "paths": {
                 f"{src}->{dst}" + (f"[{addr}]" if addr else ""):
-                    self.path_windows(src, dst, until, addr=addr)
+                    self.path_windows(src, dst, addr=addr)
                 for src, dst, addr in self._pairs
             },
         }

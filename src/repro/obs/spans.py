@@ -91,7 +91,6 @@ class Span:
         name: str,
         node: str,
         start: float,
-        end: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
     ):
         self.trace_id = trace_id
@@ -100,7 +99,7 @@ class Span:
         self.name = name
         self.node = node
         self.start = start
-        self.end = end
+        self.end: Optional[float] = None  # set when the span closes
         self.meta = meta
 
     @property
@@ -298,7 +297,7 @@ class FlightRecorder:
         if self._pending_reroute:
             self._link_reroute(node, ctx)
 
-    def flight_end(self, packet, node: str = "", status: str = "ok") -> None:
+    def flight_end(self, packet) -> None:
         """Close ``packet``'s flight (normal completion)."""
         ctx = packet.span
         if ctx is None:
@@ -306,7 +305,7 @@ class FlightRecorder:
         flight = self._open.pop(ctx.trace_id, None)
         if flight is None:
             return
-        self._finish(flight, status)
+        self._finish(flight, "ok")
 
     def flight_drop(self, packet, reason: str, node: str = "") -> None:
         """Close ``packet``'s flight because the packet was dropped.

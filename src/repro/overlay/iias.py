@@ -14,7 +14,7 @@ from repro.click import NAPT
 from repro.core.experiment import Experiment
 from repro.core.virtual_network import VirtualNode
 from repro.overlay.egress import configure_egress
-from repro.overlay.ingress import OPENVPN_PORT, OpenVPNClient, OpenVPNServer
+from repro.overlay.ingress import OpenVPNClient, OpenVPNServer
 from repro.phys.node import PhysicalNode
 
 
@@ -31,14 +31,12 @@ class IIAS:
     def _vnode(self, name: Union[str, VirtualNode]) -> VirtualNode:
         return self.network.nodes[name] if isinstance(name, str) else name
 
-    def add_openvpn_server(
-        self, vnode: Union[str, VirtualNode], port: int = OPENVPN_PORT
-    ) -> OpenVPNServer:
+    def add_openvpn_server(self, vnode: Union[str, VirtualNode]) -> OpenVPNServer:
         """Designate a virtual node as an ingress (Section 4.2.3)."""
         vnode = self._vnode(vnode)
         if vnode.name in self.servers:
             raise ValueError(f"{vnode.name} already runs an OpenVPN server")
-        server = OpenVPNServer(vnode, port=port)
+        server = OpenVPNServer(vnode)
         self.servers[vnode.name] = server
         return server
 
@@ -54,13 +52,11 @@ class IIAS:
     def opt_in(
         self, host: PhysicalNode, server: Union[str, OpenVPNServer]
     ) -> OpenVPNClient:
-        """Connect an end host to an ingress server ("opt in"); the
-        client dials the port the server listens on."""
+        """Connect an end host to an ingress server ("opt in") on
+        :data:`~repro.overlay.ingress.OPENVPN_PORT`."""
         if isinstance(server, str):
             server = self.servers[server]
-        client = OpenVPNClient(
-            host, server.node.address, server_port=server.port
-        )
+        client = OpenVPNClient(host, server.node.address)
         client.connect()
         return client
 

@@ -54,17 +54,16 @@ class OpenVPNServer:
     FIB so return traffic finds its way back out the VPN.
     """
 
-    def __init__(self, vnode: VirtualNode, port: int = OPENVPN_PORT):
+    def __init__(self, vnode: VirtualNode):
         self.vnode = vnode
         self.node = vnode.phys_node
         self.sim = vnode.sim
-        self.port = port
         self.client_pool = Prefix(int(vnode.tap_addr) & 0xFFFFFF00 | 0x40, 26)
         self._pool = iter(self.client_pool.hosts())
         self.process = vnode.sliver.create_process("openvpn")
         self.sock = self.node.udp_socket(
             self.process,
-            port=port,
+            port=OPENVPN_PORT,
             recv_cost=lambda pkt: VPN_CRYPTO_COST + APP_RECV_COST,
         )
         self.sock.on_receive = self._from_client
@@ -135,12 +134,10 @@ class OpenVPNClient:
         self,
         node: PhysicalNode,
         server_addr: Union[str, IPv4Address],
-        server_port: int = OPENVPN_PORT,
     ):
         self.node = node
         self.sim = node.sim
         self.server_addr = ip(server_addr)
-        self.server_port = server_port
         slice_ = Slice(f"vpn-{node.name}")
         self.sliver = node.create_sliver(slice_)
         self.process = self.sliver.create_process("openvpn-client")
@@ -159,7 +156,7 @@ class OpenVPNClient:
             self.sock.sendto,
             OpaquePayload(64, tag="openvpn-hello"),
             self.server_addr,
-            self.server_port,
+            OPENVPN_PORT,
         )
 
     def send(self, packet: Packet) -> None:
@@ -169,7 +166,7 @@ class OpenVPNClient:
             self.sock.sendto,
             OpaquePayload(packet.wire_len + (VPN_OVERHEAD - 28), data=packet, tag="openvpn"),
             self.server_addr,
-            self.server_port,
+            OPENVPN_PORT,
         )
 
     def _from_server(self, outer: Packet, src: IPv4Address, sport: int) -> None:

@@ -272,17 +272,20 @@ class Link:
         bandwidth: float = DEFAULT_BANDWIDTH,
         delay: float = 0.0,
         queue_bytes: int = DEFAULT_QUEUE_BYTES,
-        name: str = "",
     ):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        # Written so that NaN fails too: it would build, then stop the
+        # run inside the engine ("cannot schedule at t=nan").
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if not queue_bytes >= 0:
+            raise ValueError(f"queue_bytes must be >= 0, got {queue_bytes!r}")
         self.sim = sim
         self._channels = {}  # Interface -> _Channel (keyed by sender)
         self._peer = {}  # sender -> receiver, once both ends attach
         self.bandwidth = bandwidth  # property: validates + resets memos
         self.delay = delay
         self.queue_bytes = queue_bytes
-        self.name = name
+        self.name = ""  # "<a>--<b>" once both ends attach
         self.up = True
         self.endpoints: List["Interface"] = []
         self.observers: List[Callable[["Link", bool], None]] = []
@@ -296,7 +299,7 @@ class Link:
         # The per-channel serialization-time memo is keyed only by
         # wire length; route reconfiguration through this setter so
         # the memo can never serve times computed for an old rate.
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"bandwidth must be positive, got {value!r}")
         self._bandwidth = value
         for channel in self._channels.values():
@@ -309,14 +312,13 @@ class Link:
     # ------------------------------------------------------------------
     def attach(self, interface: "Interface") -> None:
         if len(self.endpoints) >= 2:
-            raise ValueError(f"link {self.name or id(self)} already has 2 endpoints")
+            raise ValueError(f"link {self.name} already has 2 endpoints")
         self.endpoints.append(interface)
         self._channels[interface] = _Channel(self.sim, self)
         if len(self.endpoints) == 2:
             a, b = self.endpoints
             self._peer = {a: b, b: a}
-            if not self.name:
-                self.name = f"{a.node.name}--{b.node.name}"
+            self.name = f"{a.node.name}--{b.node.name}"
             self._register_metrics()
 
     def _register_metrics(self) -> None:

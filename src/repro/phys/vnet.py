@@ -77,7 +77,7 @@ class VNet:
                 return port
         raise PortConflictError(f"{self.node.name}: ephemeral {_proto_name(proto)} ports exhausted")
 
-    def preallocate(self, proto: int, start: int = 33000, end: int = EPHEMERAL_END) -> int:
+    def preallocate(self, proto: int, start: int = 33000) -> int:
         """Reserve a node-scope port number for a future bind on this node.
 
         Used when port numbers must be exchanged before sockets exist
@@ -86,7 +86,7 @@ class VNet:
         :meth:`free_port` and by later preallocations, node-wide —
         which is what keeps two experiments' tunnels from colliding.
         """
-        for port in range(start, end):
+        for port in range(start, EPHEMERAL_END):
             key = (proto, port)
             if (None, proto, port) not in self._table and key not in self._preallocated:
                 self._preallocated.add(key)

@@ -73,23 +73,14 @@ class Sliver:
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------
-    def create_process(
-        self,
-        name: str,
-        share: Optional[float] = None,
-        reservation: Optional[float] = None,
-        realtime: Optional[bool] = None,
-        cpu_cap: Optional[float] = None,
-    ) -> Process:
+    def create_process(self, name: str) -> Process:
         process = Process(
             self.node,
             f"{self.slice.name}.{name}",
-            share=self.slice.cpu_share if share is None else share,
-            reservation=(
-                self.slice.cpu_reservation if reservation is None else reservation
-            ),
-            realtime=self.slice.realtime if realtime is None else realtime,
-            cpu_cap=self.slice.cpu_cap if cpu_cap is None else cpu_cap,
+            share=self.slice.cpu_share,
+            reservation=self.slice.cpu_reservation,
+            realtime=self.slice.realtime,
+            cpu_cap=self.slice.cpu_cap,
             sliver=self,
         )
         self.processes.append(process)
@@ -107,11 +98,9 @@ class Sliver:
         self,
         address: Union[str, IPv4Address],
         route_prefix: Union[str, Prefix] = OVERLAY_PREFIX,
-        name: Optional[str] = None,
     ) -> TapDevice:
-        if name is None:
-            name = f"tap{len(self.taps)}"
-        tap = TapDevice(self, ip(address), prefix(route_prefix), name=name)
+        tap = TapDevice(self, ip(address), prefix(route_prefix),
+                        name=f"tap{len(self.taps)}")
         self.taps.append(tap)
         self.node._register_tap(tap)
         return tap

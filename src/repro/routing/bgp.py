@@ -413,14 +413,13 @@ class BGPDaemon:
     def originate(
         self,
         pfx: Union[str, Prefix],
-        nexthop: Optional[Union[str, IPv4Address]] = None,
         local_pref: int = 100,
     ) -> None:
         """Announce a locally originated prefix."""
         route = BGPRoute(
             prefix(pfx),
             as_path=(),
-            nexthop=nexthop if nexthop is not None else IPv4Address(self.router_id),
+            nexthop=IPv4Address(self.router_id),
             local_pref=local_pref,
             origin=ORIGIN_IGP,
         )

@@ -111,13 +111,12 @@ class BGPMultiplexer:
         self,
         transport: DirectTransport,
         peer_asn: int,
-        mrai: float = 5.0,
     ) -> BGPSession:
         """Open the single session to the external operational router."""
         if self.external_session is not None:
             raise RuntimeError("external session already attached")
         self.external_session = self.daemon.add_session(
-            transport, peer_asn, name="external", mrai=mrai
+            transport, peer_asn, name="external"
         )
         self.external_session.start()
         return self.external_session

@@ -271,11 +271,8 @@ class OSPFDaemon:
     # ------------------------------------------------------------------
     # Configuration and lifecycle
     # ------------------------------------------------------------------
-    def enable_interface(self, name: str, cost: Optional[int] = None) -> None:
-        iface = self.platform.interfaces[name]
-        if cost is not None:
-            iface.cost = cost
-        self.enabled_ifaces[name] = iface
+    def enable_interface(self, name: str) -> None:
+        self.enabled_ifaces[name] = self.platform.interfaces[name]
 
     def enable_all_interfaces(self) -> None:
         for name in self.platform.interfaces:

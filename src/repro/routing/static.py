@@ -21,7 +21,6 @@ class StaticRoutes:
         pfx: Union[str, Prefix],
         nexthop: Optional[Union[str, IPv4Address]] = None,
         ifname: Optional[str] = None,
-        metric: float = 0.0,
     ) -> None:
         """Add a static route via ``nexthop`` and/or out ``ifname``.
 
@@ -37,7 +36,7 @@ class StaticRoutes:
                 raise ValueError(f"nexthop {gw} is not on any connected subnet")
             ifname = iface.name
         self.rib.update(
-            RibRoute(prefix(pfx), gw, ifname, "static", AdminDistance.STATIC, metric)
+            RibRoute(prefix(pfx), gw, ifname, "static", AdminDistance.STATIC)
         )
 
     def remove(self, pfx: Union[str, Prefix]) -> None:

@@ -22,6 +22,8 @@ from repro.phys.vserver import Sliver
 
 SEND_COST = 5.0e-6
 UDP_PAYLOAD = 1430  # the paper's UDP payload size
+TCP_PORT = 5001  # iperf's default port
+UDP_PORT = 5002  # beside it, so a TCP and a UDP test can share a node
 
 
 def _make_process(node: PhysicalNode, sliver: Optional[Sliver], name: str) -> Process:
@@ -62,13 +64,10 @@ class IperfTCPServer:
     def __init__(
         self,
         node: PhysicalNode,
-        port: int = 5001,
         sliver: Optional[Sliver] = None,
-        local_addr: Optional[Union[str, IPv4Address]] = None,
         window: int = DEFAULT_RCVBUF,
     ):
         self.sim = node.sim
-        self.port = port
         self.process = _make_process(node, sliver, "iperf-server")
         self.bytes_received = 0
         self.arrivals: List[Tuple[float, int]] = []
@@ -76,17 +75,13 @@ class IperfTCPServer:
             "iperf.tcp.bytes_received",
             fn=lambda: self.bytes_received,
             node=node.name,
-            port=port,
+            port=TCP_PORT,
         )
         stack = TCPStack.of(node)
         self.listener = stack.listen(
             self.process,
-            port,
-            local_addr=(
-                local_addr
-                if local_addr is not None
-                else (sliver.tap.address if sliver is not None and sliver.tap else None)
-            ),
+            TCP_PORT,
+            local_addr=sliver.tap.address if sliver is not None and sliver.tap else None,
             on_accept=self._accept,
             rcvbuf=window,
         )
@@ -109,7 +104,6 @@ class IperfTCPClient:
         self,
         node: PhysicalNode,
         server_addr: Union[str, IPv4Address],
-        port: int = 5001,
         sliver: Optional[Sliver] = None,
         streams: int = 1,
         duration: float = 10.0,
@@ -119,7 +113,6 @@ class IperfTCPClient:
         self.node = node
         self.sim = node.sim
         self.server_addr = ip(server_addr)
-        self.port = port
         self.streams = streams
         self.duration = duration
         self.window = window
@@ -139,7 +132,7 @@ class IperfTCPClient:
             conn = stack.connect(
                 self.process,
                 self.server_addr,
-                self.port,
+                TCP_PORT,
                 rcvbuf=self.window,
             )
             conn.on_connect = lambda conn=conn: self._pump(conn)
@@ -203,20 +196,14 @@ class IperfUDPServer:
     def __init__(
         self,
         node: PhysicalNode,
-        port: int = 5002,
         sliver: Optional[Sliver] = None,
-        local_addr: Optional[Union[str, IPv4Address]] = None,
         rcvbuf: int = 256 * 1024,
     ):
         self.sim = node.sim
         self.process = _make_process(node, sliver, "iperf-udp-server")
-        bind = (
-            local_addr
-            if local_addr is not None
-            else (sliver.tap.address if sliver is not None and sliver.tap else None)
-        )
+        bind = sliver.tap.address if sliver is not None and sliver.tap else None
         self.sock = node.udp_socket(
-            self.process, port=port, local_addr=bind, rcvbuf=rcvbuf
+            self.process, port=UDP_PORT, local_addr=bind, rcvbuf=rcvbuf
         )
         self.sock.on_receive = self._on_datagram
         self.received = 0
@@ -225,7 +212,7 @@ class IperfUDPServer:
         self.jitter_samples: List[float] = []
         self._last_transit: Optional[float] = None
         metrics = self.sim.metrics
-        labels = dict(node=node.name, port=port)
+        labels = dict(node=node.name, port=UDP_PORT)
         metrics.counter("iperf.udp.received", fn=lambda: self.received, **labels)
         metrics.gauge("iperf.udp.jitter", fn=lambda: self.jitter, **labels)
 
@@ -253,28 +240,24 @@ class IperfUDPClient:
         node: PhysicalNode,
         server_addr: Union[str, IPv4Address],
         rate_bps: float,
-        port: int = 5002,
         sliver: Optional[Sliver] = None,
         duration: float = 10.0,
-        payload: int = UDP_PAYLOAD,
         server: Optional[IperfUDPServer] = None,
     ):
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps!r}")
         self.sim = node.sim
         self.server_addr = ip(server_addr)
-        self.port = port
         self.duration = duration
-        self.payload = payload
         self.server = server
         self.process = _make_process(node, sliver, "iperf-udp-client")
         bind = sliver.tap.address if sliver is not None and sliver.tap else None
         self.sock = node.udp_socket(self.process, local_addr=bind)
         self.sent = 0
-        self.interval = payload * 8 / rate_bps
+        self.interval = UDP_PAYLOAD * 8 / rate_bps
         self._deadline: Optional[float] = None
         self.sim.metrics.counter(
-            "iperf.udp.sent", fn=lambda: self.sent, node=node.name, port=port
+            "iperf.udp.sent", fn=lambda: self.sent, node=node.name, port=UDP_PORT
         )
 
     def start(self) -> "IperfUDPClient":
@@ -295,10 +278,10 @@ class IperfUDPClient:
 
         self.sock.sendto(
             OpaquePayload(
-                self.payload, data={"seq": seq, "sent_at": self.sim.now}, tag="iperf"
+                UDP_PAYLOAD, data={"seq": seq, "sent_at": self.sim.now}, tag="iperf"
             ),
             self.server_addr,
-            self.port,
+            UDP_PORT,
         )
 
     def result(self) -> UDPResult:

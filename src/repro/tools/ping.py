@@ -22,6 +22,10 @@ from repro.phys.vserver import Sliver
 #: First ICMP ident handed out per simulator (see ``Ping.__init__``).
 _IDENT_BASE = 1000
 SEND_COST = 5.0e-6
+#: ping(8)'s default: 56 data bytes, an 84-byte IP packet.
+PAYLOAD = 56
+#: A reply later than this after its request is not counted.
+TIMEOUT = 10.0
 
 
 @dataclass
@@ -64,26 +68,19 @@ class Ping:
         node: PhysicalNode,
         dst: Union[str, IPv4Address],
         sliver: Optional[Sliver] = None,
-        process: Optional[Process] = None,
         interval: float = 1.0,
         count: Optional[int] = None,
-        payload: int = 56,
-        timeout: float = 10.0,
     ):
         self.node = node
         self.sim = node.sim
         self.dst = ip(dst)
         self.sliver = sliver
-        if process is not None:
-            self.process = process
-        elif sliver is not None:
+        if sliver is not None:
             self.process = sliver.create_process("ping")
         else:
             self.process = Process(node, "ping")
         self.interval = interval
         self.count = count
-        self.payload = payload
-        self.timeout = timeout
         # The ident counter is per-simulator, not process-global:
         # uniqueness only matters within one sim (icmp_register keys on
         # it), and a per-sim counter keeps same-seed runs byte-identical
@@ -146,7 +143,7 @@ class Ping:
         packet = Packet(
             IPv4Header(src, self.dst, PROTO_ICMP),
             ICMPHeader(ICMP_ECHO_REQUEST, ident=self.ident, seq=seq),
-            payload=OpaquePayload(self.payload, data=now, tag="ping"),
+            payload=OpaquePayload(PAYLOAD, data=now, tag="ping"),
         )
         fr = self.sim.flight
         if fr.enabled:
@@ -162,13 +159,13 @@ class Ping:
         if sent_at is None:
             return
         rtt = self.sim.now - sent_at
-        if rtt > self.timeout:
+        if rtt > TIMEOUT:
             return
         self.received += 1
         self.samples.append((sent_at, seq, rtt))
         fr = self.sim.flight
         if fr.enabled:
-            fr.flight_end(packet, node=self.node.name)
+            fr.flight_end(packet)
         self.rtt_hist.observe(rtt)
         self.sim.trace.log(
             "ping", src=self.node.name, dst=str(self.dst), seq=seq, rtt=rtt

@@ -26,6 +26,8 @@ from repro.phys.vserver import Sliver
 #: First ICMP ident handed out per simulator, less one.
 _IDENT_BASE = 20000
 PROBE_COST = 5.0e-6
+MAX_HOPS = 30  # traceroute(8)'s defaults
+PROBE_TIMEOUT = 2.0
 
 
 class Traceroute:
@@ -36,15 +38,11 @@ class Traceroute:
         node: PhysicalNode,
         dst: Union[str, IPv4Address],
         sliver: Optional[Sliver] = None,
-        max_hops: int = 30,
-        probe_timeout: float = 2.0,
     ):
         self.node = node
         self.sim = node.sim
         self.dst = ip(dst)
         self.sliver = sliver
-        self.max_hops = max_hops
-        self.probe_timeout = probe_timeout
         # Per simulator, like Ping's: same-seed worlds built back to
         # back in one process send the same probes.
         self.ident = getattr(self.sim, "_traceroute_next_ident", _IDENT_BASE) + 1
@@ -75,12 +73,12 @@ class Traceroute:
         if self.done:
             return
         self._current_ttl += 1
-        if self._current_ttl > self.max_hops:
+        if self._current_ttl > MAX_HOPS:
             self._finish()
             return
         self._sent_at = self.sim.now
         self.process.exec_after(PROBE_COST, self._emit, self._current_ttl)
-        self._timeout_event = self.sim.at(self.probe_timeout, self._probe_timeout)
+        self._timeout_event = self.sim.at(PROBE_TIMEOUT, self._probe_timeout)
 
     def _emit(self, ttl: int) -> None:
         src = (

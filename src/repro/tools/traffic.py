@@ -19,10 +19,11 @@ from repro.phys.process import Process
 from repro.phys.vserver import Sliver
 
 SEND_COST = 5.0e-6
+PAYLOAD = 1430  # bytes per datagram: iperf's UDP payload in the paper
 
 
 class CBRSource:
-    """Constant bit rate: one datagram every payload*8/rate seconds,
+    """Constant bit rate: one datagram every PAYLOAD*8/rate seconds,
     from a UDP sender on a node (optionally in a sliver)."""
 
     def __init__(
@@ -31,7 +32,6 @@ class CBRSource:
         dst: Union[str, IPv4Address],
         dport: int,
         rate_bps: float,
-        payload: int = 1430,
         sliver: Optional[Sliver] = None,
         name: str = "source",
     ):
@@ -40,8 +40,7 @@ class CBRSource:
         self.sim = node.sim
         self.dst = ip(dst)
         self.dport = dport
-        self.payload = payload
-        self.interval = payload * 8 / rate_bps
+        self.interval = PAYLOAD * 8 / rate_bps
         if sliver is not None:
             self.process = sliver.create_process(name)
             bind = sliver.tap.address if sliver.tap is not None else None
@@ -69,7 +68,7 @@ class CBRSource:
         self.process.exec_after(
             SEND_COST,
             self.sock.sendto,
-            OpaquePayload(self.payload, data={"seq": seq, "sent_at": self.sim.now}),
+            OpaquePayload(PAYLOAD, data={"seq": seq, "sent_at": self.sim.now}),
             self.dst,
             self.dport,
         )
@@ -91,7 +90,6 @@ class FlashCrowd:
         dport: int,
         n_sources: int = 10,
         rate_bps: float = 5e6,
-        payload: int = 1430,
         slivers: Optional[List[Sliver]] = None,
     ):
         if not nodes:
@@ -101,10 +99,8 @@ class FlashCrowd:
             node = nodes[index % len(nodes)]
             sliver = slivers[index % len(slivers)] if slivers else None
             self.sources.append(
-                CBRSource(
-                    node, dst, dport, rate_bps, payload=payload,
-                    sliver=sliver, name=f"crowd{index}",
-                )
+                CBRSource(node, dst, dport, rate_bps, sliver=sliver,
+                          name=f"crowd{index}")
             )
         self.sim = nodes[0].sim
 

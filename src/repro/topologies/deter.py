@@ -14,7 +14,7 @@ kernel's 940 Mb/s.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
@@ -22,9 +22,9 @@ from repro.core.infrastructure import VINI
 GIGE = 1_000_000_000
 
 
-def build_deter(vini: Optional[VINI] = None, seed: int = 0) -> VINI:
+def build_deter(seed: int = 0) -> VINI:
     """Src -- Fwdr -- Sink over GigE (Figure 3)."""
-    vini = vini if vini is not None else VINI(seed=seed, backbone_block="10.1.0.0/16")
+    vini = VINI(seed=seed, backbone_block="10.1.0.0/16")
     vini.add_node("src")
     vini.add_node("fwdr")
     vini.add_node("sink")
@@ -36,23 +36,17 @@ def build_deter(vini: Optional[VINI] = None, seed: int = 0) -> VINI:
     return vini
 
 
-def build_deter_iias(
-    vini: Optional[VINI] = None,
-    seed: int = 0,
-    realtime: bool = True,
-) -> Tuple[VINI, Experiment]:
+def build_deter_iias(seed: int = 0) -> Tuple[VINI, Experiment]:
     """IIAS overlaid on the DETER machines (Figure 4).
 
     Tap addresses live in 192.168.1.0/24 (the paper's Fig. 4 shows
     iperf at 192.168.1.1/192.168.1.2); tunnels ride the physical
     10.1.x subnets. On dedicated DETER hardware there is no contending
-    load, so the slice runs real-time by default — the machines are
-    all ours.
+    load, so the slice runs real-time — the machines are all ours.
     """
-    if vini is None:
-        vini = build_deter(seed=seed)
+    vini = build_deter(seed=seed)
     exp = Experiment(
-        vini, "iias", realtime=realtime, tap_route_prefix="192.168.0.0/16"
+        vini, "iias", realtime=True, tap_route_prefix="192.168.0.0/16"
     )
     exp.add_node("src", "src", tap_addr="192.168.1.1")
     exp.add_node("fwdr", "fwdr", tap_addr="192.168.1.3")

@@ -523,7 +523,7 @@ def hijack_plan(
     attacker = world.anchor(attacker_asn).xorp.bgp
     plan = FaultPlan(f"hijack-as{attacker_asn}")
     plan.at(
-        at, attacker.originate, victim.prefix, None, ORIGIN_LOCAL_PREF,
+        at, attacker.originate, victim.prefix, ORIGIN_LOCAL_PREF,
         label=f"as{attacker_asn} hijacks {victim.prefix}",
     )
     if duration is not None:

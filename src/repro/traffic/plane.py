@@ -165,7 +165,10 @@ class FluidTrafficPlane:
     its Shaper charged with the class rate).
     """
 
-    def __init__(self, target, name: str = "traffic"):
+    #: The plane's label in its metrics and trace records.
+    name = "traffic"
+
+    def __init__(self, target):
         experiment = getattr(target, "network", None)
         if experiment is not None:  # an Experiment
             self.experiment = target
@@ -174,7 +177,6 @@ class FluidTrafficPlane:
             self.experiment = None
             self.vini = target
         self.sim = self.vini.sim
-        self.name = name
 
         self.flows: Dict[int, FluidFlow] = {}
         self.classes: Dict[tuple, _FlowClass] = {}  # creation order
@@ -209,7 +211,7 @@ class FluidTrafficPlane:
                 (counter, "solver_iterations", lambda: self._solver_iterations),
                 (gauge, "classes", lambda: len(self.classes)),
             ):
-                register(f"traffic.{metric}", fn=read, plane=name)
+                register(f"traffic.{metric}", fn=read, plane=self.name)
 
         # Fluid reacts to link fail/recover at both layers.
         for link in self.vini.links.values():

@@ -62,8 +62,8 @@ def world():
     sim = Simulator(seed=11)
     node = PhysicalNode(sim, "n0")
     node.add_interface("eth0").configure("198.51.100.1", 24)
-    sliver = node.create_sliver(Slice("exp"))
-    process = sliver.create_process("click", realtime=True)
+    sliver = node.create_sliver(Slice("exp", realtime=True))
+    process = sliver.create_process("click")
     router = ClickRouter(node, process)
     sim.trace.enable("drop")
     return sim, node, sliver, router
@@ -76,7 +76,7 @@ def pair():
     a = PhysicalNode(sim, "a")
     b = PhysicalNode(sim, "b")
     connect(sim, a, b, bandwidth=1e9, delay=0.005, subnet="198.51.100.0/30")
-    slice_ = Slice("exp")
-    router_a = ClickRouter(a, a.create_sliver(slice_).create_process("click", realtime=True))
-    router_b = ClickRouter(b, b.create_sliver(slice_).create_process("click", realtime=True))
+    slice_ = Slice("exp", realtime=True)
+    router_a = ClickRouter(a, a.create_sliver(slice_).create_process("click"))
+    router_b = ClickRouter(b, b.create_sliver(slice_).create_process("click"))
     return sim, a, b, router_a, router_b

@@ -251,7 +251,8 @@ class TestLoss:
 
     def test_probabilistic_loss(self, world):
         sim, node, sliver, router = world
-        loss = router.add("loss", LossElement(drop_prob=0.5))
+        loss = router.add("loss", LossElement())
+        loss.set_drop_prob(0.5)
         sink = router.add("s", Sink())
         router["loss"].connect(router["s"])
         for _ in range(1000):
@@ -261,7 +262,7 @@ class TestLoss:
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            LossElement(drop_prob=1.5)
+            LossElement().set_drop_prob(1.5)
 
 
 class TestQueueShaper:

@@ -23,8 +23,8 @@ def build_napt():
     sim = Simulator(seed=71)
     node = PhysicalNode(sim, "egress")
     node.add_interface("eth0").configure("198.51.100.1", 24)
-    sliver = node.create_sliver(Slice("exp"))
-    process = sliver.create_process("click", realtime=True)
+    sliver = node.create_sliver(Slice("exp", realtime=True))
+    process = sliver.create_process("click")
     from repro.click import ClickRouter
 
     router = ClickRouter(node, process)

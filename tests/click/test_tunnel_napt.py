@@ -280,7 +280,7 @@ class TestNAPT:
         napt.push(1, reply)
         (back,) = in_sink.packets
         assert back.span is ctx  # reply leg rejoined the flight
-        recorder.flight_end(back, node=node.name)
+        recorder.flight_end(back)
         (flight,) = recorder.flights()
         assert flight.status == "ok"
         # Both NAT traversals staged into the one flight.

@@ -76,27 +76,6 @@ def test_roundtrip_spec_rebuilds_equivalent_experiment():
     assert set(exp2.network.nodes) == set(exp.network.nodes)
 
 
-def test_existing_vini_can_be_supplied():
-    vini = VINI(seed=1)
-    vini.add_node("pa")
-    vini.add_node("pb")
-    vini.connect("pa", "pb", delay=0.002)
-    vini.install_underlay_routes()
-    spec = {
-        "name": "mini",
-        "topology": {"nodes": {"x": "pa", "y": "pb"},
-                     "links": [{"a": "x", "b": "y"}]},
-        "routing": {"protocol": "ospf", "hello_interval": 2.0,
-                    "dead_interval": 6.0},
-    }
-    vini_out, exp = build_experiment(spec, vini=vini)
-    assert vini_out is vini
-    exp.run(until=20.0)
-    x = exp.network.nodes["x"]
-    y = exp.network.nodes["y"]
-    assert x.xorp.rib.lookup(y.tap_addr) is not None
-
-
 def test_unknown_protocol_is_a_spec_error_listing_the_known_ones():
     spec = dict(SQUARE, routing={"protocol": "rip"})
     with pytest.raises(SpecError) as err:
@@ -134,7 +113,7 @@ def test_mixed_cpu_speeds_are_refused_naming_the_nodes():
 
 def test_errors_for_malformed_specs():
     with pytest.raises(SpecError):
-        build_experiment({"topology": {}})  # no physical, no vini
+        build_experiment({"topology": {}})  # no physical
     with pytest.raises(SpecError):
         build_experiment({"physical": {"nodes": ["a"], "links": []}})  # no topology
     bad_routing = dict(SQUARE, routing={"protocol": "isis"})
@@ -228,9 +207,10 @@ def test_spec_keeps_construction_order_and_queue_sizes():
         vini.add_node(name)
     vini.connect("pz", "pa", delay=0.002, queue_bytes=4096)
     vini.install_underlay_routes()
-    spec = {"name": "order", "topology": {
-        "nodes": {"z": "pz", "a": "pa"}, "links": [{"a": "z", "b": "a"}]}}
-    _, exp = build_experiment(spec, vini=vini)
+    exp = Experiment(vini, "order")
+    exp.add_node("z", "pz")
+    exp.add_node("a", "pa")
+    exp.connect("z", "a")
     vini2, exp2 = build_experiment(experiment_spec(exp))
     assert list(vini2.nodes) == ["pz", "pa"]
     link = vini2.link_between("pa", "pz")
@@ -238,6 +218,14 @@ def test_spec_keeps_construction_order_and_queue_sizes():
     for name in ("z", "a"):
         assert exp2.network.nodes[name].tap_addr == exp.network.nodes[name].tap_addr
 
+
+
+@pytest.mark.parametrize("cost", [-3, 0, 1.5, float("nan")])
+def test_an_ospf_cost_outside_1_to_65535_is_a_spec_error(cost):
+    spec = copy.deepcopy(SQUARE)
+    spec["topology"]["links"][2]["cost"] = cost
+    with pytest.raises(SpecError, match=r"topology.links\[2\].*cost"):
+        build_experiment(spec)
 
 def _edited(path, value):
     """SQUARE with the entry at ``path`` replaced (deep-copied)."""

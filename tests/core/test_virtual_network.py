@@ -36,6 +36,15 @@ def build_line(n=3, realtime=True):
     return vini, exp
 
 
+
+@pytest.mark.parametrize("cost", [-3, 0, 1.5, float("nan"), 65536, True])
+def test_an_ospf_cost_outside_rfc_2328s_range_is_refused(cost):
+    """An interface cost is an integer in 1..65535 (RFC 2328, C.3)."""
+    vini, exp = build_line(3)
+    with pytest.raises(ValueError, match="cost"):
+        exp.connect("v0", "v2", cost=cost)
+    exp.connect("v0", "v2", cost=65535)
+
 def fib_next_hop(vnode, addr):
     """(gw, output port) of the Click FIB's longest match, or None."""
     found = vnode.lookup._trie.lookup_entry(addr)

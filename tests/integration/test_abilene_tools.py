@@ -19,8 +19,7 @@ def test_traceroute_shows_the_papers_default_path(abilene):
     washington = exp.network.nodes["washington"]
     seattle = exp.network.nodes["seattle"]
     trace = Traceroute(
-        washington.phys_node, seattle.tap_addr, sliver=washington.sliver,
-        max_hops=12,
+        washington.phys_node, seattle.tap_addr, sliver=washington.sliver
     ).start()
     vini.run(until=vini.sim.now + 30.0)
     assert trace.done

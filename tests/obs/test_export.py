@@ -9,6 +9,7 @@ from repro.obs import (
     detect_commit,
     export_series_csv,
 )
+from repro.obs import metrics
 from repro.sim import PeriodicTimer, Simulator
 
 
@@ -34,32 +35,36 @@ def test_export_series_csv(tmp_path):
     assert n_rows[-1].split(",")[2] == "3"
 
 
-def test_detect_commit_reads_head(tmp_path):
+def test_detect_commit_reads_head(tmp_path, monkeypatch):
     git = tmp_path / "repo" / ".git"
     os.makedirs(git / "refs" / "heads")
     (git / "HEAD").write_text("ref: refs/heads/main\n")
     (git / "refs" / "heads" / "main").write_text("a" * 40 + "\n")
     nested = tmp_path / "repo" / "sub" / "dir"
     os.makedirs(nested)
-    assert detect_commit(str(nested)) == "a" * 12
+    monkeypatch.chdir(nested)
+    assert detect_commit() == "a" * 12
     # Detached HEAD.
     (git / "HEAD").write_text("b" * 40 + "\n")
-    assert detect_commit(str(nested)) == "b" * 12
+    assert detect_commit() == "b" * 12
     # Packed refs.
     (git / "HEAD").write_text("ref: refs/heads/packed\n")
     (git / "packed-refs").write_text("# pack-refs\n" + "c" * 40 + " refs/heads/packed\n")
-    assert detect_commit(str(nested)) == "c" * 12
-    assert detect_commit(str(tmp_path)) is None  # not a repo
+    assert detect_commit() == "c" * 12
+    monkeypatch.chdir(tmp_path)
+    assert detect_commit() is None  # not a repo
 
 
-def test_detect_commit_on_this_repo():
-    commit = detect_commit(os.path.dirname(__file__))
+def test_detect_commit_on_this_repo(monkeypatch):
+    monkeypatch.chdir(os.path.dirname(__file__))
+    commit = detect_commit()
     assert commit is not None and len(commit) == 12
 
 
-def test_histogram_buckets_in_jsonl_and_csv():
-    reg = MetricsRegistry(enabled=True)
-    h = reg.histogram("rtt", bounds=(0.01, 0.05, 0.1))
+def test_histogram_buckets_in_jsonl_and_csv(monkeypatch):
+    monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (0.01, 0.05, 0.1))
+    reg = MetricsRegistry()
+    h = reg.histogram("rtt")
     for v in (0.005, 0.02, 0.02, 0.2):
         h.observe(v)
     # Cumulative (Prometheus "le") semantics, +Inf carries the total.

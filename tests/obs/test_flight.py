@@ -46,7 +46,7 @@ def test_stages_tile_flight_exactly():
                                               stage="send"))
     sim.at(1.5, lambda: recorder.stage(packet, "queue", node="a"))
     sim.at(2.25, lambda: recorder.stage(packet, "transit", node="a--b"))
-    sim.at(4.0, lambda: recorder.flight_end(packet, node="b"))
+    sim.at(4.0, lambda: recorder.flight_end(packet))
     sim.run()
 
     (flight,) = recorder.flights()

@@ -228,6 +228,24 @@ def test_parameter_validation():
         Link(sim, delay=-1)
 
 
+@pytest.mark.parametrize("setting", [
+    {"bandwidth": float("nan")}, {"delay": float("nan")},
+    {"queue_bytes": -1}, {"queue_bytes": float("nan")},
+], ids=["nan-bandwidth", "nan-delay", "negative-queue", "nan-queue"])
+def test_a_bad_link_value_is_refused_when_the_link_is_built(setting):
+    # A NaN delay or bandwidth used to build and then fail inside the
+    # engine ("cannot schedule at t=nan"); a negative queue used to build.
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        Link(Simulator(), **setting)
+
+
+def test_a_bad_bandwidth_is_refused_when_the_link_is_reconfigured():
+    link, _a, _b = make_link(Simulator())
+    with pytest.raises(ValueError, match="bandwidth"):
+        link.bandwidth = float("nan")
+    assert link.bandwidth == 8_000_000
+
+
 def test_bandwidth_reconfiguration_invalidates_tx_memo():
     # The per-channel serialization-time memo is keyed only by wire
     # length; the bandwidth setter must clear it so a reconfigured

@@ -371,7 +371,7 @@ class _End:
     def receive(self, packet):
         side = self.side
         self.received.append((side.sim.now, side.index[id(packet)]))
-        side.recorder.flight_end(packet, node=self.node.name)
+        side.recorder.flight_end(packet)
 
 
 class _Side:
@@ -380,7 +380,7 @@ class _Side:
         sim.trace.enable("drop")
         self.recorder = FlightRecorder(sim, capacity=10_000).install()
         self.link = link_class(sim, bandwidth=bandwidth, delay=delay,
-                               queue_bytes=queue_bytes, name="l")
+                               queue_bytes=queue_bytes)
         self.ends = [_End(self, "a"), _End(self, "b")]
         for end in self.ends:
             self.link.attach(end)

@@ -228,6 +228,12 @@ class TestAbileneRoundTrip:
         with pytest.raises(ValueError):
             experiment_from_model(model, vini)
 
+    def test_a_negative_ospf_cost_is_refused(self):
+        model = parse_configs([config.replace("ip ospf cost ", "ip ospf cost -")
+                               for config in abilene_router_configs()])
+        with pytest.raises(ValueError, match="cost"):
+            experiment_from_model(model, build_abilene(seed=4))
+
     def test_one_network_runs_one_pair_of_timers(self):
         """Each link may agree with itself and the network still not:
         refused with the fault named, not answered with a default."""

@@ -14,7 +14,7 @@ def build_world(sim, clients=2, rate=1.0, burst=5.0):
     external = BGPDaemon(sim, 7018, "12.0.0.1", name="external")
     te, tm = DirectTransport.pair(sim)
     external.add_session(te, 64512, mrai=0.1).start()
-    mux.attach_external(tm, 7018, mrai=0.1)
+    mux.attach_external(tm, 7018)
     experiments = []
     for index in range(clients):
         exp = BGPDaemon(sim, 65100 + index, f"198.18.{index + 1}.1",

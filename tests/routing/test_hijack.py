@@ -11,7 +11,7 @@ import pytest
 
 from repro.faults.invariants import walk_overlay_path
 from repro.net.addr import IPv4Address
-from repro.obs.routing import ConvergenceTracker, episodes_from_trace
+from repro.obs.routing import BLACKHOLE, ConvergenceTracker, episodes_from_trace
 from repro.topologies.internet import (
     build_internet,
     hijack_plan,
@@ -124,8 +124,9 @@ def test_stuck_route_blackholes_until_restored(world):
 
     # The tracker saw the blackhole window open at the failure instant
     # and close by the end of the run.
-    holes = tracker.blackhole_windows(near.anchor, far.anchor,
-                                      addr=far_host)
+    holes = [w for w in tracker.path_windows(near.anchor, far.anchor,
+                                             addr=far_host)
+             if w["status"] == BLACKHOLE]
     assert holes and abs(holes[0]["start"] - fail_at) < 1e-9
     assert holes[-1]["end"] < fail_at + 120.0
     offline = episodes_from_trace(world.sim.trace.records)

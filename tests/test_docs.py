@@ -11,8 +11,9 @@ be a function, and a class (``Class.*`` too), a ``path.py`` or a
 ``path.py::Name`` must hold one. The other way round, every row of
 ``benchmarks/results/unreached.txt`` must fall under one of those names,
 so a function that stops being reached needs a caller or a line there.
-The field fence holds ``src/repro`` to state something reads, and the
-drop fence (last test) to one place that records a lost packet.
+The field fence holds ``src/repro`` to state something reads, the
+settings fence to keyword defaults some caller passes, and the drop
+fence (last test) to one place that records a lost packet.
 """
 
 import ast
@@ -155,6 +156,158 @@ def test_every_stored_field_is_read_somewhere():
     # An allowlisted name that is gone, or read after all, leaves the list.
     assert sorted(name for name in UNREAD_FIELDS
                   if name not in stored or name in loaded) == []
+
+
+# Callee name -> index of the callback argument that the callee calls
+# with the positional arguments after it: ``sim.schedule(t, fn, *a)``.
+FORWARDERS = {"schedule": 1, "at": 1, "call_soon": 0, "exec_after": 1, "partial": 0}
+
+
+def _name(node):
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def unpassed_settings(files):
+    """``module:qualname(param=)`` of each keyword-defaulted parameter of
+    a def in a ``repro.*`` module of ``files`` (``{module: source}``)
+    that no call in ``files`` passes. A call matches by the callee's
+    simple name, a class by its ``__init__``: ``super().__init__`` names
+    the class's first base, and a class with no ``__init__`` passes to
+    its base's. A parameter is passed by keyword, by a positional
+    argument at its index or past it, or by any call with ``*args`` or
+    ``**kw``; a callback handed to a :data:`FORWARDERS` callee is called
+    with the positional arguments after it. A closure's defaults bind
+    names, not settings, so closures are skipped."""
+    settings, passed, bases = [], {}, {}
+
+    def note(callee, args, keywords):
+        seen = passed.setdefault(callee, set())
+        seen.add(len(args))
+        seen.update(k.arg or "*" for k in keywords)
+        if any(isinstance(a, ast.Starred) for a in args):
+            seen.add("*")
+
+    def walk(node, module, scope, cls, owner):
+        # ``cls``: the class whose body this is; ``owner``: the class
+        # whose method (or a closure in one) this is, for ``super()``.
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases[child.name] = _name(child.bases[0]) if child.bases else None
+                walk(child, module, f"{scope}{child.name}.", child.name, child.name)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls and "staticmethod" not in map(_name, child.decorator_list):
+                    positional = positional[1:]  # self or cls
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                callee = cls if cls and child.name == "__init__" else child.name
+                if module.startswith("repro.") and (cls or not scope):
+                    settings.extend((f"{module}:{scope}{child.name}({p}=)", callee,
+                                     positional, p) for p in defaulted)
+                walk(child, module, f"{scope}{child.name}.<locals>.", None, owner)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = _name(func)
+                if (callee == "__init__" and isinstance(func.value, ast.Call)
+                        and _name(func.value.func) == "super"):
+                    callee = bases.get(owner)
+                note(callee, child.args, child.keywords)
+                at = FORWARDERS.get(callee)
+                if at is not None and len(child.args) > at:
+                    note(_name(child.args[at]), child.args[at + 1:], [])
+            walk(child, module, scope, cls, owner)
+
+    for module, source in files.items():
+        walk(ast.parse(source), module, "", None, None)
+    inits = {callee for _where, callee, _positional, _param in settings}
+    for cls in list(passed):  # a class without __init__ builds its base
+        base = cls
+        while base in bases and base not in inits:
+            base = bases[base]
+        if base != cls and base in bases:
+            passed.setdefault(base, set()).update(passed[cls])
+    unpassed = []
+    for where, callee, positional, param in settings:
+        seen = passed.get(callee, set())
+        index = positional.index(param) if param in positional else None
+        if not (param in seen or "*" in seen or index is not None and any(
+                isinstance(n, int) and n > index for n in seen)):
+            unpassed.append(where)
+    return sorted(unpassed)
+
+
+# A default only tests pass, kept for what it reaches: the name and
+# reason of each setting the fence lets through.
+UNPASSED_SETTINGS = {
+    "repro.obs.report:build_report(traffic=)":
+        "the fluid plane's report section, kept without a run in DESIGN.md",
+    "repro.traffic.plane:FluidTrafficPlane.add_flow(size_bytes=)":
+        "finite fluid flows, kept without a run; the plane golden pins them",
+}
+
+
+def test_every_keyword_default_has_a_caller_that_passes_it():
+    """A keyword default of a reached ``src/repro`` function that no call
+    in ``src``, ``benchmarks`` or ``examples`` passes is a setting no run
+    sets: it becomes a constant, or goes with the branch only a second
+    value reached. Functions of ``unreached.txt`` are DESIGN.md's "Kept
+    without a run" rows, and are skipped."""
+    files = {}
+    for root in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            rel = path.relative_to(REPO / root if root == "src" else REPO)
+            files[".".join(rel.with_suffix("").parts)] = path.read_text()
+    with open(reach.OUT) as committed:
+        unreached = {line.split()[0] for line in committed if not line.startswith("#")}
+    found = [where for where in unpassed_settings(files)
+             if where.split("(")[0] not in unreached]
+    assert sorted(set(found) - set(UNPASSED_SETTINGS)) == []
+    # An allowlisted setting that is gone, or passed after all, leaves the list.
+    assert sorted(set(UNPASSED_SETTINGS) - set(found)) == []
+    assert len(UNPASSED_SETTINGS) <= 8
+
+
+FENCED = """
+class Base:
+    def __init__(self, size=1, name=""):
+        pass
+
+class Child(Base):
+    def __init__(self):
+        super().__init__(name="child")
+
+class Plain(Base):
+    pass
+
+def tool(node, count=1, timeout=2.0, *, payload=56):
+    def closure(x=node):
+        return x
+
+def spread(a, b=0, c=0):
+    pass
+
+def scheduled(a, late=False):
+    pass
+"""
+
+
+def test_the_settings_scanner_flags_only_an_unpassed_default():
+    callers = """
+tool(n, 3)
+spread(**options)
+sim.schedule(1.0, scheduled, "a", True)
+Plain(size=4)
+"""
+    assert unpassed_settings({"repro.demo": FENCED, "example": callers}) == [
+        "repro.demo:tool(payload=)", "repro.demo:tool(timeout=)"]
+    # Passed by keyword, past its index, by ``**kw``, or through a
+    # forwarder; ``size`` through a class without ``__init__``, ``name``
+    # through ``super().__init__``; the closure's default is not a setting.
+    callers += "tool(n, timeout=1.0, payload=0)\n"
+    assert unpassed_settings({"repro.demo": FENCED, "example": callers}) == []
 
 
 OLD_DROP_KINDS = {f"{site}_drop" for site in (

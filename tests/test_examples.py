@@ -22,9 +22,10 @@ def test_example_compiles(name):
     py_compile.compile(os.path.join(EXAMPLES_DIR, name), doraise=True)
 
 
-@pytest.mark.parametrize(
-    "name", ["quickstart.py", "life_of_a_packet.py", "bgp_multiplexer.py"]
-)
+@pytest.mark.parametrize("name", [
+    "quickstart.py", "life_of_a_packet.py", "bgp_multiplexer.py",
+    "simultaneous_experiments.py", "abilene_failover.py", "internet_zoo.py",
+])
 def test_fast_examples_run_to_completion(name, capsys):
     runpy.run_path(os.path.join(EXAMPLES_DIR, name), run_name="__main__")
     out = capsys.readouterr().out

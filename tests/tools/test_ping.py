@@ -28,7 +28,7 @@ def test_ping_flood_mode():
     a = PhysicalNode(sim, "a")
     b = PhysicalNode(sim, "b")
     connect(sim, a, b, bandwidth=1e9, delay=0.0002, subnet="192.0.2.0/30")
-    ping = Ping(a, "192.0.2.2", interval=0.001, count=1000, payload=56).start()
+    ping = Ping(a, "192.0.2.2", interval=0.001, count=1000).start()
     sim.run(until=3.0)
     stats = ping.stats()
     assert stats.transmitted == 1000

@@ -5,7 +5,7 @@ import pytest
 from repro.core import VINI, Experiment
 from repro.phys.node import PhysicalNode, connect
 from repro.sim import Simulator
-from repro.tools import IperfTCPClient, IperfTCPServer, Tcpdump, Traceroute
+from repro.tools import IperfTCPClient, IperfTCPServer, Tcpdump, Traceroute, traceroute
 from repro.tools.tcpdump import tcp_filter
 
 
@@ -96,15 +96,14 @@ class TestTraceroute:
         assert trace.path() == expected
         assert all(rtt is not None and rtt >= 0 for rtt in trace.rtts)
 
-    def test_traceroute_timeout_on_blackhole(self):
+    def test_traceroute_timeout_on_blackhole(self, monkeypatch):
+        monkeypatch.setattr(traceroute, "MAX_HOPS", 4)
+        monkeypatch.setattr(traceroute, "PROBE_TIMEOUT", 1.0)
         vini, exp = self.build_overlay(3)
         exp.network.fail_link("v1", "v2")
         v0 = exp.network.nodes["v0"]
         v2 = exp.network.nodes["v2"]
-        trace = Traceroute(
-            v0.phys_node, v2.tap_addr, sliver=v0.sliver,
-            max_hops=4, probe_timeout=1.0,
-        ).start()
+        trace = Traceroute(v0.phys_node, v2.tap_addr, sliver=v0.sliver).start()
         vini.run(until=60.0)
         assert trace.done
         assert None in trace.path()

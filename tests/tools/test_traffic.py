@@ -5,7 +5,7 @@ import pytest
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.process import Process
 from repro.sim import Simulator
-from repro.tools.traffic import CBRSource, FlashCrowd
+from repro.tools.traffic import PAYLOAD, CBRSource, FlashCrowd
 
 
 def make_world(n_sources=1):
@@ -33,9 +33,9 @@ def server_addr(server):
 
 def test_cbr_rate_accuracy():
     sim, server, (src,), received = make_world()
-    CBRSource(src, server_addr(server), 7000, rate_bps=1e6, payload=1000).start()
+    CBRSource(src, server_addr(server), 7000, rate_bps=1e6).start()
     sim.run(until=4.0)
-    expected = 1e6 * 4.0 / (1000 * 8)
+    expected = 1e6 * 4.0 / (PAYLOAD * 8)
     assert len(received) == pytest.approx(expected, rel=0.05)
 
 
@@ -52,12 +52,12 @@ def test_cbr_stop():
 def test_flash_crowd_window():
     sim, server, sources, received = make_world(n_sources=3)
     crowd = FlashCrowd(sources, server_addr(server), 7000,
-                       n_sources=6, rate_bps=2e6, payload=1000)
+                       n_sources=6, rate_bps=2e6)
     crowd.schedule(start=5.0, duration=2.0)
     sim.run(until=10.0)
     assert all(5.0 <= t <= 7.2 for t in received)
-    # 6 senders x 2 Mb/s x 2 s / 8000 bits = ~3000 datagrams.
-    assert crowd.sent == pytest.approx(3000, rel=0.1)
+    # 6 senders x 2 Mb/s x 2 s / (PAYLOAD * 8) bits, ~2100 datagrams.
+    assert crowd.sent == pytest.approx(6 * 2e6 * 2.0 / (PAYLOAD * 8), rel=0.1)
     assert len(received) > 2000  # most arrive (1 Gb/s links)
 
 
