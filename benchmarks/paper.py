@@ -569,7 +569,7 @@ def fig9():
     end_at = 50.0
     vini, checker, tracker, ends = _abilene_failover(9, "fig9")
     src, src_sliver, sink, sink_sliver, addr = ends
-    dump = Tcpdump(sink, filter=tcp_filter(5001), direction="in").start()
+    dump = Tcpdump(sink, filter=tcp_filter(5001)).start()
     # One bulk stream, window-limited by iperf 1.7's default 16 KB.
     server = IperfTCPServer(sink, sliver=sink_sliver)
     metrics = vini.sim.metrics
@@ -638,8 +638,7 @@ MUX_CLIENTS = [
 def bgp_mux():
     warmup, churn_end, end_at = 10.0, 70.0, 90.0
     sim = Simulator(seed=61)
-    mux = BGPMultiplexer(sim, asn=64512, router_id="198.18.0.1",
-                         vini_block="198.18.0.0/16")
+    mux = BGPMultiplexer(sim, asn=64512, router_id="198.18.0.1")
     upstream = BGPDaemon(sim, 7018, "12.0.0.1", name="upstream")
     t_up, t_mux = DirectTransport.pair(sim, delay=0.020)
     upstream.add_session(t_up, 64512, mrai=0.5).start()
@@ -649,8 +648,7 @@ def bgp_mux():
         daemon = BGPDaemon(sim, asn, block.replace("0/24", "1"), name=name)
         t_exp, t_port = DirectTransport.pair(sim, delay=0.005)
         daemon.add_session(t_exp, 64512, mrai=0.1).start()
-        mux.add_client(name, t_port, asn, allowed=block,
-                       max_update_rate=1.0, burst=3.0)
+        mux.add_client(name, t_port, asn, allowed=block, max_update_rate=1.0)
         daemons[name] = daemon
     for index in range(64):  # the upstream's view of "the Internet"
         upstream.originate(f"10.{index}.0.0/16")

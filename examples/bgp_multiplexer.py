@@ -19,8 +19,7 @@ sim = Simulator(seed=5)
 
 # The VINI-side multiplexer owns 198.18.0.0/16 and one external session
 # to AS 7018 (the upstream provider).
-mux = BGPMultiplexer(sim, asn=64512, router_id="198.18.0.1",
-                     vini_block="198.18.0.0/16")
+mux = BGPMultiplexer(sim, asn=64512, router_id="198.18.0.1")
 upstream = BGPDaemon(sim, 7018, "12.0.0.1", name="upstream")
 t_up, t_mux = DirectTransport.pair(sim, delay=0.020)
 upstream.add_session(t_up, 64512, mrai=0.5).start()
@@ -33,7 +32,7 @@ for exp, block in ((stable, "198.18.1.0/24"), (flappy, "198.18.2.0/24")):
     t_exp, t_mux_client = DirectTransport.pair(sim, delay=0.005)
     exp.add_session(t_exp, 64512, mrai=0.1).start()
     mux.add_client(exp.name, t_mux_client, exp.asn, allowed=block,
-                   max_update_rate=0.5, burst=3.0)
+                   max_update_rate=0.5)
 
 # The upstream announces the world; the stable experiment announces its
 # block; the flappy one flaps its block and also tries to hijack space

@@ -39,8 +39,7 @@ def demo() -> None:
     # A star overlay: hub + 4 leaves, physical links at 20 Mb/s so the
     # crowd actually hurts at the links as well as the hub CPU. The
     # virtual links stay unshaped and inherit that physical capacity.
-    vini, exp = build_star(4, bandwidth=20e6, delay=0.005, seed=13,
-                           name="crowd-demo")
+    vini, exp = build_star(4, seed=13, name="crowd-demo")
     exp.configure_ospf(hello_interval=2.0, dead_interval=6.0)
     exp.run(until=WARMUP)
 
@@ -114,8 +113,8 @@ def scaling_run(mode: str, users: int, seed: int = 13) -> dict:
     ``"packet"`` (one CBR sender per user) or ``"hybrid"`` (the same
     aggregate as fluid flows on a FluidTrafficPlane).
     """
-    vini, exp = build_star(4, bandwidth=20e6, delay=0.005, seed=seed,
-                           name=f"crowd-{mode}-{users}", realtime=False)
+    vini, exp = build_star(4, seed=seed, name=f"crowd-{mode}-{users}",
+                           realtime=False)
     exp.configure_ospf(hello_interval=2.0, dead_interval=6.0)
     exp.run(until=WARMUP)
     leaves = [exp.network.nodes[f"leaf{i}"] for i in range(4)]

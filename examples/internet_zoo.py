@@ -45,8 +45,7 @@ def main() -> None:
     addr = str(IPv4Address(int(victim.prefix.network) + 1))
     tracker = ConvergenceTracker(world.experiment).install()
     tracker.watch_path(attacker.routers[-1], victim.anchor, addr=addr)
-    plan = hijack_plan(world, attacker.asn, victim.asn,
-                       at=WARMUP + 1.0, duration=15.0)
+    plan = hijack_plan(world, attacker.asn, victim.asn, at=WARMUP + 1.0)
     world.experiment.apply_faults(plan)
     world.run(until=WARMUP + 40.0)
 

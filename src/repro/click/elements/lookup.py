@@ -24,8 +24,9 @@ from repro.net.trie import RadixTrie
 class RadixIPLookup(Element):
     """Longest-prefix-match FIB backed by a radix trie."""
 
-    def __init__(self, n_outputs: int = 1):
-        super().__init__(n_outputs=n_outputs)
+    def __init__(self):
+        # Forward, local delivery, egress: ``FIB_FORWARD`` .. ``FIB_EGRESS``.
+        super().__init__(n_outputs=3)
         self._trie = RadixTrie()
 
     # -- table mutation (called by the FEA) ----------------------------

@@ -91,8 +91,8 @@ class EncapTable(Element):
     them to tunnels (here: output ports, each wired to a UDPTunnel).
     """
 
-    def __init__(self, n_outputs: int = 1):
-        super().__init__(n_outputs=n_outputs)
+    def __init__(self):
+        super().__init__(n_outputs=0)  # one per tunnel, by add_output
         self._table: Dict[int, int] = {}
 
     def add_mapping(self, gw: Union[str, IPv4Address], port: int) -> None:

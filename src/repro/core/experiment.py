@@ -34,7 +34,7 @@ class Experiment:
         realtime: bool = False,
         cpu_cap=None,
         tap_route_prefix: str = OVERLAY_PREFIX,
-        tap_block: Optional[str] = None,
+        tap_block: str = "10.0.0.0/16",
     ):
         self.vini = vini
         self.sim = vini.sim
@@ -46,13 +46,9 @@ class Experiment:
             realtime=realtime,
             cpu_cap=cpu_cap,
         )
-        # The tap block defaults inside VirtualNetwork; large topologies
-        # (the internet zoo's ~1000 routers overflow the default /16 tap
-        # block) pass a wider one through.
-        net_kwargs = {} if tap_block is None else {"tap_block": tap_block}
-        self.network = VirtualNetwork(
-            self.sim, self.slice, tap_route_prefix=tap_route_prefix, **net_kwargs
-        )
+        # Large topologies (the internet zoo's ~1000 routers overflow the
+        # default /16 tap block) pass a wider one.
+        self.network = VirtualNetwork(self.sim, self.slice, tap_route_prefix, tap_block)
         self.upcalls = UpcallDispatcher(self.network)
         self._started = False
 

@@ -57,6 +57,7 @@ and the key), never run as a default.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Tuple
 
 from repro.core.experiment import Experiment
@@ -90,6 +91,13 @@ def _section(where: str, given: Any, allowed, required=()) -> Dict[str, Any]:
     return given
 
 
+def _positive(where: str, value: Any) -> float:
+    # The node's CPU and the slice's processes refuse it too, without the key.
+    if not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+        raise SpecError(f"{where}: expected a positive finite number, got {value!r}")
+    return value
+
+
 def _known(where: str, key: str, name: Any, names) -> Any:
     if name not in names:
         raise SpecError(f"{where}: {key!r} names unknown node {name!r}")
@@ -106,8 +114,9 @@ def build_experiment(spec: Dict[str, Any]) -> Tuple[VINI, Experiment]:
     physical = _section(
         "physical", spec["physical"], ("nodes", "links", "cpu_speed"))
     vini = VINI(seed=spec.get("seed", 0))
+    speed = _positive("physical.cpu_speed", physical.get("cpu_speed", 1.0))
     for name in physical.get("nodes", []):
-        vini.add_node(name, cpu_speed=physical.get("cpu_speed", 1.0))
+        vini.add_node(name, cpu_speed=speed)
     for index, link in enumerate(physical.get("links", [])):
         where = f"physical.links[{index}]"
         _section(where, link, ("a", "b", "bandwidth", "delay", "queue_bytes"),
@@ -124,7 +133,7 @@ def build_experiment(spec: Dict[str, Any]) -> Tuple[VINI, Experiment]:
     exp = Experiment(
         vini,
         spec.get("name", "experiment"),
-        cpu_share=slice_spec.get("cpu_share", 1.0),
+        cpu_share=_positive("slice.cpu_share", slice_spec.get("cpu_share", 1.0)),
         cpu_reservation=slice_spec.get("cpu_reservation", 0.0),
         realtime=slice_spec.get("realtime", False),
         cpu_cap=slice_spec.get("cpu_cap"),

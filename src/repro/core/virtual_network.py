@@ -46,7 +46,7 @@ from repro.net.addr import IPv4Address, Prefix, ip, prefix
 from repro.net.packet import ICMP_TIME_EXCEEDED, Packet
 from repro.phys.link import Link
 from repro.phys.node import PhysicalNode
-from repro.phys.vserver import OVERLAY_PREFIX, Slice, Sliver
+from repro.phys.vserver import Slice, Sliver
 from repro.routing.platform import FEA, RouterInterface, RoutingPlatform
 from repro.routing.xorp import XORPRouter
 from repro.sim.engine import Simulator
@@ -57,8 +57,6 @@ FIB_EGRESS = 2  # lookup output: NAPT to the real Internet
 
 #: Virtual-link /30s are numbered from this block.
 LINK_BLOCK = "10.254.0.0/16"
-#: Tunnel UDP ports are taken from the first free one at or above this.
-TUNNEL_PORT_BASE = 33000
 
 
 class IIASFEA(FEA):
@@ -168,14 +166,12 @@ class VirtualNode(RoutingPlatform):
         self.uml.attach_control(self.control_process, self._control_input)
         check = click.add("check", CheckIPHeader())
         ttl = click.add("ttl", DecIPTTL())
-        self.lookup = click.add(
-            "lookup", RadixIPLookup(n_outputs=3)
-        )
+        self.lookup = click.add("lookup", RadixIPLookup())
         icmperr = click.add(
             "icmperr",
             ICMPErrorElement(self.tap_addr, ICMP_TIME_EXCEEDED),
         )
-        self.encap = click.add("encap", EncapTable(n_outputs=0))
+        self.encap = click.add("encap", EncapTable())
         totap = click.add("totap", ToTap(self.tap))
         self.fromtap = click.add("fromtap", FromTap(self.tap))
         tap_paint = click.add("tap_paint", Paint("tap0"))
@@ -377,8 +373,8 @@ class VirtualNetwork:
         self,
         sim: Simulator,
         slice_: Slice,
-        tap_route_prefix: Union[str, Prefix] = OVERLAY_PREFIX,
-        tap_block: Union[str, Prefix] = "10.0.0.0/16",
+        tap_route_prefix: Union[str, Prefix],
+        tap_block: Union[str, Prefix],
     ):
         self.sim = sim
         self.slice = slice_
@@ -417,7 +413,7 @@ class VirtualNetwork:
     def _alloc_port(self, phys_node: PhysicalNode) -> int:
         from repro.net.packet import PROTO_UDP
 
-        return phys_node.vnet.preallocate(PROTO_UDP, start=TUNNEL_PORT_BASE)
+        return phys_node.vnet.preallocate(PROTO_UDP)
 
     def connect(
         self,

@@ -76,7 +76,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_METRIC,
-    log_buckets,
 )
 from repro.obs.report import ExperimentReport, build_report
 from repro.obs.routing import (
@@ -123,7 +122,6 @@ __all__ = [
     "export_series_csv",
     "flight_rows",
     "load_manifest",
-    "log_buckets",
     "perfetto_events",
     "resolve_artifact",
     "sha256_file",

@@ -29,7 +29,9 @@ code needs no guards and a metrics-off run does no bookkeeping.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -39,25 +41,11 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted(labels.items()))
 
 
-def log_buckets(lo: float = 1e-6, hi: float = 1e3, per_decade: int = 4) -> Tuple[float, ...]:
-    """Fixed log-spaced bucket upper bounds spanning ``[lo, hi]``."""
-    if lo <= 0 or hi <= lo:
-        raise ValueError(f"need 0 < lo < hi, got {lo!r}, {hi!r}")
-    if per_decade < 1:
-        raise ValueError(f"per_decade must be >= 1, got {per_decade!r}")
-    decades = math.log10(hi / lo)
-    n = int(round(decades * per_decade))
-    step = 10.0 ** (1.0 / per_decade)
-    bounds = [lo]
-    for _ in range(n):
-        bounds.append(bounds[-1] * step)
-    return tuple(bounds)
-
-
-#: Default bounds: 1 microsecond to 1000 seconds, 4 buckets per decade.
-#: Wide enough for every duration-like quantity in the substrate
-#: (per-hop delays through RTTs through convergence times).
-DEFAULT_BUCKETS = log_buckets(1e-6, 1e3, 4)
+#: Default bounds: 1 microsecond to 1000 seconds, 4 buckets per decade
+#: (each bound 10**0.25 times the last, 36 steps). Wide enough for every
+#: duration-like quantity in the substrate (per-hop delays through RTTs
+#: through convergence times).
+DEFAULT_BUCKETS = tuple(accumulate([1e-6] + [10.0 ** 0.25] * 36, operator.mul))
 
 
 class Metric:

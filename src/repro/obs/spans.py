@@ -65,10 +65,10 @@ class SpanContext:
 
     __slots__ = ("trace_id", "span_id", "parent_id")
 
-    def __init__(self, trace_id: int, span_id: int, parent_id: int = 0):
+    def __init__(self, trace_id: int, span_id: int):
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent_id = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -247,25 +247,24 @@ class FlightRecorder:
         packet,
         name: str,
         node: str = "",
-        stage: str = "origin",
         **meta: Any,
     ) -> SpanContext:
         """Open a flight rooted at ``packet`` and stamp its context.
 
-        The first stage (``stage``) opens immediately at the flight's
+        The first stage, ``host.send``, opens immediately at the flight's
         start time so the stage spans tile the whole flight.
         """
         now = self.sim.now
         trace_id = self._next_trace
         self._next_trace += 1
         root_id = self._new_span_id()
-        ctx = SpanContext(trace_id, root_id, 0)
+        ctx = SpanContext(trace_id, root_id)
         packet.span = ctx
         flight = Flight(trace_id, root_id, name, node, now,
                         meta=meta or None)
         self._open[trace_id] = flight
         self.flights_started += 1
-        first = Span(trace_id, self._new_span_id(), root_id, stage, node, now)
+        first = Span(trace_id, self._new_span_id(), root_id, "host.send", node, now)
         flight._open_stage = first
         ctx.span_id = first.span_id
         ctx.parent_id = root_id

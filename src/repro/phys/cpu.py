@@ -80,8 +80,8 @@ class CPUScheduler:
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):
-        if speed <= 0:
-            raise ValueError(f"speed must be positive, got {speed!r}")
+        if not 0.0 < speed < math.inf:
+            raise ValueError(f"speed must be positive and finite, got {speed!r}")
         self.sim = sim
         self.name = name
         self.speed = speed

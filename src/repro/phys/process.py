@@ -10,6 +10,7 @@ slices, and preemption all show up in packet timings.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
@@ -76,8 +77,8 @@ class Process:
         cpu_cap: Optional[float] = None,
         sliver: Optional["Sliver"] = None,  # noqa: F821
     ):
-        if share <= 0:
-            raise ValueError(f"share must be positive, got {share!r}")
+        if not 0.0 < share < math.inf:
+            raise ValueError(f"share must be positive and finite, got {share!r}")
         if not 0.0 <= reservation <= 1.0:
             raise ValueError(f"reservation must be in [0, 1], got {reservation!r}")
         if cpu_cap is not None and not 0.0 < cpu_cap <= 1.0:

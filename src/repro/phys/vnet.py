@@ -22,6 +22,8 @@ from repro.net.packet import PROTO_TCP, PROTO_UDP
 #: The ephemeral port range the kernel allocates from.
 EPHEMERAL_START = 32768
 EPHEMERAL_END = 61000
+#: Preallocated (tunnel) ports are the first free ones at or above this.
+TUNNEL_PORT_BASE = 33000
 
 
 class PortConflictError(ValueError):
@@ -77,7 +79,7 @@ class VNet:
                 return port
         raise PortConflictError(f"{self.node.name}: ephemeral {_proto_name(proto)} ports exhausted")
 
-    def preallocate(self, proto: int, start: int = 33000) -> int:
+    def preallocate(self, proto: int) -> int:
         """Reserve a node-scope port number for a future bind on this node.
 
         Used when port numbers must be exchanged before sockets exist
@@ -86,7 +88,7 @@ class VNet:
         :meth:`free_port` and by later preallocations, node-wide —
         which is what keeps two experiments' tunnels from colliding.
         """
-        for port in range(start, EPHEMERAL_END):
+        for port in range(TUNNEL_PORT_BASE, EPHEMERAL_END):
             key = (proto, port)
             if (None, proto, port) not in self._table and key not in self._preallocated:
                 self._preallocated.add(key)

@@ -27,7 +27,7 @@ REALTIME = True
 
 
 def experiment_from_model(
-    model: NetworkModel, vini: VINI, name: str = "mirror"
+    model: NetworkModel, vini: VINI
 ) -> Experiment:
     """Build an experiment mirroring the parsed network.
 
@@ -42,7 +42,7 @@ def experiment_from_model(
         detail = "; ".join(str(fault) for fault in errors)
         raise ValueError(f"configuration has faults: {detail}")
     exp = Experiment(
-        vini, name, cpu_reservation=CPU_RESERVATION, realtime=REALTIME
+        vini, "iias", cpu_reservation=CPU_RESERVATION, realtime=REALTIME
     )
     for hostname in model.routers:
         exp.add_node(hostname, hostname)

@@ -27,13 +27,13 @@ class OSPFConfig:
 
     process_id: int = 1
     router_id: Optional[IPv4Address] = None
-    networks: List[Tuple[Prefix, int]] = field(default_factory=list)  # (prefix, area)
+    networks: List[Prefix] = field(default_factory=list)
     passive_interfaces: List[str] = field(default_factory=list)
 
     def covers(self, address: Optional[IPv4Address]) -> bool:
         if address is None:
             return False
-        return any(address in pfx for pfx, _area in self.networks)
+        return any(address in pfx for pfx in self.networks)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from repro.net.addr import IPv4Address, Prefix, ip
@@ -34,6 +35,13 @@ def _netmask_to_plen(mask_text: str) -> int:
 def _wildcard_to_plen(wildcard_text: str) -> int:
     wildcard = int(ip(wildcard_text))
     return _netmask_to_plen(str(IPv4Address(~wildcard & 0xFFFFFFFF)))
+
+
+def _interval(text: str) -> float:
+    seconds = float(text)
+    if not 0.0 < seconds < math.inf:
+        raise ValueError("an ospf interval must be positive and finite")
+    return seconds
 
 
 def parse_config(text: str) -> RouterConfig:
@@ -91,10 +99,12 @@ def _parse_interface_line(
         iface.prefix = Prefix(iface.address, _netmask_to_plen(words[3]))
     elif words[:3] == ["ip", "ospf", "cost"] and len(words) == 4:
         iface.ospf_cost = int(words[3])
+        if not 1 <= iface.ospf_cost <= 0xFFFF:  # RFC 2328 C.3
+            raise ValueError("an ospf cost must be in 1..65535")
     elif words[:3] == ["ip", "ospf", "hello-interval"] and len(words) == 4:
-        iface.hello_interval = float(words[3])
+        iface.hello_interval = _interval(words[3])
     elif words[:3] == ["ip", "ospf", "dead-interval"] and len(words) == 4:
-        iface.dead_interval = float(words[3])
+        iface.dead_interval = _interval(words[3])
     elif words == ["shutdown"]:
         iface.shutdown = True
     elif words[:1] == ["description"]:
@@ -109,9 +119,9 @@ def _parse_ospf_line(
     if words[0] == "router-id" and len(words) == 2:
         ospf.router_id = ip(words[1])
     elif words[0] == "network" and len(words) == 5 and words[3] == "area":
-        plen = _wildcard_to_plen(words[2])
-        area = int(words[4].split(".")[-1]) if "." in words[4] else int(words[4])
-        ospf.networks.append((Prefix(words[1], plen), area))
+        # The area, a 32-bit id dotted or decimal, is checked, not kept.
+        ip(words[4] if "." in words[4] else int(words[4]))
+        ospf.networks.append(Prefix(words[1], _wildcard_to_plen(words[2])))
     elif words[0] == "passive-interface" and len(words) == 2:
         ospf.passive_interfaces.append(words[1])
     else:

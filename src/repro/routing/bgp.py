@@ -23,7 +23,7 @@ from repro.routing.rib import AdminDistance, RIB, RibRoute
 from repro.sim.engine import Simulator
 from repro.sim.timer import PeriodicTimer, Timeout
 
-DEFAULT_HOLD_TIME = 90.0
+HOLD_TIME = 90.0
 DEFAULT_MRAI = 5.0  # paper-era eBGP default is 30 s; short for experiments
 
 ORIGIN_IGP = 0
@@ -160,10 +160,8 @@ class BGPSession:
         transport: DirectTransport,
         peer_asn: int,
         name: str = "",
-        hold_time: float = DEFAULT_HOLD_TIME,
         mrai: float = DEFAULT_MRAI,
         import_policy: Optional[Callable[[BGPRoute], Optional[BGPRoute]]] = None,
-        export_policy: Optional[Callable[[BGPRoute], Optional[BGPRoute]]] = None,
         local_addr: Optional[Union[str, IPv4Address]] = None,
         nexthop_self: bool = False,
     ):
@@ -172,10 +170,11 @@ class BGPSession:
         self.transport = transport
         self.peer_asn = peer_asn
         self.name = name or f"as{peer_asn}"
-        self.hold_time = hold_time
+        self.hold_time = HOLD_TIME  # lowered to the peer's by its OPEN
         self.mrai = mrai
         self.import_policy = import_policy
-        self.export_policy = export_policy
+        # Set by the policy that attaches to the session (GaoRexfordPolicy).
+        self.export_policy: Optional[Callable[[BGPRoute], Optional[BGPRoute]]] = None
         # eBGP next hop: the address of our end of the shared subnet, so
         # the neighbor can resolve it against its connected route. Falls
         # back to the router id when the session has no local address.
@@ -190,9 +189,9 @@ class BGPSession:
         self._pending_announce: Dict[Tuple[int, int], BGPRoute] = {}
         self._pending_withdraw: set = set()
         self._mrai_timer: Optional[object] = None
-        self._hold_timer = Timeout(self.sim, hold_time, self._hold_expired)
+        self._hold_timer = Timeout(self.sim, HOLD_TIME, self._hold_expired)
         self._keepalive_timer = PeriodicTimer(
-            self.sim, max(hold_time / 3.0, 1.0), self._send_keepalive, start=False
+            self.sim, HOLD_TIME / 3.0, self._send_keepalive, start=False
         )
         transport.on_receive = self._receive
         transport.on_down = self._transport_down

@@ -29,21 +29,25 @@ from repro.net.addr import IPv4Address, Prefix, ip, prefix
 from repro.routing.bgp import BGPDaemon, BGPRoute, BGPSession, DirectTransport
 from repro.sim.engine import Simulator
 
+#: The address block VINI owns; each client's block lies inside it.
+VINI_BLOCK = prefix("198.18.0.0/16")
+#: Updates a client may send back to back before its rate limit bites.
+BURST = 3.0
+
 
 class _RateLimiter:
     """Token bucket over BGP updates."""
 
-    def __init__(self, sim: Simulator, rate: float, burst: float):
+    def __init__(self, sim: Simulator, rate: float):
         self.sim = sim
         self.rate = rate  # updates per second
-        self.burst = burst
-        self.tokens = burst
+        self.tokens = BURST
         self._stamp = sim.now
         self.dropped = 0
 
     def allow(self) -> bool:
         now = self.sim.now
-        self.tokens = min(self.burst, self.tokens + self.rate * (now - self._stamp))
+        self.tokens = min(BURST, self.tokens + self.rate * (now - self._stamp))
         self._stamp = now
         if self.tokens >= 1.0:
             self.tokens -= 1.0
@@ -95,10 +99,8 @@ class BGPMultiplexer:
         sim: Simulator,
         asn: int,
         router_id: Union[int, str, IPv4Address],
-        vini_block: Union[str, Prefix] = "198.18.0.0/16",
     ):
         self.sim = sim
-        self.vini_block = prefix(vini_block)
         self.daemon = BGPDaemon(sim, asn, router_id, rib=None, name="bgp-mux")
         self.clients: Dict[str, _ClientPort] = {}
         self.external_session: Optional[BGPSession] = None
@@ -128,7 +130,6 @@ class BGPMultiplexer:
         client_asn: int,
         allowed: Union[str, Prefix],
         max_update_rate: float = 1.0,
-        burst: float = 5.0,
     ) -> BGPSession:
         """Register an experiment behind the multiplexer.
 
@@ -138,16 +139,16 @@ class BGPMultiplexer:
         if name in self.clients:
             raise ValueError(f"duplicate mux client {name!r}")
         allowed = prefix(allowed)
-        if allowed not in self.vini_block:
+        if allowed not in VINI_BLOCK:
             raise ValueError(
-                f"client block {allowed} is outside the VINI allocation {self.vini_block}"
+                f"client block {allowed} is outside the VINI allocation {VINI_BLOCK}"
             )
         for other in self.clients.values():
             if other.allowed.overlaps(allowed):
                 raise ValueError(
                     f"client block {allowed} overlaps {other.name}'s {other.allowed}"
                 )
-        limiter = _RateLimiter(self.sim, max_update_rate, burst)
+        limiter = _RateLimiter(self.sim, max_update_rate)
         port = _ClientPort(self, name, allowed, limiter)
         self.sim.metrics.counter(
             "bgp.mux_filtered", fn=lambda: float(port.filtered), client=name

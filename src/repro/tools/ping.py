@@ -148,7 +148,7 @@ class Ping:
         fr = self.sim.flight
         if fr.enabled:
             fr.flight_begin(
-                packet, "ping", node=self.node.name, stage="host.send",
+                packet, "ping", node=self.node.name,
                 dst=str(self.dst), ident=self.ident, seq=seq,
             )
         self.node.ip_output(packet, sliver=self.sliver)

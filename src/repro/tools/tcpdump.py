@@ -2,9 +2,9 @@
 
 "The figure plots the arrival time of data packets at the receiver, as
 reported by tcpdump" (Section 5.2, Fig. 9). This capture hooks the
-node's local-delivery and output paths and records timestamped summary
-rows; :meth:`tcp_arrivals` yields exactly the (arrival time, byte
-position) series the paper plots.
+node's local-delivery path and records timestamped summary rows of
+what arrives; :meth:`tcp_arrivals` yields exactly the (arrival time,
+byte position) series the paper plots.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class CaptureRecord:
     """One captured packet summary."""
 
     time: float
-    point: str  # "in" or "out"
     src: str
     dst: str
     proto: int
@@ -33,19 +32,16 @@ class CaptureRecord:
 
 
 class Tcpdump:
-    """Capture packets at a node, with an optional filter predicate."""
+    """Capture the packets arriving at a node, with an optional filter
+    predicate."""
 
     def __init__(
         self,
         node: PhysicalNode,
         filter: Optional[Callable[[Packet, str], bool]] = None,
-        direction: Optional[str] = None,
     ):
-        if direction not in (None, "in", "out"):
-            raise ValueError(f"direction must be None, 'in' or 'out', not {direction!r}")
         self.node = node
         self.filter = filter
-        self.direction = direction
         self.records: List[CaptureRecord] = []
         self._attached = False
 
@@ -61,7 +57,7 @@ class Tcpdump:
             self.node.remove_capture(self._capture)
 
     def _capture(self, packet: Packet, point: str) -> None:
-        if self.direction is not None and point != self.direction:
+        if point != "in":
             return
         if self.filter is not None and not self.filter(packet, point):
             return
@@ -70,7 +66,6 @@ class Tcpdump:
             return
         record = CaptureRecord(
             time=self.node.sim.now,
-            point=point,
             src=str(header.src),
             dst=str(header.dst),
             proto=header.proto,
@@ -91,9 +86,7 @@ class Tcpdump:
         capture filter (:func:`tcp_filter`)."""
         rows = []
         for record in self.records:
-            if record.proto != PROTO_TCP or record.point != "in":
-                continue
-            if record.payload_len <= 0:
+            if record.proto != PROTO_TCP or record.payload_len <= 0:
                 continue
             rows.append((record.time, record.seq, record.payload_len))
         return rows

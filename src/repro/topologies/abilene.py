@@ -104,4 +104,4 @@ def build_abilene_iias(seed: int = 0) -> Tuple[VINI, Experiment]:
 
     vini = build_abilene(seed=seed)
     model = parse_configs(abilene_router_configs())
-    return vini, experiment_from_model(model, vini, name="iias")
+    return vini, experiment_from_model(model, vini)

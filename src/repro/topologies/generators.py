@@ -17,6 +17,10 @@ from repro.core.infrastructure import VINI
 
 #: The dumbbell's middle link delay (s).
 BOTTLENECK_DELAY = 0.01
+#: The star's physical links: 20 Mb/s, so that a flash crowd hurts at
+#: the links as well as at the hub's CPU, and 5 ms each.
+STAR_BANDWIDTH = 20e6
+STAR_DELAY = 0.005
 #: The ``alpha`` and ``beta`` of ``networkx.waxman_graph``.
 WAXMAN_ALPHA = 0.6
 WAXMAN_BETA = 0.3
@@ -73,15 +77,13 @@ def build_ring(
 
 def build_star(
     leaves: int,
-    bandwidth: float = 1e9,
-    delay: float = 0.002,
     seed: int = 0,
     name: str = "star",
     realtime: bool = True,
 ) -> Tuple[VINI, Experiment]:
     names = ["hub"] + [f"leaf{i}" for i in range(leaves)]
     edges = [("hub", leaf) for leaf in names[1:]]
-    return _build(edges, names, bandwidth, delay, seed, name, realtime)
+    return _build(edges, names, STAR_BANDWIDTH, STAR_DELAY, seed, name, realtime)
 
 
 def build_full_mesh(

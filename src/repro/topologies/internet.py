@@ -58,6 +58,13 @@ TIER1_FRAC = 0.02
 TIER2_FRAC = 0.15
 #: Chance that two mid-tier ASes peer.
 TIER2_PEER_PROB = 0.12
+#: The timers of a built internet: OSPF hello and dead intervals inside
+#: each AS, and the MRAI of every BGP session (s).
+HELLO_INTERVAL = 2.0
+DEAD_INTERVAL = 8.0
+MRAI = 1.0
+#: How long a hijack's bogus origination stands before it is withdrawn.
+HIJACK_S = 15.0
 
 
 class ASSpec:
@@ -164,7 +171,6 @@ class InternetSpec:
 def generate_internet_spec(
     n_as: int,
     rng_streams: Callable,
-    name: str = "internet",
     tier1_routers: Tuple[int, int] = (16, 32),
     tier2_routers: Tuple[int, int] = (4, 12),
     stub_routers: Tuple[int, int] = (2, 5),
@@ -187,9 +193,9 @@ def generate_internet_spec(
     """
     if n_as < 2:
         raise ValueError(f"need at least 2 ASes, got {n_as}")
-    graph_rng = rng_streams(f"topo.{name}.graph")
-    intra_rng = rng_streams(f"topo.{name}.intra")
-    border_rng = rng_streams(f"topo.{name}.borders")
+    graph_rng = rng_streams("topo.internet.graph")
+    intra_rng = rng_streams("topo.internet.intra")
+    border_rng = rng_streams("topo.internet.borders")
 
     n_t1 = max(1, round(n_as * TIER1_FRAC))
     n_t2 = min(max(1, round(n_as * TIER2_FRAC)), max(n_as - n_t1 - 1, 0))
@@ -264,7 +270,7 @@ def generate_internet_spec(
         )
         for a, b, rel in as_edges
     ]
-    return InternetSpec(name, ases, inter_edges)
+    return InternetSpec("internet", ases, inter_edges)
 
 
 # ----------------------------------------------------------------------
@@ -346,12 +352,6 @@ class InternetWorld:
 def build_internet(
     n_as: int = 200,
     seed: int = 0,
-    name: str = "internet",
-    hello_interval: float = 2.0,
-    dead_interval: float = 8.0,
-    mrai: float = 1.0,
-    hold_time: float = 90.0,
-    spec: Optional[InternetSpec] = None,
     **spec_kwargs,
 ) -> InternetWorld:
     """Build and wire a full internet (one experiment on one VINI).
@@ -367,8 +367,7 @@ def build_internet(
     Call ``.run(until=...)`` to converge.
     """
     sim = Simulator(seed=seed)
-    if spec is None:
-        spec = generate_internet_spec(n_as, sim.rng, name=name, **spec_kwargs)
+    spec = generate_internet_spec(n_as, sim.rng, **spec_kwargs)
 
     vini = VINI(sim=sim, backbone_block="198.32.0.0/16")
     for a in spec.ases:
@@ -381,7 +380,7 @@ def build_internet(
     # The default /16 tap block caps out at 256 routers; a /12 holds
     # 4096 (and stays inside the 10/8 overlay route, clear of the
     # 10.254/16 link block).
-    exp = Experiment(vini, name, tap_block="10.16.0.0/12")
+    exp = Experiment(vini, "internet", tap_block="10.16.0.0/12")
     world = InternetWorld(sim, vini, exp, spec)
 
     for a in spec.ases:
@@ -402,8 +401,8 @@ def build_internet(
         for router in a.routers:
             vnode = world.node(router)
             vnode.configure_ospf(
-                hello_interval=hello_interval,
-                dead_interval=dead_interval,
+                hello_interval=HELLO_INTERVAL,
+                dead_interval=DEAD_INTERVAL,
             )
             for ifname in intra_ifaces.get(router, ()):
                 vnode.xorp.ospf.enable_interface(ifname)
@@ -418,11 +417,11 @@ def build_internet(
                 t1, t2 = DirectTransport.pair(sim, delay=0.005)
                 world.node(r1).xorp.bgp.add_session(
                     t1, a.asn, name=f"ibgp:{r2}", nexthop_self=True,
-                    mrai=mrai, hold_time=hold_time,
+                    mrai=MRAI,
                 )
                 world.node(r2).xorp.bgp.add_session(
                     t2, a.asn, name=f"ibgp:{r1}", nexthop_self=True,
-                    mrai=mrai, hold_time=hold_time,
+                    mrai=MRAI,
                 )
         # Prefix origination at the anchor: BGP announces it, a static
         # local route owns it in the FIB (so delivery terminates here).
@@ -442,12 +441,12 @@ def build_internet(
         session_a = ra.xorp.bgp.add_session(
             ta, edge.b_asn, name=f"ebgp:{edge.b_router}",
             local_addr=vlink.interface_on(ra).address,
-            mrai=mrai, hold_time=hold_time,
+            mrai=MRAI,
         )
         session_b = rb.xorp.bgp.add_session(
             tb, edge.a_asn, name=f"ebgp:{edge.a_router}",
             local_addr=vlink.interface_on(rb).address,
-            mrai=mrai, hold_time=hold_time,
+            mrai=MRAI,
         )
         if edge.rel == TRANSIT:  # a provides transit: b is a's customer
             world.policies[edge.a_router].attach(session_a, CUSTOMER)
@@ -513,12 +512,11 @@ def hijack_plan(
     attacker_asn: int,
     victim_asn: int,
     at: float = 0.0,
-    duration: Optional[float] = None,
 ) -> FaultPlan:
     """A prefix hijack: the attacker's anchor originates the victim's
     prefix (same length, origin LOCAL_PREF), pulling part of the
-    internet toward the attacker, where traffic black-holes. With
-    ``duration`` the bogus origination is withdrawn afterwards."""
+    internet toward the attacker, where traffic black-holes, and
+    withdraws it :data:`HIJACK_S` later."""
     victim = world.spec.by_asn[victim_asn]
     attacker = world.anchor(attacker_asn).xorp.bgp
     plan = FaultPlan(f"hijack-as{attacker_asn}")
@@ -526,11 +524,10 @@ def hijack_plan(
         at, attacker.originate, victim.prefix, ORIGIN_LOCAL_PREF,
         label=f"as{attacker_asn} hijacks {victim.prefix}",
     )
-    if duration is not None:
-        plan.at(
-            at + duration, attacker.withdraw_origin, victim.prefix,
-            label=f"as{attacker_asn} withdraws {victim.prefix}",
-        )
+    plan.at(
+        at + HIJACK_S, attacker.withdraw_origin, victim.prefix,
+        label=f"as{attacker_asn} withdraws {victim.prefix}",
+    )
     return plan
 
 

@@ -111,7 +111,7 @@ class TestCheckIPAndTTL:
 class TestLookup:
     def test_longest_match_and_annotation(self, world, lookup_cls):
         sim, node, sliver, router = world
-        lookup = router.add("rt", lookup_cls(n_outputs=2))
+        lookup = router.add("rt", lookup_cls())
         s0, s1 = router.add("s0", Sink()), router.add("s1", Sink())
         router["rt"].connect(router["s0"], out_port=0)
         router["rt"].connect(router["s1"], out_port=1)
@@ -328,7 +328,9 @@ class TestQueueShaper:
 class TestEncapTable:
     def test_maps_gw_to_port(self, world):
         sim, node, sliver, router = world
-        encap = router.add("enc", EncapTable(n_outputs=2))
+        encap = router.add("enc", EncapTable())
+        encap.add_output()
+        encap.add_output()
         s0, s1 = router.add("s0", Sink()), router.add("s1", Sink())
         router["enc"].connect(router["s0"], out_port=0)
         router["enc"].connect(router["s1"], out_port=1)
@@ -341,7 +343,8 @@ class TestEncapTable:
 
     def test_missing_annotation_or_entry_drops(self, world):
         sim, node, sliver, router = world
-        encap = router.add("enc", EncapTable(n_outputs=1))
+        encap = router.add("enc", EncapTable())
+        encap.add_output()
         sink = router.add("s", Sink())
         router["enc"].connect(router["s"])
         encap.push(0, make_packet())  # no gw annotation
@@ -354,7 +357,8 @@ class TestEncapTable:
 
     def test_port_range_validated(self, world):
         sim, node, sliver, router = world
-        encap = router.add("enc", EncapTable(n_outputs=1))
+        encap = router.add("enc", EncapTable())
+        encap.add_output()
         with pytest.raises(ValueError):
             encap.add_mapping("10.9.9.1", 5)
 

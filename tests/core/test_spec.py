@@ -220,6 +220,16 @@ def test_spec_keeps_construction_order_and_queue_sizes():
 
 
 
+@pytest.mark.parametrize("section, key", [("physical", "cpu_speed"), ("slice", "cpu_share")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0, "fast"])
+def test_a_cpu_speed_or_share_that_is_not_positive_and_finite_is_a_spec_error(
+        section, key, value):
+    spec = copy.deepcopy(SQUARE)
+    spec[section][key] = value
+    with pytest.raises(SpecError, match=rf"{section}\.{key}"):
+        build_experiment(spec)
+
+
 @pytest.mark.parametrize("cost", [-3, 0, 1.5, float("nan")])
 def test_an_ospf_cost_outside_1_to_65535_is_a_spec_error(cost):
     spec = copy.deepcopy(SQUARE)

@@ -42,8 +42,7 @@ def test_stages_tile_flight_exactly():
     recorder = FlightRecorder(sim).install()
     packet = _packet()
 
-    sim.at(1.0, lambda: recorder.flight_begin(packet, "probe", node="a",
-                                              stage="send"))
+    sim.at(1.0, lambda: recorder.flight_begin(packet, "probe", node="a"))
     sim.at(1.5, lambda: recorder.stage(packet, "queue", node="a"))
     sim.at(2.25, lambda: recorder.stage(packet, "transit", node="a--b"))
     sim.at(4.0, lambda: recorder.flight_end(packet))
@@ -54,14 +53,14 @@ def test_stages_tile_flight_exactly():
     assert flight.duration == 3.0
     stages = flight.stage_durations()
     assert [(n, d) for n, _l, d in stages] == [
-        ("send", 0.5), ("queue", 0.75), ("transit", 1.75)]
+        ("host.send", 0.5), ("queue", 0.75), ("transit", 1.75)]
     # Gap-free: each stage opens when the previous closes.
     assert flight.spans[0].start == flight.start
     for prev, cur in zip(flight.spans, flight.spans[1:]):
         assert cur.start == prev.end
     assert flight.spans[-1].end == flight.end
     assert sum(d for _n, _l, d in stages) == flight.duration
-    assert flight.stage_totals() == {"send": 0.5, "queue": 0.75,
+    assert flight.stage_totals() == {"host.send": 0.5, "queue": 0.75,
                                      "transit": 1.75}
 
 

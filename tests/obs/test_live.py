@@ -268,7 +268,7 @@ def test_flight_stream_writes_complete_trace_under_memory_ceiling(tmp_path):
     assert len(flights) == 100
     assert all(row["kind"] == "flight" for row in flights)
     stages = [stage for row in flights for stage in row["stages"]]
-    assert len(stages) == 200  # "origin" + "hop" per flight
+    assert len(stages) == 200  # "host.send" + "hop" per flight
     # Further adds after close are an error, close is idempotent.
     with pytest.raises(RuntimeError):
         stream.add(flights[0])
@@ -289,7 +289,7 @@ def test_flight_stream_jsonl_format(tmp_path):
     assert len(rows) == 5
     for row in rows:
         assert row["kind"] == "flight" and row["status"] == "ok"
-        assert row["stages"] == [["origin", "a", 0.0, 0.0]]
+        assert row["stages"] == [["host.send", "a", 0.0, 0.0]]
 
 
 def test_flight_stream_validation_and_empty_close(tmp_path):

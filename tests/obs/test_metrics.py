@@ -9,7 +9,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NULL_METRIC,
-    log_buckets,
 )
 
 
@@ -17,21 +16,10 @@ from repro.obs import (
 # Buckets
 # ----------------------------------------------------------------------
 def test_log_buckets_span_and_spacing():
-    bounds = log_buckets(1e-3, 1e0, per_decade=2)
-    assert bounds[0] == pytest.approx(1e-3)
-    assert bounds[-1] == pytest.approx(1.0)
-    assert len(bounds) == 7  # 3 decades * 2 + the lower edge
+    bounds = DEFAULT_BUCKETS
+    assert len(bounds) == 37  # 9 decades * 4 + the lower edge
     ratios = [b / a for a, b in zip(bounds, bounds[1:])]
-    assert all(r == pytest.approx(10 ** 0.5) for r in ratios)
-
-
-def test_log_buckets_validation():
-    with pytest.raises(ValueError):
-        log_buckets(0.0, 1.0)
-    with pytest.raises(ValueError):
-        log_buckets(1.0, 1.0)
-    with pytest.raises(ValueError):
-        log_buckets(1e-3, 1.0, per_decade=0)
+    assert all(r == pytest.approx(10 ** 0.25) for r in ratios)
 
 
 def test_default_buckets_cover_durations():

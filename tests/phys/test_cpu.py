@@ -231,6 +231,17 @@ def test_invalid_parameters_rejected():
         proc.exec_after(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_a_share_or_speed_that_is_not_positive_and_finite_is_refused(bad):
+    # NaN passed a ``<= 0`` check: a NaN speed died mid-run on a NaN
+    # delay, and a NaN share ran elections on NaN vruntimes.
+    sim, node = make_node()
+    with pytest.raises(ValueError, match="share"):
+        Process(node, "bad", share=bad)
+    with pytest.raises(ValueError, match="speed"):
+        make_node(speed=bad)
+
+
 # ----------------------------------------------------------------------
 # The ready set: exactly the processes with queued work, at every instant
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.phys.node import PhysicalNode
+from repro.phys import vnet
 from repro.phys.vnet import PortConflictError, VNet
 from repro.phys.vserver import Slice
 from repro.sim import Simulator
@@ -53,16 +54,17 @@ def test_invalid_port_rejected(node):
         node.vnet.reserve(PROTO_UDP, 70000, object())
 
 
-def test_free_port_skips_reserved_and_preallocated(node):
+def test_free_port_skips_reserved_and_preallocated(node, monkeypatch):
+    monkeypatch.setattr(vnet, "TUNNEL_PORT_BASE", 32769)
     node.vnet.reserve(PROTO_UDP, 32768, object())
-    preallocated = node.vnet.preallocate(PROTO_UDP, start=32769)
+    preallocated = node.vnet.preallocate(PROTO_UDP)
     assert preallocated == 32769
     assert node.vnet.free_port(PROTO_UDP) == 32770
 
 
 def test_preallocate_is_monotone_per_node(node):
-    first = node.vnet.preallocate(PROTO_UDP, start=33000)
-    second = node.vnet.preallocate(PROTO_UDP, start=33000)
+    first = node.vnet.preallocate(PROTO_UDP)
+    second = node.vnet.preallocate(PROTO_UDP)
     assert first == 33000
     assert second == 33001
 
@@ -70,7 +72,7 @@ def test_preallocate_is_monotone_per_node(node):
 def test_preallocated_port_can_be_bound(node):
     sliver = node.create_sliver(Slice("s"))
     proc = sliver.create_process("app")
-    port = node.vnet.preallocate(PROTO_UDP, start=33000)
+    port = node.vnet.preallocate(PROTO_UDP)
     node.udp_socket(proc, port=port)  # bind succeeds
 
 

@@ -40,7 +40,7 @@ class TestParser:
         assert iface.ospf_cost == 7
         assert iface.hello_interval == 5.0
         assert router.ospf.router_id == ip("10.255.0.1")
-        assert router.ospf.networks[0][0] == prefix("192.0.2.0/24")
+        assert router.ospf.networks == [prefix("192.0.2.0/24")]
 
     def test_ospf_covers(self):
         router = parse_config(SIMPLE)
@@ -67,6 +67,18 @@ class TestParser:
         " network 10.0.0.0 0.255.0.255 area 0",
         " router-id banana",
         " ip ospf hello-interval soon",
+        " ip ospf cost 0",
+        " ip ospf cost -3",
+        " ip ospf cost 65536",
+        " ip ospf cost 1.5",
+        " ip ospf hello-interval 0",
+        " ip ospf hello-interval nan",
+        " ip ospf dead-interval -10",
+        " ip ospf dead-interval inf",
+        " network 10.0.0.0 0.0.0.255 area 0.0.1",
+        " network 10.0.0.0 0.0.0.255 area 256.0.0.0",
+        " network 10.0.0.0 0.0.0.255 area 4294967296",
+        " network 10.0.0.0 0.0.0.255 area -1",
     ])
     def test_malformed_value_reported_with_line(self, bad):
         """A value the parser cannot read is a syntax error on its line,
@@ -76,6 +88,11 @@ class TestParser:
             parse_config(f"hostname x\n!\n{block}\n{bad}\n")
         assert err.value.line_no == 4
         assert err.value.line == bad
+
+    @pytest.mark.parametrize("area", ["0", "0.0.0.0", "0.0.1.0", "256", "4294967295"])
+    def test_an_area_is_a_32_bit_id_dotted_or_decimal(self, area):
+        router = parse_config(SIMPLE.replace("area 0", f"area {area}"))
+        assert router.ospf.networks == [prefix("192.0.2.0/24")]
 
     def test_unknown_toplevel_rejected(self):
         with pytest.raises(ConfigSyntaxError):
@@ -181,7 +198,7 @@ class TestAbileneRoundTrip:
     def test_generate_experiment_mirrors_abilene(self):
         vini = build_abilene(seed=3)
         model = parse_configs(abilene_router_configs())
-        exp = experiment_from_model(model, vini, name="mirror")
+        exp = experiment_from_model(model, vini)
         assert set(exp.network.nodes) == set(ABILENE_POPS)
         assert len(exp.network.links) == len(ABILENE_LINKS)
         # Timers extracted from the configuration, not defaults.
@@ -229,10 +246,17 @@ class TestAbileneRoundTrip:
             experiment_from_model(model, vini)
 
     def test_a_negative_ospf_cost_is_refused(self):
-        model = parse_configs([config.replace("ip ospf cost ", "ip ospf cost -")
-                               for config in abilene_router_configs()])
-        with pytest.raises(ValueError, match="cost"):
-            experiment_from_model(model, build_abilene(seed=4))
+        with pytest.raises(ConfigSyntaxError, match="cost"):
+            parse_configs([config.replace("ip ospf cost ", "ip ospf cost -")
+                           for config in abilene_router_configs()])
+
+    def test_one_negative_end_is_refused_not_hidden_by_the_other(self):
+        # A link's cost is the larger of its two ends', so one bad end
+        # once built the mirror with the other end's cost.
+        first, *rest = abilene_router_configs()
+        with pytest.raises(ConfigSyntaxError, match="cost") as err:
+            parse_configs([first.replace("ip ospf cost ", "ip ospf cost -", 1)] + rest)
+        assert err.value.line.strip().startswith("ip ospf cost -")
 
     def test_one_network_runs_one_pair_of_timers(self):
         """Each link may agree with itself and the network still not:

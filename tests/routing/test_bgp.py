@@ -158,10 +158,9 @@ def test_export_policy_can_block():
     a = BGPDaemon(sim, 65001, "192.0.2.1")
     b = BGPDaemon(sim, 65002, "192.0.2.2")
     ta, tb = DirectTransport.pair(sim)
-    a.add_session(
-        ta, 65002, mrai=0.1,
-        export_policy=lambda r: None if r.prefix == prefix("198.18.9.0/24") else r,
-    ).start()
+    session = a.add_session(ta, 65002, mrai=0.1)
+    session.export_policy = lambda r: None if r.prefix == prefix("198.18.9.0/24") else r
+    session.start()
     b.add_session(tb, 65001, mrai=0.1).start()
     a.originate("198.18.9.0/24")
     a.originate("198.18.10.0/24")

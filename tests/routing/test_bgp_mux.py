@@ -7,10 +7,9 @@ from repro.routing.bgp_mux import BGPMultiplexer
 from repro.sim import Simulator
 
 
-def build_world(sim, clients=2, rate=1.0, burst=5.0):
+def build_world(sim, clients=2, rate=1.0):
     """External speaker <-> mux <-> N experiment daemons."""
-    mux = BGPMultiplexer(sim, asn=64512, router_id="198.18.0.1",
-                         vini_block="198.18.0.0/16")
+    mux = BGPMultiplexer(sim, asn=64512, router_id="198.18.0.1")
     external = BGPDaemon(sim, 7018, "12.0.0.1", name="external")
     te, tm = DirectTransport.pair(sim)
     external.add_session(te, 64512, mrai=0.1).start()
@@ -24,7 +23,7 @@ def build_world(sim, clients=2, rate=1.0, burst=5.0):
         mux.add_client(
             f"exp{index}", tmc, 65100 + index,
             allowed=f"198.18.{index + 1}.0/24",
-            max_update_rate=rate, burst=burst,
+            max_update_rate=rate,
         )
         experiments.append(exp)
     return mux, external, experiments
@@ -82,7 +81,7 @@ def test_foreign_prefix_filtered():
 
 def test_rate_limit_caps_update_churn():
     sim = Simulator(seed=94)
-    mux, external, exps = build_world(sim, clients=1, rate=0.5, burst=2.0)
+    mux, external, exps = build_world(sim, clients=1, rate=0.5)
     exp = exps[0]
 
     # Flap a prefix rapidly: announce/withdraw every 200 ms.
@@ -115,7 +114,7 @@ def test_overlapping_client_blocks_rejected():
 
 def test_client_block_must_be_inside_vini_allocation():
     sim = Simulator(seed=96)
-    mux = BGPMultiplexer(sim, 64512, "198.18.0.1", vini_block="198.18.0.0/16")
+    mux = BGPMultiplexer(sim, 64512, "198.18.0.1")
     t1, t2 = DirectTransport.pair(sim)
     with pytest.raises(ValueError):
         mux.add_client("out", t2, 65000, allowed="203.0.113.0/24")

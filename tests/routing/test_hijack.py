@@ -50,8 +50,7 @@ def test_hijack_diverts_blackholes_and_heals(world):
     }
     tracker = ConvergenceTracker(world.experiment).install()
 
-    plan = hijack_plan(world, ATTACKER, VICTIM, at=WARMUP + 1.0,
-                       duration=20.0)
+    plan = hijack_plan(world, ATTACKER, VICTIM, at=WARMUP + 1.0)
     world.experiment.apply_faults(plan)
 
     world.run(until=WARMUP + 10.0)  # mid-hijack

@@ -36,7 +36,7 @@ def test_uninstalled_coupling_fields_stay_zero():
     float-identity-preserving defaults when no plane is installed."""
     from repro.topologies import build_star
 
-    vini, _exp = build_star(3, bandwidth=20e6, seed=9, realtime=False)
+    vini, _exp = build_star(3, seed=9, realtime=False)
     vini.sim.trace.enable("drop")
     vini.run(until=1.0)
     for link in vini.links.values():

@@ -444,8 +444,7 @@ class TestDeterminism:
 
         from repro.tools import Ping
 
-        vini, exp = build_star(3, bandwidth=20e6, seed=seed,
-                               name="hybrid-det", realtime=False)
+        vini, exp = build_star(3, seed=seed, name="hybrid-det", realtime=False)
         exp.configure_ospf(hello_interval=2.0, dead_interval=6.0)
         exp.run(until=20.0)
         plane = FluidTrafficPlane(exp)
