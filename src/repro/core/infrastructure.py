@@ -88,7 +88,12 @@ class VINI:
         masked (the rerouting Section 3.1 warns about): fate sharing is
         what VINI wants.
         """
-        paths = dict(nx.all_pairs_dijkstra_path(self._graph()))
+        graph = nx.Graph()
+        graph.add_nodes_from(self.nodes)
+        for (a, b), link in self.links.items():
+            if link.up:
+                graph.add_edge(a, b, weight=max(link.delay, 1e-9))
+        paths = dict(nx.all_pairs_dijkstra_path(graph))
         for src_name, node in self.nodes.items():
             reachable = paths.get(src_name, {})
             for dst_name, path in reachable.items():
@@ -111,13 +116,20 @@ class VINI:
                         continue
                     node.add_route(host_route, interface=out_iface)
 
-    def _graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
-        for (a, b), link in self.links.items():
-            if link.up:
-                graph.add_edge(a, b, weight=max(link.delay, 1e-9), link=link)
-        return graph
+    def underlay_path(self, src: str, dst: str) -> Optional[List[str]]:
+        """The physical nodes a packet from ``src`` to ``dst`` crosses, hop
+        by hop down the tables :meth:`install_underlay_routes` fills (the
+        ones packets are forwarded by); None where a table has no route."""
+        node, target, path = self.nodes[src], self.nodes[dst], [src]
+        while node is not target:
+            found = (node.routes.lookup_entry(target.address)
+                     if target.interfaces else None)
+            if found is None or len(path) > len(self.nodes):
+                return None
+            iface = found[1].interface
+            node = iface.link.other_end(iface).node
+            path.append(node.name)
+        return path
 
     # ------------------------------------------------------------------
     # Slices

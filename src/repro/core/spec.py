@@ -98,6 +98,14 @@ def _positive(where: str, value: Any) -> float:
     return value
 
 
+def _fraction(where: str, value: Any, low: str) -> float:
+    # A slice's processes refuse it too, without the key.
+    if (not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0
+            or low == "(" and value == 0.0):
+        raise SpecError(f"{where}: expected a number in {low}0, 1], got {value!r}")
+    return value
+
+
 def _known(where: str, key: str, name: Any, names) -> Any:
     if name not in names:
         raise SpecError(f"{where}: {key!r} names unknown node {name!r}")
@@ -134,9 +142,11 @@ def build_experiment(spec: Dict[str, Any]) -> Tuple[VINI, Experiment]:
         vini,
         spec.get("name", "experiment"),
         cpu_share=_positive("slice.cpu_share", slice_spec.get("cpu_share", 1.0)),
-        cpu_reservation=slice_spec.get("cpu_reservation", 0.0),
+        cpu_reservation=_fraction(
+            "slice.cpu_reservation", slice_spec.get("cpu_reservation", 0.0), "["),
         realtime=slice_spec.get("realtime", False),
-        cpu_cap=slice_spec.get("cpu_cap"),
+        cpu_cap=(None if slice_spec.get("cpu_cap") is None
+                 else _fraction("slice.cpu_cap", slice_spec["cpu_cap"], "(")),
         tap_route_prefix=spec.get("tap_route_prefix", OVERLAY_PREFIX),
     )
     if "topology" not in spec:

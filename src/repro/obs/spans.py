@@ -5,11 +5,10 @@ module answers *why one packet was slow*. It is an OpenTelemetry-style
 tracing layer riding the packet model:
 
 * A :class:`SpanContext` (trace id / span id / parent id) is carried on
-  ``Packet.span`` and shared **by reference** between a packet, its
-  clones (``Packet.copy``), the tunnel datagram that carries it as its
-  payload, and the ICMP echo reply — so one ping *flight* (request +
-  reply) is a single trace no matter how many times it is encapsulated
-  or copied.
+  ``Packet.span`` and shared **by reference** between a packet, the
+  tunnel datagram that carries it as its payload, and the ICMP echo
+  reply — so one ping *flight* (request + reply) is a single trace no
+  matter how many times it is encapsulated.
 * Instrumented components call :meth:`FlightRecorder.stage` at every
   hand-off (tap read queue, CPU run-queue, Click elements, tunnel
   encap/decap, link serialization + propagation, kernel receive).

@@ -104,6 +104,9 @@ class CPUScheduler:
         self._event: Optional[list] = None
         # The mark of a chunk whose end catch_up completes, else None.
         self._mark: Optional[int] = None
+        # Set while a completed item's callback runs: its wakes queue, and
+        # _complete elects once the callback has queued all its work.
+        self._held = False
         # Plain fair-share processes whose demand stands (CPUHog).
         self.standing: Set[Process] = set()
         sim.catch_ups.append(self.catch_up)
@@ -155,7 +158,7 @@ class CPUScheduler:
         running = self._running
         if len(process.queue) == 1:
             ready, fair = self._ready, self._fair
-            if running is None and not (ready or fair) and (
+            if running is None and not (ready or fair or self._held) and (
                     process.plain or process.realtime and process.cpu_cap is None):
                 # Alone at an idle CPU, elected by a scan that reads no usage.
                 if not process.realtime:
@@ -182,7 +185,8 @@ class CPUScheduler:
             else:
                 ready.add(process)
         if running is None:
-            self._dispatch()
+            if not self._held:
+                self._dispatch()
             return
         if self._event is None and process not in self.standing:
             # _deferred_preempt's target and a limit to catch-ups; catch_up cancels it.
@@ -358,7 +362,9 @@ class CPUScheduler:
         if item.cancelled:
             pass
         elif process not in self.standing:
+            self._held = True
             item.fn(*item.args)
+            self._held = False
         elif (cost := item.fn()) is not None:  # the demand's next draw
             item.cost, item.enqueued_at = cost, self.sim.now
             process.queue.append(item)

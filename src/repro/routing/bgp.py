@@ -67,12 +67,11 @@ class BGPRoute:
 # Messages
 # ----------------------------------------------------------------------
 class Open:
-    __slots__ = ("asn", "router_id", "hold_time")
+    __slots__ = ("asn", "router_id")
 
-    def __init__(self, asn: int, router_id: int, hold_time: float):
+    def __init__(self, asn: int, router_id: int):
         self.asn = asn
         self.router_id = router_id
-        self.hold_time = hold_time
 
 
 class Update:
@@ -170,7 +169,6 @@ class BGPSession:
         self.transport = transport
         self.peer_asn = peer_asn
         self.name = name or f"as{peer_asn}"
-        self.hold_time = HOLD_TIME  # lowered to the peer's by its OPEN
         self.mrai = mrai
         self.import_policy = import_policy
         # Set by the policy that attaches to the session (GaoRexfordPolicy).
@@ -226,16 +224,16 @@ class BGPSession:
         if self.state != IDLE:
             return
         self.state = OPEN_SENT
-        self.transport.send(Open(self.daemon.asn, self.daemon.router_id, self.hold_time))
-        self._hold_timer.restart(self.hold_time)
+        self.transport.send(Open(self.daemon.asn, self.daemon.router_id))
+        self._hold_timer.restart()
 
     def _receive(self, message: object) -> None:
         if isinstance(message, Open):
             self._on_open(message)
         elif isinstance(message, Keepalive):
-            self._hold_timer.restart(self.hold_time)
+            self._hold_timer.restart()
         elif isinstance(message, Update):
-            self._hold_timer.restart(self.hold_time)
+            self._hold_timer.restart()
             self._on_update(message)
         elif isinstance(message, Notification):
             self._go_down(f"notification: {message.reason}")
@@ -246,16 +244,13 @@ class BGPSession:
             self._go_down("bad peer AS")
             return
         self.peer_router_id = message.router_id
-        self.hold_time = min(self.hold_time, message.hold_time)
         if self.state == IDLE:
             # Passive side: respond with our own OPEN.
-            self.transport.send(
-                Open(self.daemon.asn, self.daemon.router_id, self.hold_time)
-            )
+            self.transport.send(Open(self.daemon.asn, self.daemon.router_id))
         self.state = ESTABLISHED
         self._established_gauge.set(self.sim.now)
-        self._hold_timer.restart(self.hold_time)
-        self._keepalive_timer.reschedule(max(self.hold_time / 3.0, 1.0))
+        self._hold_timer.restart()
+        self._keepalive_timer.reschedule()
         self.transport.send(Keepalive())
         self.sim.trace.log(
             "bgp_session", daemon=self.daemon.name, peer=self.name, state=ESTABLISHED

@@ -70,12 +70,8 @@ class PeriodicTimer:
             self.sim.cancel(self._event)
             self._event = None
 
-    def reschedule(self, interval: Optional[float] = None) -> None:
-        """Restart the period (optionally with a new interval)."""
-        if interval is not None:
-            if not 0 < interval < math.inf:
-                raise ValueError(f"interval must be positive and finite, got {interval!r}")
-            self.interval = interval
+    def reschedule(self) -> None:
+        """Restart the period from now."""
         self.stop()
         self.start()
 

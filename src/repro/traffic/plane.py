@@ -19,18 +19,24 @@ packet-accurate and *feel* the background through a coupling layer:
   channel's ``tx_bytes`` counter between solves), so heavy foreground
   traffic squeezes the fluid share exactly as real cross-traffic would.
 
+Fluid fate-shares with packets: a class rides the path its packets
+take, read once from the underlay's static table
+(:meth:`repro.core.VINI.underlay_path`), for life. It is ``blocked``
+while its virtual link has failed or a physical link on that path is
+down (for good if the table has no route); nothing re-paths.
+
 Rates are re-solved in full, but rarely: demand changes (flow arrival,
-completion, stop), route changes, and link fail/recover mark the plane
-dirty and coalesce into one deferred *full* solver pass: the first mark
-of an instant queues it with ``call_soon`` and sets ``_solve_pending``,
+completion, stop) and link fail/recover mark the plane dirty and
+coalesce into one deferred *full* solver pass: the first mark of an
+instant queues it with ``call_soon`` and sets ``_solve_pending``,
 which the later marks find set — never per-packet. A pass works on state the
 plane keeps, not state it rebuilds: the classes stand in a key-ordered
 list (inserted at creation, filtered when one empties), every directed
 channel has a dense ``index`` for life, a class's ``hops`` are its
-channels' indices, rebuilt only when it is re-pathed, and each channel's
-count of flows in unblocked classes stands in ``_nflows``, moved by a
-class's count where a flow starts, stops or completes, around a re-path
-and at a virtual-link flap; the fill takes a copy of it.
+channels' indices, and each channel's count of flows in unblocked
+classes stands in ``_nflows``, moved by a class's count where a flow
+starts, stops or completes and where a link event cuts or restores the
+class; the fill takes a copy of it.
 The solver fills over those indices and one walk over the ordered
 classes adds each class's load onto its hops, so every channel's float
 sum runs in class-key order — a function of the keys alone. A pass
@@ -54,8 +60,6 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.traffic.flow import FluidFlow
 from repro.traffic.solver import INF, progressive_fill, tcp_steady_state_cap
@@ -155,6 +159,13 @@ class _FlowClass:
         return self.key < other.key
 
 
+def _cut(cls: _FlowClass) -> bool:
+    """The one rule for ``blocked`` on a routed class: its virtual link
+    has failed, or a physical link on its path is down."""
+    return (cls.vlink is not None and cls.vlink.failed) or not all(
+        state.link.up for state in cls.channels)
+
+
 class FluidTrafficPlane:
     """Fluid background traffic coupled to the packet simulation.
 
@@ -181,11 +192,9 @@ class FluidTrafficPlane:
         self.flows: Dict[int, FluidFlow] = {}
         self.classes: Dict[tuple, _FlowClass] = {}  # creation order
         self._ordered: List[_FlowClass] = []  # the same classes, key order
-        self._graph = None  # up-links graph of this topology epoch
         self._channel_states: Dict[Tuple[str, str], _ChannelState] = {}
         # Flows of the unblocked classes crossing each channel, by index.
         self._nflows: List[int] = []
-        self._route_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
         self._next_fid = 0
         self._dirty = False
         self._solve_pending = False
@@ -213,12 +222,12 @@ class FluidTrafficPlane:
             ):
                 register(f"traffic.{metric}", fn=read, plane=self.name)
 
-        # Fluid reacts to link fail/recover at both layers.
+        # Fluid fate-shares with packets at both layers.
         for link in self.vini.links.values():
             link.observe(self._on_link_state)
         if self.experiment is not None:
             for vlink in self.experiment.network.links:
-                vlink.observe(self._on_vlink_state)
+                vlink.observe(self._on_link_state)
 
     # ------------------------------------------------------------------
     # Demand API
@@ -348,49 +357,24 @@ class FluidTrafficPlane:
                                   link=link.name, sender=sender)
         return state
 
-    def _route(self, src: str, dst: str) -> Optional[List[str]]:
-        """Delay-shortest physical path (node names), None if cut off."""
-        key = (src, dst)
-        if key in self._route_cache:
-            return self._route_cache[key]
-        if self._graph is None:
-            self._graph = self.vini._graph()
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            path = None
-        self._route_cache[key] = path
-        return path
-
     def _assign_path(self, cls: _FlowClass) -> None:
-        """(Re)compute a class's physical channels, RTT, and rate cap."""
-        cls.channels = []
-        cls.hops = ()
+        """Pin a new class to its packets' path: channels, RTT, rate cap."""
         src_phys, src_vnode = self._resolve_endpoint(cls.src)
         dst_phys, dst_vnode = self._resolve_endpoint(cls.dst)
-        cls.vlink = None
-        cls.shaper = None
+        path = self.vini.underlay_path(src_phys, dst_phys)
+        if path is None:  # cut for good: no link event brings a route
+            cls.blocked = True
+            return
         if src_vnode is not None and dst_vnode is not None:
             try:
-                vlink = self.experiment.network.link_between(cls.src, cls.dst)
-            except KeyError:
+                cls.vlink = vlink = self.experiment.network.link_between(
+                    cls.src, cls.dst)
+            except KeyError:  # not neighbours: no virtual link of its own
                 vlink = None
-            if vlink is not None:
-                cls.vlink = vlink
-                if vlink.bandwidth is not None:
-                    ifname = (
-                        vlink.ifname_a
-                        if vlink.a.name == cls.src
-                        else vlink.ifname_b
-                    )
-                    vnode = vlink.a if vlink.a.name == cls.src else vlink.b
-                    cls.shaper = vnode.click.elements.get(f"shape_{ifname}")
-        path = self._route(src_phys, dst_phys)
-        if path is None:
-            cls.blocked = True
-            cls.rtt = 0.0
-            return
-        cls.blocked = bool(cls.vlink is not None and cls.vlink.failed)
+            if vlink is not None and vlink.bandwidth is not None:
+                vnode, ifname = ((vlink.a, vlink.ifname_a) if vlink.a is src_vnode
+                                 else (vlink.b, vlink.ifname_b))
+                cls.shaper = vnode.click.elements.get(f"shape_{ifname}")
         rtt = 0.0
         for a, b in zip(path, path[1:]):
             link = self.vini.link_between(a, b)
@@ -405,30 +389,25 @@ class FluidTrafficPlane:
         if cls.window_bytes is not None:
             cap = min(cap, tcp_steady_state_cap(cls.rtt, cls.window_bytes))
         cls.cap = cap
+        cls.blocked = _cut(cls)
 
     # ------------------------------------------------------------------
     # Fault reaction
     # ------------------------------------------------------------------
     def _on_link_state(self, link, up: bool) -> None:
-        self._route_cache.clear()
-        self._graph = None
-        # Service up to now was earned on the old paths.
-        self._advance(self.classes.values(), self.sim.now)
-        for cls in self.classes.values():
-            self._recount(cls, -cls.count)
-            self._assign_path(cls)
-            self._recount(cls, cls.count)
-        self._mark_dirty()
-
-    def _on_vlink_state(self, vlink, up: bool) -> None:
+        """A physical or a virtual ``link`` failed or came back: re-apply
+        :func:`_cut` to the classes that cross it. No class re-paths."""
         changed = False
         for cls in self.classes.values():
-            if cls.vlink is vlink:
-                self._advance((cls,), self.sim.now)
-                self._recount(cls, -cls.count)
-                cls.blocked = not up
-                self._recount(cls, cls.count)
-                changed = True
+            if cls.vlink is link or any(state.link is link for state in cls.channels):
+                blocked = _cut(cls)
+                if blocked != cls.blocked:
+                    # Service up to now was earned at the old rate.
+                    self._advance((cls,), self.sim.now)
+                    self._recount(cls, -cls.count)
+                    cls.blocked = blocked
+                    self._recount(cls, cls.count)
+                    changed = True
         if changed:
             self._mark_dirty()
 
@@ -507,9 +486,7 @@ class FluidTrafficPlane:
             bandwidths[state.index] = bandwidth = state.link.bandwidth
             cap = bandwidth * (1.0 - HEADROOM) - state.packet_bps
             floor = bandwidth * (1.0 - MAX_FLUID_SHARE)
-            if not state.link.up:
-                cap = 0.0
-            elif cap < floor:
+            if cap < floor:  # a down link carries only blocked classes
                 cap = floor
             capacities[state.index] = cap
 

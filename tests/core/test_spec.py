@@ -230,6 +230,19 @@ def test_a_cpu_speed_or_share_that_is_not_positive_and_finite_is_a_spec_error(
         build_experiment(spec)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cpu_reservation", 2.0), ("cpu_reservation", -0.5),
+    ("cpu_reservation", float("nan")), ("cpu_reservation", "all"),
+    ("cpu_cap", float("nan")), ("cpu_cap", 0.0), ("cpu_cap", 1.5),
+    ("cpu_cap", "half"),
+])
+def test_a_reservation_or_cap_outside_its_range_is_a_spec_error(key, value):
+    spec = copy.deepcopy(SQUARE)
+    spec["slice"][key] = value
+    with pytest.raises(SpecError, match=rf"slice\.{key}"):
+        build_experiment(spec)
+
+
 @pytest.mark.parametrize("cost", [-3, 0, 1.5, float("nan")])
 def test_an_ospf_cost_outside_1_to_65535_is_a_spec_error(cost):
     spec = copy.deepcopy(SQUARE)

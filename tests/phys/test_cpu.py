@@ -328,6 +328,24 @@ def elections(cpu):
     return log
 
 
+def test_a_completing_callback_queues_all_its_work_before_the_election():
+    """``a``'s callback wakes ``b`` (vruntime 0.002), then queues its own
+    follow-up (vruntime 0.001 once charged): the CPU elects after the
+    callback returns, so the follow-up goes first."""
+    sim, node = make_node()
+    a, b = Process(node, "a"), Process(node, "b")
+    b.vruntime = 0.002
+    log = elections(node.cpu)
+
+    def callback():
+        b.exec_after(0.001, lambda: None)
+        a.exec_after(0.001, lambda: None)
+
+    a.exec_after(0.001, callback)
+    sim.run()
+    assert log == ["a", "a", "b"]
+
+
 def test_standby_ties_are_elected_by_index():
     """Hogs of equal virtual runtime leave the heap in registration
     order, whatever order they woke in."""

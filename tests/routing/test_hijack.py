@@ -104,7 +104,7 @@ def test_stuck_route_blackholes_until_restored(world):
     world.experiment.apply_faults(plan)
 
     world.run(until=fail_at + 10.0)  # inside the stuck window
-    # Control plane is silent (hold_time 90 > 10): the stale route is
+    # Control plane is silent (hold time 90 s > 10 s): the stale route is
     # still installed, so traffic black-holes instead of rerouting.
     status, walked = walk_overlay_path(
         world.network, world.node(near.anchor), world.node(far.anchor),
@@ -143,7 +143,7 @@ def test_stuck_route_expires_via_hold_timer_without_restore(world):
     plan = stuck_route_plan(world, edge.a_asn, edge.b_asn, at=fail_at)
     world.experiment.apply_faults(plan)
 
-    world.run(until=fail_at + 60.0)  # < hold_time: still stuck
+    world.run(until=fail_at + 60.0)  # < HOLD_TIME: still stuck
     near = spec.by_asn[edge.b_asn]
     far = spec.by_asn[edge.a_asn]
     assert world.node(near.anchor).xorp.rib.best(far.prefix) is not None

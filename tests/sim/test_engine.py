@@ -346,16 +346,6 @@ _NAN = float("nan")
 _INF = float("inf")
 
 
-def _reschedule_timer(interval):
-    def arm(sim):
-        timer = PeriodicTimer(sim, 1.0, lambda: None, start=False)
-        try:
-            timer.reschedule(interval)
-        finally:  # rejected before it touches the timer
-            assert timer.interval == 1.0 and not timer.running
-    return arm
-
-
 def _restart_timeout(sim):
     timeout = Timeout(sim, 1.0, lambda: None)
     try:
@@ -370,15 +360,12 @@ def _restart_timeout(sim):
     lambda sim: PeriodicTimer(sim, _NAN, lambda: None, start=False),
     lambda sim: Timeout(sim, _NAN, lambda: None),
     lambda sim: PeriodicSampler(sim, _NAN),
-    _reschedule_timer(_NAN),
     _restart_timeout,
     lambda sim: sim.run(until=_NAN),
     lambda sim: PeriodicTimer(sim, _INF, lambda: None, start=False),
     lambda sim: PeriodicSampler(sim, _INF),
-    _reschedule_timer(_INF),
 ], ids=["at", "schedule", "PeriodicTimer", "Timeout", "PeriodicSampler",
-        "PeriodicTimer.reschedule", "Timeout.restart", "run-until",
-        "PeriodicTimer-inf", "PeriodicSampler-inf", "PeriodicTimer.reschedule-inf"])
+        "Timeout.restart", "run-until", "PeriodicTimer-inf", "PeriodicSampler-inf"])
 def test_nan_time_or_delay_raises(arm):
     # NaN compares false both ways, so ``delay < 0`` let it through and
     # the event fired at an arbitrary heap position with now = nan, and

@@ -103,12 +103,3 @@ def test_periodic_timer_stop_from_callback():
     sim.run(until=10.0)
     assert times == [1.0, 2.0, 3.0]
     assert sim.pending == 0
-
-
-def test_periodic_timer_reschedule_changes_interval():
-    sim = Simulator()
-    times = []
-    timer = PeriodicTimer(sim, 1.0, lambda: times.append(sim.now))
-    sim.at(2.5, timer.reschedule, 0.25)
-    sim.run(until=3.76)
-    assert times == [1.0, 2.0, 2.75, 3.0, 3.25, 3.5, 3.75]

@@ -17,6 +17,7 @@ from repro.topologies.abilene import ABILENE_POPS
 from repro.traffic import FluidTrafficPlane
 from repro.traffic.plane import HEADROOM
 from repro.faults import FaultPlan
+from repro.tools import Ping
 from tests.traffic.test_plane_golden import installed_coupling, recounted
 
 BOTTLENECK = 10e6
@@ -314,7 +315,7 @@ class TestRecoupling:
 
 class TestStandingCounts:
     """The plane keeps each channel's flow count standing; every site
-    that moves a class's ``count``, ``blocked`` or ``hops`` moves it."""
+    that moves a class's ``count`` or ``blocked`` moves it."""
 
     def _bottleneck(self, vini, plane):
         link = vini.link_between("rl", "rr")
@@ -487,8 +488,8 @@ class TestServiceAccounting:
     nor keep growing after the flow has left."""
 
     def test_partitioning_link_failure_keeps_service_earned_before_it(self):
-        # The re-path on failure marks the class blocked; the second it
-        # ran at the full usable bottleneck must be integrated first.
+        # The failure cuts the class; the second it ran at the full
+        # usable bottleneck must be integrated first.
         vini, plane = make_dumbbell()
         flow = plane.add_flow("s0", "r0")
         vini.sim.schedule(1.0, vini.link_between("rl", "rr").fail)
@@ -525,17 +526,49 @@ class TestServiceAccounting:
         assert done.served_bytes == pytest.approx(125_000)
 
 
-def test_route_graph_is_built_once_per_topology_epoch(monkeypatch):
-    vini, plane = make_dumbbell()
-    builds = []
-    graph = vini._graph
-    monkeypatch.setattr(vini, "_graph", lambda: builds.append(1) or graph())
-    for src, dst in (("s0", "r0"), ("s1", "r1"), ("s0", "r1"), ("r0", "s1")):
-        plane.add_flow(src, dst)
-    assert len(builds) == 1
-    link = vini.link_between("s0", "rl")
-    vini.sim.schedule(1.0, link.fail)  # every class re-paths
-    vini.sim.schedule(2.0, link.recover)
-    vini.run(until=3.0)
-    assert len(builds) == 3
-    assert all(flow.rate_bps > 0.0 for flow in plane.flows.values())
+def _triangle():
+    """A 5 ms ``a--b`` link, plus the longer way ``a--c--b``."""
+    vini = VINI(seed=5)
+    for name in "abc":
+        vini.add_node(name)
+    vini.connect("a", "b", bandwidth=BOTTLENECK, delay=0.005)
+    vini.connect("a", "c", bandwidth=BOTTLENECK, delay=0.004)
+    vini.connect("c", "b", bandwidth=BOTTLENECK, delay=0.004)
+    vini.install_underlay_routes()
+    exp = Experiment(vini, "triangle", realtime=False)
+    exp.add_node("va", "a")
+    exp.add_node("vb", "b")
+    exp.connect("va", "vb")
+    return vini, exp
+
+
+@pytest.mark.parametrize("vlink_flap", [False, True])
+def test_fluid_and_packets_are_cut_together_and_come_back_together(vlink_flap):
+    """The underlay is static: when ``a--b`` fails, the fluid between
+    its ends is cut as the pings are, not carried round through ``c``.
+    A virtual link that recovers while a physical hop under it is still
+    down leaves its class cut."""
+    vini, exp = _triangle()
+    sim = vini.sim
+    plane = FluidTrafficPlane(exp)
+    flows = [plane.add_flow("a", "b")]
+    if vlink_flap:
+        flows.append(plane.add_flow("va", "vb"))
+        vlink = exp.network.link_between("va", "vb")
+        sim.schedule(1.5, vlink.fail)
+        sim.schedule(2.0, vlink.recover)
+    ping = Ping(vini.nodes["a"], vini.nodes["b"].address, interval=0.1,
+                count=50).start()
+    link = vini.link_between("a", "b")
+    sim.schedule(1.05, link.fail)
+    sim.schedule(3.0, link.recover)
+    probes = []
+    sim.schedule(2.5, lambda: probes.append([f.rate_bps for f in flows]))
+    vini.run(until=5.0)
+    assert probes == [[0.0] * len(flows)]
+    answered = [sent for sent, _seq, _rtt in ping.samples]
+    assert not [sent for sent in answered if 1.05 <= sent < 3.0]
+    assert [sent for sent in answered if sent >= 3.0]
+    # Back at the fair share, less what the pings are measured to use.
+    assert all(flow.rate_bps == pytest.approx(USABLE / len(flows), rel=1e-3)
+               for flow in flows)

@@ -7,17 +7,20 @@ fluid_bps, packet_bps)], [shaper loads])`` with ``repr`` floats:
 * ``abilene`` — the Abilene IIAS mirror (an ``Experiment`` target), 300
   on/off sessions over mixed demands, windows and user counts, a dozen
   finite ``size_bytes`` flows, a 4 Hz foreground ping feeding the
-  packet-throughput EWMA, a physical Denver--Kansas City flap (every
-  class re-paths twice) and a virtual-link flap (``blocked`` classes);
+  packet-throughput EWMA, a physical Denver--Kansas City flap (the
+  classes on that link are cut, as its packets are) and a virtual-link
+  flap (``blocked`` classes);
 * ``shaped`` — a dumbbell whose ``rl--rr`` virtual link is shaped, five
   classes on the ``rl`` shaper and two on ``rr``'s, created out of key
   order, with a flap of the shaped link.
 
-The sha256 constants were recorded at commit 45493e7, *before* the
-re-solve moved onto standing, index-addressed state (when it still
-sorted the class dict per solve and each channel's class set per
-channel), so a rewrite that sums a channel's or a shaper's load in
-another order, or solves at another instant, cannot pass. The same
+The ``shaped`` sha256 constants were recorded at commit 45493e7,
+*before* the re-solve moved onto standing, index-addressed state (when
+it still sorted the class dict per solve and each channel's class set
+per channel), so a rewrite that sums a channel's or a shaper's load in
+another order, or solves at another instant, cannot pass. The
+``abilene`` ones were re-recorded once, when the plane stopped
+re-pathing (see ``GOLDEN_SHA256``). The same
 recording hook walks the standing structures after every solve, holds
 the standing per-channel flow counts to a recount from the classes, and
 checks every channel's installed coupling against an unconditional
@@ -215,12 +218,17 @@ STREAMS = {"abilene": _abilene_stream, "shaped": _shaped_stream}
 
 # sha256 of the per-solve stream, recorded at commit 45493e7 (the last
 # one whose solve rebuilt its inputs). Re-record only for a deliberate,
-# documented change of the plane's arithmetic.
+# documented change of the plane's arithmetic. The two ``abilene`` ones
+# were re-recorded when classes stopped re-pathing round a failed
+# physical link: the Denver--Kansas City failure now cuts the classes on
+# that link, as it cuts their packets, instead of moving them onto
+# another path. With that one failure left out, both streams were the
+# same byte for byte before and after that change.
 GOLDEN_SHA256 = {
     ("abilene", 0):
-        "97ed71dd5a8e36544c1f7683231763e9c2f6a11dbe1a98149bb8c2bee6fa81cd",
+        "2e26e7e87fbfbfb7add261720bdf07b2ee0c1eca717aa822c36221738e027ef2",
     ("abilene", 7):
-        "430a29a05eaa281717f8e575e6dc18b1902adbbe9256d14de396be43027e5e8e",
+        "f2581421cdea60a596426d30df51130246eec90e37c694326838b487adf9bc4a",
     ("shaped", 0):
         "f3d8fe5602e46b7e070ab837b1279695900f4863629f7cc0ae6f7ce3b960000a",
     ("shaped", 7):
