@@ -7,16 +7,17 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Tier-2: the seven differential batteries (new code against the old
+# Tier-2: the eight differential batteries (new code against the old
 # code kept verbatim in the test file, or the engine against a
 # list-and-min() scheduler) at 1000 examples each instead of tier-1's
-# 60-300, and the spec round-trip battery (a run rebuilt from its own
+# 40-300, and the spec round-trip battery (a run rebuilt from its own
 # experiment spec is the same run) at 150 instead of 8.
 props:
 	HYPOTHESIS_PROFILE=thorough $(PYTHON) -m pytest -q \
 		tests/net/test_trie_property.py tests/click/test_classifier_property.py \
 		tests/click/test_elements.py::test_dispatch_equals_the_port_it_replaced \
 		tests/phys/test_cpu_property.py tests/traffic/test_solver_property.py \
+		tests/traffic/test_plane_property.py \
 		tests/sim/test_engine_property.py tests/phys/test_link_property.py \
 		tests/core/test_spec_roundtrip.py
 

@@ -17,16 +17,10 @@ package (the golden-trace suite enforces it).
 
 from repro.traffic.flow import FluidFlow
 from repro.traffic.plane import FluidTrafficPlane
-from repro.traffic.solver import (
-    SolveResult,
-    max_min_rates,
-    tcp_steady_state_cap,
-)
+from repro.traffic.solver import tcp_steady_state_cap
 
 __all__ = [
     "FluidFlow",
     "FluidTrafficPlane",
-    "SolveResult",
-    "max_min_rates",
     "tcp_steady_state_cap",
 ]

@@ -74,13 +74,17 @@ class FluidFlow:
     @property
     def served_bytes(self) -> float:
         """Bytes delivered to each flow of this entry so far."""
-        if self._cls is None:
+        cls = self._cls
+        if cls is None:
             return 0.0
-        if self.end is None and self._plane is not None:
+        last = self._served1
+        if self.end is None:
             # The service integral advances lazily (on solve/completion
-            # events); bring it up to the current instant for the read.
-            self._plane._advance((self._cls,), self._plane.sim.now)
-        last = self._cls.served if self.end is None else self._served1
+            # events); add what ``_advance`` would, without cutting it.
+            last = cls.served
+            dt = self._plane.sim.now - cls.last_advance
+            if dt > 0.0 and cls.rate_bps > 0.0 and not cls.blocked and cls.count > 0:
+                last += cls.rate_bps * dt / 8.0
         served = last - self._served0
         if self.size_bytes is not None:
             served = min(served, float(self.size_bytes))

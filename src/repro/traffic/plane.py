@@ -25,26 +25,25 @@ take, read once from the underlay's static table
 while its virtual link has failed or a physical link on that path is
 down (for good if the table has no route); nothing re-paths.
 
-Rates are re-solved in full, but rarely: demand changes (flow arrival,
-completion, stop) and link fail/recover mark the plane dirty and
-coalesce into one deferred *full* solver pass: the first mark of an
-instant queues it with ``call_soon`` and sets ``_solve_pending``,
-which the later marks find set — never per-packet. A pass works on state the
-plane keeps, not state it rebuilds: the classes stand in a key-ordered
-list (inserted at creation, filtered when one empties), every directed
-channel has a dense ``index`` for life, a class's ``hops`` are its
-channels' indices, and each channel's count of flows in unblocked
-classes stands in ``_nflows``, moved by a class's count where a flow
-starts, stops or completes and where a link event cuts or restores the
-class; the fill takes a copy of it.
-The solver fills over those indices and one walk over the ordered
-classes adds each class's load onto its hops, so every channel's float
-sum runs in class-key order — a function of the keys alone. A pass
-skips only what cannot move its result: a channel is re-coupled only
-when an input of ``_apply_channel`` (its load, the link's bandwidth or
-queue) differs from the one last applied, since equal inputs install an
-equal coupling; the shaper and completion walks run only when some class
-has a shaper or a finite flow, since they would find nothing. Every
+Rates are re-solved rarely: demand changes (flow arrival, completion,
+stop) and link fail/recover mark the plane dirty and coalesce into one
+deferred solver pass: the first mark of an instant queues it with
+``call_soon`` and sets ``_solve_pending``, which the later marks find
+set — never per-packet. A pass touches only what moved, on state the
+plane keeps standing: the classes in key order (``_ordered``); every
+directed channel's dense ``index``, its member classes in key order
+(``_members``), its flows in unblocked classes (``_nflows``) and its
+load at the last solve (``_loads``); the idle classes and those whose
+rate is not their cap (``_below``); and the channels whose loads must
+be summed again (``_moved``). A class's count or ``blocked`` moves
+where a flow starts, stops or completes and where a link event cuts or
+restores it: ``_recount`` then moves its hops' counts, marks them
+moved and puts the class in ``_below``. The fill writes only the rates
+that move and marks their hops (see :func:`progressive_fill`); a moved
+channel's load is summed again over its members, in key order from
+0.0, so its float sum is a function of the keys alone. A channel is
+re-coupled only when an input of ``_apply_channel`` (its load, the
+link's bandwidth or queue) differs from the one last applied. Every
 class's service integral and every channel's packet EWMA still advance
 at every solve: where those sums are cut is a result.
 
@@ -193,8 +192,15 @@ class FluidTrafficPlane:
         self.classes: Dict[tuple, _FlowClass] = {}  # creation order
         self._ordered: List[_FlowClass] = []  # the same classes, key order
         self._channel_states: Dict[Tuple[str, str], _ChannelState] = {}
-        # Flows of the unblocked classes crossing each channel, by index.
+        # The standing solve state (see the module docstring).
+        self._members: List[List[_FlowClass]] = []
         self._nflows: List[int] = []
+        self._loads: List[float] = []
+        self._caps: List[float] = []  # sorted, of the classes with a path
+        self._below = set()
+        self._moved = set()
+        self._shaped = 0  # live classes with a shaper
+        self._pending = 0  # heap entries of finite flows
         self._next_fid = 0
         self._dirty = False
         self._solve_pending = False
@@ -273,6 +279,7 @@ class FluidTrafficPlane:
             heapq.heappush(
                 cls.pending, (cls.served + float(size_bytes), flow.fid, flow)
             )
+            self._pending += 1
         self.flows[flow.fid] = flow
         self._flows_started += count
         self._flows_active += count
@@ -334,6 +341,12 @@ class FluidTrafficPlane:
             self._assign_path(cls)  # resolves the endpoints, or raises:
             self.classes[key] = cls  # nothing keeps a half-built class
             insort(self._ordered, cls)
+            for index in cls.hops:
+                insort(self._members[index], cls)
+            if cls.hops:
+                insort(self._caps, cls.cap)
+            if cls.shaper is not None:
+                self._shaped += 1
         return cls
 
     def _channel_state(self, link, sender_iface) -> _ChannelState:
@@ -345,7 +358,9 @@ class FluidTrafficPlane:
             state = _ChannelState(link, channel, len(self._channel_states))
             state._last_time = self.sim.now
             self._channel_states[state_key] = state
+            self._members.append([])
             self._nflows.append(0)
+            self._loads.append(0.0)
             metrics = self.sim.metrics
             if metrics.enabled:
                 for metric, read in (
@@ -415,11 +430,13 @@ class FluidTrafficPlane:
     # The incremental solver pass
     # ------------------------------------------------------------------
     def _recount(self, cls: _FlowClass, delta: int) -> None:
-        """Move the standing counts on an unblocked class's hops."""
+        """Move an unblocked class's hops' counts; its rate may move."""
+        self._below.add(cls)
         if not cls.blocked:
             nflows = self._nflows
             for index in cls.hops:
                 nflows[index] += delta
+            self._moved.update(cls.hops)
 
     def _mark_dirty(self) -> None:
         self._dirty = True
@@ -444,29 +461,24 @@ class FluidTrafficPlane:
         self._dirty = False
         now = self.sim.now
 
-        # 1. Bring every class's service integral up to now; one walk
-        #    drops emptied classes and zeroes idle ones, one collects the rest.
+        # 1. Bring every class's service integral up to now, and drop
+        #    the classes that emptied (every one waits in ``_below``), in
+        #    key order: a drained shaper is charged in that order.
         self._advance(self._ordered, now)
-        emptied = shaped = finite = False
+        emptied = [cls for cls in self._below if cls.count <= 0 and not cls.pending]
+        emptied.sort()
         drained = []
-        for cls in self._ordered:
-            if cls.count <= 0 and not cls.pending:
-                emptied = True
-                del self.classes[cls.key]
-                if cls.shaper is not None:
-                    drained.append(cls.shaper)
-                continue
-            if cls.count <= 0 or cls.blocked:
-                cls.rate_bps = 0.0
+        for cls in emptied:  # its load is 0 already
+            del self.classes[cls.key]
+            self._ordered.remove(cls)
+            self._below.discard(cls)
+            for index in cls.hops:
+                self._members[index].remove(cls)
+            if cls.hops:
+                self._caps.remove(cls.cap)
             if cls.shaper is not None:
-                shaped = True
-            if cls.pending:
-                finite = True
-        if emptied:
-            self._ordered = [
-                cls for cls in self._ordered if cls.count > 0 or cls.pending
-            ]
-        active = [cls for cls in self._ordered if cls.count > 0 and not cls.blocked]
+                self._shaped -= 1
+                drained.append(cls.shaper)
 
         # 2. Measured packet throughput (the tx_bytes delta since the
         #    last solve, folded into the EWMA) -> per-channel capacity.
@@ -490,33 +502,32 @@ class FluidTrafficPlane:
                 cap = floor
             capacities[state.index] = cap
 
-        # 3. One progressive-filling pass over the active classes.
-        rates, iterations, _last = progressive_fill(
-            [cls.hops for cls in active],
-            capacities,
-            [cls.cap for cls in active],
-            [cls.count for cls in active],
-            self._nflows[:],
+        # 3. One progressive-filling pass, writing only the rates that move.
+        moved = self._moved
+        iterations, _frozen = progressive_fill(
+            self._ordered, self._members, self._below, capacities,
+            self._nflows[:], moved, self._caps,
         )
         self._solves += 1
         self._solver_iterations += iterations
 
         # 4. Couple: per-channel fluid occupancy -> packet path; shaped
-        #    virtual links -> their token buckets. One walk in class-key
-        #    order gives every channel's float sum an order that depends
-        #    on nothing but the keys, so same-seed runs agree to the bit.
-        loads = [0.0] * len(capacities)
-        for cls, rate in zip(active, rates):
-            cls.rate_bps = rate if rate < INF else 0.0
-            load = cls.rate_bps * cls.count
-            for index in cls.hops:
-                loads[index] += load
+        #    virtual links -> their token buckets. A moved channel's load
+        #    is summed again in class-key order (an idle member adds 0.0).
+        loads = self._loads
+        members = self._members
+        for index in moved:
+            load = 0.0
+            for cls in members[index]:
+                load += cls.rate_bps * cls.count
+            loads[index] = load
+        moved.clear()
         for state, load, bandwidth in zip(states, loads, bandwidths):
             key = (load, bandwidth, state.link.queue_bytes)
             if key != state.coupled:
                 state.coupled = key
                 self._apply_channel(state, load)
-        if shaped or drained:
+        if self._shaped or drained:
             shaper_loads: Dict[int, list] = {}
             for cls in self.classes.values():
                 if cls.shaper is not None:
@@ -530,7 +541,7 @@ class FluidTrafficPlane:
                 shaper.set_fluid_bps(load)
 
         # 5. Re-arm one completion event per class with finite flows.
-        if finite:
+        if self._pending:
             for cls in self.classes.values():
                 if cls.pending:
                     self._rearm_completion(cls)
@@ -574,6 +585,7 @@ class FluidTrafficPlane:
         # Skip entries for flows stopped early (lazy heap deletion).
         while cls.pending and cls.pending[0][2].end is not None:
             heapq.heappop(cls.pending)
+            self._pending -= 1
         if not cls.pending or cls.rate_bps <= 0.0 or cls.blocked:
             return
         target = cls.pending[0][0]
@@ -606,6 +618,7 @@ class FluidTrafficPlane:
             ):
                 break
             heapq.heappop(cls.pending)
+            self._pending -= 1
             if flow.end is None:
                 finished.append(flow)
         if finished:

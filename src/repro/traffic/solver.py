@@ -14,31 +14,25 @@ tractable: a flash crowd of 100 000 identical downloads over four leaf
 links is *four* classes, so one solve is O(classes x links) no matter
 how many users ride each class.
 
-The module is engine-free: it operates on plain sequences and mappings
-so property tests (capacity conservation, insertion-order invariance)
-can drive it directly, without a simulator. There is one filling loop,
-:func:`progressive_fill`, over dense link indices; the plane calls it
-on the indices and flow counts it keeps, and :func:`max_min_rates` is
-the public hashable-link API that translates and counts once, calls it,
-and subtracts the last round's claims the fill leaves to it.
+The module is engine-free. There is one filling loop,
+:func:`progressive_fill`, over the state the plane keeps standing
+between solves: the live classes in key order, each channel's member
+classes in key order, and the set of classes whose rate may not be
+their cap. A re-solve writes only the rates that move and names the
+channels whose load they move.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import List, Sequence, Set, Tuple
 
 from repro.net.tcp import MSS
 
 INF = float("inf")
 
-
-class SolveResult(NamedTuple):
-    """Per-class per-flow rates plus solver introspection."""
-
-    rates: List[float]
-    iterations: int
-    residual: Dict[Hashable, float]
+_KEY = attrgetter("key")
 
 
 def tcp_steady_state_cap(
@@ -63,119 +57,106 @@ def tcp_steady_state_cap(
 
 
 def progressive_fill(
-    hops: Sequence[Sequence[int]],
+    ordered: Sequence,
+    members: Sequence[Sequence],
+    below: Set,
     residual: List[float],
-    caps: Sequence[float],
-    counts: Sequence[int],
     nflows: List[int],
-) -> Tuple[List[float], int, List[int]]:
-    """The filling loop, on dense state: ``(rates, iterations, last)``.
+    moved: Set[int],
+    caps: Sequence[float],
+) -> Tuple[int, Set]:
+    """The filling loop: set every class's ``rate_bps``; return
+    ``(iterations, frozen)``.
 
-    ``hops[i]`` indexes ``residual`` (each link's capacity) and ``nflows``
-    (the flows of positive-count classes crossing it), both consumed in
-    place. The loop returns at the round that fixes every class left, as
-    ``last``, without subtracting their claims: only :func:`max_min_rates`
-    reads the residuals, and it subtracts ``last`` in this order.
+    A class has a ``key``, ``hops`` (channel indices), a per-flow
+    ``cap``, a ``count``, ``blocked`` and ``rate_bps``; it is *active*
+    while its count is positive, it is not blocked and it has a hop.
+    ``ordered`` holds the live classes in key order and ``members[c]``
+    those crossing channel ``c``, once each, in key order. ``below``
+    holds at least every idle or hopless class and every active one
+    whose rate is not its cap; the fill leaves it so. ``caps`` is sorted
+    and holds at least the active classes' caps. ``residual`` (each
+    channel's capacity, positive: a class crossing a channel of none is
+    to be blocked) and ``nflows`` (the flows of active classes crossing
+    it) are consumed in place. Every class whose rate changes adds its
+    hops to ``moved``.
+
+    The rounds are those of a fill over every active class in key
+    order: a class with a cap at or below the water level is fixed at
+    its cap; if none is, the classes on the tightest channels are fixed
+    at the level; each round's claims are subtracted in key order. A
+    round whose level is at or above every cap fixes every class left,
+    and its claims are not subtracted: only the classes of ``frozen``
+    were.
     """
-    rates = [0.0] * len(hops)
-    for i, path in enumerate(hops):
-        if not path and counts[i] > 0:
+    for cls in below:
+        if cls.count <= 0 or cls.blocked:
+            rate = 0.0
+        elif cls.hops:
+            continue
+        else:
             # Unconstrained class: it gets its demand (an elastic class
             # with no constraining link has no finite fair share; pin 0).
-            rates[i] = caps[i] if caps[i] < INF else 0.0
-    active = [i for i, path in enumerate(hops) if path and counts[i] > 0]
-    dead = {link for link, room in enumerate(residual) if room <= 0.0}
-    if dead:  # a class with a dead hop is stuck at zero
-        for i in active:
-            if not dead.isdisjoint(hops[i]):
-                for link in hops[i]:
-                    nflows[link] -= counts[i]
-        active = [i for i in active if dead.isdisjoint(hops[i])]
-
+            rate = cls.cap if cls.cap < INF else 0.0
+        if rate != cls.rate_bps:
+            cls.rate_bps = rate
+            moved.update(cls.hops)
+    bottom = caps[0] if caps else INF
+    top = caps[-1] if caps else INF
+    frozen: Set = set()
     iterations = 0
-    while active:
-        iterations += 1
+    while True:
         # The water level: the smallest equal-share any constraining
-        # link could still grant its remaining flows.
+        # link could still grant its remaining flows. Only active
+        # classes count in ``nflows``: when none is left, it is INF.
         shares = [
             room / flows if flows > 0 else INF
             for room, flows in zip(residual, nflows)
         ]
-        level = min(shares)
-        fixed = [i for i in active if caps[i] <= level]
-        if fixed:
-            # Demand-limited classes can never use the full level; fix
-            # them at their caps and refill the slack next round.
-            for i in fixed:
-                rates[i] = caps[i]
-        elif level < INF:
+        level = min(shares, default=INF)
+        if level == INF:
+            return iterations, frozen
+        iterations += 1
+        if level >= top:
+            # Every class left is demand-limited at this level: the
+            # round fixes them all at their caps, which only those in
+            # ``below`` are not at yet.
+            for cls in [cls for cls in below if cls.count > 0
+                        and not cls.blocked and cls.hops and cls not in frozen]:
+                if cls.rate_bps != cls.cap:
+                    cls.rate_bps = cls.cap
+                    moved.update(cls.hops)
+                below.discard(cls)
+            return iterations, frozen
+        # Demand-limited classes can never use the full level; fix them
+        # at their caps and refill the slack next round. Below every
+        # cap, no class is.
+        fixed = [cls for cls in ordered if cls.cap <= level and cls.count > 0
+                 and not cls.blocked and cls.hops
+                 and cls not in frozen] if level >= bottom else []
+        for cls in fixed:
+            if cls.rate_bps != cls.cap:
+                cls.rate_bps = cls.cap
+                moved.update(cls.hops)
+            below.discard(cls)
+        if not fixed:
             slack = level + level * 1e-12
-            tight = {link for link, share in enumerate(shares) if share <= slack}
-            fixed = [i for i in active if not tight.isdisjoint(hops[i])]
-            for i in fixed:
-                rates[i] = level
-        else:  # pragma: no cover - defensive: no constraining link left
-            break
-        if len(fixed) == len(active):
-            return rates, iterations, fixed  # the round fixed every class left
-        # Subtract in active-class order: each link's residual is a
-        # float sum and must not depend on how classes were frozen.
-        for i in fixed:
-            count = counts[i]
-            claim = rates[i] * count
-            for link in hops[i]:
+            tight = [link for link, share in enumerate(shares) if share <= slack]
+            fixed = sorted({cls for link in tight for cls in members[link]
+                            if cls.count > 0 and not cls.blocked
+                            and cls not in frozen}, key=_KEY)
+            for cls in fixed:
+                if cls.rate_bps != level:
+                    cls.rate_bps = level
+                    moved.update(cls.hops)
+            below.update(fixed)
+        # Subtract in key order: each link's residual is a float sum
+        # and must not depend on how classes were frozen.
+        for cls in fixed:
+            count = cls.count
+            claim = cls.rate_bps * count
+            for link in cls.hops:
                 remaining = residual[link] - claim
                 residual[link] = remaining if remaining > 0.0 else 0.0
                 nflows[link] -= count
-        frozen = set(fixed)
-        active = [i for i in active if i not in frozen]
-    return rates, iterations, []
-
-
-def max_min_rates(
-    paths: Sequence[Sequence[Hashable]],
-    capacities: Dict[Hashable, float],
-    demands: Optional[Sequence[Optional[float]]] = None,
-    counts: Optional[Sequence[int]] = None,
-) -> SolveResult:
-    """Max-min fair per-flow rates for flow classes over shared links.
-
-    ``paths[i]`` is the sequence of link ids class ``i`` crosses (ids
-    must be hashable; links missing from ``capacities`` are treated as
-    unconstrained). ``demands[i]`` caps each flow of the class (``None``
-    or ``inf`` = elastic); ``counts[i]`` is the number of flows in the
-    class (default 1). Returns per-class *per-flow* rates, so a class's
-    total claim on a link is ``rates[i] * counts[i]``.
-
-    Properties (covered by the Hypothesis battery):
-
-    * conservation — on every link, the summed allocation never exceeds
-      capacity (beyond float rounding);
-    * order invariance — the allocation is a function of the class
-      *set*, not the insertion order, because each round freezes classes
-      by a globally-computed water level.
-    """
-    n = len(paths)
-    if demands is None:
-        caps = [INF] * n
-    else:
-        caps = [INF if d is None else float(d) for d in demands]
-    index = {link: i for i, link in enumerate(capacities)}
-    residual = [float(cap) for cap in capacities.values()]
-    # Constrained hops only: a link without a declared capacity cannot
-    # bottleneck anything.
-    hops = [[index[link] for link in path if link in index] for path in paths]
-    if counts is None:
-        counts = [1] * n
-    nflows = [0] * len(residual)
-    for path, count in zip(hops, counts):
-        if count > 0:
-            for link in path:
-                nflows[link] += count
-    rates, iterations, last = progressive_fill(hops, residual, caps, counts, nflows)
-    for i in last:  # the fill's last round, subtracted in its order
-        claim = rates[i] * counts[i]
-        for link in hops[i]:
-            remaining = residual[link] - claim
-            residual[link] = remaining if remaining > 0.0 else 0.0
-    return SolveResult(rates, iterations, dict(zip(capacities, residual)))
+        frozen.update(fixed)

@@ -41,7 +41,6 @@ from repro.tools.iperf import TCPResult, UDPResult
 from repro.tools.ping import PingStats
 from repro.topologies.internet import ASSpec, InterASEdge, InternetSpec, InternetWorld
 from repro.traffic import FluidTrafficPlane
-from repro.traffic.solver import SolveResult
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -105,7 +104,7 @@ def samples(tmp_path_factory):
         PingStats(10, 10, 0.01, 0.02, 0.03, 0.001),
         spec, spec.ases[0], spec.inter_edges[0],
         InternetWorld(sim, vini, exp, spec),
-        plane, flow, SolveResult([1e6], 1, {"pa": 0.0}),
+        plane, flow,
     ]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import VINI, Experiment
 from repro.obs import build_report
-from repro.topologies import build_abilene_iias, build_dumbbell, build_star
+from repro.topologies import build_abilene, build_abilene_iias, build_dumbbell, build_star
 from repro.topologies.abilene import ABILENE_POPS
 from repro.traffic import FluidTrafficPlane
 from repro.traffic.plane import HEADROOM
@@ -515,6 +515,50 @@ class TestServiceAccounting:
             reads[flow.fid] = flow.served_bytes
         assert reads[doomed.fid] == pytest.approx(125_000)
         assert reads[mate.fid] == pytest.approx(375_000)
+
+    @staticmethod
+    def _finite_run(read: bool):
+        """60 finite elastic flows on Abilene, with every flow's
+        ``served_bytes`` read every 37.1 ms (or the same events, idle)."""
+        vini = build_abilene(seed=5)
+        plane = FluidTrafficPlane(vini)
+        sim = vini.sim
+        rng = random.Random(5)
+        flows, stream = [], []
+
+        def start(src, dst, size):
+            flows.append(plane.add_flow(src, dst, size_bytes=size))
+
+        for _ in range(60):
+            src, dst = rng.sample(ABILENE_POPS, 2)
+            size = rng.uniform(1e5, 2e6)
+            sim.schedule(rng.uniform(0.0, 2.0), start, src, dst, size)
+        solve = plane._solve
+
+        def recording():
+            solve()
+            stream.append(repr((sim.now, [
+                (cls.key, cls.rate_bps, cls.served, cls.blocked, cls.count)
+                for cls in plane._ordered])))
+
+        plane._solve = recording
+
+        def tick():
+            if read:
+                for flow in flows:
+                    flow.served_bytes
+            sim.schedule(sim.now + 0.0371, tick)
+
+        sim.schedule(0.0371, tick)
+        vini.run(until=30.0)
+        assert len(flows) == 60 and all(not flow.active for flow in flows)
+        return [flow.end for flow in flows], stream
+
+    def test_reading_served_bytes_does_not_change_the_run(self):
+        # A read used to cut the class's service integral at the read
+        # instant, so the float sum it is built of, and the instants
+        # the flows complete at, depended on who was looking.
+        assert self._finite_run(read=True) == self._finite_run(read=False)
 
     def test_completed_flow_reports_its_size(self):
         vini, plane = make_dumbbell()

@@ -22,9 +22,11 @@ another order, or solves at another instant, cannot pass. The
 ``abilene`` ones were re-recorded once, when the plane stopped
 re-pathing (see ``GOLDEN_SHA256``). The same
 recording hook walks the standing structures after every solve, holds
-the standing per-channel flow counts to a recount from the classes, and
-checks every channel's installed coupling against an unconditional
-``_apply_channel`` (a solve skips the channels whose inputs stood still).
+the standing per-channel flow counts, member lists, caps and loads to a
+recount from the classes, holds every class outside ``_below`` to its
+cap, and checks every channel's installed coupling against an
+unconditional ``_apply_channel`` (a solve skips the channels whose
+inputs stood still).
 """
 
 import hashlib
@@ -69,6 +71,16 @@ def _walk_standing_state(plane) -> None:
     for cls in plane.classes.values():
         assert cls.hops == tuple(state.index for state in cls.channels)
     assert plane._nflows == recounted(plane)
+    assert plane._members == [
+        [cls for cls in plane._ordered if index in cls.hops]
+        for index in range(len(plane._channel_states))
+    ]
+    assert plane._caps == sorted(cls.cap for cls in plane._ordered if cls.hops)
+    assert not plane._moved
+    for cls in plane._ordered:  # a class not in _below is at its cap
+        idle = cls.count <= 0 or cls.blocked
+        assert cls in plane._below if idle else (
+            cls in plane._below or cls.rate_bps == cls.cap)
     # A solve re-couples only the channels whose inputs moved: what every
     # channel holds must still be what an unconditional _apply_channel
     # installs for this solve's load (summed here in class-key order).
@@ -77,6 +89,7 @@ def _walk_standing_state(plane) -> None:
         if cls.count > 0 and not cls.blocked:
             for index in cls.hops:
                 loads[index] += cls.rate_bps * cls.count
+    assert plane._loads == loads
     for state, load in zip(plane._channel_states.values(), loads):
         held = installed_coupling(state)
         plane._apply_channel(state, load)

@@ -1,7 +1,8 @@
 """The max-min solver: worked examples plus Hypothesis properties.
 
-The solver is deliberately engine-free (plain sequences/mappings in,
-rates out), so these tests need no simulator. The properties are the
+The solver is deliberately engine-free, so these tests need no
+simulator: they call it through ``max_min_rates``, the adapter from
+hashable links to the plane's standing state (``tests/traffic/maxmin.py``). The properties are the
 contract the coupling layer leans on: allocations never exceed any
 link's capacity, demand caps are respected, every unfrozen class sits
 on a saturated link (max-min optimality), and the answer does not
@@ -13,7 +14,8 @@ import math
 import pytest
 
 from repro.net.tcp import MSS
-from repro.traffic import max_min_rates, tcp_steady_state_cap
+from repro.traffic import tcp_steady_state_cap
+from tests.traffic.maxmin import max_min_rates
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st

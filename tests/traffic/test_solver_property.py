@@ -1,9 +1,9 @@
 """Property test: the solver against the body it replaced.
 
-``max_min_rates`` now translates its hashable links to dense indices
-once and runs the filling loop the plane calls directly
-(``progressive_fill``). The oracle is :func:`reference_max_min_rates`
-below — the function as it stood at commit 45493e7, verbatim: a
+``max_min_rates`` (``tests/traffic/maxmin.py``) gives hashable links
+and classes the standing state the plane keeps and runs the one filling
+loop the plane calls (``progressive_fill``). The oracle is
+:func:`reference_max_min_rates` below — the function as it stood at commit 45493e7, verbatim: a
 residual *dict*, ``nflows`` as a dict in first-crossing order, hops
 filtered per class, ``any()`` over a bottlenecked *set*. Hypothesis
 draws 1-8 links and 1-30 classes with everything the dense form could
@@ -21,8 +21,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import pytest
 
-from repro.traffic import max_min_rates
-from repro.traffic.solver import SolveResult
+from tests.traffic.maxmin import SolveResult, max_min_rates
 from tests.conftest import battery
 
 hypothesis = pytest.importorskip("hypothesis")
