@@ -47,7 +47,7 @@ tier2-bench-smoke: ledger-smoke
 		tests/topologies/test_internet.py
 
 # The performance ledger: five paper-scenario workloads, end-to-end
-# turnaround plus a per-layer traced run (~75 s). Results land in
+# turnaround plus a per-layer traced run (~40 s). Results land in
 # benchmarks/ledger/out/ledger.json; compare two with
 # `python benchmarks/ledger/compare.py BASE.json NEW.json`.
 ledger:
@@ -62,7 +62,7 @@ ledger-smoke:
 # A/B two checkouts on the ledger: N alternating pairs of full sets
 # (BASE = a clone of the parent commit, NEW = the change), each set kept
 # under benchmarks/results/ledger_ab/, then every workload x metric with
-# its ratio set by set. ~4 min a pair; nothing else should be running.
+# its ratio set by set. ~75 s a pair; nothing else should be running.
 # ARGS goes through to each checkout's benchmarks/ledger/run.py.
 #   make ledger-ab BASE=/tmp/parent NEW=. [N=4] [ARGS="--only fluid-churn --repeats 5"]
 ledger-ab:

@@ -5,7 +5,8 @@ alternating which side goes first so a drifting host does not favour
 one of them. Each checkout runs its *own* ``benchmarks/ledger/run.py``
 against its own ``src``, one set at a time, never two at once. Every
 set is kept as ``<out>/base_<i>.json`` / ``<out>/new_<i>.json`` (feed a
-pair to ``benchmarks/ledger/compare.py`` for its verdicts), and the
+pair to ``benchmarks/ledger/compare.py`` for its verdicts; the sets an
+earlier A/B left there are deleted first), and the
 summary printed at the end is, for each workload x end-to-end metric,
 each side's median over the sets, the ratio of those medians with its
 base, the ratio set by set, how many sets NEW won, each side's worst
@@ -94,6 +95,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=os.path.join("benchmarks", "results", "ledger_ab"))
     args, passthrough = parser.parse_known_args(argv)  # the rest goes to run.py
     os.makedirs(args.out, exist_ok=True)
+    # Only this run's sets are kept: an earlier A/B's would be read as its.
+    for name in os.listdir(args.out):
+        if name.endswith(".json") and name.startswith(("base_", "new_")):
+            os.remove(os.path.join(args.out, name))
     sides = {"base": os.path.abspath(args.base), "new": os.path.abspath(args.new)}
     pairs = []
     for index in range(1, args.sets + 1):

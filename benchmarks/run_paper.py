@@ -1,4 +1,4 @@
-"""``make paper``: the paper's evaluation, end to end (~4 min).
+"""``make paper``: the paper's evaluation, end to end (~2 min on a 2-core host).
 
 Runs every scenario of :mod:`benchmarks.paper` once, writes what it
 measured into ``results/paper.json`` and EXPERIMENTS.md, then holds it

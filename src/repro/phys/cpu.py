@@ -38,12 +38,20 @@ chunk put on the CPU while only such demand waits has none, and
 :meth:`CPUScheduler.catch_up` completes it at the engine's horizon
 (:meth:`~repro.sim.engine.Simulator.due`), in the order of an event per
 chunk. A process that is not standing demand waking gives it an event.
+While only standing demand waits (``_ready`` empty, no waiting entry of
+``_fair`` that is not standing, no preempted slice's owner) and the
+chunk was not cancelled and its hog draws a next one, ``catch_up``
+rotates in one loop body: it charges the chunk, requeues it with the
+draw, raises its owner to the sleeper floor of the heap top and elects
+with one ``heappushpop`` (``(vruntime, index)`` keys are unique, so the
+heap's layout cannot change the winner). Any other chunk it completes
+goes through ``_complete``, ``wake`` and ``_dispatch``.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import List, Optional, Set, Tuple
 
 from repro.phys.process import Process, WorkItem
@@ -61,12 +69,6 @@ EWMA_TAU = 0.1
 #: preemption, which is why even a lightly loaded Click suffers the
 #: latency of Table 5.
 WAKE_BONUS = 0.003
-
-
-def _order(process: Process):
-    """Election order: least virtual runtime, ties to the process
-    registered first."""
-    return process.vruntime, process.index
 
 
 class CPUScheduler:
@@ -270,11 +272,11 @@ class CPUScheduler:
                 elif process.cpu_cap is not None and usage(process) >= process.cpu_cap:
                     capped += (process,)
                 elif process.realtime:
-                    if rt is None or _order(process) < _order(rt):
+                    if rt is None or (process.vruntime, process.index) < (rt.vruntime, rt.index):
                         rt = process
                 else:
-                    # _order(process) < _order(best), spelt out: the one
-                    # comparison every workload makes per ready process.
+                    # Election order: least vruntime, ties to the process
+                    # registered first (the comparison spelt out).
                     vruntime = process.vruntime
                     if best is None or vruntime < least or (
                             vruntime == least and process.index < best.index):
@@ -282,7 +284,7 @@ class CPUScheduler:
                     resume = resume or process is owner
                     reserved = reserved or process.reservation > 0.0
             ready.difference_update(drained)
-            if fair and (best is None or _order(fair[0][2]) < _order(best)):
+            if fair and (best is None or fair[0] < (least, best.index)):
                 best = fair[0][2]
             if rt is None and best is None:
                 if capped:
@@ -304,7 +306,7 @@ class CPUScheduler:
                     process = min(
                         (p for p in ready if p not in capped
                          and p.reservation > 0.0 and usage(p) < p.reservation),
-                        key=_order, default=best)
+                        key=lambda p: (p.vruntime, p.index), default=best)
                 else:
                     process = best
         if fair and process is fair[0][2]:
@@ -346,7 +348,23 @@ class CPUScheduler:
                 self.sim.cancel(self._event)
             self._mark = None
             sim.now = self._end
-            self._complete()
+            # crash_flush rebinds _fair: read it per chunk.
+            process, item, fair = self._running, self._item, self._fair
+            # No preempted slice's owner: the chunk started with none, and
+            # _preempt, which makes one, takes the chunk off the CPU. A
+            # stopped hog's _next draws nothing: _complete asks it again.
+            if self._ready or self._waiting or item.cancelled or (cost := item.fn()) is None:
+                self._complete()
+                continue
+            # Only standing demand waits: _complete, wake and _dispatch
+            # come to a charge, the next draw and one pick from the heap,
+            # the chunk's owner raised to the sleeper floor first.
+            self._charge(process, self._cost)
+            item.cost, item.enqueued_at = cost, sim.now
+            process.vruntime = max(process.vruntime, fair[0][0] - WAKE_BONUS if fair else -_INF)
+            winner = heappushpop(fair, (process.vruntime, process.index, process))[2]
+            process.queue.append(item)
+            self._run(winner, winner.queue.popleft())
         return None if self._mark is None else (self._end, self._mark)
 
     def _complete(self) -> None:
@@ -382,15 +400,12 @@ class CPUScheduler:
         self._charge(process, executed)
         remaining = self._cost - executed
         if remaining > 0 or not item.cancelled:
-            leftover = WorkItem(
-                max(0.0, remaining) * self.speed, item.fn, item.args,
-                item.enqueued_at, item.packet,
-            )
-            leftover.cancelled = item.cancelled
-            process.queue.appendleft(leftover)
+            # The item goes back as its own leftover: arrival, packet
+            # and cancellation stay.
+            item.cost = max(0.0, remaining) * self.speed
+            process.queue.appendleft(item)
             self._ready.add(process)
-            if not process.realtime:
-                self._resume = process
+            self._resume = process  # never real-time: only a non-RT chunk is preempted
 
     # ------------------------------------------------------------------
     # Crash handling

@@ -45,7 +45,6 @@ class CPUHog:
         share: float = 1.0,
         rng_stream: Optional[str] = None,
     ):
-        self.node = node
         self.process = Process(node, name, share=share)
         self.quantum = quantum
         self.heavy_tail_prob = heavy_tail_prob
@@ -56,12 +55,12 @@ class CPUHog:
     def start(self) -> "CPUHog":
         if not self.running:
             self.running = True
-            cpu, process = self.node.cpu, self.process
+            cpu, process = self.process.cpu, self.process
             held = [*process.queue] + ([cpu._item] if cpu._running is process else [])
             # A live chunk, queued or on the CPU, carries the chain on (_next).
             if all(item.cancelled for item in held):
                 cpu.standing.add(process)
-                process.exec_after(self._chunk(), self._next)
+                process.exec_after(self._next(), self._next)
         return self
 
     def stop(self) -> None:
@@ -69,11 +68,9 @@ class CPUHog:
         and carries the chain on if the hog is started before it ends."""
         self.running = False
 
-    def _chunk(self) -> float:
-        if self.heavy_tail_prob and self.rng.random() < self.heavy_tail_prob:
-            return self.rng.uniform(self.quantum, self.heavy_tail_max)
-        return self.quantum
-
     def _next(self) -> Optional[float]:
         """The next chunk, drawn as the last one ends; None once stopped."""
-        return self._chunk() if self.running else None
+        if not self.running:
+            return None
+        tail = self.heavy_tail_prob and self.rng.random() < self.heavy_tail_prob
+        return self.rng.uniform(self.quantum, self.heavy_tail_max) if tail else self.quantum

@@ -20,12 +20,13 @@ class WorkItem:
 
     ``enqueued_at`` is the sim time the work first became runnable;
     the scheduler measures queueing (scheduling latency) against it.
-    A preempted item's leftover keeps the original arrival time.
+    A preempted item goes back to the head of its queue as its own
+    leftover, ``cost`` the remainder, so it keeps its arrival time.
 
     ``packet`` is the packet ``fn`` is handed, if any: a crash that
     cancels the item records its drop, and the scheduler opens a tracked
     one's ``cpu.exec`` stage at dispatch, so run-queue wait and
-    execution are attributed separately. A leftover keeps the packet.
+    execution are attributed separately.
     """
 
     __slots__ = ("cost", "fn", "args", "cancelled", "enqueued_at", "packet")

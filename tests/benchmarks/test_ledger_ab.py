@@ -1,5 +1,8 @@
 """The A/B summary of ``benchmarks/ledger_ab.py`` (no ledger is run)."""
 
+import json
+
+from benchmarks import ledger_ab
 from benchmarks.ledger_ab import summarise
 
 
@@ -37,3 +40,17 @@ def test_a_digest_that_differs_in_one_set_is_counted(capsys):
     # delta; the ones that agree are not listed.
     assert "counters.obs.artifact_bytes: base 1616831 -> new 1612345 (-4486)" in out
     assert "sim.events" not in out and "rtt_ms" not in out
+
+
+def test_an_earlier_ab_leaves_no_set_behind(tmp_path, monkeypatch):
+    def run_set(checkout, out, passthrough):
+        with open(out, "w") as handle:
+            json.dump(_ledger(2.0), handle)
+        return _ledger(2.0)
+
+    monkeypatch.setattr(ledger_ab, "run_set", run_set)
+    (tmp_path / "base_5.json").write_text("{}")  # a 6-set A/B's, say
+    (tmp_path / "notes.txt").write_text("kept")
+    assert ledger_ab.main(["base", "new", "--sets", "2", "--out", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "base_1.json", "base_2.json", "new_1.json", "new_2.json", "notes.txt"]

@@ -904,15 +904,28 @@ def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
 
 
 def _record_new(cpu, log):
-    _record(cpu, log, lambda process, cost: (cpu._started_at, process.name, cost))
+    def entry(process, cost):
+        # The bookkeeping the election reads holds as each chunk starts:
+        # every process with work queued waits once, _waiting counts the
+        # heap's entries that are not standing demand, and a chunk that
+        # catch_up will complete starts with no preempted slice's owner.
+        fair = [p for _, _, p in cpu._fair]
+        assert {p for p in cpu.processes if p.queue} == cpu._ready.union(fair)
+        assert cpu._waiting == sum(p not in cpu.standing for p in fair)
+        assert cpu._mark is None or cpu._resume is None
+        return cpu._started_at, process.name, cost
+
+    _record(cpu, log, entry)
+
+
+_HOG8 = ("hog", dict(quantum=_QUANTA[2], heavy_tail_prob=0.0, heavy_tail_max=0.01,
+                     share=1.0))  # 8-tick chunks
 
 
 def _one_hog(*script):
     """An example: one hog of 8-tick chunks from 0, and one process."""
-    return example(
-        members=[("hog", dict(quantum=_QUANTA[2], heavy_tail_prob=0.0,
-                              heavy_tail_max=0.01, share=1.0)), ("proc", {})],
-        started=1, nonpreempt=0.0, script=list(script))
+    return example(members=[_HOG8, ("proc", {})], started=1, nonpreempt=0.0,
+                   script=list(script))
 
 
 # Work that an event at 18 ticks relays to 24, where the chunk begun at
@@ -936,14 +949,38 @@ _RELAYED = (18 * _TICK, 8, 0, 0.0, 7 * _TICK)
 @_one_hog((0.0, 10, 0, 0.0, 8 * _TICK))
 # A crash in the deferral before real-time work preempts the chunk: the
 # preempted remainder is cancelled, and the CPU goes idle.
-@example(members=[("hog", dict(quantum=_QUANTA[2], heavy_tail_prob=0.0,
-                               heavy_tail_max=0.01, share=1.0)),
-                  ("proc", dict(realtime=True))],
-         started=1, nonpreempt=3e-4,
+@example(members=[_HOG8, ("proc", dict(realtime=True))], started=1, nonpreempt=3e-4,
          script=[(_TICK, 0, 0, 0.0, _TICK), (_TICK, 6, 0, 0.0, _TICK)])
 # A burst that stops as its first chunk ends, and work at its start.
 @example(members=[("proc", {})], started=0, nonpreempt=0.0,
          script=[(0.0, 5, 0, 0.0, _TICK), (0.0, 0, 0, 0.0, _TICK)])
+# catch_up rotates a hog chunk in one loop body while only standing
+# demand waits. That body with nothing else waiting: a lone hog, whose
+# own heap entry wins the pick;
+@example(members=[_HOG8], started=1, nonpreempt=0.0, script=[])
+# and each way out of it to _complete: a hog stopped in mid-chunk,
+# whose completion draws nothing while the other hog rotates on;
+@example(members=[_HOG8, _HOG8], started=3, nonpreempt=0.0,
+         script=[(3 * _TICK, 4, 0, 0.0, _TICK)])
+# a crash in mid-chunk, which cancels the chunk the loop then completes,
+# and a hog started again after it;
+@example(members=[_HOG8, _HOG8], started=3, nonpreempt=0.0,
+         script=[(3 * _TICK, 6, 0, 0.0, _TICK), (20 * _TICK, 3, 1, 0.0, _TICK)])
+# real-time work that preempts a hog, which then owns its slice;
+@example(members=[_HOG8, _HOG8, ("proc", dict(realtime=True))], started=3,
+         nonpreempt=3e-4, script=[(3 * _TICK, 0, 0, _TICK, _TICK)])
+# a plain process woken with two items, one chunk each, first in line;
+@example(members=[("proc", {}), _HOG8, _HOG8], started=3, nonpreempt=0.0,
+         script=[(3 * _TICK, 0, 0, _TICK, _TICK), (3 * _TICK, 0, 0, _TICK, _TICK)])
+# a reserved process ready as the chunk begun at 8 ticks ends at 16;
+@example(members=[_HOG8, _HOG8, ("proc", dict(reservation=0.25))], started=3,
+         nonpreempt=0.0, script=[(16 * _TICK, 0, 0, _TICK, _TICK)])
+# and, inside the loop, the sleeper floor: h1 rotates alone from 210
+# ticks until h0, stopped at 200 with the larger vruntime, starts again
+# at 240; h1's next chunk end raises it to h0's less WAKE_BONUS.
+@example(members=[_HOG8, _HOG8], started=1, nonpreempt=0.0,
+         script=[(200 * _TICK, 4, 0, 0.0, _TICK), (210 * _TICK, 3, 1, 0.0, _TICK),
+                 (240 * _TICK, 3, 0, 0.0, _TICK)])
 def test_standing_demand_matches_an_event_per_chunk(members, started, script,
                                                      nonpreempt):
     new = _play_hogs(CPUScheduler, CPUHog, _cpu_burst, _record_new, members,

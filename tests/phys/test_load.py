@@ -101,7 +101,7 @@ def test_planetlab_warmup_costs_under_a_thousand_engine_events():
 def test_heavy_tail_produces_long_chunks():
     sim = Simulator(seed=6)
     node = PhysicalNode(sim, "n")
-    hog = CPUHog(node, heavy_tail_prob=0.5, heavy_tail_max=0.06)
-    chunks = {hog._chunk() for _ in range(200)}
+    hog = CPUHog(node, heavy_tail_prob=0.5, heavy_tail_max=0.06).start()
+    chunks = {hog._next() for _ in range(200)}
     assert max(chunks) > 0.02
     assert min(chunks) == hog.quantum
