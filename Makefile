@@ -76,7 +76,7 @@ flight:
 
 # The Fig-8 observatory: the Abilene failover with every collector
 # installed, landed as one manifest-hashed RunArchive under
-# benchmarks/results/archives/fig8 (trace spill + live feed + flight
+# benchmarks/results/archives/fig8 (JSONL trace + live feed + flight
 # records + sampler series + report.md/report.json). `explain` runs it
 # and walks the causal chain: fault -> convergence episode -> blackhole
 # windows -> affected flights. `python -m repro.obs diff A B` compares
@@ -91,7 +91,8 @@ explain:
 # (--nudge-index 137 --nudge-dt 1e-3) fig8 archive from BASE and from
 # this checkout, in a fresh temporary directory outside any git checkout
 # so the manifest's commit is null on both sides, and prints
-# "identical" or "DIFFERS" for every file either side wrote.
+# "identical" or "DIFFERS" for every file both sides wrote, "only-base"
+# or "only-new" for a file one side alone wrote (a renamed artifact).
 #   make obs-cmp BASE=/tmp/parent
 obs-cmp:
 	@test -n "$(BASE)" || { echo "usage: make obs-cmp BASE=<clone of the parent>" >&2; exit 2; }
@@ -104,7 +105,9 @@ obs-cmp:
 	done && \
 	for run in "" -nudged; do \
 	  for name in $$( (ls "base$$run"; ls "new$$run") | sort -u); do \
-	    if cmp -s "base$$run/$$name" "new$$run/$$name"; then verdict=identical; \
+	    if [ ! -e "new$$run/$$name" ]; then verdict=only-base; \
+	    elif [ ! -e "base$$run/$$name" ]; then verdict=only-new; \
+	    elif cmp -s "base$$run/$$name" "new$$run/$$name"; then verdict=identical; \
 	    else verdict=DIFFERS; fi; \
 	    printf '%-9s %s\n' "$$verdict" "fig8$$run/$$name"; \
 	  done; \

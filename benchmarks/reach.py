@@ -33,7 +33,7 @@ def _verbs(tmp):
         f"diff {a} {b} --explain", f"diff {a} {b} --hash-only", f"explain {a}",
         f"perfetto {a} {out}", f"flight --count 20 --slowest 3 --export {out}",
         "flight --count 20 --diff plvini planetlab",
-        f"q {a} trace.spill --kind rib_change --where op=replace --cols router,op"
+        f"q {a} trace.jsonl --kind rib_change --where op=replace --cols router,op"
         " --t0 1 --t1 80 --window 10 --agg count,max:t --by router,bucket"]
     for line in battery:
         assert main(line.split()) == 0, line

@@ -1,7 +1,7 @@
 """Run archives: a manifest indexing every artifact one run emits.
 
-Runs emit deterministic artifacts — struct-packed trace spills, flight
-JSONL, sampler CSV, live feeds, experiment reports. A
+Runs emit deterministic artifacts — a JSONL trace, flight JSONL,
+sampler CSV, live feeds, experiment reports. A
 :class:`RunArchive` is the directory they are written into: one
 ``manifest.json`` per run recording the run's identity (seed, config
 signature, commit) and a content hash per artifact, so two runs can be
@@ -19,7 +19,7 @@ Manifest schema (``repro.archive/1``)::
       "artifacts": {
         "<artifact name>": {
           "path":   "<relative to the manifest's directory>",
-          "kind":   "trace_spill" | "live_feed" | "sampler_csv" |
+          "kind":   "trace_jsonl" | "live_feed" | "sampler_csv" |
                     "flight_jsonl" | "report_json" | "report_md" |
                     "json" | "text",
           "bytes":  <file size>,
@@ -44,6 +44,7 @@ from typing import Any, Dict, Optional
 
 from repro.obs.export import SERIES_HEADER
 from repro.obs.live import FEED_SCHEMA
+from repro.sim.trace import TRACE_SCHEMA
 
 __all__ = [
     "ARCHIVE_SCHEMA",
@@ -78,18 +79,13 @@ def sha256_file(path: str) -> str:
 def artifact_kind(path: str) -> str:
     """The kind of the artifact at ``path``, decided from its bytes.
 
-    A spill by its magic; a sampler CSV by its header; a report by its
-    Markdown title or by the generator in its JSON ``meta``; a live feed
-    or flight stream by its first JSON line. Any other JSON document is
-    ``json``, anything else ``text``.
+    A sampler CSV by its header; a report by its Markdown title or by
+    the generator in its JSON ``meta``; a trace, live feed or flight
+    stream by its first JSON line. Any other JSON document is ``json``,
+    anything else ``text``.
     """
-    from repro.sim.trace import _SPILL_MAGIC
-
     with open(path, "rb") as handle:
-        first = handle.readline(1 << 16)
-    if first.startswith(_SPILL_MAGIC):
-        return "trace_spill"
-    first = first.strip()
+        first = handle.readline(1 << 16).strip()
     if first == ",".join(SERIES_HEADER).encode():
         return "sampler_csv"
     if first.startswith(b"# Experiment report"):
@@ -99,6 +95,8 @@ def artifact_kind(path: str) -> str:
     except ValueError:
         head = None
     if isinstance(head, dict):
+        if head.get("schema") == TRACE_SCHEMA:
+            return "trace_jsonl"
         if head.get("schema") == FEED_SCHEMA:
             return "live_feed"
         if head.get("kind") in ("flight", "control"):

@@ -3,7 +3,7 @@
 Runs the paper's Section 5.2 experiment — the Abilene mirror, the
 Denver--Kansas City failure, D.C. -> Seattle pings — with every
 collector installed, and lands one :class:`~repro.obs.archive.RunArchive`
-in ``out_dir``: ``trace.spill``, ``flights.jsonl``, ``series.csv``,
+in ``out_dir``: ``trace.jsonl``, ``flights.jsonl``, ``series.csv``,
 ``live.jsonl``, ``report.md`` + ``report.json`` and the manifest. The
 experiment report, the live feed and the archive that the ``diff``,
 ``explain`` and ``perfetto`` verbs read are all this one run.
@@ -52,7 +52,7 @@ def run_fig8(
     A same-seed pair of calls produces byte-identical archives — unless
     ``nudge_index`` injects the single-event timestamp perturbation used
     to exercise the diff engine: that trace record's time moves by
-    ``nudge_dt`` sim-seconds before the trace is spilled, so the first
+    ``nudge_dt`` sim-seconds before the trace is written, so the first
     (and only) divergence a diff reports is exactly its ``t`` field.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -109,7 +109,7 @@ def run_fig8(
                 f"nudge index {nudge_index} is out of range: the trace "
                 f"has {len(records)} records")
         records[nudge_index].time += nudge_dt
-    sim.trace.spill_to(path("trace.spill"))
+    sim.trace.spill_to(path("trace.jsonl"))
     archive.set_meta(config_signature=experiment_signature(exp))
     manifest_path = archive.write()
     archive.detach()

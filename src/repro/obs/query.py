@@ -1,18 +1,14 @@
 """Cross-run analysis: lazy queries over run archives, first-divergence
 diffing, and a causal "explain" chain.
 
-The repo's runs emit deterministic artifacts (struct-packed trace
-spills, flight JSONL, sampler CSV, live feeds, experiment
-reports) indexed by :mod:`repro.obs.archive` manifests. This module is
-the read side:
+The repo's runs emit deterministic artifacts (the JSONL trace, flight
+JSONL, sampler CSV, live feeds, experiment reports) indexed by
+:mod:`repro.obs.archive` manifests. This module is the read side:
 
 * :class:`Table` — a lazy relational view over any artifact: rows are
   flat dicts streamed straight off disk (peak memory is one row for
   every streaming reader), with ``where``/``span``/``select``/
-  ``window``/``agg`` combinators. Trace spills additionally push kind/
-  field/time filters *into* the binary decoder
-  (:func:`repro.sim.trace.iter_spill`), skipping non-matching records
-  without decoding their values.
+  ``window``/``agg`` combinators.
 * :func:`diff_archives` / :func:`diff_tables` — align two runs record
   by record on their shared (sim-time, event-index) order and localize
   the *first divergent record*: artifact, event index, sim-time, kind,
@@ -58,7 +54,7 @@ from repro.obs.archive import (
     sha256_file,
 )
 from repro.obs.export import SERIES_HEADER
-from repro.sim.trace import iter_spill
+from repro.sim.trace import TraceRecord
 
 __all__ = [
     "ArchiveReader",
@@ -250,17 +246,8 @@ _ACCS = {
 # ----------------------------------------------------------------------
 # Readers: one lazy row stream per artifact kind
 # ----------------------------------------------------------------------
-def read_trace_spill(path: str, kinds=None, fields=None,
-                     t0=None, t1=None) -> Iterator[Row]:
-    """Trace spill rows, with filters pushed into the binary decoder."""
-    for record in iter_spill(path, kinds=kinds, fields=fields, t0=t0, t1=t1):
-        row: Row = {"t": record.time, "kind": record.kind}
-        row.update(record.fields)
-        yield row
-
-
-def _jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """The JSON object on each non-blank line of ``path``."""
+def _jsonl(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """The line number and JSON object of each non-blank line of ``path``."""
     with open(path) as handle:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -272,13 +259,25 @@ def _jsonl(path: str) -> Iterator[Dict[str, Any]]:
                     f"{path}:{number}: not a JSON line ({exc})") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{number}: not a JSON object")
-            yield obj
+            yield number, obj
+
+
+def read_trace_jsonl(path: str) -> Iterator[Row]:
+    """Trace rows, ``{"t", "kind", <fields>}``: every line after the
+    header of a :meth:`~repro.sim.trace.TraceCollector.spill_to` file."""
+    for number, obj in _jsonl(path):
+        if "t" not in obj or "kind" not in obj:
+            if number == 1 and "schema" in obj:
+                continue
+            raise ValueError(f"{path}:{number}: trace record without "
+                             f"'t' or 'kind'")
+        yield obj
 
 
 def read_live_feed(path: str) -> Iterator[Row]:
     """Live feed rows: the header line, then one row per snapshot with
     probes flattened to ``probes.<key>`` columns."""
-    for obj in _jsonl(path):
+    for _, obj in _jsonl(path):
         if "schema" in obj:
             yield dict(flatten(obj), kind="header", t=None)
         else:
@@ -324,7 +323,7 @@ def read_sampler_csv(path: str) -> Iterator[Row]:
 
 def read_flight_jsonl(path: str) -> Iterator[Row]:
     """FlightStream JSONL rows (flight/control), timed by ``start``."""
-    for obj in _jsonl(path):
+    for _, obj in _jsonl(path):
         row = {"t": obj.get("start")}
         row.update(obj)
         yield row
@@ -367,7 +366,7 @@ def read_text_lines(path: str) -> Iterator[Row]:
 
 #: Artifact kind (as recorded in manifests) -> reader.
 KIND_READERS: Dict[str, Callable[[str], Iterator[Row]]] = {
-    "trace_spill": read_trace_spill,
+    "trace_jsonl": read_trace_jsonl,
     "live_feed": read_live_feed,
     "sampler_csv": read_sampler_csv,
     "flight_jsonl": read_flight_jsonl,
@@ -415,32 +414,19 @@ class ArchiveReader:
 
     def table(self, name: str, kinds=None, fields=None,
               t0=None, t1=None) -> Table:
-        """A :class:`Table` over artifact ``name``. For trace spills
-        the filters push down into the decoder; for every other kind
-        they are applied as stream combinators."""
-        path = self.path(name)
-        kind = self.artifacts[name]["kind"]
-        if kind == "trace_spill":
-            table = Table(
-                lambda: read_trace_spill(path, kinds=kinds, fields=fields,
-                                         t0=t0, t1=t1),
-                name=name,
-            )
-        else:
-            table = open_artifact(path, kind)
-            if kinds is not None:
-                want = frozenset((kinds,) if isinstance(kinds, str)
-                                 else kinds)
-                base = table
-                table = Table(
-                    lambda: (r for r in base if r.get("kind") in want),
-                    name=name,
-                )
-            if t0 is not None or t1 is not None:
-                table = table.span(t0, t1)
-            if fields is not None:
-                keep = tuple(fields) + ("t", "kind")
-                table = table.select(*keep)
+        """A :class:`Table` over artifact ``name``: rows of ``kinds``
+        (a name or names) in the window ``[t0, t1)``, projected to
+        ``fields`` plus ``t`` and ``kind``."""
+        table = open_artifact(self.path(name), self.artifacts[name]["kind"])
+        if kinds is not None:
+            want = frozenset((kinds,) if isinstance(kinds, str) else kinds)
+            base = table
+            table = Table(lambda: (r for r in base if r.get("kind") in want),
+                          name=name)
+        if t0 is not None or t1 is not None:
+            table = table.span(t0, t1)
+        if fields is not None:
+            table = table.select(*fields, "t", "kind")
         return table
 
 
@@ -610,7 +596,7 @@ def diff_archives(path_a: str, path_b: str, hash_only: bool = False,
             artifact=name, max_divergences=max_per_artifact,
         )
         if not divergences:
-            # Bytes differ but every decoded row agrees (e.g. interning
+            # Bytes differ but every decoded row agrees (e.g. key
             # order): surface it rather than calling the files equal.
             divergences = [Divergence(
                 name, -1, None, entry_a["kind"], "", "<bytes>",
@@ -625,7 +611,7 @@ def diff_archives(path_a: str, path_b: str, hash_only: bool = False,
 # ----------------------------------------------------------------------
 def explain_archive(path: str, at: Optional[float] = None) -> Dict[str, Any]:
     """Stitch one archive's causal chain: each ``fault`` record, the
-    convergence episode it triggers (re-derived from the spilled
+    convergence episode it triggers (re-derived from the traced
     ``rib_change`` churn), and the blackhole windows plus affected
     flights inside that episode.
 
@@ -637,10 +623,10 @@ def explain_archive(path: str, at: Optional[float] = None) -> Dict[str, Any]:
     from repro.obs.routing import episodes_from_trace
 
     reader = ArchiveReader(path)
-    records: List[Any] = []
-    for name in reader.names("trace_spill"):
-        records.extend(iter_spill(reader.path(name),
-                                  kinds=("fault", "rib_change")))
+    records: List[TraceRecord] = []
+    for name in reader.names("trace_jsonl"):
+        for row in reader.table(name, kinds=("fault", "rib_change")):
+            records.append(TraceRecord(row.pop("t"), row.pop("kind"), row))
     records.sort(key=lambda r: r.time)
     episodes = episodes_from_trace(records)
     faults = [r for r in records if r.kind == "fault"]

@@ -273,7 +273,8 @@ class ConvergenceTracker:
 # ----------------------------------------------------------------------
 def episodes_from_trace(records: Iterable[Any]) -> List[ConvergenceEpisode]:
     """Re-derive convergence episodes from a finished run's trace
-    records (``sim.trace.records``, or records read back from a spill).
+    records (``sim.trace.records``, or records read back from the JSONL
+    trace, as :func:`~repro.obs.query.explain_archive` does).
 
     The batch counterpart to :class:`ConvergenceTracker`'s incremental
     stitching: scan the ``fault`` and ``rib_change`` records in time

@@ -12,9 +12,9 @@ import os
 
 import pytest
 
-# Well above the slowest tier-1 test (~8 s on a 2-core x86 box, the
-# query over a spill ten times larger than peak memory), so only a hang
-# trips it, on CI's slower boxes too.
+# Well above the slowest tier-1 test (6-7 s on a 2-core x86 box, the
+# query over a JSONL trace ten times larger than peak memory), so only a
+# hang trips it, on CI's slower boxes too.
 TEST_WALL_BUDGET_S = 300
 
 _stderr_fd = None

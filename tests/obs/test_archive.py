@@ -41,9 +41,9 @@ def test_config_signature_is_stable_and_order_insensitive():
 
 def test_manifest_records_hashed_relative_artifacts(tmp_path):
     root = tmp_path / "arch"
-    blob = root / "spills" / "trace.bin"
+    blob = root / "traces" / "trace.bin"
     blob.parent.mkdir(parents=True)
-    blob.write_bytes(b"REPROTRC\x01\x02\x03")
+    blob.write_bytes(b'{"schema": "repro.trace/1"}\n')
     (root / "cell.json").write_text(json.dumps({"n": 1}))
     archive = RunArchive(str(root), name="run1", meta={"seed": 3})
     path = archive.write()
@@ -53,15 +53,15 @@ def test_manifest_records_hashed_relative_artifacts(tmp_path):
     assert manifest["schema"] == ARCHIVE_SCHEMA
     assert manifest["name"] == "run1"
     assert manifest["meta"] == {"seed": 3}
-    assert sorted(manifest["artifacts"]) == ["cell.json", "spills/trace.bin"]
-    entry = manifest["artifacts"]["spills/trace.bin"]
-    assert entry["kind"] == "trace_spill"
-    assert entry["bytes"] == 11
+    assert sorted(manifest["artifacts"]) == ["cell.json", "traces/trace.bin"]
+    entry = manifest["artifacts"]["traces/trace.bin"]
+    assert entry["kind"] == "trace_jsonl"
+    assert entry["bytes"] == 28
     assert entry["sha256"] == hashlib.sha256(
-        b"REPROTRC\x01\x02\x03").hexdigest()
-    assert entry["path"] == "spills/trace.bin"
+        b'{"schema": "repro.trace/1"}\n').hexdigest()
+    assert entry["path"] == "traces/trace.bin"
     assert manifest["artifacts"]["cell.json"]["kind"] == "json"
-    assert resolve_artifact(manifest, "spills/trace.bin") == str(blob)
+    assert resolve_artifact(manifest, "traces/trace.bin") == str(blob)
     assert resolve_artifact(manifest, "cell.json") == str(root / "cell.json")
 
 
@@ -79,6 +79,7 @@ def test_manifest_skips_missing_files_and_write_is_deterministic(tmp_path):
     ("key,time,value", "text"),
     ("# Experiment report — x", "report_md"),
     ('{"schema": "repro.live/1"}', "live_feed"),
+    ('{"schema": "repro.trace/1"}\n{"t": 0.0, "kind": "x"}', "trace_jsonl"),
     ('{"kind": "control"}', "flight_jsonl"),
     ('{"kind": "metric"}\n{"kind": "metric"}', "text"),
     ('{"meta": {"generator": "repro.obs.report"}}', "report_json"),
@@ -108,9 +109,9 @@ def test_attach_hooks_spill_and_detach_stops_collection(tmp_path):
 
     sim.trace.log("tick", n=1)
     (tmp_path / "arch").mkdir()
-    sim.trace.spill_to(str(tmp_path / "arch" / "trace.spill"))
+    sim.trace.spill_to(str(tmp_path / "arch" / "trace.jsonl"))
     manifest = archive.manifest()
-    assert manifest["artifacts"]["trace.spill"]["kind"] == "trace_spill"
+    assert manifest["artifacts"]["trace.jsonl"]["kind"] == "trace_jsonl"
     assert manifest["meta"]["sim_time"] == sim.now
 
     archive.detach()

@@ -10,7 +10,6 @@ input in ``test_query.py``, ``fig8`` in ``test_report.py`` and
 import json
 import re
 import shutil
-import struct
 from pathlib import Path
 
 import pytest
@@ -90,8 +89,7 @@ def test_bad_input_is_an_error_line_not_a_traceback(
 
 # One battery for the read verbs: each damage is paired with every verb
 # that reads the damaged bytes (``ls`` and ``perfetto`` read neither the
-# spill nor the series CSV; a record skipped by a kind filter is not
-# decoded, so an undefined field name in it goes unread).
+# trace nor the series CSV).
 def _missing(root):
     shutil.rmtree(root)
     return str(root)
@@ -104,32 +102,28 @@ def _wrong_schema(root):
     return "unsupported archive schema"
 
 
-def _truncated_spill(root):
-    spill = root / "trace.spill"
-    spill.write_bytes(spill.read_bytes()[:-1])  # cuts into the last record
-    return "truncated spill file"
+def _trace_line(root, index, patch):
+    """Rewrite line ``index`` (from 0; -1 is the last) of the trace with
+    ``patch``; returns the ``file:line`` an error about it names."""
+    lines = (root / "trace.jsonl").read_bytes().splitlines(keepends=True)
+    lines[index] = patch(lines[index])
+    (root / "trace.jsonl").write_bytes(b"".join(lines))
+    return f"trace.jsonl:{index % len(lines) + 1}:"
 
 
-def _patch_first_record(root, offset, index):
-    """Write the u16 ``index`` at ``offset`` into the first record of
-    the spill (past the kind/name definition frames that precede it)."""
-    data = bytearray((root / "trace.spill").read_bytes())
-    at = len(b"REPROTRC\x01")
-    while data[at] in (0x01, 0x02):
-        at += 5 + struct.unpack_from("<H", data, at + 3)[0]
-    assert data[at] == 0x03
-    struct.pack_into("<H", data, at + offset, index)
-    (root / "trace.spill").write_bytes(bytes(data))
+def _truncated_spill(root):  # cut inside the last record
+    return _trace_line(root, -1, lambda line: line[:len(line) // 2]) \
+        + " not a JSON line"
 
 
 def _undefined_kind(root):
-    _patch_first_record(root, 9, 7)  # past the tag and the f64 time
-    return "trace.spill: record uses undefined kind index 7"
+    return _trace_line(root, 1, lambda line: line.replace(
+        b'"kind":', b'"kinds":', 1)) + " trace record without 't' or 'kind'"
 
 
-def _undefined_field(root):
-    _patch_first_record(root, 13, 999)  # the first field's name index
-    return "trace.spill: record uses undefined field name index 999"
+def _non_object_line(root):
+    return _trace_line(root, 1, lambda line: b"[" + line[:-1] + b"]\n") \
+        + " not a JSON object"
 
 
 def _short_csv_row(root):
@@ -142,9 +136,9 @@ def _short_csv_row(root):
 
 _READ_VERBS = {
     "ls": lambda good, bad, out: ["ls", bad],
-    "q": lambda good, bad, out: ["q", bad, "trace.spill"],
-    "q-pushdown": lambda good, bad, out: [
-        "q", bad, "trace.spill", "--kind", "fault", "--cols", "action"],
+    "q": lambda good, bad, out: ["q", bad, "trace.jsonl"],
+    "q-filtered": lambda good, bad, out: [
+        "q", bad, "trace.jsonl", "--kind", "fault", "--cols", "action"],
     "q-csv": lambda good, bad, out: ["q", bad, "series.csv"],
     "diff": lambda good, bad, out: ["diff", good, bad],
     "explain": lambda good, bad, out: ["explain", bad],
@@ -154,9 +148,9 @@ _BATTERY = [
     (damage, verb) for damage, verbs in (
         (_missing, ("ls", "q", "diff", "explain", "perfetto")),
         (_wrong_schema, ("ls", "q", "diff", "explain", "perfetto")),
-        (_truncated_spill, ("q", "q-pushdown", "diff", "explain")),
-        (_undefined_kind, ("q", "q-pushdown", "diff", "explain")),
-        (_undefined_field, ("q", "diff")),
+        (_truncated_spill, ("q", "q-filtered", "diff", "explain")),
+        (_undefined_kind, ("q", "q-filtered", "diff", "explain")),
+        (_non_object_line, ("q", "q-filtered", "diff", "explain")),
         (_short_csv_row, ("q-csv", "diff")),
     ) for verb in verbs
 ]
@@ -199,7 +193,7 @@ def test_q_refuses_an_option_it_cannot_answer(args, names, archives, capsys):
 def test_unknown_artifact_names_the_ones_the_archive_has(archives, capsys):
     assert main(["q", archives["a"], "nope.jsonl"]) == 2
     err = capsys.readouterr().err
-    for name in ("flights.jsonl", "live.jsonl", "trace.spill"):
+    for name in ("flights.jsonl", "live.jsonl", "trace.jsonl"):
         assert name in err
 
 

@@ -36,7 +36,7 @@ def test_same_seed_archives_have_zero_divergences(archives):
     assert report["meta_diffs"] == {}
     assert set(report["identical"]) == {
         "flights.jsonl", "live.jsonl", "report.json", "report.md",
-        "series.csv", "trace.spill",
+        "series.csv", "trace.jsonl",
     }
 
 
@@ -54,7 +54,7 @@ def test_nudge_is_localized_to_exact_index_and_field(archives):
     report = diff_archives(archives["a"], archives["c"])
     assert len(report["divergences"]) == 1
     d = report["divergences"][0]
-    assert d["artifact"] == "trace.spill"
+    assert d["artifact"] == "trace.jsonl"
     assert d["index"] == NUDGE_INDEX
     assert d["field"] == "t"
     assert d["fields"] == ["t"]
@@ -72,7 +72,7 @@ def test_hash_only_diff_flags_without_row_localization(archives):
     report = diff_archives(archives["a"], archives["c"], hash_only=True)
     assert len(report["divergences"]) == 1
     d = report["divergences"][0]
-    assert d["artifact"] == "trace.spill"
+    assert d["artifact"] == "trace.jsonl"
     assert d["field"] == "<sha256>"
     assert d["index"] == -1
 
@@ -97,16 +97,16 @@ def test_nudge_spill_rejects_out_of_range_index(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"nudge index {index} is out of range" in err
-        assert not (out / "trace.spill").exists()
+        assert not (out / "trace.jsonl").exists()
         assert not (out / "manifest.json").exists()
 
 
 # ----------------------------------------------------------------------
-# Memory ceiling: stream a spill far larger than peak traced memory
+# Memory ceiling: stream a trace far larger than peak traced memory
 # ----------------------------------------------------------------------
 def test_query_streams_spill_over_10x_larger_than_peak_memory(tmp_path):
     sim = Simulator()
-    path = str(tmp_path / "big.spill")
+    path = str(tmp_path / "big.jsonl")
     total = 0
     for chunk in range(100):
         for i in range(2000):
@@ -186,23 +186,14 @@ def test_flatten_dots_nested_dicts():
 
 
 # ----------------------------------------------------------------------
-# Readers + pushdown over the real archive
+# Readers over the real archive
 # ----------------------------------------------------------------------
 def test_archive_reader_names_and_kinds(archives):
     reader = ArchiveReader(archives["a"])
-    assert reader.names("trace_spill") == ["trace.spill"]
+    assert reader.names("trace_jsonl") == ["trace.jsonl"]
     assert reader.names("live_feed") == ["live.jsonl"]
     assert reader.meta["seed"] == 8
     assert len(reader.meta["config_signature"]) == 16
-
-
-def test_spill_pushdown_equals_post_hoc_filtering(archives):
-    reader = ArchiveReader(archives["a"])
-    pushed = list(reader.table("trace.spill", kinds="rib_change",
-                               t0=45.0, t1=60.0))
-    plain = list(reader.table("trace.spill").where(kind="rib_change")
-                 .span(45.0, 60.0))
-    assert pushed == plain and pushed
 
 
 def test_live_feed_and_sampler_readers(archives):
@@ -228,7 +219,7 @@ def test_sniff_kind_recognizes_every_fixture_artifact(archives):
     manifest records the same kind."""
     reader = ArchiveReader(archives["a"])
     kinds = {
-        "trace.spill": "trace_spill",
+        "trace.jsonl": "trace_jsonl",
         "live.jsonl": "live_feed",
         "series.csv": "sampler_csv",
         "flights.jsonl": "flight_jsonl",
@@ -289,7 +280,7 @@ def test_cli_diff_assert_gates_on_divergence(archives, capsys):
 
 def test_cli_q_output_is_byte_identical_across_same_seed_runs(
         archives, capsys):
-    argv = ["q", None, "trace.spill", "--kind", "rib_change",
+    argv = ["q", None, "trace.jsonl", "--kind", "rib_change",
             "--t0", "45", "--t1", "60", "--cols", "router,dest"]
     outputs = []
     for key in ("a", "b"):
@@ -342,7 +333,7 @@ def test_cli_diff_explain_appends_chain_at_divergence(archives, capsys):
 def test_cli_ls_lists_artifacts(archives, capsys):
     code, out = _capture(capsys, ["ls", archives["a"]])
     assert code == 0
-    for name in ("trace.spill", "live.jsonl", "series.csv",
+    for name in ("trace.jsonl", "live.jsonl", "series.csv",
                  "flights.jsonl", "report.json", "report.md"):
         assert name in out
     code, out = _capture(capsys, ["ls", archives["a"], "--json"])
