@@ -20,8 +20,6 @@ class LossElement(Element):
         super().__init__(n_outputs=1)
         self.drop_prob = 0.0
         self.failed = False
-        self.dropped = 0
-        self.passed = 0
         # Bound rng.random, cached on first use so the stream is
         # created at the same point as before (same draw sequence).
         self._random = None
@@ -39,12 +37,6 @@ class LossElement(Element):
             raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob!r}")
         self.drop_prob = drop_prob
 
-    def initialize(self) -> None:
-        metrics = self.router.sim.metrics
-        labels = dict(node=self.router.node.name, element=self.name)
-        metrics.counter("click.loss.dropped_pkts", fn=lambda: self.dropped, **labels)
-        metrics.counter("click.loss.delivered_pkts", fn=lambda: self.passed, **labels)
-
     def push(self, port: int, packet: Packet) -> None:
         if self.failed:
             reason = "failed"
@@ -56,10 +48,8 @@ class LossElement(Element):
         else:
             reason = None
         if reason is not None:
-            self.dropped += 1
             self.router.sim.trace.drop(packet, reason, self.router.name)
             return
-        self.passed += 1
         fr = self.router.sim.flight
         if fr.enabled and packet.span is not None:
             fr.stage(packet, "click.loss", node=self.router.node.name)

@@ -54,12 +54,6 @@ class NAPT(Element):
         self.translated_out = 0
         self.translated_in = 0
 
-    def initialize(self) -> None:
-        metrics = self.router.sim.metrics
-        labels = dict(node=self.router.node.name, element=self.name)
-        metrics.counter("click.napt.translated_out", fn=lambda: self.translated_out, **labels)
-        metrics.counter("click.napt.translated_in", fn=lambda: self.translated_in, **labels)
-
     # ------------------------------------------------------------------
     def _ports_of(self, packet: Packet) -> Optional[Tuple[int, int, object]]:
         proto = packet.ip.proto

@@ -85,14 +85,6 @@ class Shaper(Element):
         if self._queue and not self._pending:
             self._schedule()
 
-    def initialize(self) -> None:
-        metrics = self.router.sim.metrics
-        labels = dict(node=self.router.node.name, element=self.name)
-        metrics.counter("click.shaper.offered_pkts", fn=lambda: self.offered, **labels)
-        metrics.counter("click.shaper.delivered_pkts", fn=lambda: self.sent, **labels)
-        metrics.counter("click.shaper.dropped_pkts", fn=lambda: self.drops, **labels)
-        metrics.gauge("click.shaper.backlog_bytes", fn=lambda: self._queued_bytes, **labels)
-
     def _refill(self) -> None:
         now = self.router.sim.now
         self.tokens = min(

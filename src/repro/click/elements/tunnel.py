@@ -41,17 +41,15 @@ class UDPTunnel(Element):
         self.local_port = local_port
         self.sock = None
         self.tx_packets = 0
-        self.rx_packets = 0
         self._sendto = None  # hot-path binding, made at initialize
 
     def initialize(self) -> None:
         self.sock = self.router.udp_socket(port=self.local_port, rcvbuf=TUNNEL_RCVBUF)
         self.sock.on_receive = self._incoming
         self._sendto = self.sock.sendto
-        metrics = self.router.sim.metrics
-        labels = dict(node=self.router.node.name, element=self.name)
-        metrics.counter("click.tunnel.tx_pkts", fn=lambda: self.tx_packets, **labels)
-        metrics.counter("click.tunnel.rx_pkts", fn=lambda: self.rx_packets, **labels)
+        self.router.sim.metrics.counter(
+            "click.tunnel.tx_pkts", fn=lambda: self.tx_packets,
+            node=self.router.node.name, element=self.name)
 
     def push(self, port: int, packet: Packet) -> None:
         """Encapsulate and transmit toward the remote tunnel endpoint."""
@@ -70,7 +68,6 @@ class UDPTunnel(Element):
         if not isinstance(inner, Packet):
             self.router.sim.trace.drop(outer, "tunnel_garbage", self.router.name)
             return
-        self.rx_packets += 1
         fr = self.router.sim.flight
         if fr.enabled and inner.span is not None:
             # The inner packet traveled by reference inside the outer

@@ -75,7 +75,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRIC,
 )
 from repro.obs.report import ExperimentReport, build_report
 from repro.obs.routing import (
@@ -106,7 +105,6 @@ __all__ = [
     "Histogram",
     "LiveMonitor",
     "MetricsRegistry",
-    "NULL_METRIC",
     "NULL_RECORDER",
     "NullFlightRecorder",
     "PeriodicSampler",

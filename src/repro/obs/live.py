@@ -46,8 +46,7 @@ class LiveMonitor(PeriodicSampler):
         floats via ``repr`` — the same rules as :mod:`repro.obs.export`,
         so a same-seed run writes a byte-identical file.
     name:
-        The monitor's label in the feed header, the report and the
-        ``live.snapshots`` counter.
+        The monitor's label in the feed header and the report.
     """
 
     def __init__(self, sim, interval: float = 1.0, *, feed: str,
@@ -114,10 +113,6 @@ class LiveMonitor(PeriodicSampler):
             "interval": self.interval,
             "seed": self.sim.seed,
         })
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter("live.snapshots", fn=lambda: self.snapshots,
-                            monitor=self.name)
         return super().start()
 
     def stop(self, final: bool = True) -> "LiveMonitor":

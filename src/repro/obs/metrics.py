@@ -9,21 +9,20 @@ publish three kinds of instruments, keyed by ``(name, labels)``:
   delivered, bytes received, SPF runs). Either *push* (``inc()``) or
   *pull* (constructed with ``fn=``, reading a live attribute at
   collection time for zero hot-path cost).
-* :class:`Gauge` — a point-in-time level (queue depth, run-queue
-  length). Push (``set()``) or pull (``fn=``).
+* :class:`Gauge` — a point-in-time level (run-queue length, routes
+  held), always pulled: ``fn`` reads the live state when collected.
 * :class:`Histogram` — a distribution over fixed log-spaced buckets
   with exact count/sum/sum-of-squares/min/max and approximate
-  p50/p95/p99 readout (scheduling latency, RTT, jitter).
+  p50/p95/p99 readout (ping RTT).
 
 Hot paths keep their plain integer counters; the registry is how those
 numbers become *artifacts* — snapshot rows for the JSONL/CSV exporters
 (:mod:`repro.obs.export`), probes for :class:`repro.obs.PeriodicSampler`
-time series, and headline numbers for ``benchmarks/paper.py``.
-
-A disabled registry (``enabled=False``, or flipping
-``MetricsRegistry.default_enabled`` before building a world) hands out
-a shared null instrument whose methods do nothing, so instrumented
-code needs no guards and a metrics-off run does no bookkeeping.
+time series, and headline numbers for ``benchmarks/paper.py`` and the
+performance ledger. An instrument is registered only where one of
+those reads its name (``tests/test_docs.py`` holds every registration
+to a reader), and the registry is always on: the packet and CPU-chunk
+paths push nothing into it.
 """
 
 from __future__ import annotations
@@ -58,8 +57,13 @@ class Metric:
         self.name = name
         self.labels = dict(labels)
 
-    def snapshot(self) -> Dict[str, Any]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "name": self.name,
+            "labels": self.labels,
+            "type": self.kind,
+            "value": self.value,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         labels = ",".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
@@ -96,28 +100,12 @@ class Counter(Metric):
     def value(self) -> float:
         return self._fn() if self._fn is not None else self._value
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "labels": self.labels,
-            "type": self.kind,
-            "value": self.value,
-        }
-
 
 class Gauge(Metric):
-    """A point-in-time level: push via ``set``, or pull via ``set_function``."""
+    """A point-in-time level, read by its function when collected."""
 
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_fn",)
     kind = "gauge"
-
-    def __init__(self, name: str, labels: Dict[str, Any]):
-        super().__init__(name, labels)
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self._value = value
 
     def set_function(self, fn: Callable[[], float]) -> "Gauge":
         self._fn = fn
@@ -125,15 +113,7 @@ class Gauge(Metric):
 
     @property
     def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "labels": self.labels,
-            "type": self.kind,
-            "value": self.value,
-        }
+        return self._fn()
 
 
 class Histogram(Metric):
@@ -248,77 +228,20 @@ class Histogram(Metric):
         return pairs
 
 
-class NullMetric:
-    """Shared do-nothing instrument handed out by a disabled registry.
-
-    Implements the full Counter/Gauge/Histogram surface so components
-    can instrument unconditionally; every method is a no-op and every
-    readout is zero.
-    """
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labels: Dict[str, Any] = {}
-
-    def inc(self) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn: Callable[[], float]) -> "NullMetric":
-        return self
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    value = 0.0
-    count = 0
-    sum = 0.0
-    sum_sq = 0.0
-    mean = 0.0
-    stddev = 0.0
-    min = 0.0
-    max = 0.0
-    p50 = p95 = p99 = 0.0
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-
-NULL_METRIC = NullMetric()
-
-
 class MetricsRegistry:
     """All instruments of one simulation, keyed by ``(name, labels)``.
 
     Asking for an existing key returns the same object, so independent
-    call sites share a series. When the registry is disabled —
-    :attr:`default_enabled` flipped before the world is built — every
-    factory returns the shared :data:`NULL_METRIC` and nothing is
-    registered, making a metrics-off run bit-identical to one without
-    instrumentation at all.
+    call sites share a series.
     """
 
-    #: Class-wide default: tests flip this to build whole worlds with
-    #: metrics off.
-    default_enabled = True
-
-    def __init__(self, sim=None):
-        self.sim = sim
-        self.enabled = type(self).default_enabled
+    def __init__(self):
         self._metrics: Dict[Tuple[str, LabelKey], Metric] = {}
 
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name: str, labels: Dict[str, Any]):
-        if not self.enabled:
-            return NULL_METRIC
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
@@ -328,15 +251,12 @@ class MetricsRegistry:
 
     def counter(self, name: str, fn: Optional[Callable[[], float]] = None, **labels):
         metric = self._get_or_create(Counter, name, labels)
-        if fn is not None and metric is not NULL_METRIC:
+        if fn is not None:
             metric.set_function(fn)
         return metric
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None, **labels):
-        metric = self._get_or_create(Gauge, name, labels)
-        if fn is not None and metric is not NULL_METRIC:
-            metric.set_function(fn)
-        return metric
+    def gauge(self, name: str, fn: Callable[[], float], **labels):
+        return self._get_or_create(Gauge, name, labels).set_function(fn)
 
     def histogram(self, name: str, **labels):
         return self._get_or_create(Histogram, name, labels)
@@ -373,5 +293,4 @@ class MetricsRegistry:
         return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"<MetricsRegistry {state} metrics={len(self._metrics)}>"
+        return f"<MetricsRegistry metrics={len(self._metrics)}>"

@@ -22,9 +22,8 @@ tracing layer riding the packet model:
   back to that update.
 
 Zero cost when disabled: ``sim.flight`` defaults to the shared
-:data:`NULL_RECORDER` (``enabled`` is ``False``), the same null-object
-pattern as ``NULL_METRIC``, and instrumented call sites guard on
-``fr.enabled``. The recorder is *passive* — it never schedules events —
+:data:`NULL_RECORDER` (``enabled`` is ``False``), a null object, and
+instrumented call sites guard on ``fr.enabled``. The recorder is *passive* — it never schedules events —
 so even when enabled the simulation event stream is byte-identical
 (golden-trace tests assert both).
 
@@ -449,10 +448,10 @@ class FlightRecorder:
 class NullFlightRecorder:
     """Shared do-nothing recorder (the ``sim.flight`` default).
 
-    Mirrors ``NullMetric``: instrumented hot paths test ``fr.enabled``
-    (a class attribute, ``False``) and skip all span work, so tracing
-    costs one attribute load + branch per guarded site when off. It has
-    no methods: an unguarded call fails loudly instead of costing a call.
+    Instrumented hot paths test ``fr.enabled`` (a class attribute,
+    ``False``) and skip all span work, so tracing costs one attribute
+    load + branch per guarded site when off. It has no methods: an
+    unguarded call fails loudly instead of costing a call.
     """
 
     __slots__ = ()

@@ -119,15 +119,6 @@ class CPUScheduler:
         # it is created cannot change what it draws.
         self._nonpreempt_rng = sim.rng(f"nonpreempt.{name}")
         metrics = sim.metrics
-        # Per-slice scheduling latency (time from work arriving to it
-        # getting the CPU): the one push instrument on this path — a
-        # distribution cannot be pulled. None when metrics are off, so
-        # the dispatch loop pays a single identity test.
-        self._latency_hist = (
-            metrics.histogram("cpu.sched_latency", cpu=self.name)
-            if metrics.enabled
-            else None
-        )
         metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
         # Every process with queued work waits in _ready or _fair.
         metrics.gauge("cpu.runq_depth", fn=lambda: sum(
@@ -141,19 +132,18 @@ class CPUScheduler:
         process.plain = not (process.realtime or process.reservation or process.cpu_cap)
         self.processes.append(process)
         metrics = self.sim.metrics
-        if metrics.enabled:
-            # Disambiguate duplicate process names on one CPU so each
-            # keeps its own series.
-            label = process.name
-            if metrics.get("cpu.process_seconds", cpu=self.name, process=label) is not None:
-                label = f"{process.name}#{len(self.processes)}"
-            metrics.counter(
-                "cpu.process_seconds",
-                fn=lambda: process.cpu_used,
-                cpu=self.name,
-                process=label,
-            )
-            process.metric_label = label
+        # Disambiguate duplicate process names on one CPU so each keeps
+        # its own series.
+        label = process.name
+        if metrics.get("cpu.process_seconds", cpu=self.name, process=label) is not None:
+            label = f"{process.name}#{len(self.processes)}"
+        metrics.counter(
+            "cpu.process_seconds",
+            fn=lambda: process.cpu_used,
+            cpu=self.name,
+            process=label,
+        )
+        process.metric_label = label
 
     def wake(self, process: Process) -> None:
         """A process gained work; dispatch or preempt as policy allows."""
@@ -324,8 +314,6 @@ class CPUScheduler:
         sim = self.sim
         self._running, self._item = process, item
         self._started_at = now = sim.now
-        if self._latency_hist is not None:
-            self._latency_hist.observe(now - item.enqueued_at)
         if item.packet is not None and item.packet.span is not None:
             # Close the flight's cpu.wait (run-queue) stage: the work is
             # now on the CPU. The stage stays open across preemption, so
@@ -360,7 +348,7 @@ class CPUScheduler:
             # come to a charge, the next draw and one pick from the heap,
             # the chunk's owner raised to the sleeper floor first.
             self._charge(process, self._cost)
-            item.cost, item.enqueued_at = cost, sim.now
+            item.cost = cost
             process.vruntime = max(process.vruntime, fair[0][0] - WAKE_BONUS if fair else -_INF)
             winner = heappushpop(fair, (process.vruntime, process.index, process))[2]
             process.queue.append(item)
@@ -384,7 +372,7 @@ class CPUScheduler:
             item.fn(*item.args)
             self._held = False
         elif (cost := item.fn()) is not None:  # the demand's next draw
-            item.cost, item.enqueued_at = cost, self.sim.now
+            item.cost = cost
             process.queue.append(item)
             self.wake(process)
         if self._running is None and (self._ready or self._fair):
@@ -400,7 +388,7 @@ class CPUScheduler:
         self._charge(process, executed)
         remaining = self._cost - executed
         if remaining > 0 or not item.cancelled:
-            # The item goes back as its own leftover: arrival, packet
+            # The item goes back as its own leftover: its packet
             # and cancellation stay.
             item.cost = max(0.0, remaining) * self.speed
             process.queue.appendleft(item)

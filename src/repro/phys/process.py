@@ -18,10 +18,8 @@ from typing import Any, Callable, Deque, Optional
 class WorkItem:
     """One chunk of CPU work: ``cost`` seconds, then ``fn(*args)``.
 
-    ``enqueued_at`` is the sim time the work first became runnable;
-    the scheduler measures queueing (scheduling latency) against it.
     A preempted item goes back to the head of its queue as its own
-    leftover, ``cost`` the remainder, so it keeps its arrival time.
+    leftover, ``cost`` the remainder.
 
     ``packet`` is the packet ``fn`` is handed, if any: a crash that
     cancels the item records its drop, and the scheduler opens a tracked
@@ -29,21 +27,19 @@ class WorkItem:
     execution are attributed separately.
     """
 
-    __slots__ = ("cost", "fn", "args", "cancelled", "enqueued_at", "packet")
+    __slots__ = ("cost", "fn", "args", "cancelled", "packet")
 
     def __init__(
         self,
         cost: float,
         fn: Callable,
         args: tuple,
-        enqueued_at: float = 0.0,
         packet: Optional[Any] = None,
     ):
         self.cost = cost
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.enqueued_at = enqueued_at
         self.packet = packet
 
 
@@ -122,7 +118,7 @@ class Process:
         if cost < 0:
             raise ValueError(f"negative CPU cost {cost!r}")
         cpu = self.cpu
-        self.queue.append(WorkItem(cost, fn, args, cpu.sim.now, packet))
+        self.queue.append(WorkItem(cost, fn, args, packet))
         cpu.wake(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

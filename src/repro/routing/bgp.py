@@ -195,25 +195,10 @@ class BGPSession:
         transport.on_down = self._transport_down
         self.updates_sent = 0
         self.updates_received = 0
-        self.routes_announced = 0
-        self.routes_withdrawn = 0
         metrics = self.sim.metrics
         labels = dict(daemon=daemon.name, peer=self.name)
         metrics.counter("bgp.updates_sent", fn=lambda: self.updates_sent, **labels)
         metrics.counter("bgp.updates_received", fn=lambda: self.updates_received, **labels)
-        # Route-level churn: NLRI announced/withdrawn inside the batched
-        # updates (one Update message can carry many of each).
-        metrics.counter("bgp.routes_announced", fn=lambda: self.routes_announced, **labels)
-        metrics.counter("bgp.routes_withdrawn", fn=lambda: self.routes_withdrawn, **labels)
-        metrics.gauge(
-            "bgp.session_up",
-            fn=lambda: 1 if self.state == ESTABLISHED else 0,
-            **labels,
-        )
-        metrics.gauge("bgp.adj_rib_in_routes", fn=lambda: len(self.adj_rib_in), **labels)
-        # Convergence timestamp: sim time the session last reached
-        # ESTABLISHED.
-        self._established_gauge = metrics.gauge("bgp.last_established_time", **labels)
 
     @property
     def is_ebgp(self) -> bool:
@@ -248,7 +233,6 @@ class BGPSession:
             # Passive side: respond with our own OPEN.
             self.transport.send(Open(self.daemon.asn, self.daemon.router_id))
         self.state = ESTABLISHED
-        self._established_gauge.set(self.sim.now)
         self._hold_timer.restart()
         self._keepalive_timer.reschedule()
         self.transport.send(Keepalive())
@@ -351,8 +335,6 @@ class BGPSession:
         self._pending_announce.clear()
         self._pending_withdraw.clear()
         self.updates_sent += 1
-        self.routes_announced += len(announce)
-        self.routes_withdrawn += len(withdraw)
         self.transport.send(Update(announce, withdraw))
         # MRAI: no further update to this peer until the interval ends.
         self._mrai_timer = self.sim.at(self.mrai, self._mrai_expired)

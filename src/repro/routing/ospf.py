@@ -228,44 +228,9 @@ class OSPFDaemon:
         self._spf_span = None
         metrics = self.sim.metrics
         rid = _rid(self.router_id)
-        # One counter per message class, resolved once: _send/_receive
-        # index this dict by the message's type (null metrics when the
-        # registry is disabled, so the increments are no-ops).
-        self._msg_tx = {
-            cls: metrics.counter(
-                "ospf.messages_sent", router=rid, type=cls.__name__.lower()
-            )
-            for cls in (Hello, DBDesc, LSRequest, LSUpdate, LSAck)
-        }
-        self._msg_rx = {
-            cls: metrics.counter(
-                "ospf.messages_received", router=rid, type=cls.__name__.lower()
-            )
-            for cls in (Hello, DBDesc, LSRequest, LSUpdate, LSAck)
-        }
-        # Adjacency FSM transition counters, one per target state, and
-        # LSA lifecycle counters (origination, per-neighbor flood sends,
-        # installs of changed LSAs learned from neighbors).
-        self._adj_counters = {
-            state: metrics.counter(
-                "ospf.adjacency_transitions", router=rid, state=state.lower()
-            )
-            for state in (DOWN, INIT, EXCHANGE, FULL)
-        }
-        self._lsa_originated = metrics.counter("ospf.lsa_originated", router=rid)
-        self._lsa_flood_tx = metrics.counter("ospf.lsa_flood_tx", router=rid)
+        # Installs of changed LSAs learned from neighbors.
         self._lsa_installed = metrics.counter("ospf.lsa_installed", router=rid)
         metrics.counter("ospf.spf_runs", fn=lambda: self.spf_runs, router=rid)
-        metrics.gauge("ospf.lsdb_size", fn=lambda: len(self.lsdb), router=rid)
-        metrics.gauge(
-            "ospf.neighbors_full",
-            fn=lambda: sum(1 for n in self.neighbors.values() if n.state == FULL),
-            router=rid,
-        )
-        # Convergence timestamps: sim time of the most recent SPF run
-        # and of the most recent one that changed the installed routes.
-        self._spf_time_gauge = metrics.gauge("ospf.last_spf_time", router=rid)
-        self._route_change_gauge = metrics.gauge("ospf.last_route_change_time", router=rid)
         platform.register_receiver(self._receive)
 
     # ------------------------------------------------------------------
@@ -340,7 +305,6 @@ class OSPFDaemon:
             ),
             payload=OpaquePayload(message.wire_size, data=message, tag="ospf"),
         )
-        self._msg_tx[type(message)].inc()
         self.platform.send(iface, packet)
 
     def _send_hello(self, iface: RouterInterface) -> None:
@@ -364,9 +328,6 @@ class OSPFDaemon:
             return
         message = packet.payload.data
         src = packet.ip.src
-        counter = self._msg_rx.get(type(message))
-        if counter is not None:
-            counter.inc()
         if isinstance(message, Hello):
             self._on_hello(iface, src, message)
         elif isinstance(message, DBDesc):
@@ -392,7 +353,6 @@ class OSPFDaemon:
             neighbor = Neighbor(self, iface, hello.router_id, src)
             neighbor.state = INIT
             self.neighbors[(iface.name, hello.router_id)] = neighbor
-            self._adj_counters[INIT].inc()
             self.sim.trace.log(
                 "ospf_neighbor",
                 router=_rid(self.router_id),
@@ -407,7 +367,6 @@ class OSPFDaemon:
 
     def _two_way(self, neighbor: Neighbor) -> None:
         neighbor.state = EXCHANGE
-        self._adj_counters[EXCHANGE].inc()
         self.sim.trace.log(
             "ospf_neighbor",
             router=_rid(self.router_id),
@@ -443,7 +402,6 @@ class OSPFDaemon:
         if neighbor.state == FULL:
             return
         neighbor.state = FULL
-        self._adj_counters[FULL].inc()
         self.sim.trace.log(
             "ospf_neighbor",
             router=_rid(self.router_id),
@@ -508,7 +466,6 @@ class OSPFDaemon:
         neighbor.state = DOWN
         neighbor.dead_timer.cancel()
         neighbor.rxmt_timer.stop()
-        self._adj_counters[DOWN].inc()
         self.sim.trace.log(
             "ospf_neighbor",
             router=_rid(self.router_id),
@@ -544,7 +501,6 @@ class OSPFDaemon:
         stubs.extend(self.stub_prefixes)
         lsa = RouterLSA(self.router_id, self._seq, links, stubs)
         self.lsdb[self.router_id] = lsa
-        self._lsa_originated.inc()
         self._flood(lsa, exclude=None)
         self._schedule_spf()
 
@@ -553,7 +509,6 @@ class OSPFDaemon:
             if neighbor is exclude or neighbor.state not in (EXCHANGE, FULL):
                 continue
             neighbor.queue_flood(lsa)
-            self._lsa_flood_tx.inc()
             self._send(
                 neighbor.iface, LSUpdate(self.router_id, [lsa]), dst=neighbor.addr
             )
@@ -598,9 +553,6 @@ class OSPFDaemon:
         self._spf_pending = False
         self.spf_runs += 1
         routes_changed = self._spf_full()
-        self._spf_time_gauge.set(self.sim.now)
-        if routes_changed:
-            self._route_change_gauge.set(self.sim.now)
         fr = self.sim.flight
         if fr.enabled:
             rid = _rid(self.router_id)

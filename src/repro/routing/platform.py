@@ -73,10 +73,6 @@ class RoutingPlatform:
         self.fea = fea if fea is not None else FEA()
         self.interfaces: Dict[str, RouterInterface] = {}
         self._receivers: List[Callable[[RouterInterface, Packet], None]] = []
-        self.rx_msgs = 0
-        sim.metrics.counter(
-            "routing.rx_msgs", fn=lambda: float(self.rx_msgs), platform=name
-        )
 
     # -- interface management -------------------------------------------
     def add_interface(self, iface: RouterInterface) -> RouterInterface:
@@ -103,7 +99,6 @@ class RoutingPlatform:
         self._receivers.append(callback)
 
     def deliver(self, iface: RouterInterface, packet: Packet) -> None:
-        self.rx_msgs += 1
         for callback in list(self._receivers):
             callback(iface, packet)
 

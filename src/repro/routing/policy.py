@@ -66,20 +66,6 @@ class GaoRexfordPolicy:
         self.daemon = daemon
         # eBGP session -> our relationship to that neighbor.
         self.relationships: Dict[BGPSession, str] = {}
-        self.imports_accepted = 0
-        self.exports_allowed = 0
-        self.exports_filtered = 0
-        metrics = daemon.sim.metrics
-        labels = dict(daemon=daemon.name)
-        metrics.counter(
-            "policy.imports_accepted", fn=lambda: self.imports_accepted, **labels
-        )
-        metrics.counter(
-            "policy.exports_allowed", fn=lambda: self.exports_allowed, **labels
-        )
-        metrics.counter(
-            "policy.exports_filtered", fn=lambda: self.exports_filtered, **labels
-        )
 
     # ------------------------------------------------------------------
     def attach(self, session: BGPSession, relationship: str) -> None:
@@ -99,7 +85,6 @@ class GaoRexfordPolicy:
 
         def import_policy(route: BGPRoute) -> Optional[BGPRoute]:
             route.local_pref = pref
-            self.imports_accepted += 1
             return route
 
         return import_policy
@@ -108,16 +93,11 @@ class GaoRexfordPolicy:
         self, session: BGPSession, relationship: str
     ) -> Callable[[BGPRoute], Optional[BGPRoute]]:
         def export_policy(route: BGPRoute) -> Optional[BGPRoute]:
-            if relationship == CUSTOMER:
-                # Customers hear every route we carry.
-                self.exports_allowed += 1
+            # Customers hear every route we carry. Peer/provider routes
+            # do not flow to peers or providers: that would give free
+            # transit (a valley).
+            if relationship == CUSTOMER or self._learned_rel(route) == CUSTOMER:
                 return route
-            if self._learned_rel(route) == CUSTOMER:
-                self.exports_allowed += 1
-                return route
-            # Peer/provider routes do not flow to peers or providers:
-            # that would give free transit (a valley).
-            self.exports_filtered += 1
             return None
 
         return export_policy

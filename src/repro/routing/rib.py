@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.net.addr import IPv4Address, Prefix, prefix
 from repro.net.trie import RadixTrie
-from repro.obs.metrics import NULL_METRIC
 from repro.routing.platform import FEA
 
 #: Election outcomes, in the order their counters are registered.
@@ -68,29 +67,18 @@ class RibRoute:
 class RIB:
     """Route arbitration with FEA propagation and change listeners."""
 
-    def __init__(self, fea: FEA, sim=None, name: str = ""):
+    def __init__(self, fea: FEA, sim, name: str = ""):
         self.fea = fea
-        self.sim = sim
         self.name = name
         # prefix key -> {protocol: RibRoute}
         self._candidates: Dict[Tuple[int, int], Dict[str, RibRoute]] = {}
         self._winners = RadixTrie()
         self._change_callbacks: List[Callable[[Prefix, Optional[RibRoute]], None]] = []
-        self._trace = sim.trace if sim is not None else None
-        if sim is not None:
-            metrics = sim.metrics
-            self._churn = {
-                op: metrics.counter("rib.changes", router=name, op=op)
-                for op in _CHURN_OPS
-            }
-            metrics.gauge("rib.routes", fn=lambda: float(len(self._winners)),
-                          router=name)
-            self._fib_installs = metrics.counter("fib.installs", router=name)
-            self._fib_withdraws = metrics.counter("fib.withdraws", router=name)
-        else:
-            self._churn = {op: NULL_METRIC for op in _CHURN_OPS}
-            self._fib_installs = NULL_METRIC
-            self._fib_withdraws = NULL_METRIC
+        self._trace = sim.trace
+        self._churn = {
+            op: sim.metrics.counter("rib.changes", router=name, op=op)
+            for op in _CHURN_OPS
+        }
 
     # ------------------------------------------------------------------
     def update(self, route: RibRoute) -> None:
@@ -133,14 +121,12 @@ class RIB:
             op = "withdraw"
             self._winners.remove(pfx)
             self.fea.withdraw(pfx)
-            self._fib_withdraws.inc()
         else:
             op = "add" if old_best is None else "replace"
             self._winners.insert(pfx, new_best)
             self.fea.install(pfx, new_best.nexthop, new_best.ifname)
-            self._fib_installs.inc()
         self._churn[op].inc()
-        if self._trace is not None and self._trace.wants("rib_change"):
+        if self._trace.wants("rib_change"):
             winner = new_best if new_best is not None else old_best
             self._trace.log(
                 "rib_change",

@@ -70,8 +70,8 @@ class Simulator:
     metrics:
         A :class:`repro.obs.metrics.MetricsRegistry` that components
         publish counters/gauges/histograms into. The engine's own
-        series are pull-based (read at collection time), so the hot
-        loop pays nothing for them.
+        series is pull-based (read at collection time), so the hot
+        loop pays nothing for it.
     """
 
     def __init__(self, seed: int = 0):
@@ -79,7 +79,7 @@ class Simulator:
         self.seed = seed
         self.random = RandomStreams(seed)
         self.trace = TraceCollector(self)
-        self.metrics = MetricsRegistry(self)
+        self.metrics = MetricsRegistry()
         # Causal flight recorder (repro.obs.spans). Defaults to the
         # shared null object; FlightRecorder(sim).install() swaps in a
         # live one. Instrumented sites guard on ``sim.flight.enabled``.
@@ -101,10 +101,8 @@ class Simulator:
         self._horizon_key: Tuple[float, int] = (_INF, 0)
         self._parked: Dict[Tuple[float, int], list] = {}
         self._limit: Tuple[float, float] = (-_INF, 0)
-        # Engine introspection series: pull-only, read at collection
-        # time — no per-event cost in the dispatch loop.
-        self.metrics.gauge("sim.pending", fn=lambda: self.pending)
-        self.metrics.gauge("sim.now", fn=lambda: self.now)
+        # The engine's one series: pull-only, read at collection time —
+        # no per-event cost in the dispatch loop.
         self.metrics.counter("sim.events_scheduled", fn=lambda: self._seq)
 
     # ------------------------------------------------------------------

@@ -215,18 +215,11 @@ class FluidTrafficPlane:
         self._solver_iterations = 0
 
         metrics = self.sim.metrics
-        if metrics.enabled:
-            gauge, counter = metrics.gauge, metrics.counter
-            for register, metric, read in (
-                (gauge, "flows_active", lambda: self._flows_active),
-                (gauge, "flows_peak", lambda: self._peak_active),
-                (counter, "flows_started", lambda: self._flows_started),
-                (counter, "flows_completed", lambda: self._flows_completed),
-                (counter, "solver_runs", lambda: self._solves),
-                (counter, "solver_iterations", lambda: self._solver_iterations),
-                (gauge, "classes", lambda: len(self.classes)),
-            ):
-                register(f"traffic.{metric}", fn=read, plane=self.name)
+        metrics.counter("traffic.flows_started", fn=lambda: self._flows_started,
+                        plane=self.name)
+        metrics.counter("traffic.solver_runs", fn=lambda: self._solves, plane=self.name)
+        metrics.counter("traffic.solver_iterations", fn=lambda: self._solver_iterations,
+                        plane=self.name)
 
         # Fluid fate-shares with packets at both layers.
         for link in self.vini.links.values():
@@ -361,15 +354,6 @@ class FluidTrafficPlane:
             self._members.append([])
             self._nflows.append(0)
             self._loads.append(0.0)
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                for metric, read in (
-                    ("link_fluid_bps", lambda: state.fluid_bps),
-                    ("link_fluid_util", lambda: state.util),
-                    ("link_packet_bps", lambda: state.packet_bps),
-                ):
-                    metrics.gauge(f"traffic.{metric}", fn=read, plane=self.name,
-                                  link=link.name, sender=sender)
         return state
 
     def _assign_path(self, cls: _FlowClass) -> None:

@@ -247,7 +247,7 @@ class TestLoss:
         loss.recover()
         loss.push(0, make_packet())
         assert len(sink.packets) == 2
-        assert loss.dropped == 2 == click_drops(router, "failed") == click_drops(router)
+        assert click_drops(router, "failed") == 2 == click_drops(router)
 
     def test_probabilistic_loss(self, world):
         sim, node, sliver, router = world
@@ -258,7 +258,7 @@ class TestLoss:
         for _ in range(1000):
             loss.push(0, make_packet())
         assert 350 < len(sink.packets) < 650
-        assert loss.dropped == 1000 - len(sink.packets) == click_drops(router, "loss_prob")
+        assert 1000 - len(sink.packets) == click_drops(router, "loss_prob")
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):

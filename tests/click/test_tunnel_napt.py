@@ -49,7 +49,6 @@ class TestUDPTunnel:
         assert received is inner
         assert received.wire_len == 20 + 8 + 100
         assert tun_a.tx_packets == 1
-        assert tun_b.rx_packets == 1
 
     def test_a_closed_tunnel_receives_nothing_and_frees_its_port(self, pair):
         sim, a, b, router_a, router_b = pair
@@ -66,7 +65,7 @@ class TestUDPTunnel:
         tun_b.close()
         tun_a.push(0, overlay_packet())
         sim.run()
-        assert sink.packets == [] and tun_b.rx_packets == 0
+        assert sink.packets == []
         router_b.udp_socket(port=33001)  # rebinding succeeds
 
     def test_tunnel_overhead_is_28_bytes(self, pair):

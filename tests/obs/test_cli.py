@@ -280,7 +280,8 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
     format and the in-place spill nudge, and the settings no run changed
     (now module constants) with the modes only a second value reached,
     and the routing observer, the live monitor's feed class and the
-    sampler's spill mode: deleted, and not to be documented back in."""
+    sampler's spill mode, and the metrics registry's off mode and its
+    null instrument: deleted, and not to be documented back in."""
     stale = re.compile(
         r"-m\s+repro\.obs\.(query|report|live|flight)\b"
         r"|\bmake\s+(profile|report)\b"
@@ -309,7 +310,7 @@ def test_docs_and_build_do_not_drift_back_to_the_old_entry_points():
         r"|link_[b]lock|tunnel_port_[b]ase|tunnel_[r]cvbuf|reroute_on_[f]ailure"
         r"|ttl_[g]uard|flight_[s]ample|mss_[b]ytes"
         r"|Routing[O]bserver|Jsonl[F]eed|max_[p]oints|spill_[p]ath"
-        r"|spilled_[r]ows")
+        r"|spilled_[r]ows|Null[M]etric|NULL_[M]ETRIC|default_[e]nabled")
     hits = []
     for name in ("Makefile", "README.md", "EXPERIMENTS.md", "DESIGN.md",
                  "benchmarks/README.md", ".github/workflows/ci.yml",

@@ -8,7 +8,6 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
-    NULL_METRIC,
 )
 
 
@@ -50,14 +49,16 @@ def test_pull_counter_reads_live_and_rejects_inc():
 
 
 def test_gauge_set_and_pull():
+    """A gauge reads its function when collected; registering the same
+    key again sets a new one on the same series."""
     reg = MetricsRegistry()
-    g = reg.gauge("depth")
-    g.set(5)
-    assert g.value == 5
     level = [0]
     pulled = reg.gauge("level", fn=lambda: level[0])
     level[0] = 9
     assert pulled.value == 9
+    assert reg.gauge("level", fn=lambda: -level[0]) is pulled
+    assert reg.collect() == [
+        {"name": "level", "labels": {}, "type": "gauge", "value": -9}]
 
 
 def test_same_key_returns_same_object():
@@ -113,33 +114,6 @@ def test_histogram_single_value_quantiles_degenerate():
     h.observe(0.42)
     assert h.p50 == pytest.approx(0.42)
     assert h.p99 == pytest.approx(0.42)
-
-
-# ----------------------------------------------------------------------
-# Disabled registry / null metric
-# ----------------------------------------------------------------------
-def test_disabled_registry_hands_out_null_and_registers_nothing(monkeypatch):
-    monkeypatch.setattr(MetricsRegistry, "default_enabled", False)
-    reg = MetricsRegistry()
-    c = reg.counter("x")
-    g = reg.gauge("y")
-    h = reg.histogram("z")
-    assert c is NULL_METRIC and g is NULL_METRIC and h is NULL_METRIC
-    c.inc()
-    g.set(5)
-    h.observe(1.0)
-    assert c.value == 0.0 and h.count == 0
-    assert reg.collect() == []
-    assert reg.value("x", default=13.0) == 13.0
-
-
-def test_default_enabled_class_flag():
-    assert MetricsRegistry.default_enabled is True
-    try:
-        MetricsRegistry.default_enabled = False
-        assert MetricsRegistry().enabled is False
-    finally:
-        MetricsRegistry.default_enabled = True
 
 
 # ----------------------------------------------------------------------

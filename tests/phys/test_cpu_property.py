@@ -208,7 +208,7 @@ class ReferenceScheduler:
         if remaining > 0 or not running.item.cancelled:
             leftover = WorkItem(
                 max(0.0, remaining) * self.speed, running.item.fn, running.item.args,
-                running.item.enqueued_at, running.item.packet,
+                running.item.packet,
             )
             leftover.cancelled = running.item.cancelled
             running.process.queue.appendleft(leftover)
@@ -380,12 +380,13 @@ def test_sole_reserved_process_not_resuming_is_elected_through_the_scan():
 # verbatim but for their names: ParentScheduler, ParentHog and
 # _parent_burst (FaultPlan's cpu_burst, building a ParentHog). One change
 # since: ParentHog.start, like CPUHog.start, draws no second chunk while
-# a live one is queued or on the CPU (one chain per hog). Hypothesis
-# drives both with one script over hog sets (count, quantum, heavy tail,
-# share) beside reserved, capped and real-time processes: work at
-# instants tied to chunk ends, hog starts and stops, CPU bursts, crashes
-# and probe reads at random instants. The dispatch stream, every
-# accounting float, every probe read and the latency histogram must be
+# a live one is queued or on the CPU (one chain per hog); and, like the
+# scheduler, ParentScheduler keeps no scheduling-latency histogram.
+# Hypothesis drives both with one script over hog sets (count, quantum,
+# heavy tail, share) beside reserved, capped and real-time processes:
+# work at instants tied to chunk ends, hog starts and stops, CPU
+# bursts, crashes and probe reads at random instants. The dispatch
+# stream, every accounting float and every probe read must be
 # identical, at a mid-run stop and at the end.
 # ----------------------------------------------------------------------
 _INF = float("inf")
@@ -435,15 +436,6 @@ class ParentScheduler:
         # it is created cannot change what it draws.
         self._nonpreempt_rng = sim.rng(f"nonpreempt.{name}")
         metrics = sim.metrics
-        # Per-slice scheduling latency (time from work arriving to it
-        # getting the CPU): the one push instrument on this path — a
-        # distribution cannot be pulled. None when metrics are off, so
-        # the dispatch loop pays a single identity test.
-        self._latency_hist = (
-            metrics.histogram("cpu.sched_latency", cpu=self.name)
-            if metrics.enabled
-            else None
-        )
         metrics.counter("cpu.busy_seconds", fn=lambda: self.busy_time, cpu=self.name)
         metrics.gauge(
             "cpu.runq_depth",
@@ -458,19 +450,18 @@ class ParentScheduler:
         process.index = len(self.processes)
         self.processes.append(process)
         metrics = self.sim.metrics
-        if metrics.enabled:
-            # Disambiguate duplicate process names on one CPU so each
-            # keeps its own series.
-            label = process.name
-            if metrics.get("cpu.process_seconds", cpu=self.name, process=label) is not None:
-                label = f"{process.name}#{len(self.processes)}"
-            metrics.counter(
-                "cpu.process_seconds",
-                fn=lambda: process.cpu_used,
-                cpu=self.name,
-                process=label,
-            )
-            process.metric_label = label
+        # Disambiguate duplicate process names on one CPU so each
+        # keeps its own series.
+        label = process.name
+        if metrics.get("cpu.process_seconds", cpu=self.name, process=label) is not None:
+            label = f"{process.name}#{len(self.processes)}"
+        metrics.counter(
+            "cpu.process_seconds",
+            fn=lambda: process.cpu_used,
+            cpu=self.name,
+            process=label,
+        )
+        process.metric_label = label
 
     def wake(self, process: Process) -> None:
         """A process gained work; dispatch or preempt as policy allows."""
@@ -627,8 +618,6 @@ class ParentScheduler:
         if not process.queue:
             ready.remove(process)
         sim = self.sim
-        if self._latency_hist is not None:
-            self._latency_hist.observe(sim.now - item.enqueued_at)
         if item.packet is not None:
             # Close the flight's cpu.wait (run-queue) stage: the work is
             # now on the CPU. The stage stays open across preemption, so
@@ -661,7 +650,7 @@ class ParentScheduler:
         if remaining > 0 or not item.cancelled:
             leftover = WorkItem(
                 max(0.0, remaining) * self.speed, item.fn, item.args,
-                item.enqueued_at, item.packet,
+                item.packet,
             )
             leftover.cancelled = item.cancelled
             process.queue.appendleft(leftover)
@@ -888,13 +877,10 @@ def _play_hogs(make_cpu, make_hog, burst, record, members, started, script,
             sim.schedule(time, PeriodicTimer, sim, aux, read)
 
     def state():
-        histogram = sim.metrics.get("cpu.sched_latency", cpu="n")
         return (
             sim.now, cpu.busy_time,
             [(p.name, p.cpu_used, p.vruntime, p.usage_ewma, p._usage_stamp,
               len(p.queue)) for p in cpu.processes],
-            (histogram.bucket_counts, histogram.count, histogram.sum,
-             histogram.sum_sq, histogram.min, histogram.max),
         )
 
     sim.run(until=0.125)  # on the grid: chunks end at the bound

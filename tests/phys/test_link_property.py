@@ -2,7 +2,9 @@
 
 :class:`_TwoEventChannel` and :class:`TwoEventLink` below are the link
 this repository had before a packet crossed a link in one event, kept
-verbatim but for ``sim.cancel``: one ``_tx_done`` event when a packet's
+verbatim but for ``sim.cancel`` and the link instruments no reader
+used (only ``link.delivered_pkts`` and ``link.dropped_pkts`` are
+registered now; the byte counters stay): one ``_tx_done`` event when a packet's
 serialization ends, which starts the next waiting packet, then one
 ``_deliver``. The new :class:`repro.phys.link._Channel` fixes a packet's
 start when it is accepted and pushes only ``_deliver``.
@@ -280,20 +282,11 @@ class TwoEventLink:
         """Publish pull counters over the per-direction channel ints —
         zero cost on the data path, read at collection time."""
         metrics = self.sim.metrics
-        if not metrics.enabled:
-            return
         for iface, channel in self._channels.items():
             labels = dict(link=self.name, sender=iface.node.name)
             c = channel  # bind per iteration for the closures
-            metrics.counter("link.offered_pkts", fn=lambda c=c: c.offered, **labels)
             metrics.counter("link.delivered_pkts", fn=lambda c=c: c.delivered, **labels)
             metrics.counter("link.dropped_pkts", fn=lambda c=c: c.drops, **labels)
-            metrics.counter("link.offered_bytes", fn=lambda c=c: c.offered_bytes, **labels)
-            metrics.counter("link.delivered_bytes", fn=lambda c=c: c.delivered_bytes, **labels)
-            metrics.counter("link.dropped_bytes", fn=lambda c=c: c.dropped_bytes, **labels)
-            metrics.counter("link.tx_bytes", fn=lambda c=c: c.tx_bytes, **labels)
-            metrics.gauge("link.queue_bytes", fn=lambda c=c: c.queued_bytes, **labels)
-            metrics.gauge("link.queue_pkts", fn=lambda c=c: len(c.queue), **labels)
 
     def other_end(self, interface: "Interface") -> "Interface":
         try:
@@ -420,8 +413,7 @@ class _Side:
         rows = [(row["name"], sorted(row["labels"].items()), row["value"])
                 for row in self.sim.metrics.collect()
                 if row["name"].startswith("link.")]
-        channels = [(c.offered, c.delivered, c.drops, c.offered_bytes,
-                     c.delivered_bytes, c.dropped_bytes, c.tx_packets,
+        channels = [(c.offered, c.delivered, c.drops, c.tx_packets,
                      c.tx_bytes, c.queued_bytes, len(c.queue),
                      self.backlog(c)) for c in self.channels()]
         stats = [self.link.stats()] + [self.link.stats(end) for end in self.ends]

@@ -16,8 +16,8 @@ from repro.sim import Simulator
 
 
 def peered_daemons(sim, asn_a=65001, asn_b=65002, delay=0.010, mrai=0.1):
-    a = BGPDaemon(sim, asn_a, "192.0.2.1", rib=RIB(FEA()))
-    b = BGPDaemon(sim, asn_b, "192.0.2.2", rib=RIB(FEA()))
+    a = BGPDaemon(sim, asn_a, "192.0.2.1", rib=RIB(FEA(), sim))
+    b = BGPDaemon(sim, asn_b, "192.0.2.2", rib=RIB(FEA(), sim))
     ta, tb = DirectTransport.pair(sim, delay=delay)
     sa = a.add_session(ta, asn_b, mrai=mrai)
     sb = b.add_session(tb, asn_a, mrai=mrai)
@@ -75,7 +75,7 @@ def test_loop_prevention_rejects_own_asn():
 
 def test_shorter_as_path_preferred():
     sim = Simulator(seed=75)
-    c = BGPDaemon(sim, 65003, "192.0.2.3", rib=RIB(FEA()))
+    c = BGPDaemon(sim, 65003, "192.0.2.3", rib=RIB(FEA(), sim))
     short = BGPDaemon(sim, 65001, "192.0.2.1")
     long_ = BGPDaemon(sim, 65002, "192.0.2.2")
     ts, tc1 = DirectTransport.pair(sim)
@@ -183,8 +183,8 @@ def test_mrai_batches_updates():
 
 def test_a_wrong_peer_as_is_refused_with_a_notification():
     sim = Simulator(seed=79)
-    a = BGPDaemon(sim, 65001, "192.0.2.1", rib=RIB(FEA()))
-    b = BGPDaemon(sim, 65002, "192.0.2.2", rib=RIB(FEA()))
+    a = BGPDaemon(sim, 65001, "192.0.2.1", rib=RIB(FEA(), sim))
+    b = BGPDaemon(sim, 65002, "192.0.2.2", rib=RIB(FEA(), sim))
     ta, tb = DirectTransport.pair(sim, delay=0.010)
     sa = a.add_session(ta, 65099)  # b's OPEN says 65002
     sb = b.add_session(tb, 65001)

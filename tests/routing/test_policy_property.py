@@ -152,3 +152,16 @@ def test_shrunk_counterexample_shape():
     found = daemons[1].loc_rib.get(prefix("99.3.0.0/16").key)
     assert found is None, f"as1 reaches as3 via {found[0].as_path}"
     assert daemons[2].loc_rib.get(prefix("99.3.0.0/16").key) is not None
+
+
+def test_a_provider_route_is_not_exported_to_another_provider():
+    """AS 2 buys transit from AS 1 and AS 3: it takes each provider's
+    prefix, and passes neither to the other provider (no valley)."""
+    sim = Simulator(seed=2)
+    daemons, _policies = build_policy_graph(sim, 3, [(1, 2), (3, 2)], [])
+    sim.run(until=30.0)
+    assert daemons[2].loc_rib.get(prefix("99.1.0.0/16").key) is not None
+    assert daemons[2].loc_rib.get(prefix("99.3.0.0/16").key) is not None
+    assert daemons[1].loc_rib.get(prefix("99.2.0.0/16").key) is not None
+    assert daemons[1].loc_rib.get(prefix("99.3.0.0/16").key) is None
+    assert daemons[3].loc_rib.get(prefix("99.1.0.0/16").key) is None

@@ -25,7 +25,7 @@ def route(pfx, proto, distance, metric=0.0, nexthop="10.0.0.1", ifname="eth0"):
 
 def test_single_route_installed_in_fea():
     fea = FEA()
-    rib = RIB(fea)
+    rib = RIB(fea, Simulator())
     rib.update(route("10.1.0.0/16", "static", 1))
     assert len(fea.routes) == 1
     assert rib.best("10.1.0.0/16").protocol == "static"
@@ -33,7 +33,7 @@ def test_single_route_installed_in_fea():
 
 def test_lower_distance_wins():
     fea = FEA()
-    rib = RIB(fea)
+    rib = RIB(fea, Simulator())
     rib.update(route("10.1.0.0/16", "rip", AdminDistance.RIP, nexthop="10.0.0.2"))
     rib.update(route("10.1.0.0/16", "ospf", AdminDistance.OSPF, nexthop="10.0.0.3"))
     best = rib.best("10.1.0.0/16")
@@ -43,7 +43,7 @@ def test_lower_distance_wins():
 
 def test_metric_breaks_distance_tie():
     fea = FEA()
-    rib = RIB(fea)
+    rib = RIB(fea, Simulator())
     rib.update(route("10.1.0.0/16", "ospf", 110, metric=20, nexthop="10.0.0.2"))
     # Same protocol re-offering with better metric replaces.
     rib.update(route("10.1.0.0/16", "ospf", 110, metric=5, nexthop="10.0.0.3"))
@@ -52,7 +52,7 @@ def test_metric_breaks_distance_tie():
 
 def test_withdraw_falls_back_to_next_best():
     fea = FEA()
-    rib = RIB(fea)
+    rib = RIB(fea, Simulator())
     rib.update(route("10.1.0.0/16", "ospf", 110, nexthop="10.0.0.2"))
     rib.update(route("10.1.0.0/16", "rip", 120, nexthop="10.0.0.3"))
     rib.withdraw("10.1.0.0/16", "ospf")
@@ -63,12 +63,12 @@ def test_withdraw_falls_back_to_next_best():
 
 
 def test_withdraw_absent_is_noop():
-    rib = RIB(FEA())
+    rib = RIB(FEA(), Simulator())
     rib.withdraw("10.1.0.0/16", "ospf")  # no exception
 
 
 def test_longest_prefix_lookup():
-    rib = RIB(FEA())
+    rib = RIB(FEA(), Simulator())
     rib.update(route("10.0.0.0/8", "static", 1, nexthop="10.0.0.2"))
     rib.update(route("10.1.0.0/16", "static", 1, nexthop="10.0.0.3"))
     assert rib.lookup("10.1.5.5").nexthop == ip("10.0.0.3")
@@ -77,7 +77,7 @@ def test_longest_prefix_lookup():
 
 
 def test_change_listener_fires_on_real_changes_only():
-    rib = RIB(FEA())
+    rib = RIB(FEA(), Simulator())
     events = []
     rib.on_change(lambda pfx, best: events.append((str(pfx), best.protocol if best else None)))
     rib.update(route("10.1.0.0/16", "ospf", 110, nexthop="10.0.0.2"))
@@ -88,7 +88,7 @@ def test_change_listener_fires_on_real_changes_only():
 
 
 def test_withdraw_protocol_bulk():
-    rib = RIB(FEA())
+    rib = RIB(FEA(), Simulator())
     rib.update(route("10.1.0.0/16", "rip", 120))
     rib.update(route("10.2.0.0/16", "rip", 120))
     rib.update(route("10.2.0.0/16", "static", 1))
@@ -98,7 +98,7 @@ def test_withdraw_protocol_bulk():
 
 
 def test_routes_listing():
-    rib = RIB(FEA())
+    rib = RIB(FEA(), Simulator())
     rib.update(route("10.1.0.0/16", "static", 1))
     rib.update(route("10.2.0.0/16", "static", 1))
     assert len(rib.routes()) == 2

@@ -1,6 +1,6 @@
-"""Control-plane telemetry: the ospf.* / rib.* / fib.* / routing.* /
-bgp.* metrics the daemons publish, each checked against the legacy
-derivation it mirrors (trace records or plain attribute counters)."""
+"""Control-plane telemetry: the ospf.* / rib.* / bgp.* metrics the
+daemons publish, each checked against the derivation it mirrors (trace
+records or the daemon's own state)."""
 
 from repro.net.addr import ip
 from repro.routing.bgp import BGPDaemon, DirectTransport
@@ -23,42 +23,21 @@ def _square_world(seed=46, enable_rib_trace=False):
 # ----------------------------------------------------------------------
 # OSPF adjacency / LSA lifecycle
 # ----------------------------------------------------------------------
-def test_adjacency_transition_counters_match_trace():
-    sim, fabric, platforms, routers, _ = _square_world()
-    sim.run(until=30.0)
-    metrics = sim.metrics
-    # Every counter inc is colocated with an ospf_neighbor trace log,
-    # so per-state totals must equal the trace-derived counts.
-    for state in ("init", "exchange", "full", "down"):
-        total = metrics.sum_values("ospf.adjacency_transitions", state=state)
-        traced = sim.trace.count("ospf_neighbor", state=state.capitalize())
-        assert total == traced, (state, total, traced)
-    # Each router brought both its neighbors to Full, none dropped.
-    for index in range(4):
-        rid = router_id(index)
-        assert metrics.value(
-            "ospf.adjacency_transitions", router=rid, state="full"
-        ) == 2.0
-        assert metrics.value(
-            "ospf.adjacency_transitions", router=rid, state="down"
-        ) == 0.0
-
-
 def test_failure_increments_down_transitions():
     sim, fabric, platforms, routers, ifmap = _square_world(seed=47)
     sim.run(until=30.0)
+    # Each router brought both its neighbors to Full, none dropped.
+    for index in range(4):
+        assert sim.trace.count(
+            "ospf_neighbor", router=router_id(index), state="Full") == 2
+    assert sim.trace.count("ospf_neighbor", state="Down") == 0
     fabric.fail(platforms["a"], "to_b")
     sim.run(until=55.0)
-    metrics = sim.metrics
-    assert metrics.value(
-        "ospf.adjacency_transitions", router=router_id(0), state="down"
-    ) == 1.0
-    assert metrics.value(
-        "ospf.adjacency_transitions", router=router_id(1), state="down"
-    ) == 1.0
-    assert metrics.sum_values(
-        "ospf.adjacency_transitions", state="down"
-    ) == sim.trace.count("ospf_neighbor", state="Down")
+    # Each end of the failed link dropped its one neighbor there.
+    for index in (0, 1):
+        assert sim.trace.count(
+            "ospf_neighbor", router=router_id(index), state="Down") == 1
+    assert sim.trace.count("ospf_neighbor", state="Down") == 2
 
 
 def test_lsa_lifecycle_counters():
@@ -66,11 +45,8 @@ def test_lsa_lifecycle_counters():
     sim.run(until=30.0)
     metrics = sim.metrics
     for index in range(4):
+        # Every router installs the other three routers' LSAs.
         rid = router_id(index)
-        # Every router re-originates as adjacencies come up ...
-        assert metrics.value("ospf.lsa_originated", router=rid) >= 1.0
-        # ... floods to neighbors, and installs the others' LSAs.
-        assert metrics.value("ospf.lsa_flood_tx", router=rid) >= 1.0
         assert metrics.value("ospf.lsa_installed", router=rid) >= 3.0
 
 
@@ -90,10 +66,10 @@ def test_rib_churn_counters_match_trace_records():
             counted = metrics.value("rib.changes", router=name, op=op)
             traced = sim.trace.count("rib_change", router=name, op=op)
             assert counted == traced, (name, op, counted, traced)
-        # The winners gauge equals the net add/withdraw balance.
+        # The winners held equal the net add/withdraw balance.
         adds = metrics.value("rib.changes", router=name, op="add")
         withdraws = metrics.value("rib.changes", router=name, op="withdraw")
-        assert metrics.value("rib.routes", router=name) == adds - withdraws
+        assert len(routers[name].rib.routes()) == adds - withdraws
     # The reroute after the failure produced replace churn somewhere.
     assert metrics.sum_values("rib.changes", op="replace") > 0
 
@@ -105,16 +81,6 @@ def test_rib_changes_silent_without_enable():
     # logged none — but the pull counters still saw every change.
     assert sim.trace.count("rib_change") == 0
     assert sim.metrics.sum_values("rib.changes", op="add") > 0
-    assert sim.metrics.sum_values("fib.installs") > 0
-
-
-def test_platform_rx_counter_matches_attribute():
-    sim, fabric, platforms, routers, _ = _square_world(seed=51)
-    sim.run(until=30.0)
-    for name, platform in platforms.items():
-        value = sim.metrics.value("routing.rx_msgs", platform=name)
-        assert value == float(platform.rx_msgs)
-        assert value > 0
 
 
 # ----------------------------------------------------------------------
@@ -136,12 +102,11 @@ def test_bgp_route_churn_counters_match_session_attributes():
     left.withdraw_origin("192.0.2.0/24")
     sim.run(until=6.0)
     metrics = sim.metrics
-    announced = metrics.value("bgp.routes_announced", daemon="left",
-                              peer="as65002")
-    withdrawn = metrics.value("bgp.routes_withdrawn", daemon="left",
-                              peer="as65002")
-    assert announced == s_l.routes_announced == 2
-    assert withdrawn == s_l.routes_withdrawn == 1
+    # Every update the left side sent, the right side received.
+    sent = metrics.value("bgp.updates_sent", daemon="left", peer="as65002")
+    received = metrics.value("bgp.updates_received", daemon="right",
+                             peer="as65001")
+    assert sent == s_l.updates_sent == received == s_r.updates_received >= 2
     assert metrics.value("bgp.loc_rib_routes", daemon="right") == len(
         right.loc_rib
     ) == 1.0

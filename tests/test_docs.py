@@ -158,6 +158,44 @@ def test_every_stored_field_is_read_somewhere():
                   if name not in stored or name in loaded) == []
 
 
+# The registry calls that create an instrument, and the calls in
+# ``src/repro/obs`` that read one by name.
+REGISTRARS = {"counter", "gauge", "histogram"}
+METRIC_READERS = {"value", "get", "find", "sum_values", "watch_metric"}
+
+
+def test_every_registered_instrument_has_a_reader():
+    """Every instrument registered in ``src/repro`` is named by a string
+    literal, and that literal is read: it appears in ``benchmarks`` (a
+    ``paper.py`` claim, the ledger's ``COUNTER_SOURCES``) or
+    ``examples``, or a reading call in ``src/repro/obs`` is given it.
+    The report's dump of every row is not a reader; an instrument only
+    a test reads fails here."""
+    registered, unnamed = {}, []
+    for path in sorted((REPO / "src/repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and _name(node.func) in REGISTRARS):
+                continue
+            where = f"{path.relative_to(REPO)}:{node.lineno}"
+            name = node.args[0] if node.args else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                registered.setdefault(name.value, where)
+            else:
+                unnamed.append(where)
+    literals = set()
+    for root in ("benchmarks", "examples", "src/repro/obs"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            if root == "src/repro/obs":
+                nodes = [arg for call in nodes if isinstance(call, ast.Call)
+                         and _name(call.func) in METRIC_READERS for arg in call.args]
+            literals.update(node.value for node in nodes
+                            if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    assert unnamed == []
+    assert {name: where for name, where in registered.items()
+            if name not in literals} == {}
+
+
 # Callee name -> index of the callback argument that the callee calls
 # with the positional arguments after it: ``sim.schedule(t, fn, *a)``.
 FORWARDERS = {"schedule": 1, "at": 1, "call_soon": 0, "exec_after": 1, "partial": 0}

@@ -128,18 +128,12 @@ def test_overlay_walks_reach_remote_prefixes():
     reason="set REPRO_SCALE_TESTS=1 to run the 200-AS build",
 )
 def test_200_as_internet_builds_converges_and_replays():
-    from repro.obs import MetricsRegistry
     from repro.obs.report import build_report
     from repro.obs.routing import ConvergenceTracker
     from repro.topologies.internet import stuck_route_plan
 
     def build_and_report():
-        old = MetricsRegistry.default_enabled
-        MetricsRegistry.default_enabled = False  # keep the JSON stable
-        try:
-            world = build_internet(n_as=200, seed=1)
-        finally:
-            MetricsRegistry.default_enabled = old
+        world = build_internet(n_as=200, seed=1)
         spec = world.spec
         assert spec.n_routers >= 900, spec.n_routers
         tracker = ConvergenceTracker(world.experiment).install()

@@ -239,9 +239,11 @@ class TestCoupling:
         vini.run(until=0.1)
         collected = vini.sim.metrics.collect()
         by_name = {m["name"]: m for m in collected}
-        assert by_name["traffic.flows_active"]["value"] == 7
-        assert by_name["traffic.solver_runs"]["value"] >= 1
-        assert "traffic.link_fluid_util" in by_name
+        stats = plane.stats
+        assert by_name["traffic.flows_started"]["value"] == stats["flows_started"] == 7
+        assert by_name["traffic.solver_runs"]["value"] == stats["solver_runs"] >= 1
+        assert (by_name["traffic.solver_iterations"]["value"]
+                == stats["solver_iterations"] >= 1)
 
 
 class TestRecoupling:
