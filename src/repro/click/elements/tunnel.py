@@ -47,9 +47,12 @@ class UDPTunnel(Element):
         self.sock = self.router.udp_socket(port=self.local_port, rcvbuf=TUNNEL_RCVBUF)
         self.sock.on_receive = self._incoming
         self._sendto = self.sock.sendto
+        # A physical node's element names repeat across the virtual
+        # routers it hosts; its UDP ports cannot (VNet.reserve).
         self.router.sim.metrics.counter(
             "click.tunnel.tx_pkts", fn=lambda: self.tx_packets,
-            node=self.router.node.name, element=self.name)
+            node=self.router.node.name, element=self.name,
+            port=self.local_port)
 
     def push(self, port: int, packet: Packet) -> None:
         """Encapsulate and transmit toward the remote tunnel endpoint."""

@@ -9,15 +9,45 @@ directly — they get slices and virtual topologies embedded on top.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Dict, List, Optional, Tuple, Union
-
-import networkx as nx
 
 from repro.net.addr import Prefix, prefix
 from repro.phys.link import DEFAULT_BANDWIDTH, Link
 from repro.phys.node import PhysicalNode, connect
 from repro.phys.vserver import Slice
 from repro.sim.engine import Simulator
+
+
+def _first_links(
+    adjacency: Dict[str, List[Tuple[str, float, Link]]], source: str
+) -> Dict[str, Link]:
+    """Dijkstra from ``source`` over ``adjacency`` (node -> its
+    ``(neighbor, delay, link)`` list): the first link of a shortest path
+    to every other reachable node, in the order nodes are settled.
+
+    Ties keep the path found first (a node's distance is replaced only
+    by a strictly shorter one), and equal heap keys pop in push order,
+    so the tables depend on nothing but the adjacency lists' order.
+    """
+    first: Dict[str, Link] = {}  # settled node -> its first link
+    seen = {source: 0.0}
+    pushes = count()
+    heap = [(0.0, next(pushes), source, None)]
+    while heap:
+        dist, _, name, via = heappop(heap)
+        if name in first:
+            continue
+        first[name] = via
+        for neighbor, delay, link in adjacency[name]:
+            d = dist + delay
+            if neighbor in first or d >= seen.get(neighbor, float("inf")):
+                continue
+            seen[neighbor] = d
+            heappush(heap, (d, next(pushes), neighbor, via or link))
+    del first[source]
+    return first
 
 
 class VINI:
@@ -88,26 +118,17 @@ class VINI:
         masked (the rerouting Section 3.1 warns about): fate sharing is
         what VINI wants.
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
+        adjacency = {name: [] for name in self.nodes}
         for (a, b), link in self.links.items():
             if link.up:
-                graph.add_edge(a, b, weight=max(link.delay, 1e-9))
-        paths = dict(nx.all_pairs_dijkstra_path(graph))
+                delay = max(link.delay, 1e-9)
+                adjacency[a].append((b, delay, link))
+                adjacency[b].append((a, delay, link))
         for src_name, node in self.nodes.items():
-            reachable = paths.get(src_name, {})
-            for dst_name, path in reachable.items():
-                if dst_name == src_name or len(path) < 2:
-                    continue
-                next_name = path[1]
-                link = self.link_between(src_name, next_name)
-                out_iface = next(
-                    iface
-                    for iface in node.interfaces.values()
-                    if iface.link is link
-                )
-                dst_node = self.nodes[dst_name]
-                for iface in dst_node.interfaces.values():
+            out_iface_of = {i.link: i for i in node.interfaces.values()}
+            for dst_name, link in _first_links(adjacency, src_name).items():
+                out_iface = out_iface_of[link]
+                for iface in self.nodes[dst_name].interfaces.values():
                     if iface.address is None:
                         continue
                     host_route = Prefix(iface.address, 32)

@@ -4,8 +4,8 @@ The paper's three experimental settings are the DETER/Emulab 3-node
 testbed (Figs. 3–4), the three loaded PlanetLab nodes at Abilene PoPs
 (Fig. 5) and the 11-PoP Abilene backbone mirror (Fig. 7). All are
 reproduced here with calibrated link latencies, along with generic
-generators (line/ring/star/mesh and Waxman random graphs) for
-experiments beyond the paper.
+generators (line/ring/star/mesh/dumbbell) for experiments beyond the
+paper.
 """
 
 from repro.topologies.abilene import (
@@ -21,7 +21,6 @@ from repro.topologies.generators import (
     build_line,
     build_ring,
     build_star,
-    build_waxman,
 )
 from repro.topologies.internet import (
     InternetSpec,
@@ -52,7 +51,6 @@ __all__ = [
     "build_policy_graph",
     "build_ring",
     "build_star",
-    "build_waxman",
     "generate_internet_spec",
     "hijack_plan",
     "stuck_route_plan",

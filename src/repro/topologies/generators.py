@@ -2,15 +2,12 @@
 
 VINI's point is *arbitrary* virtual topologies on a fixed substrate
 (Section 3.1); these helpers generate the usual suspects — line, ring,
-star, full mesh — and Waxman random graphs (via networkx) for larger
-experiments.
+star, full mesh and dumbbell.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import networkx as nx
 
 from repro.core.experiment import Experiment
 from repro.core.infrastructure import VINI
@@ -21,9 +18,6 @@ BOTTLENECK_DELAY = 0.01
 #: the links as well as at the hub's CPU, and 5 ms each.
 STAR_BANDWIDTH = 20e6
 STAR_DELAY = 0.005
-#: The ``alpha`` and ``beta`` of ``networkx.waxman_graph``.
-WAXMAN_ALPHA = 0.6
-WAXMAN_BETA = 0.3
 
 
 def _build(
@@ -140,22 +134,3 @@ def build_dumbbell(
         exp.connect("rr", f"r{i}")
     exp.connect("rl", "rr")
     return vini, exp
-
-
-def build_waxman(
-    n: int,
-    bandwidth: float = 1e9,
-    delay: float = 0.002,
-    seed: int = 0,
-    name: str = "waxman",
-    realtime: bool = True,
-) -> Tuple[VINI, Experiment]:
-    """A connected Waxman random graph (extra edges added if needed)."""
-    graph = nx.waxman_graph(n, alpha=WAXMAN_ALPHA, beta=WAXMAN_BETA, seed=seed)
-    # Stitch components together deterministically.
-    components = [sorted(c) for c in nx.connected_components(graph)]
-    for first, second in zip(components, components[1:]):
-        graph.add_edge(first[0], second[0])
-    names = [f"n{i}" for i in range(n)]
-    edges = [(names[a], names[b]) for a, b in sorted(graph.edges())]
-    return _build(edges, names, bandwidth, delay, seed, name, realtime)

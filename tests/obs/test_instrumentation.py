@@ -93,6 +93,25 @@ def test_deter_world_metrics_match_legacy_attributes():
     assert abs(hist.stddev - stats.mdev) <= 1e-9 + 1e-6 * stats.mdev
 
 
+def test_tunnel_counters_sum_to_the_packets_sent_in_the_zoo():
+    """A physical node of the internet zoo hosts several virtual routers
+    whose tunnel elements share names, so each tunnel's series is keyed
+    by its UDP port too: none replaces another, and the sum is every
+    packet the tunnels sent."""
+    from repro.click import UDPTunnel
+    from repro.topologies import build_internet
+
+    world = build_internet(n_as=8, seed=1)
+    world.run(until=30.0)
+    tunnels = [element for vnode in world.network.nodes.values()
+               for element in vnode.click.elements.values()
+               if isinstance(element, UDPTunnel)]
+    metrics = world.sim.metrics
+    assert len(list(metrics.find("click.tunnel.tx_pkts"))) == len(tunnels)
+    assert metrics.sum_values("click.tunnel.tx_pkts") == sum(
+        t.tx_packets for t in tunnels) > 0
+
+
 def test_abilene_overlay_publishes_click_and_ospf_metrics():
     vini, exp = build_abilene_iias(seed=6)
     exp.run(until=35.0)
@@ -101,7 +120,7 @@ def test_abilene_overlay_publishes_click_and_ospf_metrics():
     # Tunnels carried the overlay's traffic: each tunnel's pull counter
     # is its element's own.
     tunnels = list(metrics.find("click.tunnel.tx_pkts"))
-    assert tunnels and all("node" in m.labels and "element" in m.labels
+    assert tunnels and all({"node", "element", "port"} <= set(m.labels)
                            for m in tunnels)
     from repro.click import UDPTunnel
 
@@ -110,7 +129,8 @@ def test_abilene_overlay_publishes_click_and_ospf_metrics():
             if isinstance(element, UDPTunnel):
                 assert metrics.value(
                     "click.tunnel.tx_pkts", node=vnode.phys_node.name,
-                    element=element.name) == element.tx_packets
+                    element=element.name, port=element.local_port,
+                ) == element.tx_packets
     assert metrics.sum_values("click.tunnel.tx_pkts") > 0
 
     # OSPF converged: SPF ran and LSAs were installed, and the pull

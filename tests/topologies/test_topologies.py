@@ -1,5 +1,6 @@
 """Tests for the built-in topologies."""
 
+import networkx as nx
 import pytest
 
 from repro.tools import Ping
@@ -14,8 +15,31 @@ from repro.topologies import (
     build_line,
     build_ring,
     build_star,
-    build_waxman,
 )
+from repro.topologies.generators import _build
+
+#: The ``alpha`` and ``beta`` of ``networkx.waxman_graph``.
+WAXMAN_ALPHA = 0.6
+WAXMAN_BETA = 0.3
+
+
+def build_waxman(
+    n: int,
+    bandwidth: float = 1e9,
+    delay: float = 0.002,
+    seed: int = 0,
+    name: str = "waxman",
+    realtime: bool = True,
+):
+    """A connected Waxman random graph (extra edges added if needed)."""
+    graph = nx.waxman_graph(n, alpha=WAXMAN_ALPHA, beta=WAXMAN_BETA, seed=seed)
+    # Stitch components together deterministically.
+    components = [sorted(c) for c in nx.connected_components(graph)]
+    for first, second in zip(components, components[1:]):
+        graph.add_edge(first[0], second[0])
+    names = [f"n{i}" for i in range(n)]
+    edges = [(names[a], names[b]) for a, b in sorted(graph.edges())]
+    return _build(edges, names, bandwidth, delay, seed, name, realtime)
 
 
 class TestDeter:
@@ -94,8 +118,6 @@ class TestGenerators:
         assert len(exp.network.links) == 6
 
     def test_waxman_connected(self):
-        import networkx as nx
-
         vini, exp = build_waxman(12, seed=5)
         graph = nx.Graph()
         for vlink in exp.network.links:
